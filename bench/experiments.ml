@@ -608,7 +608,7 @@ let emit_bench () =
    unitd server (4 worker domains, fresh sharded store), then three
    assertions frozen into BENCH_serve.json for bench-lint:
    - zero duplicate tuner sweeps (tensorize.tune span count == distinct
-     workloads — coalescing plus the handler's single-flight held),
+     workloads — coalescing plus the kernel cache's single-flight held),
    - daemon run digests bit-identical to direct Pipeline execution,
    - client-observed p50/p99 latency. *)
 

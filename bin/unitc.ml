@@ -1540,11 +1540,6 @@ let counterexamples_flag =
           "Instead of the zoo, run hand-built racy/overflowing programs through \
            the analyzer and verify each is rejected (exits non-zero).")
 
-let check_term =
-  Term.(
-    const check $ spec_arg $ counterexamples_flag $ trace_flag $ store_arg
-    $ isa_pack_arg)
-
 let check_cmd =
   Cmd.v
     (Cmd.info "check"
@@ -1552,9 +1547,9 @@ let check_cmd =
          "Static schedule-legality check (races, carried dependences, tensorize \
           footprints, overflow) over every tensorized kernel of Table I and the \
           model zoo; exits non-zero on any error.")
-    check_term
-
-let lint_cmd = Cmd.v (Cmd.info "lint" ~doc:"Alias of check.") check_term
+    Term.(
+      const check $ spec_arg $ counterexamples_flag $ trace_flag $ store_arg
+      $ isa_pack_arg)
 
 let profile_cmd =
   let model =
@@ -1615,8 +1610,10 @@ let warmup_cmd =
          "Concurrently compile every distinct workload of a model (or the \
           zoo, or Table I) into a persistent tuning store: cold workloads \
           are tuned and appended, warm ones replay the stored config and \
-          skip the tuner sweep.  Duplicate workloads are single-flighted; \
-          transient failures retried with exponential backoff.  With \
+          skip the tuner sweep.  Duplicate workloads compile once (a job \
+          list is deduplicated by key, and the kernel cache tunes each \
+          workload once across domains); transient failures retried with \
+          exponential backoff.  With \
           --engine emitted, each tuned kernel is also native-compiled and \
           its .cmxs content-addressed into the store.")
     Term.(
@@ -1904,7 +1901,7 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_isa_cmd; show_isa_cmd; isa_cmd; inspect_cmd; compile_cmd; run_cmd; e2e_cmd;
-            models_cmd; table1_cmd; check_cmd; lint_cmd; profile_cmd;
+            models_cmd; table1_cmd; check_cmd; profile_cmd;
             warmup_cmd; store_stats_cmd; store_gc_cmd; store_migrate_cmd;
             emit_status_cmd;
             trace_lint_cmd; trace_fetch_cmd; explain_cmd;

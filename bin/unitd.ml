@@ -178,13 +178,16 @@ let metrics socket_path =
 
 (* ---------- smoke (in-process cold+warm cycle) ---------- *)
 
-(* The @serve-smoke driver: N identical concurrent tune requests against
-   a cold daemon must produce exactly one tuner sweep (the trace-lint
-   asserts one tensorize.tune span and a positive serve.coalesced
-   counter), then a store-warm cycle must tune nothing at all.  The
-   fault hook holds the one in-flight job until every client has
-   submitted, so the coalescing assertion is deterministic, not a race
-   we usually win. *)
+(* The @serve-smoke driver: N/2 tune and N/2 run requests for one
+   workload against a cold daemon must produce exactly one tuner sweep
+   (the trace-lint asserts one tensorize.tune span and a positive
+   serve.coalesced counter), then a store-warm cycle must tune nothing at
+   all.  The two request kinds coalesce under different keys, so two
+   leaders reach the pipeline's kernel memo together and its
+   single-flight, not the server's coalescing, keeps the sweep to one.
+   The fault hook holds both in-flight leaders until every client has
+   submitted, so the assertions are deterministic, not a race we usually
+   win. *)
 let smoke store_dir trace_out =
   enable_tracing ?trace_out ();
   let store_dir = Option.value ~default:"unitd_smoke_store" store_dir in
@@ -201,15 +204,15 @@ let smoke store_dir trace_out =
     done
   in
   let server = Server.create ~fault { Server.default_config with domains = 4 } in
-  let request =
-    Protocol.Tune
-      { target = Unit_store.Warmup.X86;
-        engine = Pipeline.Compiled;
-        workload =
-          Protocol.Conv
-            { Unit_graph.Workload.c = 32; h = 8; w = 8; k = 32; kernel = 3;
-              stride = 1; padding = 1; groups = 1 }
-      }
+  let target = Unit_store.Warmup.X86 and engine = Pipeline.Compiled in
+  let workload =
+    Protocol.Conv
+      { Unit_graph.Workload.c = 32; h = 8; w = 8; k = 32; kernel = 3;
+        stride = 1; padding = 1; groups = 1 }
+  in
+  let request i =
+    if i mod 2 = 0 then Protocol.Tune { target; engine; workload }
+    else Protocol.Run { target; engine; workload }
   in
   let fire () =
     let responses =
@@ -220,7 +223,7 @@ let smoke store_dir trace_out =
           Thread.create
             (fun () ->
               Atomic.incr submitted;
-              responses.(i) <- Server.submit server request)
+              responses.(i) <- Server.submit server (request i))
             ())
     in
     List.iter Thread.join threads;
@@ -233,8 +236,9 @@ let smoke store_dir trace_out =
                (Protocol.code_to_string code)))
       responses
   in
-  Printf.printf "serve-smoke: cold burst (%d identical concurrent tunes)\n%!"
-    clients;
+  Printf.printf
+    "serve-smoke: cold burst (%d concurrent tunes + %d runs, one workload)\n%!"
+    (clients / 2) (clients / 2);
   fire ();
   let fields = Server.stats_fields server in
   let field name = List.assoc name fields in
@@ -249,7 +253,7 @@ let smoke store_dir trace_out =
   (match Server.submit server Protocol.Shutdown with
    | Protocol.Result _ -> ()
    | Protocol.Failure _ -> failwith "shutdown refused");
-  (match Server.submit server request with
+  (match Server.submit server (request 0) with
    | Protocol.Failure (Protocol.Draining, _) -> ()
    | _ -> failwith "post-shutdown work was not refused as draining");
   Server.drain server;
@@ -472,8 +476,8 @@ let smoke_cmd =
   Cmd.v
     (Cmd.info "smoke"
        ~doc:
-         "In-process cold+warm cycle for @serve-smoke: N identical \
-          concurrent tune requests coalesce into exactly one tuner sweep, \
+         "In-process cold+warm cycle for @serve-smoke: N concurrent tune \
+          and run requests for one workload make exactly one tuner sweep, \
           then a store-warm burst tunes nothing; writes a lintable trace.")
     Term.(const smoke $ store_arg $ trace_out_arg)
 

@@ -15,6 +15,9 @@ let c_cache_hit = Obs.counter "pipeline.cache.hit"
 let c_cache_miss = Obs.counter "pipeline.cache.miss"
 let c_cache_evict = Obs.counter "pipeline.cache.evict"
 
+(* always-on: the daemon's /stats reports it as [tensorize_shared] *)
+let c_cache_wait = Obs.counter ~always:true "pipeline.cache.wait"
+
 (* Attribution telemetry: the tuned kernel's cycle breakdown and its
    roofline classification (all no-ops unless tracing is enabled). *)
 let h_attr_compute = Obs.histogram "model.cycles.compute"
@@ -249,13 +252,26 @@ type cache_entry =
 
 (* The cache is bounded (FIFO eviction) so a long-lived serving process
    replaying an unbounded stream of distinct shapes cannot grow it without
-   limit, and mutex-guarded so the warm-up scheduler can fan pipeline
-   calls across domains.  The lock is never held across a compile: a miss
-   compiles outside it and re-checks on insert, keeping the physical
-   sharing guarantee (the first insert wins; latecomers adopt it). *)
+   limit, and mutex-guarded so the warm-up scheduler and the daemon can
+   fan pipeline calls across domains.  It is also single-flight: a miss
+   registers a flight for its key under the lock and compiles outside
+   it; later callers of that key wait on the flight and adopt its entry,
+   so concurrent callers tune once.  Flights live apart from the cache,
+   so they never count toward the cap and are never evicted. *)
+type flight_state =
+  | Running
+  | Published of cache_entry
+  | Abandoned  (* the leader raised; waiters claim the key afresh *)
+
+type flight = {
+  fl_done : Condition.t;
+  mutable fl_state : flight_state;
+}
+
 let cache_lock = Mutex.create ()
 let cache : (cache_key, cache_entry) Hashtbl.t = Hashtbl.create 256
 let cache_order : cache_key Queue.t = Queue.create ()
+let flights : (cache_key, flight) Hashtbl.t = Hashtbl.create 16
 let cache_cap = ref 1024
 
 let with_lock m f =
@@ -282,6 +298,8 @@ let set_cache_cap n =
 let cache_cap () = !cache_cap
 let cache_size () = with_lock cache_lock (fun () -> Hashtbl.length cache)
 
+(* In-flight compiles are left alone: their leaders still publish and
+   wake their waiters. *)
 let clear_cache () =
   with_lock cache_lock (fun () ->
       Hashtbl.reset cache;
@@ -289,21 +307,50 @@ let clear_cache () =
 
 let memo ~tag ~workload ~config f =
   let key = { ck_tag = tag; ck_workload = workload; ck_config = config } in
-  match with_lock cache_lock (fun () -> Hashtbl.find_opt cache key) with
-  | Some e ->
-    Obs.incr c_cache_hit;
-    e
-  | None ->
-    Obs.incr c_cache_miss;
-    let e = f () in
-    with_lock cache_lock (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some existing -> existing (* another domain compiled it first *)
-        | None ->
-          Hashtbl.add cache key e;
-          Queue.push key cache_order;
-          evict_over_cap_locked ();
-          e)
+  (* under [cache_lock]: a cached entry, a published flight's entry, or
+     a fresh flight this caller now leads *)
+  let rec claim () =
+    match Hashtbl.find_opt cache key with
+    | Some e ->
+      Obs.incr c_cache_hit;
+      Ok e
+    | None ->
+      (match Hashtbl.find_opt flights key with
+       | Some fl ->
+         while fl.fl_state = Running do
+           Condition.wait fl.fl_done cache_lock
+         done;
+         (match fl.fl_state with
+          | Published e ->
+            Obs.incr c_cache_wait;
+            Ok e
+          | Running | Abandoned -> claim ())
+       | None ->
+         Obs.incr c_cache_miss;
+         let fl = { fl_done = Condition.create (); fl_state = Running } in
+         Hashtbl.add flights key fl;
+         Error fl)
+  in
+  match with_lock cache_lock claim with
+  | Ok e -> e
+  | Error fl ->
+    let settle state =
+      Hashtbl.remove flights key;
+      fl.fl_state <- state;
+      Condition.broadcast fl.fl_done
+    in
+    (match f () with
+     | e ->
+       with_lock cache_lock (fun () ->
+           Hashtbl.replace cache key e;
+           Queue.push key cache_order;
+           evict_over_cap_locked ();
+           settle (Published e));
+       e
+     | exception exn ->
+       let bt = Printexc.get_raw_backtrace () in
+       with_lock cache_lock (fun () -> settle Abandoned);
+       Printexc.raise_with_backtrace exn bt)
 
 let entry_seconds = function
   | Kernel c -> seconds c

@@ -137,10 +137,20 @@ val seconds : compiled -> float
 (** Per-platform convolution kernels, cached by
     (platform tag, workload, config): a repeated workload returns the
     {e same} compiled kernel — same tuned schedule, physically shared —
-    without re-running the pipeline.  Cache traffic is counted on the
-    [pipeline.cache.hit] / [pipeline.cache.miss] observability counters
-    when tracing is enabled.  Activations are u8 on x86 (VNNI is
-    unsigned-by-signed) and i8 on ARM. *)
+    without re-running the pipeline.  Activations are u8 on x86 (VNNI is
+    unsigned-by-signed) and i8 on ARM.
+
+    The cache is the process's one single-flight for compiles.  A miss
+    registers an in-flight entry and compiles outside the cache lock;
+    concurrent callers of the same key wait for it and adopt the
+    leader's physically identical result, so any number of domains
+    asking for one workload run one tuner sweep.  If the leader raises
+    (a transient failure, or [Invalid_argument] for a workload that does
+    not tensorize), the exception reaches the leader's caller only; the
+    in-flight entry is dropped and the next waiter compiles afresh.
+    Traffic is counted on [pipeline.cache.hit] / [pipeline.cache.miss]
+    when tracing is enabled, and callers that adopted an in-flight
+    compile on the always-on [pipeline.cache.wait]. *)
 
 val conv_compiled_x86 :
   ?config:Cpu_tuner.config -> Unit_graph.Workload.conv2d -> compiled
@@ -188,12 +198,16 @@ val depthwise_time_cpu : Spec.cpu -> Unit_graph.Workload.conv2d -> float
     code. *)
 
 val clear_cache : unit -> unit
+(** Drop every cached kernel.  Compiles in flight are unaffected: their
+    leaders still publish (into the emptied cache) and wake their
+    waiters. *)
 
 val set_cache_cap : int -> unit
 (** Bound the in-memory kernel cache (default 1024 entries).  When an
     insert pushes it over the cap, the oldest entries are evicted FIFO
-    and counted on [pipeline.cache.evict].  Raises [Invalid_argument]
-    below 1.  Shrinking the cap evicts immediately. *)
+    and counted on [pipeline.cache.evict].  In-flight compiles never
+    count toward the cap.  Raises [Invalid_argument] below 1.  Shrinking
+    the cap evicts immediately. *)
 
 val cache_cap : unit -> int
 val cache_size : unit -> int

@@ -10,16 +10,6 @@ module Cpu_tuner = Unit_rewriter.Cpu_tuner
 module Ndarray = Unit_codegen.Ndarray
 module Spec = Unit_machine.Spec
 
-let c_shared = Obs.counter "serve.tensorize.shared"
-let shared_flights = Atomic.make 0
-
-(* One process-wide flight table: the pipeline memo compiles outside its
-   lock, so without this two worker domains missing on the same workload
-   would both run the tuner sweep — the duplicate tune the soak test
-   forbids.  The key deliberately omits the engine: engines share one
-   tensorization. *)
-let flight = Singleflight.create ()
-
 let spec_of_target = function
   | Warmup.X86 -> Spec.cascadelake
   | Warmup.Arm -> Spec.graviton2
@@ -30,25 +20,13 @@ let conv_of_workload = function
   | Protocol.Dense _ -> invalid_arg "not a convolution workload"
 
 let compiled_for ~target workload =
-  let tag = Warmup.target_to_string target in
-  let key = tag ^ "/" ^ Protocol.workload_name workload in
-  let compile () =
-    match (target, workload) with
-    | Warmup.X86, (Protocol.Conv _ | Protocol.Table1 _) ->
-      Pipeline.conv_compiled_x86 (conv_of_workload workload)
-    | Warmup.Arm, (Protocol.Conv _ | Protocol.Table1 _) ->
-      Pipeline.conv_compiled_arm (conv_of_workload workload)
-    | Warmup.X86, Protocol.Dense wl -> Pipeline.dense_compiled_x86 wl
-    | Warmup.Arm, Protocol.Dense wl -> Pipeline.dense_compiled_arm wl
-  in
-  let compiled, shared = Singleflight.with_key flight key compile in
-  if shared then begin
-    Atomic.incr shared_flights;
-    Obs.incr c_shared
-  end;
-  compiled
-
-let shared_tensorize_count () = Atomic.get shared_flights
+  match (target, workload) with
+  | Warmup.X86, (Protocol.Conv _ | Protocol.Table1 _) ->
+    Pipeline.conv_compiled_x86 (conv_of_workload workload)
+  | Warmup.Arm, (Protocol.Conv _ | Protocol.Table1 _) ->
+    Pipeline.conv_compiled_arm (conv_of_workload workload)
+  | Warmup.X86, Protocol.Dense wl -> Pipeline.dense_compiled_x86 wl
+  | Warmup.Arm, Protocol.Dense wl -> Pipeline.dense_compiled_arm wl
 
 let tune_result ~target ~engine workload (c : Pipeline.compiled) =
   let spec = spec_of_target target in

@@ -1,5 +1,10 @@
 (** The default request handler: one protocol request in, one result
     JSON out, through the cached {!Unit_core.Pipeline} entry points.
+    The handler holds no per-key state of its own: concurrent [tune]
+    and [run] requests for one workload, under any engine, tune once
+    because the pipeline's kernel memo is single-flight (waiters are
+    counted on [pipeline.cache.wait], reported by [/stats] as
+    [tensorize_shared]).
 
     Raising convention (what {!Server} maps to wire errors):
     [Invalid_argument] is the pipeline's deterministic "does not
@@ -11,14 +16,3 @@ val handle : Protocol.request -> Unit_obs.Json.t
 (** Total over all request kinds, so it can also be called without a
     server (the in-process harness does); [Stats]/[Ping]/[Shutdown] are
     normally intercepted inline by {!Server}. *)
-
-val compiled_for :
-  target:Unit_store.Warmup.target -> Protocol.workload -> Unit_core.Pipeline.compiled
-(** The tensorize step alone, single-flighted process-wide per
-    (target, workload) — concurrent callers of the same workload get
-    exactly one tuner sweep regardless of request kind or engine. *)
-
-val shared_tensorize_count : unit -> int
-(** How many {!compiled_for} calls joined an existing flight instead of
-    leading one (also counted on the [serve.tensorize.shared] Obs
-    counter). *)

@@ -18,6 +18,9 @@ let c_retry = Obs.counter ~always:true "serve.retry"
 let c_failed = Obs.counter ~always:true "serve.failed"
 let h_latency = Obs.histogram ~always:true "serve.latency_us"
 
+(* the pipeline's own always-on counter, interned by name *)
+let c_cache_wait = Obs.counter ~always:true "pipeline.cache.wait"
+
 type config = {
   domains : int;
   queue_cap : int;
@@ -171,7 +174,7 @@ let stats_fields t =
     ("overloaded", Atomic.get t.n_overloaded);
     ("retries", Atomic.get t.n_retries);
     ("failed", Atomic.get t.n_failed);
-    ("tensorize_shared", Handler.shared_tensorize_count ())
+    ("tensorize_shared", Obs.value c_cache_wait)
   ]
 
 let isa_packs_json () =

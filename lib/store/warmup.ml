@@ -1,4 +1,4 @@
-(* The concurrent warm-up scheduler: single-flight claims + bounded
+(* The concurrent warm-up scheduler: dedup by job key, then bounded
    retries over the Parallel_oracle domain pool.  See warmup.mli. *)
 
 module Pipeline = Unit_core.Pipeline
@@ -49,10 +49,11 @@ let spec_of_target = function
   | Arm -> Unit_machine.Spec.graviton2
 
 (* Job keys mirror the pipeline memo's (tag, workload) identity so the
-   single-flight table and the in-memory kernel cache agree on what "the
-   same workload" means — plus the engine, because jobs for the same
-   workload under different engines do different work (the emitted
-   engine additionally bakes a .cmxs artifact) and must not coalesce. *)
+   dedup pass and the in-memory kernel cache agree on what "the same
+   workload" means — plus the engine, because jobs for the same workload
+   under different engines do different work (the emitted engine
+   additionally bakes a .cmxs artifact) and must not be deduped.  Their
+   tuning is still shared: both hit one memo key, which tunes once. *)
 let job_key_of ~tag ~engine name =
   tag ^ "/" ^ name ^ "#" ^ Pipeline.engine_to_string engine
 
@@ -94,8 +95,8 @@ let jobs_of_model ?engine target name =
   | Some build -> Ok (jobs_of_graph ?engine target (build ()))
 
 let jobs_of_zoo ?engine target =
-  (* concatenated without pre-dedup: shared layers across models are the
-     single-flight table's job, and exercise its dedup counter *)
+  (* concatenated without pre-dedup: shared layers across models are
+     left for [run]'s dedup pass, and exercise its dedup counter *)
   List.concat_map
     (fun (_, build) -> jobs_of_graph ?engine target (build ()))
     Unit_models.Zoo.all
@@ -146,7 +147,6 @@ type report = {
 
 type outcome =
   | Compiled
-  | Deduped
   | Skipped of string
   | Failed of failure
 
@@ -154,51 +154,45 @@ let run ?domains ?(retries = 1) jobs =
   if retries < 0 then invalid_arg "Warmup.run: retries must be >= 0";
   let t0 = Unix.gettimeofday () in
   Obs.add c_jobs (List.length jobs);
-  (* single-flight: the first claimant of a key compiles it; concurrent
-     and later duplicates observe the claim and stand down *)
-  let claimed : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  let claim_lock = Mutex.create () in
-  let claim key =
-    Mutex.lock claim_lock;
-    let fresh = not (Hashtbl.mem claimed key) in
-    if fresh then Hashtbl.add claimed key ();
-    Mutex.unlock claim_lock;
-    fresh
+  (* one sequential pass: the first job of each key runs, later ones are
+     deduped before anything is scheduled *)
+  let seen = Hashtbl.create 64 in
+  let unique =
+    List.filter
+      (fun job ->
+        let first = not (Hashtbl.mem seen job.job_key) in
+        if first then Hashtbl.add seen job.job_key () else Obs.incr c_dedup;
+        first)
+      jobs
   in
   let retries_spent = Atomic.make 0 in
   let execute job =
-    if not (claim job.job_key) then begin
-      Obs.incr c_dedup;
-      Deduped
-    end
-    else begin
-      let tok =
-        if Obs.enabled () then Obs.start "warmup.workload" ~detail:job.job_key
-        else Obs.null_span
-      in
-      Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
-      let rec attempt n =
-        match job.job_compile () with
-        | () ->
-          Obs.incr c_compiled;
-          Compiled
-        | exception Invalid_argument reason ->
-          (* deterministic pipeline rejection (does not tensorize):
-             retrying cannot change the answer *)
-          Skipped reason
-        | exception e when n <= retries ->
-          ignore (e : exn);
-          Obs.incr c_retry;
-          Atomic.incr retries_spent;
-          Unix.sleepf (backoff_s ~key:job.job_key ~attempt:n);
-          attempt (n + 1)
-        | exception e ->
-          Obs.incr c_fail;
-          Failed
-            { f_key = job.job_key; f_error = Printexc.to_string e; f_attempts = n }
-      in
-      attempt 1
-    end
+    let tok =
+      if Obs.enabled () then Obs.start "warmup.workload" ~detail:job.job_key
+      else Obs.null_span
+    in
+    Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
+    let rec attempt n =
+      match job.job_compile () with
+      | () ->
+        Obs.incr c_compiled;
+        Compiled
+      | exception Invalid_argument reason ->
+        (* deterministic pipeline rejection (does not tensorize):
+           retrying cannot change the answer *)
+        Skipped reason
+      | exception e when n <= retries ->
+        ignore (e : exn);
+        Obs.incr c_retry;
+        Atomic.incr retries_spent;
+        Unix.sleepf (backoff_s ~key:job.job_key ~attempt:n);
+        attempt (n + 1)
+      | exception e ->
+        Obs.incr c_fail;
+        Failed
+          { f_key = job.job_key; f_error = Printexc.to_string e; f_attempts = n }
+    in
+    attempt 1
   in
   let outcomes =
     List.map
@@ -209,18 +203,18 @@ let run ?domains ?(retries = 1) jobs =
              if the harness itself throws (e.g. out of memory) *)
           Obs.incr c_fail;
           Failed { f_key = "<scheduler>"; f_error = Printexc.to_string e; f_attempts = 0 })
-      (Parallel_oracle.try_map ?domains execute jobs)
+      (Parallel_oracle.try_map ?domains execute unique)
   in
   let count p = List.length (List.filter p outcomes) in
   { rp_jobs = List.length jobs;
     rp_compiled = count (function Compiled -> true | _ -> false);
-    rp_deduped = count (function Deduped -> true | _ -> false);
+    rp_deduped = List.length jobs - List.length unique;
     rp_skipped =
       List.filter_map
         (function
           | (Skipped reason : outcome), key -> Some (key, reason)
           | _ -> None)
-        (List.map2 (fun o j -> (o, j.job_key)) outcomes jobs);
+        (List.map2 (fun o j -> (o, j.job_key)) outcomes unique);
     rp_retries = Atomic.get retries_spent;
     rp_failures =
       List.filter_map (function Failed f -> Some f | _ -> None) outcomes;
@@ -229,7 +223,7 @@ let run ?domains ?(retries = 1) jobs =
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "warm-up: %d job(s) -> %d compiled, %d deduped (single-flight), %d skipped, %d failed in %.2f s"
+    "warm-up: %d job(s) -> %d compiled, %d deduped, %d skipped, %d failed in %.2f s"
     r.rp_jobs r.rp_compiled r.rp_deduped
     (List.length r.rp_skipped)
     (List.length r.rp_failures) r.rp_elapsed_s;

@@ -8,10 +8,13 @@
     and skip the tuner sweep; a cold start populates the store.
 
     Scheduling semantics:
-    - {e single-flight}: jobs are deduplicated by key at claim time, so
-      a key appearing in several models of a zoo batch (or enqueued
-      twice) compiles exactly once; the losers are counted on
-      [warmup.dedup] and reported as {!field-rp_deduped}.
+    - {e dedup}: one sequential pass over the job list keeps the first
+      job of each key, so a key appearing in several models of a zoo
+      batch (or enqueued twice) compiles exactly once; the rest are
+      counted on [warmup.dedup] and reported as {!field-rp_deduped}.
+      Jobs with different keys that share a tuning (the [Compiled] and
+      [Emitted] jobs of one workload) both run, but tune once: the
+      pipeline's kernel memo is single-flight across domains.
     - {e bounded retries}: a job failing with anything other than
       [Invalid_argument] is retried up to [retries] extra times
       ([warmup.retry]), then reported as failed.  Each retry sleeps
@@ -35,7 +38,7 @@ val target_to_string : target -> string
 
 type job = {
   job_key : string;
-      (** single-flight identity, e.g. ["x86-vnni/conv_c64_...#compiled"].
+      (** dedup identity, e.g. ["x86-vnni/conv_c64_...#compiled"].
           The engine is part of the key: the same workload warmed under
           [Compiled] and [Emitted] does different work (the latter bakes
           a native artifact) and must not dedup across engines. *)
@@ -60,7 +63,7 @@ val jobs_of_model :
 
 val jobs_of_zoo : ?engine:Unit_core.Pipeline.engine -> target -> job list
 (** All nine models, concatenated {e without} pre-deduplication — shared
-    layers are deliberately left for the single-flight table to catch. *)
+    layers are deliberately left for {!run}'s dedup pass to catch. *)
 
 val jobs_of_table1 :
   ?engine:Unit_core.Pipeline.engine ->
@@ -85,7 +88,7 @@ type failure = {
 type report = {
   rp_jobs : int;  (** jobs submitted *)
   rp_compiled : int;
-  rp_deduped : int;  (** single-flight skips *)
+  rp_deduped : int;  (** jobs dropped by the dedup pass *)
   rp_skipped : (string * string) list;  (** (key, reason): not tensorizable *)
   rp_retries : int;  (** extra attempts spent across all jobs *)
   rp_failures : failure list;

@@ -56,6 +56,163 @@ let test_workload_kernel_cache () =
   check_int "hits unchanged by distinct workload" 2 (hits ());
   Pipeline.clear_cache ()
 
+(* ---------- the memo is single-flight ---------- *)
+
+module Obs = Unit_obs.Obs
+
+let check_int = Alcotest.(check int)
+
+let tune_spans () =
+  List.fold_left
+    (fun acc (a : Obs.agg) ->
+      if a.Obs.agg_name = "tensorize.tune" then acc + a.Obs.agg_count else acc)
+    0
+    (Obs.aggregate_spans (Obs.spans ()))
+
+let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ()))
+
+(* Poll until [cond ()] holds or [timeout] seconds have passed. *)
+let wait_until ?(timeout = 0.2) cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < timeout do
+    Unix.sleepf 0.001
+  done
+
+(* Run [f] with a fresh cache, tracing on and a tuning store whose
+   lookup is [lookup] and whose record does nothing. *)
+let with_lookup lookup f =
+  Pipeline.clear_cache ();
+  Pipeline.set_tuning_store
+    (Some
+       { Pipeline.ts_lookup = lookup;
+         ts_record = (fun ~signature:_ ~workload:_ ~isa:_ ~target:_ ~diags:_ _ -> ())
+       });
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Pipeline.set_tuning_store None;
+      Pipeline.clear_cache ())
+    f
+
+(* [n] domains call [f] at once; each result or exception, in order. *)
+let concurrently n f =
+  List.init n (fun _ ->
+      Domain.spawn (fun () -> match f () with v -> Ok v | exception e -> Error e))
+  |> List.map Domain.join
+
+let all_identical = function
+  | [] -> true
+  | k :: rest -> List.for_all (fun k' -> k' == k) rest
+
+let ok_exn = function Ok v -> v | Error e -> raise e
+
+(* Four domains miss on one workload at once.  The lookup holds every
+   caller that reaches it until all four have (or 200 ms pass), so a memo
+   that compiles each miss on its own sweeps four times; a single-flight
+   memo sends one leader to the store and tuner and hands its kernel to
+   the other three. *)
+let test_memo_tunes_once_under_contention () =
+  let callers = 4 in
+  let lookups = Atomic.make 0 in
+  let lookup ~signature:_ =
+    Atomic.incr lookups;
+    wait_until (fun () -> Atomic.get lookups >= callers);
+    None
+  in
+  with_lookup lookup @@ fun () ->
+  let w = wl ~c:64 ~k:64 () in
+  let ks = List.map ok_exn (concurrently callers (fun () -> Pipeline.conv_compiled_x86 w)) in
+  check_int "ts_lookup ran once" 1 (Atomic.get lookups);
+  check_int "one tensorize.tune span" 1 (tune_spans ());
+  check_bool "all four results are physically equal" true (all_identical ks);
+  check_int "the other three adopted the leader's kernel" (callers - 1)
+    (counter "pipeline.cache.wait" + counter "pipeline.cache.hit")
+
+(* The first leader's store lookup fails once, after the other callers
+   have queued behind it.  Only the leader's caller sees the exception;
+   one waiter leads again and the rest adopt its kernel. *)
+let test_memo_leader_failure_hands_over () =
+  let callers = 4 in
+  let lookups = Atomic.make 0 and arrived = Atomic.make 0 in
+  let lookup ~signature:_ =
+    if Atomic.fetch_and_add lookups 1 = 0 then begin
+      wait_until (fun () -> Atomic.get arrived >= callers);
+      Unix.sleepf 0.02;
+      failwith "transient store failure"
+    end;
+    None
+  in
+  with_lookup lookup @@ fun () ->
+  let w = wl ~c:64 ~k:64 () in
+  let results =
+    concurrently callers (fun () ->
+        Atomic.incr arrived;
+        Pipeline.conv_compiled_x86 w)
+  in
+  let ks = List.filter_map Result.to_option results in
+  check_int "only the first leader's caller failed" (callers - 1) (List.length ks);
+  check_bool "with the transient exception" true
+    (List.exists (function Error (Failure _) -> true | _ -> false) results);
+  check_int "one more lookup by the next leader" 2 (Atomic.get lookups);
+  check_bool "the rest share one kernel" true (all_identical ks);
+  check_int "one tensorize.tune span" 1 (tune_spans ())
+
+(* A deterministic rejection reaches every concurrent caller: each
+   waiter leads in turn, gets [Invalid_argument] too, and nothing is
+   cached. *)
+let test_memo_rejection_reaches_every_caller () =
+  let callers = 4 in
+  let armed = Atomic.make false and lookups = Atomic.make 0 in
+  let lookup ~signature:_ =
+    if Atomic.get armed then begin
+      Atomic.incr lookups;
+      wait_until (fun () -> Atomic.get lookups >= callers);
+      invalid_arg "does not tensorize"
+    end;
+    None
+  in
+  with_lookup lookup @@ fun () ->
+  ignore (Pipeline.conv_compiled_x86 (wl ~c:32 ~k:32 ()) : Pipeline.compiled);
+  let size = Pipeline.cache_size () in
+  Atomic.set armed true;
+  let results =
+    concurrently callers (fun () -> Pipeline.conv_compiled_x86 (wl ~c:64 ~k:64 ()))
+  in
+  check_bool "every caller got Invalid_argument" true
+    (List.for_all (function Error (Invalid_argument _) -> true | _ -> false) results);
+  check_int "each caller led in turn" callers (Atomic.get lookups);
+  check_int "cache size unchanged" size (Pipeline.cache_size ())
+
+(* Clearing the cache and shrinking its cap while a compile is in
+   flight strands no caller: the leader still publishes and wakes its
+   waiters, and the cap still holds afterwards. *)
+let test_memo_clear_and_shrink_mid_flight () =
+  let entered = Atomic.make false and release = Atomic.make false in
+  let lookup ~signature:_ =
+    if not (Atomic.exchange entered true) then
+      wait_until ~timeout:10.0 (fun () -> Atomic.get release);
+    None
+  in
+  with_lookup lookup @@ fun () ->
+  Fun.protect ~finally:(fun () -> Pipeline.set_cache_cap 1024) @@ fun () ->
+  let w = wl ~c:64 ~k:64 () in
+  let callers =
+    List.init 3 (fun _ -> Domain.spawn (fun () -> Pipeline.conv_compiled_x86 w))
+  in
+  wait_until ~timeout:10.0 (fun () -> Atomic.get entered);
+  Pipeline.clear_cache ();
+  Pipeline.set_cache_cap 1;
+  (* another workload compiles and publishes while the flight is open *)
+  ignore (Pipeline.conv_compiled_x86 (wl ~c:32 ~k:32 ()) : Pipeline.compiled);
+  Atomic.set release true;
+  let ks = List.map Domain.join callers in
+  check_bool "every caller returned one kernel" true (all_identical ks);
+  check_int "the cap holds" 1 (Pipeline.cache_size ());
+  check_bool "the flight's kernel is the cached one" true
+    (Pipeline.conv_compiled_x86 w == List.hd ks)
+
 let test_tensorize_rejects_inapplicable () =
   (* fp32 conv cannot use the integer instruction *)
   let op =
@@ -198,6 +355,16 @@ let () =
           Alcotest.test_case "gpu conv" `Quick test_gpu_conv_time;
           Alcotest.test_case "depthwise" `Quick test_depthwise_never_tensorizes_but_costs;
           Alcotest.test_case "conv3d" `Quick test_conv3d_time
+        ] );
+      ( "single-flight",
+        [ Alcotest.test_case "tunes once under contention" `Quick
+            test_memo_tunes_once_under_contention;
+          Alcotest.test_case "leader failure hands over" `Quick
+            test_memo_leader_failure_hands_over;
+          Alcotest.test_case "rejection reaches every caller" `Quick
+            test_memo_rejection_reaches_every_caller;
+          Alcotest.test_case "clear and shrink mid-flight" `Quick
+            test_memo_clear_and_shrink_mid_flight
         ] );
       ( "baselines",
         [ Alcotest.test_case "onednn loses on friendly shapes" `Quick

@@ -1,7 +1,7 @@
 (* The persistent tuning store and the warm-up scheduler: disk round
    trips, corrupt/stale recovery, content addressing, the pipeline's
    warm path (disk hit = no tuner sweep, bit-identical kernel),
-   single-flight dedup, bounded retries, and the bounded kernel cache. *)
+   job-key dedup, bounded retries, and the bounded kernel cache. *)
 
 open Unit_dtype
 open Unit_dsl
@@ -316,9 +316,10 @@ let test_warmup_populates_store () =
   Sys.remove path
 
 (* A compiled-engine job and an emitted-engine job for the same workload
-   are different work: single-flight dedup must key on the engine too.
-   Regression for the bug where both shared a key and whichever arrived
-   first silently swallowed the other engine's warmup. *)
+   are different work: dedup must key on the engine too.  Regression for
+   the bug where both shared a key and whichever arrived first silently
+   swallowed the other engine's warmup.  They still share one memo key,
+   so the two concurrent jobs tune once. *)
 let test_engine_distinguishes_job_keys () =
   let workload = wl ~c:16 ~k:16 () in
   let jc = Warmup.conv_job ~engine:Pipeline.Compiled Warmup.X86 workload in
@@ -331,9 +332,21 @@ let test_engine_distinguishes_job_keys () =
   check_int "duplicate same-engine job deduped" 1 report.Warmup.rp_deduped;
   (* different engines: both must run, nothing coalesces *)
   Pipeline.clear_cache ();
-  let report = Warmup.run ~domains:2 [ jc; je ] in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let report =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled false)
+      (fun () -> Warmup.run ~domains:2 [ jc; je ])
+  in
   check_int "both engines compiled" 2 report.Warmup.rp_compiled;
   check_int "nothing deduped across engines" 0 report.Warmup.rp_deduped;
+  check_int "one tensorize.tune span across both engines" 1
+    (List.fold_left
+       (fun acc (a : Obs.agg) ->
+         if a.Obs.agg_name = "tensorize.tune" then acc + a.Obs.agg_count else acc)
+       0
+       (Obs.aggregate_spans (Obs.spans ())));
   Pipeline.clear_cache ()
 
 (* ---------- bounded kernel cache ---------- *)
