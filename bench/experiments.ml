@@ -673,16 +673,11 @@ let serve_bench () =
       ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int)
   in
   rm_rf store_dir;
-  let store, _diags = Sharded.open_ store_dir in
-  Pipeline.set_tuning_store (Some (Sharded.pipeline_hooks store));
+  Fun.protect ~finally:(fun () -> rm_rf store_dir) @@ fun () ->
+  Sharded.with_installed store_dir @@ fun _store _diags ->
   (* a cold start even when other experiments tensorized first: every
      distinct workload below must cost exactly one tuner sweep *)
   Pipeline.clear_cache ();
-  Fun.protect
-    ~finally:(fun () ->
-      Pipeline.set_tuning_store None;
-      rm_rf store_dir)
-  @@ fun () ->
   (* cheap cost-model work across both targets (tunes only) ... *)
   let tune_pool =
     List.concat_map

@@ -41,7 +41,7 @@ let enable_tracing ?trace_out () =
 (* ---------- shared arguments ---------- *)
 
 let isa_arg =
-  let doc = "Tensorized instruction name (see list-isa)." in
+  let doc = "Tensorized instruction name (see isa list)." in
   Arg.(value & opt string "vnni.vpdpbusd" & info [ "isa" ] ~docv:"NAME" ~doc)
 
 let op_kind_arg =
@@ -76,13 +76,25 @@ let store_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "store" ] ~docv:"FILE"
+    & info [ "store" ] ~docv:"DIR"
         ~doc:
-          "Persistent tuning store (JSONL).  Disk hits replay the stored \
-           config and skip the tuner sweep; fresh tunings are appended.")
+          "Persistent tuning-store directory (created if absent).  Disk \
+           hits replay the stored config and skip the tuner sweep; fresh \
+           tunings are appended.")
 
 let print_store_diags diags =
   List.iter (fun d -> Printf.printf "%s\n" (Diag.to_string d)) diags
+
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline ("unitc: " ^ msg);
+    exit 1
+
+(* A store that cannot be opened — a missing parent directory, or a
+   single-file store that needs store-migrate first — is one line and
+   exit 1, not an uncaught exception. *)
+let store_or_die f = try f () with Sys_error msg -> or_die (Error msg)
 
 (* ---------- declarative ISA packs (--isa-pack, uniform) ---------- *)
 
@@ -138,31 +150,28 @@ let parse_engine s =
    the moment they happen, so error-exit paths inside [f] lose nothing;
    the final [save] only compacts, and the stats line reports the run's
    disk traffic. *)
-let with_store store_path f =
-  match store_path with
+let with_store store_dir f =
+  match store_dir with
   | None -> f ()
-  | Some path ->
-    let store, diags = Store.open_ path in
+  | Some dir ->
+    store_or_die @@ fun () ->
+    Sharded.with_installed dir @@ fun store diags ->
     print_store_diags diags;
-    Unit_core.Pipeline.set_tuning_store (Some (Store.pipeline_hooks store));
-    Unit_codegen.Emit_cache.set_artifact_hooks (Some (Store.emit_hooks store));
     Fun.protect
       ~finally:(fun () ->
-        Unit_core.Pipeline.set_tuning_store None;
-        Unit_codegen.Emit_cache.set_artifact_hooks None;
-        Store.save store;
-        let st = Store.stats store in
+        let st = Sharded.stats store in
         Printf.printf
-          "store %s: %d record(s), %d artifact(s); this run: %d disk hit(s), \
-           %d miss(es), %d append(s)\n%!"
-          path st.Store.st_records st.Store.st_artifacts st.Store.st_hits
-          st.Store.st_misses st.Store.st_appends)
+          "store %s: %d shard(s), %d record(s), %d artifact(s); this run: %d \
+           disk hit(s), %d miss(es), %d append(s)\n%!"
+          dir (Sharded.shard_count store) st.Store.st_records
+          st.Store.st_artifacts st.Store.st_hits st.Store.st_misses
+          st.Store.st_appends)
       f
 
 let lookup_intrin name =
   match Unit_isa.Registry.find name with
   | Some i -> Ok i
-  | None -> Error (Printf.sprintf "unknown instruction %s (try list-isa)" name)
+  | None -> Error (Printf.sprintf "unknown instruction %s (try isa list)" name)
 
 (* Build the requested op with dtypes matching the instruction's operands. *)
 let build_op ~kind ~intrin ~c ~hw ~k ~kernel ~stride ~n ~m ~kdim =
@@ -194,29 +203,6 @@ let build_op ~kind ~intrin ~c ~hw ~k ~kernel ~stride ~n ~m ~kdim =
   | "matmul" -> Ok (Op_library.matmul ~n ~m ~k:kdim ~a_dtype:data_dtype ~b_dtype:weight_dtype ~acc_dtype ())
   | "dense" -> Ok (Op_library.dense ~m ~k:kdim ~a_dtype:data_dtype ~b_dtype:weight_dtype ~acc_dtype ())
   | other -> Error (Printf.sprintf "unknown op kind %s" other)
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-    prerr_endline ("unitc: " ^ msg);
-    exit 1
-
-(* ---------- list-isa / show-isa ---------- *)
-
-let list_isa () =
-  Printf.printf "%-22s %-9s %6s %6s  %s\n" "name" "platform" "lanes" "redux" "llvm intrinsic";
-  List.iter
-    (fun (i : Unit_isa.Intrin.t) ->
-      Printf.printf "%-22s %-9s %6d %6d  %s\n" i.Unit_isa.Intrin.name
-        (Unit_isa.Intrin.platform_to_string i.Unit_isa.Intrin.platform)
-        (Unit_isa.Intrin.output_lanes i)
-        (Unit_isa.Intrin.reduction_width i)
-        i.Unit_isa.Intrin.llvm_name)
-    (Unit_isa.Registry.all ())
-
-let show_isa name =
-  let intrin = or_die (lookup_intrin name) in
-  Format.printf "%a@." Unit_isa.Intrin.pp intrin
 
 (* ---------- isa lint / list / show (declarative packs) ---------- *)
 
@@ -840,57 +826,37 @@ let warmup model target engine store_path domains retries trace trace_out
     | "zoo", None -> Warmup.jobs_of_zoo ~engine tgt
     | name, None -> or_die (Warmup.jobs_of_model ~engine tgt name)
   in
-  let store, diags = Store.open_ store_path in
-  print_store_diags diags;
-  Unit_core.Pipeline.set_tuning_store (Some (Store.pipeline_hooks store));
-  Unit_codegen.Emit_cache.set_artifact_hooks (Some (Store.emit_hooks store));
-  let report =
-    Fun.protect
-      ~finally:(fun () ->
-        Unit_core.Pipeline.set_tuning_store None;
-        Unit_codegen.Emit_cache.set_artifact_hooks None)
-      (fun () -> Warmup.run ?domains ~retries jobs)
+  let store, report =
+    store_or_die @@ fun () ->
+    Sharded.with_installed store_path @@ fun store diags ->
+    print_store_diags diags;
+    (store, Warmup.run ?domains ~retries jobs)
   in
-  Store.save store;
   Format.printf "%a@." Warmup.pp_report report;
-  let st = Store.stats store in
+  let st = Sharded.stats store in
   Printf.printf
-    "store %s: %d record(s), %d artifact(s) (%d loaded, %d corrupt, %d stale \
-     skipped); this run: %d disk hit(s), %d miss(es), %d append(s)\n%!"
-    store_path st.Store.st_records st.Store.st_artifacts st.Store.st_loaded
-    st.Store.st_corrupt st.Store.st_stale st.Store.st_hits st.Store.st_misses
-    st.Store.st_appends;
+    "store %s: %d shard(s), %d record(s), %d artifact(s) (%d loaded, %d \
+     corrupt, %d stale skipped); this run: %d disk hit(s), %d miss(es), %d \
+     append(s)\n%!"
+    store_path (Sharded.shard_count store) st.Store.st_records
+    st.Store.st_artifacts st.Store.st_loaded st.Store.st_corrupt
+    st.Store.st_stale st.Store.st_hits st.Store.st_misses st.Store.st_appends;
   if assert_hit && st.Store.st_hits = 0 then
     or_die (Error "--assert-hit: no disk hit (the store was cold)");
   if report.Warmup.rp_failures <> [] then exit 1
 
-(* store-stats and store-gc accept either a legacy single-file store or a
-   sharded store directory; {!Sharded.is_sharded_dir} routes, and the
-   JSON gains a "shards" field so callers can tell which shape they hit. *)
-let open_any_store file =
-  if Sharded.is_sharded_dir file then begin
-    let store, diags = Sharded.open_ file in
-    ( diags,
-      Some (Sharded.shard_count store),
-      Sharded.stats store,
-      Sharded.iter store,
-      fun () -> Sharded.gc store )
-  end
-  else begin
-    let store, diags = Store.open_ file in
-    ( diags,
-      None,
-      Store.stats store,
-      Store.iter store,
-      fun () -> Store.gc store )
-  end
+(* store-stats and store-gc inspect an existing store; opening a missing
+   path would silently create an empty one. *)
+let open_existing_store file =
+  if not (Sys.file_exists file) then or_die (Error (file ^ ": no such store"));
+  store_or_die (fun () -> Sharded.open_ file)
 
 let store_stats file json =
-  if not (Sys.file_exists file) then or_die (Error (file ^ ": no such store"));
-  let diags, shards, st, iter, _gc = open_any_store file in
+  let store, diags = open_existing_store file in
   if not json then print_store_diags diags;
+  let st = Sharded.stats store in
   let records = ref [] in
-  iter (fun r -> records := r :: !records);
+  Sharded.iter store (fun r -> records := r :: !records);
   let records =
     List.sort
       (fun (a : Store.record) (b : Store.record) ->
@@ -903,11 +869,9 @@ let store_stats file json =
     print_endline
       (Json.to_string
          (Json.Obj
-            ([ ("file", Json.Str file) ]
-            @ (match shards with
-              | Some n -> [ ("shards", Json.Num (float_of_int n)) ]
-              | None -> [])
-            @ [ ("records", Json.Num (float_of_int st.Store.st_records));
+            [ ("file", Json.Str file);
+              ("shards", Json.Num (float_of_int (Sharded.shard_count store)));
+              ("records", Json.Num (float_of_int st.Store.st_records));
               ("loaded", Json.Num (float_of_int st.Store.st_loaded));
               ("corrupt", Json.Num (float_of_int st.Store.st_corrupt));
               ("stale", Json.Num (float_of_int st.Store.st_stale));
@@ -925,15 +889,13 @@ let store_stats file json =
                            ("cycles", Json.Num r.Store.r_cycles)
                          ])
                      records) )
-            ])))
+            ]))
   else begin
     Printf.printf
-      "%s%s: %d live record(s) (%d line(s) loaded, %d corrupt, %d stale)\n" file
-      (match shards with
-       | Some n -> Printf.sprintf " [%d shard(s)]" n
-       | None -> "")
-      st.Store.st_records st.Store.st_loaded st.Store.st_corrupt
-      st.Store.st_stale;
+      "%s [%d shard(s)]: %d live record(s) (%d line(s) loaded, %d corrupt, %d \
+       stale)\n"
+      file (Sharded.shard_count store) st.Store.st_records st.Store.st_loaded
+      st.Store.st_corrupt st.Store.st_stale;
     List.iter
       (fun (r : Store.record) ->
         Printf.printf "  %-12s %-16s %-40s grain=%-4d unroll=%-4d %12.0f cycles\n"
@@ -946,24 +908,21 @@ let store_stats file json =
 (* ---------- store-gc / emit-status ---------- *)
 
 let store_gc file json =
-  if not (Sys.file_exists file) then or_die (Error (file ^ ": no such store"));
-  let diags, shards, _st, _iter, gc = open_any_store file in
+  let store, diags = open_existing_store file in
   if not json then print_store_diags diags;
-  let r = gc () in
+  let r = Sharded.gc store in
   if json then
     print_endline
       (Json.to_string
          (Json.Obj
-            ([ ("file", Json.Str file) ]
-            @ (match shards with
-              | Some n -> [ ("shards", Json.Num (float_of_int n)) ]
-              | None -> [])
-            @ [ ("live", Json.Num (float_of_int r.Store.gc_live));
+            [ ("file", Json.Str file);
+              ("shards", Json.Num (float_of_int (Sharded.shard_count store)));
+              ("live", Json.Num (float_of_int r.Store.gc_live));
               ("dropped", Json.Num (float_of_int r.Store.gc_dropped));
               ("deleted_files", Json.Num (float_of_int r.Store.gc_deleted_files));
               ( "reclaimed_bytes",
                 Json.Num (float_of_int r.Store.gc_reclaimed_bytes) )
-            ])))
+            ]))
   else
     Printf.printf
       "store-gc %s: %d live artifact(s) kept, %d stale record(s) dropped, %d \
@@ -976,12 +935,12 @@ let store_gc file json =
 (* Legacy single-file store -> sharded directory.  Records and live
    artifacts are rehashed onto their owning shards; the legacy store is
    left untouched so the migration is trivially revertible. *)
-let store_migrate legacy dir shards json =
+let store_migrate legacy dir json =
   if not (Sys.file_exists legacy) then
     or_die (Error (legacy ^ ": no such store"));
   if Sys.file_exists legacy && Sys.is_directory legacy then
     or_die (Error (legacy ^ ": already a directory (expected a legacy JSONL store)"));
-  let store, open_diags = Sharded.open_ ?shards dir in
+  let store, open_diags = store_or_die (fun () -> Sharded.open_ dir) in
   let mg, legacy_diags = Sharded.migrate store ~legacy in
   let diags = open_diags @ legacy_diags in
   if json then
@@ -1420,15 +1379,6 @@ let conv_args f =
     const f $ op_kind_arg $ isa_arg $ channels_arg $ hw_arg $ out_channels_arg
     $ kernel_arg $ stride_arg $ n_arg $ m_arg $ kdim_arg)
 
-let list_isa_cmd =
-  Cmd.v (Cmd.info "list-isa" ~doc:"List registered tensorized instructions.")
-    Term.(const list_isa $ const ())
-
-let show_isa_cmd =
-  let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME") in
-  Cmd.v (Cmd.info "show-isa" ~doc:"Print an instruction's tensor-DSL description.")
-    Term.(const show_isa $ name_arg)
-
 let isa_cmd =
   let json_flag =
     Arg.(value & flag
@@ -1585,8 +1535,8 @@ let warmup_cmd =
   in
   let store =
     Arg.(required & opt (some string) None
-         & info [ "store" ] ~docv:"FILE"
-             ~doc:"The JSONL tuning store to populate (created if absent).")
+         & info [ "store" ] ~docv:"DIR"
+             ~doc:"The tuning-store directory to populate (created if absent).")
   in
   let domains =
     Arg.(value & opt (some int) None
@@ -1621,7 +1571,7 @@ let warmup_cmd =
       $ trace_flag $ trace_out_arg $ assert_hit $ isa_pack_arg)
 
 let store_stats_cmd =
-  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
   let json =
     Arg.(value & flag
          & info [ "json" ]
@@ -1630,9 +1580,9 @@ let store_stats_cmd =
   Cmd.v
     (Cmd.info "store-stats"
        ~doc:
-         "Summarize a tuning store — a legacy JSONL file or a sharded \
-          directory: live records, corrupt/stale lines skipped on load, \
-          and every stored config with its estimated cycles.")
+         "Summarize a tuning-store directory: shard count, live records, \
+          corrupt/stale lines skipped on load, and every stored config with \
+          its estimated cycles.")
     Term.(const store_stats $ file $ json)
 
 let store_migrate_cmd =
@@ -1645,12 +1595,6 @@ let store_migrate_cmd =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"DIR" ~doc:"Sharded store directory (created if absent).")
   in
-  let shards =
-    Arg.(value & opt (some int) None
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Shard count when creating DIR (default 8); ignored when \
-                   DIR already exists.")
-  in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
@@ -1661,7 +1605,7 @@ let store_migrate_cmd =
           directory: every live record and live native-kernel artifact is \
           rehashed onto its owning shard.  The legacy store is left \
           untouched.")
-    Term.(const store_migrate $ legacy $ dir $ shards $ json)
+    Term.(const store_migrate $ legacy $ dir $ json)
 
 let memplan_cmd =
   let model =
@@ -1870,7 +1814,7 @@ let trace_fetch_cmd =
     Term.(const trace_fetch $ socket $ id $ out)
 
 let store_gc_cmd =
-  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
+  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
@@ -1879,8 +1823,8 @@ let store_gc_cmd =
        ~doc:
          "Garbage-collect a store's native-kernel artifacts: drop records \
           whose .cmxs is missing or whose emitter/compiler version is stale, \
-          delete unreferenced files from <store>.artifacts/, report \
-          reclaimed bytes, and compact the JSONL file.")
+          delete unreferenced files from each shard's artifacts directory, \
+          report reclaimed bytes, and compact the shard files.")
     Term.(const store_gc $ file $ json)
 
 let emit_status_cmd =
@@ -1900,7 +1844,7 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_isa_cmd; show_isa_cmd; isa_cmd; inspect_cmd; compile_cmd; run_cmd; e2e_cmd;
+          [ isa_cmd; inspect_cmd; compile_cmd; run_cmd; e2e_cmd;
             models_cmd; table1_cmd; check_cmd; profile_cmd;
             warmup_cmd; store_stats_cmd; store_gc_cmd; store_migrate_cmd;
             emit_status_cmd;

@@ -32,33 +32,32 @@ let enable_tracing ?trace_out () =
 
 (* Install a sharded store for the daemon's lifetime: tuning records and
    emitted artifacts route by content address, so worker domains writing
-   different shards never contend. *)
-let with_sharded_store ?shards store_dir f =
+   different shards never contend.  A store that cannot be opened is one
+   line and exit 1. *)
+let with_store store_dir f =
   match store_dir with
   | None -> f ()
   | Some dir ->
-    let store, diags = Sharded.open_ ?shards dir in
-    List.iter (fun d -> Printf.printf "%s\n%!" (Diag.to_string d)) diags;
-    Pipeline.set_tuning_store (Some (Sharded.pipeline_hooks store));
-    Unit_codegen.Emit_cache.set_artifact_hooks (Some (Sharded.emit_hooks store));
-    Fun.protect
-      ~finally:(fun () ->
-        Pipeline.set_tuning_store None;
-        Unit_codegen.Emit_cache.set_artifact_hooks None;
-        Sharded.save store;
-        let st = Sharded.stats store in
-        Printf.printf
-          "store %s: %d shard(s), %d record(s), %d artifact(s); this run: %d \
-           disk hit(s), %d miss(es), %d append(s)\n%!"
-          dir (Sharded.shard_count store) st.Unit_store.Store.st_records
-          st.Unit_store.Store.st_artifacts st.Unit_store.Store.st_hits
-          st.Unit_store.Store.st_misses st.Unit_store.Store.st_appends)
-      f
+    (try
+       Sharded.with_installed dir @@ fun store diags ->
+       List.iter (fun d -> Printf.printf "%s\n%!" (Diag.to_string d)) diags;
+       Fun.protect
+         ~finally:(fun () ->
+           let st = Sharded.stats store in
+           Printf.printf
+             "store %s: %d shard(s), %d record(s), %d artifact(s); this run: \
+              %d disk hit(s), %d miss(es), %d append(s)\n%!"
+             dir (Sharded.shard_count store) st.Unit_store.Store.st_records
+             st.Unit_store.Store.st_artifacts st.Unit_store.Store.st_hits
+             st.Unit_store.Store.st_misses st.Unit_store.Store.st_appends)
+         f
+     with Sys_error msg ->
+       prerr_endline ("unitd: " ^ msg);
+       exit 1)
 
 (* ---------- serve ---------- *)
 
-let serve socket_path domains queue_cap retries store shards trace trace_out
-    packs =
+let serve socket_path domains queue_cap retries store trace trace_out packs =
   if trace || trace_out <> None then enable_tracing ?trace_out ();
   (* preload declarative instruction packs before the first worker can
      touch the registry; later loads arrive as load_isa requests *)
@@ -75,7 +74,7 @@ let serve socket_path domains queue_cap retries store shards trace trace_out
        (fun d -> prerr_endline ("unitd: " ^ Unit_tir.Diag.to_string d))
        ds;
      exit 1);
-  with_sharded_store ?shards store @@ fun () ->
+  with_store store @@ fun () ->
   if Sys.file_exists socket_path then Unix.unlink socket_path;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);
@@ -195,7 +194,7 @@ let smoke store_dir trace_out =
     let rm = Printf.sprintf "rm -rf %s" (Filename.quote store_dir) in
     if Sys.command rm <> 0 then failwith ("cannot clear " ^ store_dir)
   end;
-  with_sharded_store (Some store_dir) @@ fun () ->
+  with_store (Some store_dir) @@ fun () ->
   let clients = 16 in
   let submitted = Atomic.make 0 in
   let fault ~key:_ ~attempt:_ =
@@ -285,7 +284,7 @@ let metrics_smoke store_dir trace_file =
     let rm = Printf.sprintf "rm -rf %s" (Filename.quote store_dir) in
     if Sys.command rm <> 0 then failwith ("cannot clear " ^ store_dir)
   end;
-  with_sharded_store (Some store_dir) @@ fun () ->
+  with_store (Some store_dir) @@ fun () ->
   let server = Server.create { Server.default_config with domains = 2 } in
   let conv c =
     Protocol.Conv
@@ -406,15 +405,6 @@ let store_arg =
            hits replay stored configs and skip the tuner sweep; fresh \
            tunings are appended to the owning shard.")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Shard count when creating a new store (default 8).  Reopening \
-           an existing store always uses its persisted count.")
-
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Enable tracing; print a summary on exit.")
 
@@ -458,7 +448,7 @@ let serve_cmd =
           or a shutdown request).")
     Term.(
       const serve $ socket_arg $ domains $ queue_cap $ retries $ store_arg
-      $ shards_arg $ trace_arg $ trace_out_arg $ isa_packs)
+      $ trace_arg $ trace_out_arg $ isa_packs)
 
 let call_cmd =
   let payload =

@@ -14,9 +14,6 @@ type t = {
   sh_shards : Store.t array;
 }
 
-let is_sharded_dir path =
-  Sys.file_exists path && Sys.is_directory path && Sys.file_exists (meta_file path)
-
 (* The shard of a content address: its first two hex digits (the keys
    are uniformly distributed MD5 hex digests) modulo the shard count.
    Non-hex keys — which the Store never produces — still land
@@ -36,22 +33,35 @@ let read_meta dir =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      match int_of_string_opt (String.trim (input_line ic)) with
+      (* an empty file (no line at all) is malformed too, not End_of_file *)
+      match
+        Option.bind (In_channel.input_line ic) (fun line ->
+            int_of_string_opt (String.trim line))
+      with
       | Some n when n >= 1 -> n
       | Some _ | None ->
         raise (Sys_error (meta_file dir ^ ": malformed shard count")))
 
+(* tmp + rename, like Store.save: a crash mid-write must never leave a
+   truncated meta file that strands every shard behind it *)
 let write_meta dir n =
-  let oc = open_out (meta_file dir) in
+  let tmp = Printf.sprintf "%s.tmp.%d" (meta_file dir) (Unix.getpid ()) in
+  let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (string_of_int n ^ "\n"))
+    (fun () -> output_string oc (string_of_int n ^ "\n"));
+  Sys.rename tmp (meta_file dir)
 
 let open_ ?(shards = default_shards) dir =
   if shards < 1 then invalid_arg "Sharded.open_: shards must be >= 1";
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
   else if not (Sys.is_directory dir) then
-    raise (Sys_error (dir ^ ": not a directory (is this a single-file store?)"));
+    raise
+      (Sys_error
+         (Printf.sprintf
+            "%s: not a store directory (a single-file store? convert it with \
+             `unitc store-migrate %s DIR`)"
+            dir dir));
   (* the on-disk count wins: records were routed under it, so reopening
      with a different ?shards must not silently re-route lookups *)
   let shards =
@@ -148,6 +158,17 @@ let emit_hooks t =
       (fun ~key ~signature ~file ~bytes ->
         (of_key key).Emit_cache.ah_record ~key ~signature ~file ~bytes)
   }
+
+let with_installed dir f =
+  let t, diags = open_ dir in
+  Pipeline.set_tuning_store (Some (pipeline_hooks t));
+  Emit_cache.set_artifact_hooks (Some (emit_hooks t));
+  Fun.protect
+    ~finally:(fun () ->
+      Pipeline.set_tuning_store None;
+      Emit_cache.set_artifact_hooks None;
+      save t)
+    (fun () -> f t diags)
 
 (* ---------- migration from a legacy single-file store ---------- *)
 

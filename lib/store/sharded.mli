@@ -1,15 +1,17 @@
 (** Sharded tuning store: N independent {!Store} shards behind one
     facade, for concurrent writers that must not serialize on a single
-    mutex + append file.
+    mutex + append file.  This is the one on-disk store layout every
+    binary opens; a legacy single-file {!Store} enters a binary only
+    through {!migrate}.
 
     Layout: a directory holding [shard-%02d.jsonl] files (each a plain
     {!Store} JSONL database with its own [.artifacts/] sibling) plus a
-    [shards] meta file pinning the shard count.  A record's shard is a
-    pure function of its content address — the first two hex digits of
-    {!Store.key_of_signature} modulo the shard count — so lookups and
-    writes touch exactly one shard, and shards never rebalance behind a
-    reader's back: the on-disk count always wins over the [?shards]
-    argument when reopening.
+    [shards] meta file pinning the shard count, written by tmp + rename.
+    A record's shard is a pure function of its content address — the
+    first two hex digits of {!Store.key_of_signature} modulo the shard
+    count — so lookups and writes touch exactly one shard, and shards
+    never rebalance behind a reader's back: the on-disk count always
+    wins over the [?shards] argument when reopening.
 
     Every {!Store} robustness property is inherited per shard: a corrupt
     shard file degrades to that shard's [Diag.Store] warnings while the
@@ -22,19 +24,15 @@ val default_shards : int
 
 type t
 
-val is_sharded_dir : string -> bool
-(** Does [path] look like a sharded store (a directory with a [shards]
-    meta file)?  CLI entry points use this to route between {!Store} and
-    this module. *)
-
 val open_ : ?shards:int -> string -> t * Unit_tir.Diag.t list
 (** Open (creating if absent) the sharded store rooted at a directory.
     [shards] (default {!default_shards}) only applies on first creation;
     reopening uses the persisted count.  Returns the concatenated
     per-shard recovery warnings; like {!Store.open_}, never raises on
     bad shard {e content}.
-    @raise Sys_error when the path exists but is not a directory, or the
-    meta file is unreadable.
+    @raise Sys_error when the path exists but is not a directory (the
+    message names [unitc store-migrate]), its parent directory is
+    missing, or the meta file is empty, malformed or unreadable.
     @raise Invalid_argument when [shards < 1]. *)
 
 val dir : t -> string
@@ -78,6 +76,13 @@ val pipeline_hooks : t -> Unit_core.Pipeline.tuning_store
 val emit_hooks : t -> Unit_codegen.Emit_cache.artifact_hooks
 (** Like {!Store.emit_hooks}; each artifact (record and [.cmxs] payload)
     lives next to the shard its key routes to. *)
+
+val with_installed : string -> (t -> Unit_tir.Diag.t list -> 'a) -> 'a
+(** [with_installed dir f] opens the store at [dir] ({!open_}), installs
+    its {!pipeline_hooks} and {!emit_hooks} process-wide, and runs [f]
+    with the store and its recovery warnings; then uninstalls the hooks
+    and {!save}s, also when [f] raises.
+    @raise Sys_error as {!open_}. *)
 
 (** {2 Migration} *)
 

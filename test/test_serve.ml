@@ -36,6 +36,11 @@ let rm_rf path =
   if Sys.file_exists path then
     ignore (Sys.command ("rm -rf " ^ Filename.quote path) : int)
 
+let string_contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
 let ok_json = Json.Obj [ ("ok", Json.Bool true) ]
 
 let small_conv ?(c = 16) ?(k = 16) () =
@@ -618,8 +623,7 @@ let test_sharded_routing () =
   Sharded.save t;
   let t', _ = Sharded.open_ ~shards:13 dir in
   check_int "persisted shard count wins on reopen" 4 (Sharded.shard_count t');
-  check_int "records survive reopen" 16 (Sharded.size t');
-  check_bool "directory is recognized as sharded" true (Sharded.is_sharded_dir dir)
+  check_int "records survive reopen" 16 (Sharded.size t')
 
 let test_migration_from_legacy () =
   let legacy = Filename.temp_file "unit_serve_legacy" ".jsonl" in
@@ -660,6 +664,46 @@ let test_migration_from_legacy () =
   let old', diags' = Store.open_ legacy in
   check_int "legacy store still loads clean" 0 (List.length diags');
   check_int "legacy records untouched" 10 (Store.size old')
+
+let expect_sys_error what path =
+  match Sharded.open_ path with
+  | _ -> Alcotest.fail (what ^ " opened as a store directory")
+  | exception Sys_error msg -> msg
+
+(* The one on-disk layout is the directory: a missing parent and a
+   legacy single-file store both fail with the documented Sys_error,
+   and the legacy file is left byte-for-byte intact for store-migrate. *)
+let test_open_rejects_non_directories () =
+  let parent = temp_dir () in
+  ignore (expect_sys_error "missing parent" (Filename.concat parent "store"));
+  let legacy = Filename.temp_file "unit_serve_legacy" ".jsonl" in
+  Sys.remove legacy;
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf legacy;
+      rm_rf (legacy ^ ".artifacts"))
+  @@ fun () ->
+  let old, _ = Store.open_ legacy in
+  for i = 0 to 2 do
+    put_any
+      ~record:(Store.record old)
+      ~signature:(Printf.sprintf "sig-%d" i) ~grain:8 ~unroll:1
+  done;
+  Store.save old;
+  let bytes () = In_channel.with_open_bin legacy In_channel.input_all in
+  let before = bytes () in
+  let msg = expect_sys_error "legacy single-file store" legacy in
+  check_bool "the error names the conversion path" true
+    (string_contains msg "unitc store-migrate");
+  check_string "legacy store bytes unchanged" before (bytes ())
+
+(* An empty meta file is the documented Sys_error, not End_of_file. *)
+let test_empty_meta_is_sys_error () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Sys.mkdir dir 0o755;
+  close_out (open_out (Filename.concat dir "shards"));
+  ignore (expect_sys_error "empty meta file" dir)
 
 let test_corrupt_shard_degrades () =
   let dir = temp_dir () in
@@ -778,11 +822,6 @@ let test_retry_follows_backoff_schedule () =
     "waits follow the deterministic Warmup.backoff_s schedule" expected
     (List.rev !sleeps);
   Server.drain server
-
-let string_contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
 
 let test_permanent_failure_is_contained () =
   let handle req =
@@ -1012,17 +1051,12 @@ let direct_digest workload =
 let test_soak () =
   let requests_total = 2048 and clients = 8 and domains = 4 in
   let dir = temp_dir () in
-  let store, _ = Sharded.open_ dir in
-  Pipeline.set_tuning_store (Some (Sharded.pipeline_hooks store));
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Sharded.with_installed dir @@ fun _store _diags ->
   Pipeline.clear_cache ();
   let was_enabled = Obs.enabled () in
   Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled was_enabled;
-      Pipeline.set_tuning_store None;
-      rm_rf dir)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was_enabled) @@ fun () ->
   let tune_pool =
     Array.of_list
       (List.concat_map
@@ -1168,6 +1202,10 @@ let () =
             test_sharded_routing;
           Alcotest.test_case "migration from a legacy store" `Quick
             test_migration_from_legacy;
+          Alcotest.test_case "non-directories fail with Sys_error" `Quick
+            test_open_rejects_non_directories;
+          Alcotest.test_case "empty meta file fails with Sys_error" `Quick
+            test_empty_meta_is_sys_error;
           Alcotest.test_case "one corrupt shard degrades, others serve" `Quick
             test_corrupt_shard_degrades
         ]
