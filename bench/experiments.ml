@@ -627,12 +627,6 @@ let tune_span_count () =
     0
     (Obs.aggregate_spans (Obs.spans ()))
 
-(* exact nearest-rank percentile over a sorted sample *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
-
 let serve_direct_digest target workload =
   let c =
     match (target, workload) with
@@ -786,7 +780,8 @@ let serve_bench () =
       run_pool
   in
   Array.sort compare latencies;
-  let p50 = percentile latencies 50.0 and p99 = percentile latencies 99.0 in
+  let p50 = Unit_obs.Obs.percentile latencies 50.0
+  and p99 = Unit_obs.Obs.percentile latencies 99.0 in
   (* the server's own flight-recorder window: exact per-request latency
      percentiles measured server-side (ring cap 4096 >= the soak), not
      the clients' wall-clock samples above *)

@@ -1122,43 +1122,18 @@ let trace_lint file forbid_spans require_counters count_spans require_tagged =
    request-scoped trace as a Chrome trace document — the file is
    lintable with trace-lint --require-span-tagged. *)
 let trace_fetch socket_path id out =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX socket_path)
-   with Unix.Unix_error (e, _, _) ->
-     or_die
-       (Error
-          (Printf.sprintf "cannot connect to %s: %s" socket_path
-             (Unix.error_message e))));
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unit_serve.Wire.write_frame fd
-    (Json.to_string
-       (Unit_serve.Protocol.request_to_json (Unit_serve.Protocol.Trace { id })));
-  match Unit_serve.Wire.read_frame fd with
-  | Error e -> or_die (Error (Unit_serve.Wire.error_to_string e))
-  | Ok payload ->
-    (match Json.parse payload with
-     | Error m -> or_die (Error ("response is not JSON: " ^ m))
-     | Ok j ->
-       (match Unit_serve.Protocol.response_of_json j with
-        | Error m -> or_die (Error ("malformed response: " ^ m))
-        | Ok (Unit_serve.Protocol.Failure (code, m)) ->
-          or_die
-            (Error
-               (Printf.sprintf "%s: %s"
-                  (Unit_serve.Protocol.code_to_string code)
-                  m))
-        | Ok (Unit_serve.Protocol.Result doc) ->
-          let text = Json.to_string doc in
-          (match out with
-           | None -> print_endline text
-           | Some path ->
-             let oc = open_out path in
-             output_string oc text;
-             output_char oc '\n';
-             close_out oc;
-             Printf.printf "trace %s written to %s\n" id path)))
+  let doc =
+    or_die (Unit_serve.Protocol.call socket_path (Unit_serve.Protocol.Trace { id }))
+  in
+  let text = Json.to_string doc in
+  match out with
+  | None -> print_endline text
+  | Some path ->
+    let oc = open_out path in
+    output_string oc text;
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "trace %s written to %s\n" id path
 
 (* ---------- explain ---------- *)
 

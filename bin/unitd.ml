@@ -111,26 +111,17 @@ let serve socket_path domains queue_cap retries store trace trace_out packs =
 
 (* ---------- call (one-shot client) ---------- *)
 
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline ("unitd: " ^ msg);
+    exit 1
+
 let call socket_path payload =
   (match Json.parse payload with
    | Ok _ -> ()
-   | Error m ->
-     prerr_endline ("unitd: request is not valid JSON: " ^ m);
-     exit 1);
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX socket_path)
-   with Unix.Unix_error (e, _, _) ->
-     prerr_endline
-       (Printf.sprintf "unitd: cannot connect to %s: %s" socket_path
-          (Unix.error_message e));
-     exit 1);
-  Wire.write_frame fd payload;
-  (match Wire.read_frame fd with
-   | Ok response -> print_endline response
-   | Error e ->
-     prerr_endline ("unitd: " ^ Wire.error_to_string e);
-     exit 1);
-  Unix.close fd
+   | Error m -> or_die (Error ("request is not valid JSON: " ^ m)));
+  print_endline (or_die (Wire.call socket_path payload))
 
 (* ---------- metrics (one-shot scrape client) ---------- *)
 
@@ -138,42 +129,10 @@ let call socket_path payload =
    (what an HTTP exporter would serve) — pipe it to a file or a
    pushgateway. *)
 let metrics socket_path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX socket_path)
-   with Unix.Unix_error (e, _, _) ->
-     prerr_endline
-       (Printf.sprintf "unitd: cannot connect to %s: %s" socket_path
-          (Unix.error_message e));
-     exit 1);
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Wire.write_frame fd
-    (Json.to_string (Protocol.request_to_json Protocol.Metrics));
-  match Wire.read_frame fd with
-  | Error e ->
-    prerr_endline ("unitd: " ^ Wire.error_to_string e);
-    exit 1
-  | Ok payload ->
-    (match
-       Result.bind
-         (Result.map_error (fun m -> "response is not JSON: " ^ m)
-            (Json.parse payload))
-         Protocol.response_of_json
-     with
-     | Error m ->
-       prerr_endline ("unitd: " ^ m);
-       exit 1
-     | Ok (Protocol.Failure (code, m)) ->
-       prerr_endline
-         (Printf.sprintf "unitd: %s: %s" (Protocol.code_to_string code) m);
-       exit 1
-     | Ok (Protocol.Result r) ->
-       (match Option.bind (Json.member "body" r) Json.to_str with
-        | Some body -> print_string body
-        | None ->
-          prerr_endline "unitd: metrics response carries no body";
-          exit 1))
+  let r = or_die (Protocol.call socket_path Protocol.Metrics) in
+  match Option.bind (Json.member "body" r) Json.to_str with
+  | Some body -> print_string body
+  | None -> or_die (Error "metrics response carries no body")
 
 (* ---------- smoke (in-process cold+warm cycle) ---------- *)
 
@@ -268,8 +227,9 @@ let smoke store_dir trace_out =
    2. fetch that trace via a trace request and write the Chrome document
       for `unitc trace-lint --require-span-tagged`;
    3. scrape metrics and validate the exposition format;
-   4. check the bucket-derived serve.latency_us p99 lands within one
-      power-of-two bucket of the flight recorder's exact window p99. *)
+   4. check the serve.latency_us histogram's p99 (Obs.hist_stats, what
+      /stats, the profile table and the Chrome trace print) lands within
+      one power-of-two bucket of the flight recorder's exact window p99. *)
 let smoke_trace_id = "metricssmoke-trace"
 
 let contains ~needle hay =
@@ -363,7 +323,7 @@ let metrics_smoke store_dir trace_file =
   (* 4. exact (flight window) vs bucket-derived (histogram) p99 *)
   let entries = Unit_serve.Flight.entries (Server.flight server) in
   let exact = Unit_serve.Flight.exact_percentile entries 99.0 in
-  let bucketed = Obs.bucket_quantile (Obs.histogram "serve.latency_us") 99.0 in
+  let bucketed = (Obs.hist_stats (Obs.histogram "serve.latency_us")).Obs.h_p99 in
   if abs (Obs.bucket_index exact - Obs.bucket_index bucketed) > 1 then
     failwith
       (Printf.sprintf

@@ -346,24 +346,13 @@ type hist_stats = {
   h_p99 : float;
 }
 
-(* Percentiles come from reservoir sampling (Vitter's Algorithm R): the
-   first [reservoir_cap] observations are kept verbatim, after which the
-   i-th observation replaces a uniformly random slot with probability
-   cap/i, so the reservoir stays a uniform sample of the whole stream.
-   Up to [reservoir_cap] observations the percentiles are exact
-   (nearest-rank on the sorted buffer); beyond that they are unbiased
-   estimates.  Randomness is a small deterministic per-histogram LCG —
-   no dependence on the global [Random] state, and identical runs
-   produce identical reservoirs. *)
-let reservoir_cap = 512
-
-(* Alongside the reservoir, every histogram keeps exact counts in fixed
-   log-spaced buckets (upper bounds 2^0, 2^1, ... 2^41, +Inf — values
-   <= 1, including zero and negatives, land in the first bucket).
-   Bucket-derived quantiles are exact-by-bucket: the returned bound is a
-   true upper bound on the nearest-rank percentile of the *whole*
-   stream, never a sample estimate, at a resolution of one power of
-   two.  This is also what the Prometheus exposition renders. *)
+(* Every histogram counts observations into fixed log-spaced buckets
+   (upper bounds 2^0, 2^1, ... 2^41, +Inf — values <= 1, including zero
+   and negatives, land in the first bucket).  Bucket-derived quantiles
+   are exact-by-bucket: the returned bound is a true upper bound on the
+   nearest-rank percentile of the *whole* stream, never a sample
+   estimate, at a resolution of one power of two.  This is also what
+   the Prometheus exposition renders. *)
 let n_buckets = 43
 
 let bucket_bounds =
@@ -386,8 +375,6 @@ type histogram = {
   mutable hg_sum : float;
   mutable hg_min : float;
   mutable hg_max : float;
-  hg_reservoir : float array;  (* first [min count cap] slots are live *)
-  mutable hg_rng : int;  (* LCG state *)
   hg_buckets : int array;  (* per-bucket (non-cumulative) counts *)
 }
 
@@ -403,8 +390,6 @@ let histogram ?(always = false) name =
       let h =
         { hg_name = name; hg_mu = Mutex.create (); hg_always = always;
           hg_count = 0; hg_sum = 0.; hg_min = 0.; hg_max = 0.;
-          hg_reservoir = Array.make reservoir_cap 0.0;
-          hg_rng = Hashtbl.hash name lor 1;
           hg_buckets = Array.make n_buckets 0
         }
       in
@@ -413,11 +398,6 @@ let histogram ?(always = false) name =
   in
   Mutex.unlock hists_mu;
   h
-
-(* 48-bit LCG (the classic drand48 multiplier); callers hold [hg_mu]. *)
-let lcg_next h bound =
-  h.hg_rng <- (h.hg_rng * 25214903917 + 11) land 0xFFFFFFFFFFFF;
-  (h.hg_rng lsr 16) mod bound
 
 let observe h x =
   if h.hg_always || Atomic.get enabled_flag then begin
@@ -432,57 +412,26 @@ let observe h x =
     end;
     h.hg_count <- h.hg_count + 1;
     h.hg_sum <- h.hg_sum +. x;
-    h.hg_buckets.(bucket_index x) <- h.hg_buckets.(bucket_index x) + 1;
-    (if h.hg_count <= reservoir_cap then h.hg_reservoir.(h.hg_count - 1) <- x
-     else begin
-       let j = lcg_next h h.hg_count in
-       if j < reservoir_cap then h.hg_reservoir.(j) <- x
-     end);
+    let i = bucket_index x in
+    h.hg_buckets.(i) <- h.hg_buckets.(i) + 1;
     Mutex.unlock h.hg_mu
   end
 
-(* nearest-rank percentile on a sorted sample *)
+(* The one nearest-rank rule: the 1-based rank of the q-th percentile
+   among [n] ordered observations. *)
+let nearest_rank n q =
+  Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int n /. 100.0)))
+
 let percentile sorted q =
   let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = int_of_float (Float.ceil (q *. float_of_int n /. 100.0)) in
-    sorted.(Stdlib.max 0 (Stdlib.min (n - 1) (rank - 1)))
-  end
+  if n = 0 then 0.0 else sorted.(Stdlib.min n (nearest_rank n q) - 1)
 
-let hist_stats h =
-  Mutex.lock h.hg_mu;
-  let live = Stdlib.min h.hg_count reservoir_cap in
-  let sample = Array.sub h.hg_reservoir 0 live in
-  let s =
-    { h_count = h.hg_count; h_sum = h.hg_sum; h_min = h.hg_min; h_max = h.hg_max;
-      h_p50 = 0.; h_p90 = 0.; h_p99 = 0. }
-  in
-  Mutex.unlock h.hg_mu;
-  Array.sort compare sample;
-  { s with
-    h_p50 = percentile sample 50.0;
-    h_p90 = percentile sample 90.0;
-    h_p99 = percentile sample 99.0
-  }
-
-let hist_buckets h =
-  Mutex.lock h.hg_mu;
-  let b = Array.copy h.hg_buckets in
-  Mutex.unlock h.hg_mu;
-  b
-
-(* Exact-by-bucket quantile: the upper bound of the bucket holding the
-   nearest-rank q-th percentile of the whole stream (not the
-   reservoir).  0.0 on an empty histogram. *)
-let bucket_quantile h q =
-  let buckets = hist_buckets h in
-  let total = Array.fold_left ( + ) 0 buckets in
+(* The upper bound of the bucket holding the nearest-rank q-th
+   percentile of [total] observations counted in [buckets]. *)
+let quantile_of_buckets buckets total q =
   if total = 0 then 0.0
   else begin
-    let rank =
-      Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int total /. 100.0)))
-    in
+    let rank = nearest_rank total q in
     let rec walk i seen =
       if i >= n_buckets - 1 then bucket_bounds.(n_buckets - 1)
       else begin
@@ -492,6 +441,29 @@ let bucket_quantile h q =
     in
     walk 0 0
   end
+
+let hist_buckets h =
+  Mutex.lock h.hg_mu;
+  let b = Array.copy h.hg_buckets in
+  Mutex.unlock h.hg_mu;
+  b
+
+let bucket_quantile h q =
+  let buckets = hist_buckets h in
+  quantile_of_buckets buckets (Array.fold_left ( + ) 0 buckets) q
+
+(* One locked snapshot; each percentile is its bucket's bound clamped to
+   the exact maximum, so a single observation reports itself. *)
+let hist_stats h =
+  Mutex.lock h.hg_mu;
+  let buckets = Array.copy h.hg_buckets in
+  let s =
+    { h_count = h.hg_count; h_sum = h.hg_sum; h_min = h.hg_min; h_max = h.hg_max;
+      h_p50 = 0.; h_p90 = 0.; h_p99 = 0. }
+  in
+  Mutex.unlock h.hg_mu;
+  let p q = Float.min (quantile_of_buckets buckets s.h_count q) s.h_max in
+  { s with h_p50 = p 50.0; h_p90 = p 90.0; h_p99 = p 99.0 }
 
 (* ---------- gauges ---------- *)
 
@@ -540,9 +512,7 @@ let reset () =
       h.hg_sum <- 0.;
       h.hg_min <- 0.;
       h.hg_max <- 0.;
-      Array.fill h.hg_reservoir 0 reservoir_cap 0.0;
       Array.fill h.hg_buckets 0 n_buckets 0;
-      h.hg_rng <- Hashtbl.hash h.hg_name lor 1;
       Mutex.unlock h.hg_mu)
     hists_tbl;
   Mutex.unlock hists_mu;
@@ -650,7 +620,7 @@ let pp_counters ppf cs =
 
 let pp_histograms ppf hs =
   Format.fprintf ppf "%-34s %7s %12s %12s %12s %12s %12s %12s@."
-    "histogram" "count" "min" "mean" "p50" "p90" "p99" "max";
+    "histogram" "count" "min" "mean" "p50<=" "p90<=" "p99<=" "max";
   List.iter
     (fun (name, s) ->
       let mean = if s.h_count = 0 then 0. else s.h_sum /. float_of_int s.h_count in
@@ -694,25 +664,23 @@ let chrome_events sps =
         Some (Json.Obj (base @ args)))
     sps
 
+let hist_json (name, s) =
+  ( name,
+    Json.Obj
+      [
+        ("count", Json.Num (float_of_int s.h_count));
+        ("sum", Json.Num s.h_sum);
+        ("min", Json.Num s.h_min);
+        ("max", Json.Num s.h_max);
+        ("p50", Json.Num s.h_p50);
+        ("p90", Json.Num s.h_p90);
+        ("p99", Json.Num s.h_p99);
+      ] )
+
 let chrome_trace () =
   let events = chrome_events (spans ()) in
   let counters_json = List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) (counters ()) in
-  let hists_json =
-    List.map
-      (fun (k, s) ->
-        ( k,
-          Json.Obj
-            [
-              ("count", Json.Num (float_of_int s.h_count));
-              ("sum", Json.Num s.h_sum);
-              ("min", Json.Num s.h_min);
-              ("max", Json.Num s.h_max);
-              ("p50", Json.Num s.h_p50);
-              ("p90", Json.Num s.h_p90);
-              ("p99", Json.Num s.h_p99);
-            ] ))
-      (histograms ())
-  in
+  let hists_json = List.map hist_json (histograms ()) in
   Json.Obj
     [
       ("traceEvents", Json.Arr events);
@@ -726,20 +694,7 @@ let stats_json () =
     List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) (counters ())
   in
   let hists_json =
-    List.map
-      (fun (k, s) ->
-        ( k,
-          Json.Obj
-            [
-              ("count", Json.Num (float_of_int s.h_count));
-              ("sum", Json.Num s.h_sum);
-              ("min", Json.Num s.h_min);
-              ("max", Json.Num s.h_max);
-              ("p50", Json.Num s.h_p50);
-              ("p90", Json.Num s.h_p90);
-              ("p99", Json.Num s.h_p99);
-            ] ))
-      (List.filter (fun (_, s) -> s.h_count > 0) (histograms ()))
+    List.map hist_json (List.filter (fun (_, s) -> s.h_count > 0) (histograms ()))
   in
   let spans_json =
     List.map

@@ -23,9 +23,10 @@ val set_enabled : bool -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Drop all recorded spans, zero all counters/histograms (reservoirs
-    and bucket counts alike) and clear the per-trace store.  Registered
-    counter/histogram handles and gauge callbacks stay valid. *)
+(** Drop all recorded spans, zero all counters and histograms (count,
+    sum, min, max and bucket counts) and clear the per-trace store.
+    Registered counter/histogram handles and gauge callbacks stay
+    valid. *)
 
 val monotonic_available : bool
 (** Whether span timing runs on the monotonic clock ([true] everywhere
@@ -149,20 +150,28 @@ val observe : histogram -> float -> unit
 (** No-op while disabled unless interned with [~always:true]. *)
 
 val hist_stats : histogram -> hist_stats
-(** [h_p50]/[h_p90]/[h_p99] are nearest-rank percentiles over a
-    512-slot reservoir sample (Vitter's Algorithm R, deterministic
-    per-histogram LCG): exact up to 512 observations, unbiased
-    estimates beyond.  For bounds that are exact over the whole stream
-    use {!bucket_quantile}. *)
+(** Count, sum, min and max are exact.  [h_p50]/[h_p90]/[h_p99] are
+    [min (bucket_quantile h q) h_max], taken from one locked snapshot of
+    the buckets: each is a true upper bound on the nearest-rank
+    percentile of the whole stream, never more than one power of two
+    above it (for percentiles [>= 1]), and a histogram holding a single
+    value reports that value exactly. *)
+
+val percentile : float array -> float -> float
+(** [percentile sorted q] — the nearest-rank [q]-th percentile
+    ([q] in [0, 100]) of an ascending-sorted array: the element at
+    1-based rank [max 1 (ceil (q * n / 100))], clamped to the last.
+    [0.0] on an empty array.  The one nearest-rank rule: histogram
+    buckets and the daemon's flight-recorder window use it too. *)
 
 (** {2 Fixed log-spaced buckets}
 
-    Every histogram also counts observations into fixed power-of-two
-    buckets (upper bounds [2^0 .. 2^41], then [+Inf]; values [<= 1]
-    including zero/negatives land in the first).  Unlike the reservoir,
-    bucket counts cover every observation ever made, so bucket-derived
-    quantiles are exact upper bounds at one-power-of-two resolution —
-    this is what the Prometheus exposition ({!Metrics}) renders. *)
+    Every histogram counts observations into fixed power-of-two buckets
+    (upper bounds [2^0 .. 2^41], then [+Inf]; values [<= 1] including
+    zero/negatives land in the first).  Bucket counts cover every
+    observation ever made, so bucket-derived quantiles are exact upper
+    bounds at one-power-of-two resolution — this is what the Prometheus
+    exposition ({!Metrics}) renders. *)
 
 val n_buckets : int
 val bucket_bounds : float array
@@ -242,6 +251,8 @@ val pp_counters : Format.formatter -> (string * int) list -> unit
 (** The fixed-width counter table — pure, for golden tests. *)
 
 val pp_histograms : Format.formatter -> (string * hist_stats) list -> unit
+(** The fixed-width histogram table; the [p50<=]/[p90<=]/[p99<=]
+    columns are the bucket bounds of {!hist_stats}. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** Live sink: spans aggregated + counters + histograms, via the pure

@@ -73,16 +73,10 @@ let entries ?last ?(errors_only = false) ?slower_than_us t =
     let len = List.length window in
     if len <= n then window else List.filteri (fun i _ -> i >= len - n) window
 
-(* exact nearest-rank percentile over the window's total latencies *)
 let exact_percentile entries p =
-  match entries with
-  | [] -> 0.0
-  | _ ->
-    let arr = Array.of_list (List.map total_us entries) in
-    Array.sort compare arr;
-    let n = Array.length arr in
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-    arr.(max 0 (min (n - 1) (rank - 1)))
+  let arr = Array.of_list (List.map total_us entries) in
+  Array.sort compare arr;
+  Unit_obs.Obs.percentile arr p
 
 let entry_to_json e =
   Json.Obj

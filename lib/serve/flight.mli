@@ -48,8 +48,8 @@ val entries :
     @raise Invalid_argument when [last < 0]. *)
 
 val exact_percentile : entry list -> float -> float
-(** Nearest-rank percentile of {!total_us} over the given entries —
-    exact over the window, no reservoir.  [0.0] on an empty list. *)
+(** {!Unit_obs.Obs.percentile} of {!total_us} over the given entries —
+    exact over the window.  [0.0] on an empty list. *)
 
 val entry_to_json : entry -> Unit_obs.Json.t
 val entry_of_json : Unit_obs.Json.t -> (entry, string) result

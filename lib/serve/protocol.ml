@@ -340,6 +340,18 @@ let response_of_json j =
   | Some other -> Error (Printf.sprintf "unknown status %S" other)
   | None -> Error "field \"status\" missing"
 
+(* ---------- one-shot client ---------- *)
+
+let call socket_path req =
+  let* payload = Wire.call socket_path (Json.to_string (request_to_json req)) in
+  let* j =
+    Result.map_error (fun m -> "response is not JSON: " ^ m) (Json.parse payload)
+  in
+  match response_of_json j with
+  | Error m -> Error ("malformed response: " ^ m)
+  | Ok (Failure (code, m)) -> Error (Printf.sprintf "%s: %s" (code_to_string code) m)
+  | Ok (Result r) -> Ok r
+
 (* ---------- result digests ---------- *)
 
 (* Canonical content digest of an execution result; the element-exact

@@ -118,6 +118,12 @@ val response_to_json : ?trace_id:string -> response -> Unit_obs.Json.t
 
 val response_of_json : Unit_obs.Json.t -> (response, string) result
 
+val call : string -> request -> (Unit_obs.Json.t, string) result
+(** [call socket_path req] — {!Wire.call} with [req] encoded, the
+    response decoded: [Ok result] for an ok response, [Error
+    "code: message"] for a structured failure, and [Error] for a
+    transport failure or a response that is not a protocol document. *)
+
 val digest_ndarray : Unit_codegen.Ndarray.t -> string
 (** Canonical content digest of an execution result, element-exact
     (integers printed exactly, floats by their IEEE bits).  The soak

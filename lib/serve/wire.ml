@@ -62,3 +62,26 @@ let read_frame fd =
 let write_frame fd payload =
   let framed = encode payload in
   really_write fd (Bytes.unsafe_of_string framed) 0 (String.length framed)
+
+let call socket_path payload =
+  (* a daemon hanging up mid-write must surface as EPIPE, not kill the
+     client with the signal *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
+  | exception Unix.Unix_error (e, _, _) ->
+    Error
+      (Printf.sprintf "cannot connect to %s: %s" socket_path (Unix.error_message e))
+  | () ->
+    (match
+       write_frame fd payload;
+       read_frame fd
+     with
+     | Ok response -> Ok response
+     | Error e -> Error (error_to_string e)
+     | exception Unix.Unix_error (e, _, _) ->
+       Error
+         (Printf.sprintf "connection to %s lost: %s" socket_path
+            (Unix.error_message e)))

@@ -33,3 +33,12 @@ val write_frame : Unix.file_descr -> string -> unit
 val encode : string -> string
 (** Header + payload as one string — for tests that craft byte streams
     (valid, truncated, or corrupted) without a socket. *)
+
+val call : string -> string -> (string, string) result
+(** [call socket_path payload] — the one-shot client: connect to the
+    Unix-domain socket, write one frame, read one frame, close.  The
+    descriptor is always closed.  A failed connect (naming the path),
+    a peer that hangs up mid-exchange (EPIPE/ECONNRESET) and a framing
+    error are all [Error], never an exception.  Sets SIGPIPE to ignored
+    for the process, so a vanished daemon is an error, not a fatal
+    signal. *)

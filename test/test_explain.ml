@@ -254,6 +254,105 @@ let test_report_round_trip_and_lint () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "truncated report passed lint")
 
+(* The substance gates of the checked-in BENCH schemas, pinned: one
+   valid document per schema passes, and each mutation that breaks one
+   gate fails with that gate's message. *)
+let num x = Json.Num x
+
+let set fields = function
+  | Json.Obj kvs ->
+    Json.Obj
+      (List.map
+         (fun (k, v) -> (k, Option.value ~default:v (List.assoc_opt k fields)))
+         kvs)
+  | j -> j
+
+let memplan_row ?ratio model naive arena =
+  Json.Obj
+    [ ("model", Json.Str model); ("naive_bytes", num naive);
+      ("peak_bytes", num arena); ("arena_bytes", num arena);
+      ("reuse_ratio", num (Option.value ~default:(arena /. naive) ratio));
+      ("slots", num 8.0)
+    ]
+
+let memplan rows =
+  Json.Obj
+    [ ("schema", Json.Str "unit-memplan"); ("v", num 1.0); ("models", Json.Arr rows) ]
+
+let mobilenet_row = memplan_row "mobilenet1.0" 1000.0 800.0
+
+let emit =
+  Json.Obj
+    [ ("schema", Json.Str "unit-emit"); ("workload", Json.Str "conv");
+      ("macs", num 1e6); ("tree_walker_s", num 1.0); ("compiled_s", num 0.4);
+      ("emitted_s", num 0.1); ("speedup_vs_compiled", num 4.0)
+    ]
+
+let serve =
+  Json.Obj
+    [ ("schema", Json.Str "unit-serve"); ("requests", num 2048.0);
+      ("clients", num 8.0); ("domains", num 4.0);
+      ("distinct_workloads", num 31.0); ("duplicate_tunes", num 0.0);
+      ("coalesced", num 448.0); ("bit_identical", Json.Bool true);
+      ("p50_us", num 268.0); ("p99_us", num 174224.0);
+      ("exact_p50_us", num 263.0); ("exact_p99_us", num 174221.0)
+    ]
+
+let test_substance_gates () =
+  let cases =
+    [ ("memplan valid",
+       memplan [ memplan_row "resnet18" 1000.0 500.0; mobilenet_row ],
+       Ok "memory-plan benchmark");
+      ("resnet18 arena at 61% of naive",
+       memplan [ memplan_row "resnet18" 1000.0 610.0; mobilenet_row ],
+       Error "gate: <= 60%");
+      ("arena > naive",
+       memplan
+         [ memplan_row "resnet18" 1000.0 500.0;
+           memplan_row "mobilenet1.0" 1000.0 1100.0 ],
+       Error "exceeds naive");
+      ("reuse_ratio <> arena/naive",
+       memplan [ memplan_row ~ratio:0.4 "resnet18" 1000.0 500.0; mobilenet_row ],
+       Error "reuse_ratio does not match");
+      ("no resnet18 row", memplan [ mobilenet_row ], Error "resnet18 row missing");
+      ("emit valid", emit, Ok "emitted-engine benchmark");
+      ("emitted > compiled", set [ ("emitted_s", num 0.5) ] emit,
+       Error "not monotone");
+      ("speedup_vs_compiled 2.9",
+       set [ ("compiled_s", num 0.29); ("speedup_vs_compiled", num 2.9) ] emit,
+       Error "gate: >= 3x");
+      ("ratio <> compiled/emitted", set [ ("speedup_vs_compiled", num 5.0) ] emit,
+       Error "does not match");
+      ("serve valid", serve, Ok "serve soak benchmark");
+      ("requests 1999", set [ ("requests", num 1999.0) ] serve,
+       Error "gate: >= 2000");
+      ("domains 3", set [ ("domains", num 3.0) ] serve, Error "gate: >= 4");
+      ("duplicate_tunes 1", set [ ("duplicate_tunes", num 1.0) ] serve,
+       Error "duplicate tuner sweep");
+      ("bit_identical false", set [ ("bit_identical", Json.Bool false) ] serve,
+       Error "diverged");
+      ("p50 > p99", set [ ("p50_us", num 200000.0) ] serve,
+       Error "latency percentiles implausible");
+      ("exact p50 > exact p99", set [ ("exact_p50_us", num 200000.0) ] serve,
+       Error "flight-recorder percentiles implausible")
+    ]
+  in
+  let path = Filename.temp_file "unit_gate" ".json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  List.iter
+    (fun (label, doc, want) ->
+      let oc = open_out path in
+      output_string oc (Json.to_string doc);
+      close_out oc;
+      match (want, Perf_gate.validate_file path) with
+      | Ok sub, Ok desc | Error sub, Error desc ->
+        if not (contains desc sub) then
+          Alcotest.failf "%s: %S lacks %S" label desc sub
+      | Ok _, Error m -> Alcotest.failf "%s: rejected: %s" label m
+      | Error _, Ok desc -> Alcotest.failf "%s: passed the gate: %s" label desc)
+    cases
+
 let () =
   Alcotest.run "explain"
     [ ( "explain",
@@ -269,6 +368,7 @@ let () =
       ( "perf-gate",
         [ Alcotest.test_case "diff semantics" `Quick test_diff_semantics;
           Alcotest.test_case "round trip and lint" `Quick
-            test_report_round_trip_and_lint
+            test_report_round_trip_and_lint;
+          Alcotest.test_case "substance gates" `Quick test_substance_gates
         ] )
     ]

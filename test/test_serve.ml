@@ -212,6 +212,50 @@ let drive_connection server bytes =
   Unix.close cfd;
   List.rev !responses
 
+(* The one-shot client every CLI shares: a real Unix socket in a temp
+   dir, served by the stub server for one accepted connection. *)
+let test_wire_call () =
+  let dir = temp_dir () in
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "unitd.sock" in
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close listen_fd) @@ fun () ->
+  Unix.bind listen_fd (Unix.ADDR_UNIX path);
+  Unix.listen listen_fd 4;
+  let accept_once serve =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listen_fd in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> serve fd))
+      ()
+  in
+  (* a ping round-trips to the pong *)
+  with_stub_server (fun server ->
+      let t = accept_once (Server.serve_connection server) in
+      let r = Wire.call path (Json.to_string (Protocol.request_to_json Protocol.Ping)) in
+      (match Result.map Json.parse r with
+       | Ok (Ok j) ->
+         (match Protocol.response_of_json j with
+          | Ok (Protocol.Result res) ->
+            check_bool "pong" true (Json.member "pong" res = Some (Json.Bool true))
+          | _ -> Alcotest.failf "ping answered with %s" (Json.to_string j))
+       | Ok (Error m) -> Alcotest.failf "response is not JSON: %s" m
+       | Error m -> Alcotest.failf "ping failed: %s" m);
+      Thread.join t);
+  (* a missing socket is an error naming the path *)
+  let missing = Filename.concat dir "absent.sock" in
+  (match Wire.call missing "{\"req\":\"ping\"}" with
+   | Error m -> check_bool "error names the path" true (string_contains m missing)
+   | Ok _ -> Alcotest.fail "connected to a missing socket");
+  (* a listener that hangs up at once, sent more than the socket buffer
+     holds: EPIPE/ECONNRESET come back as Error, not an exception *)
+  let t = accept_once (fun _ -> ()) in
+  (match Wire.call path (String.make (2 * 1024 * 1024) 'x') with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "a hung-up listener answered");
+  Thread.join t
+
 let response_is_structured payload =
   match Json.parse payload with
   | Error _ -> false
@@ -1163,7 +1207,8 @@ let () =
             test_wire_oversized;
           Alcotest.test_case "truncation classified" `Quick test_wire_truncated;
           Alcotest.test_case "encode matches the stream format" `Quick
-            test_wire_encode_matches_write
+            test_wire_encode_matches_write;
+          Alcotest.test_case "one-shot client" `Quick test_wire_call
         ] );
       ( "connection",
         [ Alcotest.test_case "malformed JSON answered, connection continues"
