@@ -4,19 +4,23 @@ open Unit_tir
 (* Pretty-printer from lowered TIR to a self-contained OCaml module.
 
    Where {!Compile} builds closures, this renders the same program as flat
-   OCaml source for ocamlopt.  Bit-identity with the other engines comes
-   from one discipline: every arithmetic result is canonicalized exactly
-   as {!Unit_dtype.Value} would — integers wrap to their dtype after every
-   op, f32 results round through Int32 bits, float→int casts saturate.
-   Compile elides those canonicalizations only where its interval analysis
-   proves them the identity, so emitting them unconditionally is always
-   bit-identical (and ocamlopt's code is still far ahead of closures).
+   OCaml source for ocamlopt.  {!render} first expands every intrinsic
+   call into plain TIR with {!Unit_isa.Semantics.expand} — a loop nest
+   built from the instruction's DSL description — so the renderer below
+   knows only ordinary statements.  Bit-identity with the other engines
+   comes from one discipline: every arithmetic result is canonicalized
+   exactly as {!Unit_dtype.Value} would — integers wrap to their dtype
+   after every op, f32 results round through Int32 bits, float→int casts
+   saturate — except where an interval analysis mirroring Compile's
+   proves the canonicalization the identity.
 
    The emitter refuses (raising {!Unsupported}) anything whose runtime
    behaviour it cannot reproduce statically — f16, float-dtyped scalar
-   vars, unregistered intrinsics, tiles that the semantics layer would
-   reject at run time.  {!Emit_cache} then falls back to {!Compile},
-   which reproduces the tree-walker's behaviour, errors included.
+   vars, and every call the expansion rejects (unregistered intrinsics,
+   tiles the semantics layer would reject at run time, operands whose
+   dtype differs from the instruction's).  {!Emit_cache} then falls back
+   to {!Compile}, which reproduces the tree-walker's behaviour, errors
+   included.
 
    Deliberate divergence, confined to analyzer-rejected programs: no
    per-access bounds checks are emitted (a flat index outside the
@@ -30,7 +34,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 3
+let version = 4
 
 type klass = KF | KI | KL
 
@@ -138,6 +142,10 @@ let sat_i32 f = sat_gen (-2147483648L) 2147483647L f
 |}
 
 let render (func : Lower.func) : plan * string =
+  let func =
+    try Unit_isa.Semantics.expand func
+    with Unit_isa.Semantics.Execution_error msg -> unsupported "%s" msg
+  in
   (* ---- binding plan: one cell per buffer, grouped by storage class *)
   let nf = ref 0 and ni = ref 0 and nl = ref 0 in
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -429,300 +437,6 @@ let render (func : Lower.func) : plan * string =
     | CL, CL -> s
     | CL, CF -> rounded dt (Printf.sprintf "(Int64.to_float %s)" s)
   in
-  (* ---- intrinsic inlining: the loop nest Semantics.compile_uncached
-     runs dynamically, rendered as static straight-line loops *)
-  let intrin_counter = ref 0 in
-  let render_intrin buf ind ~intrin ~(output : Stmt.tile)
-      ~(inputs : (string * Stmt.tile) list) =
-    let line i s =
-      B.add_string buf (String.make (2 * i) ' ');
-      B.add_string buf s;
-      B.add_char buf '\n'
-    in
-    let n = !intrin_counter in
-    incr intrin_counter;
-    let ins =
-      match Unit_isa.Registry.find intrin with
-      | Some ins -> ins
-      | None -> unsupported "intrinsic %s is not registered" intrin
-    in
-    let op = ins.Unit_isa.Intrin.op in
-    let axes = Array.of_list (op.Unit_dsl.Op.spatial @ op.Unit_dsl.Op.reduce) in
-    let n_axes = Array.length axes in
-    let n_spatial = List.length op.Unit_dsl.Op.spatial in
-    let axis_slot name =
-      let found = ref (-1) in
-      for j = 0 to n_axes - 1 do
-        if String.equal axes.(j).Unit_dsl.Axis.name name then found := j
-      done;
-      if !found < 0 then None else Some !found
-    in
-    let check_tile_axes (tile : Stmt.tile) =
-      List.iter
-        (fun (axis_name, _) ->
-          if axis_slot axis_name = None then
-            unsupported "%s: tile references unknown axis %s" intrin axis_name)
-        tile.Stmt.tile_strides
-    in
-    let check_spatial_only (tile : Stmt.tile) =
-      List.iter
-        (fun (name, _) ->
-          match axis_slot name with
-          | Some j when j >= n_spatial ->
-            unsupported "%s: axis %s unbound" intrin name
-          | Some _ | None -> ())
-        tile.Stmt.tile_strides
-    in
-    check_tile_axes output;
-    List.iter (fun (_, tile) -> check_tile_axes tile) inputs;
-    check_spatial_only output;
-    let operands =
-      let init_tensors =
-        match op.Unit_dsl.Op.init with
-        | Unit_dsl.Op.Init_tensor c -> [ c ]
-        | Unit_dsl.Op.Zero | Unit_dsl.Op.In_place -> []
-      in
-      Array.of_list
-        (List.fold_left
-           (fun acc (t : Unit_dsl.Tensor.t) ->
-             if List.mem t.Unit_dsl.Tensor.name acc then acc
-             else acc @ [ t.Unit_dsl.Tensor.name ])
-           []
-           (init_tensors @ Unit_dsl.Expr.tensors_of op.Unit_dsl.Op.body))
-    in
-    let operand_slot name =
-      let rec go i =
-        if i = Array.length operands then
-          unsupported "%s: operand %s not supplied" intrin name
-        else if String.equal operands.(i) name then i
-        else go (i + 1)
-      in
-      go 0
-    in
-    let input_tile name =
-      match List.assoc_opt name inputs with
-      | Some tile -> tile
-      | None -> unsupported "%s: operand %s not supplied" intrin name
-    in
-    let resolve_tile (tile : Stmt.tile) =
-      let strides = Array.make (Stdlib.max n_axes 1) 0 in
-      List.iter
-        (fun (name, s) ->
-          match axis_slot name with
-          | Some j -> strides.(j) <- strides.(j) + s
-          | None -> ())
-        tile.Stmt.tile_strides;
-      (tile.Stmt.tile_buf, strides)
-    in
-    let kvar j = Printf.sprintf "k%d_%d" n j in
-    let tile_addr base_name strides =
-      let terms = ref [ base_name ] in
-      for j = 0 to n_axes - 1 do
-        if strides.(j) <> 0 then
-          terms := Printf.sprintf "%s * %s" (int_lit strides.(j)) (kvar j) :: !terms
-      done;
-      String.concat " + " (List.rev !terms)
-    in
-    (* readers: operand slot -> cell-access string in buffer-dtype carrier *)
-    let operand_info =
-      Array.mapi
-        (fun i name ->
-          let tile = input_tile name in
-          let buf, strides = resolve_tile tile in
-          (* the value the body sees carries the buffer dtype; the intrin
-             tensor's dtype must agree or Value's ops would raise *)
-          (match Unit_isa.Intrin.tensor_by_name ins name with
-           | Some t when Dtype.equal t.Unit_dsl.Tensor.dtype buf.Buffer.dtype -> ()
-           | Some t ->
-             unsupported "%s: operand %s bound to %s buffer, %s expected" intrin
-               name
-               (Dtype.to_string buf.Buffer.dtype)
-               (Dtype.to_string t.Unit_dsl.Tensor.dtype)
-           | None -> unsupported "%s: unknown operand %s" intrin name);
-          (tile, buf, strides, Printf.sprintf "tb%d_%d" n (i + 1)))
-        operands
-    in
-    let reader slot =
-      let _, buf, strides, base = operand_info.(slot) in
-      addr_in buf (tile_addr base strides)
-    in
-    let out_dtype = op.Unit_dsl.Op.output.Unit_dsl.Tensor.dtype in
-    let acc_carrier = carrier_of out_dtype in
-    let out_buf, out_strides = resolve_tile output in
-    let out_base = Printf.sprintf "tb%d_0" n in
-    let out_read = addr_in out_buf (Printf.sprintf "oa_%d" n) in
-    (* Value.lift semantics on pre-rendered operand strings: canonicalize
-       always (no elision — Value wraps/rounds every op) *)
-    let rbinop_str dt op sa sb =
-      match carrier_of dt with
-      | CI ->
-        let w = wname dt in
-        (match op with
-         | Unit_dsl.Expr.Add -> Printf.sprintf "(%s (%s + %s))" w sa sb
-         | Unit_dsl.Expr.Sub -> Printf.sprintf "(%s (%s - %s))" w sa sb
-         | Unit_dsl.Expr.Mul -> Printf.sprintf "(%s (%s * %s))" w sa sb
-         | Unit_dsl.Expr.Div ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if y_ = 0 then 0 else %s (x_ / y_))"
-             sa sb w
-         | Unit_dsl.Expr.Mod ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if y_ = 0 then 0 else %s (x_ mod \
-              y_))"
-             sa sb w
-         | Unit_dsl.Expr.Min ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if x_ <= y_ then x_ else y_)" sa sb
-         | Unit_dsl.Expr.Max ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if x_ >= y_ then x_ else y_)" sa sb)
-      | CF ->
-        (match op with
-         | Unit_dsl.Expr.Add -> rounded dt (Printf.sprintf "(%s +. %s)" sa sb)
-         | Unit_dsl.Expr.Sub -> rounded dt (Printf.sprintf "(%s -. %s)" sa sb)
-         | Unit_dsl.Expr.Mul -> rounded dt (Printf.sprintf "(%s *. %s)" sa sb)
-         | Unit_dsl.Expr.Div -> rounded dt (Printf.sprintf "(%s /. %s)" sa sb)
-         | Unit_dsl.Expr.Mod ->
-           rounded dt (Printf.sprintf "(Float.rem %s %s)" sa sb)
-         | Unit_dsl.Expr.Min -> Printf.sprintf "(Float.min %s %s)" sa sb
-         | Unit_dsl.Expr.Max -> Printf.sprintf "(Float.max %s %s)" sa sb)
-      | CL ->
-        (match op with
-         | Unit_dsl.Expr.Add -> Printf.sprintf "(Int64.add %s %s)" sa sb
-         | Unit_dsl.Expr.Sub -> Printf.sprintf "(Int64.sub %s %s)" sa sb
-         | Unit_dsl.Expr.Mul -> Printf.sprintf "(Int64.mul %s %s)" sa sb
-         | Unit_dsl.Expr.Div ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if Int64.equal y_ 0L then 0L else \
-              Int64.div x_ y_)"
-             sa sb
-         | Unit_dsl.Expr.Mod ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if Int64.equal y_ 0L then 0L else \
-              Int64.rem x_ y_)"
-             sa sb
-         | Unit_dsl.Expr.Min ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if Int64.compare x_ y_ <= 0 then \
-              x_ else y_)"
-             sa sb
-         | Unit_dsl.Expr.Max ->
-           Printf.sprintf
-             "(let x_ = %s in let y_ = %s in if Int64.compare x_ y_ >= 0 then \
-              x_ else y_)"
-             sa sb)
-    in
-    (* the intrinsic body under Value semantics *)
-    let rec rbody (e : Unit_dsl.Expr.t) : string =
-      match e with
-      | Unit_dsl.Expr.Imm v -> value_lit v
-      | Unit_dsl.Expr.Axis_ref a ->
-        (match axis_slot a.Unit_dsl.Axis.name with
-         | Some j -> kvar j
-         | None -> unsupported "%s: axis %s unbound" intrin a.Unit_dsl.Axis.name)
-      | Unit_dsl.Expr.Access (t, _) -> reader (operand_slot t.Unit_dsl.Tensor.name)
-      | Unit_dsl.Expr.Cast (dt, e) -> rcast dt (Unit_dsl.Expr.dtype_of e) (rbody e)
-      | Unit_dsl.Expr.Neg e ->
-        let dt = Unit_dsl.Expr.dtype_of e in
-        let s = rbody e in
-        (match carrier_of dt with
-         | CI -> Printf.sprintf "(%s (- %s))" (wname dt) s
-         | CF -> Printf.sprintf "(-. %s)" s
-         | CL -> Printf.sprintf "(Int64.neg %s)" s)
-      | Unit_dsl.Expr.Binop (o, a, b) ->
-        rbinop_str (Unit_dsl.Expr.dtype_of e) o (rbody a) (rbody b)
-    in
-    let body_str = rbody op.Unit_dsl.Op.body in
-    let acc = Printf.sprintf "acc_%d" n in
-    let init_str =
-      match op.Unit_dsl.Op.init with
-      | Unit_dsl.Op.Zero ->
-        (match acc_carrier with CI -> "0" | CF -> "0." | CL -> "0L")
-      | Unit_dsl.Op.In_place ->
-        if not (Dtype.equal out_buf.Buffer.dtype out_dtype) then
-          unsupported "%s: in-place accumulator buffer dtype %s, %s expected"
-            intrin
-            (Dtype.to_string out_buf.Buffer.dtype)
-            (Dtype.to_string out_dtype);
-        out_read
-      | Unit_dsl.Op.Init_tensor c ->
-        check_spatial_only (input_tile c.Unit_dsl.Tensor.name);
-        reader (operand_slot c.Unit_dsl.Tensor.name)
-    in
-    let accum_str =
-      match acc_carrier with
-      | CI -> Printf.sprintf "%s := %s (!%s + %s);" acc (wname out_dtype) acc body_str
-      | CF ->
-        (match out_dtype with
-         | Dtype.F64 -> Printf.sprintf "%s := !%s +. %s;" acc acc body_str
-         | _ ->
-           Printf.sprintf "%s := %s;" acc
-             (rounded out_dtype (Printf.sprintf "(!%s +. %s)" acc body_str)))
-      | CL -> Printf.sprintf "%s := Int64.add !%s %s;" acc acc body_str
-    in
-    (* cb_write: convert the accumulator into the output buffer's class *)
-    let write_payload =
-      let bdt = out_buf.Buffer.dtype in
-      match carrier_of bdt, acc_carrier with
-      | CF, CF ->
-        if Dtype.equal bdt Dtype.F64 || Dtype.equal bdt out_dtype then
-          Printf.sprintf "!%s" acc
-        else rounded bdt (Printf.sprintf "!%s" acc)
-      | CF, CI ->
-        if Dtype.equal bdt Dtype.F64 then Printf.sprintf "(float_of_int !%s)" acc
-        else rounded bdt (Printf.sprintf "(float_of_int !%s)" acc)
-      | CF, CL ->
-        if Dtype.equal bdt Dtype.F64 then Printf.sprintf "(Int64.to_float !%s)" acc
-        else rounded bdt (Printf.sprintf "(Int64.to_float !%s)" acc)
-      | CI, CI ->
-        if Dtype.equal bdt out_dtype then Printf.sprintf "!%s" acc
-        else Printf.sprintf "(%s !%s)" (wname bdt) acc
-      | CI, CF -> Printf.sprintf "(%s (trunc !%s))" (wname bdt) acc
-      | CI, CL -> Printf.sprintf "(%s (Int64.to_int !%s))" (wname bdt) acc
-      | CL, CI -> Printf.sprintf "(Int64.of_int !%s)" acc
-      | CL, CF -> Printf.sprintf "(trunc64 !%s)" acc
-      | CL, CL -> Printf.sprintf "!%s" acc
-    in
-    (* ---- emit the nest *)
-    line ind "begin";
-    let ind1 = ind + 1 in
-    line ind1 (Printf.sprintf "let %s = %s in" out_base (rint output.Stmt.tile_base));
-    Array.iteri
-      (fun i (tile, _, _, base) ->
-        ignore i;
-        line ind1 (Printf.sprintf "let %s = %s in" base (rint tile.Stmt.tile_base)))
-      operand_info;
-    let d = ref ind1 in
-    for j = 0 to n_spatial - 1 do
-      line !d
-        (Printf.sprintf "for %s = 0 to %d do" (kvar j)
-           (axes.(j).Unit_dsl.Axis.extent - 1));
-      incr d
-    done;
-    line !d
-      (Printf.sprintf "let oa_%d = %s in" n (tile_addr out_base out_strides));
-    line !d (Printf.sprintf "let %s = ref %s in" acc init_str);
-    let dr = ref !d in
-    for j = n_spatial to n_axes - 1 do
-      line !dr
-        (Printf.sprintf "for %s = 0 to %d do" (kvar j)
-           (axes.(j).Unit_dsl.Axis.extent - 1));
-      incr dr
-    done;
-    line !dr accum_str;
-    for j = n_axes - 1 downto n_spatial do
-      ignore j;
-      decr dr;
-      line !dr "done;"
-    done;
-    line !d (Printf.sprintf "%s <- %s;" out_read write_payload);
-    for j = n_spatial - 1 downto 0 do
-      ignore j;
-      decr d;
-      line !d "done;"
-    done;
-    line ind "end;"
-  in
   (* ---- statements *)
   let buf = B.create 4096 in
   let line i s =
@@ -826,8 +540,7 @@ let render (func : Lower.func) : plan * string =
        | Some p -> Hashtbl.replace defined b.Buffer.id p
        | None -> Hashtbl.remove defined b.Buffer.id);
       line ind "end;"
-    | Stmt.Intrin_call { intrin; output; inputs } ->
-      render_intrin buf ind ~intrin ~output ~inputs
+    | Stmt.Intrin_call { intrin; _ } -> unsupported "unexpanded intrinsic %s" intrin
   in
   (* ---- module assembly *)
   B.add_string buf "[@@@warning \"-a\"]\n";

@@ -4,10 +4,10 @@
     The third execution engine (after the tree-walking {!Interp} and the
     closure-compiling {!Compile}): the kernel body becomes flat OCaml —
     unboxed-array accesses, loop variables as [let]-bound ints,
-    [Intrin_call] semantics inlined as straight-line code from the
-    registered DSL description, [Parallel] loops fanned through a
-    host-supplied callback — compiled to a [.cmxs] and [Dynlink]ed by
-    {!Emit_cache}.
+    [Intrin_call]s expanded into plain loops over the registered DSL
+    description by {!Unit_isa.Semantics.expand} before rendering,
+    [Parallel] loops fanned through a host-supplied callback — compiled
+    to a [.cmxs] and [Dynlink]ed by {!Emit_cache}.
 
     Numerics contract: emitted code replicates {!Unit_dtype.Value}'s
     canonicalization on raw payloads (wrap-to-dtype after every integer
@@ -27,15 +27,18 @@ open Unit_tir
 
 exception Unsupported of string
 (** Raised by {!render} when the function uses a construct the emitter
-    does not cover (f16 dtypes, float-dtyped scalar variables,
-    unregistered intrinsics, malformed tiles).  Callers fall back to
+    does not cover (f16 dtypes, float-dtyped scalar variables) or when
+    {!Unit_isa.Semantics.expand} rejects an intrinsic call (unregistered
+    instruction, malformed tile, operand dtype differing from the
+    instruction's).  Callers fall back to
     {!Compile}, which reproduces the tree-walker's behaviour — including
     its runtime errors — exactly. *)
 
 val version : int
 (** Bumped on any change to the generated code's semantics or calling
     convention; part of {!Emit_cache}'s artifact key, so stale on-disk
-    kernels are never loaded. *)
+    kernels are never loaded.  Version 4 renders intrinsic calls from
+    their TIR expansion. *)
 
 type klass = KF | KI | KL
 (** Storage class of a bound tensor: [float array] / [int array] /

@@ -11,7 +11,8 @@
     ({!compile}, memoized) — axis references and operand accesses resolve
     to array slots instead of association lists — and both the tree-walking
     and the compiled interpreter run intrinsic calls through that
-    translation. *)
+    translation.  {!expand} instead rewrites each call into ordinary TIR
+    built from the same description, for the native emitter. *)
 
 open Unit_tir
 
@@ -52,6 +53,17 @@ val execute :
     behaviour of the real hardware instruction.
     @raise Execution_error if an operand is missing or a tile references an
     axis the instruction does not have. *)
+
+val expand : Lower.func -> Lower.func
+(** Rewrite every {!Unit_tir.Stmt.Intrin_call} into plain TIR: a loop nest
+    over the instruction's axes whose body is the DSL description
+    translated by {!Unit_tir.Lower.texpr_of_expr}, operands loaded from
+    their tiles, non-constant tile bases bound once by a [Let] outside the
+    nest, the accumulator a one-element [Alloc] of the output dtype.
+    Bit-identical to {!execute} on every call it accepts.
+    @raise Execution_error on an unregistered instruction, on any tile
+    {!execute} rejects, or on an operand, init or body dtype that differs
+    from the instruction's. *)
 
 val tile_address :
   Stmt.tile -> env:(string -> int) -> eval_index:(Texpr.t -> int) -> int

@@ -46,28 +46,26 @@ let binop_of_dsl : Expr.binop -> Texpr.binop = function
   | Expr.Min -> Texpr.Min
   | Expr.Max -> Texpr.Max
 
-(* Translate a DSL expression to TIR given the axis environment and the
-   tensor-to-buffer map. *)
-let rec texpr_of_expr ~axis_env ~buffer_of (e : Expr.t) =
+(* Translate a DSL expression to TIR given the axis environment and how an
+   operand access reads memory ([access] receives the translated indices). *)
+let rec texpr_of_expr ~axis_env ~access (e : Expr.t) =
+  let recur = texpr_of_expr ~axis_env ~access in
   match e with
   | Expr.Imm v -> Texpr.imm v
   | Expr.Axis_ref a -> axis_env a
-  | Expr.Access (t, indices) ->
-    let indices = List.map (texpr_of_expr ~axis_env ~buffer_of) indices in
-    Texpr.load (buffer_of t) (flatten_index t indices)
-  | Expr.Cast (dt, inner) -> Texpr.cast dt (texpr_of_expr ~axis_env ~buffer_of inner)
+  | Expr.Access (t, indices) -> access t (List.map recur indices)
+  | Expr.Cast (dt, inner) -> Texpr.cast dt (recur inner)
   | Expr.Neg inner ->
-    let inner = texpr_of_expr ~axis_env ~buffer_of inner in
+    let inner = recur inner in
     let dt = Texpr.dtype_of inner in
+    (* -0.0 - x is Value.neg bit for bit, signed zeros included; 0.0 - x
+       would turn +0.0 into +0.0 instead of -0.0 *)
     let zero =
-      if Unit_dtype.Dtype.is_float dt then Texpr.float_imm ~dtype:dt 0.0
+      if Unit_dtype.Dtype.is_float dt then Texpr.float_imm ~dtype:dt (-0.0)
       else Texpr.int_imm ~dtype:dt 0
     in
     Texpr.sub zero inner
-  | Expr.Binop (op, a, b) ->
-    Texpr.binop (binop_of_dsl op)
-      (texpr_of_expr ~axis_env ~buffer_of a)
-      (texpr_of_expr ~axis_env ~buffer_of b)
+  | Expr.Binop (op, a, b) -> Texpr.binop (binop_of_dsl op) (recur a) (recur b)
 
 let for_kind_of_annotation = function
   | Schedule.Serial -> Stmt.Serial
@@ -131,7 +129,8 @@ let lower schedule =
   (* main update statement *)
   let spatial_exprs = List.map (fun a -> axis_env a) op.Op.spatial in
   let out_index = flatten_index op.Op.output spatial_exprs in
-  let body_value = texpr_of_expr ~axis_env ~buffer_of op.Op.body in
+  let access t ix = Texpr.load (buffer_of t) (flatten_index t ix) in
+  let body_value = texpr_of_expr ~axis_env ~access op.Op.body in
   let update =
     if Op.has_reduction op then
       Stmt.Store (out_buffer, out_index, Texpr.add (Texpr.load out_buffer out_index) body_value)

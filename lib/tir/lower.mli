@@ -34,6 +34,15 @@ val buffer_of_tensor : func -> Unit_dsl.Tensor.t -> Buffer.t
 val flatten_index : Unit_dsl.Tensor.t -> Texpr.t list -> Texpr.t
 (** Row-major flattening of a multi-dimensional index. *)
 
+val texpr_of_expr :
+  axis_env:(Unit_dsl.Axis.t -> Texpr.t) ->
+  access:(Unit_dsl.Tensor.t -> Texpr.t list -> Texpr.t) ->
+  Unit_dsl.Expr.t ->
+  Texpr.t
+(** Translate a DSL expression with {!Unit_dtype.Value}'s semantics;
+    [access] reads a tensor at the translated indices.
+    @raise Texpr.Type_error on an ill-typed expression. *)
+
 val scalar_reference : Unit_dsl.Op.t -> func
 (** [lower (Schedule.create op)]: the unscheduled, purely scalar program —
     the correctness oracle every tensorized variant is checked against. *)

@@ -115,20 +115,65 @@ let test_alloc_scratch_is_zeroed_and_scoped () =
   check_int64 "fresh scratch each iter: out[2] = 3" 3L
     (Value.to_int64 (Ndarray.get_flat out 2))
 
+(* A call the semantics layer rejects fails the same way on every engine:
+   the emitter refuses it and Emit_cache falls back to the closure engine,
+   which raises what the tree-walker raises. *)
 let test_unregistered_intrinsic_rejected () =
   let t = Unit_dsl.Tensor.create ~name:"o" ~shape:[ 4 ] Dtype.I32 in
   let buf = Buffer.of_tensor t in
-  let tile = { Stmt.tile_buf = buf; tile_base = Texpr.int_imm 0; tile_strides = [] } in
-  let func =
-    { Lower.fn_name = "bad"; fn_tensors = [ (t, buf) ]; fn_output = buf;
-      fn_iter_vars = [];
-      fn_body = Stmt.Intrin_call { intrin = "no.such.intrin"; output = tile; inputs = [] }
-    }
+  let rejected ~intrin ~strides =
+    let tile = { Stmt.tile_buf = buf; tile_base = Texpr.int_imm 0; tile_strides = strides } in
+    let func =
+      { Lower.fn_name = "bad"; fn_tensors = [ (t, buf) ]; fn_output = buf;
+        fn_iter_vars = [];
+        fn_body = Stmt.Intrin_call { intrin; output = tile; inputs = [] }
+      }
+    in
+    let raised run =
+      match run func ~bindings:[ (t, Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 4 ]) ] with
+      | exception e -> Printexc.to_string e
+      | () -> Alcotest.failf "%s accepted" intrin
+    in
+    let interp = raised Interp.run in
+    Alcotest.(check string) (intrin ^ ": compiled raises as interp") interp
+      (raised Compile.run);
+    Alcotest.(check string) (intrin ^ ": emitted raises as interp") interp
+      (raised (fun f ~bindings -> Emit_cache.run f ~bindings));
+    interp
   in
-  let out = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 4 ] in
-  match Interp.run func ~bindings:[ (t, out) ] with
-  | exception Interp.Runtime_error _ -> ()
-  | () -> Alcotest.fail "unknown intrinsic accepted"
+  let unregistered = rejected ~intrin:"no.such.intrin" ~strides:[] in
+  check_bool "unregistered: runtime error" true
+    (String.starts_with ~prefix:"Unit_codegen.Interp.Runtime_error" unregistered);
+  let unknown_axis =
+    rejected ~intrin:Defs.vnni_vpdpbusd.Intrin.name ~strides:[ ("no_such_axis", 1) ]
+  in
+  check_bool "unknown tile axis: execution error" true
+    (String.starts_with ~prefix:"Unit_isa.Semantics.Execution_error" unknown_axis)
+
+(* Lowering negates a float as -0.0 - x, which is Value.neg bit for bit:
+   0.0 - x would map +0.0 to +0.0 where Expr.eval gives -0.0. *)
+let test_float_neg_signed_zero () =
+  let a = Tensor.create ~name:"a" ~shape:[ 4 ] Dtype.F32 in
+  let o = Tensor.create ~name:"o" ~shape:[ 4 ] Dtype.F32 in
+  let i = Axis.data_parallel ~name:"i" 4 in
+  let body = Expr.neg (Expr.access a [ Expr.axis i ]) in
+  let op = Op.create ~name:"neg" ~output:o ~spatial:[ i ] body in
+  let xs = [| 0.0; -0.0; 1.5; -2.5 |] in
+  let arr_a =
+    Ndarray.init ~dtype:Dtype.F32 ~shape:[ 4 ] (fun ix -> Value.of_float Dtype.F32 xs.(ix.(0)))
+  in
+  let out = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ 4 ] in
+  Interp.run_op op ~bindings:[ (a, arr_a); (o, out) ];
+  Array.iteri
+    (fun k x ->
+      let expected =
+        Expr.eval ~env:(fun _ -> k) ~load:(fun _ _ -> Value.of_float Dtype.F32 x) body
+      in
+      check_int64
+        (Printf.sprintf "neg %h bits" x)
+        (Int64.bits_of_float (Value.to_float expected))
+        (Int64.bits_of_float (Value.to_float (Ndarray.get_flat out k))))
+    xs
 
 let test_dtype_mismatch_binding_rejected () =
   let t = Unit_dsl.Tensor.create ~name:"o" ~shape:[ 4 ] Dtype.I32 in
@@ -328,55 +373,79 @@ let test_fresh_isa_runs_compiled () =
   Fun.protect
     ~finally:(fun () -> Registry.reset_for_testing ())
     (fun () ->
-      let ta = Tensor.create ~name:"ra" ~shape:[ 4 ] Dtype.I8 in
-      let tb = Tensor.create ~name:"rb" ~shape:[ 4 ] Dtype.I8 in
-      let tc = Tensor.create ~name:"rc" ~shape:[ 2 ] Dtype.I32 in
-      let td = Tensor.create ~name:"rd" ~shape:[ 2 ] Dtype.I32 in
+      let ta = Tensor.create ~name:"ra" ~shape:[ 12 ] Dtype.I8 in
+      let tb = Tensor.create ~name:"rb" ~shape:[ 12 ] Dtype.I8 in
+      let tc = Tensor.create ~name:"rc" ~shape:[ 6 ] Dtype.I32 in
+      let td = Tensor.create ~name:"rd" ~shape:[ 6 ] Dtype.I32 in
       let ba = Buffer.of_tensor ta and bb = Buffer.of_tensor tb in
       let bc = Buffer.of_tensor tc and bd = Buffer.of_tensor td in
-      let dense buf =
-        { Stmt.tile_buf = buf; tile_base = Texpr.int_imm 0;
-          tile_strides = [ ("i", 2); ("j", 1) ] }
+      let dense base buf =
+        { Stmt.tile_buf = buf; tile_base = base; tile_strides = [ ("i", 2); ("j", 1) ] }
       in
-      let lane buf =
-        { Stmt.tile_buf = buf; tile_base = Texpr.int_imm 0;
-          tile_strides = [ ("i", 1) ] }
+      let lane base buf =
+        { Stmt.tile_buf = buf; tile_base = base; tile_strides = [ ("i", 1) ] }
+      in
+      let call ~dense_base ~lane_base =
+        Stmt.Intrin_call
+          { intrin = "toy.compiled.dot2"; output = lane lane_base bd;
+            inputs =
+              [ ("a", dense dense_base ba); ("b", dense dense_base bb);
+                ("c", lane lane_base bc) ]
+          }
+      in
+      (* the second call's tile bases depend on the enclosing loop *)
+      let n = Var.create "n" in
+      let from k stride =
+        Texpr.add (Texpr.int_imm k) (Texpr.mul (Texpr.var n) (Texpr.int_imm stride))
       in
       let func =
         { Lower.fn_name = "fresh_isa";
           fn_tensors = [ (ta, ba); (tb, bb); (tc, bc); (td, bd) ];
           fn_output = bd; fn_iter_vars = [];
           fn_body =
-            Stmt.Intrin_call
-              { intrin = "toy.compiled.dot2"; output = lane bd;
-                inputs = [ ("a", dense ba); ("b", dense bb); ("c", lane bc) ]
-              }
+            Stmt.seq
+              [ call ~dense_base:(Texpr.int_imm 0) ~lane_base:(Texpr.int_imm 0);
+                Stmt.for_ n ~extent:2 (call ~dense_base:(from 4 4) ~lane_base:(from 2 2))
+              ]
         }
       in
       let arr_a =
-        Ndarray.init ~dtype:Dtype.I8 ~shape:[ 4 ] (fun ix ->
+        Ndarray.init ~dtype:Dtype.I8 ~shape:[ 12 ] (fun ix ->
             Value.of_int Dtype.I8 (ix.(0) + 1))
       in
       let arr_b =
-        Ndarray.init ~dtype:Dtype.I8 ~shape:[ 4 ] (fun ix ->
+        Ndarray.init ~dtype:Dtype.I8 ~shape:[ 12 ] (fun ix ->
             Value.of_int Dtype.I8 (ix.(0) + 2))
       in
       let arr_c =
-        Ndarray.init ~dtype:Dtype.I32 ~shape:[ 2 ] (fun ix ->
+        Ndarray.init ~dtype:Dtype.I32 ~shape:[ 6 ] (fun ix ->
             Value.of_int Dtype.I32 (100 * (ix.(0) + 1)))
       in
       let bindings out = [ (ta, arr_a); (tb, arr_b); (tc, arr_c); (td, out) ] in
-      let out_compiled = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 2 ] in
+      let out_compiled = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 6 ] in
       Compile.run func ~bindings:(bindings out_compiled);
       (* d[i] = c[i] + a[2i]*b[2i] + a[2i+1]*b[2i+1] *)
       check_int64 "d[0]" (Int64.of_int ((100 + (1 * 2)) + (2 * 3)))
         (Value.to_int64 (Ndarray.get_flat out_compiled 0));
       check_int64 "d[1]" (Int64.of_int ((200 + (3 * 4)) + (4 * 5)))
         (Value.to_int64 (Ndarray.get_flat out_compiled 1));
-      let out_interp = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 2 ] in
+      check_int64 "d[5] (loop-dependent bases)" (Int64.of_int ((600 + (11 * 12)) + (12 * 13)))
+        (Value.to_int64 (Ndarray.get_flat out_compiled 5));
+      let out_interp = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 6 ] in
       Interp.run func ~bindings:(bindings out_interp);
       check_bool "engines agree on fresh ISA" true
-        (Ndarray.equal out_interp out_compiled))
+        (Ndarray.equal out_interp out_compiled);
+      (* where the toolchain allows, the emitter takes the call itself
+         rather than falling back *)
+      (match Emit_cache.available () with
+       | Ok () ->
+         check_bool "emitter accepts the fresh ISA" true
+           (Emit_cache.prepare ~signature:"test|fresh_isa" func = Ok ())
+       | Error _ -> ());
+      let out_emitted = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 6 ] in
+      Emit_cache.run func ~bindings:(bindings out_emitted);
+      check_bool "emitted engine agrees on fresh ISA" true
+        (Ndarray.equal out_interp out_emitted))
 
 (* compiled-path error reporting stays faithful to the tree-walker *)
 let test_compiled_rejects_bad_bindings () =
@@ -425,6 +494,7 @@ let () =
         [ Alcotest.test_case "let and select" `Quick test_let_and_select;
           Alcotest.test_case "alloc scoping" `Quick test_alloc_scratch_is_zeroed_and_scoped;
           Alcotest.test_case "unknown intrinsic" `Quick test_unregistered_intrinsic_rejected;
+          Alcotest.test_case "float neg of signed zeros" `Quick test_float_neg_signed_zero;
           Alcotest.test_case "binding dtype mismatch" `Quick
             test_dtype_mismatch_binding_rejected
         ]
