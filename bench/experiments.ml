@@ -365,7 +365,7 @@ let ablation_isa_generations () =
         (Unit_isa.Registry.find_exn intrin_name)
     with
     | Ok c -> Pipeline.seconds c
-    | Error reason -> failwith reason
+    | Error f -> failwith (Pipeline.failure_to_string f)
   in
   let t_avx = time op16 "avx512.vpmaddwd" in
   let t_vnni = time (op ~rw:4) "vnni.vpdpbusd" in

@@ -2,147 +2,14 @@
 
    - `dune exec bench/main.exe` runs every experiment (Table I, Figs. 1 and
      8-13) and prints a paper-vs-measured summary.
-   - `dune exec bench/main.exe <exp>...` runs a subset (e.g. `fig10`).
-   - `dune exec bench/main.exe bechamel` additionally runs the Bechamel
-     micro-benchmark suite, one Test.make per experiment, measuring the
-     real wall-clock cost of the compilation work each experiment exercises
-     (inspection, reorganization+replacement, tuning, interpretation, and
-     GPU planning). *)
-
-open Unit_dtype
-module Inspector = Unit_inspector.Inspector
-module Reorganize = Unit_rewriter.Reorganize
-module Replace = Unit_rewriter.Replace
-module Cpu_tuner = Unit_rewriter.Cpu_tuner
+   - `dune exec bench/main.exe <exp>...` runs a subset (e.g. `fig10`). *)
 
 let () = Unit_isa.Defs.ensure_registered ()
 
-(* ---------- bechamel micro-benchmarks ---------- *)
-
-let bench_op () =
-  Unit_dsl.Op_library.conv2d_nchwc ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
-    ~acc_dtype:Dtype.I32 ~lanes:16 ~reduce_width:4
-    { Unit_dsl.Op_library.in_channels = 128; in_height = 16; in_width = 16;
-      out_channels = 128; kernel = 3; stride = 1 }
-
-let vnni () = Unit_isa.Registry.find_exn "vnni.vpdpbusd"
-
-(* Table I / Fig 10-11 exercise inspection + reorganization + tuning. *)
-let bench_inspect =
-  Bechamel.Test.make ~name:"table1/inspector: conv x vnni applicability"
-    (Bechamel.Staged.stage (fun () ->
-         let op = bench_op () in
-         match Inspector.inspect op (vnni ()) with
-         | Ok _ -> ()
-         | Error _ -> assert false))
-
-let bench_reorganize_replace =
-  Bechamel.Test.make ~name:"fig5/rewriter: reorganize + lower + replace"
-    (Bechamel.Staged.stage (fun () ->
-         let op = bench_op () in
-         match Inspector.inspect op (vnni ()) with
-         | Ok ap ->
-           let r = Reorganize.apply op ap () in
-           ignore (Replace.run (Unit_tir.Lower.lower r.Reorganize.schedule))
-         | Error _ -> assert false))
-
-let bench_tune =
-  Bechamel.Test.make ~name:"fig10/tuner: full CPU configuration search"
-    (Bechamel.Staged.stage (fun () ->
-         let op = bench_op () in
-         match Inspector.inspect op (vnni ()) with
-         | Ok ap ->
-           let r = Reorganize.apply op ap () in
-           ignore (Cpu_tuner.tune Unit_machine.Spec.cascadelake r)
-         | Error _ -> assert false))
-
-let bench_cost_model =
-  Bechamel.Test.make ~name:"fig8/machine model: one kernel estimate"
-    (Bechamel.Staged.stage
-       (let op = bench_op () in
-        let func =
-          match Inspector.inspect op (vnni ()) with
-          | Ok ap ->
-            let r = Reorganize.apply op ap () in
-            Cpu_tuner.compile r Cpu_tuner.default_config
-          | Error _ -> assert false
-        in
-        fun () -> ignore (Unit_machine.Cpu_model.estimate Unit_machine.Spec.cascadelake func)))
-
-let bench_gpu_plan =
-  Bechamel.Test.make ~name:"fig11/gpu model: full (p,fuse,splitk) search"
-    (Bechamel.Staged.stage (fun () ->
-         let wl = Unit_models.Table1.workloads.(7) in
-         let spec = Unit_graph.Workload.conv_spec ~lanes:1 ~reduce_width:1 wl in
-         ignore
-           (Unit_machine.Gpu_model.tune Unit_machine.Spec.v100
-              (Unit_machine.Gpu_model.gemm_of_conv spec))))
-
-let bench_interp =
-  Bechamel.Test.make ~name:"fig13/interpreter: tensorized conv execution"
-    (Bechamel.Staged.stage
-       (let op =
-          Unit_dsl.Op_library.conv2d_nchwc ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
-            ~acc_dtype:Dtype.I32 ~lanes:16 ~reduce_width:4
-            { Unit_dsl.Op_library.in_channels = 8; in_height = 6; in_width = 6;
-              out_channels = 16; kernel = 3; stride = 1 }
-        in
-        let func =
-          match Inspector.inspect op (vnni ()) with
-          | Ok ap ->
-            let r = Reorganize.apply op ap () in
-            Replace.run (Unit_tir.Lower.lower r.Reorganize.schedule)
-          | Error _ -> assert false
-        in
-        let inputs =
-          List.map
-            (fun t -> (t, Unit_codegen.Ndarray.random_for_tensor ~seed:1 t))
-            (Unit_dsl.Op.inputs op)
-        in
-        let out = Unit_codegen.Ndarray.of_tensor_zeros op.Unit_dsl.Op.output in
-        let bindings = (op.Unit_dsl.Op.output, out) :: inputs in
-        fun () -> Unit_codegen.Interp.run func ~bindings))
-
-let bechamel_tests =
-  [ bench_inspect; bench_reorganize_replace; bench_tune; bench_cost_model;
-    bench_gpu_plan; bench_interp
-  ]
-
-let run_bechamel () =
-  print_endline "\n=== Bechamel micro-benchmarks (compilation-pipeline costs) ===";
-  let open Bechamel in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  let raw =
-    List.map
-      (fun test ->
-        let results = Benchmark.all cfg instances test in
-        results)
-      bechamel_tests
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true
-      ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun results ->
-      let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-55s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-55s (no estimate)\n" name)
-        analyzed)
-    raw
-
-(* ---------- driver ---------- *)
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  let want_bechamel = List.mem "bechamel" args in
-  let requested = List.filter (fun a -> a <> "bechamel") args in
   let chosen =
-    match requested with
+    match args with
     | [] -> Experiments.all
     | names ->
       List.filter_map
@@ -161,5 +28,4 @@ let () =
   let outcomes = List.map (fun (_, f) -> f ()) chosen in
   Unit_obs.Obs.set_enabled false;
   Experiments.summary outcomes;
-  Experiments.write_obs_json outcomes;
-  if want_bechamel then run_bechamel ()
+  Experiments.write_obs_json outcomes

@@ -640,47 +640,40 @@ let check target counterexamples_only trace store packs =
       if is_arm_target target then "arm.udot" else "vnni.vpdpbusd"
     in
     let intrin = or_die (lookup_intrin intrin_name) in
-    let lanes = Unit_isa.Intrin.output_lanes intrin in
-    let reduce_width = Stdlib.max 1 (Unit_isa.Intrin.reduction_width intrin) in
     let kernels = ref 0 and errors = ref 0 and warnings = ref 0 in
     let seen = Hashtbl.create 64 in
     let check_op label op =
       if not (Hashtbl.mem seen label) then begin
         Hashtbl.add seen label ();
-        match Inspector.inspect op intrin with
-        | Error r ->
-          Printf.printf "%-40s skipped (%s)\n" label (Inspector.rejection_to_string r)
-        | Ok ap ->
+        let report diags =
           incr kernels;
-          let reorganized = Reorganize.apply op ap () in
-          let _tuned, diags =
-            Unit_core.Pipeline.tune_analyzed ~use_store:true ~spec op intrin
-              reorganized
-          in
           errors := !errors + List.length (Unit_tir.Diag.errors diags);
           warnings := !warnings + List.length (Unit_tir.Diag.warnings diags);
           List.iter
             (fun d -> Printf.printf "%-40s %s\n" label (Unit_tir.Diag.to_string d))
             diags
+        in
+        match Unit_core.Pipeline.tensorize ~spec op intrin with
+        | Ok c -> report c.Unit_core.Pipeline.c_warnings
+        | Error (Unit_core.Pipeline.Illegal diags) -> report diags
+        | Error (Unit_core.Pipeline.Rejected r) ->
+          Printf.printf "%-40s skipped (%s)\n" label (Inspector.rejection_to_string r)
       end
     in
+    let check_conv label wl =
+      check_op
+        (Printf.sprintf "%s %s" label (Workload.name (Workload.Conv wl)))
+        (Unit_core.Pipeline.conv_op intrin wl)
+    in
     Array.iteri
-      (fun i wl ->
-        check_op
-          (Printf.sprintf "table1[%d] %s" (i + 1) (Workload.name (Workload.Conv wl)))
-          (Workload.conv_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8 ~lanes
-             ~reduce_width wl))
+      (fun i wl -> check_conv (Printf.sprintf "table1[%d]" (i + 1)) wl)
       Unit_models.Table1.workloads;
+    let lanes = Unit_isa.Intrin.output_lanes intrin in
+    let reduce_width = Unit_isa.Intrin.reduction_width intrin in
     List.iter
       (fun (name, build) ->
         let g = build () in
-        List.iter
-          (fun (wl, _) ->
-            check_op
-              (Printf.sprintf "%s %s" name (Workload.name (Workload.Conv wl)))
-              (Workload.conv_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8 ~lanes
-                 ~reduce_width wl))
-          (Unit_models.Zoo.conv_workloads g);
+        List.iter (fun (wl, _) -> check_conv name wl) (Unit_models.Zoo.conv_workloads g);
         List.iter
           (fun (wl, _) ->
             check_op

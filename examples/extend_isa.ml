@@ -48,7 +48,7 @@ let () =
         kernel = 3; stride = 1 }
   in
   match Unit_core.Pipeline.tensorize ~spec:Unit_machine.Spec.graviton2 conv vqdot with
-  | Error reason -> failwith reason
+  | Error f -> failwith (Unit_core.Pipeline.failure_to_string f)
   | Ok compiled ->
     Format.printf "vqdot applies; tuned schedule:@.%a@." Schedule.pp
       compiled.Unit_core.Pipeline.c_tuned.Unit_rewriter.Cpu_tuner.t_schedule;

@@ -26,7 +26,8 @@ let () =
       Unit_core.Pipeline.tensorize ~spec:Unit_machine.Spec.cascadelake op vnni
     with
     | Ok c -> c
-    | Error reason -> failwith ("vnni does not apply: " ^ reason)
+    | Error f ->
+      failwith ("vnni does not apply: " ^ Unit_core.Pipeline.failure_to_string f)
   in
 
   Format.printf "tuned schedule:@.%a@." Schedule.pp

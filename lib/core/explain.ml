@@ -1,7 +1,4 @@
-open Unit_dtype
-open Unit_dsl
 module Inspector = Unit_inspector.Inspector
-module Reorganize = Unit_rewriter.Reorganize
 module Cpu_tuner = Unit_rewriter.Cpu_tuner
 module Spec = Unit_machine.Spec
 module Cpu_model = Unit_machine.Cpu_model
@@ -53,71 +50,40 @@ type report = {
 
 (* ---------- CPU targets: full Inspector coverage over the platform ISAs ---------- *)
 
-(* Mirrors the pipeline's quantization policy (activations u8, weights
-   i8 on both CPU targets): explain answers "which instruction applies
-   to the op the pipeline would actually build", so e.g. the i16
-   multiply-add baselines are reported rejected with the concrete dtype
-   mismatch rather than silently skipped. *)
-let conv_op_for ~is_arm (intrin : Unit_isa.Intrin.t) wl =
-  let lanes = Unit_isa.Intrin.output_lanes intrin in
-  let reduce_width = Unit_isa.Intrin.reduction_width intrin in
-  let reduce_width =
-    if is_arm then
-      let rw = Stdlib.max 1 reduce_width in
-      if rw = 1 then 4 else rw
-    else reduce_width
-  in
-  Workload.conv_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8 ~lanes ~reduce_width wl
-
 let cpu_config_string (c : Cpu_tuner.config) =
   Printf.sprintf "grain=%d unroll=%d" c.Cpu_tuner.parallel_grain
     c.Cpu_tuner.unroll_budget
 
-let cpu_verdict ~spec ~is_arm (intrin : Unit_isa.Intrin.t) wl =
+(* Explain answers "which instruction applies to the op the pipeline
+   would build" under its u8 x i8 policy, so e.g. the i16 multiply-add
+   baselines are reported rejected with the concrete dtype mismatch
+   rather than silently skipped.  It never reads or writes the store. *)
+let cpu_verdict ~spec (intrin : Unit_isa.Intrin.t) wl =
   try
-    let op = conv_op_for ~is_arm intrin wl in
-    match Inspector.inspect op intrin with
-    | Error r ->
-      Decision_log.record_rejection ~op:op.Op.name
-        ~isa:intrin.Unit_isa.Intrin.name ~target:spec.Spec.cpu_name r;
-      Rejected r
-    | Ok ap ->
-      let reorganized = Reorganize.apply op ap () in
-      let tuned, diags =
-        Pipeline.tune_analyzed ~use_store:false ~spec op intrin reorganized
-      in
-      (match Unit_tir.Diag.errors diags with
-       | _ :: _ as errs ->
-         let reason =
-           "illegal schedule: "
-           ^ String.concat "; " (List.map Unit_tir.Diag.to_string errs)
-         in
-         Decision_log.record_illegal ~op:op.Op.name
-           ~isa:intrin.Unit_isa.Intrin.name ~target:spec.Spec.cpu_name reason;
-         Errored reason
-       | [] ->
-         let cycles = tuned.Cpu_tuner.t_estimate.Cpu_model.est_cycles in
-         Decision_log.record_accepted ~op:op.Op.name
-           ~isa:intrin.Unit_isa.Intrin.name ~target:spec.Spec.cpu_name
-           ~mappings:(List.length ap.Inspector.ap_mappings) ~cycles;
-         Accepted
-           { vd_mappings = List.length ap.Inspector.ap_mappings;
-             vd_config = cpu_config_string tuned.Cpu_tuner.t_config;
-             vd_cycles = cycles;
-             vd_report = tuned.Cpu_tuner.t_report
-           })
+    let op = Pipeline.conv_op intrin wl in
+    match Pipeline.tensorize ~use_store:false ~spec op intrin with
+    | Error (Pipeline.Rejected r) -> Rejected r
+    | Error (Pipeline.Illegal _ as f) -> Errored (Pipeline.failure_to_string f)
+    | Ok c ->
+      let tuned = c.Pipeline.c_tuned in
+      Accepted
+        { vd_mappings = c.Pipeline.c_mappings;
+          vd_config = cpu_config_string tuned.Cpu_tuner.t_config;
+          vd_cycles = tuned.Cpu_tuner.t_estimate.Cpu_model.est_cycles;
+          vd_report = tuned.Cpu_tuner.t_report
+        }
   with
   | Invalid_argument msg -> Errored msg
   | Failure msg -> Errored msg
 
-let cpu_report ~spec ~is_arm ~platform ~workload wl =
+let cpu_report ~spec ~target ~platform ~workload wl =
   let intrins = Unit_isa.Registry.of_platform platform in
   let entries =
     List.map
       (fun (intrin : Unit_isa.Intrin.t) ->
         { ex_isa = intrin.Unit_isa.Intrin.name;
           ex_provenance = provenance_of intrin.Unit_isa.Intrin.name;
-          ex_verdict = cpu_verdict ~spec ~is_arm intrin wl
+          ex_verdict = cpu_verdict ~spec intrin wl
         })
       intrins
   in
@@ -132,7 +98,7 @@ let cpu_report ~spec ~is_arm ~platform ~workload wl =
       None entries
   in
   { ex_workload = workload;
-    ex_target = (if is_arm then "arm" else "x86");
+    ex_target = target_to_string target;
     ex_entries = entries;
     ex_chosen = Option.map fst chosen
   }
@@ -175,14 +141,41 @@ let conv target wl =
   let workload = Workload.name (Workload.Conv wl) in
   match target with
   | X86 ->
-    cpu_report ~spec:Spec.cascadelake ~is_arm:false ~platform:Unit_isa.Intrin.X86
+    cpu_report ~spec:Spec.cascadelake ~target ~platform:Unit_isa.Intrin.X86
       ~workload wl
   | Arm ->
-    cpu_report ~spec:Spec.graviton2 ~is_arm:true ~platform:Unit_isa.Intrin.Arm
+    cpu_report ~spec:Spec.graviton2 ~target ~platform:Unit_isa.Intrin.Arm
       ~workload wl
   | Gpu -> gpu_report ~workload wl
 
 (* ---------- sinks ---------- *)
+
+let rejection_to_json (r : Inspector.rejection) =
+  match r with
+  | Inspector.Not_isomorphic mm ->
+    Json.Obj
+      [ ("kind", Json.Str "not_isomorphic");
+        ("path", Json.Str mm.Inspector.mm_path);
+        ("instr_node", Json.Str mm.Inspector.mm_instr);
+        ("op_node", Json.Str mm.Inspector.mm_op)
+      ]
+  | Inspector.No_feasible_mapping
+      (Inspector.Exhausted { ex_axis; ex_kind; ex_extent }) ->
+    Json.Obj
+      [ ("kind", Json.Str "mapping_exhausted");
+        ("intrin_axis", Json.Str ex_axis);
+        ("axis_kind", Json.Str ex_kind);
+        ("axis_extent", Json.Num (float_of_int ex_extent))
+      ]
+  | Inspector.No_feasible_mapping
+      (Inspector.Access_violations { av_tried; av_witness = w }) ->
+    Json.Obj
+      [ ("kind", Json.Str "access_violation");
+        ("mappings_tried", Json.Num (float_of_int av_tried));
+        ("tensor", Json.Str w.Inspector.af_tensor);
+        ("op_axis", Json.Str w.Inspector.af_op_axis);
+        ("intrin_axis", Json.Str w.Inspector.af_intrin_axis)
+      ]
 
 let verdict_to_json = function
   | Accepted a ->
@@ -193,7 +186,7 @@ let verdict_to_json = function
         ("cycles", Json.Num a.vd_cycles);
         ("report", Cost_report.to_json a.vd_report)
       ]
-  | Rejected r -> Decision_log.rejection_to_json r
+  | Rejected r -> rejection_to_json r
   | Errored msg -> Json.Obj [ ("kind", Json.Str "error"); ("reason", Json.Str msg) ]
 
 let to_json r =

@@ -1,8 +1,9 @@
 (** Per-operator tensorization coverage reports ([unitc explain]).
 
-    For one convolution workload and one target, run the Inspector over
-    every instruction of the target's platform (under the pipeline's
-    quantization policy: u8 activations, i8 weights) and report, per
+    For one convolution workload and one target, run {!Pipeline.tensorize}
+    over every instruction of the target's platform (on
+    {!Pipeline.conv_op}'s u8 activations and i8 weights, bypassing the
+    tuning store) and report, per
     ISA, whether it applies — with mapping count, tuned config, cycles
     and the {!Unit_machine.Cost_report} attribution of the winner — or
     the structured rejection reason (mismatching node path, failing
@@ -10,10 +11,7 @@
 
     The GPU target has no Inspector surface (convolutions go through the
     implicit-GEMM WMMA template), so its report carries a single
-    ["wmma.implicit-gemm"] entry with the tuned template's attribution.
-
-    Verdicts are also recorded into {!Decision_log} when it is
-    enabled. *)
+    ["wmma.implicit-gemm"] entry with the tuned template's attribution. *)
 
 module Cost_report = Unit_machine.Cost_report
 module Inspector = Unit_inspector.Inspector

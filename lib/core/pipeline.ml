@@ -42,7 +42,20 @@ type compiled = {
   c_op : Op.t;
   c_intrin : Unit_isa.Intrin.t;
   c_tuned : Cpu_tuner.tuned;
+  c_mappings : int;
+  c_warnings : Unit_tir.Diag.t list;
 }
+
+type failure =
+  | Rejected of Inspector.rejection
+  | Illegal of Unit_tir.Diag.t list
+
+let failure_to_string = function
+  | Rejected r -> Inspector.rejection_to_string r
+  | Illegal diags ->
+    "illegal schedule: "
+    ^ String.concat "; "
+        (List.map Unit_tir.Diag.to_string (Unit_tir.Diag.errors diags))
 
 (* ---------- canonical workload identity + persistent tuning store ---------- *)
 
@@ -85,8 +98,6 @@ type tuning_store = {
     unit;
 }
 
-(* An [Atomic] rather than a plain ref: the warm-up scheduler installs the
-   store once and then fans compilation across domains that all read it. *)
 (* ---------- execution engines ---------- *)
 
 type engine =
@@ -119,6 +130,8 @@ let run_func ~engine ?signature func ~bindings =
 let prepare_emitted ~signature func =
   Unit_codegen.Emit_cache.prepare ~signature func
 
+(* An [Atomic] rather than a plain ref: the warm-up scheduler installs the
+   store once and then fans compilation across domains that all read it. *)
 let current_store : tuning_store option Atomic.t = Atomic.make None
 
 let set_tuning_store s = Atomic.set current_store s
@@ -183,7 +196,7 @@ let tune_analyzed ?configs ~use_store ~spec op (intrin : Unit_isa.Intrin.t)
    | _ -> ());
   (tuned, diags)
 
-let tensorize ?mapping_index ?configs ~spec op intrin =
+let tensorize ?(use_store = true) ?configs ~spec op intrin =
   let tok =
     if Obs.enabled () then
       Obs.start "tensorize"
@@ -192,46 +205,33 @@ let tensorize ?mapping_index ?configs ~spec op intrin =
   in
   Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
   match Obs.with_span "tensorize.inspect" (fun () -> Inspector.inspect op intrin) with
-  | Error r ->
-    Decision_log.record_rejection ~op:op.Op.name ~isa:intrin.Unit_isa.Intrin.name
-      ~target:spec.Spec.cpu_name r;
-    Error (Inspector.rejection_to_string r)
+  | Error r -> Error (Rejected r)
   | Ok ap ->
     let reorganized =
-      Obs.with_span "tensorize.reorganize" (fun () ->
-          Reorganize.apply op ap ?mapping_index ())
+      Obs.with_span "tensorize.reorganize" (fun () -> Reorganize.apply op ap ())
     in
-    (* The persistent store only speaks for the default search on the
-       default mapping: an explicit [mapping_index] (and, inside
-       [tune_analyzed], a pinned [configs] grid) bypasses it. *)
-    let tuned, diags =
-      tune_analyzed ?configs ~use_store:(mapping_index = None) ~spec op intrin
-        reorganized
-    in
-    (match Unit_tir.Diag.errors diags with
-     | _ :: _ as errs ->
-       let reason =
-         String.concat "; " (List.map Unit_tir.Diag.to_string errs)
-       in
-       Decision_log.record_illegal ~op:op.Op.name
-         ~isa:intrin.Unit_isa.Intrin.name ~target:spec.Spec.cpu_name reason;
-       Obs.trace_diag ("illegal schedule: " ^ reason);
-       Error ("illegal schedule: " ^ reason)
-     | [] ->
-       List.iter
-         (fun d ->
-           let msg =
-             Printf.sprintf "%s with %s: %s" op.Op.name
-               intrin.Unit_isa.Intrin.name (Unit_tir.Diag.to_string d)
-           in
-           Obs.trace_diag msg;
-           Logs.warn (fun m -> m "%s" msg))
-         (Unit_tir.Diag.warnings diags);
-       Decision_log.record_accepted ~op:op.Op.name
-         ~isa:intrin.Unit_isa.Intrin.name ~target:spec.Spec.cpu_name
-         ~mappings:(List.length ap.ap_mappings)
-         ~cycles:tuned.Cpu_tuner.t_estimate.Cpu_model.est_cycles;
-       Ok { c_op = op; c_intrin = intrin; c_tuned = tuned })
+    let tuned, diags = tune_analyzed ?configs ~use_store ~spec op intrin reorganized in
+    if Unit_tir.Diag.errors diags <> [] then begin
+      let failure = Illegal diags in
+      Obs.trace_diag (failure_to_string failure);
+      Error failure
+    end
+    else begin
+      List.iter
+        (fun d ->
+          let msg =
+            Printf.sprintf "%s with %s: %s" op.Op.name
+              intrin.Unit_isa.Intrin.name (Unit_tir.Diag.to_string d)
+          in
+          Obs.trace_diag msg;
+          Logs.warn (fun m -> m "%s" msg))
+        diags;
+      Ok
+        { c_op = op; c_intrin = intrin; c_tuned = tuned;
+          c_mappings = List.length ap.Inspector.ap_mappings;
+          c_warnings = diags
+        }
+    end
 
 let seconds compiled = compiled.c_tuned.Cpu_tuner.t_estimate.Cpu_model.est_seconds
 
@@ -361,61 +361,49 @@ let config_string = function
   | Some (c : Cpu_tuner.config) ->
     Printf.sprintf "g%d-u%d" c.Cpu_tuner.parallel_grain c.Cpu_tuner.unroll_budget
 
-let cpu_conv_kernel ~tag ~spec ~intrin_name ~data_dtype ?config wl =
-  let entry =
-    memo ~tag ~workload:(Workload.name (Workload.Conv wl)) ~config:(config_string config)
-      (fun () ->
-        let intrin = Unit_isa.Registry.find_exn intrin_name in
-        let lanes = Unit_isa.Intrin.output_lanes intrin in
-        let reduce_width = Unit_isa.Intrin.reduction_width intrin in
-        let op =
-          Workload.conv_op ~data_dtype ~weight_dtype:Dtype.I8 ~lanes ~reduce_width wl
-        in
-        let configs = Option.map (fun c -> [ c ]) config in
-        match tensorize ?configs ~spec op intrin with
-        | Ok compiled -> Kernel compiled
-        | Error reason ->
-          invalid_arg
-            (Printf.sprintf "conv %s does not tensorize with %s: %s"
-               (Workload.name (Workload.Conv wl)) intrin_name reason))
+let conv_op ?(data_dtype = Dtype.U8) ?(weight_dtype = Dtype.I8)
+    (intrin : Unit_isa.Intrin.t) wl =
+  let reduce_width = Unit_isa.Intrin.reduction_width intrin in
+  let reduce_width =
+    match intrin.Unit_isa.Intrin.platform with
+    | Unit_isa.Intrin.Arm -> Stdlib.max 4 reduce_width
+    | _ -> reduce_width
   in
-  match entry with
+  Workload.conv_op ~data_dtype ~weight_dtype
+    ~lanes:(Unit_isa.Intrin.output_lanes intrin) ~reduce_width wl
+
+(* The one memoised CPU kernel: [op_of] builds the operation for the
+   registered instruction [intrin_name]; a workload that does not
+   tensorize raises [Invalid_argument (what ^ ": " ^ reason)]. *)
+let kernel ~tag ~workload ?config ~spec ~intrin_name ~what op_of =
+  match
+    memo ~tag ~workload ~config:(config_string config) (fun () ->
+        let intrin = Unit_isa.Registry.find_exn intrin_name in
+        let configs = Option.map (fun c -> [ c ]) config in
+        match tensorize ?configs ~spec (op_of intrin) intrin with
+        | Ok compiled -> Kernel compiled
+        | Error f -> invalid_arg (what ^ ": " ^ failure_to_string f))
+  with
   | Kernel c -> c
   | Time _ -> assert false (* this key is only ever populated with [Kernel] *)
 
+let conv_kernel ~tag ~spec ~intrin_name ?data_dtype ?weight_dtype ?config wl =
+  let workload = Workload.name (Workload.Conv wl) in
+  kernel ~tag ~workload ?config ~spec ~intrin_name
+    ~what:(Printf.sprintf "conv %s does not tensorize with %s" workload intrin_name)
+    (fun intrin -> conv_op ?data_dtype ?weight_dtype intrin wl)
+
 let conv_compiled_x86 ?config wl =
-  cpu_conv_kernel ~tag:"x86-vnni" ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd"
-    ~data_dtype:Dtype.U8 ?config wl
+  conv_kernel ~tag:"x86-vnni" ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd"
+    ?config wl
 
 let conv_time_x86 ?config wl = seconds (conv_compiled_x86 ?config wl)
 
 let conv_compiled_arm ?(intrin = "arm.udot") ?config wl =
-  let data_dtype =
-    (* the MLA baseline widens to i16 first; DOT consumes quantized u8 *)
-    if String.equal intrin "neon.mla.i16" then Dtype.I16 else Dtype.U8
-  in
-  let weight_dtype = if String.equal intrin "neon.mla.i16" then Dtype.I16 else Dtype.I8 in
-  let entry =
-    memo ~tag:("arm-" ^ intrin)
-       ~workload:(Workload.name (Workload.Conv wl))
-       ~config:(config_string config)
-       (fun () ->
-         let intrin_def = Unit_isa.Registry.find_exn intrin in
-         let lanes = Unit_isa.Intrin.output_lanes intrin_def in
-         let reduce_width = Stdlib.max 1 (Unit_isa.Intrin.reduction_width intrin_def) in
-         let reduce_width = if reduce_width = 1 then 4 else reduce_width in
-         let op = Workload.conv_op ~data_dtype ~weight_dtype ~lanes ~reduce_width wl in
-         let configs = Option.map (fun c -> [ c ]) config in
-         match tensorize ?configs ~spec:Spec.graviton2 op intrin_def with
-         | Ok compiled -> Kernel compiled
-         | Error reason ->
-           invalid_arg
-             (Printf.sprintf "conv %s does not tensorize with %s: %s"
-                (Workload.name (Workload.Conv wl)) intrin reason))
-  in
-  match entry with
-  | Kernel c -> c
-  | Time _ -> assert false (* this key is only ever populated with [Kernel] *)
+  (* the MLA baseline widens to i16 first; DOT consumes quantized u8 *)
+  let wide = if String.equal intrin "neon.mla.i16" then Some Dtype.I16 else None in
+  conv_kernel ~tag:("arm-" ^ intrin) ~spec:Spec.graviton2 ~intrin_name:intrin
+    ?data_dtype:wide ?weight_dtype:wide ?config wl
 
 let conv_time_arm ?intrin ?config wl = seconds (conv_compiled_arm ?intrin ?config wl)
 
@@ -423,42 +411,26 @@ let mem_report c =
   Unit_analysis.Footprint.of_func ~intrin:intrin_meta c.c_tuned.Cpu_tuner.t_func
 
 let conv3d_time_x86 wl =
-  entry_seconds
-    (memo ~tag:"x86-vnni-3d" ~workload:(Workload.name (Workload.Conv3 wl)) ~config:"tuned"
-       (fun () ->
-         let op =
-           Workload.conv3d_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8 ~lanes:16
-             ~reduce_width:4 wl
-         in
-         let intrin = Unit_isa.Registry.find_exn "vnni.vpdpbusd" in
-         match tensorize ~spec:Spec.cascadelake op intrin with
-         | Ok compiled -> Kernel compiled
-         | Error reason -> invalid_arg ("conv3d does not tensorize: " ^ reason)))
+  seconds
+    (kernel ~tag:"x86-vnni-3d" ~workload:(Workload.name (Workload.Conv3 wl))
+       ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd"
+       ~what:"conv3d does not tensorize" (fun intrin ->
+         Workload.conv3d_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
+           ~lanes:(Unit_isa.Intrin.output_lanes intrin)
+           ~reduce_width:(Unit_isa.Intrin.reduction_width intrin) wl))
 
-let cpu_dense_kernel ~tag ~spec ~intrin_name ~data_dtype wl =
-  let entry =
-    memo ~tag ~workload:(Workload.name (Workload.Fc wl)) ~config:"tuned" (fun () ->
-        let intrin = Unit_isa.Registry.find_exn intrin_name in
-        let lanes = Unit_isa.Intrin.output_lanes intrin in
-        let reduce_width = Unit_isa.Intrin.reduction_width intrin in
-        let op =
-          Workload.dense_op ~data_dtype ~weight_dtype:Dtype.I8 ~lanes ~reduce_width wl
-        in
-        match tensorize ~spec op intrin with
-        | Ok compiled -> Kernel compiled
-        | Error reason -> invalid_arg ("dense does not tensorize: " ^ reason))
-  in
-  match entry with
-  | Kernel c -> c
-  | Time _ -> assert false (* this key is only ever populated with [Kernel] *)
+let dense_kernel ~tag ~spec ~intrin_name wl =
+  kernel ~tag ~workload:(Workload.name (Workload.Fc wl)) ~spec ~intrin_name
+    ~what:"dense does not tensorize" (fun intrin ->
+      Workload.dense_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
+        ~lanes:(Unit_isa.Intrin.output_lanes intrin)
+        ~reduce_width:(Unit_isa.Intrin.reduction_width intrin) wl)
 
 let dense_compiled_x86 wl =
-  cpu_dense_kernel ~tag:"x86-dense" ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd"
-    ~data_dtype:Dtype.U8 wl
+  dense_kernel ~tag:"x86-dense" ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd" wl
 
 let dense_compiled_arm wl =
-  cpu_dense_kernel ~tag:"arm-dense" ~spec:Spec.graviton2 ~intrin_name:"arm.udot"
-    ~data_dtype:Dtype.U8 wl
+  dense_kernel ~tag:"arm-dense" ~spec:Spec.graviton2 ~intrin_name:"arm.udot" wl
 
 let dense_time_x86 wl = seconds (dense_compiled_x86 wl)
 let dense_time_arm wl = seconds (dense_compiled_arm wl)

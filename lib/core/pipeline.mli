@@ -15,20 +15,37 @@ type compiled = {
   c_op : Op.t;
   c_intrin : Unit_isa.Intrin.t;
   c_tuned : Cpu_tuner.tuned;
+  c_mappings : int;  (** feasible loop mappings the Inspector found *)
+  c_warnings : Unit_tir.Diag.t list;  (** the analyzer's warnings *)
 }
 
+type failure =
+  | Rejected of Unit_inspector.Inspector.rejection
+      (** the Inspector found no applicable mapping *)
+  | Illegal of Unit_tir.Diag.t list
+      (** every diagnostic of a tuned schedule the dependence analyzer
+          proved illegal (at least one is an error) *)
+
+val failure_to_string : failure -> string
+(** The rejection text, or ["illegal schedule: "] and the errors joined
+    by ["; "]. *)
+
 val tensorize :
-  ?mapping_index:int ->
+  ?use_store:bool ->
   ?configs:Cpu_tuner.config list ->
   spec:Spec.cpu ->
   Op.t ->
   Unit_isa.Intrin.t ->
-  (compiled, string) result
-(** Inspect, reorganize, tune (over [configs], default the full candidate
-    grid), lower and replace.  [Error reason] when the instruction does not
-    apply — or when the dependence analyzer proves the tuned schedule
-    illegal (race, carried dependence, tensorize footprint, overflow);
-    analyzer warnings are reported through {!Logs.warn}. *)
+  (compiled, failure) result
+(** The one tensorize verdict for an (operation, instruction) pair:
+    inspect, reorganize, tune (over [configs], default the full candidate
+    grid), lower, replace and analyze.  [Error (Rejected r)] when the
+    instruction does not apply; [Error (Illegal diags)] when the
+    dependence analyzer proves the tuned schedule illegal (race, carried
+    dependence, tensorize footprint, overflow).  Analyzer warnings are
+    kept in [c_warnings] and also reported through {!Logs.warn}.
+    [use_store:false] (default [true]) leaves the installed tuning store
+    untouched, as [unitc explain] does. *)
 
 val workload_signature :
   spec:Spec.cpu -> Op.t -> Unit_isa.Intrin.t -> string
@@ -84,7 +101,7 @@ val prepare_emitted : signature:string -> Unit_tir.Lower.func -> (unit, string) 
 
     [lib/store] owns the on-disk database; the pipeline only sees these
     two hooks.  When a store is installed and {!tensorize} is called with
-    the default search (no pinned [configs], no [mapping_index]):
+    the default search (no pinned [configs], [use_store] left [true]):
     - a [ts_lookup] hit recompiles via {!Cpu_tuner.of_config} — the
       expensive sweep is skipped entirely (no [tensorize.tune] span);
     - a miss runs the sweep and hands the freshly tuned, analyzer-clean
@@ -118,7 +135,7 @@ val tune_analyzed :
   Unit_rewriter.Reorganize.t ->
   Cpu_tuner.tuned * Unit_tir.Diag.t list
 (** The store-aware middle of {!tensorize}, exposed for drivers that run
-    the tuner directly (e.g. [unitc check]): replay from the installed
+    the tuner directly ([unitc run]): replay from the installed
     store on a hit, otherwise sweep; analyze; persist fresh analyzer-clean
     results.  [use_store:false] (or a pinned [configs] grid) bypasses the
     store in both directions. *)
@@ -137,8 +154,10 @@ val seconds : compiled -> float
 (** Per-platform convolution kernels, cached by
     (platform tag, workload, config): a repeated workload returns the
     {e same} compiled kernel — same tuned schedule, physically shared —
-    without re-running the pipeline.  Activations are u8 on x86 (VNNI is
-    unsigned-by-signed) and i8 on ARM.
+    without re-running the pipeline.  Each builds its operation with
+    {!conv_op}: u8 activations and i8 weights on both CPU targets (VNNI
+    and DOT are unsigned-by-signed); only the [neon.mla.i16] baseline
+    widens both to i16.
 
     The cache is the process's one single-flight for compiles.  A miss
     registers an in-flight entry and compiles outside the cache lock;
@@ -151,6 +170,18 @@ val seconds : compiled -> float
     Traffic is counted on [pipeline.cache.hit] / [pipeline.cache.miss]
     when tracing is enabled, and callers that adopted an in-flight
     compile on the always-on [pipeline.cache.wait]. *)
+
+val conv_op :
+  ?data_dtype:Unit_dtype.Dtype.t ->
+  ?weight_dtype:Unit_dtype.Dtype.t ->
+  Unit_isa.Intrin.t ->
+  Unit_graph.Workload.conv2d ->
+  Op.t
+(** The pipeline's blocked convolution for one instruction: [data_dtype]
+    u8 and [weight_dtype] i8 by default, blocked by the instruction's
+    output lanes and reduction width.  On ARM the reduction block is at
+    least 4, so the reduction-free MLA baseline still blocks its input
+    channels. *)
 
 val conv_compiled_x86 :
   ?config:Cpu_tuner.config -> Unit_graph.Workload.conv2d -> compiled

@@ -332,15 +332,21 @@ let test_long_accumulation_chain_warned () =
 let test_tensorize_rejects_nothing_legal () =
   let wl = Unit_models.Table1.workloads.(1) in
   let intrin = Unit_isa.Registry.find_exn "vnni.vpdpbusd" in
-  let lanes = Unit_isa.Intrin.output_lanes intrin in
-  let reduce_width = Unit_isa.Intrin.reduction_width intrin in
-  let op =
-    Workload.conv_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8 ~lanes ~reduce_width
-      wl
-  in
-  match Pipeline.tensorize ~spec:Spec.cascadelake op intrin with
-  | Ok _ -> ()
-  | Error reason -> Alcotest.failf "legal schedule rejected: %s" reason
+  let op = Pipeline.conv_op intrin wl in
+  (match Pipeline.tensorize ~spec:Spec.cascadelake op intrin with
+   | Ok _ -> ()
+   | Error f ->
+     Alcotest.failf "legal schedule rejected: %s" (Pipeline.failure_to_string f));
+  (* the i16 multiply-add instruction rejects the same u8 conv, and the
+     structured failure renders as the Inspector's own text *)
+  let vpmaddwd = Unit_isa.Registry.find_exn "avx512.vpmaddwd" in
+  match Pipeline.tensorize ~spec:Spec.cascadelake op vpmaddwd with
+  | Error (Pipeline.Rejected (Inspector.Not_isomorphic _ as r) as f) ->
+    Alcotest.(check string)
+      "failure text" (Inspector.rejection_to_string r)
+      (Pipeline.failure_to_string f)
+  | Error f -> Alcotest.failf "vpmaddwd: unexpected %s" (Pipeline.failure_to_string f)
+  | Ok _ -> Alcotest.fail "vpmaddwd accepted a u8 conv"
 
 let () =
   Alcotest.run "analysis"

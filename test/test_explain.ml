@@ -1,11 +1,10 @@
-(* Tests for the explainability surface (lib/core/explain, decision log)
+(* Tests for the explainability surface (lib/core/explain)
    and the perf-regression gate (lib/core/perf_gate): golden coverage
    reports per target, structured rejection reasons, diff semantics, and
    the benchmark-file schema lint. *)
 
 module Explain = Unit_core.Explain
 module Perf_gate = Unit_core.Perf_gate
-module Decision_log = Unit_core.Decision_log
 module Inspector = Unit_inspector.Inspector
 module Cost_report = Unit_machine.Cost_report
 module Json = Unit_obs.Json
@@ -66,6 +65,11 @@ let test_explain_arm () =
   (match (find_entry r "arm.sdot").Explain.ex_verdict with
    | Explain.Rejected (Inspector.Not_isomorphic _) -> ()
    | _ -> Alcotest.fail "sdot should be rejected on dtype");
+  (* explain keeps the u8 x i8 op for every ISA: the Fig. 12 baseline's
+     i16 widening belongs to its kernel, not to the verdict *)
+  (match (find_entry r "neon.mla.i16").Explain.ex_verdict with
+   | Explain.Rejected (Inspector.Not_isomorphic _) -> ()
+   | _ -> Alcotest.fail "neon.mla.i16 should be rejected on dtype");
   (match (find_entry r "sve256.udot").Explain.ex_verdict with
    | Explain.Accepted _ -> ()
    | _ -> Alcotest.fail "sve256.udot should be accepted");
@@ -98,97 +102,6 @@ let test_explain_json_round_trip () =
     in
     check_int "one object per platform ISA" (List.length r.Explain.ex_entries)
       (List.length isas)
-
-(* ---------- decision log ---------- *)
-
-let test_decision_log_records () =
-  Decision_log.reset ();
-  Decision_log.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Decision_log.set_enabled false;
-      Decision_log.reset ())
-    (fun () ->
-      let (_ : Explain.report) = Explain.conv Explain.X86 wl3 in
-      let entries = Decision_log.entries () in
-      check_bool "one entry per ISA verdict" true (List.length entries >= 3);
-      let kinds =
-        List.filter_map
-          (fun e ->
-            Option.bind
-              (Json.member "outcome" (Decision_log.entry_to_json e))
-              (fun v -> Option.bind (Json.member "kind" v) Json.to_str))
-          entries
-      in
-      check_bool "accepted recorded" true (List.mem "accepted" kinds);
-      check_bool "rejection recorded" true (List.mem "not_isomorphic" kinds))
-
-(* Concurrent recording: entries written from 4 domains interleave in
-   some order, but none is lost and none is torn — every recorded entry
-   is exactly one writer's, all four fields agreeing on (domain, index),
-   and each domain's own entries appear in its program order. *)
-let prop_decision_log_concurrent_domains =
-  QCheck.Test.make ~count:20 ~name:"4-domain recording loses and tears nothing"
-    QCheck.(int_range 1 50)
-    (fun per_domain ->
-      let domains = 4 in
-      Decision_log.reset ();
-      Decision_log.set_enabled true;
-      let entries =
-        Fun.protect
-          ~finally:(fun () ->
-            Decision_log.set_enabled false;
-            Decision_log.reset ())
-          (fun () ->
-            let writer d () =
-              for i = 0 to per_domain - 1 do
-                Decision_log.record_accepted
-                  ~op:(Printf.sprintf "op-%d-%d" d i)
-                  ~isa:(Printf.sprintf "isa-%d-%d" d i)
-                  ~target:(Printf.sprintf "target-%d-%d" d i)
-                  ~mappings:d ~cycles:(float_of_int i)
-              done
-            in
-            let spawned =
-              List.init domains (fun d -> Domain.spawn (writer d))
-            in
-            List.iter Domain.join spawned;
-            Decision_log.entries ())
-      in
-      if List.length entries <> domains * per_domain then
-        QCheck.Test.fail_reportf "lost entries: %d of %d survived"
-          (List.length entries) (domains * per_domain);
-      let cursor = Array.make domains 0 in
-      List.iter
-        (fun (e : Decision_log.entry) ->
-          let d, i =
-            match
-              String.split_on_char '-' e.Decision_log.de_op with
-            | [ "op"; d; i ] -> (int_of_string d, int_of_string i)
-            | _ -> QCheck.Test.fail_reportf "malformed op %S" e.Decision_log.de_op
-          in
-          (* tearing: fields from two writers in one entry *)
-          if
-            e.Decision_log.de_isa <> Printf.sprintf "isa-%d-%d" d i
-            || e.Decision_log.de_target <> Printf.sprintf "target-%d-%d" d i
-            || e.Decision_log.de_outcome
-               <> Decision_log.Accepted
-                    { ac_mappings = d; ac_cycles = float_of_int i }
-          then
-            QCheck.Test.fail_reportf "torn entry for domain %d index %d" d i;
-          (* per-domain program order *)
-          if i <> cursor.(d) then
-            QCheck.Test.fail_reportf
-              "domain %d out of order: saw index %d, expected %d" d i cursor.(d);
-          cursor.(d) <- i + 1)
-        entries;
-      Array.iteri
-        (fun d c ->
-          if c <> per_domain then
-            QCheck.Test.fail_reportf "domain %d incomplete: %d of %d" d c
-              per_domain)
-        cursor;
-      true)
 
 (* ---------- perf gate ---------- *)
 
@@ -361,10 +274,6 @@ let () =
           Alcotest.test_case "gpu template" `Quick test_explain_gpu;
           Alcotest.test_case "JSON round trip" `Quick test_explain_json_round_trip
         ] );
-      ( "decision-log",
-        Alcotest.test_case "verdicts recorded" `Quick test_decision_log_records
-        :: List.map QCheck_alcotest.to_alcotest
-             [ prop_decision_log_concurrent_domains ] );
       ( "perf-gate",
         [ Alcotest.test_case "diff semantics" `Quick test_diff_semantics;
           Alcotest.test_case "round trip and lint" `Quick

@@ -179,6 +179,18 @@ let test_pipeline_warm_path () =
   check_bool "same tuned config as the cold run" true
     (warm.Pipeline.c_tuned.Cpu_tuner.t_config
     = cold.Pipeline.c_tuned.Cpu_tuner.t_config);
+  (* explain runs the same tensorize but never reads or writes the
+     installed store *)
+  let traffic () =
+    let st = Store.stats store2 in
+    (st.Store.st_appends, st.Store.st_hits, st.Store.st_misses)
+  in
+  let before = traffic () in
+  let (_ : Unit_core.Explain.report) =
+    Unit_core.Explain.conv Unit_core.Explain.X86 (wl ())
+  in
+  check_bool "explain leaves the store's appends, hits and misses alone" true
+    (traffic () = before);
   Pipeline.clear_cache ();
   Sys.remove path
 
