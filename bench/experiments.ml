@@ -525,8 +525,10 @@ let interp_bench () =
    natively emitted .cmxs (pretty-printed OCaml -> ocamlopt -shared ->
    Dynlink).  Emission cost (render + compile + load) is paid once up
    front and excluded from the steady-state timing — that is exactly the
-   artifact cache's contract.  Results go to BENCH_emit.json, gated by
-   bench-lint: engines monotone, emitted >= 3x over closures. *)
+   artifact cache's contract.  The Pipeline-tuned tensorized kernel of
+   the same conv is timed on the emitted engine too.  Results go to
+   BENCH_emit.json, gated by bench-lint: engines monotone, emitted >= 3x
+   over closures, tensorized no slower than the scalar reference. *)
 let emit_bench () =
   header "Execution engines — emitted native kernel vs closure engine (resnet18 conv)";
   let module Inspector = Unit_inspector.Inspector in
@@ -582,7 +584,30 @@ let emit_bench () =
     best_of 5 (fun () ->
         Emit_cache.run ~signature scalar ~bindings:((output, out_e) :: inputs))
   in
+  (* the Pipeline-tuned tensorized kernel of the same conv, same engine *)
+  let tensorized =
+    match
+      Pipeline.tensorize ~spec:Spec.cascadelake op
+        (Unit_isa.Registry.find_exn "vnni.vpdpbusd")
+    with
+    | Ok c -> c.Pipeline.c_tuned.Cpu_tuner.t_func
+    | Error f -> failwith ("bench conv: " ^ Pipeline.failure_to_string f)
+  in
+  let tsignature = "bench-emit|resnet18-conv-tensorized" in
+  let out_t = fresh_out () in
+  Emit_cache.run ~signature:tsignature tensorized ~bindings:((output, out_t) :: inputs);
+  (match Emit_cache.last_fallback () with
+   | None -> ()
+   | Some d ->
+     failwith ("emitted tensorized kernel fell back: " ^ Unit_tir.Diag.to_string d));
+  if not (Ndarray.equal out_tw out_t) then failwith "emitted tensorized kernel disagrees";
+  let emitted_tensorized_s =
+    best_of 5 (fun () ->
+        Emit_cache.run ~signature:tsignature tensorized
+          ~bindings:((output, out_t) :: inputs))
+  in
   let speedup = compiled_s /. emitted_s in
+  let tensorized_vs_scalar = emitted_tensorized_s /. emitted_s in
   let gmacs t = Float.of_int macs /. t /. 1e9 in
   Printf.printf "%-28s %10.4f s  (%6.3f GMACs)\n" "tree-walker (oracle)"
     tree_walker_s (gmacs tree_walker_s);
@@ -590,12 +615,17 @@ let emit_bench () =
     compiled_s (gmacs compiled_s);
   Printf.printf "%-28s %10.4f s  (%6.3f GMACs)  %.1fx over closures\n"
     "emitted (native .cmxs)" emitted_s (gmacs emitted_s) speedup;
+  Printf.printf "%-28s %10.4f s  (%6.3f GMACs)  %.2fx the scalar time\n"
+    "emitted (tensorized)" emitted_tensorized_s (gmacs emitted_tensorized_s)
+    tensorized_vs_scalar;
   let oc = open_out "BENCH_emit.json" in
   Printf.fprintf oc
     "{\n  \"schema\": \"unit-emit\",\n  \"workload\": \"%s\",\n  \"macs\": %d,\n\
     \  \"tree_walker_s\": %.6f,\n  \"compiled_s\": %.6f,\n\
-    \  \"emitted_s\": %.6f,\n  \"speedup_vs_compiled\": %.2f\n}\n"
-    workload macs tree_walker_s compiled_s emitted_s speedup;
+    \  \"emitted_s\": %.6f,\n  \"speedup_vs_compiled\": %.2f,\n\
+    \  \"emitted_tensorized_s\": %.6f,\n  \"tensorized_vs_scalar\": %.3f\n}\n"
+    workload macs tree_walker_s compiled_s emitted_s speedup emitted_tensorized_s
+    tensorized_vs_scalar;
   close_out oc;
   Printf.printf "-> BENCH_emit.json written\n";
   { o_id = "emit"; o_metric = "emitted engine speedup over closure engine";

@@ -8,11 +8,33 @@ open Unit_tir
    call into plain TIR with {!Unit_isa.Semantics.expand} — a loop nest
    built from the instruction's DSL description — so the renderer below
    knows only ordinary statements.  Bit-identity with the other engines
-   comes from one discipline: every arithmetic result is canonicalized
-   exactly as {!Unit_dtype.Value} would — integers wrap to their dtype
-   after every op, f32 results round through Int32 bits, float→int casts
-   saturate — except where an interval analysis mirroring Compile's
-   proves the canonicalization the identity.
+   comes from one discipline: every value a consumer observes is
+   canonicalized exactly as {!Unit_dtype.Value} would — integers wrapped
+   to their dtype, f32 results rounded through Int32 bits, float→int
+   casts saturated — except where an interval analysis mirroring
+   Compile's proves the canonicalization the identity.
+
+   Deferred wraps.  For the modular integer dtypes (u8, i8, i16, i32)
+   an [Add]/[Sub]/[Mul] result stays raw: an unwrapped native int.
+   Native ints are arithmetic mod 2^63, and reduction mod 2^k commutes
+   with that ring's [+], [-] and [*] because 2^k divides 2^63, so one
+   wrap at the end of a chain equals a wrap after every op.  A raw value
+   flows only into another [Add]/[Sub]/[Mul] of its dtype or into a
+   scalar cell (a one-element [Alloc] addressed only at index 0,
+   rendered as a local [ref]); loads from such a cell are raw.  Every
+   other consumer — array stores, [Let], comparisons, [Div]/[Mod]/
+   [Min]/[Max], casts, [Select], indices — wraps it once, and the
+   interval analysis never trusts a raw value.  [bool] always wraps: its
+   canonicalizer is not a ring homomorphism.
+
+   Loop shaping.  A loop with no inner loop and a static extent ≤ 16 is
+   replicated with its index rendered as a literal.  In a loop whose
+   body then has no loop left, every load that runs on each iteration,
+   is indexed by variables bound outside the loop, and reads a buffer
+   the body never stores to is bound once before the loop.  That is only
+   sound when distinct bound buffers never share storage;
+   {!Emit_cache} checks the bound windows and falls back when two
+   overlap.
 
    The emitter refuses (raising {!Unsupported}) anything whose runtime
    behaviour it cannot reproduce statically — f16, float-dtyped scalar
@@ -26,15 +48,23 @@ open Unit_tir
    per-access bounds checks are emitted (a flat index outside the
    buffer's window but inside the backing array reads that cell instead
    of erroring; outside the backing array, OCaml's own array check
-   raises).  Alloc scratch visibility is lexical here, while Compile
-   leaks the last array past the Alloc's scope — such programs fail to
-   compile and take the fallback path instead. *)
+   raises, possibly before the loop when the load is hoisted).  Alloc
+   scratch visibility is lexical here, while Compile leaks the last
+   array past the Alloc's scope — such programs fail to compile and take
+   the fallback path instead. *)
 
 exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 4
+let version = 5
+
+module Obs = Unit_obs.Obs
+
+let c_wraps_deferred = Obs.counter "emit.wraps_deferred"
+let c_loops_unrolled = Obs.counter "emit.loops_unrolled"
+let c_loads_hoisted = Obs.counter "emit.loads_hoisted"
+let c_scalar_cells = Obs.counter "emit.scalar_cells"
 
 type klass = KF | KI | KL
 
@@ -70,6 +100,48 @@ let carrier_of dt =
     else CI
 
 let is_narrow dt = Dtype.is_integer dt && Dtype.bits dt <= 32
+
+(* Dtypes whose canonicalizer is reduction mod 2^k, a ring homomorphism
+   from native ints, so their add/sub/mul chains may defer the wrap. *)
+let deferrable = function
+  | Dtype.U8 | Dtype.I8 | Dtype.I16 | Dtype.I32 -> true
+  | _ -> false
+
+let max_unroll = 16
+
+let is_loop = function Stmt.For _ -> true | _ -> false
+
+(* The expressions a statement evaluates itself, children excluded. *)
+let own_exprs (s : Stmt.t) =
+  match s with
+  | Stmt.Store (_, ix, v) -> [ ix; v ]
+  | Stmt.If { cond; _ } -> [ cond ]
+  | Stmt.Let (_, e, _) -> [ e ]
+  | _ -> []
+
+(* The ids of [loop_var] and of every variable [body] binds. *)
+let bound_in (loop_var : Var.t) body =
+  let ids = Hashtbl.create 8 in
+  Hashtbl.replace ids loop_var.Var.id ();
+  Stmt.iter_stmts
+    (function
+      | Stmt.For { var; _ } | Stmt.Let (var, _, _) -> Hashtbl.replace ids var.Var.id ()
+      | _ -> ())
+    body;
+  ids
+
+(* A one-element Alloc addressed only at the constant index 0. *)
+let is_scalar_cell (b : Buffer.t) body =
+  let off_zero (b', ix) = Buffer.equal b b' && Texpr.as_const_int ix <> Some 0 in
+  b.Buffer.size = 1
+  && not
+       (Stmt.exists
+          (fun s ->
+            (match s with Stmt.Store (b', ix, _) -> off_zero (b', ix) | _ -> false)
+            || List.exists
+                 (fun e -> List.exists off_zero (Texpr.loads_of e))
+                 (own_exprs s))
+          body)
 
 (* Canonicalizer names from the fixed prelude below. *)
 let wname dt = "w_" ^ Dtype.to_string dt
@@ -168,21 +240,40 @@ let render (func : Lower.func) : plan * string =
      offset (bound entries), [false] for Alloc scratch (always based at 0). *)
   let defined : (int, bool) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace defined e.e_buf.Buffer.id true) entries;
-  (* Loop variables whose raw value provably fits their dtype, so the
+  (* Alloc scratch rendered as a local [ref] (see [is_scalar_cell]). *)
+  let cells : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let is_cell (b : Buffer.t) = Hashtbl.mem cells b.Buffer.id in
+  let raw_cell (b : Buffer.t) = is_cell b && deferrable b.Buffer.dtype in
+  (* Loop variables whose value provably fits their dtype, so the
      per-reference wrap is the identity and is elided. *)
-  let raw_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let fitting_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let bound_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* Indices of unrolled loops: var id -> the literal of this copy. *)
+  let lits : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let fits_var (v : Var.t) extent =
     Dtype.is_integer v.Var.dtype
     && Int64.compare (Int64.of_int (extent - 1)) (Dtype.max_int_value v.Var.dtype)
        <= 0
+  in
+  (* Rule tallies, published as counters once the whole body rendered;
+     [counting] is off while hoisting candidates are rendered, so each
+     node counts once. *)
+  let n_deferred = ref 0 and n_unrolled = ref 0 and n_hoisted = ref 0 in
+  let n_cells = ref 0 in
+  let counting = ref true in
+  let bump r = if !counting then incr r in
+  (* a raw add/sub/mul consumed raw: one wrap the old rendering paid *)
+  let defers (e : Texpr.t) raw =
+    match e with Texpr.Binop _ when raw -> bump n_deferred | _ -> ()
   in
   (* ---- interval analysis, mirroring Compile's: a node whose proven
      value range fits its dtype needs no canonicalizing wrap (the wrap is
      the identity), so typical loop-nest address arithmetic renders as
      bare native [+]/[*] instead of a [w_i32] call per node.  The same
      magnitude cap keeps every tracked interval safely inside native-int
-     range, so eliding can never change a value. *)
+     range, so eliding can never change a value.  Raw values have no
+     interval: a raw add/sub/mul already has none, and a scalar-cell
+     load is excluded below. *)
   let ienv : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
   let cap = 1 lsl 30 in
   let inorm ((lo, hi) as iv) =
@@ -203,6 +294,7 @@ let render (func : Lower.func) : plan * string =
       else None
     | Texpr.Imm (Value.Float _) -> None
     | Texpr.Var v -> Hashtbl.find_opt ienv v.Var.id
+    | Texpr.Load (b, _) when raw_cell b -> None
     | Texpr.Load (b, _) ->
       let dt = b.Buffer.dtype in
       if is_narrow dt then
@@ -275,22 +367,65 @@ let render (func : Lower.func) : plan * string =
       Printf.sprintf "%s.(o%d + %s)" (cellname b) (norm_buf b.Buffer.id) idx
     | Some false -> Printf.sprintf "%s.(%s)" (cellname b) idx
   in
-  (* ---- expressions; [re] yields the value in its dtype's carrier *)
+  (* Loads bound before the loop being rendered: rendered load -> name. *)
+  let hoisted : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  (* Integer terms bound before the copies of an unrolled loop: rendered
+     term -> name.  Load keys are rendered with [sharing] off, as they
+     were when the load was hoisted. *)
+  let shared : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  let sharing = ref true in
+  (* ---- expressions; [re] yields the value in its dtype's carrier,
+     canonical; [rv] may leave a deferrable add/sub/mul or scalar-cell
+     load raw and says so *)
   let rec re (e : Texpr.t) : string =
+    match rv e with
+    | s, true -> Printf.sprintf "(%s %s)" (wname (Texpr.dtype_of e)) s
+    | s, false -> s
+
+  and rv (e : Texpr.t) : string * bool =
+    match e with
+    | Texpr.Load (b, ix) when raw_cell b -> (rload b ix, true)
+    | Texpr.Binop (((Texpr.Add | Texpr.Sub | Texpr.Mul) as op), a, b)
+      when deferrable (Texpr.dtype_of e) && interval e = None ->
+      let operand x =
+        let s, raw = rv x in
+        defers x raw;
+        s
+      in
+      let sa = operand a in
+      let sb = operand b in
+      let sym = match op with Texpr.Add -> "+" | Texpr.Sub -> "-" | _ -> "*" in
+      (Printf.sprintf "(%s %s %s)" sa sym sb, true)
+    | _ -> (rcanon e, false)
+
+  and rload (b : Buffer.t) ix =
+    let was = !sharing in
+    sharing := false;
+    let key = if is_cell b then "!" ^ cellname b else addr_in b (rint ix) in
+    sharing := was;
+    match Hashtbl.find_opt hoisted key with
+    | Some h -> h
+    | None -> if is_cell b || not was then key else addr_in b (rint ix)
+
+  and rcanon (e : Texpr.t) : string =
     match e with
     | Texpr.Imm v -> value_lit v
     | Texpr.Var v ->
       if not (Hashtbl.mem bound_vars v.Var.id) then
         unsupported "variable %s read out of scope" v.Var.name;
       let dt = v.Var.dtype in
-      (match carrier_of dt with
-       | CI ->
-         if Hashtbl.mem raw_vars v.Var.id then vname v
+      (match carrier_of dt, Hashtbl.find_opt lits v.Var.id with
+       | CI, Some i -> int_lit i
+       | CL, Some i -> int64_lit (Int64.of_int i)
+       | CI, None ->
+         if Hashtbl.mem fitting_vars v.Var.id then vname v
          else Printf.sprintf "(%s %s)" (wname dt) (vname v)
-       | CL -> Printf.sprintf "(Int64.of_int %s)" (vname v)
-       | CF -> unsupported "float-dtyped variable %s" v.Var.name)
-    | Texpr.Load (b, ix) -> addr_in b (rint ix)
-    | Texpr.Binop (op, a, b) -> rbinop e (Texpr.dtype_of e) op a b
+       | CL, None -> Printf.sprintf "(Int64.of_int %s)" (vname v)
+       | CF, _ -> unsupported "float-dtyped variable %s" v.Var.name)
+    | Texpr.Load (b, ix) -> rload b ix
+    | Texpr.Binop (op, a, b) ->
+      let s = rbinop e (Texpr.dtype_of e) op a b in
+      (match Hashtbl.find_opt shared s with Some u when !sharing -> u | _ -> s)
     | Texpr.Cmp (c, a, b) -> Printf.sprintf "(if %s then 1 else 0)" (rcmp c a b)
     | Texpr.And (a, b) ->
       Printf.sprintf "(if %s && %s then 1 else 0)" (rtruth a) (rtruth b)
@@ -372,6 +507,11 @@ let render (func : Lower.func) : plan * string =
        | Texpr.Add -> Printf.sprintf "(%s (%s + %s))" w sa sb
        | Texpr.Sub -> Printf.sprintf "(%s (%s - %s))" w sa sb
        | Texpr.Mul -> Printf.sprintf "(%s (%s * %s))" w sa sb
+       | (Texpr.Div | Texpr.Mod)
+         when match Texpr.as_const_int b with Some c -> c > 0 | None -> false ->
+         (* quotient and remainder of a canonical value by a positive
+            literal stay in the dtype's range *)
+         Printf.sprintf "(%s %s %s)" sa (if op = Texpr.Div then "/" else "mod") sb
        | Texpr.Div ->
          Printf.sprintf
            "(let x_ = %s in let y_ = %s in if y_ = 0 then 0 else %s (x_ / y_))"
@@ -444,63 +584,223 @@ let render (func : Lower.func) : plan * string =
     B.add_string buf s;
     B.add_char buf '\n'
   in
-  let with_var (v : Var.t) ~raw ?iv f =
-    let had_bound = Hashtbl.mem bound_vars v.Var.id in
-    let had_raw = Hashtbl.mem raw_vars v.Var.id in
-    let had_iv = Hashtbl.find_opt ienv v.Var.id in
-    Hashtbl.replace bound_vars v.Var.id ();
-    if raw then Hashtbl.replace raw_vars v.Var.id ()
-    else Hashtbl.remove raw_vars v.Var.id;
-    (match iv with
-     | Some iv -> Hashtbl.replace ienv v.Var.id iv
-     | None -> Hashtbl.remove ienv v.Var.id);
+  let with_var (v : Var.t) ~fits ?iv ?lit f =
+    let id = v.Var.id in
+    let had_bound = Hashtbl.mem bound_vars id in
+    let had_fits = Hashtbl.mem fitting_vars id in
+    let had_iv = Hashtbl.find_opt ienv id in
+    let had_lit = Hashtbl.find_opt lits id in
+    let restore tbl = function
+      | Some x -> Hashtbl.replace tbl id x
+      | None -> Hashtbl.remove tbl id
+    in
+    Hashtbl.replace bound_vars id ();
+    restore fitting_vars (if fits then Some () else None);
+    restore ienv iv;
+    restore lits lit;
     f ();
-    if not had_bound then Hashtbl.remove bound_vars v.Var.id;
-    if had_raw then Hashtbl.replace raw_vars v.Var.id ()
-    else Hashtbl.remove raw_vars v.Var.id;
-    (match had_iv with
-     | Some iv -> Hashtbl.replace ienv v.Var.id iv
-     | None -> Hashtbl.remove ienv v.Var.id)
+    if not had_bound then Hashtbl.remove bound_vars id;
+    restore fitting_vars (if had_fits then Some () else None);
+    restore ienv had_iv;
+    restore lits had_lit
+  in
+  (* A loop replicated with literal indices: innermost, at most
+     [max_unroll] iterations whose indices fit the variable's dtype.
+     Parallel loops keep their fan. *)
+  let unrollable (s : Stmt.t) =
+    match s with
+    | Stmt.For { var; extent; kind; body } ->
+      extent >= 1 && extent <= max_unroll && fits_var var extent
+      && (match kind with Stmt.Parallel -> false | _ -> true)
+      && not (Stmt.exists is_loop body)
+    | _ -> false
+  in
+  (* The copies of an unrolled loop render every term that ignores its
+     index alike.  The maximal exact integer terms free of loads and of
+     variables bound in [body] are bound once before the copies, smaller
+     first so a larger term's key names the smaller ones it contains;
+     this keeps the unrolled source as cheap for ocamlopt as the loop.
+     Evaluating them early is safe: exact arithmetic never raises. *)
+  let share_terms (loop_var : Var.t) body =
+    let inner = bound_in loop_var body in
+    let terms = ref [] in
+    let rec ex (e : Texpr.t) =
+      match e with
+      | Texpr.Imm _ | Texpr.Var _ -> ()
+      | Texpr.Binop _
+        when carrier_of (Texpr.dtype_of e) = CI
+             && interval e <> None
+             && Texpr.loads_of e = []
+             && List.for_all
+                  (fun (v : Var.t) -> not (Hashtbl.mem inner v.Var.id))
+                  (Texpr.vars_of e) ->
+        terms := e :: !terms
+      | Texpr.Binop (_, a, b) | Texpr.Cmp (_, a, b) | Texpr.And (a, b) | Texpr.Or (a, b) ->
+        ex a;
+        ex b
+      | Texpr.Load (_, a) | Texpr.Not a | Texpr.Cast (_, a) -> ex a
+      | Texpr.Select (c, a, b) -> ex c; ex a; ex b
+    in
+    Stmt.iter_stmts (fun s -> List.iter ex (own_exprs s)) body;
+    let size e = String.length (rcanon e) in
+    List.filter_map
+      (fun (e : Texpr.t) ->
+        match e with
+        | Texpr.Binop (op, a, b) ->
+          let key = rbinop e (Texpr.dtype_of e) op a b in
+          if Hashtbl.mem shared key then None
+          else begin
+            let name = Printf.sprintf "u%d" (Hashtbl.length shared) in
+            Hashtbl.replace shared key name;
+            Some (name, key)
+          end
+        | _ -> None)
+      (List.stable_sort (fun a b -> compare (size a) (size b)) (List.rev !terms))
+  in
+  (* The loads of a loop's [body] (no loop left once unrolled) to bind
+     before the loop, as [(name, rendered load)] in binding order; each
+     is also entered into [hoisted].  A load qualifies when it runs on
+     every iteration (not in an [If] or [Select] branch, nor right of
+     [And]/[Or]), its index reads only variables bound outside the loop
+     (or literal copies of an unrolled inner loop) and no load in it
+     reads a buffer the body stores to or allocates.  Candidates are
+     visited index-first, so a hoisted load inside another's index is
+     already named when the outer one is rendered. *)
+  let hoist_loads (loop_var : Var.t) body =
+    let written = Hashtbl.create 8 in
+    Stmt.iter_stmts
+      (function
+        | Stmt.Store (b, _, _) | Stmt.Alloc (b, _) -> Hashtbl.replace written b.Buffer.id ()
+        | _ -> ())
+      body;
+    let inner = bound_in loop_var body in
+    (* a variable bound both outside and inside the loop would make two
+       different values render alike; otherwise a variable bound now is
+       bound outside the loop or is an unrolled copy's literal *)
+    if Hashtbl.fold (fun id () acc -> acc || Hashtbl.mem bound_vars id) inner false
+    then []
+    else begin
+      let invariant (b : Buffer.t) = not (Hashtbl.mem written b.Buffer.id) in
+      let qualifies b ix =
+        invariant b
+        && List.for_all (fun (b', _) -> invariant b') (Texpr.loads_of ix)
+        && List.for_all (fun (v : Var.t) -> Hashtbl.mem bound_vars v.Var.id) (Texpr.vars_of ix)
+      in
+      let binds = ref [] in
+      let rec ex every (e : Texpr.t) =
+        match e with
+        | Texpr.Imm _ | Texpr.Var _ -> ()
+        | Texpr.Load (b, ix) ->
+          ex every ix;
+          if every && qualifies b ix then begin
+            let s = rload b ix in
+            if not (Hashtbl.mem hoisted s) then begin
+              let name = Printf.sprintf "h%d" !n_hoisted in
+              incr n_hoisted;
+              Hashtbl.replace hoisted s name;
+              binds := (name, s) :: !binds
+            end
+          end
+        | Texpr.Binop (_, a, b) | Texpr.Cmp (_, a, b) -> ex every a; ex every b
+        | Texpr.And (a, b) | Texpr.Or (a, b) -> ex every a; ex false b
+        | Texpr.Not a | Texpr.Cast (_, a) -> ex every a
+        | Texpr.Select (c, a, b) -> ex every c; ex false a; ex false b
+      in
+      let rec st every (s : Stmt.t) =
+        match s with
+        | Stmt.For { var; extent; body; _ } ->
+          for i = 0 to extent - 1 do
+            with_var var ~fits:true ~iv:(i, i) ~lit:i (fun () -> st every body)
+          done
+        | Stmt.If { cond; then_; else_; _ } ->
+          ex every cond;
+          st false then_;
+          Option.iter (st false) else_
+        | Stmt.Seq l -> List.iter (st every) l
+        | Stmt.Let (_, _, body) | Stmt.Alloc (_, body) ->
+          List.iter (ex every) (own_exprs s);
+          st every body
+        | Stmt.Store _ | Stmt.Nop | Stmt.Intrin_call _ ->
+          List.iter (ex every) (own_exprs s)
+      in
+      counting := false;
+      st true body;
+      counting := true;
+      List.rev !binds
+    end
+  in
+  let store_payload (b : Buffer.t) v =
+    let dt = b.Buffer.dtype in
+    let dv = Texpr.dtype_of v in
+    match carrier_of dt, carrier_of dv with
+    | CI, CI when Dtype.equal dt dv && raw_cell b ->
+      (* a scalar cell keeps a raw chain raw *)
+      let s, raw = rv v in
+      defers v raw;
+      s
+    | CF, CF ->
+      if Dtype.equal dt dv || Dtype.equal dt Dtype.F64 then re v
+      else rounded dt (re v)
+    | CF, CI -> rounded dt (Printf.sprintf "(float_of_int %s)" (re v))
+    | CF, CL -> rounded dt (Printf.sprintf "(Int64.to_float %s)" (re v))
+    | CI, CI ->
+      if Dtype.equal dt dv then re v
+      else Printf.sprintf "(%s %s)" (wname dt) (re v)
+    | CI, CF -> Printf.sprintf "(%s (trunc %s))" (wname dt) (re v)
+    | CI, CL -> Printf.sprintf "(%s (Int64.to_int %s))" (wname dt) (re v)
+    | CL, CI -> Printf.sprintf "(Int64.of_int %s)" (re v)
+    | CL, CF -> Printf.sprintf "(trunc64 %s)" (re v)
+    | CL, CL -> re v
+  in
+  (* [k] renders inside [let name = value in] for each binding, which
+     [share_terms]/[hoist_loads] entered into [tbl] for this scope. *)
+  let with_binds ind tbl binds k =
+    if binds = [] then k ind
+    else begin
+      line ind "begin";
+      List.iter (fun (n, v) -> line (ind + 1) (Printf.sprintf "let %s = %s in" n v)) binds;
+      k (ind + 1);
+      List.iter (fun (_, v) -> Hashtbl.remove tbl v) binds;
+      line ind "end;"
+    end
   in
   let rec rs ind ~in_par (s : Stmt.t) =
     match s with
     | Stmt.Nop -> line ind "();"
     | Stmt.Seq stmts -> List.iter (rs ind ~in_par) stmts
+    | Stmt.Store (b, _, v) when is_cell b ->
+      line ind (Printf.sprintf "%s := %s;" (cellname b) (store_payload b v))
     | Stmt.Store (b, ix, v) ->
-      let dt = b.Buffer.dtype in
-      let dv = Texpr.dtype_of v in
-      let payload =
-        match carrier_of dt, carrier_of dv with
-        | CF, CF ->
-          if Dtype.equal dt dv || Dtype.equal dt Dtype.F64 then re v
-          else rounded dt (re v)
-        | CF, CI -> rounded dt (Printf.sprintf "(float_of_int %s)" (re v))
-        | CF, CL -> rounded dt (Printf.sprintf "(Int64.to_float %s)" (re v))
-        | CI, CI ->
-          if Dtype.equal dt dv then re v
-          else Printf.sprintf "(%s %s)" (wname dt) (re v)
-        | CI, CF -> Printf.sprintf "(%s (trunc %s))" (wname dt) (re v)
-        | CI, CL -> Printf.sprintf "(%s (Int64.to_int %s))" (wname dt) (re v)
-        | CL, CI -> Printf.sprintf "(Int64.of_int %s)" (re v)
-        | CL, CF -> Printf.sprintf "(trunc64 %s)" (re v)
-        | CL, CL -> re v
-      in
       (* value before index, like the tree-walker *)
       line ind
-        (Printf.sprintf "(let x_ = %s in %s <- x_);" payload (addr_in b (rint ix)))
+        (Printf.sprintf "(let x_ = %s in %s <- x_);" (store_payload b v)
+           (addr_in b (rint ix)))
+    | Stmt.For { var; extent; body; _ } when unrollable s ->
+      bump n_unrolled;
+      let binds = if extent > 1 then share_terms var body else [] in
+      with_binds ind shared binds (fun ind ->
+          for i = 0 to extent - 1 do
+            with_var var ~fits:true ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
+          done)
     | Stmt.For { var; extent; kind; body } ->
-      let raw = fits_var var extent in
-      let iv = if raw then inorm (0, extent - 1) else None in
-      if (match kind with Stmt.Parallel -> true | _ -> false) && not in_par then begin
-        line ind (Printf.sprintf "par %d (fun %s ->" extent (vname var));
-        with_var var ~raw ?iv (fun () -> rs (ind + 1) ~in_par:true body);
-        line (ind + 1) "());"
-      end
-      else begin
-        line ind (Printf.sprintf "for %s = 0 to %d do" (vname var) (extent - 1));
-        with_var var ~raw ?iv (fun () -> rs (ind + 1) ~in_par body);
-        line ind "done;"
-      end
+      let fits = fits_var var extent in
+      let iv = if fits then inorm (0, extent - 1) else None in
+      let binds =
+        if extent >= 1 && not (Stmt.exists (fun s -> is_loop s && not (unrollable s)) body)
+        then hoist_loads var body
+        else []
+      in
+      with_binds ind hoisted binds (fun ind ->
+          if (match kind with Stmt.Parallel -> true | _ -> false) && not in_par then begin
+            line ind (Printf.sprintf "par %d (fun %s ->" extent (vname var));
+            with_var var ~fits ?iv (fun () -> rs (ind + 1) ~in_par:true body);
+            line (ind + 1) "());"
+          end
+          else begin
+            line ind (Printf.sprintf "for %s = 0 to %d do" (vname var) (extent - 1));
+            with_var var ~fits ?iv (fun () -> rs (ind + 1) ~in_par body);
+            line ind "done;"
+          end)
     | Stmt.Let (v, e, body) ->
       if Dtype.is_float v.Var.dtype then
         unsupported "float-dtyped let %s" v.Var.name;
@@ -512,7 +812,7 @@ let render (func : Lower.func) : plan * string =
         | _ -> None
       in
       line ind (Printf.sprintf "begin let %s = %s in" (vname v) (rint e));
-      with_var v ~raw:(iv <> None) ?iv (fun () -> rs (ind + 1) ~in_par body);
+      with_var v ~fits:(iv <> None) ?iv (fun () -> rs (ind + 1) ~in_par body);
       line ind "end;"
     | Stmt.If { cond; then_; else_; likely = _ } ->
       line ind (Printf.sprintf "if %s then begin" (rtruth cond));
@@ -530,15 +830,22 @@ let render (func : Lower.func) : plan * string =
         | CI -> "0"
         | CL -> "0L"
       in
+      let cell = is_scalar_cell b body in
+      if cell then bump n_cells;
       line ind
-        (Printf.sprintf "begin let %s = Array.make %d %s in" (cellname b)
-           b.Buffer.size zero);
-      let prev = Hashtbl.find_opt defined b.Buffer.id in
-      Hashtbl.replace defined b.Buffer.id false;
+        (if cell then Printf.sprintf "begin let %s = ref %s in" (cellname b) zero
+         else
+           Printf.sprintf "begin let %s = Array.make %d %s in" (cellname b)
+             b.Buffer.size zero);
+      let id = b.Buffer.id in
+      let prev = Hashtbl.find_opt defined id and prev_cell = Hashtbl.mem cells id in
+      Hashtbl.replace defined id false;
+      if cell then Hashtbl.replace cells id () else Hashtbl.remove cells id;
       rs (ind + 1) ~in_par body;
       (match prev with
-       | Some p -> Hashtbl.replace defined b.Buffer.id p
-       | None -> Hashtbl.remove defined b.Buffer.id);
+       | Some p -> Hashtbl.replace defined id p
+       | None -> Hashtbl.remove defined id);
+      if prev_cell then Hashtbl.replace cells id () else Hashtbl.remove cells id;
       line ind "end;"
     | Stmt.Intrin_call { intrin; _ } -> unsupported "unexpanded intrinsic %s" intrin
   in
@@ -562,6 +869,10 @@ let render (func : Lower.func) : plan * string =
     entries;
   rs 1 ~in_par:false func.Lower.fn_body;
   line 1 "()";
+  Obs.add c_wraps_deferred !n_deferred;
+  Obs.add c_loops_unrolled !n_unrolled;
+  Obs.add c_loads_hoisted !n_hoisted;
+  Obs.add c_scalar_cells !n_cells;
   B.add_string buf "\nlet () = Unit_emit_hook.register kernel\n";
   let plan =
     {

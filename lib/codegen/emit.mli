@@ -10,11 +10,26 @@
     to a [.cmxs] and [Dynlink]ed by {!Emit_cache}.
 
     Numerics contract: emitted code replicates {!Unit_dtype.Value}'s
-    canonicalization on raw payloads (wrap-to-dtype after every integer
-    op, round-to-precision after every float op, saturating float→int
-    casts), so results are bit-identical to {!Interp} and {!Compile} on
-    analyzer-clean programs — the qcheck differential property in the
-    tests pins this.  Programs {!Unit_tir.Validate} rejects may diverge
+    canonicalization on raw payloads (round-to-precision after every
+    float op, saturating float→int casts, integers wrapped to their
+    dtype wherever a value is observed), so results are bit-identical to
+    {!Interp} and {!Compile} on analyzer-clean programs — the qcheck
+    differential property in the tests pins this.  For u8/i8/i16/i32,
+    add/sub/mul chains (also through a one-element scratch cell, which
+    renders as a local [ref]) wrap once at their consumer instead of
+    after every op: reduction mod 2^k commutes with native 63-bit
+    arithmetic because 2^k divides 2^63.  [bool] wraps after every op.
+
+    Loop shaping: innermost loops of at most 16 iterations are unrolled
+    (their copies share the integer terms that ignore the index), and a
+    loop with no loop left inside binds each load that runs on every
+    iteration, with a loop-invariant index, from a buffer the loop never
+    stores to, once before the loop.  Hoisting assumes distinct bound
+    buffers never share cells; {!Emit_cache.run} falls back when two
+    bound windows overlap in one array.
+
+    Render-time counters: [emit.wraps_deferred], [emit.loops_unrolled],
+    [emit.loads_hoisted], [emit.scalar_cells].  Programs {!Unit_tir.Validate} rejects may diverge
     in their error behaviour only: the emitted code carries no
     per-access bounds checks (OCaml array safety still applies to the
     backing storage).
@@ -38,7 +53,8 @@ val version : int
 (** Bumped on any change to the generated code's semantics or calling
     convention; part of {!Emit_cache}'s artifact key, so stale on-disk
     kernels are never loaded.  Version 4 renders intrinsic calls from
-    their TIR expansion. *)
+    their TIR expansion; version 5 adds scalar cells, deferred wraps,
+    innermost unrolling and load hoisting. *)
 
 type klass = KF | KI | KL
 (** Storage class of a bound tensor: [float array] / [int array] /

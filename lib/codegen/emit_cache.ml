@@ -290,6 +290,36 @@ let make_par () =
         (fun () ->
           Parallel_oracle.iter ~domains body (List.init extent Fun.id))
 
+(* Two bound windows [offset, offset + size) over one physical array.
+   The emitted code hoists loads of buffers a loop never stores to,
+   which is only sound when distinct buffers never share cells. *)
+let overlapping windows =
+  let same_array a b =
+    match a, b with
+    | Ndarray.Float_data x, Ndarray.Float_data y -> x == y
+    | Ndarray.Int_data x, Ndarray.Int_data y -> x == y
+    | Ndarray.Int64_data x, Ndarray.Int64_data y -> x == y
+    | _ -> false
+  in
+  let rec go = function
+    | [] -> None
+    | ((b : Buffer.t), (arr : Ndarray.t)) :: rest ->
+      let lo = arr.Ndarray.offset and n = b.Buffer.size in
+      (match
+         List.find_opt
+           (fun ((b' : Buffer.t), (arr' : Ndarray.t)) ->
+             let lo' = arr'.Ndarray.offset and n' = b'.Buffer.size in
+             same_array arr.Ndarray.storage arr'.Ndarray.storage
+             && n > 0 && n' > 0 && lo < lo' + n' && lo' < lo + n)
+           rest
+       with
+       | Some (b', _) ->
+         Some (Printf.sprintf "buffers %s and %s overlap in one array" b.Buffer.name
+                 b'.Buffer.name)
+       | None -> go rest)
+  in
+  go windows
+
 let run_kernel { k_plan; k_fn } ~bindings =
   Obs.with_span "emit.run" @@ fun () ->
   let tbl = Hashtbl.create 16 in
@@ -324,7 +354,15 @@ let run_kernel { k_plan; k_fn } ~bindings =
          | Emit.KL, Ndarray.Int64_data a -> al.(e.Emit.e_cell) <- a
          | _ -> error "buffer %s: storage kind mismatch" b.Buffer.name))
     k_plan.Emit.p_entries;
-  k_fn af ai al offs (make_par ())
+  let windows =
+    List.map
+      (fun (e : Emit.entry) ->
+        (e.Emit.e_buf, Hashtbl.find tbl e.Emit.e_tensor.Unit_dsl.Tensor.id))
+      k_plan.Emit.p_entries
+  in
+  match overlapping windows with
+  | Some reason -> Error reason
+  | None -> Ok (k_fn af ai al offs (make_par ()))
 
 (* ---- fallback ladder *)
 
@@ -357,12 +395,15 @@ let run ?signature func ~bindings =
   let signature =
     match signature with Some s -> s | None -> default_signature func
   in
-  match load ~signature func with
-  | Ok k -> run_kernel k ~bindings
-  | Error reason ->
+  let fallback reason =
     Obs.incr c_fallback;
     note_fallback ~name:func.Lower.fn_name reason;
     if List.exists (fun (_, arr) -> Ndarray.is_view arr) bindings then
       (* the closure engine rejects views; the tree-walker is offset-aware *)
       Interp.run func ~bindings
     else Compile.run func ~bindings
+  in
+  match load ~signature func with
+  | Error reason -> fallback reason
+  | Ok k ->
+    (match run_kernel k ~bindings with Ok () -> () | Error reason -> fallback reason)

@@ -11,7 +11,9 @@
     warm process loads native kernels from disk with zero recompilation.
 
     Everything degrades: no native [Dynlink], no [ocamlopt], an
-    {!Emit.Unsupported} construct, or a failed compile all fall back to
+    {!Emit.Unsupported} construct, a failed compile, or two bound
+    windows overlapping in one array (the emitted code hoists loads on
+    the assumption that distinct buffers never alias) all fall back to
     {!Compile.run} (or {!Interp.run} when a binding is an arena view,
     which the closure engine rejects) with a one-shot [Diag] warning —
     never an error.

@@ -318,8 +318,10 @@ let validate_memplan j =
 (* The emitted-engine freeze (BENCH_emit.json).  Gates on substance, not
    just shape: the three engines must be monotone (emitted <= compiled <=
    tree-walker — a native kernel slower than the closure engine means the
-   emitter regressed) and the emitted engine must hold a >= 3x margin
-   over the closure engine on the headline resnet18 conv workload. *)
+   emitter regressed), the emitted engine must hold a >= 3x margin
+   over the closure engine on the headline resnet18 conv workload, and
+   on the emitted engine the tuned tensorized kernel must take no longer
+   than the scalar reference — a ratio, so it holds on other hosts. *)
 let validate_emit j =
   let* _ = str "workload" j in
   let* macs = num "macs" j in
@@ -353,7 +355,24 @@ let validate_emit j =
            "emitted engine is only %.2fx over the closure engine (gate: >= 3x)"
            ratio)
   in
-  Ok (Printf.sprintf "emitted-engine benchmark, %.1fx over closure" ratio)
+  let* t = num "emitted_tensorized_s" j in
+  let* tv = num "tensorized_vs_scalar" j in
+  let* () = if t > 0.0 then Ok () else Error "engine timings must be positive" in
+  let* () =
+    if Float.abs (tv -. (t /. e)) <= 0.01 *. tv then Ok ()
+    else Error "tensorized_vs_scalar does not match emitted_tensorized_s/emitted_s"
+  in
+  let* () =
+    if tv <= 1.0 then Ok ()
+    else
+      Error
+        (Printf.sprintf
+           "tensorized kernel takes %.2fx the scalar reference's time (gate: <= 1.0)"
+           tv)
+  in
+  Ok
+    (Printf.sprintf "emitted-engine benchmark, %.1fx over closure, tensorized %.2fx scalar"
+       ratio tv)
 
 (* The daemon soak freeze (BENCH_serve.json).  The substance gates mirror
    the ISSUE acceptance bar: a real soak (>= 2000 requests over >= 4

@@ -32,8 +32,9 @@ let emit_available =
    outputs must be bit-identical (Ndarray.equal: NaN = NaN, -0. <> 0.).
    When the toolchain is unavailable Emit_cache.run falls back
    internally, so the comparison still holds — it just stops being a
-   differential. *)
-let differential ?(seed = 42) (func : Lower.func) =
+   differential.  Otherwise the kernel must run emitted unless
+   [~emitted:false]: a fallback would hide a miscompiled rendering. *)
+let differential ?(seed = 42) ?(emitted = true) (func : Lower.func) =
   let fresh () =
     List.map
       (fun ((t : Tensor.t), (b : Buffer.t)) ->
@@ -55,7 +56,13 @@ let differential ?(seed = 42) (func : Lower.func) =
   let b_ref = fresh () in
   Interp.run func ~bindings:b_ref;
   let b_emit = fresh () in
+  let before = Emit_cache.last_fallback () in
   Emit_cache.run func ~bindings:b_emit;
+  if emit_available && emitted then
+    check_bool
+      (Printf.sprintf "%s: ran emitted" func.Lower.fn_name)
+      true
+      (Emit_cache.last_fallback () == before);
   check_bool
     (Printf.sprintf "%s: emitted = interp" func.Lower.fn_name)
     true
@@ -147,6 +154,198 @@ let test_emit_let_alloc_if () =
     { Lower.fn_name = "emit_ctl"; fn_tensors = [ (t, buf) ]; fn_output = buf;
       fn_iter_vars = [ (0, i) ]; fn_body = body }
 
+(* ---------- deferred wraps, scalar cells, unrolling, hoisting ---------- *)
+
+(* A kernel from an [n]-element [in] to an [n]-element [out]:
+   [body ~src ~dst ~n i] builds the whole loop nest, [i] a fresh index. *)
+let map_func ~name ?(n = 24) ~src_dtype ~dst_dtype body =
+  let tin = Tensor.create ~name:"in" ~shape:[ n ] src_dtype in
+  let bin = Buffer.of_tensor tin in
+  let tout = Tensor.create ~name:"out" ~shape:[ n ] dst_dtype in
+  let bout = Buffer.of_tensor tout in
+  let i = Var.create "i" in
+  { Lower.fn_name = name; fn_tensors = [ (tout, bout); (tin, bin) ];
+    fn_output = bout; fn_iter_vars = [ (0, i) ];
+    fn_body = body ~src:bin ~dst:bout ~n i }
+
+let mentions src sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length src && (String.equal (String.sub src i n) sub || go (i + 1))
+  in
+  go 0
+
+let source func = snd (Emit.render func)
+
+(* acc := acc * k + x * x - x, through a one-element scratch cell: the
+   chain overflows the dtype several times before each store. *)
+let cell_chain dtype k () =
+  let acc = Buffer.create ~name:"acc" ~dtype ~size:1 () in
+  let zero = Texpr.int_imm 0 in
+  let func =
+    map_func ~name:("emit_cell_" ^ Dtype.to_string dtype) ~src_dtype:dtype
+      ~dst_dtype:dtype (fun ~src ~dst ~n i ->
+        let x = Texpr.load src (Texpr.var i) in
+        let a = Texpr.load acc zero in
+        Stmt.Alloc
+          ( acc,
+            Stmt.seq
+              [ Stmt.Store (acc, zero, Texpr.int_imm ~dtype 1);
+                Stmt.for_ i ~extent:n
+                  (Stmt.seq
+                     [ Stmt.Store
+                         ( acc,
+                           zero,
+                           Texpr.sub
+                             (Texpr.add
+                                (Texpr.mul a (Texpr.int_imm ~dtype k))
+                                (Texpr.mul x x))
+                             x );
+                       Stmt.Store (dst, Texpr.var i, a)
+                     ])
+              ] ))
+  in
+  let src = source func in
+  check_bool "cell rendered as a ref" true (mentions src "ref 0");
+  check_bool "chain not wrapped into the cell" false
+    (mentions src (":= (w_" ^ Dtype.to_string dtype));
+  differential func
+
+let test_emit_u8_negative () =
+  (* in - 200 goes negative before the store and the comparison *)
+  differential
+    (map_func ~name:"emit_u8_neg" ~src_dtype:Dtype.U8 ~dst_dtype:Dtype.U8
+       (fun ~src ~dst ~n i ->
+         let d =
+           Texpr.add
+             (Texpr.sub (Texpr.load src (Texpr.var i)) (Texpr.int_imm ~dtype:Dtype.U8 200))
+             (Texpr.int_imm ~dtype:Dtype.U8 3)
+         in
+         Stmt.for_ i ~extent:n
+           (Stmt.Store
+              ( dst,
+                Texpr.var i,
+                Texpr.select
+                  (Texpr.cmp Texpr.Lt d (Texpr.int_imm ~dtype:Dtype.U8 60))
+                  (Texpr.mul d d) d ))))
+
+let test_emit_bool_chain () =
+  (* w_bool is not a ring homomorphism: (0 - 1) + 1 is 1 in bool, 0 raw *)
+  let func =
+    map_func ~name:"emit_bool" ~src_dtype:Dtype.Bool ~dst_dtype:Dtype.Bool
+      (fun ~src ~dst ~n i ->
+        (* every (x, y) pair of bits, whatever the input data *)
+        let bit k =
+          Texpr.cast Dtype.Bool
+            (Texpr.mod_ (Texpr.div (Texpr.var i) (Texpr.int_imm k)) (Texpr.int_imm 2))
+        in
+        let x = Texpr.mul (Texpr.load src (Texpr.var i)) (bit 1) in
+        let y = bit 2 in
+        Stmt.for_ i ~extent:n
+          (Stmt.Store
+             (dst, Texpr.var i, Texpr.add (Texpr.sub (Texpr.mul x y) y) (Texpr.sub y x))))
+  in
+  check_bool "bool ops wrap one by one" true
+    (mentions (source func) "(w_bool ((w_bool");
+  differential func
+
+let test_emit_widening_cast () =
+  differential
+    (map_func ~name:"emit_widen" ~src_dtype:Dtype.I8 ~dst_dtype:Dtype.I32
+       (fun ~src ~dst ~n i ->
+         let x = Texpr.load src (Texpr.var i) in
+         Stmt.for_ i ~extent:n
+           (Stmt.Store
+              ( dst,
+                Texpr.var i,
+                Texpr.cast Dtype.I32
+                  (Texpr.add (Texpr.mul x (Texpr.int_imm ~dtype:Dtype.I8 100))
+                     (Texpr.int_imm ~dtype:Dtype.I8 90)) ))))
+
+(* Lets rebind [t] at three depths: no term or load mentioning [t] may
+   be shared across the unrolled copies or hoisted out of the [j] loop. *)
+let test_emit_unrolled_let () =
+  differential
+    (map_func ~name:"emit_unroll_let" ~n:32 ~src_dtype:Dtype.I32 ~dst_dtype:Dtype.I32
+       (fun ~src ~dst ~n:_ i ->
+         let j = Var.create "j" and t = Var.create "t" in
+         let vi = Texpr.var i and vj = Texpr.var j and vt = Texpr.var t in
+         Stmt.Let
+           ( t,
+             Texpr.int_imm 5,
+             Stmt.for_ j ~extent:8
+               (Stmt.Let
+                  ( t,
+                    vj,
+                Stmt.for_ i ~extent:4
+                  (Stmt.Let
+                     ( t,
+                       Texpr.add (Texpr.mul vi (Texpr.int_imm 3)) vj,
+                       Stmt.Store
+                         ( dst,
+                           Texpr.add (Texpr.mul vj (Texpr.int_imm 4)) vi,
+                           Texpr.add
+                             (Texpr.mul vt (Texpr.int_imm 5))
+                             (Texpr.mul (Texpr.load src vt) (Texpr.int_imm 7)) ) )) )) )))
+
+(* Negative dividends: quotient and remainder by a positive literal
+   truncate toward zero, like Value; by -1 the quotient of the dtype's
+   minimum overflows and must still wrap. *)
+let test_emit_div_literal dtype () =
+  differential
+    (map_func ~name:("emit_divlit_" ^ Dtype.to_string dtype) ~src_dtype:dtype
+       ~dst_dtype:dtype (fun ~src ~dst ~n i ->
+         let x = Texpr.mul (Texpr.load src (Texpr.var i)) (Texpr.int_imm ~dtype 32) in
+         let by k = Texpr.int_imm ~dtype k in
+         Stmt.for_ i ~extent:n
+           (Stmt.Store
+              ( dst,
+                Texpr.var i,
+                Texpr.add
+                  (Texpr.add (Texpr.div x (by 5)) (Texpr.mod_ x (by 7)))
+                  (Texpr.max_ (Texpr.div x (by (-1))) (by 0)) ))))
+
+(* The guarded load reads [in.(1000 * j)], far past the 64-element
+   array, in the row where the guard is false: hoisting it out of the
+   [i] loop would raise. *)
+let test_emit_guarded_load () =
+  let func =
+    map_func ~name:"emit_guard" ~n:64 ~src_dtype:Dtype.I32 ~dst_dtype:Dtype.I32
+      (fun ~src ~dst ~n:_ i ->
+        let j = Var.create "j" in
+        let at = Texpr.add (Texpr.mul (Texpr.var j) (Texpr.int_imm 32)) (Texpr.var i) in
+        Stmt.for_ j ~extent:2
+          (Stmt.for_ i ~extent:32
+             (Stmt.If
+                { cond = Texpr.cmp Texpr.Lt (Texpr.var j) (Texpr.int_imm 1);
+                  likely = false;
+                  then_ =
+                    Stmt.Store
+                      (dst, at, Texpr.load src (Texpr.mul (Texpr.var j) (Texpr.int_imm 1000)));
+                  else_ = Some (Stmt.Store (dst, at, Texpr.int_imm 7)) })))
+  in
+  check_bool "guarded load stays in the loop" false (mentions (source func) "let h");
+  differential func
+
+(* out.(0) accumulates and out.(i) reads it back: the invariant-looking
+   load of out.(0) must stay in the loop that stores to it. *)
+let test_emit_stored_buffer_load () =
+  let func =
+    map_func ~name:"emit_stored" ~n:32 ~src_dtype:Dtype.I32 ~dst_dtype:Dtype.I32
+      (fun ~src ~dst ~n i ->
+        let head = Texpr.load dst (Texpr.int_imm 0) in
+        Stmt.for_ i ~extent:n
+          (Stmt.seq
+             [ Stmt.Store (dst, Texpr.int_imm 0, Texpr.add head (Texpr.load src (Texpr.var i)));
+               Stmt.Store (dst, Texpr.var i, Texpr.add head (Texpr.load src (Texpr.int_imm 3)))
+             ]))
+  in
+  let src = source func in
+  check_bool "load of the stored buffer stays in the loop" false
+    (mentions src "let h0 = c0");
+  check_bool "invariant load of the other buffer is hoisted" true (mentions src "let h0 = c1");
+  differential func
+
 (* ---------- pipeline-lowered tensorized kernels ---------- *)
 
 let small_conv =
@@ -160,6 +359,24 @@ let test_emit_pipeline_x86 () =
 let test_emit_pipeline_arm () =
   let compiled = Pipeline.conv_compiled_arm small_conv in
   differential compiled.Pipeline.c_tuned.Cpu_tuner.t_func
+
+(* The rules are visible on a real tensorized kernel through their
+   counters. *)
+let test_emit_rule_counters () =
+  let compiled = Pipeline.conv_compiled_x86 small_conv in
+  let names =
+    [ "emit.wraps_deferred"; "emit.loops_unrolled"; "emit.loads_hoisted";
+      "emit.scalar_cells" ]
+  in
+  let was = Unit_obs.Obs.enabled () in
+  Unit_obs.Obs.set_enabled true;
+  let before = List.map (fun n -> Unit_obs.Obs.value (Unit_obs.Obs.counter n)) names in
+  Fun.protect ~finally:(fun () -> Unit_obs.Obs.set_enabled was) (fun () ->
+      ignore (Emit.render compiled.Pipeline.c_tuned.Cpu_tuner.t_func));
+  List.iter2
+    (fun n b ->
+      check_bool (n ^ " counted") true (Unit_obs.Obs.value (Unit_obs.Obs.counter n) > b))
+    names before
 
 (* ---------- arena-backed views ---------- *)
 
@@ -201,9 +418,41 @@ let test_emit_view_bindings () =
   let arena_emit, b_emit = fresh () in
   check_bool "bindings are genuine views" true
     (List.for_all (fun (_, a) -> Ndarray.is_view a) b_emit);
+  let before = Emit_cache.last_fallback () in
   Emit_cache.run func ~bindings:b_emit;
   check_bool "view run: whole arenas bit-identical" true
-    (Ndarray.equal arena_ref arena_emit)
+    (Ndarray.equal arena_ref arena_emit);
+  if emit_available then
+    check_bool "disjoint views run emitted" true (Emit_cache.last_fallback () == before)
+
+(* One array bound as both input and output: [in.(0)], hoisted as loop
+   invariant, is overwritten by the first store.  The run must take the
+   fallback and agree with the tree-walker on the shared array. *)
+let test_emit_aliased_bindings () =
+  let func =
+    map_func ~name:"emit_alias" ~n:32 ~src_dtype:Dtype.I32 ~dst_dtype:Dtype.I32
+      (fun ~src ~dst ~n i ->
+        Stmt.for_ i ~extent:n
+          (Stmt.Store
+             ( dst,
+               Texpr.var i,
+               Texpr.add (Texpr.load src (Texpr.int_imm 0)) (Texpr.load dst (Texpr.var i)) )))
+  in
+  let shared () =
+    let t, _ = List.hd func.Lower.fn_tensors in
+    let arr = Ndarray.random_for_tensor ~seed:5 t in
+    (arr, List.map (fun (t, _) -> (t, arr)) func.Lower.fn_tensors)
+  in
+  let a_ref, b_ref = shared () in
+  Interp.run func ~bindings:b_ref;
+  let a_emit, b_emit = shared () in
+  Emit_cache.run func ~bindings:b_emit;
+  check_bool "aliased run bit-identical to interp" true (Ndarray.equal a_ref a_emit);
+  match Emit_cache.last_fallback () with
+  | Some d ->
+    check_bool "fallback names the overlap" true
+      ((not emit_available) || mentions d.Diag.detail "overlap")
+  | None -> Alcotest.fail "aliased bindings left no fallback diagnostic"
 
 (* ---------- fallback ladder ---------- *)
 
@@ -221,7 +470,7 @@ let test_emit_fallback_diag () =
               (Texpr.cast Dtype.F16 (Texpr.var i))
               (Texpr.float_imm ~dtype:Dtype.F16 0.25) ))
   in
-  differential func;
+  differential ~emitted:false func;
   match Emit_cache.last_fallback () with
   | Some d ->
     check_bool "fallback diagnostic carries the emit rule" true
@@ -306,12 +555,28 @@ let () =
           Alcotest.test_case "let/alloc/if" `Quick test_emit_let_alloc_if;
           Alcotest.test_case "arena-backed views" `Quick
             test_emit_view_bindings;
+          Alcotest.test_case "aliased bindings fall back" `Quick
+            test_emit_aliased_bindings;
+          Alcotest.test_case "i8 scalar-cell chain" `Quick (cell_chain Dtype.I8 113);
+          Alcotest.test_case "i16 scalar-cell chain" `Quick (cell_chain Dtype.I16 3001);
+          Alcotest.test_case "i32 scalar-cell chain" `Quick
+            (cell_chain Dtype.I32 1_000_003);
+          Alcotest.test_case "u8 negative intermediate" `Quick test_emit_u8_negative;
+          Alcotest.test_case "bool chain wraps per op" `Quick test_emit_bool_chain;
+          Alcotest.test_case "widening cast of raw sum" `Quick test_emit_widening_cast;
+          Alcotest.test_case "let in unrolled copies" `Quick test_emit_unrolled_let;
+          Alcotest.test_case "i8 div by literal" `Quick (test_emit_div_literal Dtype.I8);
+          Alcotest.test_case "i32 div by literal" `Quick (test_emit_div_literal Dtype.I32);
+          Alcotest.test_case "guarded load not hoisted" `Quick test_emit_guarded_load;
+          Alcotest.test_case "stored buffer load not hoisted" `Quick
+            test_emit_stored_buffer_load;
           Alcotest.test_case "fallback diagnostic" `Quick
             test_emit_fallback_diag
         ] );
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;
-          Alcotest.test_case "arm conv" `Quick test_emit_pipeline_arm
+          Alcotest.test_case "arm conv" `Quick test_emit_pipeline_arm;
+          Alcotest.test_case "rule counters" `Quick test_emit_rule_counters
         ]
         @ qcheck [ prop_engines_bit_identical ] );
       ( "zoo",
@@ -321,5 +586,3 @@ let () =
             test_emit_zoo_dense
         ] )
     ]
-
-let _ = emit_available

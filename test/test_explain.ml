@@ -198,7 +198,8 @@ let emit =
   Json.Obj
     [ ("schema", Json.Str "unit-emit"); ("workload", Json.Str "conv");
       ("macs", num 1e6); ("tree_walker_s", num 1.0); ("compiled_s", num 0.4);
-      ("emitted_s", num 0.1); ("speedup_vs_compiled", num 4.0)
+      ("emitted_s", num 0.1); ("speedup_vs_compiled", num 4.0);
+      ("emitted_tensorized_s", num 0.05); ("tensorized_vs_scalar", num 0.5)
     ]
 
 let serve =
@@ -236,6 +237,12 @@ let test_substance_gates () =
        Error "gate: >= 3x");
       ("ratio <> compiled/emitted", set [ ("speedup_vs_compiled", num 5.0) ] emit,
        Error "does not match");
+      ("tensorized slower than scalar",
+       set [ ("emitted_tensorized_s", num 0.11); ("tensorized_vs_scalar", num 1.1) ] emit,
+       Error "gate: <= 1.0");
+      ("tensorized ratio <> tensorized/scalar",
+       set [ ("tensorized_vs_scalar", num 0.7) ] emit,
+       Error "tensorized_vs_scalar does not match");
       ("serve valid", serve, Ok "serve soak benchmark");
       ("requests 1999", set [ ("requests", num 1999.0) ] serve,
        Error "gate: >= 2000");
