@@ -134,6 +134,27 @@ let metrics socket_path =
   | Some body -> print_string body
   | None -> or_die (Error "metrics response carries no body")
 
+(* ---------- in-process smokes ---------- *)
+
+(* The prelude both smokes share: run [f] with a sharded store installed
+   at [store_dir] (default [default]), emptied first so every run starts
+   cold. *)
+let with_fresh_store ~default store_dir f =
+  let store_dir = Option.value ~default store_dir in
+  if Sys.file_exists store_dir then begin
+    let rm = Printf.sprintf "rm -rf %s" (Filename.quote store_dir) in
+    if Sys.command rm <> 0 then failwith ("cannot clear " ^ store_dir)
+  end;
+  with_store (Some store_dir) f
+
+(* The result of a smoke request; a failure fails the smoke, naming
+   [label]. *)
+let ok label = function
+  | Protocol.Result r -> r
+  | Protocol.Failure (code, m) ->
+    failwith
+      (Printf.sprintf "%s failed: %s (%s)" label m (Protocol.code_to_string code))
+
 (* ---------- smoke (in-process cold+warm cycle) ---------- *)
 
 (* The @serve-smoke driver: N/2 tune and N/2 run requests for one
@@ -148,12 +169,7 @@ let metrics socket_path =
    win. *)
 let smoke store_dir trace_out =
   enable_tracing ?trace_out ();
-  let store_dir = Option.value ~default:"unitd_smoke_store" store_dir in
-  if Sys.file_exists store_dir then begin
-    let rm = Printf.sprintf "rm -rf %s" (Filename.quote store_dir) in
-    if Sys.command rm <> 0 then failwith ("cannot clear " ^ store_dir)
-  end;
-  with_store (Some store_dir) @@ fun () ->
+  with_fresh_store ~default:"unitd_smoke_store" store_dir @@ fun () ->
   let clients = 16 in
   let submitted = Atomic.make 0 in
   let fault ~key:_ ~attempt:_ =
@@ -185,14 +201,7 @@ let smoke store_dir trace_out =
             ())
     in
     List.iter Thread.join threads;
-    Array.iter
-      (function
-        | Protocol.Result _ -> ()
-        | Protocol.Failure (code, m) ->
-          failwith
-            (Printf.sprintf "request failed: %s (%s)" m
-               (Protocol.code_to_string code)))
-      responses
+    Array.iter (fun r -> ignore (ok "request" r : Json.t)) responses
   in
   Printf.printf
     "serve-smoke: cold burst (%d concurrent tunes + %d runs, one workload)\n%!"
@@ -239,12 +248,7 @@ let contains ~needle hay =
 
 let metrics_smoke store_dir trace_file =
   Obs.set_enabled true;
-  let store_dir = Option.value ~default:"unitd_metrics_store" store_dir in
-  if Sys.file_exists store_dir then begin
-    let rm = Printf.sprintf "rm -rf %s" (Filename.quote store_dir) in
-    if Sys.command rm <> 0 then failwith ("cannot clear " ^ store_dir)
-  end;
-  with_store (Some store_dir) @@ fun () ->
+  with_fresh_store ~default:"unitd_metrics_store" store_dir @@ fun () ->
   let server = Server.create { Server.default_config with domains = 2 } in
   let conv c =
     Protocol.Conv
@@ -255,13 +259,7 @@ let metrics_smoke store_dir trace_file =
     Protocol.Tune
       { target = Unit_store.Warmup.X86; engine = Pipeline.Compiled; workload = wl }
   in
-  let expect_ok label = function
-    | Protocol.Result _ -> ()
-    | Protocol.Failure (code, m) ->
-      failwith
-        (Printf.sprintf "%s failed: %s (%s)" label m
-           (Protocol.code_to_string code))
-  in
+  let expect_ok label resp = ignore (ok label resp : Json.t) in
   Printf.printf "metrics-smoke: mixed burst\n%!";
   expect_ok "ping" (Server.submit server Protocol.Ping);
   expect_ok "stats" (Server.submit server Protocol.Stats);
@@ -293,23 +291,20 @@ let metrics_smoke store_dir trace_file =
     expect_ok "ping" (Server.submit server Protocol.Ping)
   done;
   (* 2. the finished trace, as a client would fetch it *)
-  (match Server.submit server (Protocol.Trace { id = smoke_trace_id }) with
-   | Protocol.Result doc ->
-     let oc = open_out trace_file in
-     output_string oc (Json.to_string doc);
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf "metrics-smoke: trace %s written to %s\n%!" smoke_trace_id
-       trace_file
-   | Protocol.Failure (_, m) -> failwith ("trace fetch failed: " ^ m));
+  let doc =
+    ok "trace fetch" (Server.submit server (Protocol.Trace { id = smoke_trace_id }))
+  in
+  let oc = open_out trace_file in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "metrics-smoke: trace %s written to %s\n%!" smoke_trace_id trace_file;
   (* 3. scrape and validate the exposition *)
+  let scrape = ok "metrics" (Server.submit server Protocol.Metrics) in
   let body =
-    match Server.submit server Protocol.Metrics with
-    | Protocol.Result r ->
-      (match Option.bind (Json.member "body" r) Json.to_str with
-       | Some b -> b
-       | None -> failwith "metrics response carries no body")
-    | Protocol.Failure (_, m) -> failwith ("metrics failed: " ^ m)
+    match Option.bind (Json.member "body" scrape) Json.to_str with
+    | Some b -> b
+    | None -> failwith "metrics response carries no body"
   in
   (match Unit_obs.Metrics.validate body with
    | Ok () -> ()
@@ -331,16 +326,14 @@ let metrics_smoke store_dir trace_file =
           bucket-derived %.0fus (bucket %d)"
          exact (Obs.bucket_index exact) bucketed (Obs.bucket_index bucketed));
   (* the flight filters, through the protocol *)
-  (match
-     Server.submit server
-       (Protocol.Flight
-          { last = Some 8; errors_only = true; slower_than_us = None })
-   with
-   | Protocol.Result r ->
-     (match Option.bind (Json.member "entries" r) Json.to_list with
-      | Some (_ :: _) -> ()
-      | _ -> failwith "errors_only flight window is empty")
-   | Protocol.Failure (_, m) -> failwith ("flight failed: " ^ m));
+  let flight =
+    ok "flight"
+      (Server.submit server
+         (Protocol.Flight { last = Some 8; errors_only = true; slower_than_us = None }))
+  in
+  (match Option.bind (Json.member "entries" flight) Json.to_list with
+   | Some (_ :: _) -> ()
+   | _ -> failwith "errors_only flight window is empty");
   Server.drain server;
   Printf.printf
     "metrics-smoke: OK (%d requests; exact p99 %.0fus, bucket-derived p99 \

@@ -55,9 +55,14 @@ let fits_dtype (lo, hi) dt =
 
 (* ------------------------------------------------------------------ *)
 (* Value-range analysis over expressions (for the overflow lint).      *)
-(* Unlike Linear.bounds this falls back to dtype ranges for loads and  *)
-(* unanalyzable subterms instead of giving up.                         *)
 (* ------------------------------------------------------------------ *)
+
+(* Separate from Linear.bounds, the interval analysis proofs use: that
+   one gives up ([None]) on any node whose range would not fit its
+   dtype, while the lint needs a total over-approximation of the
+   unwrapped value that never gives up, so it can say which node
+   overflows.  Loads and unanalyzable subterms fall back to dtype
+   ranges.  One walker serving both would branch on its caller. *)
 
 let rec value_range env e =
   let dt = Texpr.dtype_of e in

@@ -131,68 +131,23 @@ let compile (func : Lower.func) =
     | Some s -> s
     | None -> error "variable %s unbound" v.Var.name
   in
-  (* ---- interval analysis: proves loads/stores in bounds at compile time
-     so the explicit checks vanish from inner loops.  Every tracked
-     interval fits both the magnitude cap (no native overflow in the
-     arithmetic below) and its node's dtype (so runtime wrapping is the
-     identity and the mathematical bounds are the value bounds). *)
+  (* ---- intervals: {!Linear.bounds} proves loads/stores in bounds at
+     compile time so the explicit checks vanish from inner loops.  A
+     proven interval fits its node's dtype (runtime wrapping is the
+     identity, so the bounds are the value bounds) and stays within 2^30.
+     [ienv] holds the proven range of each variable in scope; a narrow
+     integer buffer's loads range over its dtype. *)
   let ienv : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let cap = 1 lsl 30 in
-  let norm ((lo, hi) as iv) =
-    if lo >= -cap && hi <= cap && lo <= hi then Some iv else None
-  in
-  let fits dt (lo, hi) =
-    Dtype.is_integer dt
-    && Int64.compare (Int64.of_int lo) (Dtype.min_int_value dt) >= 0
-    && Int64.compare (Int64.of_int hi) (Dtype.max_int_value dt) <= 0
-  in
-  let rec interval (e : Texpr.t) =
-    match e with
-    | Texpr.Imm (Value.Int (_, x)) ->
-      if Int64.compare (Int64.abs x) (Int64.of_int cap) <= 0 then begin
-        let xi = Int64.to_int x in
-        Some (xi, xi)
-      end
-      else None
-    | Texpr.Imm (Value.Float _) -> None
-    | Texpr.Var v -> Hashtbl.find_opt ienv v.Var.id
-    | Texpr.Load (b, _) ->
+  let interval =
+    let env (v : Var.t) = Hashtbl.find_opt ienv v.Var.id in
+    let load (b : Buffer.t) =
       let dt = b.Buffer.dtype in
       if is_narrow dt then
-        norm (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
+        Some
+          (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
       else None
-    | Texpr.Cmp _ | Texpr.And _ | Texpr.Or _ | Texpr.Not _ -> Some (0, 1)
-    | Texpr.Cast (dt, a) ->
-      (match interval a with Some iv when fits dt iv -> Some iv | _ -> None)
-    | Texpr.Select (_, a, b) ->
-      (match interval a, interval b with
-       | Some (la, ha), Some (lb, hb) ->
-         let iv = (Stdlib.min la lb, Stdlib.max ha hb) in
-         if fits (Texpr.dtype_of e) iv then norm iv else None
-       | _ -> None)
-    | Texpr.Binop (op, a, b) ->
-      (match interval a, interval b with
-       | Some (la, ha), Some (lb, hb) ->
-         let dt = Texpr.dtype_of e in
-         let mk iv = if fits dt iv then norm iv else None in
-         (match op with
-          | Texpr.Add -> mk (la + lb, ha + hb)
-          | Texpr.Sub -> mk (la - hb, ha - lb)
-          | Texpr.Mul ->
-            let p1 = la * lb and p2 = la * hb and p3 = ha * lb and p4 = ha * hb in
-            mk
-              ( Stdlib.min (Stdlib.min p1 p2) (Stdlib.min p3 p4),
-                Stdlib.max (Stdlib.max p1 p2) (Stdlib.max p3 p4) )
-          | Texpr.Div ->
-            (* truncating division is monotone for a constant positive
-               divisor *)
-            if lb = hb && lb > 0 then mk (la / lb, ha / lb) else None
-          | Texpr.Mod ->
-            if lb = hb && lb > 0 && la >= 0 then mk (0, Stdlib.min ha (lb - 1))
-            else None
-          | Texpr.Min -> mk (Stdlib.min la lb, Stdlib.min ha hb)
-          | Texpr.Max -> mk (Stdlib.max la lb, Stdlib.max ha hb))
-       | _ -> None)
+    in
+    Linear.bounds ~env ~load
   in
   (* ---- affine flattening: an integer expression whose every node has a
      proven interval (so wrapping is the identity throughout and native
@@ -615,7 +570,7 @@ let compile (func : Lower.func) =
     | EI f ->
       if is_narrow dt then
         if Dtype.equal dt src then EI f
-        else if match interval a with Some iv -> fits dt iv | None -> false then begin
+        else if Option.bind (interval a) (Linear.fit dt) <> None then begin
           Obs.incr c_wraps_elided;
           EI f
         end
@@ -734,14 +689,7 @@ let compile (func : Lower.func) =
     | Stmt.For { var; extent; body; _ } ->
       (* every loop kind executes serially in the oracle *)
       let s = slot_of var in
-      let saved = Hashtbl.find_opt ienv var.Var.id in
-      (match norm (0, extent - 1) with
-       | Some iv when fits var.Var.dtype iv -> Hashtbl.replace ienv var.Var.id iv
-       | _ -> Hashtbl.remove ienv var.Var.id);
-      let bc = comp_s body in
-      (match saved with
-       | Some iv -> Hashtbl.replace ienv var.Var.id iv
-       | None -> Hashtbl.remove ienv var.Var.id);
+      let bc = with_range var (Some (0, extent - 1)) body in
       fun ctx ->
         let fr = ctx.frame in
         for i = 0 to extent - 1 do
@@ -750,16 +698,8 @@ let compile (func : Lower.func) =
         done
     | Stmt.Let (v, e, body) ->
       let ec = eval_int_c e in
-      let iv = interval e in
       let s = slot_of v in
-      let saved = Hashtbl.find_opt ienv v.Var.id in
-      (match iv with
-       | Some iv when fits v.Var.dtype iv -> Hashtbl.replace ienv v.Var.id iv
-       | _ -> Hashtbl.remove ienv v.Var.id);
-      let bc = comp_s body in
-      (match saved with
-       | Some iv -> Hashtbl.replace ienv v.Var.id iv
-       | None -> Hashtbl.remove ienv v.Var.id);
+      let bc = with_range v (interval e) body in
       fun ctx ->
         ctx.frame.(s) <- ec ctx;
         bc ctx
@@ -810,6 +750,19 @@ let compile (func : Lower.func) =
            in
            Unit_isa.Semantics.run cins ~output ~inputs ~read:(cb_read ctx)
              ~write:(cb_write ctx) ~tile_base)
+  (* compile [body] with [v] bound to the range [iv] when it fits [v]'s
+     dtype, restoring the enclosing binding afterwards *)
+  and with_range (v : Var.t) iv body =
+    let id = v.Var.id in
+    let saved = Hashtbl.find_opt ienv id in
+    let set = function
+      | Some iv -> Hashtbl.replace ienv id iv
+      | None -> Hashtbl.remove ienv id
+    in
+    set (Option.bind iv (Linear.fit v.Var.dtype));
+    let c = comp_s body in
+    set saved;
+    c
   in
   let body_c = comp_s func.Lower.fn_body in
   let fn_ids =

@@ -5,7 +5,7 @@
     (slots resolved at compile time), loads and stores access the unboxed
     {!Ndarray} storage directly at the dtype-specialized representation,
     arithmetic is monomorphized per operand dtype, and bounds checks are
-    dropped where a static interval analysis proves the index in range
+    dropped where {!Unit_tir.Linear.bounds} proves the index in range
     (array accesses themselves stay safe).  Results are bit-identical to
     {!Interp} — the tests enforce this with a differential property.
 

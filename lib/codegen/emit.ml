@@ -11,8 +11,9 @@ open Unit_tir
    comes from one discipline: every value a consumer observes is
    canonicalized exactly as {!Unit_dtype.Value} would — integers wrapped
    to their dtype, f32 results rounded through Int32 bits, float→int
-   casts saturated — except where an interval analysis mirroring
-   Compile's proves the canonicalization the identity.
+   casts saturated — except where {!Unit_tir.Linear.bounds}, the interval
+   analysis {!Compile} also uses, proves the canonicalization the
+   identity.
 
    Deferred wraps.  For the modular integer dtypes (u8, i8, i16, i32)
    an [Add]/[Sub]/[Mul] result stays raw: an unwrapped native int.
@@ -244,17 +245,9 @@ let render (func : Lower.func) : plan * string =
   let cells : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let is_cell (b : Buffer.t) = Hashtbl.mem cells b.Buffer.id in
   let raw_cell (b : Buffer.t) = is_cell b && deferrable b.Buffer.dtype in
-  (* Loop variables whose value provably fits their dtype, so the
-     per-reference wrap is the identity and is elided. *)
-  let fitting_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let bound_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   (* Indices of unrolled loops: var id -> the literal of this copy. *)
   let lits : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let fits_var (v : Var.t) extent =
-    Dtype.is_integer v.Var.dtype
-    && Int64.compare (Int64.of_int (extent - 1)) (Dtype.max_int_value v.Var.dtype)
-       <= 0
-  in
   (* Rule tallies, published as counters once the whole body rendered;
      [counting] is off while hoisting candidates are rendered, so each
      node counts once. *)
@@ -266,72 +259,24 @@ let render (func : Lower.func) : plan * string =
   let defers (e : Texpr.t) raw =
     match e with Texpr.Binop _ when raw -> bump n_deferred | _ -> ()
   in
-  (* ---- interval analysis, mirroring Compile's: a node whose proven
-     value range fits its dtype needs no canonicalizing wrap (the wrap is
-     the identity), so typical loop-nest address arithmetic renders as
-     bare native [+]/[*] instead of a [w_i32] call per node.  The same
-     magnitude cap keeps every tracked interval safely inside native-int
-     range, so eliding can never change a value.  Raw values have no
-     interval: a raw add/sub/mul already has none, and a scalar-cell
-     load is excluded below. *)
+  (* ---- intervals from {!Linear.bounds}: a node whose proven value
+     range fits its dtype needs no canonicalizing wrap (the wrap is the
+     identity), so typical loop-nest address arithmetic renders as bare
+     native [+]/[*] instead of a [w_i32] call per node.  Proven ranges
+     stay within 2^30, so eliding can never change a value.  Raw values
+     have no interval: a raw add/sub/mul already has none, and a
+     scalar-cell load gets none from [load]. *)
   let ienv : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let cap = 1 lsl 30 in
-  let inorm ((lo, hi) as iv) =
-    if lo >= -cap && hi <= cap && lo <= hi then Some iv else None
-  in
-  let ifits dt (lo, hi) =
-    Dtype.is_integer dt
-    && Int64.compare (Int64.of_int lo) (Dtype.min_int_value dt) >= 0
-    && Int64.compare (Int64.of_int hi) (Dtype.max_int_value dt) <= 0
-  in
-  let rec interval (e : Texpr.t) =
-    match e with
-    | Texpr.Imm (Value.Int (_, x)) ->
-      if Int64.compare (Int64.abs x) (Int64.of_int cap) <= 0 then begin
-        let xi = Int64.to_int x in
-        Some (xi, xi)
-      end
-      else None
-    | Texpr.Imm (Value.Float _) -> None
-    | Texpr.Var v -> Hashtbl.find_opt ienv v.Var.id
-    | Texpr.Load (b, _) when raw_cell b -> None
-    | Texpr.Load (b, _) ->
+  let interval =
+    let env (v : Var.t) = Hashtbl.find_opt ienv v.Var.id in
+    let load (b : Buffer.t) =
       let dt = b.Buffer.dtype in
-      if is_narrow dt then
-        inorm
-          ( Int64.to_int (Dtype.min_int_value dt),
-            Int64.to_int (Dtype.max_int_value dt) )
+      if is_narrow dt && not (raw_cell b) then
+        Some
+          (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
       else None
-    | Texpr.Cmp _ | Texpr.And _ | Texpr.Or _ | Texpr.Not _ -> Some (0, 1)
-    | Texpr.Cast (dt, a) ->
-      (match interval a with Some iv when ifits dt iv -> Some iv | _ -> None)
-    | Texpr.Select (_, a, b) ->
-      (match interval a, interval b with
-       | Some (la, ha), Some (lb, hb) ->
-         let iv = (Stdlib.min la lb, Stdlib.max ha hb) in
-         if ifits (Texpr.dtype_of e) iv then inorm iv else None
-       | _ -> None)
-    | Texpr.Binop (op, a, b) ->
-      (match interval a, interval b with
-       | Some (la, ha), Some (lb, hb) ->
-         let dt = Texpr.dtype_of e in
-         let mk iv = if ifits dt iv then inorm iv else None in
-         (match op with
-          | Texpr.Add -> mk (la + lb, ha + hb)
-          | Texpr.Sub -> mk (la - hb, ha - lb)
-          | Texpr.Mul ->
-            let p1 = la * lb and p2 = la * hb and p3 = ha * lb and p4 = ha * hb in
-            mk
-              ( Stdlib.min (Stdlib.min p1 p2) (Stdlib.min p3 p4),
-                Stdlib.max (Stdlib.max p1 p2) (Stdlib.max p3 p4) )
-          | Texpr.Div ->
-            if lb = hb && lb > 0 then mk (la / lb, ha / lb) else None
-          | Texpr.Mod ->
-            if lb = hb && lb > 0 && la >= 0 then mk (0, Stdlib.min ha (lb - 1))
-            else None
-          | Texpr.Min -> mk (Stdlib.min la lb, Stdlib.min ha hb)
-          | Texpr.Max -> mk (Stdlib.max la lb, Stdlib.max ha hb))
-       | _ -> None)
+    in
+    Linear.bounds ~env ~load
   in
   (* Rendered names must not leak the process-global [Var.id] /
      [Buffer.id] counters: the same logical kernel lowered in two
@@ -418,7 +363,8 @@ let render (func : Lower.func) : plan * string =
        | CI, Some i -> int_lit i
        | CL, Some i -> int64_lit (Int64.of_int i)
        | CI, None ->
-         if Hashtbl.mem fitting_vars v.Var.id then vname v
+         (* a proven range fits the dtype: the wrap is the identity *)
+         if Hashtbl.mem ienv v.Var.id then vname v
          else Printf.sprintf "(%s %s)" (wname dt) (vname v)
        | CL, None -> Printf.sprintf "(Int64.of_int %s)" (vname v)
        | CF, _ -> unsupported "float-dtyped variable %s" v.Var.name)
@@ -436,7 +382,7 @@ let render (func : Lower.func) : plan * string =
       (* a proven-fitting operand makes the narrowing cast the identity *)
       (match carrier_of (Texpr.dtype_of a), carrier_of dt with
        | CI, CI
-         when match interval a with Some iv -> ifits dt iv | None -> false ->
+         when Option.bind (interval a) (Linear.fit dt) <> None ->
          re a
        | _ -> rcast dt (Texpr.dtype_of a) (re a))
     | Texpr.Select (c, a, b) ->
@@ -584,10 +530,9 @@ let render (func : Lower.func) : plan * string =
     B.add_string buf s;
     B.add_char buf '\n'
   in
-  let with_var (v : Var.t) ~fits ?iv ?lit f =
+  let with_var (v : Var.t) ?iv ?lit f =
     let id = v.Var.id in
     let had_bound = Hashtbl.mem bound_vars id in
-    let had_fits = Hashtbl.mem fitting_vars id in
     let had_iv = Hashtbl.find_opt ienv id in
     let had_lit = Hashtbl.find_opt lits id in
     let restore tbl = function
@@ -595,12 +540,10 @@ let render (func : Lower.func) : plan * string =
       | None -> Hashtbl.remove tbl id
     in
     Hashtbl.replace bound_vars id ();
-    restore fitting_vars (if fits then Some () else None);
     restore ienv iv;
     restore lits lit;
     f ();
     if not had_bound then Hashtbl.remove bound_vars id;
-    restore fitting_vars (if had_fits then Some () else None);
     restore ienv had_iv;
     restore lits had_lit
   in
@@ -610,7 +553,8 @@ let render (func : Lower.func) : plan * string =
   let unrollable (s : Stmt.t) =
     match s with
     | Stmt.For { var; extent; kind; body } ->
-      extent >= 1 && extent <= max_unroll && fits_var var extent
+      extent >= 1 && extent <= max_unroll
+      && Linear.fit var.Var.dtype (0, extent - 1) <> None
       && (match kind with Stmt.Parallel -> false | _ -> true)
       && not (Stmt.exists is_loop body)
     | _ -> false
@@ -710,7 +654,7 @@ let render (func : Lower.func) : plan * string =
         match s with
         | Stmt.For { var; extent; body; _ } ->
           for i = 0 to extent - 1 do
-            with_var var ~fits:true ~iv:(i, i) ~lit:i (fun () -> st every body)
+            with_var var ~iv:(i, i) ~lit:i (fun () -> st every body)
           done
         | Stmt.If { cond; then_; else_; _ } ->
           ex every cond;
@@ -780,11 +724,10 @@ let render (func : Lower.func) : plan * string =
       let binds = if extent > 1 then share_terms var body else [] in
       with_binds ind shared binds (fun ind ->
           for i = 0 to extent - 1 do
-            with_var var ~fits:true ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
+            with_var var ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
           done)
     | Stmt.For { var; extent; kind; body } ->
-      let fits = fits_var var extent in
-      let iv = if fits then inorm (0, extent - 1) else None in
+      let iv = Linear.fit var.Var.dtype (0, extent - 1) in
       let binds =
         if extent >= 1 && not (Stmt.exists (fun s -> is_loop s && not (unrollable s)) body)
         then hoist_loads var body
@@ -793,12 +736,12 @@ let render (func : Lower.func) : plan * string =
       with_binds ind hoisted binds (fun ind ->
           if (match kind with Stmt.Parallel -> true | _ -> false) && not in_par then begin
             line ind (Printf.sprintf "par %d (fun %s ->" extent (vname var));
-            with_var var ~fits ?iv (fun () -> rs (ind + 1) ~in_par:true body);
+            with_var var ?iv (fun () -> rs (ind + 1) ~in_par:true body);
             line (ind + 1) "());"
           end
           else begin
             line ind (Printf.sprintf "for %s = 0 to %d do" (vname var) (extent - 1));
-            with_var var ~fits ?iv (fun () -> rs (ind + 1) ~in_par body);
+            with_var var ?iv (fun () -> rs (ind + 1) ~in_par body);
             line ind "done;"
           end)
     | Stmt.Let (v, e, body) ->
@@ -806,13 +749,9 @@ let render (func : Lower.func) : plan * string =
         unsupported "float-dtyped let %s" v.Var.name;
       (* the binding holds [e]'s canonical value; when its proven range
          fits the variable's dtype, reads need no per-reference wrap *)
-      let iv =
-        match interval e with
-        | Some iv when ifits v.Var.dtype iv -> Some iv
-        | _ -> None
-      in
+      let iv = Option.bind (interval e) (Linear.fit v.Var.dtype) in
       line ind (Printf.sprintf "begin let %s = %s in" (vname v) (rint e));
-      with_var v ~fits:(iv <> None) ?iv (fun () -> rs (ind + 1) ~in_par body);
+      with_var v ?iv (fun () -> rs (ind + 1) ~in_par body);
       line ind "end;"
     | Stmt.If { cond; then_; else_; likely = _ } ->
       line ind (Printf.sprintf "if %s then begin" (rtruth cond));

@@ -34,48 +34,66 @@ let rec coefficient_of e v =
   | Load _ | Cmp _ | And _ | Or _ | Not _ | Select _ | Cast _ ->
     if is_independent_of e v then Some 0 else None
 
-let rec bounds ~env e =
-  let combine f a b =
-    match bounds ~env a, bounds ~env b with
-    | Some ia, Some ib -> f ia ib
-    | _ -> None
+let cap = 1 lsl 30
+
+(* [dt]'s value range clamped to ±cap (the I32 and I64 ranges contain
+   it), as native ints; [(1, 0)], empty, for float dtypes *)
+let clamped_range (dt : Unit_dtype.Dtype.t) =
+  match dt with
+  | Bool -> (0, 1)
+  | U8 -> (0, 255)
+  | I8 -> (-128, 127)
+  | I16 -> (-32768, 32767)
+  | I32 | I64 -> (-cap, cap)
+  | F16 | Bf16 | F32 | F64 -> (1, 0)
+
+let fit dt ((lo, hi) as iv) =
+  let dlo, dhi = clamped_range dt in
+  if dlo <= lo && lo <= hi && hi <= dhi then Some iv else None
+
+let binop_bounds dt op l1 h1 l2 h2 =
+  match op with
+  | Add -> fit dt (l1 + l2, h1 + h2)
+  | Sub -> fit dt (l1 - h2, h1 - l2)
+  | Mul ->
+    (* operands are within 2^30, so no product overflows *)
+    let p1 = l1 * l2 and p2 = l1 * h2 and p3 = h1 * l2 and p4 = h1 * h2 in
+    fit dt
+      ( Stdlib.min (Stdlib.min p1 p2) (Stdlib.min p3 p4),
+        Stdlib.max (Stdlib.max p1 p2) (Stdlib.max p3 p4) )
+  | Div ->
+    (* truncating division is monotone for a constant positive divisor *)
+    if l2 = h2 && l2 > 0 then fit dt (l1 / l2, h1 / l2) else None
+  | Mod ->
+    if l2 = h2 && l2 > 0 && l1 >= 0 then fit dt (0, Stdlib.min h1 (l2 - 1)) else None
+  | Min -> fit dt (Stdlib.min l1 l2, Stdlib.min h1 h2)
+  | Max -> fit dt (Stdlib.max l1 l2, Stdlib.max h1 h2)
+
+let bounds ?(load = fun _ -> None) ~env e =
+  let rec go e =
+    match e with
+    | Imm (Unit_dtype.Value.Int (dt, x)) ->
+      let xi = Int64.to_int x in
+      if Int64.equal (Int64.of_int xi) x then fit dt (xi, xi) else None
+    | Imm (Unit_dtype.Value.Float _) -> None
+    | Var v -> (match env v with Some iv -> fit v.Var.dtype iv | None -> None)
+    | Load (b, _) -> (match load b with Some iv -> fit b.Buffer.dtype iv | None -> None)
+    | Cmp _ | And _ | Or _ | Not _ -> Some (0, 1)
+    | Cast (dt, a) -> (match go a with Some iv -> fit dt iv | None -> None)
+    | Select (_, a, b) ->
+      (match go a, go b with
+       | Some (l1, h1), Some (l2, h2) ->
+         fit (dtype_of e) (Stdlib.min l1 l2, Stdlib.max h1 h2)
+       | _ -> None)
+    | Binop (op, a, b) ->
+      (match go a with
+       | None -> None
+       | Some (l1, h1) ->
+         (match go b with
+          | None -> None
+          | Some (l2, h2) -> binop_bounds (dtype_of e) op l1 h1 l2 h2))
   in
-  match e with
-  | Imm v when Unit_dtype.Dtype.is_integer (Unit_dtype.Value.dtype v) ->
-    let x = Int64.to_int (Unit_dtype.Value.to_int64 v) in
-    Some (x, x)
-  | Imm _ -> None
-  | Var v -> env v
-  | Cast (dt, a) when Unit_dtype.Dtype.is_integer dt -> bounds ~env a
-  | Cast _ -> None
-  | Binop (Add, a, b) -> combine (fun (l1, h1) (l2, h2) -> Some (l1 + l2, h1 + h2)) a b
-  | Binop (Sub, a, b) -> combine (fun (l1, h1) (l2, h2) -> Some (l1 - h2, h1 - l2)) a b
-  | Binop (Mul, a, b) ->
-    let corners (l1, h1) (l2, h2) =
-      let products = [ l1 * l2; l1 * h2; h1 * l2; h1 * h2 ] in
-      Some (List.fold_left Stdlib.min max_int products,
-            List.fold_left Stdlib.max min_int products)
-    in
-    combine corners a b
-  | Binop (Div, a, b) ->
-    (match bounds ~env a, as_const_int b with
-     | Some (l, h), Some c when c > 0 ->
-       (* OCaml division truncates toward zero; for non-negative index
-          arithmetic this matches floor division, which is all lowering
-          produces. *)
-       Some (l / c, h / c)
-     | _ -> None)
-  | Binop (Mod, a, b) ->
-    (match bounds ~env a, as_const_int b with
-     | Some (l, _), Some c when c > 0 && l >= 0 -> Some (0, c - 1)
-     | _ -> None)
-  | Binop (Min, a, b) ->
-    combine (fun (l1, h1) (l2, h2) -> Some (Stdlib.min l1 l2, Stdlib.min h1 h2)) a b
-  | Binop (Max, a, b) ->
-    combine (fun (l1, h1) (l2, h2) -> Some (Stdlib.max l1 l2, Stdlib.max h1 h2)) a b
-  | Select (_, a, b) ->
-    combine (fun (l1, h1) (l2, h2) -> Some (Stdlib.min l1 l2, Stdlib.max h1 h2)) a b
-  | Load _ | Cmp _ | And _ | Or _ | Not _ -> None
+  go e
 
 let substitute_zero vars e =
   Texpr.substitute (List.map (fun v -> (v, Texpr.int_imm 0)) vars) e

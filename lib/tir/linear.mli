@@ -2,8 +2,9 @@
 
     The tensorize replacement pass asks "with what constant stride does
     this loop variable move this memory access?" ({!coefficient_of}), and
-    the machine model asks "what address range does this access cover?"
-    ({!bounds}).  Both are conservative: [None] means "not provable". *)
+    the validator, the machine model and the engines ask "what range does
+    this value cover?" ({!bounds}).  Both are conservative: [None] means
+    "not provable". *)
 
 val coefficient_of : Texpr.t -> Var.t -> int option
 (** [coefficient_of e v] is [Some c] when [e] provably changes by exactly
@@ -14,11 +15,35 @@ val coefficient_of : Texpr.t -> Var.t -> int option
 val is_independent_of : Texpr.t -> Var.t -> bool
 (** Purely syntactic: [v] does not occur in [e]. *)
 
-val bounds : env:(Var.t -> (int * int) option) -> Texpr.t -> (int * int) option
+val bounds :
+  ?load:(Buffer.t -> (int * int) option) ->
+  env:(Var.t -> (int * int) option) ->
+  Texpr.t ->
+  (int * int) option
 (** Inclusive interval of an integer expression's value, given inclusive
-    intervals for its variables.  Handles [Div]/[Mod] by constants, which
-    fused-loop decompositions produce.  [None] for non-integer expressions,
-    unbounded variables or [Load]s. *)
+    intervals for its variables ([env]) and for the values of loaded
+    buffers ([load], default: none).  This is the one interval analysis
+    proofs use: the validator, the analyzer, the machine model and both
+    fast engines ([Compile], [Emit]) call it.
+
+    Contract: every interval returned, for the whole expression and for
+    each node on the way, fits that node's dtype, so wrapping the node's
+    value to its dtype is the identity and the interval is the value the
+    program computes; and every bound stays within [±2^30], so the
+    analysis's own native arithmetic never overflows.  A node whose
+    interval breaks either rule gives [None], and so does any arithmetic
+    node computed from it.  Comparisons and the boolean connectives have [(0, 1)].
+    [Div]/[Mod] need a constant positive divisor ([Mod] also a
+    non-negative dividend); fused-loop decompositions produce these.
+    [None] for float expressions, integer literals beyond [2^30], casts
+    whose operand does not fit the target dtype, unbounded variables, and
+    loads [load] does not bound. *)
+
+val fit : Unit_dtype.Dtype.t -> int * int -> (int * int) option
+(** [fit dt (lo, hi)] is [Some (lo, hi)] when the interval is non-empty,
+    within [±2^30] and inside [dt]'s range (so [dt] is an integer dtype);
+    [None] otherwise.  The rule {!bounds} applies at every node, for
+    callers that bind variables to intervals. *)
 
 val substitute_zero : Var.t list -> Texpr.t -> Texpr.t
 (** Set the given variables to 0 — the "base index" of a register tile. *)

@@ -72,7 +72,35 @@ let test_bounds () =
   check_bool "x%4 bounds" true (Linear.bounds ~env m = Some (0, 3));
   let d = Texpr.div (Texpr.var x) (Texpr.int_imm 3) in
   check_bool "x/3 bounds" true (Linear.bounds ~env d = Some (0, 3));
-  check_bool "unbound var" true (Linear.bounds ~env (Texpr.var (Var.create "z")) = None)
+  check_bool "unbound var" true (Linear.bounds ~env (Texpr.var (Var.create "z")) = None);
+  (* every interval fits its node's dtype and stays within 2^30 *)
+  let p = Var.create ~dtype:Dtype.I8 "p" in
+  let env_p v = if Var.equal v p then Some (0, 100) else env v in
+  let overflow = Texpr.add (Texpr.var p) (Texpr.int_imm ~dtype:Dtype.I8 100) in
+  check_bool "i8 add overflow" true (Linear.bounds ~env:env_p overflow = None);
+  check_bool "literal 2^31" true
+    (Linear.bounds ~env (Texpr.int_imm ~dtype:Dtype.I64 (1 lsl 31)) = None);
+  check_bool "cmp is boolean" true
+    (Linear.bounds ~env (Texpr.cmp Texpr.Lt (Texpr.var x) (Texpr.var y)) = Some (0, 1));
+  let narrowed = Texpr.cast Dtype.I8 (Texpr.mul (Texpr.var x) (Texpr.int_imm 100)) in
+  check_bool "narrowing cast of out-of-range operand" true
+    (Linear.bounds ~env narrowed = None);
+  let b = Buffer.create ~name:"b" ~dtype:Dtype.U8 ~size:10 () in
+  let ld = Texpr.load b (Texpr.var x) in
+  check_bool "u8 load unbounded by default" true (Linear.bounds ~env ld = None);
+  let range dt =
+    (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
+  in
+  let load (b : Buffer.t) = Some (range b.Buffer.dtype) in
+  check_bool "u8 load through ~load" true (Linear.bounds ~load ~env ld = Some (0, 255));
+  List.iter
+    (fun dt ->
+      let lo, hi = range dt and name = Dtype.to_string dt in
+      check_bool (name ^ " range fits") true (Linear.fit dt (lo, hi) = Some (lo, hi));
+      check_bool (name ^ " below range") true (Linear.fit dt (lo - 1, hi) = None);
+      check_bool (name ^ " above range") true (Linear.fit dt (lo, hi + 1) = None))
+    [ Dtype.Bool; Dtype.U8; Dtype.I8; Dtype.I16 ];
+  check_bool "i32 capped at 2^30" true (Linear.fit Dtype.I32 (0, (1 lsl 30) + 1) = None)
 
 let test_substitute_zero () =
   let x = Var.create "x" and y = Var.create "y" in

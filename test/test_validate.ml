@@ -108,6 +108,20 @@ let test_out_of_bounds_store_flagged () =
   check_int "one violation" 1 (List.length violations);
   check_bool "bounds rule" true ((List.hd violations).Diag.rule = Diag.Bounds)
 
+(* x * 2^30 * 2 wraps to -2^31 in i32 at x = 1, so the store lands at
+   b[-2] at run time.  Interval arithmetic that ignores the wrap would
+   bound the index to [0, 2] and pass it. *)
+let test_wrapping_index_flagged () =
+  let buf = Buffer.create ~name:"b" ~dtype:Dtype.I32 ~size:4 () in
+  let x = Var.create "x" in
+  let i32 n = Texpr.int_imm ~dtype:Dtype.I32 n in
+  let index =
+    Texpr.div (Texpr.mul (Texpr.mul (Texpr.var x) (i32 1073741824)) (i32 2)) (i32 1073741824)
+  in
+  let body = Stmt.for_ x ~extent:2 (Stmt.Store (buf, index, i32 7)) in
+  let violations = Validate.check_stmt ~params:[ buf ] body in
+  check_bool "bounds rule" true (has_rule Diag.Bounds violations)
+
 let test_buffer_not_in_scope_flagged () =
   let buf = Buffer.create ~name:"b" ~dtype:Dtype.I32 ~size:8 () in
   let other = Buffer.create ~name:"other" ~dtype:Dtype.I32 ~size:8 () in
@@ -254,6 +268,7 @@ let () =
             test_without_guard_refinement_out_of_bounds;
           Alcotest.test_case "unbound variable" `Quick test_unbound_variable_flagged;
           Alcotest.test_case "out of bounds store" `Quick test_out_of_bounds_store_flagged;
+          Alcotest.test_case "wrapping index" `Quick test_wrapping_index_flagged;
           Alcotest.test_case "buffer scope" `Quick test_buffer_not_in_scope_flagged;
           Alcotest.test_case "rebound loop var" `Quick test_rebound_loop_variable_flagged;
           Alcotest.test_case "corrupted tiles" `Quick test_bad_tile_flagged;
