@@ -33,6 +33,13 @@ let geomean xs =
 let header title =
   Printf.printf "\n=== %s ===\n" title
 
+let write_json path j =
+  let oc = open_out path in
+  output_string oc (Unit_obs.Json.to_string j);
+  output_string oc "\n";
+  close_out oc;
+  Printf.printf "-> %s written\n" path
+
 (* ---------- quantized model preparation (shared by Figs 8 and 12) ---------- *)
 
 let prepared : (string * Dtype.t, Unit_graph.Graph.t) Hashtbl.t = Hashtbl.create 16
@@ -439,96 +446,18 @@ instruction amx.tdpbusd.16x8 {
   { o_id = "abl-isa"; o_metric = "AMX speedup over AVX512 pmaddwd"; o_paper = 4.0;
     o_measured = t_avx /. t_amx }
 
-(* ---------- interpreter engines: tree-walker vs compiled ---------- *)
-
-(* Execute one real convolution layer (resnet18 basic-block shape, 64->64
-   3x3 on a 14x14 output) under both interpreter engines and record the
-   wall-clock ratio.  Results go to BENCH_interp.json. *)
-let interp_bench () =
-  header "Interpreter engines — tree-walker vs compiled (resnet18 conv 64->64 3x3)";
-  let module Inspector = Unit_inspector.Inspector in
-  let module Reorganize = Unit_rewriter.Reorganize in
-  let module Replace = Unit_rewriter.Replace in
-  let module Ndarray = Unit_codegen.Ndarray in
-  let op =
-    Unit_dsl.Op_library.conv2d_nchwc ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
-      ~acc_dtype:Dtype.I32 ~lanes:16 ~reduce_width:4
-      { Unit_dsl.Op_library.in_channels = 64; in_height = 16; in_width = 16;
-        out_channels = 64; kernel = 3; stride = 1 }
-  in
-  let workload = "conv2d nchw16c 64x16x16 -> 64x14x14, 3x3 s1 (resnet18 block)" in
-  let macs = Unit_dsl.Op.macs op in
-  let scalar = Unit_tir.Lower.scalar_reference op in
-  let tensorized =
-    match Inspector.inspect op (Unit_isa.Registry.find_exn "vnni.vpdpbusd") with
-    | Ok ap ->
-      let r = Reorganize.apply op ap () in
-      Replace.run (Unit_tir.Lower.lower r.Reorganize.schedule)
-    | Error _ -> failwith "vnni inapplicable to the bench conv"
-  in
-  let inputs =
-    List.map
-      (fun t -> (t, Ndarray.random_for_tensor ~seed:1 t))
-      (Unit_dsl.Op.inputs op)
-  in
-  let output = op.Unit_dsl.Op.output in
-  let fresh_out () = Ndarray.of_tensor_zeros output in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let best_of n f = List.fold_left Float.min infinity (List.init n (fun _ -> time f)) in
-  (* the tree-walker is slow enough that one run is a stable measurement *)
-  let out_tw = fresh_out () in
-  let tree_walker_s =
-    time (fun () ->
-        Unit_codegen.Interp.run scalar ~bindings:((output, out_tw) :: inputs))
-  in
-  let cfunc = Unit_codegen.Compile.compile scalar in
-  let out_c = fresh_out () in
-  let compiled_s =
-    best_of 5 (fun () ->
-        Unit_codegen.Compile.run_compiled cfunc ~bindings:((output, out_c) :: inputs))
-  in
-  if not (Ndarray.equal out_tw out_c) then failwith "engines disagree on the bench conv";
-  let ctens = Unit_codegen.Compile.compile tensorized in
-  let out_t = fresh_out () in
-  let compiled_tensorized_s =
-    best_of 5 (fun () ->
-        Unit_codegen.Compile.run_compiled ctens ~bindings:((output, out_t) :: inputs))
-  in
-  if not (Ndarray.equal out_tw out_t) then failwith "tensorized compiled run disagrees";
-  let speedup = tree_walker_s /. compiled_s in
-  let gmacs t = Float.of_int macs /. t /. 1e9 in
-  Printf.printf "%-28s %10.4f s  (%6.3f GMACs)\n" "tree-walker (scalar ref)"
-    tree_walker_s (gmacs tree_walker_s);
-  Printf.printf "%-28s %10.4f s  (%6.3f GMACs)  %.1fx\n" "compiled (scalar ref)"
-    compiled_s (gmacs compiled_s) speedup;
-  Printf.printf "%-28s %10.4f s  (%6.3f GMACs)\n" "compiled (tensorized)"
-    compiled_tensorized_s (gmacs compiled_tensorized_s);
-  let oc = open_out "BENCH_interp.json" in
-  Printf.fprintf oc
-    "{\n  \"workload\": \"%s\",\n  \"macs\": %d,\n  \"tree_walker_s\": %.6f,\n\
-    \  \"compiled_s\": %.6f,\n  \"speedup\": %.2f,\n\
-    \  \"compiled_tensorized_s\": %.6f\n}\n"
-    workload macs tree_walker_s compiled_s speedup compiled_tensorized_s;
-  close_out oc;
-  Printf.printf "-> BENCH_interp.json written\n";
-  { o_id = "interp"; o_metric = "compiled engine speedup over tree-walker";
-    o_paper = 10.0; o_measured = speedup }
-
 (* ---------- execution engines: emitted native kernel vs closure ---------- *)
 
-(* The same resnet18 conv layer as [interp_bench], now under all three
-   execution engines: tree-walking oracle, closure-compiled, and the
-   natively emitted .cmxs (pretty-printed OCaml -> ocamlopt -shared ->
-   Dynlink).  Emission cost (render + compile + load) is paid once up
-   front and excluded from the steady-state timing — that is exactly the
-   artifact cache's contract.  The Pipeline-tuned tensorized kernel of
-   the same conv is timed on the emitted engine too.  Results go to
-   BENCH_emit.json, gated by bench-lint: engines monotone, emitted >= 3x
-   over closures, tensorized no slower than the scalar reference. *)
+(* One resnet18 basic-block conv (64->64 3x3 on a 14x14 output) under
+   all three execution engines: tree-walking oracle, closure-compiled,
+   and the natively emitted .cmxs (pretty-printed OCaml -> ocamlopt
+   -shared -> Dynlink).  Emission cost (render + compile + load) is paid
+   once up front and excluded from the steady-state timing — that is
+   exactly the artifact cache's contract.  The Pipeline-tuned tensorized
+   kernel of the same conv is timed on the closure and emitted engines
+   too.  Results go to BENCH_emit.json, gated by bench-lint: engines
+   monotone, emitted >= 3x over closures, tensorized no slower than the
+   scalar reference on the emitted engine. *)
 let emit_bench () =
   header "Execution engines — emitted native kernel vs closure engine (resnet18 conv)";
   let module Inspector = Unit_inspector.Inspector in
@@ -593,6 +522,14 @@ let emit_bench () =
     | Ok c -> c.Pipeline.c_tuned.Cpu_tuner.t_func
     | Error f -> failwith ("bench conv: " ^ Pipeline.failure_to_string f)
   in
+  let ctens = Unit_codegen.Compile.compile tensorized in
+  let out_ct = fresh_out () in
+  let compiled_tensorized_s =
+    best_of 5 (fun () ->
+        Unit_codegen.Compile.run_compiled ctens ~bindings:((output, out_ct) :: inputs))
+  in
+  if not (Ndarray.equal out_tw out_ct) then
+    failwith "closure engine disagrees on the tensorized kernel";
   let tsignature = "bench-emit|resnet18-conv-tensorized" in
   let out_t = fresh_out () in
   Emit_cache.run ~signature:tsignature tensorized ~bindings:((output, out_t) :: inputs);
@@ -616,18 +553,24 @@ let emit_bench () =
   Printf.printf "%-28s %10.4f s  (%6.3f GMACs)  %.1fx over closures\n"
     "emitted (native .cmxs)" emitted_s (gmacs emitted_s) speedup;
   Printf.printf "%-28s %10.4f s  (%6.3f GMACs)  %.2fx the scalar time\n"
+    "compiled (tensorized)" compiled_tensorized_s (gmacs compiled_tensorized_s)
+    (compiled_tensorized_s /. compiled_s);
+  Printf.printf "%-28s %10.4f s  (%6.3f GMACs)  %.2fx the scalar time\n"
     "emitted (tensorized)" emitted_tensorized_s (gmacs emitted_tensorized_s)
     tensorized_vs_scalar;
-  let oc = open_out "BENCH_emit.json" in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"unit-emit\",\n  \"workload\": \"%s\",\n  \"macs\": %d,\n\
-    \  \"tree_walker_s\": %.6f,\n  \"compiled_s\": %.6f,\n\
-    \  \"emitted_s\": %.6f,\n  \"speedup_vs_compiled\": %.2f,\n\
-    \  \"emitted_tensorized_s\": %.6f,\n  \"tensorized_vs_scalar\": %.3f\n}\n"
-    workload macs tree_walker_s compiled_s emitted_s speedup emitted_tensorized_s
-    tensorized_vs_scalar;
-  close_out oc;
-  Printf.printf "-> BENCH_emit.json written\n";
+  let module Json = Unit_obs.Json in
+  let j =
+    Json.Obj
+      [ ("schema", Json.Str "unit-emit"); ("workload", Json.Str workload);
+        ("macs", Json.Num (float_of_int macs));
+        ("tree_walker_s", Json.Num tree_walker_s); ("compiled_s", Json.Num compiled_s);
+        ("emitted_s", Json.Num emitted_s); ("speedup_vs_compiled", Json.Num speedup);
+        ("compiled_tensorized_s", Json.Num compiled_tensorized_s);
+        ("emitted_tensorized_s", Json.Num emitted_tensorized_s);
+        ("tensorized_vs_scalar", Json.Num tensorized_vs_scalar)
+      ]
+  in
+  write_json "BENCH_emit.json" j;
   { o_id = "emit"; o_metric = "emitted engine speedup over closure engine";
     o_paper = 3.0; o_measured = speedup }
 
@@ -847,11 +790,7 @@ let serve_bench () =
         ("exact_p99_us", Json.Num (Float.round exact_p99))
       ]
   in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Json.to_string j);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "-> BENCH_serve.json written\n";
+  write_json "BENCH_serve.json" j;
   { o_id = "serve"; o_metric = "daemon soak duplicate tuner sweeps";
     o_paper = 0.0; o_measured = float_of_int duplicate_tunes }
 
@@ -861,8 +800,7 @@ let all : (string * (unit -> outcome)) list =
   [ ("table1", table1); ("fig1", fig1); ("fig8", fig8); ("fig9", fig9);
     ("fig10", fig10); ("fig11", fig11); ("fig12", fig12); ("fig13", fig13);
     ("ablation-mapping", ablation_mapping); ("ablation-unroll", ablation_unroll);
-    ("ablation-isa", ablation_isa_generations); ("interp", interp_bench);
-    ("emit", emit_bench); ("serve", serve_bench)
+    ("ablation-isa", ablation_isa_generations); ("emit", emit_bench); ("serve", serve_bench)
   ]
 
 let summary outcomes =
@@ -919,12 +857,8 @@ let write_obs_json outcomes =
   in
   let j =
     Json.Obj
-      [ ("outcomes", outcomes_json); ("spans", spans_json);
-        ("counters", counters_json); ("histograms", hists_json)
+      [ ("schema", Json.Str "unit-outcomes"); ("outcomes", outcomes_json);
+        ("spans", spans_json); ("counters", counters_json); ("histograms", hists_json)
       ]
   in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc (Json.to_string j);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "-> BENCH_obs.json written\n"
+  write_json "BENCH_obs.json" j

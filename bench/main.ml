@@ -2,7 +2,8 @@
 
    - `dune exec bench/main.exe` runs every experiment (Table I, Figs. 1 and
      8-13) and prints a paper-vs-measured summary.
-   - `dune exec bench/main.exe <exp>...` runs a subset (e.g. `fig10`). *)
+   - `dune exec bench/main.exe <exp>...` runs a subset (e.g. `fig10`);
+     only a full run rewrites BENCH_obs.json, which holds every outcome. *)
 
 let () = Unit_isa.Defs.ensure_registered ()
 
@@ -28,4 +29,4 @@ let () =
   let outcomes = List.map (fun (_, f) -> f ()) chosen in
   Unit_obs.Obs.set_enabled false;
   Experiments.summary outcomes;
-  Experiments.write_obs_json outcomes
+  if args = [] then Experiments.write_obs_json outcomes

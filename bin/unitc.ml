@@ -1002,13 +1002,7 @@ let trace_lint file forbid_spans require_counters count_spans require_tagged =
             (Error ("--require-span-tagged " ^ spec ^ ": expected NAME=TRACE_ID")))
       require_tagged
   in
-  let contents =
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.parse contents with
+  match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
   | Error m -> or_die (Error (Printf.sprintf "%s does not parse as JSON: %s" file m))
   | Ok j ->
     let events =
@@ -1693,9 +1687,9 @@ let bench_lint_cmd =
   Cmd.v
     (Cmd.info "bench-lint"
        ~doc:
-         "Validate checked-in benchmark JSON files against the shape each \
-          claims (perf report, paper outcomes, or interpreter benchmark); \
-          exits non-zero on any failure.")
+         "Validate checked-in benchmark JSON files against the fields and \
+          gates their schema tag names (perf report, paper outcomes, memory \
+          plan, emitted engine, serve soak); exits non-zero on any failure.")
     Term.(const bench_lint $ files)
 
 let trace_lint_cmd =

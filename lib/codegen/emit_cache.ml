@@ -139,12 +139,6 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let first_line_of s =
   match String.index_opt s '\n' with
   | Some i when i > 0 -> String.sub s 0 (Stdlib.min i 200)
@@ -176,7 +170,10 @@ let compile_source tc ~modname ~source =
   in
   let rc = Sys.command cmd in
   if rc <> 0 || not (Sys.file_exists out) then begin
-    let detail = try first_line_of (read_file log) with _ -> "" in
+    let detail =
+      try first_line_of (In_channel.with_open_bin log In_channel.input_all)
+      with _ -> ""
+    in
     Error (Printf.sprintf "ocamlopt exit %d: %s" rc detail)
   end
   else Ok out
@@ -188,7 +185,7 @@ let install_artifact ~dir ~file ~from =
   mkdir_p dir;
   let dst = Filename.concat dir file in
   let tmp = dst ^ ".tmp" in
-  let contents = read_file from in
+  let contents = In_channel.with_open_bin from In_channel.input_all in
   write_file tmp contents;
   Sys.rename tmp dst;
   (dst, String.length contents)

@@ -69,26 +69,19 @@ let to_json r =
 
 let ( let* ) r f = Result.bind r f
 
-let str name j =
-  match Option.bind (Json.member name j) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %s missing or not a string" name)
-
-let num name j =
-  match Option.bind (Json.member name j) Json.to_num with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "field %s missing or not a number" name)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: xs ->
+    let* y = f x in
+    let* ys = map_ok f xs in
+    Ok (y :: ys)
 
 let kernel_of_json j =
-  let* id =
-    match Option.bind (Json.member "id" j) Json.to_int with
-    | Some i when i >= 0 -> Ok i
-    | Some _ -> Error "field id is negative"
-    | None -> Error "field id missing or not an integer"
-  in
-  let* k_workload = str "workload" j in
-  let* k_isa = str "isa" j in
-  let* k_cycles = num "cycles" j in
+  let* id = Json.int_field "id" j in
+  let* () = if id >= 0 then Ok () else Error "field id is negative" in
+  let* k_workload = Json.str_field "workload" j in
+  let* k_isa = Json.str_field "isa" j in
+  let* k_cycles = Json.num_field "cycles" j in
   let* () = if k_cycles >= 0.0 then Ok () else Error "field cycles is negative" in
   let* k_report =
     match Json.member "report" j with
@@ -98,35 +91,20 @@ let kernel_of_json j =
   Ok { k_id = id; k_workload; k_isa; k_cycles; k_report }
 
 let of_json j =
-  let* s = str "schema" j in
+  let* s = Json.str_field "schema" j in
   let* () =
     if String.equal s schema then Ok ()
     else Error (Printf.sprintf "schema is %S (want %S)" s schema)
   in
-  let* v =
-    match Option.bind (Json.member "v" j) Json.to_int with
-    | Some v -> Ok v
-    | None -> Error "field v missing or not an integer"
-  in
+  let* v = Json.int_field "v" j in
   let* () =
     if v = version then Ok ()
     else Error (Printf.sprintf "perf-report v%d (want v%d)" v version)
   in
-  let* pg_target = str "target" j in
-  let* kernels =
-    match Option.bind (Json.member "kernels" j) Json.to_list with
-    | Some ks -> Ok ks
-    | None -> Error "field kernels missing or not an array"
-  in
-  let* pg_kernels =
-    List.fold_left
-      (fun acc k ->
-        let* acc = acc in
-        let* k = kernel_of_json k in
-        Ok (k :: acc))
-      (Ok []) kernels
-  in
-  Ok { pg_target; pg_kernels = List.rev pg_kernels }
+  let* pg_target = Json.str_field "target" j in
+  let* kernels = Json.list_field "kernels" j in
+  let* pg_kernels = map_ok kernel_of_json kernels in
+  Ok { pg_target; pg_kernels }
 
 let write path r =
   let oc = open_out_bin path in
@@ -136,18 +114,14 @@ let write path r =
       output_string oc (Json.to_string (to_json r));
       output_char oc '\n')
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_json path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | content -> Json.parse content
 
 let read path =
-  match read_file path with
-  | exception Sys_error m -> Error m
-  | content ->
-    let* j = Json.parse content in
-    of_json j
+  let* j = read_json path in
+  of_json j
 
 (* ---------- diffing ---------- *)
 
@@ -240,229 +214,246 @@ let pp_diff ~tolerance ppf df =
 
 (* ---------- schema lint for checked-in benchmark files ---------- *)
 
-let validate_outcomes j =
-  match Option.bind (Json.member "outcomes" j) Json.to_list with
-  | None -> Error "field outcomes missing or not an array"
-  | Some rows ->
-    let* n =
-      List.fold_left
-        (fun acc row ->
-          let* n = acc in
-          let* _ = str "id" row in
-          let* _ = str "metric" row in
-          let* _ = num "paper" row in
-          let* _ = num "measured" row in
-          Ok (n + 1))
-        (Ok 0) rows
-    in
-    Ok (Printf.sprintf "paper-outcomes file, %d outcomes" n)
+(* Every BENCH freeze but the perf report is one entry of
+   [bench_schemas]: the fields it must carry and the gates its numbers
+   must pass, checked in order by [check] (the first failure is the
+   error).  A message reads the document's numbers, so it can quote
+   the values that failed. *)
 
-let validate_interp j =
-  let* _ = str "workload" j in
-  let* macs = num "macs" j in
-  let* () = if macs > 0.0 then Ok () else Error "field macs is not positive" in
-  let* _ = num "tree_walker_s" j in
-  let* _ = num "compiled_s" j in
-  let* _ = num "speedup" j in
-  Ok "interpreter benchmark file"
+type message = (string -> float) -> string
 
-(* The memory-plan freeze ([Memplan.bench_rows]).  Beyond shape checks,
-   this gates on the plan's substance: every arena must beat naive
-   allocation, and the headline resnet18 plan must reach <= 60% of the
-   naive peak — a regressed planner fails the build here, not in review. *)
-let validate_memplan j =
-  let* rows =
-    match Option.bind (Json.member "models" j) Json.to_list with
-    | Some rows -> Ok rows
-    | None -> Error "field models missing or not an array"
-  in
-  let* n =
-    List.fold_left
-      (fun acc row ->
-        let* n = acc in
-        let* model = str "model" row in
-        let* naive = num "naive_bytes" row in
-        let* _peak = num "peak_bytes" row in
-        let* arena = num "arena_bytes" row in
-        let* ratio = num "reuse_ratio" row in
-        let* _slots = num "slots" row in
-        let* () =
-          if naive > 0.0 && arena > 0.0 then Ok ()
-          else Error (model ^ ": byte counts must be positive")
-        in
-        let* () =
-          if Float.abs (ratio -. (arena /. naive)) <= 0.001 then Ok ()
-          else Error (model ^ ": reuse_ratio does not match arena/naive")
-        in
-        let* () =
-          if arena <= naive then Ok ()
-          else Error (model ^ ": planned arena exceeds naive allocation")
-        in
-        let* () =
-          if String.equal model "resnet18" && arena > 0.60 *. naive then
-            Error
-              (Printf.sprintf
-                 "resnet18: planned arena is %.1f%% of naive (gate: <= 60%%)"
-                 (arena /. naive *. 100.0))
-          else Ok ()
-        in
-        Ok (n + 1))
-      (Ok 0) rows
-  in
-  let* () =
-    if List.exists (fun row -> str "model" row = Ok "resnet18") rows then Ok ()
-    else Error "resnet18 row missing (the 60% gate has nothing to check)"
-  in
-  Ok (Printf.sprintf "memory-plan benchmark, %d models" n)
+type gate =
+  | Positive of string list * message  (** each field > 0 *)
+  | Range of string * float * float * message  (** lo <= field <= hi *)
+  | Is_true of string * message
+  | Ordered of string list * message  (** a <= b <= ... *)
+  | Ratio of string * (string * string) * [ `Abs of float | `Rel of float ] * message
+      (** field = a/b within the tolerance (`Rel: a fraction of field) *)
+  | Share of (string * string) * float * message  (** a/b <= k *)
 
-(* The emitted-engine freeze (BENCH_emit.json).  Gates on substance, not
-   just shape: the three engines must be monotone (emitted <= compiled <=
-   tree-walker — a native kernel slower than the closure engine means the
-   emitter regressed), the emitted engine must hold a >= 3x margin
-   over the closure engine on the headline resnet18 conv workload, and
-   on the emitted engine the tuned tensorized kernel must take no longer
-   than the scalar reference — a ratio, so it holds on other hosts. *)
-let validate_emit j =
-  let* _ = str "workload" j in
-  let* macs = num "macs" j in
-  let* () = if macs > 0.0 then Ok () else Error "field macs is not positive" in
-  let* tw = num "tree_walker_s" j in
-  let* c = num "compiled_s" j in
-  let* e = num "emitted_s" j in
-  let* ratio = num "speedup_vs_compiled" j in
-  let* () =
-    if tw > 0.0 && c > 0.0 && e > 0.0 then Ok ()
-    else Error "engine timings must be positive"
-  in
-  let* () =
-    if e <= c && c <= tw then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "engine timings not monotone (want emitted <= compiled <= \
-            tree-walker, got %.6f / %.6f / %.6f)"
-           e c tw)
-  in
-  let* () =
-    if Float.abs (ratio -. (c /. e)) <= 0.01 *. ratio then Ok ()
-    else Error "speedup_vs_compiled does not match compiled_s/emitted_s"
-  in
-  let* () =
-    if ratio >= 3.0 then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "emitted engine is only %.2fx over the closure engine (gate: >= 3x)"
-           ratio)
-  in
-  let* t = num "emitted_tensorized_s" j in
-  let* tv = num "tensorized_vs_scalar" j in
-  let* () = if t > 0.0 then Ok () else Error "engine timings must be positive" in
-  let* () =
-    if Float.abs (tv -. (t /. e)) <= 0.01 *. tv then Ok ()
-    else Error "tensorized_vs_scalar does not match emitted_tensorized_s/emitted_s"
-  in
-  let* () =
-    if tv <= 1.0 then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "tensorized kernel takes %.2fx the scalar reference's time (gate: <= 1.0)"
-           tv)
-  in
-  Ok
-    (Printf.sprintf "emitted-engine benchmark, %.1fx over closure, tensorized %.2fx scalar"
-       ratio tv)
+type shape = {
+  strings : string list;
+  numbers : string list;
+  bools : string list;
+  gates : gate list;
+}
 
-(* The daemon soak freeze (BENCH_serve.json).  The substance gates mirror
-   the ISSUE acceptance bar: a real soak (>= 2000 requests over >= 4
-   domains), zero duplicate tuner sweeps (coalescing + single-flight did
-   their job), responses bit-identical to direct pipeline calls, and
-   sane latency percentiles. *)
-let validate_serve j =
-  let bool_field name =
-    match Json.member name j with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error (Printf.sprintf "field %s missing or not a bool" name)
+type bench_schema = {
+  tag : string;
+  doc : shape;
+  rows : (string * string * shape) option;
+      (** array, key field (prefixes a row's messages), row shape *)
+  keyed : (string * gate * string) list;
+      (** the row keyed [k] must exist (else the message) and pass the gate *)
+  summary : (string -> float) -> int -> string;  (** numbers, row count *)
+}
+
+let shape ?(strings = []) ?(numbers = []) ?(bools = []) gates =
+  { strings; numbers; bools; gates }
+
+let text s _ = s
+let quote fmt f v = Printf.sprintf fmt (v f)
+
+let bench_schemas =
+  let monotone v =
+    Printf.sprintf
+      "engine timings not monotone (want emitted <= compiled <= tree-walker, got \
+       %.6f / %.6f / %.6f)"
+      (v "emitted_s") (v "compiled_s") (v "tree_walker_s")
   in
-  let* requests = num "requests" j in
-  let* domains = num "domains" j in
-  let* distinct = num "distinct_workloads" j in
-  let* duplicates = num "duplicate_tunes" j in
-  let* _coalesced = num "coalesced" j in
-  let* identical = bool_field "bit_identical" in
-  let* p50 = num "p50_us" j in
-  let* p99 = num "p99_us" j in
-  let* exact_p50 = num "exact_p50_us" j in
-  let* exact_p99 = num "exact_p99_us" j in
-  let* () =
-    if requests >= 2000.0 then Ok ()
-    else
-      Error
-        (Printf.sprintf "soak covered only %.0f requests (gate: >= 2000)"
-           requests)
+  let latency v =
+    Printf.sprintf "latency percentiles implausible (p50 %.1f, p99 %.1f)" (v "p50_us")
+      (v "p99_us")
   in
-  let* () =
-    if domains >= 4.0 then Ok ()
-    else Error (Printf.sprintf "soak used only %.0f domains (gate: >= 4)" domains)
+  let exact v =
+    Printf.sprintf
+      "flight-recorder percentiles implausible (exact p50 %.1f, exact p99 %.1f)"
+      (v "exact_p50_us") (v "exact_p99_us")
   in
-  let* () =
-    if distinct > 0.0 then Ok ()
-    else Error "field distinct_workloads is not positive"
+  [ { tag = "unit-outcomes";
+      doc = shape [];
+      rows =
+        Some
+          ( "outcomes",
+            "id",
+            shape ~strings:[ "id"; "metric" ] ~numbers:[ "paper"; "measured" ] [] );
+      keyed = [];
+      summary = (fun _ n -> Printf.sprintf "paper-outcomes file, %d outcomes" n)
+    };
+    (* [Memplan.bench_rows]: every arena must beat naive allocation and
+       hold the peak, and the headline resnet18 plan must reach <= 60% of
+       the naive peak *)
+    { tag = "unit-memplan";
+      doc = shape [];
+      rows =
+        Some
+          ( "models",
+            "model",
+            shape ~strings:[ "model" ]
+              ~numbers:
+                [ "naive_bytes"; "peak_bytes"; "arena_bytes"; "reuse_ratio"; "slots" ]
+              [ Positive
+                  ([ "naive_bytes"; "arena_bytes" ], text "byte counts must be positive");
+                Ratio ("reuse_ratio", ("arena_bytes", "naive_bytes"), `Abs 0.001,
+                       text "reuse_ratio does not match arena/naive");
+                Ordered ([ "arena_bytes"; "naive_bytes" ],
+                         text "planned arena exceeds naive allocation");
+                Ordered ([ "peak_bytes"; "arena_bytes" ],
+                         text "peak live bytes exceed the planned arena")
+              ] );
+      keyed =
+        [ ( "resnet18",
+            Share (("arena_bytes", "naive_bytes"), 0.60, fun v ->
+                Printf.sprintf "planned arena is %.1f%% of naive (gate: <= 60%%)"
+                  (v "arena_bytes" /. v "naive_bytes" *. 100.0)),
+            "resnet18 row missing (the 60% gate has nothing to check)" )
+        ];
+      summary = (fun _ n -> Printf.sprintf "memory-plan benchmark, %d models" n)
+    };
+    (* BENCH_emit.json: monotone engines (a native kernel slower than
+       the closure engine means the emitter regressed), >= 3x emitted
+       over closures, and on the emitted engine the tuned tensorized
+       kernel no slower than the scalar reference — ratios, so they hold
+       on other hosts.  [compiled_tensorized_s] is recorded, not gated. *)
+    { tag = "unit-emit";
+      doc =
+        shape ~strings:[ "workload" ]
+          ~numbers:
+            [ "macs"; "tree_walker_s"; "compiled_s"; "emitted_s"; "speedup_vs_compiled";
+              "compiled_tensorized_s"; "emitted_tensorized_s"; "tensorized_vs_scalar" ]
+          [ Positive ([ "macs" ], text "field macs is not positive");
+            Positive ([ "tree_walker_s"; "compiled_s"; "emitted_s" ],
+                      text "engine timings must be positive");
+            Ordered ([ "emitted_s"; "compiled_s"; "tree_walker_s" ], monotone);
+            Ratio ("speedup_vs_compiled", ("compiled_s", "emitted_s"), `Rel 0.01,
+                   text "speedup_vs_compiled does not match compiled_s/emitted_s");
+            Range ("speedup_vs_compiled", 3.0, infinity,
+                   quote
+                     "emitted engine is only %.2fx over the closure engine (gate: >= 3x)"
+                     "speedup_vs_compiled");
+            Positive ([ "emitted_tensorized_s" ],
+                      text "field emitted_tensorized_s is not positive");
+            Ratio
+              ( "tensorized_vs_scalar",
+                ("emitted_tensorized_s", "emitted_s"),
+                `Rel 0.01,
+                text "tensorized_vs_scalar does not match emitted_tensorized_s/emitted_s" );
+            Range ("tensorized_vs_scalar", neg_infinity, 1.0,
+                   quote
+                     "tensorized kernel takes %.2fx the scalar reference's time (gate: \
+                      <= 1.0)"
+                     "tensorized_vs_scalar")
+          ];
+      rows = None;
+      keyed = [];
+      summary =
+        (fun v _ ->
+          Printf.sprintf
+            "emitted-engine benchmark, %.1fx over closure, tensorized %.2fx scalar"
+            (v "speedup_vs_compiled") (v "tensorized_vs_scalar"))
+    };
+    (* BENCH_serve.json: a real soak (>= 2000 requests over >= 4
+       domains), zero duplicate tuner sweeps (coalescing + single-flight
+       did their job), responses bit-identical to direct pipeline calls,
+       and sane percentiles, client-side and over the flight recorder's
+       window *)
+    { tag = "unit-serve";
+      doc =
+        shape
+          ~numbers:
+            [ "requests"; "domains"; "distinct_workloads"; "duplicate_tunes"; "coalesced";
+              "p50_us"; "p99_us"; "exact_p50_us"; "exact_p99_us" ]
+          ~bools:[ "bit_identical" ]
+          [ Range ("requests", 2000.0, infinity,
+                   quote "soak covered only %.0f requests (gate: >= 2000)" "requests");
+            Range ("domains", 4.0, infinity,
+                   quote "soak used only %.0f domains (gate: >= 4)" "domains");
+            Positive
+              ([ "distinct_workloads" ], text "field distinct_workloads is not positive");
+            Range ("duplicate_tunes", 0.0, 0.0,
+                   quote "%.0f duplicate tuner sweep(s) — coalescing/single-flight failed"
+                     "duplicate_tunes");
+            Ordered ([ "coalesced"; "requests" ], fun v ->
+                Printf.sprintf "%.0f coalesced requests out of %.0f served" (v "coalesced")
+                  (v "requests"));
+            Is_true
+              ("bit_identical", text "daemon responses diverged from direct pipeline calls");
+            Positive ([ "p50_us" ], latency);
+            Ordered ([ "p50_us"; "p99_us" ], latency);
+            Positive ([ "exact_p50_us" ], exact);
+            Ordered ([ "exact_p50_us"; "exact_p99_us" ], exact)
+          ];
+      rows = None;
+      keyed = [];
+      summary =
+        (fun v _ ->
+          Printf.sprintf "serve soak benchmark, %.0f requests, p50 %.0f us, p99 %.0f us"
+            (v "requests") (v "p50_us") (v "p99_us"))
+    }
+  ]
+
+(* NaN — failing every gate — when a gate names a field its shape does
+   not require *)
+let value j name =
+  Option.value ~default:nan (Option.bind (Json.member name j) Json.to_num)
+
+let check_gate ~prefix j gate =
+  let v = value j in
+  let rec sorted = function a :: (b :: _ as rest) -> a <= b && sorted rest | _ -> true in
+  let holds, message =
+    match gate with
+    | Positive (fs, m) -> (List.for_all (fun f -> v f > 0.0) fs, m)
+    | Range (f, lo, hi, m) -> (lo <= v f && v f <= hi, m)
+    | Is_true (f, m) -> (Json.member f j = Some (Json.Bool true), m)
+    | Ordered (fs, m) -> (sorted (List.map v fs), m)
+    | Ratio (f, (a, b), tol, m) ->
+      let tol = match tol with `Abs t -> t | `Rel t -> t *. v f in
+      (Float.abs (v f -. (v a /. v b)) <= tol, m)
+    | Share ((a, b), k, m) -> (v a /. v b <= k, m)
   in
-  let* () =
-    if duplicates = 0.0 then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "%.0f duplicate tuner sweep(s) — coalescing/single-flight failed"
-           duplicates)
+  if holds then Ok () else Error (prefix ^ message v)
+
+let check_shape ~prefix shape j =
+  let* _ = map_ok (fun f -> Json.str_field f j) shape.strings in
+  let* _ = map_ok (fun f -> Json.num_field f j) shape.numbers in
+  let* _ = map_ok (fun f -> Json.bool_field f j) shape.bools in
+  map_ok (check_gate ~prefix j) shape.gates
+
+let check schema j =
+  let* _ = check_shape ~prefix:"" schema.doc j in
+  let* rows, key =
+    match schema.rows with
+    | None -> Ok ([], fun _ -> "")
+    | Some (array, key, row) ->
+      let key r = Result.value ~default:"" (Json.str_field key r) in
+      let* rows = Json.list_field array j in
+      let* _ = map_ok (fun r -> check_shape ~prefix:(key r ^ ": ") row r) rows in
+      Ok (rows, key)
   in
-  let* () =
-    if identical then Ok ()
-    else Error "daemon responses diverged from direct pipeline calls"
+  let* _ =
+    map_ok
+      (fun (k, gate, missing) ->
+        match List.find_opt (fun r -> String.equal (key r) k) rows with
+        | None -> Error missing
+        | Some r -> check_gate ~prefix:(k ^ ": ") r gate)
+      schema.keyed
   in
-  let* () =
-    if p50 > 0.0 && p50 <= p99 then Ok ()
-    else
-      Error
-        (Printf.sprintf "latency percentiles implausible (p50 %.1f, p99 %.1f)"
-           p50 p99)
-  in
-  let* () =
-    (* flight-recorder window percentiles: exact over every request the
-       server completed, measured server-side *)
-    if exact_p50 > 0.0 && exact_p50 <= exact_p99 then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "flight-recorder percentiles implausible (exact p50 %.1f, exact \
-            p99 %.1f)"
-           exact_p50 exact_p99)
-  in
-  Ok
-    (Printf.sprintf
-       "serve soak benchmark, %.0f requests, p50 %.0f us, p99 %.0f us" requests
-       p50 p99)
+  Ok (schema.summary (value j) (List.length rows))
 
 let validate_file path =
-  match read_file path with
-  | exception Sys_error m -> Error m
-  | content ->
-    let* j = Json.parse content in
-    (match Json.member "schema" j with
-     | Some s when Json.to_str s = Some "unit-memplan" -> validate_memplan j
-     | Some s when Json.to_str s = Some "unit-emit" -> validate_emit j
-     | Some s when Json.to_str s = Some "unit-serve" -> validate_serve j
-     | Some _ ->
-       let* r = of_json j in
-       Ok
-         (Printf.sprintf "perf report, target %s, %d kernels" r.pg_target
-            (List.length r.pg_kernels))
-     | None ->
-       if Json.member "outcomes" j <> None then validate_outcomes j
-       else if Json.member "workload" j <> None then validate_interp j
-       else
-         Error
-           "unrecognized benchmark shape (expected a perf report, an \
-            outcomes file, or an interpreter benchmark)")
+  let* j = read_json path in
+  let tag = Option.bind (Json.member "schema" j) Json.to_str in
+  match List.find_opt (fun s -> tag = Some s.tag) bench_schemas with
+  | Some s -> check s j
+  | None when tag = Some schema ->
+    let* r = of_json j in
+    Ok
+      (Printf.sprintf "perf report, target %s, %d kernels" r.pg_target
+         (List.length r.pg_kernels))
+  | None ->
+    Error
+      (Printf.sprintf "%s (known tags: %s)"
+         (match tag with
+          | Some t -> Printf.sprintf "unknown schema tag %S" t
+          | None -> "no schema tag")
+         (String.concat ", " (schema :: List.map (fun s -> s.tag) bench_schemas)))

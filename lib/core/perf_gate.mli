@@ -70,16 +70,9 @@ val pp_diff : tolerance:float -> Format.formatter -> diff -> unit
 (** {1 Schema lint} *)
 
 val validate_file : string -> (string, string) result
-(** Validate a checked-in benchmark JSON against the shape it claims:
-    a perf report (["schema": "unit-perf-report"]), the memory-plan
-    freeze (["schema": "unit-memplan"] — shape, arena <= naive for
-    every model, and the resnet18 arena at <= 60% of naive), the
-    emitted-engine freeze (["schema": "unit-emit"] — monotone engine
-    timings and a >= 3x margin over the closure engine), the daemon
-    soak freeze (["schema": "unit-serve"] — >= 2000 requests over
-    >= 4 domains, zero duplicate tuner sweeps, responses bit-identical
-    to direct pipeline calls, p50 <= p99), the interpreter benchmark
-    ([BENCH_interp.json]: workload/macs/seconds members), or the
-    paper-outcomes file ([BENCH_obs.json]: an ["outcomes"] array of
-    id/metric/paper/measured rows).  [Ok] carries a one-line
-    description of what was validated. *)
+(** Validate a checked-in benchmark JSON by its ["schema"] tag alone: a
+    perf report (["unit-perf-report"], decoded by {!of_json}) or one of
+    the entries of [bench_schemas] in [perf_gate.ml], which lists each
+    BENCH freeze's required fields and substance gates.  An untagged
+    or unknown-tag document is an error naming the known tags.  [Ok]
+    carries a one-line description of what was validated. *)

@@ -72,13 +72,12 @@ let to_json r =
     ]
 
 let of_json j =
-  let num name =
-    match Option.bind (Json.member name j) Json.to_num with
-    | Some x when x >= 0.0 || name = "intensity" -> Ok x
-    | Some _ -> Error (Printf.sprintf "report field %s is negative" name)
-    | None -> Error (Printf.sprintf "report field %s missing or not a number" name)
-  in
   let ( let* ) r f = Result.bind r f in
+  let num name =
+    let* x = Json.num_field name j in
+    if x >= 0.0 || name = "intensity" then Ok x
+    else Error (Printf.sprintf "report field %s is negative" name)
+  in
   let* total = num "total" in
   let* compute = num "compute" in
   let* stall = num "stall" in
@@ -88,12 +87,10 @@ let of_json j =
   let* intensity = num "intensity" in
   let* ridge = num "ridge" in
   let* bound =
-    match Option.bind (Json.member "bound" j) Json.to_str with
-    | Some s ->
-      (match bound_of_string s with
-       | Some b -> Ok b
-       | None -> Error (Printf.sprintf "report field bound: unknown value %s" s))
-    | None -> Error "report field bound missing or not a string"
+    let* s = Json.str_field "bound" j in
+    match bound_of_string s with
+    | Some b -> Ok b
+    | None -> Error (Printf.sprintf "report field bound: unknown value %s" s)
   in
   let sum = compute +. stall +. icache +. fork_join +. memory in
   if Float.abs (sum -. total) > 1e-6 *. Float.max 1.0 total then

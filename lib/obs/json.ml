@@ -313,3 +313,16 @@ let to_num = function Num x -> Some x | _ -> None
 let to_int = function
   | Num x when Float.is_integer x && Float.abs x <= 2. ** 52. -> Some (int_of_float x)
   | _ -> None
+
+let to_bool = function Bool b -> Some b | _ -> None
+
+let field conv kind name j =
+  match Option.bind (member name j) conv with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "field %s missing or not %s" name kind)
+
+let str_field = field to_str "a string"
+let num_field = field to_num "a number"
+let int_field = field to_int "an integer"
+let list_field = field to_list "an array"
+let bool_field = field to_bool "a bool"

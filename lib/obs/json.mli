@@ -31,3 +31,17 @@ val to_int : t -> int option
 (** [Some n] only for numbers that are exact integers (within the f64
     53-bit window); the tuning store's reader uses it to reject
     fractional budgets as corrupt. *)
+
+val to_bool : t -> bool option
+
+(** {1 Field readers}
+
+    Result-typed [member] + conversion for hand-written decoders.  A
+    missing or mistyped field is [Error "field NAME missing or not a
+    T"], the one message every decoder shares. *)
+
+val str_field : string -> t -> (string, string) result
+val num_field : string -> t -> (float, string) result
+val int_field : string -> t -> (int, string) result
+val list_field : string -> t -> (t list, string) result
+val bool_field : string -> t -> (bool, string) result

@@ -20,10 +20,9 @@ let config_to_json (c : config) =
 
 let config_of_json j =
   let field name =
-    match Option.bind (Unit_obs.Json.member name j) Unit_obs.Json.to_int with
-    | Some v when v >= 1 -> Ok v
-    | Some v -> Error (Printf.sprintf "config field %s: %d is not positive" name v)
-    | None -> Error (Printf.sprintf "config field %s missing or not an integer" name)
+    Result.bind (Unit_obs.Json.int_field name j) (fun v ->
+        if v >= 1 then Ok v
+        else Error (Printf.sprintf "config field %s: %d is not positive" name v))
   in
   match field "grain", field "unroll" with
   | Ok parallel_grain, Ok unroll_budget -> Ok { parallel_grain; unroll_budget }

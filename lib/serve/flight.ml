@@ -91,19 +91,17 @@ let entry_to_json e =
     ]
 
 let entry_of_json j =
-  let str name = Option.bind (Json.member name j) Json.to_str in
-  let num name = Option.bind (Json.member name j) Json.to_num in
-  let boolean name =
-    match Json.member name j with Some (Json.Bool b) -> Some b | _ -> None
-  in
-  match (str "trace_id", str "key", str "outcome", boolean "coalesced",
-         num "queue_us", num "run_us", str "engine", boolean "store_hit")
-  with
-  | Some fl_trace, Some fl_key, Some fl_outcome, Some fl_coalesced,
-    Some fl_queue_us, Some fl_run_us, Some fl_engine, Some fl_store_hit ->
-    Ok { fl_trace; fl_key; fl_outcome; fl_coalesced; fl_queue_us; fl_run_us;
-         fl_engine; fl_store_hit }
-  | _ -> Error "malformed flight-recorder entry"
+  let ( let* ) r f = Result.bind r f in
+  let* fl_trace = Json.str_field "trace_id" j in
+  let* fl_key = Json.str_field "key" j in
+  let* fl_outcome = Json.str_field "outcome" j in
+  let* fl_coalesced = Json.bool_field "coalesced" j in
+  let* fl_queue_us = Json.num_field "queue_us" j in
+  let* fl_run_us = Json.num_field "run_us" j in
+  let* fl_engine = Json.str_field "engine" j in
+  let* fl_store_hit = Json.bool_field "store_hit" j in
+  Ok { fl_trace; fl_key; fl_outcome; fl_coalesced; fl_queue_us; fl_run_us;
+       fl_engine; fl_store_hit }
 
 let pp_entry ppf e =
   Format.fprintf ppf "%-14s %-40s %-14s %c q=%8.0fus r=%10.0fus %-11s %s"

@@ -173,16 +173,9 @@ let with_installed dir f =
 (* ---------- migration from a legacy single-file store ---------- *)
 
 let copy_file ~src ~dst =
-  let ic = open_in_bin src in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let contents = really_input_string ic n in
-      let oc = open_out_bin dst in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents))
+  let contents = In_channel.with_open_bin src In_channel.input_all in
+  let oc = open_out_bin dst in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
 type migration = {
   mg_records : int;

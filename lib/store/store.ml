@@ -97,20 +97,12 @@ let record_to_json r =
      | Some rep -> [ ("report", Unit_machine.Cost_report.to_json rep) ]
      | None -> [])
 
+let ( let* ) r f = Result.bind r f
+
 (* [Error (`Corrupt m)] for undecodable/invalid lines, [Error (`Stale m)]
    for well-formed lines written under another schema or tuner version. *)
 let record_of_json j =
-  let str name =
-    match Option.bind (Json.member name j) Json.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "field %s missing or not a string" name)
-  in
-  let int name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "field %s missing or not an integer" name)
-  in
-  let ( let* ) r f = Result.bind r f in
+  let str name = Json.str_field name j and int name = Json.int_field name j in
   match
     let* v = int "v" in
     let* tuner = int "tuner" in
@@ -135,12 +127,8 @@ let record_of_json j =
           | None -> Error "field config missing"
         in
         let* r_config = Cpu_tuner.config_of_json config_json in
-        let* r_cycles =
-          match Option.bind (Json.member "cycles" j) Json.to_num with
-          | Some c when c >= 0.0 -> Ok c
-          | Some _ -> Error "field cycles is negative"
-          | None -> Error "field cycles missing or not a number"
-        in
+        let* r_cycles = Json.num_field "cycles" j in
+        let* () = if r_cycles >= 0.0 then Ok () else Error "field cycles is negative" in
         let* r_diag_digest = str "diags" in
         let* r_report =
           match Json.member "report" j with
@@ -182,17 +170,7 @@ let artifact_to_json a =
     ]
 
 let artifact_of_json j =
-  let str name =
-    match Option.bind (Json.member name j) Json.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "field %s missing or not a string" name)
-  in
-  let int name =
-    match Option.bind (Json.member name j) Json.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "field %s missing or not an integer" name)
-  in
-  let ( let* ) r f = Result.bind r f in
+  let str name = Json.str_field name j and int name = Json.int_field name j in
   match int "v" with
   | Error m -> Error (`Corrupt m)
   | Ok v when v <> schema_version ->

@@ -180,10 +180,11 @@ let set fields = function
          kvs)
   | j -> j
 
-let memplan_row ?ratio model naive arena =
+let memplan_row ?ratio ?peak model naive arena =
   Json.Obj
     [ ("model", Json.Str model); ("naive_bytes", num naive);
-      ("peak_bytes", num arena); ("arena_bytes", num arena);
+      ("peak_bytes", num (Option.value ~default:arena peak));
+      ("arena_bytes", num arena);
       ("reuse_ratio", num (Option.value ~default:(arena /. naive) ratio));
       ("slots", num 8.0)
     ]
@@ -199,7 +200,8 @@ let emit =
     [ ("schema", Json.Str "unit-emit"); ("workload", Json.Str "conv");
       ("macs", num 1e6); ("tree_walker_s", num 1.0); ("compiled_s", num 0.4);
       ("emitted_s", num 0.1); ("speedup_vs_compiled", num 4.0);
-      ("emitted_tensorized_s", num 0.05); ("tensorized_vs_scalar", num 0.5)
+      ("compiled_tensorized_s", num 1.6); ("emitted_tensorized_s", num 0.05);
+      ("tensorized_vs_scalar", num 0.5)
     ]
 
 let serve =
@@ -212,9 +214,44 @@ let serve =
       ("exact_p50_us", num 263.0); ("exact_p99_us", num 174221.0)
     ]
 
+let outcome ?(measured = num 1.2) id =
+  Json.Obj
+    [ ("id", Json.Str id); ("metric", Json.Str "speedup"); ("paper", num 1.3);
+      ("measured", measured)
+    ]
+
+let outcomes rows =
+  Json.Obj [ ("schema", Json.Str "unit-outcomes"); ("outcomes", Json.Arr rows) ]
+
+let perf_report =
+  Perf_gate.to_json (report [ kernel 0 1000.0; kernel 1 2000.0 ])
+
+let negative_cycles = function
+  | Json.Obj kvs ->
+    Json.Obj
+      (List.map
+         (function
+           | "kernels", Json.Arr (k :: ks) ->
+             ("kernels", Json.Arr (set [ ("cycles", num (-1.0)) ] k :: ks))
+           | kv -> kv)
+         kvs)
+  | j -> j
+
 let test_substance_gates () =
   let cases =
-    [ ("memplan valid",
+    [ ("outcomes valid", outcomes [ outcome "fig8"; outcome "fig9" ],
+       Ok "paper-outcomes file, 2 outcomes");
+      ("outcome without measured",
+       outcomes [ outcome "fig8"; outcome ~measured:(Json.Str "fast") "fig9" ],
+       Error "field measured missing or not a number");
+      ("perf report valid", perf_report, Ok "perf report, target x86, 2 kernels");
+      ("perf report with negative cycles", negative_cycles perf_report,
+       Error "field cycles is negative");
+      ("untagged document", Json.Obj [ ("outcomes", Json.Arr []) ],
+       Error "no schema tag (known tags: unit-perf-report, unit-outcomes");
+      ("unknown tag", Json.Obj [ ("schema", Json.Str "unit-interp") ],
+       Error "unknown schema tag \"unit-interp\"");
+      ("memplan valid",
        memplan [ memplan_row "resnet18" 1000.0 500.0; mobilenet_row ],
        Ok "memory-plan benchmark");
       ("resnet18 arena at 61% of naive",
@@ -229,6 +266,11 @@ let test_substance_gates () =
        memplan [ memplan_row ~ratio:0.4 "resnet18" 1000.0 500.0; mobilenet_row ],
        Error "reuse_ratio does not match");
       ("no resnet18 row", memplan [ mobilenet_row ], Error "resnet18 row missing");
+      ("peak > arena",
+       memplan
+         [ memplan_row "resnet18" 1000.0 500.0;
+           memplan_row ~peak:900.0 "mobilenet1.0" 1000.0 800.0 ],
+       Error "mobilenet1.0: peak live bytes exceed the planned arena");
       ("emit valid", emit, Ok "emitted-engine benchmark");
       ("emitted > compiled", set [ ("emitted_s", num 0.5) ] emit,
        Error "not monotone");
@@ -240,6 +282,9 @@ let test_substance_gates () =
       ("tensorized slower than scalar",
        set [ ("emitted_tensorized_s", num 0.11); ("tensorized_vs_scalar", num 1.1) ] emit,
        Error "gate: <= 1.0");
+      ("tensorized timing zero",
+       set [ ("emitted_tensorized_s", num 0.0); ("tensorized_vs_scalar", num 0.0) ] emit,
+       Error "field emitted_tensorized_s is not positive");
       ("tensorized ratio <> tensorized/scalar",
        set [ ("tensorized_vs_scalar", num 0.7) ] emit,
        Error "tensorized_vs_scalar does not match");
@@ -249,6 +294,8 @@ let test_substance_gates () =
       ("domains 3", set [ ("domains", num 3.0) ] serve, Error "gate: >= 4");
       ("duplicate_tunes 1", set [ ("duplicate_tunes", num 1.0) ] serve,
        Error "duplicate tuner sweep");
+      ("coalesced > requests", set [ ("coalesced", num 2049.0) ] serve,
+       Error "2049 coalesced requests out of 2048 served");
       ("bit_identical false", set [ ("bit_identical", Json.Bool false) ] serve,
        Error "diverged");
       ("p50 > p99", set [ ("p50_us", num 200000.0) ] serve,
@@ -260,18 +307,28 @@ let test_substance_gates () =
   let path = Filename.temp_file "unit_gate" ".json" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
+  let errors =
+    List.filter_map
+      (fun (label, doc, want) ->
+        let oc = open_out path in
+        output_string oc (Json.to_string doc);
+        close_out oc;
+        let got = Perf_gate.validate_file path in
+        (match (want, got) with
+         | Ok sub, Ok desc | Error sub, Error desc ->
+           if not (contains desc sub) then
+             Alcotest.failf "%s: %S lacks %S" label desc sub
+         | Ok _, Error m -> Alcotest.failf "%s: rejected: %s" label m
+         | Error _, Ok desc -> Alcotest.failf "%s: passed the gate: %s" label desc);
+        Result.fold ~ok:(fun _ -> None) ~error:(fun m -> Some (label, m)) got)
+      cases
+  in
+  (* each gate speaks for itself: no two mutations share a message *)
   List.iter
-    (fun (label, doc, want) ->
-      let oc = open_out path in
-      output_string oc (Json.to_string doc);
-      close_out oc;
-      match (want, Perf_gate.validate_file path) with
-      | Ok sub, Ok desc | Error sub, Error desc ->
-        if not (contains desc sub) then
-          Alcotest.failf "%s: %S lacks %S" label desc sub
-      | Ok _, Error m -> Alcotest.failf "%s: rejected: %s" label m
-      | Error _, Ok desc -> Alcotest.failf "%s: passed the gate: %s" label desc)
-    cases
+    (fun (label, m) ->
+      if List.length (List.filter (fun (_, m') -> String.equal m m') errors) > 1 then
+        Alcotest.failf "%s: message %S is not unique to its gate" label m)
+    errors
 
 let () =
   Alcotest.run "explain"
