@@ -20,13 +20,36 @@ open Unit_tir
    Native ints are arithmetic mod 2^63, and reduction mod 2^k commutes
    with that ring's [+], [-] and [*] because 2^k divides 2^63, so one
    wrap at the end of a chain equals a wrap after every op.  A raw value
-   flows only into another [Add]/[Sub]/[Mul] of its dtype or into a
-   scalar cell (a one-element [Alloc] addressed only at index 0,
-   rendered as a local [ref]); loads from such a cell are raw.  Every
-   other consumer — array stores, [Let], comparisons, [Div]/[Mod]/
-   [Min]/[Max], casts, [Select], indices — wraps it once, and the
-   interval analysis never trusts a raw value.  [bool] always wraps: its
-   canonicalizer is not a ring homomorphism.
+   flows only into another [Add]/[Sub]/[Mul] of its dtype or into
+   [Alloc] scratch of its dtype; loads from such scratch are raw.  Every
+   other consumer — stores to bound buffers, [Let], comparisons,
+   [Div]/[Mod]/[Min]/[Max], casts, [Select], indices — wraps it once,
+   and the interval analysis never trusts a raw value.  [bool] always
+   wraps: its canonicalizer is not a ring homomorphism.  A scalar cell —
+   a one-element [Alloc] addressed only at index 0 — renders as a local
+   [ref].
+
+   Accumulator tiles.  Before rendering, {!promote_tiles} keeps each
+   kernel's output tile in scratch across its whole reduction: for the
+   outermost serial loop [L] over which a bound buffer [B] can be
+   promoted, it allocates [tile[T]], copies [B[base + i]] into it
+   before [L], rewrites every access [B[base + off]] in [L] to
+   [tile[off]], and copies the tile back after [L].  Being scratch, the
+   tile accumulates raw, so an output wraps once per reduction instead
+   of once per intrinsic call.  The proof conditions, each checked on
+   the index after inlining [L]'s [Let]s: [B] is loaded and stored in
+   [L]; the index is an i32 expression with no load and no cast, affine
+   in the loops inside [L] ({!Unit_tir.Linear.coefficient_of}) and free
+   of [L]'s own variable; [base], the index with those loops at 0, is
+   structurally the same for every access; [off] is a mixed radix over
+   those loops (strides 1, e1, e1·e2, ...), so each access covers
+   exactly [[0, T)] and the copies touch only cells the loop touches;
+   [T] ≤ [max_tile]; no access sits under an [If], in a [Select] branch
+   or right of [And]/[Or]; [L] holds no parallel loop, no intrinsic
+   call and no loop of extent 0; and every variable in [L] is bound
+   once and not outside it, so inlining cannot capture.  Distinct bound
+   buffers never share cells ({!Emit_cache} checks), so no other access
+   reaches the window while the tile holds it.
 
    Loop shaping.  A loop with no inner loop and a static extent ≤ 16 is
    replicated with its index rendered as a literal.  In a loop whose
@@ -58,7 +81,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 5
+let version = 6
 
 module Obs = Unit_obs.Obs
 
@@ -66,6 +89,7 @@ let c_wraps_deferred = Obs.counter "emit.wraps_deferred"
 let c_loops_unrolled = Obs.counter "emit.loops_unrolled"
 let c_loads_hoisted = Obs.counter "emit.loads_hoisted"
 let c_scalar_cells = Obs.counter "emit.scalar_cells"
+let c_tiles_promoted = Obs.counter "emit.tiles_promoted"
 
 type klass = KF | KI | KL
 
@@ -144,6 +168,192 @@ let is_scalar_cell (b : Buffer.t) body =
                  (own_exprs s))
           body)
 
+(* ---- accumulator tiles *)
+
+let max_tile = 1024
+
+exception Not_promotable
+
+let not_promotable () = raise Not_promotable
+
+(* The tile of bound buffer [b] for the loop [for l_var < extent do body]
+   (see the header), as [Some (tile, base, body')] with [base] the index
+   of the window's first cell and [body'] the loop body addressing [tile]
+   instead of [b]; [None] when a proof condition fails.  [scope] holds
+   the ids of the variables bound around the loop. *)
+let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
+  (* every variable [body] binds: a Let's inlined value or a loop extent *)
+  let env : (int, [ `Let of Texpr.t | `Loop of int ]) Hashtbl.t = Hashtbl.create 16 in
+  let inline e =
+    Texpr.substitute
+      (List.filter_map
+         (fun (v : Var.t) ->
+           match Hashtbl.find_opt env v.Var.id with
+           | Some (`Let x) -> Some (v, x)
+           | _ -> None)
+         (Texpr.vars_of e))
+      e
+  in
+  let inner (v : Var.t) = Var.equal v l_var || Hashtbl.mem env v.Var.id in
+  let rec has_cast (e : Texpr.t) =
+    match e with
+    | Texpr.Imm _ | Texpr.Var _ -> false
+    | Texpr.Cast _ -> true
+    | Texpr.Load (_, a) | Texpr.Not a -> has_cast a
+    | Texpr.Binop (_, a, b) | Texpr.Cmp (_, a, b) | Texpr.And (a, b) | Texpr.Or (a, b) ->
+      has_cast a || has_cast b
+    | Texpr.Select (c, a, b) -> has_cast c || has_cast a || has_cast b
+  in
+  (* (base index, T) of the first access *)
+  let window = ref None in
+  let loaded = ref false and stored = ref false in
+  (* the tile offset of the access [b.(ix)]: [ix] is [base + off] with
+     [off] the lanes' mixed radix over [0, T).  [coefficient_of] sees
+     through casts, which may wrap, so an index with a cast is refused. *)
+  let offset ~cond ix =
+    let ix = inline ix in
+    if cond || (not (Dtype.equal (Texpr.dtype_of ix) Dtype.I32))
+       || Texpr.loads_of ix <> [] || has_cast ix
+    then not_promotable ();
+    let lanes =
+      List.map
+        (fun (v : Var.t) ->
+          match Hashtbl.find_opt env v.Var.id, Linear.coefficient_of ix v with
+          | Some (`Loop n), Some s -> (v, s, n)
+          | _ -> not_promotable ())
+        (List.filter inner (Texpr.vars_of ix))
+    in
+    let t =
+      List.fold_left
+        (fun t (_, s, n) -> if s = t then t * n else not_promotable ())
+        1
+        (List.sort (fun (_, s1, n1) (_, s2, n2) -> compare (s1, n1) (s2, n2)) lanes)
+    in
+    let base = Linear.substitute_zero (List.map (fun (v, _, _) -> v) lanes) ix in
+    (match !window with
+     | None -> if t <= max_tile then window := Some (base, t) else not_promotable ()
+     | Some (base', t') ->
+       if t <> t' || not (Texpr.equal_structural base base') then not_promotable ());
+    List.fold_left
+      (fun acc (v, s, _) -> Texpr.add acc (Texpr.mul (Texpr.int_imm s) (Texpr.var v)))
+      (Texpr.int_imm 0) lanes
+  in
+  (* [body] with [b]'s accesses addressing [target] at their offsets;
+     [cond] marks code that may not run on every iteration *)
+  let rec ex target ~cond (e : Texpr.t) =
+    match e with
+    | Texpr.Imm _ | Texpr.Var _ -> e
+    | Texpr.Load (b', ix) when Buffer.equal b' b ->
+      loaded := true;
+      Texpr.load target (offset ~cond ix)
+    | Texpr.Load (b', ix) -> Texpr.load b' (ex target ~cond ix)
+    | Texpr.Binop (op, x, y) -> Texpr.binop op (ex target ~cond x) (ex target ~cond y)
+    | Texpr.Cmp (op, x, y) -> Texpr.cmp op (ex target ~cond x) (ex target ~cond y)
+    | Texpr.And (x, y) -> Texpr.and_ (ex target ~cond x) (ex target ~cond:true y)
+    | Texpr.Or (x, y) -> Texpr.or_ (ex target ~cond x) (ex target ~cond:true y)
+    | Texpr.Not x -> Texpr.not_ (ex target ~cond x)
+    | Texpr.Cast (dt, x) -> Texpr.cast dt (ex target ~cond x)
+    | Texpr.Select (c, x, y) ->
+      Texpr.select (ex target ~cond c) (ex target ~cond:true x) (ex target ~cond:true y)
+  in
+  let rec st target ~cond (s : Stmt.t) =
+    match s with
+    | Stmt.Nop -> s
+    | Stmt.Seq l -> Stmt.Seq (List.map (st target ~cond) l)
+    | Stmt.Store (b', ix, v) ->
+      let v = ex target ~cond v in
+      if Buffer.equal b' b then begin
+        stored := true;
+        Stmt.Store (target, offset ~cond ix, v)
+      end
+      else Stmt.Store (b', ex target ~cond ix, v)
+    | Stmt.For ({ var; extent; kind; body } as r) ->
+      (match kind with Stmt.Parallel -> not_promotable () | _ -> ());
+      if extent < 1 then not_promotable ();
+      Hashtbl.replace env var.Var.id (`Loop extent);
+      Stmt.For { r with body = st target ~cond body }
+    | Stmt.If { cond = c; likely; then_; else_ } ->
+      let st = st target ~cond:true in
+      Stmt.If
+        { cond = ex target ~cond:true c; likely; then_ = st then_;
+          else_ = Option.map st else_ }
+    | Stmt.Let (v, e, body) ->
+      Hashtbl.replace env v.Var.id (`Let (inline e));
+      Stmt.Let (v, ex target ~cond e, st target ~cond body)
+    | Stmt.Alloc (a, body) -> Stmt.Alloc (a, st target ~cond body)
+    | Stmt.Intrin_call _ -> not_promotable ()
+  in
+  (* inlining is capture-free when every variable is bound once *)
+  let binders =
+    Stmt.fold_stmts
+      (fun acc s ->
+        match s with
+        | Stmt.For { var; _ } | Stmt.Let (var, _, _) -> var.Var.id :: acc
+        | _ -> acc)
+      [ l_var.Var.id ] body
+  in
+  let distinct = List.sort_uniq compare binders in
+  match
+    if extent < 1
+       || List.length distinct <> List.length binders
+       || List.exists (fun id -> List.mem id scope) binders
+    then not_promotable ();
+    ignore (st b ~cond:false body : Stmt.t);
+    if not (!loaded && !stored) then not_promotable ();
+    match !window with
+    | None -> not_promotable ()
+    | Some (base, t) ->
+      let tile =
+        Buffer.create ~name:(b.Buffer.name ^ ".tile") ~dtype:b.Buffer.dtype ~size:t ()
+      in
+      (tile, base, st tile ~cond:false body)
+  with
+  | r -> Some r
+  | exception Not_promotable -> None
+
+let promote_tiles (func : Lower.func) =
+  let bound = List.map snd func.Lower.fn_tensors in
+  let n = ref 0 in
+  let rec go scope (s : Stmt.t) =
+    match s with
+    | Stmt.For ({ var; extent; kind; body } as r) ->
+      let tiles, body =
+        match kind with
+        | Stmt.Parallel -> ([], body)
+        | _ ->
+          List.fold_left
+            (fun (tiles, body) b ->
+              match promote_buffer ~scope var extent body b with
+              | Some (tile, base, body) -> ((b, tile, base) :: tiles, body)
+              | None -> (tiles, body))
+            ([], body) bound
+      in
+      let loop = Stmt.For { r with body = go (var.Var.id :: scope) body } in
+      List.fold_left
+        (fun loop (b, tile, base) ->
+          incr n;
+          (* a rolled copy; one element needs no loop *)
+          let copy f =
+            let t = tile.Buffer.size in
+            if t = 1 then f (Texpr.int_imm 0)
+            else
+              let k = Var.create "k" in
+              Stmt.for_ k ~extent:t (f (Texpr.var k))
+          in
+          Stmt.Alloc
+            ( tile,
+              Stmt.seq
+                [ copy (fun k -> Stmt.Store (tile, k, Texpr.load b (Texpr.add base k)));
+                  loop;
+                  copy (fun k -> Stmt.Store (b, Texpr.add base k, Texpr.load tile k))
+                ] ))
+        loop tiles
+    | Stmt.Let (v, e, body) -> Stmt.Let (v, e, go (v.Var.id :: scope) body)
+    | _ -> Stmt.map_children (go scope) s
+  in
+  let body = go [] func.Lower.fn_body in
+  ({ func with Lower.fn_body = body }, !n)
+
 (* Canonicalizer names from the fixed prelude below. *)
 let wname dt = "w_" ^ Dtype.to_string dt
 let satname dt = "sat_" ^ Dtype.to_string dt
@@ -219,6 +429,7 @@ let render (func : Lower.func) : plan * string =
     try Unit_isa.Semantics.expand func
     with Unit_isa.Semantics.Execution_error msg -> unsupported "%s" msg
   in
+  let func, n_tiles = promote_tiles func in
   (* ---- binding plan: one cell per buffer, grouped by storage class *)
   let nf = ref 0 and ni = ref 0 and nl = ref 0 in
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -244,7 +455,10 @@ let render (func : Lower.func) : plan * string =
   (* Alloc scratch rendered as a local [ref] (see [is_scalar_cell]). *)
   let cells : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let is_cell (b : Buffer.t) = Hashtbl.mem cells b.Buffer.id in
-  let raw_cell (b : Buffer.t) = is_cell b && deferrable b.Buffer.dtype in
+  (* Alloc scratch of a deferrable dtype holds raw values *)
+  let raw_scratch (b : Buffer.t) =
+    Hashtbl.find_opt defined b.Buffer.id = Some false && deferrable b.Buffer.dtype
+  in
   let bound_vars : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   (* Indices of unrolled loops: var id -> the literal of this copy. *)
   let lits : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -271,7 +485,7 @@ let render (func : Lower.func) : plan * string =
     let env (v : Var.t) = Hashtbl.find_opt ienv v.Var.id in
     let load (b : Buffer.t) =
       let dt = b.Buffer.dtype in
-      if is_narrow dt && not (raw_cell b) then
+      if is_narrow dt && not (raw_scratch b) then
         Some
           (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
       else None
@@ -329,7 +543,7 @@ let render (func : Lower.func) : plan * string =
 
   and rv (e : Texpr.t) : string * bool =
     match e with
-    | Texpr.Load (b, ix) when raw_cell b -> (rload b ix, true)
+    | Texpr.Load (b, ix) when raw_scratch b -> (rload b ix, true)
     | Texpr.Binop (((Texpr.Add | Texpr.Sub | Texpr.Mul) as op), a, b)
       when deferrable (Texpr.dtype_of e) && interval e = None ->
       let operand x =
@@ -677,8 +891,8 @@ let render (func : Lower.func) : plan * string =
     let dt = b.Buffer.dtype in
     let dv = Texpr.dtype_of v in
     match carrier_of dt, carrier_of dv with
-    | CI, CI when Dtype.equal dt dv && raw_cell b ->
-      (* a scalar cell keeps a raw chain raw *)
+    | CI, CI when Dtype.equal dt dv && raw_scratch b ->
+      (* raw scratch keeps a raw chain raw *)
       let s, raw = rv v in
       defers v raw;
       s
@@ -812,6 +1026,7 @@ let render (func : Lower.func) : plan * string =
   Obs.add c_loops_unrolled !n_unrolled;
   Obs.add c_loads_hoisted !n_hoisted;
   Obs.add c_scalar_cells !n_cells;
+  Obs.add c_tiles_promoted n_tiles;
   B.add_string buf "\nlet () = Unit_emit_hook.register kernel\n";
   let plan =
     {

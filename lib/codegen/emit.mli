@@ -15,10 +15,15 @@
     dtype wherever a value is observed), so results are bit-identical to
     {!Interp} and {!Compile} on analyzer-clean programs — the qcheck
     differential property in the tests pins this.  For u8/i8/i16/i32,
-    add/sub/mul chains (also through a one-element scratch cell, which
-    renders as a local [ref]) wrap once at their consumer instead of
-    after every op: reduction mod 2^k commutes with native 63-bit
+    add/sub/mul chains (also through [Alloc] scratch, whose one-element
+    cells render as local [ref]s) wrap once at their consumer instead
+    of after every op: reduction mod 2^k commutes with native 63-bit
     arithmetic because 2^k divides 2^63.  [bool] wraps after every op.
+
+    Accumulator tiles ({!promote_tiles}): an output window a reduction
+    loop reads and writes at provably dense offsets is copied into
+    scratch before the loop and back after it, so it accumulates raw
+    and wraps once per output.
 
     Loop shaping: innermost loops of at most 16 iterations are unrolled
     (their copies share the integer terms that ignore the index), and a
@@ -29,7 +34,7 @@
     bound windows overlap in one array.
 
     Render-time counters: [emit.wraps_deferred], [emit.loops_unrolled],
-    [emit.loads_hoisted], [emit.scalar_cells].  Programs {!Unit_tir.Validate} rejects may diverge
+    [emit.loads_hoisted], [emit.scalar_cells], [emit.tiles_promoted].  Programs {!Unit_tir.Validate} rejects may diverge
     in their error behaviour only: the emitted code carries no
     per-access bounds checks (OCaml array safety still applies to the
     backing storage).
@@ -54,7 +59,8 @@ val version : int
     convention; part of {!Emit_cache}'s artifact key, so stale on-disk
     kernels are never loaded.  Version 4 renders intrinsic calls from
     their TIR expansion; version 5 adds scalar cells, deferred wraps,
-    innermost unrolling and load hoisting. *)
+    innermost unrolling and load hoisting; version 6 adds accumulator
+    tiles and raw scratch. *)
 
 type klass = KF | KI | KL
 (** Storage class of a bound tensor: [float array] / [int array] /
@@ -77,6 +83,15 @@ type plan = {
 }
 (** Binding plan: how {!Emit_cache.run_kernel} marshals [Ndarray.t]
     bindings into the generated kernel's argument arrays. *)
+
+val promote_tiles : Lower.func -> Lower.func * int
+(** The accumulator-tile rewrite {!render} applies after expanding
+    intrinsic calls, and the number of tiles it promoted.  For each
+    bound buffer, the outermost serial loop it can be promoted over
+    gets an [Alloc] tile of at most 1024 elements, a copy-in before the
+    loop and a copy-out after it; the proof conditions are listed in
+    [emit.ml]'s header.  A plain TIR→TIR pass: {!Interp} on the result
+    equals {!Interp} on the input. *)
 
 val render : Lower.func -> plan * string
 (** [render func] is the binding plan and the complete OCaml source of

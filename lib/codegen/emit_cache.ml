@@ -15,11 +15,13 @@ let c_artifact_hit = Obs.counter "emit.artifact.hit"
 let c_artifact_miss = Obs.counter "emit.artifact.miss"
 let c_memo_hit = Obs.counter "emit.memo.hit"
 let c_fallback = Obs.counter "emit.fallback"
+let c_artifact_rejected = Obs.counter "emit.artifact.rejected"
 
 type artifact_hooks = {
   ah_dir : key:string -> string;
-  ah_lookup : key:string -> string option;
-  ah_record : key:string -> signature:string -> file:string -> bytes:int -> unit;
+  ah_lookup : key:string -> (string * string) option;
+  ah_record :
+    key:string -> signature:string -> file:string -> bytes:int -> digest:string -> unit;
 }
 
 let hooks : artifact_hooks option Atomic.t = Atomic.make None
@@ -188,7 +190,7 @@ let install_artifact ~dir ~file ~from =
   let contents = In_channel.with_open_bin from In_channel.input_all in
   write_file tmp contents;
   Sys.rename tmp dst;
-  (dst, String.length contents)
+  (dst, String.length contents, Digest.to_hex (Digest.string contents))
 
 (* Load the kernel for [key], in preference order: process memo,
    persistent artifact, fresh compile.  Caller holds [lock]. *)
@@ -204,13 +206,26 @@ let load_locked tc ~signature ~key ~source =
       | None -> None
       | Some h ->
         (match h.ah_lookup ~key with
-         | Some path when Sys.file_exists path ->
-           Obs.incr c_artifact_hit;
-           (match dynlink_take path with
-            | Ok fn -> Some fn
-            | Error _ ->
-              (* stale or corrupt on-disk artifact: recompile below *)
-              None)
+         | Some (path, digest) when Sys.file_exists path ->
+           (* never Dynlink a payload the record does not name: a
+              replaced or truncated file would run foreign code *)
+           if not (String.equal (Digest.to_hex (Digest.file path)) digest) then begin
+             Obs.incr c_artifact_rejected;
+             prerr_endline
+               (Diag.to_string
+                  (Diag.warnf Diag.Emit
+                     "%s: artifact %s fails its payload digest check; recompiling"
+                     signature path));
+             None
+           end
+           else begin
+             Obs.incr c_artifact_hit;
+             match dynlink_take path with
+             | Ok fn -> Some fn
+             | Error _ ->
+               (* stale or corrupt on-disk artifact: recompile below *)
+               None
+           end
          | _ -> None)
     in
     let result =
@@ -229,8 +244,8 @@ let load_locked tc ~signature ~key ~source =
                   install_artifact ~dir:(h.ah_dir ~key) ~file:(modname ^ ".cmxs")
                     ~from:built
                 with
-                | dst, bytes ->
-                  h.ah_record ~key ~signature ~file:(modname ^ ".cmxs") ~bytes;
+                | dst, bytes, digest ->
+                  h.ah_record ~key ~signature ~file:(modname ^ ".cmxs") ~bytes ~digest;
                   dst
                 | exception _ -> built)
            in

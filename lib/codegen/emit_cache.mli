@@ -20,7 +20,7 @@
 
     Obs surface: spans [emit.render] / [emit.compile] / [emit.dynlink] /
     [emit.run]; counters [emit.artifact.hit] / [emit.artifact.miss] /
-    [emit.memo.hit] / [emit.fallback]. *)
+    [emit.artifact.rejected] / [emit.memo.hit] / [emit.fallback]. *)
 
 open Unit_tir
 
@@ -29,10 +29,15 @@ type artifact_hooks = {
       (** directory that receives the installed [.cmxs] for [key]
           (created on first install).  Keyed so a sharded store can
           route each artifact next to the shard that records it. *)
-  ah_lookup : key:string -> string option;
-      (** path to a live (current-version, file-present) artifact *)
-  ah_record : key:string -> signature:string -> file:string -> bytes:int -> unit;
-      (** persist a freshly compiled artifact record *)
+  ah_lookup : key:string -> (string * string) option;
+      (** path to a live (current-version, file-present) artifact and
+          the hex MD5 of its payload as recorded; a file that no longer
+          matches is never loaded (counted on [emit.artifact.rejected],
+          one [Diag.Emit] warning on stderr, then recompiled) *)
+  ah_record :
+    key:string -> signature:string -> file:string -> bytes:int -> digest:string -> unit;
+      (** persist a freshly compiled artifact record; [digest] is the
+          hex MD5 of the installed payload *)
 }
 
 val set_artifact_hooks : artifact_hooks option -> unit

@@ -188,9 +188,18 @@ let init_float ~dtype ~shape f =
 let of_tensor_zeros (tensor : Unit_dsl.Tensor.t) =
   zeros ~dtype:tensor.dtype ~shape:(Array.to_list tensor.shape)
 
-(* A small xorshift keeps fills deterministic and platform independent. *)
+(* A small xorshift keeps fills deterministic and platform independent.
+   The stream is keyed on what the tensor is (name, shape, dtype), never
+   on its process-global id, so equal requests fill equal inputs in any
+   process and after any cache eviction. *)
 let random_for_tensor ~seed (tensor : Unit_dsl.Tensor.t) =
-  let state = ref (seed lxor 0x9e3779b9 lxor (tensor.Unit_dsl.Tensor.id * 2654435761)) in
+  let key =
+    Printf.sprintf "%s|%s|%s" tensor.Unit_dsl.Tensor.name
+      (String.concat "x" (Array.to_list (Array.map string_of_int tensor.Unit_dsl.Tensor.shape)))
+      (Dtype.to_string tensor.Unit_dsl.Tensor.dtype)
+  in
+  let h = Int64.to_int (String.get_int64_le (Digest.string key) 0) in
+  let state = ref ((seed lxor 0x9e3779b9 lxor h) land max_int lor 1) in
   let next () =
     let x = !state in
     let x = x lxor (x lsl 13) in

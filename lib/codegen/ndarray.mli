@@ -74,7 +74,9 @@ val of_tensor_zeros : Unit_dsl.Tensor.t -> t
 val random_for_tensor : seed:int -> Unit_dsl.Tensor.t -> t
 (** Deterministic pseudo-random fill covering the dtype's small range
     (integers in [-4, 4] — or [0, 8] unsigned — and floats in [-1, 1], so
-    int32/fp32 accumulations in tests never overflow or lose precision). *)
+    int32/fp32 accumulations in tests never overflow or lose precision).
+    The fill depends only on [seed] and the tensor's name, shape and
+    dtype: equal tensors get equal data in every process. *)
 
 val num_elements : t -> int
 val get : t -> int array -> Value.t

@@ -155,8 +155,8 @@ let emit_hooks t =
   { Emit_cache.ah_dir = (fun ~key -> (of_key key).Emit_cache.ah_dir ~key);
     ah_lookup = (fun ~key -> (of_key key).Emit_cache.ah_lookup ~key);
     ah_record =
-      (fun ~key ~signature ~file ~bytes ->
-        (of_key key).Emit_cache.ah_record ~key ~signature ~file ~bytes)
+      (fun ~key ~signature ~file ~bytes ~digest ->
+        (of_key key).Emit_cache.ah_record ~key ~signature ~file ~bytes ~digest)
   }
 
 let with_installed dir f =
@@ -206,7 +206,7 @@ let migrate t ~legacy =
           ~dst:(Filename.concat dst_dir a.Store.a_file);
         Store.artifact_record shard ~key:a.Store.a_key
           ~signature:a.Store.a_signature ~file:a.Store.a_file
-          ~bytes:a.Store.a_bytes;
+          ~bytes:a.Store.a_bytes ~digest:a.Store.a_digest;
         incr artifacts);
   save t;
   ({ mg_records = !records; mg_artifacts = !artifacts }, diags)

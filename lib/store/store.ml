@@ -36,6 +36,7 @@ type artifact = {
   a_compiler : string;
   a_file : string;
   a_bytes : int;
+  a_digest : string;
 }
 
 type stats = {
@@ -166,7 +167,8 @@ let artifact_to_json a =
       ("emitter", Json.Num (float_of_int a.a_emitter));
       ("compiler", Json.Str a.a_compiler);
       ("file", Json.Str a.a_file);
-      ("bytes", Json.Num (float_of_int a.a_bytes))
+      ("bytes", Json.Num (float_of_int a.a_bytes));
+      ("digest", Json.Str a.a_digest)
     ]
 
 let artifact_of_json j =
@@ -183,13 +185,15 @@ let artifact_of_json j =
        let* a_compiler = str "compiler" in
        let* a_file = str "file" in
        let* a_bytes = int "bytes" in
+       (* a record without a payload digest is never live *)
+       let a_digest = Result.value (str "digest") ~default:"" in
        if a_bytes < 0 then Error "field bytes is negative"
        else if
          String.contains a_file '/'
          || String.equal a_file ".."
          || String.equal a_file ""
        then Error "field file is not a plain basename"
-       else Ok { a_key; a_signature; a_emitter; a_compiler; a_file; a_bytes }
+       else Ok { a_key; a_signature; a_emitter; a_compiler; a_file; a_bytes; a_digest }
      with
      | Error m -> Error (`Corrupt m)
      | Ok a -> Ok a)
@@ -385,7 +389,8 @@ let artifacts_dir t = t.t_path ^ ".artifacts"
 let artifact_path t a = Filename.concat (artifacts_dir t) a.a_file
 
 let is_live t a =
-  a.a_emitter = Emit.version
+  a.a_digest <> ""
+  && a.a_emitter = Emit.version
   && String.equal a.a_compiler Sys.ocaml_version
   && Sys.file_exists (artifact_path t a)
 
@@ -394,14 +399,15 @@ let artifact_lookup t ~key =
   | Some a when is_live t a -> Some a
   | _ -> None
 
-let artifact_record t ~key ~signature ~file ~bytes =
+let artifact_record t ~key ~signature ~file ~bytes ~digest =
   let a =
     { a_key = key;
       a_signature = signature;
       a_emitter = Emit.version;
       a_compiler = Sys.ocaml_version;
       a_file = file;
-      a_bytes = bytes
+      a_bytes = bytes;
+      a_digest = digest
     }
   in
   with_lock t (fun () ->
@@ -420,10 +426,11 @@ let iter_artifacts t f =
 let emit_hooks t =
   { Emit_cache.ah_dir = (fun ~key:_ -> artifacts_dir t);
     ah_lookup =
-      (fun ~key -> Option.map (artifact_path t) (artifact_lookup t ~key));
+      (fun ~key ->
+        Option.map (fun a -> (artifact_path t a, a.a_digest)) (artifact_lookup t ~key));
     ah_record =
-      (fun ~key ~signature ~file ~bytes ->
-        artifact_record t ~key ~signature ~file ~bytes)
+      (fun ~key ~signature ~file ~bytes ~digest ->
+        artifact_record t ~key ~signature ~file ~bytes ~digest)
   }
 
 type gc_report = {

@@ -59,6 +59,9 @@ type artifact = {
   a_compiler : string;  (** [Sys.ocaml_version] at record time *)
   a_file : string;  (** basename of the [.cmxs] inside {!artifacts_dir} *)
   a_bytes : int;
+  a_digest : string;
+      (** hex MD5 of the payload at record time; [""] for a record
+          written without one, which is never live *)
 }
 (** One compiled native kernel persisted by the emission engine.
     Artifact records share the tuning store's JSONL file (discriminated
@@ -134,13 +137,13 @@ val artifacts_dir : t -> string
     payloads; created lazily on first install. *)
 
 val artifact_lookup : t -> key:string -> artifact option
-(** The {e live} artifact under a key: current
-    {!Unit_codegen.Emit.version}, current [Sys.ocaml_version], payload
-    file present on disk.  Records failing any of those return [None]
-    (and are {!gc} fodder). *)
+(** The {e live} artifact under a key: a payload digest on record,
+    current {!Unit_codegen.Emit.version}, current [Sys.ocaml_version],
+    payload file present on disk.  Records failing any of those return
+    [None] (and are {!gc} fodder). *)
 
 val artifact_record :
-  t -> key:string -> signature:string -> file:string -> bytes:int -> unit
+  t -> key:string -> signature:string -> file:string -> bytes:int -> digest:string -> unit
 (** Insert-or-replace (stamped with the current emitter/compiler
     versions) and append one JSONL line. *)
 
@@ -159,7 +162,8 @@ type gc_report = {
 }
 
 val gc : t -> gc_report
-(** Drop artifact records whose payload file is missing or whose
-    emitter/compiler version is stale, delete files in {!artifacts_dir}
-    no live record references, then {!save} (which also compacts away
-    corrupt and stale lines).  Tuning records are untouched. *)
+(** Drop artifact records that are not live (payload file missing, no
+    payload digest, or a stale emitter/compiler version), delete files
+    in {!artifacts_dir} no live record references, then {!save} (which
+    also compacts away corrupt and stale lines).  Tuning records are
+    untouched. *)

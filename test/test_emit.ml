@@ -346,6 +346,169 @@ let test_emit_stored_buffer_load () =
   check_bool "invariant load of the other buffer is hoisted" true (mentions src "let h0 = c1");
   differential func
 
+(* ---------- accumulator tiles ---------- *)
+
+(* Tiles [promote_tiles] finds in [func] after intrinsic expansion. *)
+let tiles func = snd (Emit.promote_tiles (Semantics.expand func))
+
+(* The rewrite is plain TIR: the tree-walker agrees on both sides. *)
+let interp_same (func : Lower.func) =
+  let run (f : Lower.func) =
+    let bindings =
+      List.map
+        (fun ((t : Tensor.t), (b : Buffer.t)) ->
+          if Buffer.equal b f.Lower.fn_output then (t, Ndarray.of_tensor_zeros t)
+          else (t, Ndarray.random_for_tensor ~seed:9 t))
+        f.Lower.fn_tensors
+    in
+    Interp.run f ~bindings;
+    snd (List.hd bindings)
+  in
+  check_bool
+    (func.Lower.fn_name ^ ": interp on the tiled TIR = interp")
+    true
+    (Ndarray.equal (run func) (run (fst (Emit.promote_tiles func))))
+
+(* An [n]-element [out] accumulated over [in] by [nest ~src ~dst]. *)
+let accumulate ~name ?(n = 4) ?(m = 64) nest =
+  let tin = Tensor.create ~name:"in" ~shape:[ m ] Dtype.I32 in
+  let bin = Buffer.of_tensor tin in
+  let tout = Tensor.create ~name:"out" ~shape:[ n ] Dtype.I32 in
+  let bout = Buffer.of_tensor tout in
+  let r = Var.create "r" and i = Var.create "i" in
+  { Lower.fn_name = name; fn_tensors = [ (tout, bout); (tin, bin) ];
+    fn_output = bout; fn_iter_vars = [ (0, i) ];
+    fn_body = nest ~src:bin ~dst:bout ~r ~i }
+
+(* out.(at) += in.(r) * k *)
+let mac ~src ~dst ~r at =
+  Stmt.Store
+    ( dst,
+      at,
+      Texpr.add (Texpr.load dst at)
+        (Texpr.mul (Texpr.load src (Texpr.var r)) (Texpr.int_imm 600_000_007)) )
+
+let tiled_positive func =
+  check_bool (func.Lower.fn_name ^ ": promoted") true (tiles func > 0);
+  interp_same func;
+  differential func
+
+let tiled_negative func =
+  Alcotest.(check int) (func.Lower.fn_name ^ ": not promoted") 0 (tiles func);
+  differential func
+
+(* A smoke-scale Table I row (output 2x2) and its scalar reference. *)
+let smoke_row =
+  let wl = Unit_models.Table1.workloads.(14) in
+  let hw = wl.Workload.kernel + wl.Workload.stride in
+  { wl with Workload.h = hw; w = hw }
+
+let test_tile_table1 () =
+  let compiled = Pipeline.conv_compiled_x86 smoke_row in
+  let func = compiled.Pipeline.c_tuned.Cpu_tuner.t_func in
+  let counter = Unit_obs.Obs.counter "emit.tiles_promoted" in
+  let was = Unit_obs.Obs.enabled () in
+  Unit_obs.Obs.set_enabled true;
+  let before = Unit_obs.Obs.value counter in
+  Fun.protect ~finally:(fun () -> Unit_obs.Obs.set_enabled was) (fun () ->
+      ignore (Emit.render func));
+  check_bool "emit.tiles_promoted counted" true (Unit_obs.Obs.value counter > before);
+  interp_same (Semantics.expand func);
+  differential func
+
+(* Each output of the scalar reference is a one-element tile: a ref *)
+let test_tile_scalar_reference () =
+  let compiled = Pipeline.conv_compiled_x86 smoke_row in
+  let func = Lower.scalar_reference compiled.Pipeline.c_op in
+  check_bool "one-element tile rendered as a ref" true (mentions (source func) "ref 0");
+  tiled_positive func
+
+(* in.(r) * 600000007 leaves the i32 range on the first product: the
+   raw tile sums past 2^31 many times before the copy-out wraps once. *)
+let test_tile_i32_overflow () =
+  let func =
+    accumulate ~name:"tile_overflow" (fun ~src ~dst ~r ~i ->
+        Stmt.for_ r ~extent:64 (Stmt.for_ i ~extent:4 (mac ~src ~dst ~r (Texpr.var i))))
+  in
+  (* a wrapped sum renders as (w_i32 (x + y)); copy-out wraps a load *)
+  check_bool "no wrap inside the reduction" false (mentions (source func) "(w_i32 (");
+  tiled_positive func
+
+let test_tile_index_varies () =
+  tiled_negative
+    (accumulate ~name:"tile_varies" ~n:68 (fun ~src ~dst ~r ~i ->
+         Stmt.for_ r ~extent:64
+           (Stmt.for_ i ~extent:4
+              (mac ~src ~dst ~r (Texpr.add (Texpr.var i) (Texpr.var r))))))
+
+(* out.(128 + i8(i)) visits [128, 256) then [0, 128): the coefficient
+   of [i] reads 1 through the wrapping cast, so the cast must refuse. *)
+let test_tile_wrapping_cast () =
+  tiled_negative
+    (accumulate ~name:"tile_cast" ~n:256 (fun ~src ~dst ~r ~i ->
+         let at =
+           Texpr.add (Texpr.int_imm 128)
+             (Texpr.cast Dtype.I32 (Texpr.cast Dtype.I8 (Texpr.var i)))
+         in
+         Stmt.for_ r ~extent:64 (Stmt.for_ i ~extent:256 (mac ~src ~dst ~r at))))
+
+let test_tile_not_dense () =
+  let j = Var.create "j" in
+  (* a stride-2 load with an overlapping store *)
+  tiled_negative
+    (accumulate ~name:"tile_sparse" ~n:8 (fun ~src ~dst ~r ~i ->
+         let sparse = Texpr.mul (Texpr.var i) (Texpr.int_imm 2) in
+         let overlapping = Texpr.add (Texpr.var i) (Texpr.var j) in
+         Stmt.for_ r ~extent:64
+           (Stmt.for_ i ~extent:4
+              (Stmt.for_ j ~extent:4
+                 (Stmt.Store
+                    ( dst,
+                      overlapping,
+                      Texpr.add (Texpr.load dst sparse) (Texpr.load src (Texpr.var r)) ))))));
+  (* the same two offsets, each on its own *)
+  tiled_negative
+    (accumulate ~name:"tile_stride2" ~n:8 (fun ~src ~dst ~r ~i ->
+         Stmt.for_ r ~extent:64
+           (Stmt.for_ i ~extent:4
+              (mac ~src ~dst ~r (Texpr.mul (Texpr.var i) (Texpr.int_imm 2))))));
+  tiled_negative
+    (accumulate ~name:"tile_overlap" ~n:8 (fun ~src ~dst ~r ~i ->
+         Stmt.for_ r ~extent:64
+           (Stmt.for_ i ~extent:4
+              (Stmt.for_ j ~extent:4
+                 (mac ~src ~dst ~r (Texpr.add (Texpr.var i) (Texpr.var j)))))))
+
+let test_tile_store_under_if () =
+  tiled_negative
+    (accumulate ~name:"tile_if" (fun ~src ~dst ~r ~i ->
+         Stmt.for_ r ~extent:64
+           (Stmt.for_ i ~extent:4
+              (Stmt.If
+                 { cond = Texpr.cmp Texpr.Lt (Texpr.load src (Texpr.var r)) (Texpr.int_imm 2);
+                   likely = false;
+                   then_ = mac ~src ~dst ~r (Texpr.var i);
+                   else_ = None }))))
+
+let test_tile_load_in_select () =
+  tiled_negative
+    (accumulate ~name:"tile_select" (fun ~src ~dst ~r ~i ->
+         let x = Texpr.load src (Texpr.var r) in
+         Stmt.for_ r ~extent:64
+           (Stmt.for_ i ~extent:4
+              (Stmt.Store
+                 ( dst,
+                   Texpr.var i,
+                   Texpr.select
+                     (Texpr.cmp Texpr.Lt x (Texpr.int_imm 2))
+                     (Texpr.add (Texpr.load dst (Texpr.var i)) x)
+                     x )))))
+
+let test_tile_above_cap () =
+  tiled_negative
+    (accumulate ~name:"tile_cap" ~n:2048 ~m:2 (fun ~src ~dst ~r ~i ->
+         Stmt.for_ r ~extent:2 (Stmt.for_ i ~extent:2048 (mac ~src ~dst ~r (Texpr.var i)))))
+
 (* ---------- pipeline-lowered tensorized kernels ---------- *)
 
 let small_conv =
@@ -572,6 +735,18 @@ let () =
             test_emit_stored_buffer_load;
           Alcotest.test_case "fallback diagnostic" `Quick
             test_emit_fallback_diag
+        ] );
+      ( "accumulator tiles",
+        [ Alcotest.test_case "smoke Table I row" `Quick test_tile_table1;
+          Alcotest.test_case "scalar reference: one-element tile" `Quick
+            test_tile_scalar_reference;
+          Alcotest.test_case "raw i32 sum wraps at copy-out" `Quick test_tile_i32_overflow;
+          Alcotest.test_case "index varies with the loop" `Quick test_tile_index_varies;
+          Alcotest.test_case "overlapping or non-dense offsets" `Quick test_tile_not_dense;
+          Alcotest.test_case "index through a wrapping cast" `Quick test_tile_wrapping_cast;
+          Alcotest.test_case "store under an If" `Quick test_tile_store_under_if;
+          Alcotest.test_case "load in a Select branch" `Quick test_tile_load_in_select;
+          Alcotest.test_case "tile above the cap" `Quick test_tile_above_cap
         ] );
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;

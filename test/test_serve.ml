@@ -1087,6 +1087,48 @@ let direct_digest workload =
     ~bindings:((op.Unit_dsl.Op.output, out) :: inputs);
   Protocol.digest_ndarray out
 
+(* A run request's digest names its answer, not the process that
+   computed it: inputs are keyed on tensor names, never on the
+   process-global tensor ids, so the same request answers alike after
+   the kernel cache is cleared (the kernel is tensorized again under
+   fresh ids) and in a second process. *)
+let digest_request =
+  Protocol.Run
+    { target = Warmup.X86; engine = Pipeline.Compiled;
+      workload = Protocol.Conv (small_conv ()) }
+
+let run_digest () =
+  match Option.bind (Json.member "digest" (Handler.handle digest_request)) Json.to_str with
+  | Some d -> d
+  | None -> Alcotest.fail "run response carries no digest"
+
+let digest_child_env = "UNIT_SERVE_TEST_RUN_DIGEST"
+
+(* The second process is this test binary, which prints the digest and
+   exits when [digest_child_env] is set (see the bottom of the file). *)
+let child_digest () =
+  let out, child_out = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process_env Sys.executable_name [| Sys.executable_name |]
+      (Array.append (Unix.environment ()) [| digest_child_env ^ "=1" |])
+      Unix.stdin child_out Unix.stderr
+  in
+  Unix.close child_out;
+  let ic = Unix.in_channel_of_descr out in
+  let digest = In_channel.input_all ic in
+  close_in ic;
+  (match Unix.waitpid [] pid with
+   | _, Unix.WEXITED 0 -> ()
+   | _ -> Alcotest.fail "digest child process failed");
+  String.trim digest
+
+let test_run_digest_canonical () =
+  let first = run_digest () in
+  Pipeline.clear_cache ();
+  let again = run_digest () in
+  check_string "same digest after Pipeline.clear_cache" first again;
+  check_string "same digest in another process" first (child_digest ())
+
 (* The headline soak: >= 2000 mixed warm/cold requests from concurrent
    client threads into a 4-domain server over a fresh sharded store.
    Asserts: no failed responses, zero duplicate tuner sweeps
@@ -1200,6 +1242,16 @@ let test_soak () =
      >= requests_total - distinct_workloads)
 
 let () =
+  if Sys.getenv_opt digest_child_env <> None then begin
+    (* shift the tensor id counter away from the parent's *)
+    for _ = 1 to 7 do
+      ignore (Unit_dsl.Tensor.create ~name:"pad" ~shape:[ 1 ] Unit_dtype.Dtype.I32)
+    done;
+    print_string (run_digest ());
+    exit 0
+  end
+
+let () =
   Alcotest.run "serve"
     [ ( "wire",
         [ Alcotest.test_case "frame round trip" `Quick test_wire_round_trip;
@@ -1267,7 +1319,9 @@ let () =
             test_not_applicable_never_retried;
           Alcotest.test_case "worker killed mid-job is resurrected" `Quick
             test_fault_injection_kills_worker_mid_job;
-          Alcotest.test_case "graceful drain" `Quick test_drain_semantics
+          Alcotest.test_case "graceful drain" `Quick test_drain_semantics;
+          Alcotest.test_case "run digests are canonical" `Quick
+            test_run_digest_canonical
         ] );
       ("soak", [ Alcotest.test_case "2048-request concurrent soak" `Slow test_soak ])
     ]

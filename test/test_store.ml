@@ -430,13 +430,15 @@ let test_artifact_round_trip () =
   let path = temp_store_path () in
   let store, _ = Store.open_ path in
   let dir = Store.artifacts_dir store in
+  let digest = Digest.to_hex (Digest.string "payload-one") in
   write_payload dir "k1.cmxs" "payload-one";
   Store.artifact_record store ~key:"k1" ~signature:"sig-A" ~file:"k1.cmxs"
-    ~bytes:11;
+    ~bytes:11 ~digest;
   (match Store.artifact_lookup store ~key:"k1" with
    | Some a ->
      check_string "payload file" "k1.cmxs" a.Store.a_file;
      check_int "payload bytes" 11 a.Store.a_bytes;
+     check_string "payload digest" digest a.Store.a_digest;
      check_int "stamped with the current emitter version"
        Unit_codegen.Emit.version a.Store.a_emitter;
      check_string "stamped with the current compiler" Sys.ocaml_version
@@ -445,13 +447,21 @@ let test_artifact_round_trip () =
   (* artifact lines share the JSONL file with tuning records and
      dispatch on their "kind" member *)
   put store ~signature:"sig-A" ~config:some_config;
+  (* a current-version record without a payload digest is never live *)
+  append_raw path
+    (Printf.sprintf
+       "{\"kind\":\"artifact\",\"v\":1,\"key\":\"nodigest\",\"sig\":\"sig-D\",\
+        \"emitter\":%d,\"compiler\":%S,\"file\":\"k1.cmxs\",\"bytes\":11}"
+       Unit_codegen.Emit.version Sys.ocaml_version);
   let reopened, diags = Store.open_ path in
   check_int "reopen loads clean" 0 (List.length diags);
-  check_int "one artifact after reopen" 1
+  check_int "two artifact records after reopen" 2
     (Store.stats reopened).Store.st_artifacts;
   check_int "one tuning record after reopen" 1 (Store.size reopened);
   check_bool "artifact live after reopen" true
     (Store.artifact_lookup reopened ~key:"k1" <> None);
+  check_bool "digest-less record is not live" true
+    (Store.artifact_lookup reopened ~key:"nodigest" = None);
   Sys.remove (Filename.concat dir "k1.cmxs");
   Sys.remove path
 
@@ -461,12 +471,12 @@ let test_artifact_gc () =
   let dir = Store.artifacts_dir store in
   write_payload dir "keep.cmxs" "live-payload";
   Store.artifact_record store ~key:"keep" ~signature:"sig-A" ~file:"keep.cmxs"
-    ~bytes:12;
+    ~bytes:12 ~digest:(Digest.to_hex (Digest.string "live-payload"));
   (* a record whose payload vanished is dead: invisible to lookup,
      dropped by gc *)
   write_payload dir "gone.cmxs" "doomed";
   Store.artifact_record store ~key:"gone" ~signature:"sig-B" ~file:"gone.cmxs"
-    ~bytes:6;
+    ~bytes:6 ~digest:(Digest.to_hex (Digest.string "doomed"));
   Sys.remove (Filename.concat dir "gone.cmxs");
   check_bool "missing payload is not live" true
     (Store.artifact_lookup store ~key:"gone" = None);
@@ -497,6 +507,86 @@ let test_artifact_gc () =
   check_int "one artifact line left" 1 (Store.stats after).Store.st_artifacts;
   Sys.remove (Filename.concat dir "keep.cmxs");
   Sys.remove path
+
+(* A well-formed .cmxs of a different kernel planted at the path a live
+   record names must never run: the payload digest check rejects it, the
+   kernel is recompiled and re-recorded, and the output is right. *)
+let test_artifact_planted_payload () =
+  match Unit_codegen.Emit_cache.available () with
+  | Error _ -> ()
+  | Ok () ->
+    let module Emit = Unit_codegen.Emit in
+    let module Emit_cache = Unit_codegen.Emit_cache in
+    let module Tir = Unit_tir in
+    let n = 16 in
+    let kernel name f =
+      let tin = Tensor.create ~name:"in" ~shape:[ n ] Dtype.I32 in
+      let tout = Tensor.create ~name:"out" ~shape:[ n ] Dtype.I32 in
+      let bin = Tir.Buffer.of_tensor tin and bout = Tir.Buffer.of_tensor tout in
+      let i = Tir.Var.create "i" in
+      { Tir.Lower.fn_name = name; fn_tensors = [ (tout, bout); (tin, bin) ];
+        fn_output = bout; fn_iter_vars = [ (0, i) ];
+        fn_body =
+          Tir.Stmt.for_ i ~extent:n
+            (Tir.Stmt.Store
+               (bout, Tir.Texpr.var i, f (Tir.Texpr.load bin (Tir.Texpr.var i)) (Tir.Texpr.var i)))
+      }
+    in
+    let good = kernel "planted_good" (fun x i -> Tir.Texpr.add (Tir.Texpr.mul x (Tir.Texpr.int_imm 3)) i) in
+    let foreign = kernel "planted_foreign" (fun x _ -> Tir.Texpr.sub x (Tir.Texpr.int_imm 7)) in
+    let bindings func =
+      List.map
+        (fun ((t : Tensor.t), (b : Tir.Buffer.t)) ->
+          if Tir.Buffer.equal b func.Tir.Lower.fn_output then (t, Ndarray.of_tensor_zeros t)
+          else (t, Ndarray.random_for_tensor ~seed:3 t))
+        func.Tir.Lower.fn_tensors
+    in
+    let output func b = List.assoc (fst (List.hd func.Tir.Lower.fn_tensors)) b in
+    let path = temp_store_path () in
+    let store, _ = Store.open_ path in
+    Emit_cache.set_artifact_hooks (Some (Store.emit_hooks store));
+    Fun.protect ~finally:(fun () -> Emit_cache.set_artifact_hooks None) @@ fun () ->
+    let stamp = string_of_float (Unix.gettimeofday ()) in
+    let live func signature =
+      let key = Emit_cache.artifact_key ~signature ~source:(snd (Emit.render func)) in
+      (key, Store.artifact_lookup store ~key)
+    in
+    (* compile both kernels for real; the foreign payload is the plant *)
+    let sig_foreign = "planted-foreign|" ^ stamp in
+    Emit_cache.run ~signature:sig_foreign foreign ~bindings:(bindings foreign);
+    let foreign_file =
+      match live foreign sig_foreign with
+      | _, Some a -> Filename.concat (Store.artifacts_dir store) a.Store.a_file
+      | _, None -> Alcotest.fail "foreign kernel left no artifact"
+    in
+    let sig_good = "planted-good|" ^ stamp in
+    let key, _ = live good sig_good in
+    let planted = In_channel.with_open_bin foreign_file In_channel.input_all in
+    write_payload (Store.artifacts_dir store) "planted.cmxs" planted;
+    Store.artifact_record store ~key ~signature:sig_good ~file:"planted.cmxs"
+      ~bytes:(String.length planted)
+      ~digest:(Digest.to_hex (Digest.string "the payload the record was made for"));
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    let rejected = Obs.counter "emit.artifact.rejected" in
+    let before = Obs.value rejected in
+    let b_emit = bindings good in
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+        Emit_cache.run ~signature:sig_good good ~bindings:b_emit);
+    let b_ref = bindings good in
+    Compile.run good ~bindings:b_ref;
+    check_bool "planted payload rejected" true (Obs.value rejected > before);
+    check_bool "recompiled kernel is right" true
+      (Ndarray.equal (output good b_ref) (output good b_emit));
+    (match live good sig_good with
+     | _, Some a ->
+       check_bool "re-recorded with the fresh payload's digest" true
+         (String.equal a.Store.a_digest
+            (Digest.to_hex
+               (Digest.file (Filename.concat (Store.artifacts_dir store) a.Store.a_file))))
+     | _, None -> Alcotest.fail "recompiled kernel left no live artifact");
+    ignore (Sys.command ("rm -rf " ^ Filename.quote (Store.artifacts_dir store)) : int);
+    Sys.remove path
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -532,7 +622,9 @@ let () =
         [ Alcotest.test_case "record / lookup / reopen" `Quick
             test_artifact_round_trip;
           Alcotest.test_case "gc drops stale + sweeps unreferenced" `Quick
-            test_artifact_gc
+            test_artifact_gc;
+          Alcotest.test_case "planted payload never loads" `Quick
+            test_artifact_planted_payload
         ] );
       ( "cache",
         [ Alcotest.test_case "bounded with FIFO eviction" `Quick
