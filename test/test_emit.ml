@@ -736,7 +736,7 @@ let () =
           Alcotest.test_case "fallback diagnostic" `Quick
             test_emit_fallback_diag
         ] );
-      ( "accumulator tiles",
+      ( "tiles",
         [ Alcotest.test_case "smoke Table I row" `Quick test_tile_table1;
           Alcotest.test_case "scalar reference: one-element tile" `Quick
             test_tile_scalar_reference;
