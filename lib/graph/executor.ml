@@ -6,6 +6,10 @@ let c_levels = Obs.counter "exec.levels"
 let c_nodes = Obs.counter "exec.nodes"
 let h_level_width = Obs.histogram "exec.level_width"
 
+(* Weights synthesized into a graph's prepared storage; a graph's second
+   run adds nothing. *)
+let c_weights_prepared = Obs.counter ~always:true "exec.weights_prepared"
+
 (* Per-node span label, shared between graph and level execution.  The
    full node name goes in the span detail (built only when tracing is
    on), so labels stay low-cardinality for aggregation. *)
@@ -200,6 +204,92 @@ let weight_value (node : Graph.node) shape dtype =
     { arr; scale }
   end
 
+(* ---------- packed int8 weights ---------- *)
+
+(* An I8 weight as the quantized conv2d and dense read it: one byte per
+   element in row-major order ([Bytes.get_int8]), an eighth of its
+   [int array] form. *)
+type packed = {
+  pk_bytes : Bytes.t;
+  pk_shape : int array;
+  pk_scale : float;
+}
+
+(* What a node evaluates to: a value, or an I8 weight in packed form. *)
+type operand =
+  | Value of value
+  | Packed of packed
+
+let pack what (v : value) =
+  if not (Dtype.equal v.arr.Ndarray.dtype Dtype.I8) then
+    error "%s: %s weights; quantized weights must be i8" what
+      (Dtype.to_string v.arr.Ndarray.dtype);
+  let x = int_payload what v.arr and off = v.arr.Ndarray.offset in
+  let bytes = Bytes.create (Ndarray.num_elements v.arr) in
+  for i = 0 to Bytes.length bytes - 1 do
+    Bytes.set_int8 bytes i x.(off + i)
+  done;
+  { pk_bytes = bytes; pk_shape = Array.copy v.arr.Ndarray.shape; pk_scale = v.scale }
+
+let unpack p =
+  let arr = Ndarray.zeros ~dtype:Dtype.I8 ~shape:(Array.to_list p.pk_shape) in
+  let x = int_payload "weight" arr in
+  for i = 0 to Bytes.length p.pk_bytes - 1 do
+    x.(i) <- Bytes.get_int8 p.pk_bytes i
+  done;
+  { arr; scale = p.pk_scale }
+
+let value_of = function Value v -> v | Packed p -> unpack p
+let packed_of what = function Packed p -> p | Value v -> pack what v
+
+(* ---------- prepared graphs ---------- *)
+
+(* Each graph's weights, synthesized by its first run and reused by every
+   later one: one slot per node id, filled for weight nodes.  The table
+   is keyed by the graph's physical identity (a graph is immutable once
+   built; [Hashtbl.hash] reads a bounded prefix of it), and an entry
+   holds no reference back to its graph, so it is freed with the graph. *)
+module Prepared = Ephemeron.K1.Make (struct
+  type t = Graph.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let prepared_lock = Mutex.create ()
+let prepared_graphs : operand option Atomic.t array Prepared.t = Prepared.create 8
+
+let prepared g =
+  Mutex.protect prepared_lock (fun () ->
+      match Prepared.find_opt prepared_graphs g with
+      | Some slots -> slots
+      | None ->
+        let slots = Array.init (Graph.arity g) (fun _ -> Atomic.make None) in
+        Prepared.replace prepared_graphs g slots;
+        slots)
+
+(* The node's prepared weight, synthesized on first use.  Domains racing
+   on one fresh graph may both synthesize it; the first to publish wins
+   and the other adopts its (identical) weight. *)
+let prepared_weight slots (n : Graph.node) shape dtype =
+  let slot = slots.(n.Graph.id) in
+  match Atomic.get slot with
+  | Some w -> w
+  | None ->
+    let v = weight_value n shape dtype in
+    let w = if Dtype.equal dtype Dtype.I8 then Packed (pack n.Graph.name v) else Value v in
+    if Atomic.compare_and_set slot None (Some w) then Obs.incr c_weights_prepared;
+    Option.get (Atomic.get slot)
+
+let packed_weight g id =
+  let n = Graph.node g id in
+  match n.Graph.kind with
+  | Graph.Weight { shape; dtype } ->
+    (match prepared_weight (prepared g) n shape dtype with
+     | Packed p -> Some (Bytes.copy p.pk_bytes)
+     | Value _ -> None)
+  | _ -> None
+
 let default_input g ~seed =
   let input_node =
     match
@@ -223,7 +313,8 @@ let shape3 v =
   | [| c; h; w |] -> (c, h, w)
   | _ -> error "expected rank-3 activation"
 
-(* Data is [c; h; w], weights [k; c/g; kern; kern], output [k; oh; ow]. *)
+(* Data is [c; h; w], weights [k; c/g; kern; kern], output [k; oh; ow].
+   Quantized weights are read packed (a value operand is packed first). *)
 let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
   let c, h, w = shape3 data in
   let k = attrs.Graph.out_channels in
@@ -234,15 +325,14 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
   let padding = attrs.Graph.padding in
   let oh = Graph.conv_out_dim ~size:h ~kernel:kern ~stride ~padding in
   let ow = Graph.conv_out_dim ~size:w ~kernel:kern ~stride ~padding in
-  let quantized = is_quantized data in
-  let out_dtype = if quantized then Dtype.I32 else Dtype.F32 in
-  let out_scale = if quantized then data.scale *. weights.scale else 1.0 in
+  let out_dtype = if is_quantized data then Dtype.I32 else Dtype.F32 in
   let out = output_array ~dst ~dtype:out_dtype ~shape:[ k; oh; ow ] in
-  let doff = data.arr.Ndarray.offset and woff = weights.arr.Ndarray.offset in
-  let ooff = out.Ndarray.offset in
+  let doff = data.arr.Ndarray.offset and ooff = out.Ndarray.offset in
   let plane = oh * ow in
-  if quantized then begin
-    let d = int_payload "conv2d" data.arr and wt = int_payload "conv2d" weights.arr in
+  if is_quantized data then begin
+    let weights = packed_of "conv2d" weights in
+    let out_scale = data.scale *. weights.pk_scale in
+    let d = int_payload "conv2d" data.arr and wt = weights.pk_bytes in
     let o = int_payload "conv2d" out in
     (* per tap, the output rows (columns) whose input coordinate
        [pos * stride + tap - padding] lies inside the input *)
@@ -257,7 +347,7 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
     (* The clipped tap ranges keep every index inside these three
        windows, which is what licenses the unchecked accesses below. *)
     if doff + (c * h * w) > Array.length d
-       || woff + (k * cg * kern * kern) > Array.length wt
+       || k * cg * kern * kern > Bytes.length wt
        || ooff + (k * plane) > Array.length o
     then error "conv2d: an operand is smaller than its shape";
     (* Weight-stationary: each tap streams one input plane into the
@@ -268,10 +358,10 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
       Array.fill o obase plane 0;
       for ci = 0 to cg - 1 do
         let dplane = doff + ((((ko / kg * cg) + ci) * h) * w) in
-        let wtap = woff + (((ko * cg) + ci) * kern * kern) in
+        let wtap = ((ko * cg) + ci) * kern * kern in
         for r = 0 to kern - 1 do
           for s = 0 to kern - 1 do
-            let wv = wt.(wtap + (r * kern) + s) in
+            let wv = Bytes.get_int8 wt (wtap + (r * kern) + s) in
             let xs = x0.(s) and xe = x1.(s) in
             for y = y0.(r) to y1.(r) do
               let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
@@ -292,6 +382,8 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
     { arr = out; scale = out_scale }
   end
   else begin
+    let weights = value_of weights in
+    let woff = weights.arr.Ndarray.offset in
     let d = float_payload "conv2d" data.arr and wt = float_payload "conv2d" weights.arr in
     let o = float_payload "conv2d" out in
     let dscale = data.scale and wscale = weights.scale in
@@ -382,30 +474,33 @@ let dense ?(dst = no_dst) units data weights =
     | [| k |] -> k
     | _ -> error "dense expects rank-1 data"
   in
-  let quantized = is_quantized data in
-  let out_dtype = if quantized then Dtype.I32 else Dtype.F32 in
-  let out_scale = if quantized then data.scale *. weights.scale else 1.0 in
+  let out_dtype = if is_quantized data then Dtype.I32 else Dtype.F32 in
   let out = output_array ~dst ~dtype:out_dtype ~shape:[ units ] in
-  let doff = data.arr.Ndarray.offset and woff = weights.arr.Ndarray.offset in
-  let ooff = out.Ndarray.offset in
-  let dscale = data.scale and wscale = weights.scale in
-  if quantized then begin
-    let d = int_payload "dense" data.arr and wt = int_payload "dense" weights.arr in
+  let doff = data.arr.Ndarray.offset and ooff = out.Ndarray.offset in
+  let dscale = data.scale in
+  if is_quantized data then begin
+    let weights = packed_of "dense" weights in
+    let wscale = weights.pk_scale in
+    let out_scale = dscale *. wscale in
+    let d = int_payload "dense" data.arr and wt = weights.pk_bytes in
     let o = int_payload "dense" out in
     let lo, hi = int_bounds Dtype.I32 in
     for u = 0 to units - 1 do
-      let wrow = woff + (u * k) in
+      let wrow = u * k in
       let acc = ref 0.0 in
       for i = 0 to k - 1 do
         acc :=
           !acc
-          +. (Float.of_int d.(doff + i) *. dscale *. (Float.of_int wt.(wrow + i) *. wscale))
+          +. (Float.of_int d.(doff + i) *. dscale
+              *. (Float.of_int (Bytes.get_int8 wt (wrow + i)) *. wscale))
       done;
       o.(ooff + u) <- saturate ~lo ~hi (!acc /. out_scale)
     done;
     { arr = out; scale = out_scale }
   end
   else begin
+    let weights = value_of weights in
+    let woff = weights.arr.Ndarray.offset and wscale = weights.scale in
     let d = float_payload "dense" data.arr and wt = float_payload "dense" weights.arr in
     let o = float_payload "dense" out in
     for u = 0 to units - 1 do
@@ -549,11 +644,9 @@ let base_arity = function
   | Graph.Softmax | Graph.Quantize _ | Graph.Dequantize _ -> 1
   | Graph.Concat -> -1 (* variadic; never fused *)
 
-let apply_kind ?dst kind args =
+let apply_values ?dst kind args =
   match kind, args with
-  | Graph.Conv2d attrs, [ data; weights ] -> conv2d ?dst attrs data weights
   | Graph.Conv3d attrs, [ data; weights ] -> conv3d ?dst attrs data weights
-  | Graph.Dense { units }, [ data; weights ] -> dense ?dst units data weights
   | Graph.Bias_add, [ data; bias ] -> bias_add ?dst data bias
   | Graph.Relu, [ data ] -> map_value ?dst data (Float.max 0.0)
   | Graph.Clip { lo; hi }, [ data ] ->
@@ -570,7 +663,15 @@ let apply_kind ?dst kind args =
   | (Graph.Input _ | Graph.Weight _), _ -> error "input/weight evaluated as op"
   | _ -> error "arity mismatch during execution"
 
-let apply kind args = apply_kind kind args
+(* Conv2d and dense take their weight operand as it comes (packed
+   weights stay packed); every other op reads values. *)
+let apply_kind ?dst kind operands =
+  match kind, operands with
+  | Graph.Conv2d attrs, [ data; weights ] -> conv2d ?dst attrs (value_of data) weights
+  | Graph.Dense { units }, [ data; weights ] -> dense ?dst units (value_of data) weights
+  | _ -> apply_values ?dst kind (List.map value_of operands)
+
+let apply kind args = apply_kind kind (List.map (fun v -> Value v) args)
 
 (* Dependency level of each node: 1 + max input level.  This is the
    executor's schedule — nodes sharing a level run in parallel — and the
@@ -661,7 +762,8 @@ let run ?plan g ~input =
             in
             Some (Ndarray.view arena ~offset:sl.sl_offset ~dtype ~shape)
   in
-  let results : (int, value) Hashtbl.t = Hashtbl.create 64 in
+  let weights = prepared g in
+  let results : (int, operand) Hashtbl.t = Hashtbl.create 64 in
   let eval_node (n : Graph.node) =
     (* per-operator wall time; the string detail is only built when
        tracing is live, so the disabled path allocates nothing *)
@@ -676,8 +778,8 @@ let run ?plan g ~input =
       | Graph.Input { dtype; _ } ->
         if not (Dtype.equal input.Ndarray.dtype dtype) then
           error "input dtype mismatch";
-        { arr = input; scale = 1.0 }
-      | Graph.Weight { shape; dtype } -> weight_value n shape dtype
+        Value { arr = input; scale = 1.0 }
+      | Graph.Weight { shape; dtype } -> prepared_weight weights n shape dtype
       | kind ->
         let arity = base_arity kind in
         let own, extra =
@@ -719,20 +821,24 @@ let run ?plan g ~input =
               in
               let extras, rest = take (Stdlib.max 0 arity) extra in
               let d = if i = nfused - 1 then node_dst else no_dst in
-              (apply_kind ~dst:d fused_kind (v :: extras), rest, i + 1))
+              (apply_kind ~dst:d fused_kind (Value v :: extras), rest, i + 1))
             (base, extra, 0) n.Graph.fused
         in
         if leftover <> [] then error "%s: unconsumed inputs" n.Graph.name;
-        v
+        Value v
     in
     (* the output shape/dtype is only known post-hoc; same guard as the
        span itself so the disabled path allocates nothing *)
-    if Obs.enabled () then
+    if Obs.enabled () then begin
+      let dtype, shape =
+        match v with
+        | Value v -> (v.arr.Ndarray.dtype, v.arr.Ndarray.shape)
+        | Packed p -> (Dtype.I8, p.pk_shape)
+      in
       Obs.annotate tok
-        (Printf.sprintf "out=%s[%s]"
-           (Dtype.to_string v.arr.Ndarray.dtype)
-           (String.concat "x"
-              (List.map string_of_int (Array.to_list v.arr.Ndarray.shape))));
+        (Printf.sprintf "out=%s[%s]" (Dtype.to_string dtype)
+           (String.concat "x" (List.map string_of_int (Array.to_list shape))))
+    end;
     (n.Graph.id, v)
   in
   (* within a level the results table is read-only, so workers may share
@@ -750,14 +856,21 @@ let run ?plan g ~input =
       in
       List.iter (fun (id, v) -> Hashtbl.replace results id v) vs)
     (level_buckets g);
-  Hashtbl.find results (Graph.output g)
+  (* prepared storage is never handed out: a weight output is a copy *)
+  let out = Graph.output g in
+  match (Graph.node g out).Graph.kind, Hashtbl.find results out with
+  | Graph.Weight _, Value v ->
+    let shape = Array.to_list v.arr.Ndarray.shape in
+    { v with arr = Ndarray.init ~dtype:v.arr.Ndarray.dtype ~shape (Ndarray.get v.arr) }
+  | _, w -> value_of w
 
 let run_to_floats ?plan g ~input =
   let out = run ?plan g ~input in
   Array.init (Ndarray.num_elements out.arr) (fun i -> real_flat out i)
 
 let calibrate g ~input =
-  let results : (int, value) Hashtbl.t = Hashtbl.create 64 in
+  let weights = prepared g in
+  let results : (int, operand) Hashtbl.t = Hashtbl.create 64 in
   let maxima : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let abs_max v =
     let m = ref 1e-6 in
@@ -773,13 +886,14 @@ let calibrate g ~input =
           (fun (n : Graph.node) ->
             let v =
               match n.Graph.kind with
-              | Graph.Input _ -> { arr = input; scale = 1.0 }
-              | Graph.Weight { shape; dtype } -> weight_value n shape dtype
+              | Graph.Input _ -> Value { arr = input; scale = 1.0 }
+              | Graph.Weight { shape; dtype } -> prepared_weight weights n shape dtype
               | kind ->
-                apply_kind kind
-                  (List.map (fun i -> Hashtbl.find results i) n.Graph.inputs)
+                Value
+                  (apply_kind kind
+                     (List.map (fun i -> Hashtbl.find results i) n.Graph.inputs))
             in
-            (n.Graph.id, v, abs_max v))
+            (n.Graph.id, v, abs_max (value_of v)))
           nodes
       in
       List.iter

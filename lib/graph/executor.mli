@@ -20,22 +20,26 @@ type value = {
 
 exception Exec_error of string
 
-val synth_weight : Graph.node -> int list -> Ndarray.t
-(** Deterministic pseudo-random parameters: fan-in-scaled f32 floats,
-    keyed by the node {e name} (passes renumber ids), so every run of
-    every pass variant sees the same model. *)
-
 val weight_value : Graph.node -> int list -> Unit_dtype.Dtype.t -> value
-(** The weight node's value in its declared dtype: {!synth_weight} for
-    [F32]; an integer dtype self-quantizes the same parameters with their
-    own max-abs (per-tensor symmetric).
+(** The weight node's value in its declared dtype, synthesized
+    deterministically: fan-in-scaled pseudo-random f32 parameters keyed
+    by the node {e name} (passes renumber ids), so every run of every
+    pass variant sees the same model.  An integer dtype self-quantizes
+    the same parameters with their own max-abs (per-tensor symmetric).
     @raise Exec_error for dtypes outside int storage other than [F32]. *)
+
+val packed_weight : Graph.t -> Graph.id -> Bytes.t option
+(** A copy of the bytes the prepared graph holds for an [I8] weight node
+    — one [Bytes.get_int8] element per parameter, row-major — preparing
+    that weight if no run has yet.  [None] for any other node.  *)
 
 val apply : Graph.kind -> value list -> value
 (** Evaluate one operator on concrete values (inputs may be arena views)
-    into a fresh output — the per-op numerics {!run} uses.
+    into a fresh output — the per-op numerics {!run} uses.  Quantized
+    [Conv2d] and [Dense] pack their weight operand into the same int8
+    bytes {!run} prepares, and read it only in that form.
     @raise Exec_error on kind/storage combinations the graph passes never
-    produce. *)
+    produce (quantized conv2d/dense weights must be [I8]). *)
 
 val default_input : Graph.t -> seed:int -> Ndarray.t
 (** A deterministic input in [0, 1) matching the graph's input shape. *)
@@ -72,6 +76,15 @@ val run : ?plan:arena_plan -> Graph.t -> input:Ndarray.t -> value
     per-op buffers — bit-identical results, bounded peak memory.  Nodes
     without a slot (inputs, weights, anything unplanned) keep private
     buffers.
+
+    The graph's weights are prepared once: the first [run] (or
+    {!calibrate}) of a graph synthesizes each weight with
+    {!weight_value} (an [I8] weight packed one byte per element), and
+    every later run of the same physical graph reuses them — counted by
+    the always-on [exec.weights_prepared] counter.  The prepared weights
+    are freed with the graph.  The returned value never shares storage
+    with them: a graph whose output is a weight returns a copy.  Safe to
+    call from several domains at once, on one graph or many.
     @raise Exec_error on kind/dtype combinations the graph passes never
     produce, or when a runtime tensor does not fit its planned slot. *)
 
@@ -80,4 +93,5 @@ val run_to_floats : ?plan:arena_plan -> Graph.t -> input:Ndarray.t -> float arra
 
 val calibrate : Graph.t -> input:Ndarray.t -> Graph.id -> float
 (** Max-abs of every node's (float-domain) output on this input — the
-    profile the quantization pass turns into scales. *)
+    profile the quantization pass turns into scales.  Prepares (or
+    reuses) the graph's weights exactly as {!run} does. *)

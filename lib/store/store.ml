@@ -61,6 +61,9 @@ type t = {
   mutable t_hits : int;
   mutable t_misses : int;
   mutable t_appends : int;
+  mutable t_torn : int option;
+      (* the file ends in a torn line (no newline) after this many bytes;
+         the next append truncates it there first *)
 }
 
 let with_lock t f =
@@ -205,21 +208,16 @@ let is_artifact_line j =
 
 (* ---------- open / load ---------- *)
 
+(* The newline-terminated lines of the file, and the length of that
+   committed prefix when a torn line (a crash mid-append) follows it. *)
 let load_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  end
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  match String.rindex_opt contents '\n' with
+  | None -> ([], if contents = "" then None else Some 0)
+  | Some last ->
+    let committed = last + 1 in
+    ( String.split_on_char '\n' (String.sub contents 0 last),
+      if committed = String.length contents then None else Some committed )
 
 let open_ path =
   (* create the file eagerly so an empty warm-up still leaves a store *)
@@ -237,9 +235,11 @@ let open_ path =
       t_stale = 0;
       t_hits = 0;
       t_misses = 0;
-      t_appends = 0
+      t_appends = 0;
+      t_torn = None
     }
   in
+  let lines, torn = load_lines path in
   let diags = ref [] in
   List.iteri
     (fun i line ->
@@ -275,7 +275,18 @@ let open_ path =
              t.t_loaded <- t.t_loaded + 1;
              Hashtbl.replace t.t_records r.r_key r)
       end)
-    (load_lines path);
+    lines;
+  Option.iter
+    (fun committed ->
+      t.t_torn <- Some committed;
+      t.t_corrupt <- t.t_corrupt + 1;
+      Obs.incr c_corrupt;
+      diags :=
+        Diag.warnf Diag.Store
+          "%s:%d: skipped corrupt line (torn: no newline; the next append drops it)" path
+          (List.length lines + 1)
+        :: !diags)
+    torn;
   (t, List.rev !diags)
 
 let path t = t.t_path
@@ -318,6 +329,8 @@ let iter t f =
 (* ---------- writes ---------- *)
 
 let append_line t line =
+  Option.iter (Unix.truncate t.t_path) t.t_torn;
+  t.t_torn <- None;
   let oc = open_out_gen [ Open_creat; Open_append; Open_binary ] 0o644 t.t_path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
@@ -364,7 +377,8 @@ let save t =
          close_out_noerr oc;
          (try Sys.remove tmp with Sys_error _ -> ());
          raise e);
-      Sys.rename tmp t.t_path)
+      Sys.rename tmp t.t_path;
+      t.t_torn <- None)
 
 (* ---------- the pipeline's view ---------- *)
 

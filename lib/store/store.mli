@@ -19,9 +19,12 @@
     re-tunes rather than replaying configs that changed meaning).
 
     Durability: each {!record} appends one line under a mutex with a
-    single buffered write+flush (a torn trailing line is recovered as
-    corrupt on the next load); {!save} rewrites the whole file compacted
-    (one line per key, latest wins) via tmp + atomic rename.
+    single buffered write+flush.  A record is committed once its newline
+    is on disk: a torn trailing line (a crash mid-append) is skipped as
+    corrupt on load, and the next append first truncates the file back
+    to its committed prefix, so a new record never glues onto the torn
+    one.  {!save} rewrites the whole file compacted (one line per key,
+    latest wins) via tmp + atomic rename.
 
     All entry points are safe for concurrent calls from
     {!Unit_codegen.Parallel_oracle} domains. *)

@@ -316,7 +316,8 @@ let print_conv_case ((kernel, stride, padding, depthwise), (channels, quantized,
 (* The integer (and float) conv2d loop nests against the boxed formula,
    over 1x1 and 3x3 kernels, both strides, both paddings, dense and
    depthwise grouping, with data and weights read through arena views at
-   nonzero offsets. *)
+   nonzero offsets.  [apply] packs the i8 weight view, so the quantized
+   cases run the packed-weight reader [run] uses. *)
 let prop_conv2d_matches_boxed =
   QCheck.Test.make ~name:"raw conv2d = boxed formula (views, groups, stride, padding)"
     ~count:300
@@ -369,13 +370,14 @@ let quantized_zoo_model name =
 let test_weights_match_boxed () =
   List.iter
     (fun model ->
+      let g = quantized_zoo_model model in
       let weights =
         List.filter_map
           (fun (n : Graph.node) ->
             match n.Graph.kind with
             | Graph.Weight { shape; dtype } -> Some (n, shape, dtype)
             | _ -> None)
-          (Graph.nodes (quantized_zoo_model model))
+          (Graph.nodes g)
       in
       let count = List.length weights in
       List.iteri
@@ -394,34 +396,108 @@ let test_weights_match_boxed () =
               if a <> b then
                 Alcotest.failf "%s: element %d is %s, boxed formula gives %s" what j
                   (Value.to_string a) (Value.to_string b)
-            done
+            done;
+            (* the graph's prepared form of an i8 weight: one byte each *)
+            match Executor.packed_weight g node.Graph.id with
+            | None ->
+              check_bool (what ^ ": only i8 weights are packed") false
+                (Dtype.equal dtype Dtype.I8)
+            | Some bytes ->
+              check_bool (what ^ ": packed weight is i8") true (Dtype.equal dtype Dtype.I8);
+              check_int (what ^ ": packed bytes") (Ndarray.num_elements expected)
+                (Bytes.length bytes);
+              for j = 0 to Bytes.length bytes - 1 do
+                if Bytes.get_int8 bytes j <> Ndarray.get_int_flat got.Executor.arr j then
+                  Alcotest.failf "%s: packed byte %d is %d, weight_value gives %d" what j
+                    (Bytes.get_int8 bytes j)
+                    (Ndarray.get_int_flat got.Executor.arr j)
+              done
           end)
         weights)
     [ "resnet18"; "mobilenet1.0" ]
 
-(* The benchmark's smoke-scale resnet18 golden: U8-quantized, fused
-   resnet18 on the seed-1 16x16 input, run through its arena plan,
-   reproduces the reference digest recorded in
-   benchmark/expected/models.json. *)
-let test_resnet18_golden () =
-  let golden =
-    let json = In_channel.with_open_bin "../benchmark/expected/models.json" In_channel.input_all in
-    let member k j = Option.bind j (Unit_obs.Json.member k) in
-    match
-      Some (Result.get_ok (Unit_obs.Json.parse json))
-      |> member "digests" |> member "16" |> member "resnet18"
-    with
-    | Some (Unit_obs.Json.Str d) -> d
-    | _ -> Alcotest.fail "no 16x16 resnet18 digest in models.json"
-  in
-  let g = quantized_zoo_model "resnet18" in
-  let plan = Unit_analysis.Arena.(exec_plan (plan g)) in
+(* The benchmark's smoke-scale goldens: each U8-quantized, fused zoo
+   model on the seed-1 16x16 input reproduces the reference digest
+   recorded in benchmark/expected/models.json — on the run that prepares
+   its weights, then through its arena plan and plan-less on the
+   prepared weights. *)
+let golden_digest model =
+  let json = In_channel.with_open_bin "../benchmark/expected/models.json" In_channel.input_all in
+  let member k j = Option.bind j (Unit_obs.Json.member k) in
+  match
+    Some (Result.get_ok (Unit_obs.Json.parse json))
+    |> member "digests" |> member "16" |> member model
+  with
+  | Some (Unit_obs.Json.Str d) -> d
+  | _ -> Alcotest.failf "no 16x16 %s digest in models.json" model
+
+let golden_input () =
   let st = Random.State.make [| 1 |] in
-  let input =
-    Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; 16; 16 ] (fun _ -> Random.State.float st 1.0)
-  in
-  let out = Executor.run ~plan g ~input in
-  Alcotest.(check string) "resnet18 16x16 digest" golden (Ndarray.digest out.Executor.arr)
+  Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; 16; 16 ] (fun _ -> Random.State.float st 1.0)
+
+let digest_of (v : Executor.value) = Ndarray.digest v.Executor.arr
+
+let test_golden model () =
+  let golden = golden_digest model in
+  let g = quantized_zoo_model model in
+  let plan = Unit_analysis.Arena.(exec_plan (plan g)) in
+  let input = golden_input () in
+  let check what v = Alcotest.(check string) (model ^ " 16x16 digest, " ^ what) golden (digest_of v) in
+  check "preparing run" (Executor.run ~plan g ~input);
+  check "planned" (Executor.run ~plan g ~input);
+  check "plan-less" (Executor.run g ~input)
+
+let weights_prepared () = List.assoc "exec.weights_prepared" (Unit_obs.Obs.counters ())
+
+(* The first run of a graph synthesizes each weight once; the second
+   synthesizes nothing and gives the same digest. *)
+let test_weights_prepared_once () =
+  let g = quantized_zoo_model "squeezenet" in
+  let count = Passes.count_kind g (function Graph.Weight _ -> true | _ -> false) in
+  let input = golden_input () in
+  let before = weights_prepared () in
+  let first = digest_of (Executor.run g ~input) in
+  check_int "first run prepares every weight" count (weights_prepared () - before);
+  let second = digest_of (Executor.run g ~input) in
+  check_int "second run prepares nothing" count (weights_prepared () - before);
+  Alcotest.(check string) "same digest" first second
+
+(* [run] never hands out prepared storage: mutating a weight output
+   changes nothing the next run sees, for an f32 and a packed i8
+   weight. *)
+let test_weight_output_is_a_copy () =
+  List.iter
+    (fun dtype ->
+      let g =
+        Graph.build
+          [ ("x", Graph.Input { shape = [ 4 ]; dtype = Dtype.F32 }, [], []);
+            ("w", Graph.Weight { shape = [ 4; 3 ]; dtype }, [], [])
+          ]
+          ~output:1
+      in
+      let input = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ 4 ] in
+      let out = (Executor.run g ~input).Executor.arr in
+      let before = Ndarray.digest out in
+      for i = 0 to Ndarray.num_elements out - 1 do
+        Ndarray.set_flat out i (Value.one dtype)
+      done;
+      Alcotest.(check string)
+        (Dtype.to_string dtype ^ " weight output unchanged by mutation")
+        before
+        (digest_of (Executor.run g ~input)))
+    [ Dtype.F32; Dtype.I8 ]
+
+(* Two domains running one fresh graph at once — racing to prepare the
+   same weights — both reproduce the golden digest. *)
+let test_concurrent_first_runs () =
+  let golden = golden_digest "squeezenet" in
+  let g = quantized_zoo_model "squeezenet" in
+  let input = golden_input () in
+  List.iter
+    (fun d -> Alcotest.(check string) "squeezenet digest from a racing domain" golden d)
+    (Unit_codegen.Parallel_oracle.map ~domains:2
+       (fun () -> digest_of (Executor.run g ~input))
+       [ (); () ])
 
 let () =
   Alcotest.run "graph"
@@ -435,7 +511,12 @@ let () =
             test_fp32_execution_deterministic;
           Alcotest.test_case "weights match boxed synthesis" `Quick
             test_weights_match_boxed;
-          Alcotest.test_case "resnet18 golden digest" `Quick test_resnet18_golden;
+          Alcotest.test_case "resnet18 golden digest" `Quick (test_golden "resnet18");
+          Alcotest.test_case "mobilenet1.0 golden digest" `Quick (test_golden "mobilenet1.0");
+          Alcotest.test_case "squeezenet golden digest" `Quick (test_golden "squeezenet");
+          Alcotest.test_case "weights prepared once" `Quick test_weights_prepared_once;
+          Alcotest.test_case "weight output is a copy" `Quick test_weight_output_is_a_copy;
+          Alcotest.test_case "concurrent first runs" `Quick test_concurrent_first_runs;
           QCheck_alcotest.to_alcotest prop_conv2d_matches_boxed
         ] );
       ( "quantization",

@@ -13,6 +13,7 @@ module Compile = Unit_codegen.Compile
 module Pipeline = Unit_core.Pipeline
 module Workload = Unit_graph.Workload
 module Store = Unit_store.Store
+module Sharded = Unit_store.Sharded
 module Warmup = Unit_store.Warmup
 module Obs = Unit_obs.Obs
 module Diag = Unit_tir.Diag
@@ -132,6 +133,69 @@ let test_corrupt_and_stale_lines () =
   check_int "after save the file is clean" 0 (List.length diags2);
   check_int "one live record" 1 (Store.size clean);
   Sys.remove path
+
+(* ---------- torn tails ---------- *)
+
+(* A crash mid-append leaves the file ending in part of a record.  Cut
+   the file at every byte offset inside its last record: a reopen must
+   load exactly the records before it (no hit for the torn one), and a
+   record appended after that reopen must survive the next one.
+   [reopen ()] opens the store afresh and returns its lookup, its record
+   function and its corrupt-line count. *)
+let check_torn_tails ~what ~path ~reopen ~committed ~torn =
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  let len = String.length contents in
+  let start =
+    match String.rindex_from_opt contents (len - 2) '\n' with Some i -> i + 1 | None -> 0
+  in
+  for cut = start to len - 1 do
+    Out_channel.with_open_bin path (fun oc -> output_string oc (String.sub contents 0 cut));
+    let expect_loaded step (lookup, _, _) =
+      List.iter
+        (fun s ->
+          if not (lookup s) then Alcotest.failf "%s: cut at %d, %s: lost %s" what cut step s)
+        committed;
+      if lookup torn then Alcotest.failf "%s: cut at %d, %s: torn %s hits" what cut step torn
+    in
+    let store = reopen () in
+    expect_loaded "reopen" store;
+    let _, put, _ = store in
+    put "sig-after-crash";
+    let ((lookup, _, corrupt) as again) = reopen () in
+    expect_loaded "append + reopen" again;
+    if not (lookup "sig-after-crash") then
+      Alcotest.failf "%s: cut at %d: the record appended after the crash is lost" what cut;
+    check_int (Printf.sprintf "%s: cut at %d: no corrupt line left" what cut) 0 (corrupt ())
+  done
+
+let test_torn_tail () =
+  let path = temp_store_path () in
+  let store, _ = Store.open_ path in
+  put store ~signature:"sig-A" ~config:some_config;
+  put store ~signature:"sig-B" ~config:some_config;
+  check_torn_tails ~what:"store" ~path ~committed:[ "sig-A" ] ~torn:"sig-B" ~reopen:(fun () ->
+      let s, _ = Store.open_ path in
+      ( (fun signature -> Store.lookup s ~signature <> None),
+        (fun signature -> put s ~signature ~config:some_config),
+        fun () -> (Store.stats s).Store.st_corrupt ));
+  Sys.remove path;
+  (* the sharded store, through its single shard *)
+  let dir = temp_store_path () in
+  let open_sharded () = fst (Sharded.open_ ~shards:1 dir) in
+  let sharded = open_sharded () in
+  let put_sharded s signature =
+    Sharded.record s ~signature ~workload:"conv_test" ~isa:"vnni.vpdpbusd"
+      ~target:"cascadelake" ~config:some_config ~cycles:123.0 ~diag_digest:"d41d8"
+  in
+  put_sharded sharded "sig-A";
+  put_sharded sharded "sig-B";
+  check_torn_tails ~what:"sharded" ~path:(Store.path (Sharded.shard sharded 0))
+    ~committed:[ "sig-A" ] ~torn:"sig-B" ~reopen:(fun () ->
+      let s = open_sharded () in
+      ( (fun signature -> Sharded.lookup s ~signature <> None),
+        put_sharded s,
+        fun () -> (Sharded.stats s).Store.st_corrupt ));
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int)
 
 let test_config_json_round_trip () =
   match Cpu_tuner.config_of_json (Cpu_tuner.config_to_json some_config) with
@@ -597,6 +661,7 @@ let () =
           Alcotest.test_case "round trip + compaction" `Quick test_round_trip;
           Alcotest.test_case "corrupt and stale recovery" `Quick
             test_corrupt_and_stale_lines;
+          Alcotest.test_case "torn tail dropped at every byte" `Quick test_torn_tail;
           Alcotest.test_case "config json round trip" `Quick
             test_config_json_round_trip
         ] );
