@@ -6,6 +6,10 @@ let c_levels = Obs.counter "exec.levels"
 let c_nodes = Obs.counter "exec.nodes"
 let h_level_width = Obs.histogram "exec.level_width"
 
+(* Multiply-accumulates a conv2d or dense call performs by its shapes,
+   kernel taps that fall on padding included. *)
+let c_macs = Obs.counter "exec.macs"
+
 (* Weights synthesized into a graph's prepared storage; a graph's second
    run adds nothing. *)
 let c_weights_prepared = Obs.counter ~always:true "exec.weights_prepared"
@@ -313,18 +317,31 @@ let shape3 v =
   | [| c; h; w |] -> (c, h, w)
   | _ -> error "expected rank-3 activation"
 
+(* [apply] is public and skips [Graph.build]'s checks, so conv2d and
+   dense check their weight shape themselves: the conv's unchecked reads
+   rely on it. *)
+let weight_shape = function Value v -> v.arr.Ndarray.shape | Packed p -> p.pk_shape
+let dims a = String.concat "; " (Array.to_list (Array.map string_of_int a))
+
 (* Data is [c; h; w], weights [k; c/g; kern; kern], output [k; oh; ow].
    Quantized weights are read packed (a value operand is packed first). *)
 let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
   let c, h, w = shape3 data in
-  let k = attrs.Graph.out_channels in
-  let cg = c / attrs.Graph.groups in
-  let kg = k / attrs.Graph.groups in
+  let k = attrs.Graph.out_channels and groups = attrs.Graph.groups in
   let kern = attrs.Graph.kernel in
   let stride = attrs.Graph.stride in
   let padding = attrs.Graph.padding in
+  if groups < 1 || c mod groups <> 0 || k mod groups <> 0 then
+    error "conv2d: groups %d does not divide %d input and %d output channels" groups c k;
+  let cg = c / groups and kg = k / groups in
+  if weight_shape weights <> [| k; cg; kern; kern |] then
+    error "conv2d: weight shape [%s], expected [%s]"
+      (dims (weight_shape weights))
+      (dims [| k; cg; kern; kern |]);
+  if kern < 1 || stride < 1 then error "conv2d: kernel %d, stride %d" kern stride;
   let oh = Graph.conv_out_dim ~size:h ~kernel:kern ~stride ~padding in
   let ow = Graph.conv_out_dim ~size:w ~kernel:kern ~stride ~padding in
+  Obs.add c_macs (k * oh * ow * cg * kern * kern);
   let out_dtype = if is_quantized data then Dtype.I32 else Dtype.F32 in
   let out = output_array ~dst ~dtype:out_dtype ~shape:[ k; oh; ow ] in
   let doff = data.arr.Ndarray.offset and ooff = out.Ndarray.offset in
@@ -344,34 +361,110 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
     let y0 = Array.init kern first and y1 = Array.init kern (last ~size:h ~out_size:oh) in
     let x0 = Array.init kern first and x1 = Array.init kern (last ~size:w ~out_size:ow) in
     let lo, hi = int_bounds Dtype.I32 in
-    (* The clipped tap ranges keep every index inside these three
-       windows, which is what licenses the unchecked accesses below. *)
-    if doff + (c * h * w) > Array.length d
-       || k * cg * kern * kern > Bytes.length wt
-       || ooff + (k * plane) > Array.length o
-    then error "conv2d: an operand is smaller than its shape";
-    (* Weight-stationary: each tap streams one input plane into the
-       output plane, whose slots hold the exact integer accumulators
-       until the requantizing store. *)
+    (* The clipped tap ranges keep every index inside these two windows
+       and the checked weight shape, which is what licenses the
+       unchecked accesses below. *)
+    if doff + (c * h * w) > Array.length d || ooff + (k * plane) > Array.length o then
+      error "conv2d: an operand is smaller than its shape";
+    let kk = kern * kern and hw = h * w in
+    (* Weight-stationary and register-blocked: a pass streams input
+       planes into the output plane, whose slots hold the exact integer
+       accumulators until the requantizing store, and each slot update
+       adds several terms.  A pass covers four input channels at one tap
+       (channel block), or, in a group of fewer than four channels, three
+       horizontal taps of one channel (tap block).  What neither block
+       covers runs [tap], one term per update. *)
+    let tap obase dplane wv r s xs xe =
+      (* locals, so the loops do not reload them from the closure *)
+      let o = o and d = d and stride = stride in
+      for y = y0.(r) to y1.(r) do
+        let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
+        let orow = obase + (y * ow) in
+        for x = xs to xe do
+          Array.unsafe_set o (orow + x)
+            (Array.unsafe_get o (orow + x) + (wv * Array.unsafe_get d (drow + (x * stride))))
+        done
+      done
+    in
+    (* channels [dplane + j * hw] with weights [t + j * kk], j < 4: one
+       clipped range serves all four, since it depends only on the tap *)
+    let channel_block obase dplane t r s =
+      let o = o and d = d and stride = stride and hw2 = 2 * hw and hw3 = 3 * hw in
+      let w0 = Bytes.get_int8 wt t and w1 = Bytes.get_int8 wt (t + kk) in
+      let w2 = Bytes.get_int8 wt (t + (2 * kk)) and w3 = Bytes.get_int8 wt (t + (3 * kk)) in
+      let xs = x0.(s) and xe = x1.(s) in
+      for y = y0.(r) to y1.(r) do
+        let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
+        let orow = obase + (y * ow) in
+        for x = xs to xe do
+          let i = drow + (x * stride) in
+          Array.unsafe_set o (orow + x)
+            (Array.unsafe_get o (orow + x)
+             + (w0 * Array.unsafe_get d i)
+             + (w1 * Array.unsafe_get d (i + hw))
+             + (w2 * Array.unsafe_get d (i + hw2))
+             + (w3 * Array.unsafe_get d (i + hw3)))
+        done
+      done
+    in
+    (* taps [s, s + 1, s + 2] of row [r] with weights [t + j]: the 3-term
+       body covers the interior, where all three are in bounds, and each
+       tap runs its own edges.  With no interior the two edges of a tap
+       would overlap, so each tap runs its whole range instead. *)
+    let tap_block obase dplane t r s =
+      let w0 = Bytes.get_int8 wt t and w1 = Bytes.get_int8 wt (t + 1) in
+      let w2 = Bytes.get_int8 wt (t + 2) in
+      let xs = x0.(s) and xe = x1.(s + 2) in
+      if xs > xe then begin
+        tap obase dplane w0 r s x0.(s) x1.(s);
+        tap obase dplane w1 r (s + 1) x0.(s + 1) x1.(s + 1);
+        tap obase dplane w2 r (s + 2) x0.(s + 2) x1.(s + 2)
+      end
+      else begin
+        let o = o and d = d and stride = stride in
+        for y = y0.(r) to y1.(r) do
+          let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
+          let orow = obase + (y * ow) in
+          for x = xs to xe do
+            let i = drow + (x * stride) in
+            Array.unsafe_set o (orow + x)
+              (Array.unsafe_get o (orow + x)
+               + (w0 * Array.unsafe_get d i)
+               + (w1 * Array.unsafe_get d (i + 1))
+               + (w2 * Array.unsafe_get d (i + 2)))
+          done
+        done;
+        let edges j wv =
+          tap obase dplane wv r (s + j) x0.(s + j) (xs - 1);
+          tap obase dplane wv r (s + j) (xe + 1) x1.(s + j)
+        in
+        edges 0 w0;
+        edges 1 w1;
+        edges 2 w2
+      end
+    in
+    let blocked = cg - (cg mod 4) and taps = if cg < 4 then kern - (kern mod 3) else 0 in
     for ko = 0 to k - 1 do
       let obase = ooff + (ko * plane) in
       Array.fill o obase plane 0;
-      for ci = 0 to cg - 1 do
-        let dplane = doff + ((((ko / kg * cg) + ci) * h) * w) in
-        let wtap = ((ko * cg) + ci) * kern * kern in
+      let dgroup = doff + (ko / kg * cg * hw) and wk = ko * cg * kk in
+      for b = 0 to (blocked / 4) - 1 do
+        let dplane = dgroup + (4 * b * hw) and wtap = wk + (4 * b * kk) in
         for r = 0 to kern - 1 do
           for s = 0 to kern - 1 do
-            let wv = Bytes.get_int8 wt (wtap + (r * kern) + s) in
-            let xs = x0.(s) and xe = x1.(s) in
-            for y = y0.(r) to y1.(r) do
-              let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-              let orow = obase + (y * ow) in
-              for x = xs to xe do
-                Array.unsafe_set o (orow + x)
-                  (Array.unsafe_get o (orow + x)
-                   + (wv * Array.unsafe_get d (drow + (x * stride))))
-              done
-            done
+            channel_block obase dplane (wtap + (r * kern) + s) r s
+          done
+        done
+      done;
+      for ci = blocked to cg - 1 do
+        let dplane = dgroup + (ci * hw) and wtap = wk + (ci * kk) in
+        for r = 0 to kern - 1 do
+          let wrow = wtap + (r * kern) in
+          for b = 0 to (taps / 3) - 1 do
+            tap_block obase dplane (wrow + (3 * b)) r (3 * b)
+          done;
+          for s = taps to kern - 1 do
+            tap obase dplane (Bytes.get_int8 wt (wrow + s)) r s x0.(s) x1.(s)
           done
         done
       done;
@@ -474,6 +567,13 @@ let dense ?(dst = no_dst) units data weights =
     | [| k |] -> k
     | _ -> error "dense expects rank-1 data"
   in
+  (* A graph run below its declared input size flattens to fewer
+     features than a weight row holds; dense then reads the first
+     [units * k] weights. *)
+  (match weight_shape weights with
+   | [| u; k' |] when u = units && k' >= k -> ()
+   | got -> error "dense: weight shape [%s] for %d units of %d inputs" (dims got) units k);
+  Obs.add c_macs (units * k);
   let out_dtype = if is_quantized data then Dtype.I32 else Dtype.F32 in
   let out = output_array ~dst ~dtype:out_dtype ~shape:[ units ] in
   let doff = data.arr.Ndarray.offset and ooff = out.Ndarray.offset in

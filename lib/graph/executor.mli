@@ -39,7 +39,12 @@ val apply : Graph.kind -> value list -> value
     [Conv2d] and [Dense] pack their weight operand into the same int8
     bytes {!run} prepares, and read it only in that form.
     @raise Exec_error on kind/storage combinations the graph passes never
-    produce (quantized conv2d/dense weights must be [I8]). *)
+    produce (quantized conv2d/dense weights must be [I8]), and on operands
+    whose shapes contradict the attributes: conv2d weights must be
+    [[k; c/groups; kern; kern]] with [groups] dividing both [c] and [k],
+    dense weights [[units; k']] for [k] inputs with [k' >= k] (a graph
+    run below its declared input size flattens to fewer features; dense
+    then reads the first [units * k] weights). *)
 
 val default_input : Graph.t -> seed:int -> Ndarray.t
 (** A deterministic input in [0, 1) matching the graph's input shape. *)

@@ -303,60 +303,122 @@ let arena_view ~offset ~dtype ~shape f =
   Ndarray.fill_float v f;
   v
 
+(* The executor's conv2d on [channels x h x w] data against the boxed
+   formula, with data and weights read through arena views at nonzero
+   offsets.  [apply] packs an i8 weight view, so the quantized case runs
+   the packed-weight reader [run] uses. *)
+let conv_matches_boxed ~quantized ~seed (attrs : Graph.conv2d_attrs) ~channels ~h ~w =
+  let st = Random.State.make [| seed |] in
+  let data_dtype, weight_dtype =
+    if quantized then (Dtype.U8, Dtype.I8) else (Dtype.F32, Dtype.F32)
+  in
+  let draw lo span _ =
+    if quantized then Float.of_int (lo + Random.State.int st span)
+    else Random.State.float st 2.0 -. 1.0
+  in
+  let data =
+    { Executor.arr =
+        arena_view ~offset:(1 + Random.State.int st 9) ~dtype:data_dtype
+          ~shape:[ channels; h; w ] (draw 0 256);
+      scale = (if quantized then 0.0123 else 1.0)
+    }
+  in
+  let kern = attrs.Graph.kernel in
+  let weights =
+    { Executor.arr =
+        arena_view ~offset:(1 + Random.State.int st 9) ~dtype:weight_dtype
+          ~shape:[ attrs.Graph.out_channels; channels / attrs.Graph.groups; kern; kern ]
+          (draw (-128) 256);
+      scale = (if quantized then 0.0071 else 1.0)
+    }
+  in
+  let got = Executor.apply (Graph.Conv2d attrs) [ data; weights ] in
+  let expected, scale = ref_conv2d attrs data weights in
+  Ndarray.equal got.Executor.arr expected && got.Executor.scale = scale
+
+(* groups: 0 dense, 1 two groups (dense when [channels] is odd), 2
+   depthwise *)
 let conv_case_gen =
   QCheck.Gen.(
     pair
-      (quad (oneofl [ 1; 3 ]) (oneofl [ 1; 2 ]) (oneofl [ 0; 1 ]) bool)
-      (triple (int_range 1 5) bool (int_range 0 1_000_000)))
+      (quad (oneofl [ 1; 3; 5; 7 ]) (oneofl [ 1; 2 ]) (int_range 0 3) (int_range 0 2))
+      (triple (int_range 1 9) bool (int_range 0 1_000_000)))
 
-let print_conv_case ((kernel, stride, padding, depthwise), (channels, quantized, seed)) =
-  Printf.sprintf "kernel=%d stride=%d padding=%d depthwise=%b channels=%d quantized=%b seed=%d"
-    kernel stride padding depthwise channels quantized seed
+let conv_groups ~channels = function
+  | 0 -> 1
+  | 1 -> if channels mod 2 = 0 then 2 else 1
+  | _ -> channels
+
+let print_conv_case ((kernel, stride, padding, grouping), (channels, quantized, seed)) =
+  Printf.sprintf "kernel=%d stride=%d padding=%d groups=%d channels=%d quantized=%b seed=%d"
+    kernel stride padding (conv_groups ~channels grouping) channels quantized seed
 
 (* The integer (and float) conv2d loop nests against the boxed formula,
-   over 1x1 and 3x3 kernels, both strides, both paddings, dense and
-   depthwise grouping, with data and weights read through arena views at
-   nonzero offsets.  [apply] packs the i8 weight view, so the quantized
-   cases run the packed-weight reader [run] uses. *)
+   over 1x1 to 7x7 kernels, both strides, paddings 0 to 3, 1 to 9
+   channels (every remainder of a four-channel block), dense, two-group
+   and depthwise grouping, and inputs down to a 1x1 output. *)
 let prop_conv2d_matches_boxed =
   QCheck.Test.make ~name:"raw conv2d = boxed formula (views, groups, stride, padding)"
-    ~count:300
+    ~count:1000
     (QCheck.make ~print:print_conv_case conv_case_gen)
-    (fun ((kernel, stride, padding, depthwise), (channels, quantized, seed)) ->
+    (fun ((kernel, stride, padding, grouping), (channels, quantized, seed)) ->
       let st = Random.State.make [| seed |] in
-      let groups = if depthwise then channels else 1 in
-      let k =
-        if depthwise then channels * (1 + Random.State.int st 2)
-        else 1 + Random.State.int st 6
-      in
+      let groups = conv_groups ~channels grouping in
+      let k = groups * (1 + Random.State.int st (if groups = 1 then 6 else 2)) in
       let min_size = Stdlib.max 1 (kernel - (2 * padding)) in
       let h = min_size + Random.State.int st 6 and w = min_size + Random.State.int st 6 in
       let attrs = { Graph.out_channels = k; kernel; stride; padding; groups } in
-      let data_dtype, weight_dtype =
-        if quantized then (Dtype.U8, Dtype.I8) else (Dtype.F32, Dtype.F32)
-      in
-      let draw lo span _ =
-        if quantized then Float.of_int (lo + Random.State.int st span)
-        else Random.State.float st 2.0 -. 1.0
-      in
-      let data =
-        { Executor.arr =
-            arena_view ~offset:(1 + Random.State.int st 9) ~dtype:data_dtype
-              ~shape:[ channels; h; w ] (draw 0 256);
-          scale = (if quantized then 0.0123 else 1.0)
-        }
-      in
-      let weights =
-        { Executor.arr =
-            arena_view ~offset:(1 + Random.State.int st 9) ~dtype:weight_dtype
-              ~shape:[ k; channels / groups; kernel; kernel ]
-              (draw (-128) 256);
-          scale = (if quantized then 0.0071 else 1.0)
-        }
-      in
-      let got = Executor.apply (Graph.Conv2d attrs) [ data; weights ] in
-      let expected, scale = ref_conv2d attrs data weights in
-      Ndarray.equal got.Executor.arr expected && got.Executor.scale = scale)
+      conv_matches_boxed ~quantized ~seed attrs ~channels ~h ~w)
+
+(* Shapes that reach the blocked nest's edge cases, pinned. *)
+let test_conv2d_pinned_shapes () =
+  let case what ~channels ~k ~kernel ~stride ~padding ~groups ~h ~w =
+    let attrs = { Graph.out_channels = k; kernel; stride; padding; groups } in
+    List.iter
+      (fun quantized ->
+        check_bool
+          (Printf.sprintf "%s, %s" what (if quantized then "quantized" else "f32"))
+          true
+          (conv_matches_boxed ~quantized ~seed:7 attrs ~channels ~h ~w))
+      [ true; false ]
+  in
+  (* a tap block with no interior: each tap runs its whole range *)
+  List.iter
+    (fun (h, w) ->
+      case
+        (Printf.sprintf "depthwise 3x3 padding 1 on %dx%d" h w)
+        ~channels:4 ~k:4 ~kernel:3 ~stride:1 ~padding:1 ~groups:4 ~h ~w)
+    [ (1, 1); (2, 1); (1, 2) ];
+  case "resnet18 stem on 11x9" ~channels:3 ~k:5 ~kernel:7 ~stride:2 ~padding:3 ~groups:1 ~h:11
+    ~w:9;
+  case "9 channels 3x3 on 2x2" ~channels:9 ~k:3 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:2
+    ~w:2
+
+(* [apply] bypasses [Graph.build], so it checks conv2d and dense operand
+   shapes against the attributes itself. *)
+let test_apply_rejects_bad_shapes () =
+  let value dtype shape =
+    { Executor.arr = Ndarray.zeros ~dtype ~shape;
+      scale = (if Dtype.is_float dtype then 1.0 else 0.01)
+    }
+  in
+  let conv ?(groups = 1) ~k ~kernel data_dtype weight_dtype wshape =
+    ( Graph.Conv2d { Graph.out_channels = k; kernel; stride = 1; padding = 0; groups },
+      [ value data_dtype [ 4; 5; 5 ]; value weight_dtype wshape ] )
+  in
+  List.iter
+    (fun (what, (kind, args)) ->
+      match Executor.apply kind args with
+      | exception Executor.Exec_error _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [ ("i8 3x3 weights on a 1x1 conv", conv ~k:2 ~kernel:1 Dtype.U8 Dtype.I8 [ 2; 4; 3; 3 ]);
+      ("f32 3x3 weights on a 1x1 conv", conv ~k:2 ~kernel:1 Dtype.F32 Dtype.F32 [ 2; 4; 3; 3 ]);
+      ( "3 groups on 4 channels",
+        conv ~groups:3 ~k:3 ~kernel:1 Dtype.U8 Dtype.I8 [ 3; 1; 1; 1 ] );
+      ("3 output channels, 2 weights", conv ~k:3 ~kernel:1 Dtype.F32 Dtype.F32 [ 2; 4; 1; 1 ]);
+      ( "dense weights of the wrong width",
+        (Graph.Dense { units = 2 }, [ value Dtype.F32 [ 4 ]; value Dtype.F32 [ 2; 3 ] ]) )
+    ]
 
 let quantized_zoo_model name =
   match Unit_models.Zoo.find name with
@@ -416,27 +478,27 @@ let test_weights_match_boxed () =
         weights)
     [ "resnet18"; "mobilenet1.0" ]
 
-(* The benchmark's smoke-scale goldens: each U8-quantized, fused zoo
-   model on the seed-1 16x16 input reproduces the reference digest
-   recorded in benchmark/expected/models.json — on the run that prepares
-   its weights, then through its arena plan and plan-less on the
-   prepared weights. *)
-let golden_digest model =
+(* The benchmark's goldens: each U8-quantized, fused zoo model on the
+   seed-1 [hw]x[hw] input reproduces the reference digest recorded in
+   benchmark/expected/models.json. *)
+let golden_digest ?(hw = 16) model =
   let json = In_channel.with_open_bin "../benchmark/expected/models.json" In_channel.input_all in
   let member k j = Option.bind j (Unit_obs.Json.member k) in
   match
     Some (Result.get_ok (Unit_obs.Json.parse json))
-    |> member "digests" |> member "16" |> member model
+    |> member "digests" |> member (string_of_int hw) |> member model
   with
   | Some (Unit_obs.Json.Str d) -> d
-  | _ -> Alcotest.failf "no 16x16 %s digest in models.json" model
+  | _ -> Alcotest.failf "no %dx%d %s digest in models.json" hw hw model
 
-let golden_input () =
+let golden_input ?(hw = 16) () =
   let st = Random.State.make [| 1 |] in
-  Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; 16; 16 ] (fun _ -> Random.State.float st 1.0)
+  Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; hw; hw ] (fun _ -> Random.State.float st 1.0)
 
 let digest_of (v : Executor.value) = Ndarray.digest v.Executor.arr
 
+(* At the smoke scale: on the run that prepares the weights, then
+   through the arena plan and plan-less on the prepared weights. *)
 let test_golden model () =
   let golden = golden_digest model in
   let g = quantized_zoo_model model in
@@ -447,7 +509,41 @@ let test_golden model () =
   check "planned" (Executor.run ~plan g ~input);
   check "plan-less" (Executor.run g ~input)
 
+(* At the benchmark's size, once, on the path the models workload times:
+   [run ~plan] with the checked arena plan. *)
+let test_golden_64 model () =
+  let g = quantized_zoo_model model in
+  let plan = Unit_analysis.Arena.plan g in
+  check_int (model ^ ": arena plan diagnostics") 0
+    (List.length (Unit_analysis.Arena.check g plan));
+  let input = golden_input ~hw:64 () in
+  let out = Executor.run ~plan:(Unit_analysis.Arena.exec_plan plan) g ~input in
+  Alcotest.(check string) (model ^ " 64x64 digest") (golden_digest ~hw:64 model) (digest_of out)
+
 let weights_prepared () = List.assoc "exec.weights_prepared" (Unit_obs.Obs.counters ())
+let macs () = List.assoc "exec.macs" (Unit_obs.Obs.counters ())
+
+(* [exec.macs] counts k x oh x ow x (c / groups) x kern^2 per conv2d
+   while tracing is on, and nothing while it is off. *)
+let test_macs_counted () =
+  let b = B.create () in
+  let x = B.input b ~shape:[ 4; 8; 8 ] Dtype.F32 in
+  let y = B.conv2d b ~channels:6 ~kernel:3 ~padding:1 x in
+  let g = B.finish b (B.conv2d b ~groups:2 ~channels:4 ~kernel:1 ~stride:2 y) in
+  let input = Executor.default_input g ~seed:1 in
+  let expected = (6 * 8 * 8 * 4 * 9) + (4 * 4 * 4 * 3 * 1) in
+  let traced =
+    let before = macs () in
+    Unit_obs.Obs.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Unit_obs.Obs.set_enabled false)
+      (fun () -> ignore (Executor.run g ~input));
+    macs () - before
+  in
+  check_int "traced run" expected traced;
+  let before = macs () in
+  ignore (Executor.run g ~input);
+  check_int "untraced run" 0 (macs () - before)
 
 (* The first run of a graph synthesizes each weight once; the second
    synthesizes nothing and gives the same digest. *)
@@ -514,9 +610,17 @@ let () =
           Alcotest.test_case "resnet18 golden digest" `Quick (test_golden "resnet18");
           Alcotest.test_case "mobilenet1.0 golden digest" `Quick (test_golden "mobilenet1.0");
           Alcotest.test_case "squeezenet golden digest" `Quick (test_golden "squeezenet");
+          Alcotest.test_case "resnet18 64x64 golden digest" `Quick (test_golden_64 "resnet18");
+          Alcotest.test_case "mobilenet1.0 64x64 golden digest" `Quick
+            (test_golden_64 "mobilenet1.0");
+          Alcotest.test_case "squeezenet 64x64 golden digest" `Quick
+            (test_golden_64 "squeezenet");
           Alcotest.test_case "weights prepared once" `Quick test_weights_prepared_once;
           Alcotest.test_case "weight output is a copy" `Quick test_weight_output_is_a_copy;
           Alcotest.test_case "concurrent first runs" `Quick test_concurrent_first_runs;
+          Alcotest.test_case "macs counted when traced" `Quick test_macs_counted;
+          Alcotest.test_case "apply rejects bad shapes" `Quick test_apply_rejects_bad_shapes;
+          Alcotest.test_case "conv2d pinned shapes" `Quick test_conv2d_pinned_shapes;
           QCheck_alcotest.to_alcotest prop_conv2d_matches_boxed
         ] );
       ( "quantization",
