@@ -594,7 +594,6 @@ module Serve_protocol = Unit_serve.Protocol
 module Serve_server = Unit_serve.Server
 module Serve_flight = Unit_serve.Flight
 module Sharded = Unit_store.Sharded
-module Warmup = Unit_store.Warmup
 module Ndarray = Unit_codegen.Ndarray
 
 let tune_span_count () =
@@ -607,19 +606,12 @@ let tune_span_count () =
 
 let serve_direct_digest target workload =
   let c =
-    match (target, workload) with
-    | Warmup.X86, (Serve_protocol.Conv _ | Serve_protocol.Table1 _) ->
-      Pipeline.conv_compiled_x86
-        (match workload with
-         | Serve_protocol.Conv wl -> wl
-         | Serve_protocol.Table1 i -> Unit_models.Table1.workloads.(i - 1)
-         | Serve_protocol.Dense _ -> assert false)
-    | Warmup.X86, Serve_protocol.Dense wl -> Pipeline.dense_compiled_x86 wl
-    | Warmup.Arm, _ -> assert false
+    Pipeline.compiled target (Serve_protocol.to_workload workload)
   in
   let op = c.Pipeline.c_op in
   let signature =
-    Pipeline.workload_signature ~spec:Spec.cascadelake op c.Pipeline.c_intrin
+    Pipeline.workload_signature ~spec:(Pipeline.target_spec target) op
+      c.Pipeline.c_intrin
   in
   let inputs =
     List.map
@@ -658,14 +650,14 @@ let serve_bench () =
         @ [ (target, Serve_protocol.Dense { Workload.d_k = 256; d_units = 128 });
             (target, Serve_protocol.Dense { Workload.d_k = 512; d_units = 64 })
           ])
-      [ Warmup.X86; Warmup.Arm ]
+      [ Pipeline.X86; Pipeline.Arm ]
   in
   (* ... plus small executable convs the daemon actually runs (x86 so the
      direct-digest replay below stays on one spec) *)
   let run_pool =
     List.map
       (fun (c, k) ->
-        ( Warmup.X86,
+        ( Pipeline.X86,
           Serve_protocol.Conv
             { Workload.c; h = 8; w = 8; k; kernel = 3; stride = 1; padding = 1;
               groups = 1 } ))
@@ -687,7 +679,7 @@ let serve_bench () =
       | Serve_protocol.Tune { target; workload; _ }
       | Serve_protocol.Run { target; workload; _ } ->
         Hashtbl.replace keys
-          (Warmup.target_to_string target ^ "/"
+          (Pipeline.target_to_string target ^ "/"
           ^ Serve_protocol.workload_name workload)
           ()
       | _ -> ()
@@ -754,7 +746,7 @@ let serve_bench () =
         let name = Serve_protocol.workload_name workload in
         match Hashtbl.find_opt digests name with
         | None -> false
-        | Some d -> String.equal d (serve_direct_digest Warmup.X86 workload))
+        | Some d -> String.equal d (serve_direct_digest Pipeline.X86 workload))
       run_pool
   in
   Array.sort compare latencies;

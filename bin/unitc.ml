@@ -2,17 +2,15 @@
 
    Subcommands expose each stage of the pipeline on a user-specified
    convolution/matmul: list and show instruction descriptions, run the
-   Inspector, compile (reorganize + tune + replace) with IR dumps, and
-   execute the tensorized kernel against the scalar oracle. *)
+   Inspector, compile (Pipeline.tensorize) with IR dumps, and execute
+   the tuned tensorized kernel against the scalar oracle. *)
 
 open Cmdliner
 open Unit_dtype
 open Unit_dsl
 module Inspector = Unit_inspector.Inspector
-module Reorganize = Unit_rewriter.Reorganize
-module Replace = Unit_rewriter.Replace
+module Pipeline = Unit_core.Pipeline
 module Cpu_tuner = Unit_rewriter.Cpu_tuner
-module Spec = Unit_machine.Spec
 module Cpu_model = Unit_machine.Cpu_model
 module Obs = Unit_obs.Obs
 module Json = Unit_obs.Json
@@ -63,13 +61,6 @@ let spec_arg =
   let doc = "Target CPU model: cascadelake (alias x86) or graviton2 (alias arm)." in
   Arg.(value & opt string "cascadelake" & info [ "target" ] ~docv:"CPU" ~doc)
 
-let lookup_spec = function
-  | "cascadelake" | "x86" -> Ok Spec.cascadelake
-  | "graviton2" | "arm" -> Ok Spec.graviton2
-  | other -> Error (Printf.sprintf "unknown target %s" other)
-
-let is_arm_target = function "graviton2" | "arm" -> true | _ -> false
-
 (* ---------- persistent tuning store plumbing ---------- *)
 
 let store_arg =
@@ -90,6 +81,14 @@ let or_die = function
   | Error msg ->
     prerr_endline ("unitc: " ^ msg);
     exit 1
+
+let target_or_die name = or_die (Pipeline.target_of_string name)
+
+(* A CPU target or the GPU ([explain], [bench-report], [e2e]). *)
+let any_target_or_die name =
+  match Unit_core.Explain.target_of_string name with
+  | Some t -> t
+  | None -> or_die (Error (Printf.sprintf "unknown target %s (x86, arm or gpu)" name))
 
 (* A store that cannot be opened — a missing parent directory, or a
    single-file store that needs store-migrate first — is one line and
@@ -140,7 +139,7 @@ let engine_arg =
            All three are bit-identical on analyzer-clean kernels.")
 
 let parse_engine s =
-  match Unit_core.Pipeline.engine_of_string s with
+  match Pipeline.engine_of_string s with
   | Ok e -> e
   | Error d ->
     prerr_endline ("unitc: " ^ Diag.to_string d);
@@ -338,46 +337,51 @@ let inspect kind isa c hw k kernel stride n m kdim =
 
 (* ---------- compile ---------- *)
 
+(* The route from an (operation, instruction) pair to its tuned kernel
+   for compile and run: a rejection or an illegal schedule prints
+   [failure_to_string] and exits 1. *)
+let tensorize_or_die ~spec op intrin =
+  match Pipeline.tensorize ~spec op intrin with
+  | Ok c -> c.Pipeline.c_tuned
+  | Error (Pipeline.Rejected _ as f) ->
+    Format.printf "not applicable: %s@." (Pipeline.failure_to_string f);
+    exit 1
+  | Error f -> or_die (Error (Pipeline.failure_to_string f))
+
 let compile kind isa target c hw k kernel stride n m kdim show_ir =
   let intrin = or_die (lookup_intrin isa) in
-  let spec = or_die (lookup_spec target) in
+  let spec = Pipeline.target_spec (target_or_die target) in
   let op = or_die (build_op ~kind ~intrin ~c ~hw ~k ~kernel ~stride ~n ~m ~kdim) in
-  match Inspector.inspect op intrin with
-  | Error r ->
-    Format.printf "not applicable: %s@." (Inspector.rejection_to_string r);
-    exit 1
-  | Ok ap ->
-    let reorganized = Reorganize.apply op ap () in
-    let tuned = Cpu_tuner.tune spec reorganized in
-    Format.printf "schedule:@.%a@." Unit_dsl.Schedule.pp tuned.Cpu_tuner.t_schedule;
-    if show_ir then
-      Format.printf "@.tensor IR after replacement:@.%a@." Unit_tir.Stmt.pp
-        tuned.Cpu_tuner.t_func.Unit_tir.Lower.fn_body;
-    (* static validation of the generated program *)
-    let registry_axes name =
-      Option.map
-        (fun (i : Unit_isa.Intrin.t) ->
-          List.map
-            (fun (a : Axis.t) -> (a.Axis.name, a.Axis.extent))
-            (Op.all_axes i.Unit_isa.Intrin.op))
-        (Unit_isa.Registry.find name)
-    in
-    (match
-       Unit_tir.Validate.check_func ~intrin_axes:registry_axes tuned.Cpu_tuner.t_func
-     with
-     | [] -> Format.printf "@.validation: OK@."
-     | violations ->
-       List.iter
-         (fun v -> Format.printf "validation: %a@." Unit_tir.Validate.pp_violation v)
-         violations;
-       exit 1);
-    let est = tuned.Cpu_tuner.t_estimate in
-    Format.printf
-      "@.config: parallel_grain=%d unroll_budget=%d@.estimated: %.0f cycles (%.3f us), %.1f MACs/cycle/core@."
-      tuned.Cpu_tuner.t_config.Cpu_tuner.parallel_grain
-      tuned.Cpu_tuner.t_config.Cpu_tuner.unroll_budget est.Cpu_model.est_cycles
-      (est.Cpu_model.est_seconds *. 1e6)
-      (Float.of_int (Op.macs op) /. est.Cpu_model.est_compute_cycles)
+  let tuned = tensorize_or_die ~spec op intrin in
+  Format.printf "schedule:@.%a@." Unit_dsl.Schedule.pp tuned.Cpu_tuner.t_schedule;
+  if show_ir then
+    Format.printf "@.tensor IR after replacement:@.%a@." Unit_tir.Stmt.pp
+      tuned.Cpu_tuner.t_func.Unit_tir.Lower.fn_body;
+  (* static validation of the generated program *)
+  let registry_axes name =
+    Option.map
+      (fun (i : Unit_isa.Intrin.t) ->
+        List.map
+          (fun (a : Axis.t) -> (a.Axis.name, a.Axis.extent))
+          (Op.all_axes i.Unit_isa.Intrin.op))
+      (Unit_isa.Registry.find name)
+  in
+  (match
+     Unit_tir.Validate.check_func ~intrin_axes:registry_axes tuned.Cpu_tuner.t_func
+   with
+   | [] -> Format.printf "@.validation: OK@."
+   | violations ->
+     List.iter
+       (fun v -> Format.printf "validation: %a@." Unit_tir.Validate.pp_violation v)
+       violations;
+     exit 1);
+  let est = tuned.Cpu_tuner.t_estimate in
+  Format.printf
+    "@.config: parallel_grain=%d unroll_budget=%d@.estimated: %.0f cycles (%.3f us), %.1f MACs/cycle/core@."
+    tuned.Cpu_tuner.t_config.Cpu_tuner.parallel_grain
+    tuned.Cpu_tuner.t_config.Cpu_tuner.unroll_budget est.Cpu_model.est_cycles
+    (est.Cpu_model.est_seconds *. 1e6)
+    (Float.of_int (Op.macs op) /. est.Cpu_model.est_compute_cycles)
 
 (* ---------- run (differential execution) ---------- *)
 
@@ -388,66 +392,46 @@ let run kind isa engine trace trace_out store packs c hw k kernel stride n m kdi
   load_isa_packs packs;
   let intrin = or_die (lookup_intrin isa) in
   let op = or_die (build_op ~kind ~intrin ~c ~hw ~k ~kernel ~stride ~n ~m ~kdim) in
-  match Inspector.inspect op intrin with
-  | Error r ->
-    Format.printf "not applicable: %s@." (Inspector.rejection_to_string r);
-    exit 1
-  | Ok ap ->
-    with_store store @@ fun () ->
-    let spec =
-      match intrin.Unit_isa.Intrin.platform with
-      | Unit_isa.Intrin.Arm -> Spec.graviton2
-      | _ -> Spec.cascadelake
-    in
-    (* the emitted engine's persistent artifacts are keyed per kernel
-       variant: the scalar oracle and the tensorized kernel of one
-       workload are different programs under the same signature *)
-    let signature = Unit_core.Pipeline.workload_signature ~spec op intrin in
-    let reorganized = Reorganize.apply op ap () in
-    let func =
-      match store with
-      | None -> Replace.run (Unit_tir.Lower.lower reorganized.Reorganize.schedule)
-      | Some _ ->
-        (* with a store installed, execute the *tuned* kernel so what runs
-           is exactly the warm path: replay on a hit, sweep+persist on a
-           miss *)
-        let tuned, diags =
-          Unit_core.Pipeline.tune_analyzed ~use_store:true ~spec op intrin
-            reorganized
-        in
-        (match Diag.errors diags with
-         | [] -> tuned.Cpu_tuner.t_func
-         | errs ->
-           or_die
-             (Error
-                ("illegal schedule: "
-                ^ String.concat "; " (List.map Diag.to_string errs))))
-    in
-    let inputs =
-      List.map
-        (fun t -> (t, Unit_codegen.Ndarray.random_for_tensor ~seed:1 t))
-        (Op.inputs op)
-    in
-    let out_ref = Unit_codegen.Ndarray.of_tensor_zeros op.Op.output in
-    let out_t = Unit_codegen.Ndarray.of_tensor_zeros op.Op.output in
-    let exec ~variant func ~bindings =
-      Unit_core.Pipeline.run_func ~engine
-        ~signature:(variant ^ "|" ^ signature) func ~bindings
-    in
-    exec ~variant:"oracle" (Unit_tir.Lower.scalar_reference op)
-      ~bindings:((op.Op.output, out_ref) :: inputs);
-    exec ~variant:"tensorized" func ~bindings:((op.Op.output, out_t) :: inputs);
-    let ok = Unit_codegen.Ndarray.equal out_ref out_t in
-    Format.printf "tensorized vs scalar reference (%s engine): %s@."
-      (Unit_core.Pipeline.engine_to_string engine)
-      (if ok then "IDENTICAL" else "MISMATCH");
-    (* element-exact content hash — the cross-process bit-identity
-       witness (the isa-smoke alias compares it across instructions) *)
-    Format.printf "output digest: %s@." (Unit_codegen.Ndarray.digest out_t);
-    Option.iter
-      (fun d -> Format.printf "%s@." (Diag.to_string d))
-      (Unit_codegen.Emit_cache.last_fallback ());
-    if not ok then exit 1
+  with_store store @@ fun () ->
+  (* the instruction's platform picks the machine model it is tuned for *)
+  let spec =
+    Pipeline.target_spec
+      (match intrin.Unit_isa.Intrin.platform with
+       | Unit_isa.Intrin.Arm -> Pipeline.Arm
+       | _ -> Pipeline.X86)
+  in
+  (* always the tuned kernel, so what runs is what the daemon serves and a
+     store replays: a disk hit replays, a miss sweeps and persists *)
+  let func = (tensorize_or_die ~spec op intrin).Cpu_tuner.t_func in
+  (* the emitted engine's persistent artifacts are keyed per kernel
+     variant: the scalar oracle and the tensorized kernel of one
+     workload are different programs under the same signature *)
+  let signature = Pipeline.workload_signature ~spec op intrin in
+  let inputs =
+    List.map
+      (fun t -> (t, Unit_codegen.Ndarray.random_for_tensor ~seed:1 t))
+      (Op.inputs op)
+  in
+  let out_ref = Unit_codegen.Ndarray.of_tensor_zeros op.Op.output in
+  let out_t = Unit_codegen.Ndarray.of_tensor_zeros op.Op.output in
+  let exec ~variant func ~bindings =
+    Pipeline.run_func ~engine
+      ~signature:(variant ^ "|" ^ signature) func ~bindings
+  in
+  exec ~variant:"oracle" (Unit_tir.Lower.scalar_reference op)
+    ~bindings:((op.Op.output, out_ref) :: inputs);
+  exec ~variant:"tensorized" func ~bindings:((op.Op.output, out_t) :: inputs);
+  let ok = Unit_codegen.Ndarray.equal out_ref out_t in
+  Format.printf "tensorized vs scalar reference (%s engine): %s@."
+    (Pipeline.engine_to_string engine)
+    (if ok then "IDENTICAL" else "MISMATCH");
+  (* element-exact content hash — the cross-process bit-identity
+     witness (the isa-smoke alias compares it across instructions) *)
+  Format.printf "output digest: %s@." (Unit_codegen.Ndarray.digest out_t);
+  Option.iter
+    (fun d -> Format.printf "%s@." (Diag.to_string d))
+    (Unit_codegen.Emit_cache.last_fallback ());
+  if not ok then exit 1
 
 (* ---------- e2e ---------- *)
 
@@ -461,24 +445,22 @@ let e2e model_name target =
         ("unitc: unknown model " ^ model_name ^ " (see unitc models)");
       exit 1
   in
-  let act_dtype = if String.equal target "graviton2" then Dtype.I8 else Dtype.U8 in
+  let tgt = any_target_or_die target in
+  let act_dtype =
+    match tgt with
+    | Unit_core.Explain.Cpu t -> Pipeline.target_act_dtype t
+    | Unit_core.Explain.Gpu -> Dtype.U8
+  in
   let g =
     Unit_graph.Passes.fuse
       (Unit_graph.Passes.quantize_structural ~act_dtype (build ()))
   in
   let engines =
-    match target with
-    | "cascadelake" ->
-      [ Unit_baselines.Engines.x86_unit; Unit_baselines.Engines.x86_tvm_manual;
-        Unit_baselines.Engines.x86_mxnet_onednn ]
-    | "graviton2" ->
-      [ Unit_baselines.Engines.arm_unit; Unit_baselines.Engines.arm_tvm_manual;
-        Unit_baselines.Engines.arm_tvm_neon ]
-    | "v100" ->
-      [ Unit_baselines.Engines.gpu_unit; Unit_baselines.Engines.gpu_cudnn ]
-    | other ->
-      prerr_endline ("unitc: unknown target " ^ other);
-      exit 1
+    let open Unit_baselines.Engines in
+    match tgt with
+    | Unit_core.Explain.Cpu Pipeline.X86 -> [ x86_unit; x86_tvm_manual; x86_mxnet_onednn ]
+    | Unit_core.Explain.Cpu Pipeline.Arm -> [ arm_unit; arm_tvm_manual; arm_tvm_neon ]
+    | Unit_core.Explain.Gpu -> [ gpu_unit; gpu_cudnn ]
   in
   Printf.printf "%s on %s (batch 1):\n" model_name target;
   let times =
@@ -635,11 +617,9 @@ let check target counterexamples_only trace store packs =
   if counterexamples_only then run_counterexamples ()
   else begin
     with_store store @@ fun () ->
-    let spec = or_die (lookup_spec target) in
-    let intrin_name =
-      if is_arm_target target then "arm.udot" else "vnni.vpdpbusd"
-    in
-    let intrin = or_die (lookup_intrin intrin_name) in
+    let tgt = target_or_die target in
+    let spec = Pipeline.target_spec tgt in
+    let intrin = or_die (lookup_intrin (Pipeline.target_intrin tgt)) in
     let kernels = ref 0 and errors = ref 0 and warnings = ref 0 in
     let seen = Hashtbl.create 64 in
     let check_op label op =
@@ -653,17 +633,17 @@ let check target counterexamples_only trace store packs =
             (fun d -> Printf.printf "%-40s %s\n" label (Unit_tir.Diag.to_string d))
             diags
         in
-        match Unit_core.Pipeline.tensorize ~spec op intrin with
-        | Ok c -> report c.Unit_core.Pipeline.c_warnings
-        | Error (Unit_core.Pipeline.Illegal diags) -> report diags
-        | Error (Unit_core.Pipeline.Rejected r) ->
-          Printf.printf "%-40s skipped (%s)\n" label (Inspector.rejection_to_string r)
+        match Pipeline.tensorize ~spec op intrin with
+        | Ok c -> report c.Pipeline.c_warnings
+        | Error (Pipeline.Illegal diags) -> report diags
+        | Error (Pipeline.Rejected _ as f) ->
+          Printf.printf "%-40s skipped (%s)\n" label (Pipeline.failure_to_string f)
       end
     in
     let check_conv label wl =
       check_op
         (Printf.sprintf "%s %s" label (Workload.name (Workload.Conv wl)))
-        (Unit_core.Pipeline.conv_op intrin wl)
+        (Pipeline.conv_op intrin wl)
     in
     Array.iteri
       (fun i wl -> check_conv (Printf.sprintf "table1[%d]" (i + 1)) wl)
@@ -695,96 +675,48 @@ let check target counterexamples_only trace store packs =
    counter summary prints at exit; --trace-out adds a Chrome trace. *)
 let profile model target engine trace_out no_exec store packs =
   let engine = parse_engine engine in
-  let spec = or_die (lookup_spec target) in
+  let tgt = target_or_die target in
   enable_tracing ?trace_out ();
   load_isa_packs packs;
   with_store store @@ fun () ->
   (* with --engine emitted, profiling also renders + native-compiles each
      tensorized kernel, so the trace shows the emit.* spans and a
      store-backed profile leaves loadable artifacts behind *)
-  let bake (c : Unit_core.Pipeline.compiled) =
-    match engine with
-    | Unit_core.Pipeline.Emitted ->
-      let signature =
-        Unit_core.Pipeline.workload_signature ~spec c.Unit_core.Pipeline.c_op
-          c.Unit_core.Pipeline.c_intrin
-      in
-      ignore
-        (Unit_core.Pipeline.prepare_emitted ~signature
-           c.Unit_core.Pipeline.c_tuned.Cpu_tuner.t_func
-          : (unit, string) result)
-    | _ -> ()
+  let time wl =
+    let c = Pipeline.compiled tgt wl in
+    Pipeline.bake engine tgt c;
+    Pipeline.seconds c
   in
-  let conv_time wl =
-    let c =
-      if is_arm_target target then Unit_core.Pipeline.conv_compiled_arm wl
-      else Unit_core.Pipeline.conv_compiled_x86 wl
-    in
-    bake c;
-    Unit_core.Pipeline.seconds c
-  in
-  let dense_time wl =
-    let c =
-      if is_arm_target target then Unit_core.Pipeline.dense_compiled_arm wl
-      else Unit_core.Pipeline.dense_compiled_x86 wl
-    in
-    bake c;
-    Unit_core.Pipeline.seconds c
-  in
-  let table1_index =
-    if String.length model > 7 && String.sub model 0 7 = "table1:" then
-      int_of_string_opt (String.sub model 7 (String.length model - 7))
-    else None
-  in
-  match table1_index with
-  | Some i ->
-    let workloads = Unit_models.Table1.workloads in
-    if i < 1 || i > Array.length workloads then
-      or_die
-        (Error (Printf.sprintf "table1 index %d out of range 1..%d" i
-                  (Array.length workloads)));
-    let wl = workloads.(i - 1) in
-    let t = conv_time wl in
+  match or_die (Unit_models.Zoo.resolve model) with
+  | `Table1 (i, wl) ->
+    let t = time (Workload.Conv wl) in
     Printf.printf "table1[%d] %s on %s: modelled %.3f us\n" i
       (Workload.name (Workload.Conv wl)) target (t *. 1e6)
-  | None ->
-    (match Unit_models.Zoo.find model with
-     | None ->
-       or_die
-         (Error (model ^ ": not a model (see unitc models) nor table1:N"))
-     | Some build ->
-       let g = build () in
-       let tensorized = ref 0 and skipped = ref 0 in
-       let modelled = ref 0.0 in
-       let try_workload label f =
-         match f () with
-         | t ->
-           incr tensorized;
-           modelled := !modelled +. t
-         | exception Invalid_argument reason ->
-           incr skipped;
-           Printf.printf "  %-40s skipped (%s)\n" label reason
-       in
-       List.iter
-         (fun (wl, count) ->
-           try_workload (Workload.name (Workload.Conv wl)) (fun () ->
-               float_of_int count *. conv_time wl))
-         (Unit_models.Zoo.conv_workloads g);
-       List.iter
-         (fun (wl, count) ->
-           try_workload (Workload.name (Workload.Fc wl)) (fun () ->
-               float_of_int count *. dense_time wl))
-         (Unit_models.Zoo.dense_workloads g);
-       Printf.printf
-         "%s on %s: %d workload(s) tensorized, %d skipped, modelled conv+fc time %.3f ms\n%!"
-         model target !tensorized !skipped (!modelled *. 1e3);
-       if not no_exec then begin
-         let g = Unit_graph.Passes.fuse g in
-         let input = Unit_graph.Executor.default_input g ~seed:1 in
-         let out = Unit_graph.Executor.run g ~input in
-         Printf.printf "executor: ran %s numerically (%d output elements)\n%!" model
-           (Unit_codegen.Ndarray.num_elements out.Unit_graph.Executor.arr)
-       end)
+  | `Model build ->
+    let g = build () in
+    let tensorized = ref 0 and skipped = ref 0 in
+    let modelled = ref 0.0 in
+    List.iter
+      (fun (wl, count) ->
+        match time wl with
+        | t ->
+          incr tensorized;
+          modelled := !modelled +. (float_of_int count *. t)
+        | exception Invalid_argument reason ->
+          incr skipped;
+          Printf.printf "  %-40s skipped (%s)\n" (Workload.name wl) reason)
+      (List.map (fun (wl, n) -> (Workload.Conv wl, n)) (Unit_models.Zoo.conv_workloads g)
+       @ List.map (fun (wl, n) -> (Workload.Fc wl, n)) (Unit_models.Zoo.dense_workloads g));
+    Printf.printf
+      "%s on %s: %d workload(s) tensorized, %d skipped, modelled conv+fc time %.3f ms\n%!"
+      model target !tensorized !skipped (!modelled *. 1e3);
+    if not no_exec then begin
+      let g = Unit_graph.Passes.fuse g in
+      let input = Unit_graph.Executor.default_input g ~seed:1 in
+      let out = Unit_graph.Executor.run g ~input in
+      Printf.printf "executor: ran %s numerically (%d output elements)\n%!" model
+        (Unit_codegen.Ndarray.num_elements out.Unit_graph.Executor.arr)
+    end
 
 (* ---------- warmup / store-stats ---------- *)
 
@@ -797,27 +729,18 @@ let warmup model target engine store_path domains retries trace trace_out
   let engine = parse_engine engine in
   if trace || trace_out <> None then enable_tracing ?trace_out ();
   load_isa_packs packs;
-  let tgt = or_die (Warmup.target_of_string target) in
+  let tgt = target_or_die target in
   (match engine, Unit_codegen.Emit_cache.available () with
-   | Unit_core.Pipeline.Emitted, Error reason ->
+   | Pipeline.Emitted, Error reason ->
      Printf.printf
        "warmup: native emission unavailable (%s); tuning records only\n%!"
        reason
    | _ -> ());
   let jobs =
-    let table1_index =
-      if String.length model > 7 && String.sub model 0 7 = "table1:" then
-        Some
-          (match int_of_string_opt (String.sub model 7 (String.length model - 7)) with
-           | Some i -> i
-           | None -> or_die (Error (model ^ ": malformed table1:N index")))
-      else None
-    in
-    match model, table1_index with
-    | _, Some i -> or_die (Warmup.jobs_of_table1 ~engine tgt ~index:i ())
-    | "table1", None -> or_die (Warmup.jobs_of_table1 ~engine tgt ())
-    | "zoo", None -> Warmup.jobs_of_zoo ~engine tgt
-    | name, None -> or_die (Warmup.jobs_of_model ~engine tgt name)
+    match model with
+    | "table1" -> or_die (Warmup.jobs_of_table1 ~engine tgt ())
+    | "zoo" -> Warmup.jobs_of_zoo ~engine tgt
+    | name -> or_die (Warmup.jobs_of_model ~engine tgt name)
   in
   let store, report =
     store_or_die @@ fun () ->
@@ -1132,33 +1055,12 @@ let explain model target engine json packs =
   load_isa_packs packs;
   (* explain is static analysis — every engine computes the same coverage
      (they are bit-identical); the flag is validated for CLI uniformity *)
-  ignore (parse_engine engine : Unit_core.Pipeline.engine);
-  let tgt =
-    match Unit_core.Explain.target_of_string target with
-    | Some t -> t
-    | None ->
-      or_die (Error (Printf.sprintf "unknown target %s (x86, arm or gpu)" target))
-  in
+  ignore (parse_engine engine : Pipeline.engine);
+  let tgt = any_target_or_die target in
   let workloads =
-    if String.length model > 7 && String.sub model 0 7 = "table1:" then begin
-      let i =
-        match int_of_string_opt (String.sub model 7 (String.length model - 7)) with
-        | Some i -> i
-        | None -> or_die (Error (model ^ ": malformed table1:N index"))
-      in
-      let all = Unit_models.Table1.workloads in
-      if i < 1 || i > Array.length all then
-        or_die
-          (Error (Printf.sprintf "table1 index %d out of range 1..%d" i
-                    (Array.length all)));
-      [ all.(i - 1) ]
-    end
-    else
-      match Unit_models.Zoo.find model with
-      | None ->
-        or_die (Error (model ^ ": not a model (see unitc models) nor table1:N"))
-      | Some build ->
-        List.map fst (Unit_models.Zoo.conv_workloads (build ()))
+    match or_die (Unit_models.Zoo.resolve model) with
+    | `Table1 (_, wl) -> [ wl ]
+    | `Model build -> List.map fst (Unit_models.Zoo.conv_workloads (build ()))
   in
   let reports = List.map (Unit_core.Explain.conv tgt) workloads in
   if json then
@@ -1176,12 +1078,7 @@ let explain model target engine json packs =
 module Perf_gate = Unit_core.Perf_gate
 
 let bench_report target out =
-  let tgt =
-    match Unit_core.Explain.target_of_string target with
-    | Some t -> t
-    | None ->
-      or_die (Error (Printf.sprintf "unknown target %s (x86, arm or gpu)" target))
-  in
+  let tgt = any_target_or_die target in
   let report = Perf_gate.generate tgt in
   (match out with
    | Some path ->
@@ -1259,15 +1156,13 @@ let pp_kernel_report (name, count, fp) =
 let memplan model target json kernels trace packs =
   load_isa_packs packs;
   if trace then enable_tracing ();
-  ignore (or_die (lookup_spec target));
-  let arm = is_arm_target target in
-  let act_dtype = if arm then Dtype.I8 else Dtype.U8 in
-  let g = or_die (Memplan.build_graph ~model ~act_dtype) in
+  let tgt = target_or_die target in
+  let g =
+    or_die (Memplan.build_graph ~model ~act_dtype:(Pipeline.target_act_dtype tgt))
+  in
   let a = Memplan.analyze g in
   let kernel_reports =
-    if kernels then
-      Some (Memplan.kernel_reports ~target:(if arm then `Arm else `X86) g)
-    else None
+    if kernels then Some (Memplan.kernel_reports ~target:tgt g) else None
   in
   if json then begin
     let j = Memplan.analysis_to_json model a in
@@ -1431,7 +1326,8 @@ let e2e_cmd =
   let target =
     Arg.(value & opt string "cascadelake"
          & info [ "target" ] ~docv:"TARGET"
-             ~doc:"cascadelake, graviton2 or v100.")
+             ~doc:"cascadelake (alias x86), graviton2 (alias arm) or v100 \
+                   (alias gpu).")
   in
   Cmd.v
     (Cmd.info "e2e" ~doc:"End-to-end model latency on a platform, every engine.")

@@ -178,7 +178,7 @@ let smoke store_dir trace_out =
     done
   in
   let server = Server.create ~fault { Server.default_config with domains = 4 } in
-  let target = Unit_store.Warmup.X86 and engine = Pipeline.Compiled in
+  let target = Pipeline.X86 and engine = Pipeline.Compiled in
   let workload =
     Protocol.Conv
       { Unit_graph.Workload.c = 32; h = 8; w = 8; k = 32; kernel = 3;
@@ -257,7 +257,7 @@ let metrics_smoke store_dir trace_file =
   in
   let tune wl =
     Protocol.Tune
-      { target = Unit_store.Warmup.X86; engine = Pipeline.Compiled; workload = wl }
+      { target = Pipeline.X86; engine = Pipeline.Compiled; workload = wl }
   in
   let expect_ok label resp = ignore (ok label resp : Json.t) in
   Printf.printf "metrics-smoke: mixed burst\n%!";
@@ -272,16 +272,16 @@ let metrics_smoke store_dir trace_file =
   expect_ok "run"
     (Server.submit server
        (Protocol.Run
-          { target = Unit_store.Warmup.X86; engine = Pipeline.Compiled;
+          { target = Pipeline.X86; engine = Pipeline.Compiled;
             workload = conv 16 }));
   expect_ok "explain"
     (Server.submit server
-       (Protocol.Explain { target = Unit_store.Warmup.X86; workload = conv 16 }));
+       (Protocol.Explain { target = Pipeline.X86; workload = conv 16 }));
   (* a deterministic structured failure, so errors_only has a catch *)
   (match
      Server.submit server
        (Protocol.Explain
-          { target = Unit_store.Warmup.X86;
+          { target = Pipeline.X86;
             workload = Protocol.Dense { Unit_graph.Workload.d_k = 8; d_units = 8 }
           })
    with

@@ -8,17 +8,16 @@ module Workload = Unit_graph.Workload
 module Json = Unit_obs.Json
 
 type target =
-  | X86
-  | Arm
+  | Cpu of Pipeline.target
   | Gpu
 
-let target_to_string = function X86 -> "x86" | Arm -> "arm" | Gpu -> "gpu"
+let target_to_string = function
+  | Cpu t -> Pipeline.target_to_string t
+  | Gpu -> "gpu"
 
 let target_of_string = function
-  | "x86" | "cascadelake" -> Some X86
-  | "arm" | "graviton2" -> Some Arm
   | "gpu" | "v100" -> Some Gpu
-  | _ -> None
+  | s -> Result.to_option (Result.map (fun t -> Cpu t) (Pipeline.target_of_string s))
 
 type verdict =
   | Accepted of {
@@ -76,8 +75,9 @@ let cpu_verdict ~spec (intrin : Unit_isa.Intrin.t) wl =
   | Invalid_argument msg -> Errored msg
   | Failure msg -> Errored msg
 
-let cpu_report ~spec ~target ~platform ~workload wl =
-  let intrins = Unit_isa.Registry.of_platform platform in
+let cpu_report target ~workload wl =
+  let spec = Pipeline.target_spec target in
+  let intrins = Unit_isa.Registry.of_platform (Pipeline.target_platform target) in
   let entries =
     List.map
       (fun (intrin : Unit_isa.Intrin.t) ->
@@ -98,7 +98,7 @@ let cpu_report ~spec ~target ~platform ~workload wl =
       None entries
   in
   { ex_workload = workload;
-    ex_target = target_to_string target;
+    ex_target = Pipeline.target_to_string target;
     ex_entries = entries;
     ex_chosen = Option.map fst chosen
   }
@@ -140,12 +140,7 @@ let gpu_report ~workload wl =
 let conv target wl =
   let workload = Workload.name (Workload.Conv wl) in
   match target with
-  | X86 ->
-    cpu_report ~spec:Spec.cascadelake ~target ~platform:Unit_isa.Intrin.X86
-      ~workload wl
-  | Arm ->
-    cpu_report ~spec:Spec.graviton2 ~target ~platform:Unit_isa.Intrin.Arm
-      ~workload wl
+  | Cpu t -> cpu_report t ~workload wl
   | Gpu -> gpu_report ~workload wl
 
 (* ---------- sinks ---------- *)

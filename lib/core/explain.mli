@@ -17,14 +17,15 @@ module Cost_report = Unit_machine.Cost_report
 module Inspector = Unit_inspector.Inspector
 
 type target =
-  | X86  (** Cascade Lake, [Unit_isa.Intrin.X86] platform *)
-  | Arm  (** Graviton2, [Unit_isa.Intrin.Arm] platform *)
+  | Cpu of Pipeline.target
+      (** every instruction of {!Pipeline.target_platform}, on
+          {!Pipeline.target_spec} *)
   | Gpu  (** V100 implicit-GEMM template *)
 
 val target_to_string : target -> string
 
 val target_of_string : string -> target option
-(** Accepts the [unitc] spellings: [x86]/[cascadelake], [arm]/[graviton2],
+(** Accepts the {!Pipeline.target_of_string} spellings plus
     [gpu]/[v100]. *)
 
 type verdict =

@@ -43,19 +43,9 @@ let table1_graph (wl : Workload.conv2d) =
 
 let build_graph ~model ~act_dtype =
   let base =
-    if String.length model > 7 && String.sub model 0 7 = "table1:" then
-      match int_of_string_opt (String.sub model 7 (String.length model - 7)) with
-      | Some i when i >= 1 && i <= Array.length Unit_models.Table1.workloads ->
-        Ok (table1_graph Unit_models.Table1.workloads.(i - 1))
-      | Some i ->
-        Error
-          (Printf.sprintf "table1:%d out of range (1..%d)" i
-             (Array.length Unit_models.Table1.workloads))
-      | None -> Error (model ^ ": malformed table1:N index")
-    else
-      match Unit_models.Zoo.find model with
-      | Some build -> Ok (build ())
-      | None -> Error (model ^ ": not a model (see unitc models) nor table1:N")
+    Result.map
+      (function `Table1 (_, wl) -> table1_graph wl | `Model build -> build ())
+      (Unit_models.Zoo.resolve model)
   in
   Result.map
     (fun g -> Passes.fuse (Passes.quantize_structural ~act_dtype g))
@@ -82,15 +72,10 @@ let analyze g =
    the graph, compiled for the target, under the static footprint pass.
    Workloads the pipeline cannot tensorize are reported by name only. *)
 let kernel_reports ~target g =
-  let compiled wl =
-    match target with
-    | `X86 -> Pipeline.conv_compiled_x86 wl
-    | `Arm -> Pipeline.conv_compiled_arm wl
-  in
   List.map
     (fun (wl, count) ->
       let name = Workload.name (Workload.Conv wl) in
-      match compiled wl with
+      match Pipeline.compiled target (Workload.Conv wl) with
       | c -> (name, count, Some (Pipeline.mem_report c))
       | exception Invalid_argument _ -> (name, count, None))
     (Unit_models.Zoo.conv_workloads g)
@@ -113,9 +98,10 @@ type bench_row = {
    to host bytes, but keeping one fixed pipeline makes the freeze
    deterministic. *)
 let bench_rows () =
+  let act_dtype = Pipeline.target_act_dtype Pipeline.X86 in
   List.map
     (fun (name, build) ->
-      let g = Passes.fuse (Passes.quantize_structural ~act_dtype:Dtype.U8 (build ())) in
+      let g = Passes.fuse (Passes.quantize_structural ~act_dtype (build ())) in
       let a = analyze g in
       (match a.ma_diags with
        | [] -> ()

@@ -31,7 +31,7 @@ val analyze : Graph.t -> analysis
 (** Liveness, arena plan, independent check, stats, Obs counters. *)
 
 val kernel_reports :
-  target:[ `X86 | `Arm ] ->
+  target:Pipeline.target ->
   Graph.t ->
   (string * int * Footprint.report option) list
 (** Per distinct conv workload: [(name, multiplicity, footprint)] of the

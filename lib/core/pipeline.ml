@@ -57,6 +57,25 @@ let failure_to_string = function
     ^ String.concat "; "
         (List.map Unit_tir.Diag.to_string (Unit_tir.Diag.errors diags))
 
+(* ---------- CPU targets ---------- *)
+
+type target =
+  | X86
+  | Arm
+
+let target_names = "x86|cascadelake|arm|graviton2"
+
+let target_of_string = function
+  | "x86" | "cascadelake" -> Ok X86
+  | "arm" | "graviton2" -> Ok Arm
+  | other -> Error (Printf.sprintf "unknown target %s (%s)" other target_names)
+
+let target_to_string = function X86 -> "x86" | Arm -> "arm"
+let target_spec = function X86 -> Spec.cascadelake | Arm -> Spec.graviton2
+let target_platform = function X86 -> Unit_isa.Intrin.X86 | Arm -> Unit_isa.Intrin.Arm
+let target_intrin = function X86 -> "vnni.vpdpbusd" | Arm -> "arm.udot"
+let target_act_dtype = function X86 -> Dtype.U8 | Arm -> Dtype.I8
+
 (* ---------- canonical workload identity + persistent tuning store ---------- *)
 
 (* Everything a stored tuning config's validity depends on: the workload's
@@ -163,40 +182,10 @@ let intrin_meta name =
 let analyze (tuned : Cpu_tuner.tuned) =
   Unit_analysis.Analysis.check_func ~intrin:intrin_meta tuned.Cpu_tuner.t_func
 
-(* Tune-or-replay + analyze + persist, the store-aware middle of the
-   pipeline.  [use_store = false] (or a pinned [configs] grid) bypasses
-   the store in both directions; analyzer-rejected kernels are never
-   persisted. *)
-let tune_analyzed ?configs ~use_store ~spec op (intrin : Unit_isa.Intrin.t)
-    reorganized =
-  let store =
-    match use_store, configs with
-    | true, None -> Atomic.get current_store
-    | _ -> None
-  in
-  let signature = lazy (workload_signature ~spec op intrin) in
-  (* [Cpu_tuner.tune] opens the [tensorize.tune] span itself (with a
-     [tensorize.lower_replace] child per candidate); a disk hit takes
-     [Cpu_tuner.of_config] instead, which opens [tensorize.from_config]
-     and no tune/candidate spans at all. *)
-  let tuned, freshly_tuned =
-    match store with
-    | None -> (Cpu_tuner.tune spec ?configs reorganized, false)
-    | Some s ->
-      (match s.ts_lookup ~signature:(Lazy.force signature) with
-       | Some config -> (Cpu_tuner.of_config spec reorganized config, false)
-       | None -> (Cpu_tuner.tune spec reorganized, true))
-  in
-  if Obs.enabled () then observe_report tuned.Cpu_tuner.t_report;
-  let diags = Obs.with_span "tensorize.analyze" (fun () -> analyze tuned) in
-  (match store with
-   | Some s when freshly_tuned && Unit_tir.Diag.errors diags = [] ->
-     s.ts_record ~signature:(Lazy.force signature) ~workload:op.Op.name
-       ~isa:intrin.Unit_isa.Intrin.name ~target:spec.Spec.cpu_name ~diags tuned
-   | _ -> ());
-  (tuned, diags)
-
-let tensorize ?(use_store = true) ?configs ~spec op intrin =
+(* Inspect, reorganize, then tune-or-replay + analyze + persist.
+   [use_store = false] (or a pinned [configs] grid) bypasses the store in
+   both directions; analyzer-rejected kernels are never persisted. *)
+let tensorize ?(use_store = true) ?configs ~spec op (intrin : Unit_isa.Intrin.t) =
   let tok =
     if Obs.enabled () then
       Obs.start "tensorize"
@@ -210,13 +199,37 @@ let tensorize ?(use_store = true) ?configs ~spec op intrin =
     let reorganized =
       Obs.with_span "tensorize.reorganize" (fun () -> Reorganize.apply op ap ())
     in
-    let tuned, diags = tune_analyzed ?configs ~use_store ~spec op intrin reorganized in
+    let store =
+      match use_store, configs with
+      | true, None -> Atomic.get current_store
+      | _ -> None
+    in
+    let signature = lazy (workload_signature ~spec op intrin) in
+    (* [Cpu_tuner.tune] opens the [tensorize.tune] span itself (with a
+       [tensorize.lower_replace] child per candidate); a disk hit takes
+       [Cpu_tuner.of_config] instead, which opens [tensorize.from_config]
+       and no tune/candidate spans at all. *)
+    let tuned, freshly_tuned =
+      match store with
+      | None -> (Cpu_tuner.tune spec ?configs reorganized, false)
+      | Some s ->
+        (match s.ts_lookup ~signature:(Lazy.force signature) with
+         | Some config -> (Cpu_tuner.of_config spec reorganized config, false)
+         | None -> (Cpu_tuner.tune spec reorganized, true))
+    in
+    if Obs.enabled () then observe_report tuned.Cpu_tuner.t_report;
+    let diags = Obs.with_span "tensorize.analyze" (fun () -> analyze tuned) in
     if Unit_tir.Diag.errors diags <> [] then begin
       let failure = Illegal diags in
       Obs.trace_diag (failure_to_string failure);
       Error failure
     end
     else begin
+      (match store with
+       | Some s when freshly_tuned ->
+         s.ts_record ~signature:(Lazy.force signature) ~workload:op.Op.name
+           ~isa:intrin.Unit_isa.Intrin.name ~target:spec.Spec.cpu_name ~diags tuned
+       | _ -> ());
       List.iter
         (fun d ->
           let msg =
@@ -372,68 +385,74 @@ let conv_op ?(data_dtype = Dtype.U8) ?(weight_dtype = Dtype.I8)
   Workload.conv_op ~data_dtype ~weight_dtype
     ~lanes:(Unit_isa.Intrin.output_lanes intrin) ~reduce_width wl
 
-(* The one memoised CPU kernel: [op_of] builds the operation for the
-   registered instruction [intrin_name]; a workload that does not
-   tensorize raises [Invalid_argument (what ^ ": " ^ reason)]. *)
-let kernel ~tag ~workload ?config ~spec ~intrin_name ~what op_of =
+(* Memo tags: a conv tag names its instruction on ARM, so the MLA
+   baseline caches apart from DOT. *)
+let memo_tag ~intrin_name target (wl : Workload.t) =
+  match target, wl with
+  | X86, Workload.Conv _ -> "x86-vnni"
+  | X86, Workload.Conv3 _ -> "x86-vnni-3d"
+  | X86, Workload.Fc _ -> "x86-dense"
+  | Arm, Workload.Conv _ -> "arm-" ^ intrin_name
+  | Arm, Workload.Conv3 _ -> "arm-3d"
+  | Arm, Workload.Fc _ -> "arm-dense"
+
+let kernel_key target wl =
+  memo_tag ~intrin_name:(target_intrin target) target wl ^ "/" ^ Workload.name wl
+
+(* The one memoised CPU kernel.  A workload that does not tensorize
+   raises [Invalid_argument (what ^ ": " ^ reason)]. *)
+let compiled_with ?intrin ?config target (wl : Workload.t) =
+  let intrin_name = Option.value intrin ~default:(target_intrin target) in
+  let workload = Workload.name wl in
   match
-    memo ~tag ~workload ~config:(config_string config) (fun () ->
+    memo ~tag:(memo_tag ~intrin_name target wl) ~workload ~config:(config_string config)
+      (fun () ->
         let intrin = Unit_isa.Registry.find_exn intrin_name in
+        let blocked build =
+          build ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
+            ~lanes:(Unit_isa.Intrin.output_lanes intrin)
+            ~reduce_width:(Unit_isa.Intrin.reduction_width intrin)
+        in
+        let what, op =
+          match wl with
+          | Workload.Conv c ->
+            (* the MLA baseline widens to i16 first; DOT consumes quantized u8 *)
+            let wide =
+              if String.equal intrin_name "neon.mla.i16" then Some Dtype.I16 else None
+            in
+            ( Printf.sprintf "conv %s does not tensorize with %s" workload intrin_name,
+              conv_op ?data_dtype:wide ?weight_dtype:wide intrin c )
+          | Workload.Conv3 c -> ("conv3d does not tensorize", blocked Workload.conv3d_op c)
+          | Workload.Fc d -> ("dense does not tensorize", blocked Workload.dense_op d)
+        in
         let configs = Option.map (fun c -> [ c ]) config in
-        match tensorize ?configs ~spec (op_of intrin) intrin with
+        match tensorize ?configs ~spec:(target_spec target) op intrin with
         | Ok compiled -> Kernel compiled
         | Error f -> invalid_arg (what ^ ": " ^ failure_to_string f))
   with
   | Kernel c -> c
   | Time _ -> assert false (* this key is only ever populated with [Kernel] *)
 
-let conv_kernel ~tag ~spec ~intrin_name ?data_dtype ?weight_dtype ?config wl =
-  let workload = Workload.name (Workload.Conv wl) in
-  kernel ~tag ~workload ?config ~spec ~intrin_name
-    ~what:(Printf.sprintf "conv %s does not tensorize with %s" workload intrin_name)
-    (fun intrin -> conv_op ?data_dtype ?weight_dtype intrin wl)
+let compiled target wl = compiled_with target wl
 
-let conv_compiled_x86 ?config wl =
-  conv_kernel ~tag:"x86-vnni" ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd"
-    ?config wl
+let bake engine target c =
+  match engine with
+  | Emitted ->
+    let signature = workload_signature ~spec:(target_spec target) c.c_op c.c_intrin in
+    ignore (prepare_emitted ~signature c.c_tuned.Cpu_tuner.t_func : (unit, string) result)
+  | Reference | Compiled -> ()
 
+let conv_compiled_x86 ?config wl = compiled_with ?config X86 (Workload.Conv wl)
 let conv_time_x86 ?config wl = seconds (conv_compiled_x86 ?config wl)
-
-let conv_compiled_arm ?(intrin = "arm.udot") ?config wl =
-  (* the MLA baseline widens to i16 first; DOT consumes quantized u8 *)
-  let wide = if String.equal intrin "neon.mla.i16" then Some Dtype.I16 else None in
-  conv_kernel ~tag:("arm-" ^ intrin) ~spec:Spec.graviton2 ~intrin_name:intrin
-    ?data_dtype:wide ?weight_dtype:wide ?config wl
-
+let conv_compiled_arm ?intrin ?config wl = compiled_with ?intrin ?config Arm (Workload.Conv wl)
 let conv_time_arm ?intrin ?config wl = seconds (conv_compiled_arm ?intrin ?config wl)
 
 let mem_report c =
   Unit_analysis.Footprint.of_func ~intrin:intrin_meta c.c_tuned.Cpu_tuner.t_func
 
-let conv3d_time_x86 wl =
-  seconds
-    (kernel ~tag:"x86-vnni-3d" ~workload:(Workload.name (Workload.Conv3 wl))
-       ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd"
-       ~what:"conv3d does not tensorize" (fun intrin ->
-         Workload.conv3d_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
-           ~lanes:(Unit_isa.Intrin.output_lanes intrin)
-           ~reduce_width:(Unit_isa.Intrin.reduction_width intrin) wl))
-
-let dense_kernel ~tag ~spec ~intrin_name wl =
-  kernel ~tag ~workload:(Workload.name (Workload.Fc wl)) ~spec ~intrin_name
-    ~what:"dense does not tensorize" (fun intrin ->
-      Workload.dense_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
-        ~lanes:(Unit_isa.Intrin.output_lanes intrin)
-        ~reduce_width:(Unit_isa.Intrin.reduction_width intrin) wl)
-
-let dense_compiled_x86 wl =
-  dense_kernel ~tag:"x86-dense" ~spec:Spec.cascadelake ~intrin_name:"vnni.vpdpbusd" wl
-
-let dense_compiled_arm wl =
-  dense_kernel ~tag:"arm-dense" ~spec:Spec.graviton2 ~intrin_name:"arm.udot" wl
-
-let dense_time_x86 wl = seconds (dense_compiled_x86 wl)
-let dense_time_arm wl = seconds (dense_compiled_arm wl)
+let conv3d_time_x86 wl = seconds (compiled X86 (Workload.Conv3 wl))
+let dense_time_x86 wl = seconds (compiled X86 (Workload.Fc wl))
+let dense_time_arm wl = seconds (compiled Arm (Workload.Fc wl))
 
 let conv_time_gpu ?config wl =
   let config_str =

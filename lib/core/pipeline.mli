@@ -30,6 +30,38 @@ val failure_to_string : failure -> string
 (** The rejection text, or ["illegal schedule: "] and the errors joined
     by ["; "]. *)
 
+(** {2 CPU targets}
+
+    The pipeline is the same on every CPU (Fig. 3, §III): a target only
+    picks the machine model, the default instruction and the graph's
+    activation dtype.  Everything that varies by target is declared
+    here, once; drivers, the warm-up scheduler and the daemon parse a
+    target with {!target_of_string} and reach their kernel through
+    {!compiled}. *)
+
+type target =
+  | X86  (** Cascade Lake with VNNI ([vnni.vpdpbusd]) *)
+  | Arm  (** Graviton2 with DOT ([arm.udot]) *)
+
+val target_of_string : string -> (target, string) result
+(** Accepts [x86]/[cascadelake] and [arm]/[graviton2]; anything else is
+    ["unknown target NAME (x86|cascadelake|arm|graviton2)"]. *)
+
+val target_to_string : target -> string
+(** ["x86"] or ["arm"]: the canonical name in job keys and responses. *)
+
+val target_spec : target -> Spec.cpu
+val target_platform : target -> Unit_isa.Intrin.platform
+(** The instruction family the target offers ([unitc explain] sweeps it). *)
+
+val target_intrin : target -> string
+(** The instruction {!compiled} tensorizes with. *)
+
+val target_act_dtype : target -> Unit_dtype.Dtype.t
+(** The activation dtype of the target's quantized graphs: u8 on x86,
+    i8 on ARM.  The tensorized kernels themselves take u8 on both (see
+    {!conv_op}). *)
+
 val tensorize :
   ?use_store:bool ->
   ?configs:Cpu_tuner.config list ->
@@ -126,20 +158,6 @@ val set_tuning_store : tuning_store option -> unit
 
 val tuning_store : unit -> tuning_store option
 
-val tune_analyzed :
-  ?configs:Cpu_tuner.config list ->
-  use_store:bool ->
-  spec:Spec.cpu ->
-  Op.t ->
-  Unit_isa.Intrin.t ->
-  Unit_rewriter.Reorganize.t ->
-  Cpu_tuner.tuned * Unit_tir.Diag.t list
-(** The store-aware middle of {!tensorize}, exposed for drivers that run
-    the tuner directly ([unitc run]): replay from the installed
-    store on a hit, otherwise sweep; analyze; persist fresh analyzer-clean
-    results.  [use_store:false] (or a pinned [configs] grid) bypasses the
-    store in both directions. *)
-
 val intrin_meta : string -> Unit_analysis.Analysis.intrin_meta option
 (** Registry-backed instruction metadata for the dependence analyzer:
     axis extents, multiplicand dtypes and the accumulation flag of a
@@ -151,10 +169,12 @@ val analyze : Cpu_tuner.tuned -> Unit_tir.Diag.t list
 
 val seconds : compiled -> float
 
-(** Per-platform convolution kernels, cached by
-    (platform tag, workload, config): a repeated workload returns the
+(** {2 Cached per-workload kernels}
+
+    {!compiled} and the per-platform helpers cache compiled kernels by
+    (memo tag, workload, config): a repeated workload returns the
     {e same} compiled kernel — same tuned schedule, physically shared —
-    without re-running the pipeline.  Each builds its operation with
+    without re-running the pipeline.  Convolutions are built with
     {!conv_op}: u8 activations and i8 weights on both CPU targets (VNNI
     and DOT are unsigned-by-signed); only the [neon.mla.i16] baseline
     widens both to i16.
@@ -171,6 +191,26 @@ val seconds : compiled -> float
     when tracing is enabled, and callers that adopted an in-flight
     compile on the always-on [pipeline.cache.wait]. *)
 
+val compiled : target -> Unit_graph.Workload.t -> compiled
+(** The target's tuned kernel for a conv2d, conv3d or dense workload
+    with {!target_intrin}, through the installed tuning store.  Cached:
+    calling twice with an equal workload returns the identical
+    [compiled] value.
+    @raise Invalid_argument when the workload does not tensorize. *)
+
+val kernel_key : target -> Unit_graph.Workload.t -> string
+(** ["TAG/WORKLOAD"]: the identity {!compiled} caches under (e.g.
+    ["x86-vnni/conv_c64_..."]).  The warm-up scheduler dedups on it, so
+    its jobs and the kernel cache agree on what "the same workload"
+    means. *)
+
+val bake : engine -> target -> compiled -> unit
+(** With [Emitted], render + native-compile the kernel through
+    {!prepare_emitted} under its {!workload_signature}, so a
+    store-backed warm-up or profile leaves a loadable [.cmxs] behind;
+    emission failure degrades (counted on [emit.fallback]) and is
+    ignored.  A no-op for the other engines. *)
+
 val conv_op :
   ?data_dtype:Unit_dtype.Dtype.t ->
   ?weight_dtype:Unit_dtype.Dtype.t ->
@@ -185,9 +225,8 @@ val conv_op :
 
 val conv_compiled_x86 :
   ?config:Cpu_tuner.config -> Unit_graph.Workload.conv2d -> compiled
-(** UNIT on Cascade Lake with [vnni.vpdpbusd]; a fixed [config] skips the
-    search (used by the Fig. 10 ablation).  Cached: calling twice with an
-    equal workload returns the identical [compiled] value. *)
+(** [compiled X86 (Conv wl)]; a fixed [config] skips the search (used by
+    the Fig. 10 ablation) and caches apart from the tuned kernel. *)
 
 val conv_time_x86 :
   ?config:Cpu_tuner.config -> Unit_graph.Workload.conv2d -> float
@@ -195,8 +234,8 @@ val conv_time_x86 :
 
 val conv_compiled_arm :
   ?intrin:string -> ?config:Cpu_tuner.config -> Unit_graph.Workload.conv2d -> compiled
-(** UNIT on Graviton2; [intrin] defaults to ["arm.udot"].  Cached like
-    {!conv_compiled_x86}. *)
+(** [compiled Arm (Conv wl)] with [intrin] (default ["arm.udot"]) and an
+    optional fixed [config]. *)
 
 val conv_time_arm :
   ?intrin:string -> ?config:Cpu_tuner.config -> Unit_graph.Workload.conv2d -> float
@@ -211,11 +250,6 @@ val mem_report : compiled -> Unit_analysis.Footprint.report
 
 val conv3d_time_x86 : Unit_graph.Workload.conv3d -> float
 (** Fig. 13: 3-D convolutions through the unchanged pipeline. *)
-
-val dense_compiled_x86 : Unit_graph.Workload.dense -> compiled
-val dense_compiled_arm : Unit_graph.Workload.dense -> compiled
-(** Cached like {!conv_compiled_x86}; the warm-up scheduler uses the
-    [compiled] value to pre-bake emitted-engine artifacts. *)
 
 val dense_time_x86 : Unit_graph.Workload.dense -> float
 val dense_time_arm : Unit_graph.Workload.dense -> float

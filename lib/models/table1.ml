@@ -26,6 +26,22 @@ let workloads =
       { Workload.c; h = ihw; w = ihw; k; kernel; stride; padding = 0; groups = 1 })
     raw
 
+let row i =
+  if i >= 1 && i <= Array.length workloads then Ok workloads.(i - 1)
+  else
+    Error
+      (Printf.sprintf "table1 index %d out of range 1..%d" i (Array.length workloads))
+
+let find spec =
+  let prefix = "table1:" in
+  if not (String.starts_with ~prefix spec) then None
+  else
+    let n = String.length prefix in
+    Some
+      (match int_of_string_opt (String.sub spec n (String.length spec - n)) with
+       | Some i -> Result.map (fun wl -> (i, wl)) (row i)
+       | None -> Error (spec ^ ": malformed table1:N index"))
+
 let out_hw (wl : Workload.conv2d) =
   Graph.conv_out_dim ~size:wl.Workload.h ~kernel:wl.Workload.kernel
     ~stride:wl.Workload.stride ~padding:wl.Workload.padding

@@ -15,6 +15,14 @@ let all =
 let names = List.map fst all
 let find name = List.assoc_opt name all
 
+let resolve spec =
+  match Table1.find spec with
+  | Some row -> Result.map (fun r -> `Table1 r) row
+  | None ->
+    (match find spec with
+     | Some build -> Ok (`Model build)
+     | None -> Error (spec ^ ": not a model (see unitc models) nor table1:N"))
+
 let conv_workloads g =
   List.filter_map
     (fun (w, n) ->

@@ -6,6 +6,17 @@ val all : (string * (unit -> Unit_graph.Graph.t)) list
     inception_v3, mobilenet1.0, mobilenet_v2, squeezenet, vgg16. *)
 
 val find : string -> (unit -> Unit_graph.Graph.t) option
+
+val resolve :
+  string ->
+  ( [ `Table1 of int * Unit_graph.Workload.conv2d
+    | `Model of unit -> Unit_graph.Graph.t ],
+    string )
+  result
+(** What every command taking a model name accepts: a zoo model by name,
+    or one Table I row as ["table1:N"] ({!Table1.find}, with its error
+    texts). *)
+
 val names : string list
 
 val conv_workloads : Unit_graph.Graph.t -> (Unit_graph.Workload.conv2d * int) list

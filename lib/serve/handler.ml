@@ -5,36 +5,16 @@ module Json = Unit_obs.Json
 module Obs = Unit_obs.Obs
 module Pipeline = Unit_core.Pipeline
 module Workload = Unit_graph.Workload
-module Warmup = Unit_store.Warmup
 module Cpu_tuner = Unit_rewriter.Cpu_tuner
 module Ndarray = Unit_codegen.Ndarray
-module Spec = Unit_machine.Spec
-
-let spec_of_target = function
-  | Warmup.X86 -> Spec.cascadelake
-  | Warmup.Arm -> Spec.graviton2
-
-let conv_of_workload = function
-  | Protocol.Conv wl -> wl
-  | Protocol.Table1 i -> Unit_models.Table1.workloads.(i - 1)
-  | Protocol.Dense _ -> invalid_arg "not a convolution workload"
-
-let compiled_for ~target workload =
-  match (target, workload) with
-  | Warmup.X86, (Protocol.Conv _ | Protocol.Table1 _) ->
-    Pipeline.conv_compiled_x86 (conv_of_workload workload)
-  | Warmup.Arm, (Protocol.Conv _ | Protocol.Table1 _) ->
-    Pipeline.conv_compiled_arm (conv_of_workload workload)
-  | Warmup.X86, Protocol.Dense wl -> Pipeline.dense_compiled_x86 wl
-  | Warmup.Arm, Protocol.Dense wl -> Pipeline.dense_compiled_arm wl
 
 let tune_result ~target ~engine workload (c : Pipeline.compiled) =
-  let spec = spec_of_target target in
+  let spec = Pipeline.target_spec target in
   let tuned = c.Pipeline.c_tuned in
   let est = tuned.Cpu_tuner.t_estimate in
   Json.Obj
     [ ("workload", Json.Str (Protocol.workload_name workload));
-      ("target", Json.Str (Warmup.target_to_string target));
+      ("target", Json.Str (Pipeline.target_to_string target));
       ("engine", Json.Str (Pipeline.engine_to_string engine));
       ( "signature",
         Json.Str (Pipeline.workload_signature ~spec c.Pipeline.c_op c.Pipeline.c_intrin) );
@@ -49,7 +29,7 @@ let tune_result ~target ~engine workload (c : Pipeline.compiled) =
    the bit-identity witness the soak harness compares against direct
    pipeline runs. *)
 let run_result ~target ~engine workload (c : Pipeline.compiled) =
-  let spec = spec_of_target target in
+  let spec = Pipeline.target_spec target in
   let op = c.Pipeline.c_op in
   let signature = Pipeline.workload_signature ~spec op c.Pipeline.c_intrin in
   let inputs =
@@ -64,15 +44,11 @@ let run_result ~target ~engine workload (c : Pipeline.compiled) =
     ~bindings:((op.Unit_dsl.Op.output, out) :: inputs);
   Json.Obj
     [ ("workload", Json.Str (Protocol.workload_name workload));
-      ("target", Json.Str (Warmup.target_to_string target));
+      ("target", Json.Str (Pipeline.target_to_string target));
       ("engine", Json.Str (Pipeline.engine_to_string engine));
       ("digest", Json.Str (Protocol.digest_ndarray out));
       ("elements", Json.Num (float_of_int (Ndarray.num_elements out)))
     ]
-
-let explain_target = function
-  | Warmup.X86 -> Unit_core.Explain.X86
-  | Warmup.Arm -> Unit_core.Explain.Arm
 
 let handle = function
   | Protocol.Ping -> Json.Obj [ ("pong", Json.Bool true) ]
@@ -111,14 +87,15 @@ let handle = function
        invalid_arg
          (String.concat "; " (List.map Unit_tir.Diag.to_string ds)))
   | Protocol.Tune { target; engine; workload } ->
-    tune_result ~target ~engine workload (compiled_for ~target workload)
+    tune_result ~target ~engine workload
+      (Pipeline.compiled target (Protocol.to_workload workload))
   | Protocol.Run { target; engine; workload } ->
-    run_result ~target ~engine workload (compiled_for ~target workload)
+    run_result ~target ~engine workload
+      (Pipeline.compiled target (Protocol.to_workload workload))
   | Protocol.Explain { target; workload } ->
-    (match workload with
-     | Protocol.Dense _ ->
-       invalid_arg "explain covers convolution workloads only"
-     | Protocol.Conv _ | Protocol.Table1 _ ->
+    (match Protocol.to_workload workload with
+     | Workload.Conv wl ->
        Unit_core.Explain.to_json
-         (Unit_core.Explain.conv (explain_target target)
-            (conv_of_workload workload)))
+         (Unit_core.Explain.conv (Unit_core.Explain.Cpu target) wl)
+     | Workload.Conv3 _ | Workload.Fc _ ->
+       invalid_arg "explain covers convolution workloads only")

@@ -3,7 +3,6 @@
 
 module Json = Unit_obs.Json
 module Workload = Unit_graph.Workload
-module Warmup = Unit_store.Warmup
 module Pipeline = Unit_core.Pipeline
 
 type workload =
@@ -19,9 +18,9 @@ type request =
   | Trace of { id : string }
   | Metrics
   | Flight of { last : int option; errors_only : bool; slower_than_us : float option }
-  | Tune of { target : Warmup.target; engine : Pipeline.engine; workload : workload }
-  | Run of { target : Warmup.target; engine : Pipeline.engine; workload : workload }
-  | Explain of { target : Warmup.target; workload : workload }
+  | Tune of { target : Pipeline.target; engine : Pipeline.engine; workload : workload }
+  | Run of { target : Pipeline.target; engine : Pipeline.engine; workload : workload }
+  | Explain of { target : Pipeline.target; workload : workload }
 
 type error_code =
   | Bad_request
@@ -49,6 +48,11 @@ let code_of_string = function
   | "internal" -> Some Internal
   | _ -> None
 
+let to_workload = function
+  | Conv wl -> Workload.Conv wl
+  | Dense wl -> Workload.Fc wl
+  | Table1 i -> Workload.Conv Unit_models.Table1.workloads.(i - 1)
+
 let workload_name = function
   | Conv wl -> Workload.name (Workload.Conv wl)
   | Dense wl -> Workload.name (Workload.Fc wl)
@@ -75,15 +79,15 @@ let coalesce_key = function
   | Ping | Stats | Shutdown | Load_isa _ | Trace _ | Metrics | Flight _ -> None
   | Tune { target; engine; workload } ->
     Some
-      (Printf.sprintf "tune/%s/%s/%s" (Warmup.target_to_string target)
+      (Printf.sprintf "tune/%s/%s/%s" (Pipeline.target_to_string target)
          (Pipeline.engine_to_string engine) (workload_name workload))
   | Run { target; engine; workload } ->
     Some
-      (Printf.sprintf "run/%s/%s/%s" (Warmup.target_to_string target)
+      (Printf.sprintf "run/%s/%s/%s" (Pipeline.target_to_string target)
          (Pipeline.engine_to_string engine) (workload_name workload))
   | Explain { target; workload } ->
     Some
-      (Printf.sprintf "explain/%s/%s" (Warmup.target_to_string target)
+      (Printf.sprintf "explain/%s/%s" (Pipeline.target_to_string target)
          (workload_name workload))
 
 (* ---------- decoding ---------- *)
@@ -105,12 +109,7 @@ let workload_of_json j =
   match Json.member "table1" j with
   | Some v ->
     (match Json.to_int v with
-     | Some i when i >= 1 && i <= Array.length Unit_models.Table1.workloads ->
-       Ok (Table1 i)
-     | Some i ->
-       Error
-         (Printf.sprintf "table1 index %d out of range 1..%d" i
-            (Array.length Unit_models.Table1.workloads))
+     | Some i -> Result.map (fun _ -> Table1 i) (Unit_models.Table1.row i)
      | None -> Error "workload field \"table1\" is not an integer")
   | None ->
     let op =
@@ -147,8 +146,8 @@ let workload_of_json j =
 
 let target_of_json j =
   match Option.bind (Json.member "target" j) Json.to_str with
-  | None -> Ok Warmup.X86
-  | Some s -> Warmup.target_of_string s
+  | None -> Ok Pipeline.X86
+  | Some s -> Pipeline.target_of_string s
 
 let engine_of_json j =
   match Option.bind (Json.member "engine" j) Json.to_str with
@@ -269,7 +268,7 @@ let request_to_json req =
   let common ~req ~target workload rest =
     Json.Obj
       ([ ("req", Json.Str req);
-         ("target", Json.Str (Warmup.target_to_string target));
+         ("target", Json.Str (Pipeline.target_to_string target));
          ("workload", workload_to_json workload)
        ]
       @ rest)

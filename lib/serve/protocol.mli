@@ -60,16 +60,16 @@ type request =
           with exact nearest-rank p50/p99 over the {e whole} unfiltered
           window. *)
   | Tune of {
-      target : Unit_store.Warmup.target;
+      target : Unit_core.Pipeline.target;
       engine : Unit_core.Pipeline.engine;
       workload : workload;
     }
   | Run of {
-      target : Unit_store.Warmup.target;
+      target : Unit_core.Pipeline.target;
       engine : Unit_core.Pipeline.engine;
       workload : workload;
     }
-  | Explain of { target : Unit_store.Warmup.target; workload : workload }
+  | Explain of { target : Unit_core.Pipeline.target; workload : workload }
 
 type error_code =
   | Bad_request  (** unparseable or invalid request *)
@@ -84,6 +84,9 @@ type response =
 
 val code_to_string : error_code -> string
 val code_of_string : string -> error_code option
+
+val to_workload : workload -> Unit_graph.Workload.t
+(** The pipeline workload a request names ([Table1 i] is row [i]). *)
 
 val workload_name : workload -> string
 

@@ -12,87 +12,39 @@ let c_dedup = Obs.counter "warmup.dedup"
 let c_retry = Obs.counter "warmup.retry"
 let c_fail = Obs.counter "warmup.fail"
 
-type target =
-  | X86
-  | Arm
+type target = Pipeline.target = X86 | Arm
 
-let target_of_string = function
-  | "x86" | "cascadelake" -> Ok X86
-  | "arm" | "graviton2" -> Ok Arm
-  | other ->
-    Error (Printf.sprintf "unknown warm-up target %s (x86|cascadelake|arm|graviton2)" other)
-
-let target_to_string = function X86 -> "x86" | Arm -> "arm"
+let target_to_string = Pipeline.target_to_string
 
 type job = {
   job_key : string;
   job_compile : unit -> unit;
 }
 
-(* With the emitted engine, a job also renders + native-compiles the
-   tuned kernel so a store-backed warm-up leaves loadable .cmxs
-   artifacts.  Emission failure is graceful degradation everywhere else,
-   so it is here too: the result is ignored (counted on emit.fallback),
-   the job still succeeds. *)
-let bake engine ~spec (c : Pipeline.compiled) =
-  match engine with
-  | Pipeline.Emitted ->
-    let signature = Pipeline.workload_signature ~spec c.Pipeline.c_op c.Pipeline.c_intrin in
-    ignore
-      (Pipeline.prepare_emitted ~signature
-         c.Pipeline.c_tuned.Unit_rewriter.Cpu_tuner.t_func
-        : (unit, string) result)
-  | Pipeline.Reference | Pipeline.Compiled -> ()
-
-let spec_of_target = function
-  | X86 -> Unit_machine.Spec.cascadelake
-  | Arm -> Unit_machine.Spec.graviton2
-
-(* Job keys mirror the pipeline memo's (tag, workload) identity so the
-   dedup pass and the in-memory kernel cache agree on what "the same
-   workload" means — plus the engine, because jobs for the same workload
-   under different engines do different work (the emitted engine
-   additionally bakes a .cmxs artifact) and must not be deduped.  Their
-   tuning is still shared: both hit one memo key, which tunes once. *)
-let job_key_of ~tag ~engine name =
-  tag ^ "/" ^ name ^ "#" ^ Pipeline.engine_to_string engine
-
-let conv_job ?(engine = Pipeline.Compiled) target wl =
-  let name = Workload.name (Workload.Conv wl) in
-  let spec = spec_of_target target in
-  match target with
-  | X86 ->
-    { job_key = job_key_of ~tag:"x86-vnni" ~engine name;
-      job_compile = (fun () -> bake engine ~spec (Pipeline.conv_compiled_x86 wl))
-    }
-  | Arm ->
-    { job_key = job_key_of ~tag:"arm-arm.udot" ~engine name;
-      job_compile = (fun () -> bake engine ~spec (Pipeline.conv_compiled_arm wl))
-    }
-
-let dense_job ?(engine = Pipeline.Compiled) target wl =
-  let name = Workload.name (Workload.Fc wl) in
-  let spec = spec_of_target target in
-  match target with
-  | X86 ->
-    { job_key = job_key_of ~tag:"x86-dense" ~engine name;
-      job_compile = (fun () -> bake engine ~spec (Pipeline.dense_compiled_x86 wl))
-    }
-  | Arm ->
-    { job_key = job_key_of ~tag:"arm-dense" ~engine name;
-      job_compile = (fun () -> bake engine ~spec (Pipeline.dense_compiled_arm wl))
-    }
+(* The key is the pipeline memo's identity plus the engine: jobs for one
+   workload under different engines do different work (the emitted
+   engine additionally bakes a .cmxs artifact) and must not be deduped.
+   Their tuning is still shared: both hit one memo key, which tunes
+   once. *)
+let job ?(engine = Pipeline.Compiled) target wl =
+  { job_key = Pipeline.kernel_key target wl ^ "#" ^ Pipeline.engine_to_string engine;
+    job_compile = (fun () -> Pipeline.bake engine target (Pipeline.compiled target wl))
+  }
 
 let jobs_of_graph ?engine target g =
-  List.map (fun (wl, _) -> conv_job ?engine target wl) (Unit_models.Zoo.conv_workloads g)
+  List.map
+    (fun (wl, _) -> job ?engine target (Workload.Conv wl))
+    (Unit_models.Zoo.conv_workloads g)
   @ List.map
-      (fun (wl, _) -> dense_job ?engine target wl)
+      (fun (wl, _) -> job ?engine target (Workload.Fc wl))
       (Unit_models.Zoo.dense_workloads g)
 
 let jobs_of_model ?engine target name =
-  match Unit_models.Zoo.find name with
-  | None -> Error (Printf.sprintf "unknown model %s (see unitc models)" name)
-  | Some build -> Ok (jobs_of_graph ?engine target (build ()))
+  Result.map
+    (function
+      | `Model build -> jobs_of_graph ?engine target (build ())
+      | `Table1 (_, wl) -> [ job ?engine target (Workload.Conv wl) ])
+    (Unit_models.Zoo.resolve name)
 
 let jobs_of_zoo ?engine target =
   (* concatenated without pre-dedup: shared layers across models are
@@ -102,15 +54,10 @@ let jobs_of_zoo ?engine target =
     Unit_models.Zoo.all
 
 let jobs_of_table1 ?engine target ?index () =
-  let workloads = Unit_models.Table1.workloads in
+  let conv wl = job ?engine target (Workload.Conv wl) in
   match index with
-  | None -> Ok (Array.to_list (Array.map (conv_job ?engine target) workloads))
-  | Some i ->
-    if i < 1 || i > Array.length workloads then
-      Error
-        (Printf.sprintf "table1 index %d out of range 1..%d" i
-           (Array.length workloads))
-    else Ok [ conv_job ?engine target workloads.(i - 1) ]
+  | None -> Ok (Array.to_list (Array.map conv Unit_models.Table1.workloads))
+  | Some i -> Result.map (fun wl -> [ conv wl ]) (Unit_models.Table1.row i)
 
 (* Bounded exponential backoff with deterministic jitter: base 20 ms
    doubling per failed attempt, capped at 500 ms, scaled into [0.5, 1.0]

@@ -27,39 +27,37 @@
       [warmup.compiled] / [warmup.dedup] / [warmup.retry] /
       [warmup.fail] counters when tracing is enabled. *)
 
-type target =
-  | X86  (** Cascade Lake + VNNI ([Pipeline.conv_time_x86] et al.) *)
-  | Arm  (** Graviton2 + DOT *)
-
-val target_of_string : string -> (target, string) result
-(** Accepts ["x86"] / ["cascadelake"] and ["arm"] / ["graviton2"]. *)
+type target = Unit_core.Pipeline.target = X86 | Arm
 
 val target_to_string : target -> string
+(** {!Unit_core.Pipeline.target_to_string}.  The type and this function
+    are re-exports kept for existing callers; new code uses the
+    {!Unit_core.Pipeline} names. *)
 
 type job = {
   job_key : string;
-      (** dedup identity, e.g. ["x86-vnni/conv_c64_...#compiled"].
-          The engine is part of the key: the same workload warmed under
-          [Compiled] and [Emitted] does different work (the latter bakes
-          a native artifact) and must not dedup across engines. *)
+      (** dedup identity: {!Unit_core.Pipeline.kernel_key} and the engine,
+          e.g. ["x86-vnni/conv_c64_...#compiled"].  The engine is part
+          of the key: the same workload warmed under [Compiled] and
+          [Emitted] does different work (the latter bakes a native
+          artifact) and must not dedup across engines. *)
   job_compile : unit -> unit;
 }
 
-val conv_job :
-  ?engine:Unit_core.Pipeline.engine -> target -> Unit_graph.Workload.conv2d -> job
-
-val dense_job :
-  ?engine:Unit_core.Pipeline.engine -> target -> Unit_graph.Workload.dense -> job
-(** [engine] (default [Compiled]) selects what the job bakes beyond the
+val job :
+  ?engine:Unit_core.Pipeline.engine -> target -> Unit_graph.Workload.t -> job
+(** Compile one workload through {!Unit_core.Pipeline.compiled}.
+    [engine] (default [Compiled]) selects what the job bakes beyond the
     tuning record: [Emitted] additionally renders + native-compiles the
-    tuned kernel through {!Unit_core.Pipeline.prepare_emitted}, so a
-    store-backed warm-up leaves loadable [.cmxs] artifacts behind.
-    Emission failures degrade silently (counted on [emit.fallback]) —
-    they never fail the job. *)
+    tuned kernel ({!Unit_core.Pipeline.bake}), so a store-backed warm-up
+    leaves loadable [.cmxs] artifacts behind.  Emission failures degrade
+    silently (counted on [emit.fallback]) — they never fail the job. *)
 
 val jobs_of_model :
   ?engine:Unit_core.Pipeline.engine -> target -> string -> (job list, string) result
-(** Every distinct conv + dense workload of one zoo model (by name). *)
+(** Every distinct conv + dense workload of one zoo model, or the one
+    row a ["table1:N"] spec names ({!Unit_models.Zoo.resolve}, with its
+    error texts). *)
 
 val jobs_of_zoo : ?engine:Unit_core.Pipeline.engine -> target -> job list
 (** All nine models, concatenated {e without} pre-deduplication — shared
@@ -71,7 +69,8 @@ val jobs_of_table1 :
   ?index:int ->
   unit ->
   (job list, string) result
-(** Table I workloads; [index] (1-based) selects a single row. *)
+(** Table I workloads; [index] (1-based) selects a single row, with
+    {!Unit_models.Table1.row}'s error when it is out of range. *)
 
 val backoff_s : key:string -> attempt:int -> float
 (** Sleep before retrying [key] after its [attempt]th failed try

@@ -704,7 +704,7 @@ let test_emit_zoo_conv () =
   differential compiled.Pipeline.c_tuned.Cpu_tuner.t_func
 
 let test_emit_zoo_dense () =
-  let compiled = Pipeline.dense_compiled_arm (smallest_zoo_dense ()) in
+  let compiled = Pipeline.compiled Pipeline.Arm (Workload.Fc (smallest_zoo_dense ())) in
   differential compiled.Pipeline.c_tuned.Cpu_tuner.t_func
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests

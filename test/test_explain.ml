@@ -34,7 +34,7 @@ let find_entry r isa =
 (* ---------- golden explain per target ---------- *)
 
 let test_explain_x86 () =
-  let r = Explain.conv Explain.X86 wl3 in
+  let r = Explain.conv (Explain.Cpu Unit_core.Pipeline.X86) wl3 in
   check_string "target" "x86" r.Explain.ex_target;
   check_bool "VNNI chosen" true (r.Explain.ex_chosen = Some "vnni.vpdpbusd");
   (* the acceptance criterion: a rejected ISA carries the concrete
@@ -59,7 +59,7 @@ let test_explain_x86 () =
       "roofline:"; "chosen: vnni.vpdpbusd" ]
 
 let test_explain_arm () =
-  let r = Explain.conv Explain.Arm wl3 in
+  let r = Explain.conv (Explain.Cpu Unit_core.Pipeline.Arm) wl3 in
   check_string "target" "arm" r.Explain.ex_target;
   (* u8 activations: the signed-dot baseline rejects on dtype, udot wins *)
   (match (find_entry r "arm.sdot").Explain.ex_verdict with
@@ -86,7 +86,7 @@ let test_explain_gpu () =
   | _ -> Alcotest.fail "the WMMA template should always apply"
 
 let test_explain_json_round_trip () =
-  let r = Explain.conv Explain.X86 wl3 in
+  let r = Explain.conv (Explain.Cpu Unit_core.Pipeline.X86) wl3 in
   let j = Explain.to_json r in
   match Json.parse (Json.to_string j) with
   | Error m -> Alcotest.failf "explain JSON does not parse: %s" m

@@ -64,6 +64,36 @@ let test_distinct_convs_scale () =
   check_bool (Printf.sprintf "distinct convs %d in [100, 160]" n) true
     (n >= 100 && n <= 160)
 
+(* One resolver for "table1:N", one text per failure. *)
+let test_table1_resolver () =
+  let check_string = Alcotest.(check string) in
+  let expect_error spec want =
+    match Unit_models.Table1.find spec with
+    | Some (Error m) -> check_string spec want m
+    | Some (Ok _) -> Alcotest.failf "%s resolved" spec
+    | None -> Alcotest.failf "%s not taken for a table1 spec" spec
+  in
+  (match Unit_models.Table1.find "table1:3" with
+   | Some (Ok (i, wl)) ->
+     check_int "index" 3 i;
+     check_bool "row #3" true (wl = Unit_models.Table1.workloads.(2))
+   | _ -> Alcotest.fail "table1:3 did not resolve");
+  expect_error "table1:0" "table1 index 0 out of range 1..16";
+  expect_error "table1:17" "table1 index 17 out of range 1..16";
+  expect_error "table1:x" "table1:x: malformed table1:N index";
+  check_bool "a model name is not a table1 spec" true
+    (Unit_models.Table1.find "resnet18" = None);
+  check_bool "bare table1 is not a row" true (Unit_models.Table1.find "table1" = None);
+  (match Zoo.resolve "table1:17" with
+   | Error m -> check_string "zoo resolver keeps the row text" "table1 index 17 out of range 1..16" m
+   | Ok _ -> Alcotest.fail "table1:17 resolved");
+  (match Zoo.resolve "nosuchnet" with
+   | Error m ->
+     check_string "unknown model" "nosuchnet: not a model (see unitc models) nor table1:N" m
+   | Ok _ -> Alcotest.fail "nosuchnet resolved");
+  check_bool "zoo model resolves" true
+    (match Zoo.resolve "resnet18" with Ok (`Model _) -> true | _ -> false)
+
 let test_table1_verbatim () =
   let w = Unit_models.Table1.workloads in
   check_int "16 workloads" 16 (Array.length w);
@@ -117,6 +147,7 @@ let () =
           Alcotest.test_case "inception grids" `Quick test_inception_grid_sizes
         ] );
       ( "table1",
-        [ Alcotest.test_case "verbatim" `Quick test_table1_verbatim ] );
+        [ Alcotest.test_case "verbatim" `Quick test_table1_verbatim;
+          Alcotest.test_case "resolver" `Quick test_table1_resolver ] );
       ( "res3d", [ Alcotest.test_case "layers" `Quick test_res3d ] )
     ]

@@ -56,6 +56,52 @@ let test_workload_kernel_cache () =
   check_int "hits unchanged by distinct workload" 2 (hits ());
   Pipeline.clear_cache ()
 
+(* ---------- CPU targets ---------- *)
+
+let test_target_aliases () =
+  let check_string = Alcotest.(check string) in
+  List.iter
+    (fun (name, want) ->
+      match Pipeline.target_of_string name with
+      | Ok t ->
+        check_bool (name ^ " parses to its target") true (t = want);
+        check_string (name ^ " canonical name")
+          (if want = Pipeline.X86 then "x86" else "arm")
+          (Pipeline.target_to_string t)
+      | Error m -> Alcotest.failf "%s rejected: %s" name m)
+    [ ("x86", Pipeline.X86); ("cascadelake", Pipeline.X86);
+      ("arm", Pipeline.Arm); ("graviton2", Pipeline.Arm) ];
+  (match Pipeline.target_of_string "v100" with
+   | Error m ->
+     check_string "unknown target lists every alias"
+       "unknown target v100 (x86|cascadelake|arm|graviton2)" m
+   | Ok _ -> Alcotest.fail "v100 is not a CPU target");
+  check_bool "per-target spec" true
+    (Pipeline.target_spec Pipeline.X86 == Unit_machine.Spec.cascadelake
+     && Pipeline.target_spec Pipeline.Arm == Unit_machine.Spec.graviton2);
+  check_bool "per-target activation dtype" true
+    (Pipeline.target_act_dtype Pipeline.X86 = Dtype.U8
+     && Pipeline.target_act_dtype Pipeline.Arm = Dtype.I8)
+
+(* [compiled] caches under today's memo tags: the per-platform helpers
+   and [compiled] share one kernel, and each target tensorizes with its
+   default instruction. *)
+let test_compiled_shares_helper_kernels () =
+  Pipeline.clear_cache ();
+  let w = wl ~c:32 ~k:32 () in
+  let x86 = Pipeline.compiled Pipeline.X86 (Workload.Conv w) in
+  check_bool "x86 conv is the helper's kernel" true (x86 == Pipeline.conv_compiled_x86 w);
+  check_bool "x86 uses VNNI" true
+    (x86.Pipeline.c_intrin.Unit_isa.Intrin.name = Pipeline.target_intrin Pipeline.X86);
+  let arm = Pipeline.compiled Pipeline.Arm (Workload.Conv w) in
+  check_bool "arm conv is the helper's kernel" true (arm == Pipeline.conv_compiled_arm w);
+  check_bool "arm uses DOT" true (arm.Pipeline.c_intrin.Unit_isa.Intrin.name = "arm.udot");
+  let fc = { Workload.d_k = 256; d_units = 32 } in
+  check_bool "dense time reads the compiled kernel" true
+    (Pipeline.dense_time_arm fc
+     = Pipeline.seconds (Pipeline.compiled Pipeline.Arm (Workload.Fc fc)));
+  Pipeline.clear_cache ()
+
 (* ---------- the memo is single-flight ---------- *)
 
 module Obs = Unit_obs.Obs
@@ -253,7 +299,11 @@ let test_conv3d_time () =
     { Workload.w3_c = 64; w3_d = 4; w3_h = 14; w3_w = 14; w3_k = 64; w3_kernel = 3;
       w3_stride = 1; w3_padding = 1 }
   in
-  check_bool "conv3d compiles and costs" true (Pipeline.conv3d_time_x86 w3 > 0.0)
+  check_bool "conv3d compiles and costs" true (Pipeline.conv3d_time_x86 w3 > 0.0);
+  let small = { w3 with Workload.w3_c = 16; w3_k = 16; w3_h = 6; w3_w = 6 } in
+  let arm = Pipeline.compiled Pipeline.Arm (Workload.Conv3 small) in
+  check_bool "conv3d also tensorizes on ARM, with DOT" true
+    (arm.Pipeline.c_intrin.Unit_isa.Intrin.name = "arm.udot" && Pipeline.seconds arm > 0.0)
 
 (* ---------- baselines ---------- *)
 
@@ -354,7 +404,10 @@ let () =
           Alcotest.test_case "dot vs mla" `Quick test_arm_dot_beats_neon_mla;
           Alcotest.test_case "gpu conv" `Quick test_gpu_conv_time;
           Alcotest.test_case "depthwise" `Quick test_depthwise_never_tensorizes_but_costs;
-          Alcotest.test_case "conv3d" `Quick test_conv3d_time
+          Alcotest.test_case "conv3d" `Quick test_conv3d_time;
+          Alcotest.test_case "target aliases" `Quick test_target_aliases;
+          Alcotest.test_case "compiled shares helper kernels" `Quick
+            test_compiled_shares_helper_kernels
         ] );
       ( "single-flight",
         [ Alcotest.test_case "tunes once under contention" `Quick

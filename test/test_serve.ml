@@ -49,7 +49,7 @@ let small_conv ?(c = 16) ?(k = 16) () =
 
 let tune_table1 i =
   Protocol.Tune
-    { target = Warmup.X86; engine = Pipeline.Compiled;
+    { target = Pipeline.X86; engine = Pipeline.Compiled;
       workload = Protocol.Table1 i }
 
 (* Poll a server-side condition instead of sleeping blind; failing the
@@ -369,7 +369,7 @@ let workload_gen =
 
 let request_gen =
   QCheck.Gen.(
-    let target = oneofl [ Warmup.X86; Warmup.Arm ] in
+    let target = oneofl [ Pipeline.X86; Pipeline.Arm ] in
     let engine = oneofl [ Pipeline.Reference; Pipeline.Compiled; Pipeline.Emitted ] in
     oneof
       [ return Protocol.Ping;
@@ -1065,10 +1065,7 @@ let tune_span_count () =
 
 let direct_digest workload =
   let c =
-    match workload with
-    | Protocol.Conv wl -> Pipeline.conv_compiled_x86 wl
-    | Protocol.Table1 i -> Pipeline.conv_compiled_x86 Unit_models.Table1.workloads.(i - 1)
-    | Protocol.Dense wl -> Pipeline.dense_compiled_x86 wl
+    Pipeline.compiled Pipeline.X86 (Protocol.to_workload workload)
   in
   let op = c.Pipeline.c_op in
   let signature =
@@ -1094,7 +1091,7 @@ let direct_digest workload =
    fresh ids) and in a second process. *)
 let digest_request =
   Protocol.Run
-    { target = Warmup.X86; engine = Pipeline.Compiled;
+    { target = Pipeline.X86; engine = Pipeline.Compiled;
       workload = Protocol.Conv (small_conv ()) }
 
 let run_digest () =
@@ -1151,7 +1148,7 @@ let test_soak () =
            @ [ (target, Protocol.Dense { Workload.d_k = 256; d_units = 128 });
                (target, Protocol.Dense { Workload.d_k = 512; d_units = 64 })
              ])
-         [ Warmup.X86; Warmup.Arm ])
+         [ Pipeline.X86; Pipeline.Arm ])
   in
   let run_pool =
     [| Protocol.Conv (small_conv ());
@@ -1163,7 +1160,7 @@ let test_soak () =
   let request i =
     if i mod 4 = 3 then
       Protocol.Run
-        { target = Warmup.X86; engine = Pipeline.Compiled;
+        { target = Pipeline.X86; engine = Pipeline.Compiled;
           workload = run_pool.(i / 4 mod Array.length run_pool) }
     else
       let target, workload = tune_pool.(i mod Array.length tune_pool) in
@@ -1175,7 +1172,7 @@ let test_soak () =
       match request i with
       | Protocol.Tune { target; workload; _ } | Protocol.Run { target; workload; _ } ->
         Hashtbl.replace keys
-          (Warmup.target_to_string target ^ "/" ^ Protocol.workload_name workload)
+          (Pipeline.target_to_string target ^ "/" ^ Protocol.workload_name workload)
           ()
       | _ -> ()
     done;

@@ -210,6 +210,13 @@ let wl ?(c = 64) ?(hw = 8) ?(k = 64) () =
 
 let counter name = List.assoc name (Obs.counters ())
 
+let tune_span_count () =
+  List.fold_left
+    (fun acc (a : Obs.agg) ->
+      if a.Obs.agg_name = "tensorize.tune" then acc + a.Obs.agg_count else acc)
+    0
+    (Obs.aggregate_spans (Obs.spans ()))
+
 let test_pipeline_warm_path () =
   let path = temp_store_path () in
   let store, _ = Store.open_ path in
@@ -251,7 +258,7 @@ let test_pipeline_warm_path () =
   in
   let before = traffic () in
   let (_ : Unit_core.Explain.report) =
-    Unit_core.Explain.conv Unit_core.Explain.X86 (wl ())
+    Unit_core.Explain.conv (Unit_core.Explain.Cpu Pipeline.X86) (wl ())
   in
   check_bool "explain leaves the store's appends, hits and misses alone" true
     (traffic () = before);
@@ -377,7 +384,7 @@ let test_warmup_populates_store () =
   Pipeline.clear_cache ();
   Pipeline.set_tuning_store (Some (Store.pipeline_hooks store));
   let jobs =
-    match Warmup.jobs_of_table1 Warmup.X86 ~index:3 () with
+    match Warmup.jobs_of_table1 Pipeline.X86 ~index:3 () with
     | Ok jobs -> jobs
     | Error m -> Alcotest.fail m
   in
@@ -391,6 +398,42 @@ let test_warmup_populates_store () =
   Pipeline.clear_cache ();
   Sys.remove path
 
+(* A warm-up job and [Pipeline.compiled] name one kernel by one key: the
+   job key is the memo key plus the engine, byte for byte, and after the
+   job has run the same workload is a memo hit that tunes nothing. *)
+let test_warmup_job_is_pipeline_memo_hit () =
+  let wl = Unit_models.Table1.workloads.(2) in
+  let jobs =
+    match Warmup.jobs_of_table1 Pipeline.X86 ~index:3 () with
+    | Ok jobs -> jobs
+    | Error m -> Alcotest.fail m
+  in
+  check_string "job key" ("x86-vnni/" ^ Workload.name (Workload.Conv wl) ^ "#compiled")
+    (List.hd jobs).Warmup.job_key;
+  (match Warmup.jobs_of_model Pipeline.X86 "table1:3" with
+   | Ok [ j ] ->
+     check_string "jobs_of_model takes table1:N" (List.hd jobs).Warmup.job_key
+       j.Warmup.job_key
+   | _ -> Alcotest.fail "jobs_of_model table1:3 is not one job");
+  check_string "arm dense key" "arm-dense/dense_k512_u10#emitted"
+    (Warmup.job ~engine:Pipeline.Emitted Pipeline.Arm
+       (Workload.Fc { Workload.d_k = 512; d_units = 10 }))
+      .Warmup.job_key;
+  Pipeline.clear_cache ();
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Pipeline.clear_cache ())
+  @@ fun () ->
+  check_int "warm-up compiled the row" 1 (Warmup.run ~domains:1 jobs).Warmup.rp_compiled;
+  let hits = counter "pipeline.cache.hit" and tunes = tune_span_count () in
+  let (_ : Pipeline.compiled) = Pipeline.compiled Pipeline.X86 (Workload.Conv wl) in
+  check_int "Pipeline.compiled after warm-up is one memo hit" (hits + 1)
+    (counter "pipeline.cache.hit");
+  check_int "and tunes nothing" tunes (tune_span_count ())
+
 (* A compiled-engine job and an emitted-engine job for the same workload
    are different work: dedup must key on the engine too.  Regression for
    the bug where both shared a key and whichever arrived first silently
@@ -398,8 +441,8 @@ let test_warmup_populates_store () =
    so the two concurrent jobs tune once. *)
 let test_engine_distinguishes_job_keys () =
   let workload = wl ~c:16 ~k:16 () in
-  let jc = Warmup.conv_job ~engine:Pipeline.Compiled Warmup.X86 workload in
-  let je = Warmup.conv_job ~engine:Pipeline.Emitted Warmup.X86 workload in
+  let jc = Warmup.job ~engine:Pipeline.Compiled Pipeline.X86 (Workload.Conv workload) in
+  let je = Warmup.job ~engine:Pipeline.Emitted Pipeline.X86 (Workload.Conv workload) in
   check_bool "engine is part of the job key" true (jc.Warmup.job_key <> je.Warmup.job_key);
   (* same engine, same workload: still deduped *)
   Pipeline.clear_cache ();
@@ -417,12 +460,7 @@ let test_engine_distinguishes_job_keys () =
   in
   check_int "both engines compiled" 2 report.Warmup.rp_compiled;
   check_int "nothing deduped across engines" 0 report.Warmup.rp_deduped;
-  check_int "one tensorize.tune span across both engines" 1
-    (List.fold_left
-       (fun acc (a : Obs.agg) ->
-         if a.Obs.agg_name = "tensorize.tune" then acc + a.Obs.agg_count else acc)
-       0
-       (Obs.aggregate_spans (Obs.spans ())));
+  check_int "one tensorize.tune span across both engines" 1 (tune_span_count ());
   Pipeline.clear_cache ()
 
 (* ---------- bounded kernel cache ---------- *)
@@ -680,6 +718,8 @@ let () =
             test_warmup_populates_store;
           Alcotest.test_case "engine distinguishes job keys" `Quick
             test_engine_distinguishes_job_keys;
+          Alcotest.test_case "warm-up job is a memo hit" `Quick
+            test_warmup_job_is_pipeline_memo_hit;
           Alcotest.test_case "retry backoff schedule" `Quick
             test_backoff_schedule
         ] );
