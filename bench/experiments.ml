@@ -609,10 +609,6 @@ let serve_direct_digest target workload =
     Pipeline.compiled target (Serve_protocol.to_workload workload)
   in
   let op = c.Pipeline.c_op in
-  let signature =
-    Pipeline.workload_signature ~spec:(Pipeline.target_spec target) op
-      c.Pipeline.c_intrin
-  in
   let inputs =
     List.map
       (fun t -> (t, Ndarray.random_for_tensor ~seed:1 t))
@@ -620,7 +616,8 @@ let serve_direct_digest target workload =
   in
   let out = Ndarray.of_tensor_zeros op.Unit_dsl.Op.output in
   Pipeline.run_func ~engine:Pipeline.Compiled
-    ~signature:("tensorized|" ^ signature)
+    ~signature:(Pipeline.kernel_signature ~spec:(Pipeline.target_spec target) op
+                  c.Pipeline.c_intrin)
     c.Pipeline.c_tuned.Cpu_tuner.t_func
     ~bindings:((op.Unit_dsl.Op.output, out) :: inputs);
   Serve_protocol.digest_ndarray out

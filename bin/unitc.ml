@@ -403,10 +403,6 @@ let run kind isa engine trace trace_out store packs c hw k kernel stride n m kdi
   (* always the tuned kernel, so what runs is what the daemon serves and a
      store replays: a disk hit replays, a miss sweeps and persists *)
   let func = (tensorize_or_die ~spec op intrin).Cpu_tuner.t_func in
-  (* the emitted engine's persistent artifacts are keyed per kernel
-     variant: the scalar oracle and the tensorized kernel of one
-     workload are different programs under the same signature *)
-  let signature = Pipeline.workload_signature ~spec op intrin in
   let inputs =
     List.map
       (fun t -> (t, Unit_codegen.Ndarray.random_for_tensor ~seed:1 t))
@@ -414,13 +410,18 @@ let run kind isa engine trace trace_out store packs c hw k kernel stride n m kdi
   in
   let out_ref = Unit_codegen.Ndarray.of_tensor_zeros op.Op.output in
   let out_t = Unit_codegen.Ndarray.of_tensor_zeros op.Op.output in
-  let exec ~variant func ~bindings =
-    Pipeline.run_func ~engine
-      ~signature:(variant ^ "|" ^ signature) func ~bindings
-  in
-  exec ~variant:"oracle" (Unit_tir.Lower.scalar_reference op)
+  (* the emitted engine's persistent artifacts are keyed per kernel
+     variant: the scalar oracle and the tuned kernel of one workload are
+     different programs, and the tuned one runs under the signature a
+     warm-up bakes it under *)
+  Pipeline.run_func ~engine
+    ~signature:("oracle|" ^ Pipeline.workload_signature ~spec op intrin)
+    (Unit_tir.Lower.scalar_reference op)
     ~bindings:((op.Op.output, out_ref) :: inputs);
-  exec ~variant:"tensorized" func ~bindings:((op.Op.output, out_t) :: inputs);
+  Pipeline.run_func ~engine
+    ~signature:(Pipeline.kernel_signature ~spec op intrin)
+    func
+    ~bindings:((op.Op.output, out_t) :: inputs);
   let ok = Unit_codegen.Ndarray.equal out_ref out_t in
   Format.printf "tensorized vs scalar reference (%s engine): %s@."
     (Pipeline.engine_to_string engine)
@@ -437,24 +438,13 @@ let run kind isa engine trace trace_out store packs c hw k kernel stride n m kdi
 
 (* End-to-end latency of one model on one platform, every engine. *)
 let e2e model_name target =
-  let build =
-    match Unit_models.Zoo.find model_name with
-    | Some b -> b
-    | None ->
-      prerr_endline
-        ("unitc: unknown model " ^ model_name ^ " (see unitc models)");
-      exit 1
-  in
   let tgt = any_target_or_die target in
   let act_dtype =
     match tgt with
     | Unit_core.Explain.Cpu t -> Pipeline.target_act_dtype t
     | Unit_core.Explain.Gpu -> Dtype.U8
   in
-  let g =
-    Unit_graph.Passes.fuse
-      (Unit_graph.Passes.quantize_structural ~act_dtype (build ()))
-  in
+  let g = or_die (Unit_core.Memplan.build_graph ~model:model_name ~act_dtype) in
   let engines =
     let open Unit_baselines.Engines in
     match tgt with
@@ -1150,7 +1140,7 @@ let pp_kernel_report (name, count, fp) =
       fp.Footprint.fp_total_bytes
 
 (* Whole-graph static memory analysis: liveness over the executor's
-   level-parallel schedule, a greedy best-fit arena plan, and the
+   node-order walk, a greedy best-fit arena plan, and the
    independent checker's verdict.  A rejected plan is printed and exits
    non-zero — the planner proposes, the checker proves. *)
 let memplan model target json kernels trace packs =
@@ -1322,7 +1312,12 @@ let run_cmd =
       $ out_channels_arg $ kernel_arg $ stride_arg $ n_arg $ m_arg $ kdim_arg)
 
 let e2e_cmd =
-  let model = Arg.(required & pos 0 (some string) None & info [] ~docv:"MODEL") in
+  let model =
+    Arg.(required & pos 0 (some string) None
+         & info [] ~docv:"MODEL"
+             ~doc:"A zoo model (see unitc models) or table1:N for a \
+                   conv/bias/relu block over one Table I workload.")
+  in
   let target =
     Arg.(value & opt string "cascadelake"
          & info [ "target" ] ~docv:"TARGET"
@@ -1489,7 +1484,7 @@ let memplan_cmd =
     (Cmd.info "memplan"
        ~doc:
          "Whole-graph static memory analysis: tensor liveness over the \
-          executor's level-parallel schedule, a greedy best-fit arena plan \
+          executor's node-order walk, a greedy best-fit arena plan \
           assigning every intermediate an offset in one shared arena, and \
           an independent overlap checker that proves the plan sound.  \
           Exits non-zero when the checker rejects the plan.")

@@ -195,10 +195,10 @@ let check g p =
           then
             push
               (Diag.errorf Diag.Mem_plan
-                 "%s (node %d, levels [%d, %d]) and %s (node %d, levels [%d, %d]) are live together but share %s-arena words [%d, %d)"
-                 ranges.(a.s_id).Liveness.lv_name a.s_id
+                 "%s (live at nodes [%d, %d]) and %s (live at nodes [%d, %d]) share %s-arena words [%d, %d)"
+                 ranges.(a.s_id).Liveness.lv_name
                  ranges.(a.s_id).Liveness.lv_def ranges.(a.s_id).Liveness.lv_last
-                 ranges.(b.s_id).Liveness.lv_name b.s_id
+                 ranges.(b.s_id).Liveness.lv_name
                  ranges.(b.s_id).Liveness.lv_def ranges.(b.s_id).Liveness.lv_last
                  (class_name a.s_class)
                  (Stdlib.max a.s_off b.s_off)

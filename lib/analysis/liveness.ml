@@ -1,21 +1,20 @@
 open Unit_codegen
 open Unit_graph
 
-(* Per-tensor live range against the executor's level-parallel schedule.
+(* Per-tensor live range against the executor's sequential walk.
 
-   The executor evaluates level by level ([Executor.schedule_levels]):
-   all nodes of a level run concurrently, so a tensor is defined at its
-   producer's level and must stay materialized through the level of its
-   last consumer — including that whole level, because the consumer runs
-   in parallel with every other node scheduled there.  Two tensors whose
-   inclusive [def, last] ranges intersect can be in memory at the same
-   time and therefore interfere. *)
+   The executor evaluates one node at a time in node-id order, so node ids
+   are the program points: a tensor is defined at its producer's id and
+   must stay materialized through the id of its last consumer, inclusive,
+   because that consumer reads it while writing its own output.  Two
+   tensors whose inclusive [def, last] ranges intersect can be in memory
+   at the same time and therefore interfere. *)
 
 type range = {
   lv_id : Graph.id;
   lv_name : string;
-  lv_def : int;  (* producer's schedule level *)
-  lv_last : int;  (* last level that reads the tensor (inclusive) *)
+  lv_def : int;  (* producer's node id *)
+  lv_last : int;  (* id of the last node that reads the tensor (inclusive) *)
   lv_elems : int;  (* element count, from the declared shape *)
   lv_class : Ndarray.storage_class;
   lv_bytes : int;  (* host bytes: one backing-array word per element *)
@@ -31,18 +30,14 @@ let word_bytes = 8
 let interfere a b = a.lv_def <= b.lv_last && b.lv_def <= a.lv_last
 
 let analyze g =
-  let levels = Executor.schedule_levels g in
-  let maxl = Array.fold_left Stdlib.max 0 levels in
-  let last = Array.copy levels in
+  let last = Array.init (Graph.arity g) Fun.id in
   List.iter
     (fun (n : Graph.node) ->
-      List.iter
-        (fun i -> last.(i) <- Stdlib.max last.(i) levels.(n.Graph.id))
-        n.Graph.inputs)
+      List.iter (fun i -> last.(i) <- Stdlib.max last.(i) n.Graph.id) n.Graph.inputs)
     (Graph.nodes g);
-  (* the output escapes to the caller: pin it past the final level so no
+  (* the output escapes to the caller: pin it past the last node so no
      reuse can clobber it before [run] returns *)
-  last.(Graph.output g) <- maxl + 1;
+  last.(Graph.output g) <- Graph.arity g;
   let ranges =
     List.map
       (fun (n : Graph.node) ->
@@ -55,7 +50,7 @@ let analyze g =
         in
         { lv_id = id;
           lv_name = n.Graph.name;
-          lv_def = levels.(id);
+          lv_def = id;
           lv_last = last.(id);
           lv_elems = elems;
           lv_class = Ndarray.class_of_dtype (Graph.dtype_of g id);
@@ -71,7 +66,7 @@ let peak_bytes ranges =
     Array.fold_left (fun acc r -> Stdlib.max acc r.lv_last) 0 ranges
   in
   let peak = ref 0 in
-  for l = 1 to maxl do
+  for l = 0 to maxl do
     let live =
       Array.fold_left
         (fun acc r ->

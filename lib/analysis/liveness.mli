@@ -1,13 +1,13 @@
-(** Whole-graph tensor liveness against the executor's level-parallel
-    schedule.
+(** Whole-graph tensor liveness against the executor's sequential walk.
 
-    A tensor is defined at its producer's schedule level
-    ({!Unit_graph.Executor.schedule_levels}) and stays live through the
-    level of its last consumer — inclusive on both ends, because nodes
-    sharing a level run concurrently.  Two tensors whose ranges intersect
-    may coexist in memory and therefore {!interfere}; the arena planner
-    must keep them byte-disjoint.  The graph's output is pinned one level
-    past the schedule's end: it escapes to the caller. *)
+    The executor evaluates nodes one at a time in node-id order, so node
+    ids are the program points.  A tensor is defined at its producer's
+    id and stays live through the id of its last consumer, inclusive on
+    both ends, because that consumer reads it while writing its own
+    output.  Two tensors whose ranges intersect may coexist in memory and
+    therefore {!interfere}; the arena planner must keep them
+    byte-disjoint.  The graph's output is pinned one id past the last
+    node ([Graph.arity g]): it escapes to the caller. *)
 
 open Unit_codegen
 open Unit_graph
@@ -15,8 +15,8 @@ open Unit_graph
 type range = {
   lv_id : Graph.id;
   lv_name : string;
-  lv_def : int;  (** producer's schedule level *)
-  lv_last : int;  (** last level that reads the tensor (inclusive) *)
+  lv_def : int;  (** producer's node id *)
+  lv_last : int;  (** id of the last node that reads the tensor (inclusive) *)
   lv_elems : int;  (** element count, from the declared shape *)
   lv_class : Ndarray.storage_class;
   lv_bytes : int;
@@ -35,7 +35,7 @@ val interfere : range -> range -> bool
 (** Inclusive overlap of the two live ranges. *)
 
 val peak_bytes : range array -> int
-(** Max over schedule levels of the simultaneously live intermediate
+(** Max over node ids of the simultaneously live intermediate
     bytes — the floor any sound single-arena plan can reach. *)
 
 val naive_bytes : range array -> int

@@ -1,6 +1,6 @@
-(* A small OCaml 5 domain pool for the embarrassingly-parallel oracle work:
-   per-(op, ISA) differential checks in the tests, per-operator execution
-   in the graph executor.
+(* A small OCaml 5 domain pool for embarrassingly-parallel work:
+   per-(op, ISA) differential checks in the tests, the warm-up
+   scheduler's compile jobs, and emitted kernels' [Parallel] loops.
 
    Work is a shared atomic counter over an array of items; each domain
    claims the next index until the array is drained.  The first exception

@@ -1,7 +1,8 @@
 (** Domain pool for embarrassingly-parallel oracle work.
 
-    Fans independent checks — per-(op, ISA) differential comparisons,
-    per-operator graph execution — across OCaml 5 domains.  [f] must be safe to run concurrently on distinct items; the
+    Fans independent work — per-(op, ISA) differential comparisons,
+    warm-up compile jobs, emitted [Parallel] loops — across OCaml 5
+    domains.  [f] must be safe to run concurrently on distinct items; the
     compiled interpreter qualifies as long as the items do not share output
     arrays. *)
 

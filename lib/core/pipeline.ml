@@ -105,6 +105,8 @@ let workload_signature ~(spec : Spec.cpu) (op : Op.t) (intrin : Unit_isa.Intrin.
     (axes op.Op.spatial) (axes op.Op.reduce) isa_id
     spec.Spec.cpu_name spec.Spec.cores spec.Spec.freq_ghz
 
+let kernel_signature ~spec op intrin = "tensorized|" ^ workload_signature ~spec op intrin
+
 type tuning_store = {
   ts_lookup : signature:string -> Cpu_tuner.config option;
   ts_record :
@@ -438,7 +440,7 @@ let compiled target wl = compiled_with target wl
 let bake engine target c =
   match engine with
   | Emitted ->
-    let signature = workload_signature ~spec:(target_spec target) c.c_op c.c_intrin in
+    let signature = kernel_signature ~spec:(target_spec target) c.c_op c.c_intrin in
     ignore (prepare_emitted ~signature c.c_tuned.Cpu_tuner.t_func : (unit, string) result)
   | Reference | Compiled -> ()
 

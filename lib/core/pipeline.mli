@@ -91,6 +91,13 @@ val workload_signature :
     and {!Cpu_tuner.version}) into the content address of a persisted
     tuning record; the emitted engine folds it into artifact keys. *)
 
+val kernel_signature :
+  spec:Spec.cpu -> Op.t -> Unit_isa.Intrin.t -> string
+(** The emitted-engine signature a tuned kernel is baked and run under:
+    ["tensorized|"] then its {!workload_signature}.  {!bake}, the
+    daemon's run handler and [unitc run] all key on it, so an artifact
+    baked by a warm-up serves every later run of the same kernel. *)
+
 (** {2 Execution engines}
 
     Every driver entry point that executes a lowered kernel picks one of
@@ -206,7 +213,7 @@ val kernel_key : target -> Unit_graph.Workload.t -> string
 
 val bake : engine -> target -> compiled -> unit
 (** With [Emitted], render + native-compile the kernel through
-    {!prepare_emitted} under its {!workload_signature}, so a
+    {!prepare_emitted} under its {!kernel_signature}, so a
     store-backed warm-up or profile leaves a loadable [.cmxs] behind;
     emission failure degrades (counted on [emit.fallback]) and is
     ignored.  A no-op for the other engines. *)

@@ -2,10 +2,6 @@ open Unit_dtype
 open Unit_codegen
 module Obs = Unit_obs.Obs
 
-let c_levels = Obs.counter "exec.levels"
-let c_nodes = Obs.counter "exec.nodes"
-let h_level_width = Obs.histogram "exec.level_width"
-
 (* Multiply-accumulates a conv2d or dense call performs by its shapes,
    kernel taps that fall on padding included. *)
 let c_macs = Obs.counter "exec.macs"
@@ -14,9 +10,9 @@ let c_macs = Obs.counter "exec.macs"
    run adds nothing. *)
 let c_weights_prepared = Obs.counter ~always:true "exec.weights_prepared"
 
-(* Per-node span label, shared between graph and level execution.  The
-   full node name goes in the span detail (built only when tracing is
-   on), so labels stay low-cardinality for aggregation. *)
+(* Per-node span label.  The full node name goes in the span detail
+   (built only when tracing is on), so labels stay low-cardinality for
+   aggregation. *)
 let kind_label = function
   | Graph.Input _ -> "exec.input"
   | Graph.Weight _ -> "exec.weight"
@@ -735,7 +731,7 @@ let dequantize ?dst data =
     ~shape:(Array.to_list data.arr.Ndarray.shape)
     (real data)
 
-(* ---------- the walk ---------- *)
+(* ---------- operator dispatch ---------- *)
 
 let base_arity = function
   | Graph.Input _ | Graph.Weight _ -> 0
@@ -773,39 +769,6 @@ let apply_kind ?dst kind operands =
 
 let apply kind args = apply_kind kind (List.map (fun v -> Value v) args)
 
-(* Dependency level of each node: 1 + max input level.  This is the
-   executor's schedule — nodes sharing a level run in parallel — and the
-   liveness analysis consumes the same function, so planner and runtime
-   agree on which tensors are alive concurrently.  Node ids are dense and
-   topologically ordered (enforced at graph construction), so a single
-   forward pass suffices. *)
-let schedule_levels g =
-  let levels = Array.make (Graph.arity g) 0 in
-  List.iter
-    (fun (n : Graph.node) ->
-      levels.(n.Graph.id) <-
-        1 + List.fold_left (fun acc i -> Stdlib.max acc levels.(i)) 0 n.Graph.inputs)
-    (Graph.nodes g);
-  levels
-
-(* Bucket nodes by dependency level; nodes within a level are independent
-   and evaluate in parallel across domains. *)
-let level_buckets g =
-  let levels = schedule_levels g in
-  let buckets : (int, Graph.node list) Hashtbl.t = Hashtbl.create 16 in
-  let maxl = ref 0 in
-  List.iter
-    (fun (n : Graph.node) ->
-      let l = levels.(n.Graph.id) in
-      maxl := Stdlib.max !maxl l;
-      let prev = match Hashtbl.find_opt buckets l with Some ns -> ns | None -> [] in
-      Hashtbl.replace buckets l (n :: prev))
-    (Graph.nodes g);
-  List.init !maxl (fun i ->
-      match Hashtbl.find_opt buckets (i + 1) with
-      | Some ns -> List.rev ns
-      | None -> [])
-
 (* ---------- arena plans ---------- *)
 
 (* Mirror of the analysis layer's plan, kept primitive so this library
@@ -828,137 +791,124 @@ type arena_plan = {
   ap_slots : slot list;
 }
 
-let run ?plan g ~input =
-  (* One arena per storage class; a slot's view reinterprets its window
-     under the producing op's runtime dtype.  The factory re-checks class
-     and capacity so a stale or corrupt plan fails loudly instead of
-     silently aliasing. *)
-  let dst_of : Graph.id -> dst =
-    match plan with
-    | None -> fun _ -> no_dst
-    | Some p ->
-      let farena = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ p.ap_float_words ] in
-      let iarena = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ p.ap_int_words ] in
-      let larena = Ndarray.zeros ~dtype:Dtype.I64 ~shape:[ p.ap_int64_words ] in
-      let slots : (int, slot) Hashtbl.t = Hashtbl.create 64 in
-      List.iter (fun s -> Hashtbl.replace slots s.sl_id s) p.ap_slots;
-      fun id ->
-        match Hashtbl.find_opt slots id with
-        | None -> no_dst
-        | Some sl ->
-          fun ~dtype ~shape ->
-            if Ndarray.class_of_dtype dtype <> sl.sl_class then
-              error "arena plan: node %d produced %s outside its planned storage class"
-                id (Dtype.to_string dtype);
-            let n = List.fold_left ( * ) 1 shape in
-            if n > sl.sl_words then
-              error "arena plan: node %d needs %d words but its slot holds %d" id n
-                sl.sl_words;
-            let arena =
-              match sl.sl_class with
-              | Ndarray.Float_class -> farena
-              | Ndarray.Int_class -> iarena
-              | Ndarray.Int64_class -> larena
-            in
-            Some (Ndarray.view arena ~offset:sl.sl_offset ~dtype ~shape)
+(* One arena per storage class; a slot's view reinterprets its window
+   under the producing op's runtime dtype.  The factory re-checks class
+   and capacity so a stale or corrupt plan fails loudly instead of
+   silently aliasing. *)
+let plan_dst p : Graph.id -> dst =
+  let farena = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ p.ap_float_words ] in
+  let iarena = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ p.ap_int_words ] in
+  let larena = Ndarray.zeros ~dtype:Dtype.I64 ~shape:[ p.ap_int64_words ] in
+  let slots : (int, slot) Hashtbl.t = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace slots s.sl_id s) p.ap_slots;
+  fun id ->
+    match Hashtbl.find_opt slots id with
+    | None -> no_dst
+    | Some sl ->
+      fun ~dtype ~shape ->
+        if Ndarray.class_of_dtype dtype <> sl.sl_class then
+          error "arena plan: node %d produced %s outside its planned storage class"
+            id (Dtype.to_string dtype);
+        let n = List.fold_left ( * ) 1 shape in
+        if n > sl.sl_words then
+          error "arena plan: node %d needs %d words but its slot holds %d" id n
+            sl.sl_words;
+        let arena =
+          match sl.sl_class with
+          | Ndarray.Float_class -> farena
+          | Ndarray.Int_class -> iarena
+          | Ndarray.Int64_class -> larena
+        in
+        Some (Ndarray.view arena ~offset:sl.sl_offset ~dtype ~shape)
+
+(* ---------- the walk ---------- *)
+
+(* The first [k] operands of [n] and the rest; a negative [k] (variadic)
+   takes them all. *)
+let take (n : Graph.node) k xs =
+  let rec go k acc xs =
+    if k = 0 then (List.rev acc, xs)
+    else
+      match xs with
+      | [] -> error "%s: missing inputs" n.Graph.name
+      | x :: rest -> go (k - 1) (x :: acc) rest
   in
+  if k < 0 then (xs, []) else go k [] xs
+
+(* One node on its evaluated operands: the base op, then each fused
+   epilogue on the running value plus its own extra operands, in order.
+   Only the node's final value lands in its destination [node_dst], so an
+   arena slot is written exactly once; fused intermediates stay in fresh
+   buffers. *)
+let eval_op (n : Graph.node) ~node_dst operands =
+  let own, extra = take n (base_arity n.Graph.kind) operands in
+  let last = List.length n.Graph.fused in
+  let dst i = if i = last then node_dst else no_dst in
+  let v, leftover, _ =
+    List.fold_left
+      (fun (v, extra, i) fused_kind ->
+        let extras, rest = take n (Stdlib.max 0 (base_arity fused_kind - 1)) extra in
+        (apply_kind ~dst:(dst i) fused_kind (Value v :: extras), rest, i + 1))
+      (apply_kind ~dst:(dst 0) n.Graph.kind own, extra, 1)
+      n.Graph.fused
+  in
+  if leftover <> [] then error "%s: unconsumed inputs" n.Graph.name;
+  v
+
+(* Evaluate [g] once, in node-id order: ids are dense and topologically
+   ordered (enforced at graph construction), so every operand is ready
+   when its consumer comes up and the results fit an array indexed by id.
+   [dst_of id] places node [id]'s output; [observe] sees every node's
+   result as it is produced.  Returns the output node's result. *)
+let walk g ~input ~dst_of ~observe =
   let weights = prepared g in
-  let results : (int, operand) Hashtbl.t = Hashtbl.create 64 in
-  let eval_node (n : Graph.node) =
-    (* per-operator wall time; the string detail is only built when
-       tracing is live, so the disabled path allocates nothing *)
-    let tok =
-      if Obs.enabled () then Obs.start (kind_label n.Graph.kind) ~detail:n.Graph.name
-      else Obs.null_span
-    in
-    Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
-    let all_inputs = List.map (fun i -> Hashtbl.find results i) n.Graph.inputs in
-    let v =
-      match n.Graph.kind with
-      | Graph.Input { dtype; _ } ->
-        if not (Dtype.equal input.Ndarray.dtype dtype) then
-          error "input dtype mismatch";
-        Value { arr = input; scale = 1.0 }
-      | Graph.Weight { shape; dtype } -> prepared_weight weights n shape dtype
-      | kind ->
-        let arity = base_arity kind in
-        let own, extra =
-          if arity < 0 then (all_inputs, [])
-          else begin
-            let rec split i xs =
-              if i = 0 then ([], xs)
-              else
-                match xs with
-                | [] -> error "%s: missing inputs" n.Graph.name
-                | x :: rest ->
-                  let a, b = split (i - 1) rest in
-                  (x :: a, b)
-            in
-            split arity all_inputs
-          end
-        in
-        (* only the node's final value lands in its arena slot; fused
-           intermediates stay in fresh buffers so the slot is written
-           exactly once *)
-        let node_dst = dst_of n.Graph.id in
-        let nfused = List.length n.Graph.fused in
-        let base =
-          apply_kind ~dst:(if nfused = 0 then node_dst else no_dst) kind own
-        in
-        (* fused epilogues consume the remaining inputs in order *)
-        let v, leftover, _ =
-          List.fold_left
-            (fun (v, extra, i) fused_kind ->
-              let arity = base_arity fused_kind - 1 in
-              let rec take i xs =
-                if i = 0 then ([], xs)
-                else
-                  match xs with
-                  | [] -> error "%s: fused %s missing inputs" n.Graph.name "op"
-                  | x :: rest ->
-                    let a, b = take (i - 1) rest in
-                    (x :: a, b)
-              in
-              let extras, rest = take (Stdlib.max 0 arity) extra in
-              let d = if i = nfused - 1 then node_dst else no_dst in
-              (apply_kind ~dst:d fused_kind (Value v :: extras), rest, i + 1))
-            (base, extra, 0) n.Graph.fused
-        in
-        if leftover <> [] then error "%s: unconsumed inputs" n.Graph.name;
-        Value v
-    in
-    (* the output shape/dtype is only known post-hoc; same guard as the
-       span itself so the disabled path allocates nothing *)
-    if Obs.enabled () then begin
-      let dtype, shape =
-        match v with
-        | Value v -> (v.arr.Ndarray.dtype, v.arr.Ndarray.shape)
-        | Packed p -> (Dtype.I8, p.pk_shape)
-      in
-      Obs.annotate tok
-        (Printf.sprintf "out=%s[%s]" (Dtype.to_string dtype)
-           (String.concat "x" (List.map string_of_int (Array.to_list shape))))
-    end;
-    (n.Graph.id, v)
-  in
-  (* within a level the results table is read-only, so workers may share
-     it; writes happen after the level joins *)
+  let results = Array.make (Graph.arity g) None in
+  let operand i = Option.get results.(i) in
   List.iter
-    (fun nodes ->
-      Obs.incr c_levels;
-      Obs.add c_nodes (List.length nodes);
-      Obs.observe h_level_width (float_of_int (List.length nodes));
-      let tok = Obs.start "exec.level" in
-      let vs =
-        Fun.protect
-          ~finally:(fun () -> Obs.stop tok)
-          (fun () -> Parallel_oracle.map eval_node nodes)
+    (fun (n : Graph.node) ->
+      (* per-operator wall time; the string detail is only built when
+         tracing is live, so the disabled path allocates nothing *)
+      let tok =
+        if Obs.enabled () then Obs.start (kind_label n.Graph.kind) ~detail:n.Graph.name
+        else Obs.null_span
       in
-      List.iter (fun (id, v) -> Hashtbl.replace results id v) vs)
-    (level_buckets g);
+      let v =
+        Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
+        let v =
+          match n.Graph.kind with
+          | Graph.Input { dtype; _ } ->
+            if not (Dtype.equal input.Ndarray.dtype dtype) then
+              error "input dtype mismatch";
+            Value { arr = input; scale = 1.0 }
+          | Graph.Weight { shape; dtype } -> prepared_weight weights n shape dtype
+          | _ ->
+            Value
+              (eval_op n ~node_dst:(dst_of n.Graph.id) (List.map operand n.Graph.inputs))
+        in
+        (* the output shape/dtype is only known post-hoc; same guard as
+           the span itself so the disabled path allocates nothing *)
+        if Obs.enabled () then begin
+          let dtype, shape =
+            match v with
+            | Value v -> (v.arr.Ndarray.dtype, v.arr.Ndarray.shape)
+            | Packed p -> (Dtype.I8, p.pk_shape)
+          in
+          Obs.annotate tok
+            (Printf.sprintf "out=%s[%s]" (Dtype.to_string dtype)
+               (String.concat "x" (List.map string_of_int (Array.to_list shape))))
+        end;
+        v
+      in
+      results.(n.Graph.id) <- Some v;
+      observe n.Graph.id v)
+    (Graph.nodes g);
+  operand (Graph.output g)
+
+let run ?plan g ~input =
+  let dst_of = match plan with None -> fun _ -> no_dst | Some p -> plan_dst p in
+  let out = walk g ~input ~dst_of ~observe:(fun _ _ -> ()) in
   (* prepared storage is never handed out: a weight output is a copy *)
-  let out = Graph.output g in
-  match (Graph.node g out).Graph.kind, Hashtbl.find results out with
+  match (Graph.node g (Graph.output g)).Graph.kind, out with
   | Graph.Weight _, Value v ->
     let shape = Array.to_list v.arr.Ndarray.shape in
     { v with arr = Ndarray.init ~dtype:v.arr.Ndarray.dtype ~shape (Ndarray.get v.arr) }
@@ -969,9 +919,7 @@ let run_to_floats ?plan g ~input =
   Array.init (Ndarray.num_elements out.arr) (fun i -> real_flat out i)
 
 let calibrate g ~input =
-  let weights = prepared g in
-  let results : (int, operand) Hashtbl.t = Hashtbl.create 64 in
-  let maxima : (int, float) Hashtbl.t = Hashtbl.create 64 in
+  let maxima = Array.make (Graph.arity g) 1.0 in
   let abs_max v =
     let m = ref 1e-6 in
     for i = 0 to Ndarray.num_elements v.arr - 1 do
@@ -979,27 +927,8 @@ let calibrate g ~input =
     done;
     !m
   in
-  List.iter
-    (fun nodes ->
-      let vs =
-        Parallel_oracle.map
-          (fun (n : Graph.node) ->
-            let v =
-              match n.Graph.kind with
-              | Graph.Input _ -> Value { arr = input; scale = 1.0 }
-              | Graph.Weight { shape; dtype } -> prepared_weight weights n shape dtype
-              | kind ->
-                Value
-                  (apply_kind kind
-                     (List.map (fun i -> Hashtbl.find results i) n.Graph.inputs))
-            in
-            (n.Graph.id, v, abs_max (value_of v)))
-          nodes
-      in
-      List.iter
-        (fun (id, v, m) ->
-          Hashtbl.replace results id v;
-          Hashtbl.replace maxima id m)
-        vs)
-    (level_buckets g);
-  fun id -> match Hashtbl.find_opt maxima id with Some m -> m | None -> 1.0
+  ignore
+    (walk g ~input ~dst_of:(fun _ -> no_dst) ~observe:(fun id v ->
+         maxima.(id) <- abs_max (value_of v))
+      : operand);
+  fun id -> if id >= 0 && id < Array.length maxima then maxima.(id) else 1.0

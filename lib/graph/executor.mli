@@ -49,11 +49,6 @@ val apply : Graph.kind -> value list -> value
 val default_input : Graph.t -> seed:int -> Ndarray.t
 (** A deterministic input in [0, 1) matching the graph's input shape. *)
 
-val schedule_levels : Graph.t -> int array
-(** Dependency level per node id (1 + max input level).  Nodes with equal
-    levels execute concurrently — the schedule the liveness analysis must
-    respect, exported so planner and runtime cannot drift apart. *)
-
 (** {2 Arena plans}
 
     A memory plan produced by [Unit_analysis.Arena] and lowered to this
@@ -76,7 +71,8 @@ type arena_plan = {
 }
 
 val run : ?plan:arena_plan -> Graph.t -> input:Ndarray.t -> value
-(** Execute the whole graph; returns the output node's value.  With
+(** Execute the whole graph, one node at a time in node-id order (ids
+    are topologically ordered), and return the output node's value.  With
     [?plan], planned intermediates write arena views instead of fresh
     per-op buffers — bit-identical results, bounded peak memory.  Nodes
     without a slot (inputs, weights, anything unplanned) keep private
@@ -98,5 +94,7 @@ val run_to_floats : ?plan:arena_plan -> Graph.t -> input:Ndarray.t -> float arra
 
 val calibrate : Graph.t -> input:Ndarray.t -> Graph.id -> float
 (** Max-abs of every node's (float-domain) output on this input — the
-    profile the quantization pass turns into scales.  Prepares (or
-    reuses) the graph's weights exactly as {!run} does. *)
+    profile the quantization pass turns into scales; [1.0] for an id
+    outside the graph.  The same walk as {!run} (without a plan): a
+    fused node's output is its last epilogue's, and weights are
+    prepared or reused exactly as {!run} does. *)

@@ -31,7 +31,6 @@ let tune_result ~target ~engine workload (c : Pipeline.compiled) =
 let run_result ~target ~engine workload (c : Pipeline.compiled) =
   let spec = Pipeline.target_spec target in
   let op = c.Pipeline.c_op in
-  let signature = Pipeline.workload_signature ~spec op c.Pipeline.c_intrin in
   let inputs =
     List.map
       (fun t -> (t, Ndarray.random_for_tensor ~seed:1 t))
@@ -39,7 +38,7 @@ let run_result ~target ~engine workload (c : Pipeline.compiled) =
   in
   let out = Ndarray.of_tensor_zeros op.Unit_dsl.Op.output in
   Pipeline.run_func ~engine
-    ~signature:("tensorized|" ^ signature)
+    ~signature:(Pipeline.kernel_signature ~spec op c.Pipeline.c_intrin)
     c.Pipeline.c_tuned.Cpu_tuner.t_func
     ~bindings:((op.Unit_dsl.Op.output, out) :: inputs);
   Json.Obj

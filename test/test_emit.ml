@@ -541,6 +541,45 @@ let test_emit_rule_counters () =
       check_bool (n ^ " counted") true (Unit_obs.Obs.value (Unit_obs.Obs.counter n) > b))
     names before
 
+(* A warm-up's baked artifact serves the daemon: after [bake Emitted]
+   into a fresh store, a run request on the emitted engine compiles
+   nothing. *)
+let test_bake_serves_run () =
+  if not emit_available then Alcotest.skip ();
+  let module Obs = Unit_obs.Obs in
+  let compile_spans () =
+    List.length
+      (List.filter
+         (fun (s : Obs.span_record) -> s.Obs.sp_name = "emit.compile")
+         (Obs.spans ()))
+  in
+  let wl =
+    { Workload.c = 16; h = 5; w = 5; k = 16; kernel = 3; stride = 1; padding = 1;
+      groups = 1 }
+  in
+  let dir = Filename.temp_file "unit_emit_bake" "" in
+  Sys.remove dir;
+  let was = Obs.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled was;
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir) : int))
+  @@ fun () ->
+  Unit_store.Sharded.with_installed dir @@ fun _ _ ->
+  Obs.set_enabled true;
+  Obs.reset ();
+  Pipeline.bake Pipeline.Emitted Pipeline.X86
+    (Pipeline.compiled Pipeline.X86 (Workload.Conv wl));
+  check_bool "bake compiled the kernel" true (compile_spans () > 0);
+  Obs.reset ();
+  ignore
+    (Unit_serve.Handler.handle
+       (Unit_serve.Protocol.Run
+          { target = Pipeline.X86; engine = Pipeline.Emitted;
+            workload = Unit_serve.Protocol.Conv wl })
+      : Unit_obs.Json.t);
+  Alcotest.(check int) "emit.compile spans in the served run" 0 (compile_spans ())
+
 (* ---------- arena-backed views ---------- *)
 
 (* The emitted ABI passes per-tensor offsets, so views execute natively;
@@ -751,7 +790,8 @@ let () =
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;
           Alcotest.test_case "arm conv" `Quick test_emit_pipeline_arm;
-          Alcotest.test_case "rule counters" `Quick test_emit_rule_counters
+          Alcotest.test_case "rule counters" `Quick test_emit_rule_counters;
+          Alcotest.test_case "baked artifact serves a run" `Quick test_bake_serves_run
         ]
         @ qcheck [ prop_engines_bit_identical ] );
       ( "zoo",

@@ -138,6 +138,23 @@ let test_fusion_folds_epilogues () =
       | _ -> ())
     (Graph.nodes fused)
 
+(* Calibration walks fused epilogues like [run] does: the fused block's
+   output max-abs is the unfused relu's. *)
+let test_calibrate_fused () =
+  let b = B.create () in
+  let data = B.input b ~shape:[ 3; 8; 8 ] Dtype.F32 in
+  let g =
+    B.finish b (B.relu b (B.bias_add b (B.conv2d b ~channels:4 ~kernel:3 ~padding:1 data)))
+  in
+  let fused = Passes.fuse g in
+  check_int "one fused conv block" 1
+    (Passes.count_kind fused (function Graph.Conv2d _ -> true | _ -> false));
+  let input = Executor.default_input g ~seed:5 in
+  Alcotest.(check (float 0.0))
+    "fused output max-abs"
+    (Executor.calibrate g ~input (Graph.output g))
+    (Executor.calibrate fused ~input (Graph.output fused))
+
 let test_workload_extraction () =
   let g = tiny_cnn () in
   let workloads = Workload.of_graph g in
@@ -630,7 +647,8 @@ let () =
         ] );
       ( "fusion",
         [ Alcotest.test_case "numerics preserved" `Quick test_fusion_preserves_numerics;
-          Alcotest.test_case "epilogues folded" `Quick test_fusion_folds_epilogues
+          Alcotest.test_case "epilogues folded" `Quick test_fusion_folds_epilogues;
+          Alcotest.test_case "calibrate sees epilogues" `Quick test_calibrate_fused
         ] );
       ( "workloads",
         [ Alcotest.test_case "extraction" `Quick test_workload_extraction;

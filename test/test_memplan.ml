@@ -52,8 +52,9 @@ let small_input g ~size ~seed =
 
 (* ---------- liveness ---------- *)
 
-(* A diamond: the residual input must stay live across the whole branch
-   it skips, and the graph output is pinned one level past the end. *)
+(* A diamond: the residual operand must stay live across the whole
+   branch it skips, and the graph output is pinned one id past the last
+   node.  Node order: x, w1, c1, w2, c2, add, relu. *)
 let diamond () =
   let open Graph.Builder in
   let b = create () in
@@ -61,34 +62,33 @@ let diamond () =
   let c1 = conv2d b ~channels:4 ~kernel:3 ~padding:1 x in
   let c2 = conv2d b ~channels:4 ~kernel:3 ~padding:1 c1 in
   let y = add b c1 c2 in
-  finish b (relu b y)
+  (finish b (relu b y), x, c1, c2, y)
 
 let test_liveness_ranges () =
-  let g = diamond () in
+  let g, x, c1, c2, y = diamond () in
   let ranges = Liveness.analyze g in
-  let levels = Executor.schedule_levels g in
   check_int "one range per node" (Graph.arity g) (Array.length ranges);
   Array.iteri
     (fun id (r : Liveness.range) ->
       check_int "range is keyed by node id" id r.Liveness.lv_id;
-      check_int "def is the producer's level" levels.(id) r.Liveness.lv_def;
-      check_bool "last >= def" true (r.Liveness.lv_last >= r.Liveness.lv_def);
+      check_int "def is the producer's id" id r.Liveness.lv_def;
       check_int "bytes = 8 * elems" (Liveness.word_bytes * r.Liveness.lv_elems)
         r.Liveness.lv_bytes)
     ranges;
-  let maxl = Array.fold_left Stdlib.max 0 levels in
-  let out = ranges.(Graph.output g) in
-  check_int "output escapes past the schedule" (maxl + 1) out.Liveness.lv_last;
-  (* the c1 branch input of the residual add is read two levels after
-     its production: its range must cover the whole skipped branch *)
-  let c1 = ranges.(1) in
-  let c2 = ranges.(3) in
-  check_bool "residual operand spans the skipped branch" true
-    (c1.Liveness.lv_last >= c2.Liveness.lv_def);
-  check_bool "branch operands interfere" true (Liveness.interfere c1 c2);
-  check_bool "interference is symmetric" true (Liveness.interfere c2 c1);
-  let inp = ranges.(0) in
-  check_bool "inputs are not intermediates" false inp.Liveness.lv_intermediate
+  let last id = ranges.(id).Liveness.lv_last in
+  check_int "input dies at its only consumer" c1 (last x);
+  check_int "residual operand lives until the add" y (last c1);
+  check_int "branch output lives until the add" y (last c2);
+  check_int "add lives until the relu" (Graph.output g) (last y);
+  check_int "output escapes past the last node" (Graph.arity g) (last (Graph.output g));
+  check_bool "branch operands interfere" true (Liveness.interfere ranges.(c1) ranges.(c2));
+  check_bool "interference is symmetric" true (Liveness.interfere ranges.(c2) ranges.(c1));
+  check_bool "a tensor dead before the branch does not interfere" false
+    (Liveness.interfere ranges.(x) ranges.(c2));
+  check_bool "inputs are not intermediates" false ranges.(x).Liveness.lv_intermediate;
+  (* at the add, c1, c2 and the sum are live: three 4x8x8 tensors *)
+  check_int "peak is at the add" (3 * 4 * 8 * 8 * Liveness.word_bytes)
+    (Liveness.peak_bytes ranges)
 
 (* ---------- planner ---------- *)
 
@@ -280,6 +280,35 @@ let test_bench_rows_match_analysis () =
          <= 0.001))
     rows
 
+(* The checked-in freeze reproduces field by field: integers exactly,
+   the reuse ratio to rounding.  A liveness or planner change that moves
+   a frozen byte, or a stale freeze, fails here. *)
+let test_bench_freeze_reproduces () =
+  let module Json = Unit_obs.Json in
+  let frozen =
+    match
+      Json.parse (In_channel.with_open_bin "../BENCH_memplan.json" In_channel.input_all)
+    with
+    | Ok j -> Result.get_ok (Json.list_field "models" j)
+    | Error m -> Alcotest.failf "BENCH_memplan.json: %s" m
+  in
+  let rows = Memplan.bench_rows () in
+  check_int "one frozen row per model" (List.length frozen) (List.length rows);
+  List.iter2
+    (fun j (r : Memplan.bench_row) ->
+      let int name = Result.get_ok (Json.int_field name j) in
+      let model = r.Memplan.br_model in
+      Alcotest.(check string) "model order" (Result.get_ok (Json.str_field "model" j)) model;
+      check_int (model ^ ": naive_bytes") (int "naive_bytes") r.Memplan.br_naive_bytes;
+      check_int (model ^ ": peak_bytes") (int "peak_bytes") r.Memplan.br_peak_bytes;
+      check_int (model ^ ": arena_bytes") (int "arena_bytes") r.Memplan.br_arena_bytes;
+      check_int (model ^ ": slots") (int "slots") r.Memplan.br_slots;
+      Alcotest.(check (float 1e-12))
+        (model ^ ": reuse_ratio")
+        (Result.get_ok (Json.num_field "reuse_ratio" j))
+        r.Memplan.br_reuse_ratio)
+    frozen rows
+
 let test_table1_spec_is_one_based () =
   (match Memplan.build_graph ~model:"table1:1" ~act_dtype:Dtype.U8 with
    | Ok _ -> ()
@@ -323,6 +352,7 @@ let () =
       ( "bench",
         [ Alcotest.test_case "rows match analysis" `Quick
             test_bench_rows_match_analysis;
+          Alcotest.test_case "freeze reproduces" `Quick test_bench_freeze_reproduces;
           Alcotest.test_case "table1 spec is 1-based" `Quick
             test_table1_spec_is_one_based
         ] )

@@ -1068,10 +1068,6 @@ let direct_digest workload =
     Pipeline.compiled Pipeline.X86 (Protocol.to_workload workload)
   in
   let op = c.Pipeline.c_op in
-  let signature =
-    Pipeline.workload_signature ~spec:Unit_machine.Spec.cascadelake op
-      c.Pipeline.c_intrin
-  in
   let inputs =
     List.map
       (fun t -> (t, Ndarray.random_for_tensor ~seed:1 t))
@@ -1079,7 +1075,8 @@ let direct_digest workload =
   in
   let out = Ndarray.of_tensor_zeros op.Unit_dsl.Op.output in
   Pipeline.run_func ~engine:Pipeline.Compiled
-    ~signature:("tensorized|" ^ signature)
+    ~signature:(Pipeline.kernel_signature ~spec:Unit_machine.Spec.cascadelake op
+                  c.Pipeline.c_intrin)
     c.Pipeline.c_tuned.Cpu_tuner.t_func
     ~bindings:((op.Unit_dsl.Op.output, out) :: inputs);
   Protocol.digest_ndarray out
