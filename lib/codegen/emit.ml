@@ -30,35 +30,79 @@ open Unit_tir
    [ref].
 
    Accumulator tiles.  Before rendering, {!promote_tiles} keeps each
-   kernel's output tile in scratch across its whole reduction: for the
-   outermost serial loop [L] over which a bound buffer [B] can be
-   promoted, it allocates [tile[T]], copies [B[base + i]] into it
-   before [L], rewrites every access [B[base + off]] in [L] to
-   [tile[off]], and copies the tile back after [L].  Being scratch, the
-   tile accumulates raw, so an output wraps once per reduction instead
-   of once per intrinsic call.  The proof conditions, each checked on
-   the index after inlining [L]'s [Let]s: [B] is loaded and stored in
-   [L]; the index is an i32 expression with no load and no cast, affine
-   in the loops inside [L] ({!Unit_tir.Linear.coefficient_of}) and free
-   of [L]'s own variable; [base], the index with those loops at 0, is
-   structurally the same for every access; [off] is a mixed radix over
-   those loops (strides 1, e1, e1·e2, ...), so each access covers
-   exactly [[0, T)] and the copies touch only cells the loop touches;
-   [T] ≤ [max_tile]; no access sits under an [If], in a [Select] branch
-   or right of [And]/[Or]; [L] holds no parallel loop, no intrinsic
-   call and no loop of extent 0; and every variable in [L] is bound
-   once and not outside it, so inlining cannot capture.  Distinct bound
-   buffers never share cells ({!Emit_cache} checks), so no other access
-   reaches the window while the tile holds it.
+   kernel's output tile out of memory across its whole reduction: for
+   the outermost serial loop [L] over which a bound buffer [B] can be
+   promoted, it builds a register tile (below) or else an array tile: it
+   allocates [tile[T]], copies [B[base + i]] into it before [L], rewrites
+   every access [B[base + off]] in [L] to [tile[off]], and copies the
+   tile back after [L].  Being scratch, the tile accumulates raw, so an
+   output wraps once per reduction instead of once per intrinsic call.
+   The proof conditions, each checked on the index after inlining [L]'s
+   [Let]s: [B] is loaded and stored in [L]; the index is an i32
+   expression with no load and no cast, affine in the loops inside [L]
+   ({!Unit_tir.Linear.coefficient_of}) and free of [L]'s own variable;
+   [base], the index with those loops at 0, is structurally the same for
+   every access; [off] is a mixed radix over those loops (strides 1, e1,
+   e1·e2, ...), so each access covers exactly [[0, T)] and the copies
+   touch only cells the loop touches; [T] ≤ [max_tile]; no access sits
+   under an [If], in a [Select] branch or right of [And]/[Or]; [L] holds
+   no parallel loop, no intrinsic call and no loop of extent 0; and every
+   variable in [L] is bound once and not outside it, so inlining cannot
+   capture.  Distinct bound buffers never share cells ({!Emit_cache}
+   checks), so no other access reaches the window while the tile holds
+   it.
 
-   Loop shaping.  A loop with no inner loop and a static extent ≤ 16 is
-   replicated with its index rendered as a literal.  In a loop whose
-   body then has no loop left, every load that runs on each iteration,
-   is indexed by variables bound outside the loop, and reads a buffer
-   the body never stores to is bound once before the loop.  That is only
-   sound when distinct bound buffers never share storage;
-   {!Emit_cache} checks the bound windows and falls back when two
-   overlap.
+   Register tiles.  [L] heads a perfect nest of loops, the chain.  The
+   chain loops the tile's offsets read are its columns, the others its
+   reduction; the offsets' other loops, below the chain, are its lanes.
+   The columns are hoisted above the reduction, and the tile is promoted
+   again over the reduction with the columns bound outside it, which
+   leaves one column's lanes.  Hoisting keeps each cell's update order
+   when the nest stores to nothing but [B] and scratch it allocates:
+   every other load then reads a buffer the nest never stores, the first
+   promotion makes each access's offset one-to-one, and the second makes
+   every access share one base, so distinct column values own disjoint
+   cells.  A single lane loop wider than [max_lanes] with stride 1 is
+   split into passes of [max_lanes] lanes, hoisted like a column, when
+   its body addresses bound buffers only (lanes then share no state).
+   The tile left, 2 to [max_lanes] deferrable cells whose offsets read
+   only lane loops that unroll (extent ≤ 16, and only such loops inside
+   them), renders as one local [ref] per cell, which ocamlopt keeps as a
+   mutable variable; its lane loops unroll with literal indices.  First,
+   the intrinsic expansion's accumulator cell, copied from a tile cell
+   at the top of a lane iteration and back at its end, is merged into
+   that cell ([forward_cells]).
+
+   Lane pairs.  Two i32 lanes share one native int when every update of
+   a register tile with one lane loop [l] is [tile[l] = tile[l] + a * w]
+   inside [l]: [a] and [w] loads of u8/i8 buffers, [a]'s index free of
+   [l] (the lanes share it), [w] reading [W[i + d·l]], [d > 0], from a
+   bound buffer the kernel never stores.  [W] is packed once per run
+   before [par] ([Unit_emit_hook.pack_pairs]: [w0 + w1 lsl 31] at lane
+   [2j]'s index), the pair of lanes [2j] and [2j+1] accumulates from 0
+   in one local, only the even lane copies render, and the copy-out
+   stores [w_i32 (init + pair_lo v)] and [w_i32 (init + pair_hi v)],
+   exact mod 2^32.  [pair_lo v = (v lsl 32) asr 32] is lane [2j] only
+   while every lane's partial sum stays in [[-2^30, 2^30)]:
+   {!Unit_tir.Linear.bounds} bounds [|a * w|] (32640 for u8·i8), and the
+   updates per lane times that bound must stay below 2^30.  Otherwise
+   the tile renders unpacked and the plan carries an [Overflow] warning.
+   Packing also waits until the multiplies it saves per run outnumber
+   the weights it packs: a layer without weight reuse stays unpacked.
+
+   Loop shaping.  A loop with no inner loop, or a register tile's lane
+   loop, with a static extent ≤ 16 is replicated with its index rendered
+   as a literal.  In a loop whose body then has no loop left, unrolled
+   or not, every load that runs on each iteration, is indexed by
+   variables bound outside the loop, and reads a buffer the body never
+   stores to is bound once before the loop.  That is only sound when
+   distinct bound buffers never share storage; {!Emit_cache} checks the
+   bound windows and falls back when two overlap.  A [Let] whose
+   variable is never read and whose value loads nothing is dropped.
+
+   The module opens {!Unit_emit_hook}, which holds the canonicalizers
+   ([w_*], [sat_*], [r_bf16], [trunc*]) and the lane-pair
+   helpers, so each kernel's source is only its own code.
 
    The emitter refuses (raising {!Unsupported}) anything whose runtime
    behaviour it cannot reproduce statically — f16, float-dtyped scalar
@@ -81,7 +125,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 6
+let version = 7
 
 module Obs = Unit_obs.Obs
 
@@ -90,6 +134,8 @@ let c_loops_unrolled = Obs.counter "emit.loops_unrolled"
 let c_loads_hoisted = Obs.counter "emit.loads_hoisted"
 let c_scalar_cells = Obs.counter "emit.scalar_cells"
 let c_tiles_promoted = Obs.counter "emit.tiles_promoted"
+let c_register_tiles = Obs.counter "emit.register_tiles"
+let c_lanes_packed = Obs.counter "emit.lanes_packed"
 
 type klass = KF | KI | KL
 
@@ -107,6 +153,7 @@ type plan = {
   p_nf : int;
   p_ni : int;
   p_nl : int;
+  p_diags : Diag.t list;
 }
 
 module B = Stdlib.Buffer
@@ -170,17 +217,26 @@ let is_scalar_cell (b : Buffer.t) body =
 
 (* ---- accumulator tiles *)
 
+(* The ids of the variables [s] binds, with repeats. *)
+let binders s =
+  Stmt.fold_stmts
+    (fun acc s ->
+      match s with Stmt.For { var; _ } | Stmt.Let (var, _, _) -> var.Var.id :: acc | _ -> acc)
+    [] s
+
 let max_tile = 1024
 
 exception Not_promotable
 
 let not_promotable () = raise Not_promotable
 
-(* The tile of bound buffer [b] for the loop [for l_var < extent do body]
-   (see the header), as [Some (tile, base, body')] with [base] the index
-   of the window's first cell and [body'] the loop body addressing [tile]
-   instead of [b]; [None] when a proof condition fails.  [scope] holds
-   the ids of the variables bound around the loop. *)
+(* The tile of buffer [b] for the loop [for l_var < extent do body]
+   (see the header), as [Some (tile, base, body', radices)] with [base]
+   the index of the window's first cell, [body'] the loop body
+   addressing [tile] instead of [b] and [radices] each access's offset
+   as (variable, stride, extent) digits; [None] when a proof condition
+   fails.  [scope] holds the ids of the variables bound around the
+   loop. *)
 let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
   (* every variable [body] binds: a Let's inlined value or a loop extent *)
   let env : (int, [ `Let of Texpr.t | `Loop of int ]) Hashtbl.t = Hashtbl.create 16 in
@@ -207,6 +263,8 @@ let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
   (* (base index, T) of the first access *)
   let window = ref None in
   let loaded = ref false and stored = ref false in
+  (* each access's lanes as (variable, stride, extent) *)
+  let radices = ref [] in
   (* the tile offset of the access [b.(ix)]: [ix] is [base + off] with
      [off] the lanes' mixed radix over [0, T).  [coefficient_of] sees
      through casts, which may wrap, so an index with a cast is refused. *)
@@ -229,6 +287,7 @@ let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
         1
         (List.sort (fun (_, s1, n1) (_, s2, n2) -> compare (s1, n1) (s2, n2)) lanes)
     in
+    radices := lanes :: !radices;
     let base = Linear.substitute_zero (List.map (fun (v, _, _) -> v) lanes) ix in
     (match !window with
      | None -> if t <= max_tile then window := Some (base, t) else not_promotable ()
@@ -284,14 +343,7 @@ let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
     | Stmt.Intrin_call _ -> not_promotable ()
   in
   (* inlining is capture-free when every variable is bound once *)
-  let binders =
-    Stmt.fold_stmts
-      (fun acc s ->
-        match s with
-        | Stmt.For { var; _ } | Stmt.Let (var, _, _) -> var.Var.id :: acc
-        | _ -> acc)
-      [ l_var.Var.id ] body
-  in
+  let binders = l_var.Var.id :: binders body in
   let distinct = List.sort_uniq compare binders in
   match
     if extent < 1
@@ -306,64 +358,444 @@ let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
       let tile =
         Buffer.create ~name:(b.Buffer.name ^ ".tile") ~dtype:b.Buffer.dtype ~size:t ()
       in
-      (tile, base, st tile ~cond:false body)
+      radices := [];
+      let body = st tile ~cond:false body in
+      (tile, base, body, !radices)
   with
   | r -> Some r
   | exception Not_promotable -> None
 
-let promote_tiles (func : Lower.func) =
-  let bound = List.map snd func.Lower.fn_tensors in
-  let n = ref 0 in
-  let rec go scope (s : Stmt.t) =
-    match s with
-    | Stmt.For ({ var; extent; kind; body } as r) ->
-      let tiles, body =
-        match kind with
-        | Stmt.Parallel -> ([], body)
-        | _ ->
-          List.fold_left
-            (fun (tiles, body) b ->
-              match promote_buffer ~scope var extent body b with
-              | Some (tile, base, body) -> ((b, tile, base) :: tiles, body)
-              | None -> (tiles, body))
-            ([], body) bound
-      in
-      let loop = Stmt.For { r with body = go (var.Var.id :: scope) body } in
-      List.fold_left
-        (fun loop (b, tile, base) ->
-          incr n;
-          (* a rolled copy; one element needs no loop *)
-          let copy f =
-            let t = tile.Buffer.size in
-            if t = 1 then f (Texpr.int_imm 0)
-            else
-              let k = Var.create "k" in
-              Stmt.for_ k ~extent:t (f (Texpr.var k))
-          in
-          Stmt.Alloc
-            ( tile,
-              Stmt.seq
-                [ copy (fun k -> Stmt.Store (tile, k, Texpr.load b (Texpr.add base k)));
-                  loop;
-                  copy (fun k -> Stmt.Store (b, Texpr.add base k, Texpr.load tile k))
-                ] ))
-        loop tiles
-    | Stmt.Let (v, e, body) -> Stmt.Let (v, e, go (v.Var.id :: scope) body)
-    | _ -> Stmt.map_children (go scope) s
-  in
-  let body = go [] func.Lower.fn_body in
-  ({ func with Lower.fn_body = body }, !n)
+(* A rolled copy over the cells of [tile]; one element needs no loop. *)
+let copy_cells (tile : Buffer.t) f =
+  let t = tile.Buffer.size in
+  if t = 1 then f (Texpr.int_imm 0)
+  else
+    let k = Var.create "k" in
+    Stmt.for_ k ~extent:t (f (Texpr.var k))
 
-(* Canonicalizer names from the fixed prelude below. *)
+(* ---- register tiles *)
+
+(* Lanes one register tile holds; a longer lane loop runs in passes. *)
+let max_lanes = 8
+
+(* Lanes [2j] and [2j+1] of a register tile share one native int: they
+   multiply the same activation by weights [pr_dist] cells apart in
+   [pr_weights], a bound buffer the kernel never stores. *)
+type pairing = {
+  pr_weights : Buffer.t;
+  pr_dist : int;
+}
+
+type tiling = {
+  tl_func : Lower.func;
+  tl_tiles : int;  (* promoted tiles, register tiles included *)
+  tl_registers : (int, pairing option) Hashtbl.t;  (* register tile id -> its pairing *)
+  tl_lanes : (int, Buffer.t) Hashtbl.t;  (* lane loop variable id -> its register tile *)
+  tl_diags : Diag.t list;
+}
+
+(* The loops of the perfect nest [s] heads, outermost first, and the
+   body of the innermost. *)
+let rec perfect_nest (s : Stmt.t) =
+  match s with
+  | Stmt.For { var; extent; kind; body } ->
+    let loops, inner = match body with Stmt.For _ -> perfect_nest body | _ -> ([], body) in
+    ((var, extent, kind) :: loops, inner)
+  | _ -> ([], s)
+
+let nest loops inner =
+  List.fold_right (fun (var, extent, kind) body -> Stmt.for_ var ~extent ~kind body) loops inner
+
+(* [s] with every access to the one-element [cell] addressing [tile.(ix)]. *)
+let retarget (cell : Buffer.t) (tile : Buffer.t) ix s =
+  let rec ex (e : Texpr.t) =
+    match e with
+    | Texpr.Imm _ | Texpr.Var _ -> e
+    | Texpr.Load (b, _) when Buffer.equal b cell -> Texpr.load tile ix
+    | Texpr.Load (b, i) -> Texpr.load b (ex i)
+    | Texpr.Binop (op, x, y) -> Texpr.binop op (ex x) (ex y)
+    | Texpr.Cmp (op, x, y) -> Texpr.cmp op (ex x) (ex y)
+    | Texpr.And (x, y) -> Texpr.and_ (ex x) (ex y)
+    | Texpr.Or (x, y) -> Texpr.or_ (ex x) (ex y)
+    | Texpr.Not x -> Texpr.not_ (ex x)
+    | Texpr.Cast (dt, x) -> Texpr.cast dt (ex x)
+    | Texpr.Select (c, x, y) -> Texpr.select (ex c) (ex x) (ex y)
+  in
+  let rec st (s : Stmt.t) =
+    match s with
+    | Stmt.Store (b, _, v) when Buffer.equal b cell -> Stmt.Store (tile, ix, ex v)
+    | Stmt.Store (b, i, v) -> Stmt.Store (b, ex i, ex v)
+    | Stmt.If ({ cond; then_; else_; _ } as r) ->
+      Stmt.If { r with cond = ex cond; then_ = st then_; else_ = Option.map st else_ }
+    | Stmt.Let (v, e, body) -> Stmt.Let (v, ex e, st body)
+    | _ -> Stmt.map_children st s
+  in
+  st s
+
+(* The intrinsic expansion's accumulator cell folded into the register
+   tile it mirrors: [alloc c; for .. { c = tile[ix]; mid; tile[ix] = c }]
+   becomes [for .. { mid }] with [mid] addressing [tile.(ix)] for [c].
+   Both hold the same raw value throughout when [mid] never touches
+   [tile], addresses [c] only at 0 and binds no variable [ix] reads. *)
+let forward_cells (tile : Buffer.t) body =
+  let zero e = Texpr.as_const_int e = Some 0 in
+  (* the values of the enclosing [Let]s, inlined, so two names of one
+     index compare equal *)
+  let lets = ref [] in
+  let inline e = Texpr.substitute !lets e in
+  let rec strip (c : Buffer.t) (s : Stmt.t) =
+    match s with
+    | Stmt.For ({ body; _ } as r) -> Option.map (fun body -> Stmt.For { r with body }) (strip c body)
+    | Stmt.Seq (Stmt.Store (c', z, Texpr.Load (t, ix)) :: rest)
+      when Buffer.equal c' c && zero z && Buffer.equal t tile -> (
+      match List.rev rest with
+      | Stmt.Store (t', ix', Texpr.Load (c'', z')) :: mid
+        when Buffer.equal t' tile && Buffer.equal c'' c && zero z'
+             && Texpr.equal_structural (inline ix) (inline ix') ->
+        let mid = Stmt.seq (List.rev mid) in
+        let bound = binders mid in
+        if Texpr.loads_of ix <> []
+           || List.exists (fun (v : Var.t) -> List.mem v.Var.id bound) (Texpr.vars_of ix)
+           || List.exists (Buffer.equal tile) (Stmt.buffers_of mid)
+           || not (is_scalar_cell c mid)
+        then None
+        else Some (retarget c tile ix mid)
+      | _ -> None)
+    | _ -> None
+  in
+  let rec go (s : Stmt.t) =
+    match s with
+    | Stmt.Alloc (c, inner)
+      when c.Buffer.size = 1 && Dtype.equal c.Buffer.dtype tile.Buffer.dtype -> (
+      match strip c inner with Some s -> go s | None -> Stmt.Alloc (c, go inner))
+    | Stmt.Let (v, e, body) ->
+      let outer = !lets in
+      lets := (v, inline e) :: outer;
+      let body = go body in
+      lets := outer;
+      Stmt.Let (v, e, body)
+    | _ -> Stmt.map_children go s
+  in
+  go body
+
+let byte_dtype (b : Buffer.t) = match b.Buffer.dtype with Dtype.U8 | Dtype.I8 -> true | _ -> false
+
+exception Unpaired
+
+(* Whether the lanes of register tile [tile] pair up (see the header):
+   [Ok (Some p)] packs them, [Ok None] when the updates in [region] are
+   not lane-pair shaped or packing does not pay, [Error d] when they are
+   but {!Linear.bounds} does not prove every lane's partial sum inside
+   [[-2^30, 2^30)].  [weights] says which buffers may be packed once per
+   run; [region] runs [trips] times per run. *)
+let pair_lanes ~name ~weights ~trips (tile : Buffer.t) lanes region =
+  match lanes with
+  | [ (l : Var.t) ] when tile.Buffer.size mod 2 = 0 -> (
+    let pairing = ref None in
+    let updates = ref 0 and widest = ref 0 and proven = ref true in
+    let lane_offset ix =
+      Linear.coefficient_of ix l = Some 1
+      && Texpr.as_const_int (Linear.substitute_zero [ l ] ix) = Some 0
+    in
+    let byte_load (e : Texpr.t) =
+      match e with
+      | Texpr.Cast (_, Texpr.Load (b, ix)) when byte_dtype b -> Some (b, ix)
+      | Texpr.Load (b, ix) when byte_dtype b -> Some (b, ix)
+      | _ -> None
+    in
+    (* a broadcast byte [a] times byte weights [d] cells apart per lane *)
+    let factors a w =
+      match byte_load a, byte_load w with
+      | Some (_, ia), Some (wb, iw) when weights wb && Linear.is_independent_of ia l -> (
+        match Linear.coefficient_of iw l with Some d when d > 0 -> Some (wb, d) | _ -> None)
+      | _ -> None
+    in
+    let load (b : Buffer.t) =
+      if byte_dtype b then
+        Some
+          ( Int64.to_int (Dtype.min_int_value b.Buffer.dtype),
+            Int64.to_int (Dtype.max_int_value b.Buffer.dtype) )
+      else None
+    in
+    let update ix (v : Texpr.t) =
+      let own (e : Texpr.t) =
+        match e with
+        | Texpr.Load (t, ix') -> Buffer.equal t tile && Texpr.equal_structural ix ix'
+        | _ -> false
+      in
+      let prod =
+        match v with
+        | Texpr.Binop (Texpr.Add, a, p) when own a -> p
+        | Texpr.Binop (Texpr.Add, p, a) when own a -> p
+        | _ -> raise Unpaired
+      in
+      let w, d =
+        match prod with
+        | Texpr.Binop (Texpr.Mul, x, y) -> (
+          match factors x y with
+          | Some f -> f
+          | None -> (match factors y x with Some f -> f | None -> raise Unpaired))
+        | _ -> raise Unpaired
+      in
+      (match !pairing with
+       | None -> pairing := Some { pr_weights = w; pr_dist = d }
+       | Some p -> if not (Buffer.equal p.pr_weights w && p.pr_dist = d) then raise Unpaired);
+      match Linear.bounds ~env:(fun _ -> None) ~load prod with
+      | Some (lo, hi) -> widest := Stdlib.max !widest (Stdlib.max (abs lo) (abs hi))
+      | None -> proven := false
+    in
+    let cap = 1 lsl 31 in
+    let times a n = if n > 0 && a > cap / n then cap else a * n in
+    let touches e = List.exists (fun (b, _) -> Buffer.equal b tile) (Texpr.loads_of e) in
+    (* [mult]: how often [s] runs per lane of one tile life.  Inside the
+       lane loop only the tile's updates may run: the odd lanes' copies
+       are dropped. *)
+    let rec walk ~lane mult (s : Stmt.t) =
+      match s with
+      | Stmt.Nop -> ()
+      | Stmt.Seq l -> List.iter (walk ~lane mult) l
+      | Stmt.For { var; extent; body; _ } ->
+        if Var.equal var l then
+          if lane then raise Unpaired else walk ~lane:true mult body
+        else walk ~lane (times mult extent) body
+      | Stmt.Store (t, ix, v) when Buffer.equal t tile ->
+        if not (lane && lane_offset ix) then raise Unpaired;
+        update ix v;
+        updates := Stdlib.min cap (!updates + mult)
+      | _ when lane || List.exists touches (own_exprs s) -> raise Unpaired
+      | Stmt.Let (_, _, body) | Stmt.Alloc (_, body) -> walk ~lane mult body
+      | Stmt.If { then_; else_; _ } ->
+        walk ~lane mult then_;
+        Option.iter (walk ~lane mult) else_
+      | Stmt.Store _ | Stmt.Intrin_call _ -> ()
+    in
+    match walk ~lane:false 1 region with
+    | exception Unpaired -> Ok None
+    | () -> (
+      match !pairing with
+      | None -> Ok None
+      | Some p ->
+        let limit = (1 lsl 30) - 1 in
+        (* packing touches every weight once per run to save one
+           multiply per pair update *)
+        let saved = times (times trips !updates) (tile.Buffer.size / 2) in
+        if !proven && (!widest = 0 || !updates <= limit / !widest) then
+          Ok (if saved >= p.pr_weights.Buffer.size then Some p else None)
+        else
+          Error
+            (Diag.warnf Diag.Overflow
+               "%s: lanes of %s stay unpacked: %d updates per lane of |a*w| <= %d may \
+                leave [-2^30, 2^30)"
+               name tile.Buffer.name !updates !widest)))
+  | _ -> Ok None
+
+(* [s], a run of [Let]s around the lane loop [l], with that loop split
+   into passes of [max_lanes] lanes: [Some (pass, lane, s')] where the
+   loop [pass] is to run around [s'], whose lane loop [lane] covers the
+   lanes [max_lanes * pass + lane].  Passes may run one after another
+   only when lane iterations share no state: the lane body addresses
+   bound buffers only. *)
+let split_lanes ~bound (l : Var.t) s =
+  let rec go (s : Stmt.t) =
+    match s with
+    | Stmt.Let (v, e, body) ->
+      Option.map (fun (p, lane, body) -> (p, lane, Stmt.Let (v, e, body))) (go body)
+    | Stmt.For { var; extent; kind; body }
+      when Var.equal var l && extent mod max_lanes = 0
+           && List.for_all bound (Stmt.buffers_of body) ->
+      let pass = Var.create "pass" and lane = Var.create l.Var.name in
+      let at =
+        Texpr.add (Texpr.mul (Texpr.int_imm max_lanes) (Texpr.var pass)) (Texpr.var lane)
+      in
+      Some
+        ( (pass, extent / max_lanes, Stmt.Serial),
+          lane,
+          Stmt.for_ lane ~extent:max_lanes ~kind (Stmt.substitute [ (l, at) ] body) )
+    | _ -> None
+  in
+  go s
+
+(* The loop [loop] (serial) rewritten around a register tile of bound
+   buffer [b] (see the header): [Some (stmt, tile, lanes, pairing)] with
+   [lanes] the loops the tile's offsets read; [None] when a proof
+   condition fails.  [loop] runs [trips] times per run. *)
+let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffer.t) =
+  let loops, inner = perfect_nest loop in
+  match loops with
+  | [] -> None
+  | (l_var, l_ext, _) :: rest -> (
+    match promote_buffer ~scope l_var l_ext (nest rest inner) b with
+    | None -> None
+    | Some (_, _, _, radices) -> (
+      let digits = List.concat radices in
+      let mem (v : Var.t) = List.exists (fun ((u : Var.t), _, _) -> Var.equal u v) in
+      let cols, reds = List.partition (fun (v, _, _) -> mem v digits) loops in
+      let lanes =
+        List.sort_uniq Var.compare
+          (List.filter_map (fun (v, _, _) -> if mem v loops then None else Some v) digits)
+      in
+      let inner = forward_cells b inner in
+      (* a lane loop wider than a tile runs in passes, hoisted like a column *)
+      let passes, lanes, inner =
+        match lanes with
+        | [ l ]
+          when List.for_all
+                 (List.exists (fun ((v : Var.t), s, n) -> Var.equal v l && s = 1 && n > max_lanes))
+                 radices -> (
+          match split_lanes ~bound l inner with
+          | Some (pass, lane, inner) -> ([ pass ], [ lane ], inner)
+          | None -> ([], lanes, inner))
+        | _ -> ([], lanes, inner)
+      in
+      let is_lane (v : Var.t) = List.exists (Var.equal v) lanes in
+      let unrolls ~extent (v : Var.t) kind =
+        extent >= 1 && extent <= max_unroll
+        && Linear.fit v.Var.dtype (0, extent - 1) <> None
+        && match kind with Stmt.Parallel -> false | _ -> true
+      in
+      (* each lane loop unrolls, and so does every loop inside it *)
+      let lane_loops_unroll =
+        List.for_all
+          (fun v ->
+            Stmt.exists
+              (function
+                | Stmt.For { var; extent; kind; body } when Var.equal var v ->
+                  unrolls ~extent var kind
+                  && not
+                       (Stmt.exists
+                          (function
+                            | Stmt.For { var; extent; kind; body } ->
+                              not
+                                (unrolls ~extent var kind
+                                && (is_lane var || not (Stmt.exists is_loop body)))
+                            | _ -> false)
+                          body)
+                | _ -> false)
+              inner)
+          lanes
+      in
+      let allocs =
+        Stmt.fold_stmts
+          (fun acc s -> match s with Stmt.Alloc (a, _) -> a.Buffer.id :: acc | _ -> acc)
+          [] inner
+      in
+      let stores_only_tile =
+        not
+          (Stmt.exists
+             (function
+               | Stmt.Store (t, _, _) -> not (Buffer.equal t b || List.mem t.Buffer.id allocs)
+               | _ -> false)
+             inner)
+      in
+      let cols = cols @ passes in
+      let col_ids = List.map (fun ((v : Var.t), _, _) -> v.Var.id) cols in
+      match reds with
+      | (r_var, r_ext, r_kind) :: reds
+        when lane_loops_unroll && stores_only_tile && deferrable b.Buffer.dtype -> (
+        match promote_buffer ~scope:(col_ids @ scope) r_var r_ext (nest reds inner) b with
+        | Some (tile, base, body, _)
+          when tile.Buffer.size >= 2 && tile.Buffer.size <= max_lanes ->
+          let region = Stmt.for_ r_var ~extent:r_ext ~kind:r_kind body in
+          let trips = List.fold_left (fun t (_, n, _) -> t * n) trips cols in
+          let pairing = pair_lanes ~name ~weights ~trips tile lanes region in
+          let at k = Texpr.add base k in
+          let copies =
+            match pairing with
+            | Ok (Some _) ->
+              (* the pairs accumulate from 0; copy-out adds the initial value *)
+              [ region;
+                copy_cells tile (fun k ->
+                    Stmt.Store
+                      (b, at k, Texpr.add (Texpr.load b (at k)) (Texpr.load tile k))) ]
+            | _ ->
+              [ copy_cells tile (fun k -> Stmt.Store (tile, k, Texpr.load b (at k)));
+                region;
+                copy_cells tile (fun k -> Stmt.Store (b, at k, Texpr.load tile k)) ]
+          in
+          Some (nest cols (Stmt.Alloc (tile, Stmt.seq copies)), tile, lanes, pairing)
+        | _ -> None)
+      | _ -> None))
+
+let promote (func : Lower.func) =
+  let bound = List.map snd func.Lower.fn_tensors in
+  let stored = Hashtbl.create 8 in
+  Stmt.iter_stmts
+    (function Stmt.Store (b, _, _) -> Hashtbl.replace stored b.Buffer.id () | _ -> ())
+    func.Lower.fn_body;
+  let is_bound (b : Buffer.t) = List.exists (Buffer.equal b) bound in
+  let weights (w : Buffer.t) = is_bound w && not (Hashtbl.mem stored w.Buffer.id) in
+  let registers = Hashtbl.create 4 and lanes = Hashtbl.create 4 in
+  let diags = ref [] in
+  let n = ref 0 in
+  (* [trips]: how often [s] runs per kernel run *)
+  let rec go scope trips (s : Stmt.t) =
+    match s with
+    | Stmt.For ({ var; extent; kind; body } as r) -> (
+      let register =
+        match kind with
+        | Stmt.Parallel -> None
+        | _ ->
+          List.find_map
+            (register_tile ~scope ~trips ~name:func.Lower.fn_name ~bound:is_bound ~weights s)
+            bound
+      in
+      match register with
+      | Some (s, tile, lane_vars, pairing) ->
+        incr n;
+        Hashtbl.replace registers tile.Buffer.id
+          (match pairing with Ok p -> p | Error _ -> None);
+        (match pairing with Error d -> diags := d :: !diags | Ok _ -> ());
+        List.iter (fun (v : Var.t) -> Hashtbl.replace lanes v.Var.id tile) lane_vars;
+        s
+      | None ->
+        let tiles, body =
+          match kind with
+          | Stmt.Parallel -> ([], body)
+          | _ ->
+            List.fold_left
+              (fun (tiles, body) b ->
+                match promote_buffer ~scope var extent body b with
+                | Some (tile, base, body, _) -> ((b, tile, base) :: tiles, body)
+                | None -> (tiles, body))
+              ([], body) bound
+        in
+        let loop = Stmt.For { r with body = go (var.Var.id :: scope) (trips * extent) body } in
+        List.fold_left
+          (fun loop (b, tile, base) ->
+            incr n;
+            Stmt.Alloc
+              ( tile,
+                Stmt.seq
+                  [ copy_cells tile (fun k -> Stmt.Store (tile, k, Texpr.load b (Texpr.add base k)));
+                    loop;
+                    copy_cells tile (fun k -> Stmt.Store (b, Texpr.add base k, Texpr.load tile k))
+                  ] ))
+          loop tiles)
+    | Stmt.Let (v, e, body) -> Stmt.Let (v, e, go (v.Var.id :: scope) trips body)
+    | _ -> Stmt.map_children (go scope trips) s
+  in
+  let body = go [] 1 func.Lower.fn_body in
+  { tl_func = { func with Lower.fn_body = body };
+    tl_tiles = !n;
+    tl_registers = registers;
+    tl_lanes = lanes;
+    tl_diags = List.rev !diags }
+
+let promote_tiles func =
+  let t = promote func in
+  (t.tl_func, t.tl_tiles)
+
+(* Canonicalizer names from {!Unit_emit_hook}, which the kernel opens. *)
 let wname dt = "w_" ^ Dtype.to_string dt
 let satname dt = "sat_" ^ Dtype.to_string dt
 
-(* Round-to-precision: the identity for f64, [r32] for f32, [r_bf16] for
-   bf16. *)
+(* Round-to-precision: the identity for f64, a trip through Int32 bits
+   for f32 (written out: a call into the hook would not inline, and f32
+   rounds after every op), [r_bf16] for bf16. *)
 let rounded dt s =
   match dt with
   | Dtype.F64 -> s
-  | Dtype.F32 -> Printf.sprintf "(r32 %s)" s
+  | Dtype.F32 -> Printf.sprintf "(Int32.float_of_bits (Int32.bits_of_float %s))" s
   | Dtype.Bf16 -> Printf.sprintf "(r_bf16 %s)" s
   | _ -> unsupported "round to %s" (Dtype.to_string dt)
 
@@ -385,51 +817,13 @@ let value_lit = function
   | Value.Float (Dtype.F16, _) -> unsupported "f16 immediate"
   | Value.Float (_, f) -> float_lit f
 
-(* The prelude replicates Value.ml's raw-payload canonicalizers verbatim;
-   any drift there must be mirrored here (and [version] bumped). *)
-let prelude =
-  {|let w_bool x = if x land 0xff = 0 then 0 else 1
-let w_u8 x = x land 0xff
-let w_i8 x = let m = x land 0xff in if m land 0x80 <> 0 then m - 0x100 else m
-let w_i16 x = let m = x land 0xffff in if m land 0x8000 <> 0 then m - 0x10000 else m
-let w_i32 x =
-  let m = x land 0xffffffff in
-  if m land 0x80000000 <> 0 then m - 0x100000000 else m
-let r32 x = Int32.float_of_bits (Int32.bits_of_float x)
-let r_bf16 x =
-  if Float.is_nan x then Int32.float_of_bits 0x7fc00000l
-  else begin
-    let b = Int32.bits_of_float x in
-    let b =
-      Int32.add b
-        (Int32.add 0x7fffl (Int32.logand (Int32.shift_right_logical b 16) 1l))
-    in
-    Int32.float_of_bits (Int32.logand b 0xffff0000l)
-  end
-let trunc64 f =
-  if Float.is_nan f then 0L
-  else if f >= Int64.to_float Int64.max_int then Int64.max_int
-  else if f <= Int64.to_float Int64.min_int then Int64.min_int
-  else Int64.of_float f
-let trunc f = Int64.to_int (trunc64 f)
-let sat_gen lo hi f =
-  if Float.is_nan f then 0
-  else if f <= Int64.to_float lo then Int64.to_int lo
-  else if f >= Int64.to_float hi then Int64.to_int hi
-  else Int64.to_int (Int64.of_float f)
-let sat_bool f = sat_gen 0L 1L f
-let sat_u8 f = sat_gen 0L 255L f
-let sat_i8 f = sat_gen (-128L) 127L f
-let sat_i16 f = sat_gen (-32768L) 32767L f
-let sat_i32 f = sat_gen (-2147483648L) 2147483647L f
-|}
-
 let render (func : Lower.func) : plan * string =
   let func =
     try Unit_isa.Semantics.expand func
     with Unit_isa.Semantics.Execution_error msg -> unsupported "%s" msg
   in
-  let func, n_tiles = promote_tiles func in
+  let tiling = promote func in
+  let func = tiling.tl_func in
   (* ---- binding plan: one cell per buffer, grouped by storage class *)
   let nf = ref 0 and ni = ref 0 and nl = ref 0 in
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -466,7 +860,7 @@ let render (func : Lower.func) : plan * string =
      [counting] is off while hoisting candidates are rendered, so each
      node counts once. *)
   let n_deferred = ref 0 and n_unrolled = ref 0 and n_hoisted = ref 0 in
-  let n_cells = ref 0 in
+  let n_cells = ref 0 and n_pairs = ref 0 in
   let counting = ref true in
   let bump r = if !counting then incr r in
   (* a raw add/sub/mul consumed raw: one wrap the old rendering paid *)
@@ -519,12 +913,62 @@ let render (func : Lower.func) : plan * string =
   List.iter (fun e -> ignore (norm_buf e.e_buf.Buffer.id : int)) entries;
   let vname (v : Var.t) = Printf.sprintf "v%d" (norm_var v.Var.id) in
   let cellname (b : Buffer.t) = Printf.sprintf "c%d" (norm_buf b.Buffer.id) in
+  (* ---- register tiles: each cell (each lane pair, when packed) is a
+     local [ref] named after the tile and the cell *)
+  let pairing_of (b : Buffer.t) = Hashtbl.find_opt tiling.tl_registers b.Buffer.id in
+  let regname (b : Buffer.t) i = Printf.sprintf "%s_%d" (cellname b) i in
+  (* While the even copies of a packed tile's lane loop render: the
+     tile's id, the weights' id and the packed weights' name. *)
+  let packing = ref None in
+  (* packed weights, bound once at the top of the kernel, in first-use
+     order: (name, weights, distance) *)
+  let packs = ref [] in
+  let pack_name (p : pairing) =
+    match
+      List.find_opt
+        (fun (_, w, d) -> Buffer.equal w p.pr_weights && d = p.pr_dist)
+        !packs
+    with
+    | Some (n, _, _) -> n
+    | None ->
+      let n = Printf.sprintf "pk%d" (List.length !packs) in
+      packs := !packs @ [ (n, p.pr_weights, p.pr_dist) ];
+      n
+  in
   let addr_in (b : Buffer.t) idx =
-    match Hashtbl.find_opt defined b.Buffer.id with
-    | None -> unsupported "buffer %s unbound" b.Buffer.name
-    | Some true ->
+    match Hashtbl.find_opt defined b.Buffer.id, !packing with
+    | _, Some (_, w, pk) when w = b.Buffer.id -> Printf.sprintf "%s.(%s)" pk idx
+    | None, _ -> unsupported "buffer %s unbound" b.Buffer.name
+    | Some true, _ ->
       Printf.sprintf "%s.(o%d + %s)" (cellname b) (norm_buf b.Buffer.id) idx
-    | Some false -> Printf.sprintf "%s.(%s)" (cellname b) idx
+    | Some false, _ -> Printf.sprintf "%s.(%s)" (cellname b) idx
+  in
+  (* A register tile's cells render at literal offsets: its lane loops
+     unroll.  A packed tile's cell [i] is the low ([i] even) or high lane
+     of pair [i/2]; inside the lane copies only even cells occur, and the
+     pair accumulates as a whole. *)
+  let reg_offset (b : Buffer.t) ix =
+    match interval ix with
+    | Some (i, j) when i = j && i >= 0 && i < b.Buffer.size -> i
+    | _ -> unsupported "register tile %s indexed off a literal" b.Buffer.name
+  in
+  let in_lanes (b : Buffer.t) i =
+    match !packing with Some (t, _, _) -> t = b.Buffer.id && i mod 2 = 0 | None -> false
+  in
+  let reg_load (b : Buffer.t) p ix =
+    let i = reg_offset b ix in
+    match p with
+    | None -> "!" ^ regname b i
+    | Some _ when in_lanes b i -> "!" ^ regname b (i / 2)
+    | Some _ ->
+      Printf.sprintf "(pair_%s !%s)" (if i mod 2 = 0 then "lo" else "hi") (regname b (i / 2))
+  in
+  let reg_store (b : Buffer.t) p ix =
+    let i = reg_offset b ix in
+    match p with
+    | None -> regname b i
+    | Some _ when in_lanes b i -> regname b (i / 2)
+    | Some _ -> unsupported "packed tile %s stored outside its lanes" b.Buffer.name
   in
   (* Loads bound before the loop being rendered: rendered load -> name. *)
   let hoisted : (string, string) Hashtbl.t = Hashtbl.create 8 in
@@ -558,6 +1002,9 @@ let render (func : Lower.func) : plan * string =
     | _ -> (rcanon e, false)
 
   and rload (b : Buffer.t) ix =
+    match pairing_of b with
+    | Some p -> reg_load b p ix
+    | None ->
     let was = !sharing in
     sharing := false;
     let key = if is_cell b then "!" ^ cellname b else addr_in b (rint ix) in
@@ -761,17 +1208,20 @@ let render (func : Lower.func) : plan * string =
     restore ienv had_iv;
     restore lits had_lit
   in
-  (* A loop replicated with literal indices: innermost, at most
-     [max_unroll] iterations whose indices fit the variable's dtype.
-     Parallel loops keep their fan. *)
+  (* A loop replicated with literal indices: innermost or a register
+     tile's lane loop, at most [max_unroll] iterations whose indices fit
+     the variable's dtype.  Parallel loops keep their fan. *)
   let unrollable (s : Stmt.t) =
     match s with
     | Stmt.For { var; extent; kind; body } ->
       extent >= 1 && extent <= max_unroll
       && Linear.fit var.Var.dtype (0, extent - 1) <> None
       && (match kind with Stmt.Parallel -> false | _ -> true)
-      && not (Stmt.exists is_loop body)
+      && (Hashtbl.mem tiling.tl_lanes var.Var.id || not (Stmt.exists is_loop body))
     | _ -> false
+  in
+  let only_unrollable body =
+    not (Stmt.exists (fun s -> is_loop s && not (unrollable s)) body)
   in
   (* The copies of an unrolled loop render every term that ignores its
      index alike.  The maximal exact integer terms free of loads and of
@@ -928,6 +1378,9 @@ let render (func : Lower.func) : plan * string =
     | Stmt.Seq stmts -> List.iter (rs ind ~in_par) stmts
     | Stmt.Store (b, _, v) when is_cell b ->
       line ind (Printf.sprintf "%s := %s;" (cellname b) (store_payload b v))
+    | Stmt.Store (b, ix, v) when Hashtbl.mem tiling.tl_registers b.Buffer.id ->
+      let p = Option.join (pairing_of b) in
+      line ind (Printf.sprintf "%s := %s;" (reg_store b p ix) (store_payload b v))
     | Stmt.Store (b, ix, v) ->
       (* value before index, like the tree-walker *)
       line ind
@@ -935,17 +1388,30 @@ let render (func : Lower.func) : plan * string =
            (addr_in b (rint ix)))
     | Stmt.For { var; extent; body; _ } when unrollable s ->
       bump n_unrolled;
-      let binds = if extent > 1 then share_terms var body else [] in
-      with_binds ind shared binds (fun ind ->
-          for i = 0 to extent - 1 do
-            with_var var ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
-          done)
+      (* a packed tile's lane loop renders its even copies, one per pair *)
+      let step, lanes_packing =
+        match Hashtbl.find_opt tiling.tl_lanes var.Var.id with
+        | Some tile -> (
+          match Option.join (pairing_of tile) with
+          | Some p -> (2, Some (tile.Buffer.id, p.pr_weights.Buffer.id, pack_name p))
+          | None -> (1, None))
+        | None -> (1, None)
+      in
+      let hoists = if extent > 1 then hoist_loads var body else [] in
+      with_binds ind hoisted hoists (fun ind ->
+          let binds = if extent > 1 then share_terms var body else [] in
+          with_binds ind shared binds (fun ind ->
+              let was = !packing in
+              if lanes_packing <> None then packing := lanes_packing;
+              for c = 0 to (extent / step) - 1 do
+                let i = c * step in
+                with_var var ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
+              done;
+              packing := was))
     | Stmt.For { var; extent; kind; body } ->
       let iv = Linear.fit var.Var.dtype (0, extent - 1) in
       let binds =
-        if extent >= 1 && not (Stmt.exists (fun s -> is_loop s && not (unrollable s)) body)
-        then hoist_loads var body
-        else []
+        if extent >= 1 && only_unrollable body then hoist_loads var body else []
       in
       with_binds ind hoisted binds (fun ind ->
           if (match kind with Stmt.Parallel -> true | _ -> false) && not in_par then begin
@@ -958,6 +1424,17 @@ let render (func : Lower.func) : plan * string =
             with_var var ?iv (fun () -> rs (ind + 1) ~in_par body);
             line ind "done;"
           end)
+    | Stmt.Let (v, e, body)
+      when Texpr.loads_of e = []
+           && not
+                (Stmt.exists
+                   (fun s ->
+                     List.exists
+                       (fun e -> List.exists (Var.equal v) (Texpr.vars_of e))
+                       (own_exprs s))
+                   body) ->
+      (* dead, and evaluating it cannot raise *)
+      rs ind ~in_par body
     | Stmt.Let (v, e, body) ->
       if Dtype.is_float v.Var.dtype then
         unsupported "float-dtyped let %s" v.Var.name;
@@ -976,6 +1453,26 @@ let render (func : Lower.func) : plan * string =
          line ind "end else begin";
          rs (ind + 1) ~in_par e;
          line ind "end;")
+    | Stmt.Alloc (b, body) when Hashtbl.mem tiling.tl_registers b.Buffer.id ->
+      let cells =
+        match Option.join (pairing_of b) with
+        | Some _ ->
+          n_pairs := !n_pairs + (b.Buffer.size / 2);
+          b.Buffer.size / 2
+        | None -> b.Buffer.size
+      in
+      line ind "begin";
+      for i = 0 to cells - 1 do
+        line (ind + 1) (Printf.sprintf "let %s = ref 0 in" (regname b i))
+      done;
+      let id = b.Buffer.id in
+      let prev = Hashtbl.find_opt defined id in
+      Hashtbl.replace defined id false;
+      rs (ind + 1) ~in_par body;
+      (match prev with
+       | Some p -> Hashtbl.replace defined id p
+       | None -> Hashtbl.remove defined id);
+      line ind "end;"
     | Stmt.Alloc (b, body) ->
       let zero =
         match carrier_of b.Buffer.dtype with
@@ -1002,12 +1499,17 @@ let render (func : Lower.func) : plan * string =
       line ind "end;"
     | Stmt.Intrin_call { intrin; _ } -> unsupported "unexpanded intrinsic %s" intrin
   in
-  (* ---- module assembly *)
+  (* ---- module assembly: the body renders first, so the packed
+     weights it names are known before the kernel's head binds them *)
+  rs 1 ~in_par:false func.Lower.fn_body;
+  line 1 "()";
+  let body = B.contents buf in
+  B.clear buf;
   B.add_string buf "[@@@warning \"-a\"]\n";
   B.add_string buf
     (Printf.sprintf "(* generated by Unit_codegen.Emit v%d from %s *)\n" version
        func.Lower.fn_name);
-  B.add_string buf prelude;
+  B.add_string buf "open Unit_emit_hook\n";
   B.add_string buf "\nlet kernel af ai al offs par =\n";
   line 1 "ignore af; ignore ai; ignore al; ignore offs; ignore par;";
   List.iter
@@ -1020,13 +1522,20 @@ let render (func : Lower.func) : plan * string =
            (norm_buf e.e_buf.Buffer.id)
            e.e_slot))
     entries;
-  rs 1 ~in_par:false func.Lower.fn_body;
-  line 1 "()";
+  List.iter
+    (fun (name, (w : Buffer.t), d) ->
+      line 1
+        (Printf.sprintf "let %s = pack_pairs %s o%d %d %d in" name (cellname w)
+           (norm_buf w.Buffer.id) w.Buffer.size d))
+    !packs;
+  B.add_string buf body;
   Obs.add c_wraps_deferred !n_deferred;
   Obs.add c_loops_unrolled !n_unrolled;
   Obs.add c_loads_hoisted !n_hoisted;
   Obs.add c_scalar_cells !n_cells;
-  Obs.add c_tiles_promoted n_tiles;
+  Obs.add c_tiles_promoted tiling.tl_tiles;
+  Obs.add c_register_tiles (Hashtbl.length tiling.tl_registers);
+  Obs.add c_lanes_packed !n_pairs;
   B.add_string buf "\nlet () = Unit_emit_hook.register kernel\n";
   let plan =
     {
@@ -1035,6 +1544,7 @@ let render (func : Lower.func) : plan * string =
       p_nf = !nf;
       p_ni = !ni;
       p_nl = !nl;
+      p_diags = tiling.tl_diags;
     }
   in
   (plan, B.contents buf)

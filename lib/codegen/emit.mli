@@ -23,18 +23,26 @@
     Accumulator tiles ({!promote_tiles}): an output window a reduction
     loop reads and writes at provably dense offsets is copied into
     scratch before the loop and back after it, so it accumulates raw
-    and wraps once per output.
+    and wraps once per output.  Where the window's column loops can be
+    hoisted above the reduction and at most 8 lanes remain, the tile is
+    a register tile: one local per cell.  Where its lanes multiply one
+    shared byte activation by byte weights the kernel never stores, and
+    the partial sums provably fit, lanes [2j] and [2j+1] share one native
+    int (the weights are packed once per run).
 
-    Loop shaping: innermost loops of at most 16 iterations are unrolled
-    (their copies share the integer terms that ignore the index), and a
-    loop with no loop left inside binds each load that runs on every
-    iteration, with a loop-invariant index, from a buffer the loop never
-    stores to, once before the loop.  Hoisting assumes distinct bound
+    Loop shaping: innermost loops and register-tile lane loops of at
+    most 16 iterations are unrolled (their copies share the integer
+    terms that ignore the index), a loop with no loop left inside binds
+    each load that runs on every iteration, with a loop-invariant index,
+    from a buffer the loop never stores to, once before the loop, and a
+    [Let] nothing reads whose value loads nothing is dropped.  Hoisting assumes distinct bound
     buffers never share cells; {!Emit_cache.run} falls back when two
     bound windows overlap in one array.
 
     Render-time counters: [emit.wraps_deferred], [emit.loops_unrolled],
-    [emit.loads_hoisted], [emit.scalar_cells], [emit.tiles_promoted].  Programs {!Unit_tir.Validate} rejects may diverge
+    [emit.loads_hoisted], [emit.scalar_cells], [emit.tiles_promoted],
+    [emit.register_tiles], [emit.lanes_packed] (lane pairs).  Programs
+    {!Unit_tir.Validate} rejects may diverge
     in their error behaviour only: the emitted code carries no
     per-access bounds checks (OCaml array safety still applies to the
     backing storage).
@@ -60,7 +68,8 @@ val version : int
     kernels are never loaded.  Version 4 renders intrinsic calls from
     their TIR expansion; version 5 adds scalar cells, deferred wraps,
     innermost unrolling and load hoisting; version 6 adds accumulator
-    tiles and raw scratch. *)
+    tiles and raw scratch; version 7 adds register tiles and lane pairs
+    and moves the canonicalizers into [Unit_emit_hook]. *)
 
 type klass = KF | KI | KL
 (** Storage class of a bound tensor: [float array] / [int array] /
@@ -80,22 +89,29 @@ type plan = {
   p_nf : int;
   p_ni : int;
   p_nl : int;
+  p_diags : Diag.t list;
+      (** warnings the render raised: an [Overflow] for each register
+          tile whose lanes stay unpacked because their partial sums are
+          not proven to fit *)
 }
 (** Binding plan: how {!Emit_cache.run_kernel} marshals [Ndarray.t]
     bindings into the generated kernel's argument arrays. *)
 
 val promote_tiles : Lower.func -> Lower.func * int
 (** The accumulator-tile rewrite {!render} applies after expanding
-    intrinsic calls, and the number of tiles it promoted.  For each
-    bound buffer, the outermost serial loop it can be promoted over
-    gets an [Alloc] tile of at most 1024 elements, a copy-in before the
-    loop and a copy-out after it; the proof conditions are listed in
-    [emit.ml]'s header.  A plain TIR→TIR pass: {!Interp} on the result
-    equals {!Interp} on the input. *)
+    intrinsic calls, and the number of tiles it promoted, register
+    tiles included.  For each bound buffer, the outermost serial loop it
+    can be promoted over gets an [Alloc] tile of at most 1024 elements,
+    a copy-in before the loop and a copy-out after it; a register tile
+    first hoists the tile's column loops above the reduction, and a
+    packed one starts from 0 and adds the initial value at copy-out.
+    The proof conditions are listed in [emit.ml]'s header.  A plain
+    TIR→TIR pass: {!Interp} on the result equals {!Interp} on the
+    input. *)
 
 val render : Lower.func -> plan * string
 (** [render func] is the binding plan and the complete OCaml source of
-    the emitted module (helper prelude, [kernel] function, trailing
+    the emitted module ([open Unit_emit_hook], [kernel] function, trailing
     [Unit_emit_hook.register] call).  Deterministic: equal functions
     render to equal sources, which is what content-addresses the
     compiled artifact.

@@ -116,6 +116,22 @@ let modname_of_key key = "unit_emitted_" ^ String.sub key 0 16
 let lock = Mutex.create ()
 let memo : (string, Unit_emit_hook.kernel) Hashtbl.t = Hashtbl.create 16
 
+let with_lock f =
+  Mutex.lock lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+(* Diagnostics go to stderr once per process and [key]. *)
+let printed : (string, unit) Hashtbl.t = Hashtbl.create 8
+
+let print_once ~key d =
+  let fresh =
+    with_lock (fun () ->
+        let fresh = not (Hashtbl.mem printed key) in
+        if fresh then Hashtbl.add printed key ();
+        fresh)
+  in
+  if fresh then prerr_endline (Diag.to_string d)
+
 let mkdir_p dir =
   let rec go d =
     if not (Sys.file_exists d) then begin
@@ -166,8 +182,11 @@ let compile_source tc ~modname ~source =
   let includes =
     String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) tc.tc_incdirs)
   in
+  (* Linear-scan register allocation: a register tile's unrolled lanes
+     make graph colouring the costliest compile phase, and on the Table I
+     kernels the linear-scan code runs as fast. *)
   let cmd =
-    Printf.sprintf "%s -shared %s -o %s %s 2>%s" tc.tc_compiler includes
+    Printf.sprintf "%s -shared -linscan %s -o %s %s 2>%s" tc.tc_compiler includes
       (Filename.quote out) (Filename.quote src) (Filename.quote log)
   in
   let rc = Sys.command cmd in
@@ -259,21 +278,38 @@ type kernel = {
   k_fn : Unit_emit_hook.kernel;
 }
 
+(* Kernels loaded in this process, by signature and the physical
+   identity of their function, newest first: running a loaded kernel
+   again skips the render and the key hash.  At most [max_loaded]. *)
+let loaded : (string * Lower.func * kernel) list ref = ref []
+let max_loaded = 16
+
 let load ~signature func =
-  match available_tc () with
-  | Error e -> Error e
-  | Ok tc ->
-    (match Obs.with_span "emit.render" (fun () -> Emit.render func) with
-     | exception Emit.Unsupported msg -> Error ("unsupported: " ^ msg)
-     | plan, source ->
-       let key = artifact_key ~signature ~source in
-       Mutex.lock lock;
-       Fun.protect
-         ~finally:(fun () -> Mutex.unlock lock)
-         (fun () ->
-           match load_locked tc ~signature ~key ~source with
-           | Ok fn -> Ok { k_plan = plan; k_fn = fn }
-           | Error e -> Error e))
+  match
+    with_lock (fun () ->
+        List.find_map
+          (fun (s, f, k) -> if f == func && String.equal s signature then Some k else None)
+          !loaded)
+  with
+  | Some k ->
+    Obs.incr c_memo_hit;
+    Ok k
+  | None -> (
+    match available_tc () with
+    | Error e -> Error e
+    | Ok tc -> (
+      match Obs.with_span "emit.render" (fun () -> Emit.render func) with
+      | exception Emit.Unsupported msg -> Error ("unsupported: " ^ msg)
+      | plan, source ->
+        List.iter (fun d -> print_once ~key:(Diag.to_string d) d) plan.Emit.p_diags;
+        let key = artifact_key ~signature ~source in
+        with_lock (fun () ->
+            match load_locked tc ~signature ~key ~source with
+            | Ok fn ->
+              let k = { k_plan = plan; k_fn = fn } in
+              loaded := List.filteri (fun i _ -> i < max_loaded) ((signature, func, k) :: !loaded);
+              Ok k
+            | Error e -> Error e)))
 
 (* ---- running a loaded kernel *)
 
@@ -378,7 +414,6 @@ let run_kernel { k_plan; k_fn } ~bindings =
 
 (* ---- fallback ladder *)
 
-let fallback_seen : (string, unit) Hashtbl.t = Hashtbl.create 8
 let fallback_last : Diag.t option Atomic.t = Atomic.make None
 let last_fallback () = Atomic.get fallback_last
 
@@ -388,11 +423,7 @@ let note_fallback ~name reason =
       reason
   in
   Atomic.set fallback_last (Some d);
-  Mutex.lock lock;
-  let fresh = not (Hashtbl.mem fallback_seen reason) in
-  if fresh then Hashtbl.add fallback_seen reason ();
-  Mutex.unlock lock;
-  if fresh then prerr_endline (Diag.to_string d)
+  print_once ~key:reason d
 
 let default_signature (func : Lower.func) = "adhoc|" ^ func.Lower.fn_name
 

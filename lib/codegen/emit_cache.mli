@@ -3,7 +3,10 @@
     The pipeline from {!Emit.render}ed source to executable code:
     shell out to [ocamlfind ocamlopt -shared], [Dynlink] the resulting
     [.cmxs] (which self-registers through [Unit_emit_hook]), and memoize
-    the loaded kernel per process.  Compiled artifacts are
+    the loaded kernel per process: by source digest, and by the function
+    value itself, so running a loaded kernel again renders nothing.  A
+    render's warnings ({!Emit.plan}[.p_diags]) go to stderr once per
+    process.  Compiled artifacts are
     content-addressed into the persistent store through
     dependency-inverted {!artifact_hooks} (installed by
     [Unit_store.Store], mirroring [Pipeline.set_tuning_store]), keyed by

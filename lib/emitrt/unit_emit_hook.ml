@@ -13,3 +13,64 @@ let take () =
   let k = !slot in
   slot := None;
   k
+
+(* The canonicalizers below replicate Value.ml's raw-payload
+   canonicalizers verbatim; any drift there must be mirrored here (and
+   [Emit.version] bumped). *)
+let w_bool x = if x land 0xff = 0 then 0 else 1
+let w_u8 x = x land 0xff
+let w_i8 x = let m = x land 0xff in if m land 0x80 <> 0 then m - 0x100 else m
+let w_i16 x = let m = x land 0xffff in if m land 0x8000 <> 0 then m - 0x10000 else m
+
+let w_i32 x =
+  let m = x land 0xffffffff in
+  if m land 0x80000000 <> 0 then m - 0x100000000 else m
+
+let r_bf16 x =
+  if Float.is_nan x then Int32.float_of_bits 0x7fc00000l
+  else begin
+    let b = Int32.bits_of_float x in
+    let b =
+      Int32.add b
+        (Int32.add 0x7fffl (Int32.logand (Int32.shift_right_logical b 16) 1l))
+    in
+    Int32.float_of_bits (Int32.logand b 0xffff0000l)
+  end
+
+let trunc64 f =
+  if Float.is_nan f then 0L
+  else if f >= Int64.to_float Int64.max_int then Int64.max_int
+  else if f <= Int64.to_float Int64.min_int then Int64.min_int
+  else Int64.of_float f
+
+let trunc f = Int64.to_int (trunc64 f)
+
+let sat_gen lo hi f =
+  if Float.is_nan f then 0
+  else if f <= Int64.to_float lo then Int64.to_int lo
+  else if f >= Int64.to_float hi then Int64.to_int hi
+  else Int64.to_int (Int64.of_float f)
+
+let sat_bool f = sat_gen 0L 1L f
+let sat_u8 f = sat_gen 0L 255L f
+let sat_i8 f = sat_gen (-128L) 127L f
+let sat_i16 f = sat_gen (-32768L) 32767L f
+let sat_i32 f = sat_gen (-2147483648L) 2147483647L f
+
+(* ---- lane pairs *)
+
+(* plain loops: [Array.init]'s closure call per cell costs twice the
+   packing itself *)
+let pack_pairs w o n d =
+  let p = Array.make n 0 in
+  let paired = Stdlib.max 0 (n - d) in
+  for i = 0 to paired - 1 do
+    p.(i) <- w.(o + i) + (w.(o + i + d) lsl 31)
+  done;
+  for i = paired to n - 1 do
+    p.(i) <- w.(o + i)
+  done;
+  p
+
+let pair_lo v = (v lsl 32) asr 32
+let pair_hi v = (v - pair_lo v) asr 31

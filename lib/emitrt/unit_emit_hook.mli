@@ -1,11 +1,14 @@
-(** Registration slot for Dynlink'd emitted kernels.
+(** Registration slot and runtime helpers for Dynlink'd emitted kernels.
 
     Native [Dynlink] offers no symbol lookup: a loaded [.cmxs] can only
     communicate with its host through a module both sides link against.
     This tiny, dependency-free library is that module.  Each generated
-    kernel ends with [let () = Unit_emit_hook.register kernel]; the host
-    calls {!take} immediately after [Dynlink.loadfile_private] (under a
-    lock, so concurrent loads cannot race on the slot). *)
+    kernel opens it, ends with [let () = Unit_emit_hook.register kernel],
+    and the host calls {!take} immediately after
+    [Dynlink.loadfile_private] (under a lock, so concurrent loads cannot
+    race on the slot).  The helpers below are the fixed part of every
+    kernel: compiling them once here instead of into each kernel's
+    source saves ocamlopt time per kernel. *)
 
 type kernel =
   float array array ->
@@ -26,3 +29,45 @@ val register : kernel -> unit
 
 val take : unit -> kernel option
 (** Read and clear the slot. *)
+
+(** {2 Canonicalizers}
+
+    [Value]'s raw-payload canonicalizers, verbatim: [w_*] wrap a native
+    int to an integer dtype, [r_bf16] rounds a float to bf16,
+    [trunc64]/[trunc] truncate a float toward zero (NaN → 0, saturating
+    at the int64 range), [sat_*] saturate a float cast to an integer
+    dtype. *)
+
+val w_bool : int -> int
+val w_u8 : int -> int
+val w_i8 : int -> int
+val w_i16 : int -> int
+val w_i32 : int -> int
+val r_bf16 : float -> float
+val trunc64 : float -> int64
+val trunc : float -> int
+val sat_gen : int64 -> int64 -> float -> int
+val sat_bool : float -> int
+val sat_u8 : float -> int
+val sat_i8 : float -> int
+val sat_i16 : float -> int
+val sat_i32 : float -> int
+
+(** {2 Lane pairs}
+
+    Two i32 accumulator lanes in one native int: lane [2j] in the low
+    31 bits (sign-extended), lane [2j+1] above them, so one multiply by a
+    shared activation updates both.  Exact while each lane's partial sum
+    stays in [[-2^30, 2^30)]; the emitter proves that before it packs. *)
+
+val pack_pairs : int array -> int -> int -> int -> int array
+(** [pack_pairs w o n d] is [p] of length [n] with
+    [p.(i) = w.(o+i) + w.(o+i+d) lsl 31] ([w.(o+i)] alone when
+    [i + d >= n]): the weights of lane [2j] and lane [2j+1], [d] cells
+    apart, in one int at lane [2j]'s index. *)
+
+val pair_lo : int -> int
+(** The low lane of a packed sum: [(v lsl 32) asr 32]. *)
+
+val pair_hi : int -> int
+(** The high lane of a packed sum: [(v - pair_lo v) asr 31]. *)

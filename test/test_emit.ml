@@ -523,23 +523,127 @@ let test_emit_pipeline_arm () =
   let compiled = Pipeline.conv_compiled_arm small_conv in
   differential compiled.Pipeline.c_tuned.Cpu_tuner.t_func
 
+(* How much each named counter grows while [f] runs with tracing on. *)
+let counted names f =
+  let module Obs = Unit_obs.Obs in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  let before = List.map (fun n -> Obs.value (Obs.counter n)) names in
+  let r = Fun.protect ~finally:(fun () -> Obs.set_enabled was) f in
+  (r, List.map2 (fun n b -> Obs.value (Obs.counter n) - b) names before)
+
+let check_counted what names counts =
+  List.iter2 (fun n c -> check_bool (Printf.sprintf "%s: %s counted" what n) true (c > 0)) names counts
+
 (* The rules are visible on a real tensorized kernel through their
-   counters. *)
+   counters.  Its intrinsic accumulator cell folds into the register
+   tile, so the scalar-cell rule shows on the scalar reference. *)
 let test_emit_rule_counters () =
   let compiled = Pipeline.conv_compiled_x86 small_conv in
   let names =
     [ "emit.wraps_deferred"; "emit.loops_unrolled"; "emit.loads_hoisted";
-      "emit.scalar_cells" ]
+      "emit.tiles_promoted"; "emit.register_tiles"; "emit.lanes_packed" ]
   in
-  let was = Unit_obs.Obs.enabled () in
-  Unit_obs.Obs.set_enabled true;
-  let before = List.map (fun n -> Unit_obs.Obs.value (Unit_obs.Obs.counter n)) names in
-  Fun.protect ~finally:(fun () -> Unit_obs.Obs.set_enabled was) (fun () ->
-      ignore (Emit.render compiled.Pipeline.c_tuned.Cpu_tuner.t_func));
-  List.iter2
-    (fun n b ->
-      check_bool (n ^ " counted") true (Unit_obs.Obs.value (Unit_obs.Obs.counter n) > b))
-    names before
+  let _, counts =
+    counted names (fun () -> Emit.render compiled.Pipeline.c_tuned.Cpu_tuner.t_func)
+  in
+  check_counted "tensorized" names counts;
+  let _, counts =
+    counted [ "emit.scalar_cells" ] (fun () ->
+        Emit.render (Lower.scalar_reference compiled.Pipeline.c_op))
+  in
+  check_counted "scalar reference" [ "emit.scalar_cells" ] counts
+
+(* ---------- register tiles and lane pairs ---------- *)
+
+let register_names = [ "emit.register_tiles"; "emit.lanes_packed" ]
+
+(* Every Table I row of the kernels benchmark at smoke scale: the
+   emitted kernel keeps its accumulators in registers, packs lane pairs
+   and matches the scalar reference, on random inputs and on inputs that
+   drive every lane's partial sum to its largest magnitude of either
+   sign (activations 255, weights all -128 or all 127). *)
+let test_register_table1 () =
+  List.iter
+    (fun index ->
+      let wl = Unit_models.Table1.workloads.(index - 1) in
+      let hw = wl.Workload.kernel + wl.Workload.stride in
+      let compiled = Pipeline.conv_compiled_x86 { wl with Workload.h = hw; w = hw } in
+      let func = compiled.Pipeline.c_tuned.Cpu_tuner.t_func in
+      let what = Printf.sprintf "t%d" index in
+      let _, counts = counted register_names (fun () -> Emit.render func) in
+      check_counted what register_names counts;
+      let op = compiled.Pipeline.c_op in
+      let digest engine f inputs =
+        let out = Ndarray.of_tensor_zeros op.Op.output in
+        Pipeline.run_func ~engine f ~bindings:((op.Op.output, out) :: inputs);
+        Ndarray.digest out
+      in
+      let constant weight (t : Tensor.t) =
+        let arr = Ndarray.of_tensor_zeros t in
+        Ndarray.fill arr (fun _ ->
+            Value.of_int t.Tensor.dtype
+              (match t.Tensor.dtype with Dtype.U8 -> 255 | _ -> weight));
+        arr
+      in
+      List.iter
+        (fun (how, make) ->
+          let inputs = List.map (fun t -> (t, make t)) (Op.inputs op) in
+          let before = Emit_cache.last_fallback () in
+          let emitted = digest Pipeline.Emitted func inputs in
+          if emit_available then
+            check_bool (what ^ ": ran emitted") true (Emit_cache.last_fallback () == before);
+          Alcotest.(check string)
+            (Printf.sprintf "%s, %s inputs: emitted = scalar reference" what how)
+            (digest Pipeline.Compiled (Lower.scalar_reference op) inputs)
+            emitted)
+        [ ("random", Ndarray.random_for_tensor ~seed:index);
+          ("lowest", constant (-128));
+          ("highest", constant 127) ])
+    [ 2; 3; 5; 13; 14; 15 ]
+
+(* 33024 u8*i8 updates per lane can reach 33024 * 32640 > 2^30, past
+   what a packed lane holds: the tile stays in registers unpacked, the
+   render warns with the overflow rule, and the result is unchanged. *)
+let test_register_deep_dense () =
+  let compiled =
+    Pipeline.compiled Pipeline.X86 (Workload.Fc { Workload.d_k = 33_024; d_units = 16 })
+  in
+  let func = compiled.Pipeline.c_tuned.Cpu_tuner.t_func in
+  let (plan, _), counts = counted register_names (fun () -> Emit.render func) in
+  Alcotest.(check (list int)) "register tile, no packed pair" [ 1; 0 ]
+    (List.map (Stdlib.min 1) counts);
+  check_bool "overflow warning raised" true
+    (List.exists
+       (fun (d : Diag.t) -> d.Diag.rule = Diag.Overflow && not (Diag.is_error d))
+       plan.Emit.p_diags);
+  differential func
+
+(* Two column loops address the same tile cells through different
+   accesses, with updates whose order matters: hoisting a column above
+   the reduction would reorder a cell's updates, so the tile stays an
+   array in memory. *)
+let test_register_shared_columns () =
+  let c = Var.create "c" and l = Var.create "l" in
+  let func =
+    accumulate ~name:"tile_shared_columns" ~n:8 (fun ~src ~dst ~r ~i ->
+        let at col = Texpr.add (Texpr.mul (Texpr.var col) (Texpr.int_imm 4)) (Texpr.var l) in
+        let update col k =
+          Stmt.Store
+            ( dst,
+              at col,
+              Texpr.add
+                (Texpr.mul (Texpr.load dst (at col)) (Texpr.int_imm k))
+                (Texpr.load src (Texpr.var r)) )
+        in
+        Stmt.for_ r ~extent:64
+          (Stmt.for_ i ~extent:2
+             (Stmt.for_ c ~extent:2
+                (Stmt.for_ l ~extent:4 (Stmt.seq [ update i 3; update c 5 ])))))
+  in
+  let _, counts = counted [ "emit.register_tiles" ] (fun () -> Emit.render func) in
+  Alcotest.(check (list int)) "no register tile" [ 0 ] counts;
+  tiled_positive func
 
 (* A warm-up's baked artifact serves the daemon: after [bake Emitted]
    into a fresh store, a run request on the emitted engine compiles
@@ -681,30 +785,43 @@ let test_emit_fallback_diag () =
 
 (* ---------- qcheck: engine differential across workloads and ISAs ---------- *)
 
-(* Randomized conv shapes through the full pipeline on all three
-   instruction sets; every tensorized kernel must be bit-identical
-   across the three engines.  Shapes the pipeline rejects as
-   non-tensorizable are vacuously true. *)
+(* Randomized shapes through the full pipeline on all three instruction
+   sets; every tensorized kernel must be bit-identical across the three
+   engines.  Each case runs the x86 conv, whose register tile must pack
+   lane pairs, and one more kernel: an Arm conv (udot or the i16 MLA) or
+   an x86 dense layer, whose register tile has no weight reuse to pack
+   for.  Shapes the pipeline rejects as non-tensorizable are vacuously
+   true. *)
 let prop_engines_bit_identical =
   QCheck.Test.make ~name:"emitted = compiled = interp across ISAs" ~count:9
     QCheck.(
       quad (int_range 1 3) (int_range 1 2) (int_range 4 6) (int_range 0 2))
-    (fun (co, ko, hw, isa) ->
+    (fun (co, ko, hw, other) ->
       let wl =
         { Workload.c = co * 16; h = hw; w = hw; k = ko * 16; kernel = 3;
           stride = 1; padding = 1; groups = 1 }
       in
-      match
-        (match isa with
-         | 0 -> Pipeline.conv_compiled_x86 wl
-         | 1 -> Pipeline.conv_compiled_arm wl
-         | _ -> Pipeline.conv_compiled_arm ~intrin:"neon.mla.i16" wl)
-      with
-      | exception Invalid_argument _ -> true
-      | compiled ->
-        differential ~seed:(co + (10 * ko) + (100 * hw) + (1000 * isa))
-          compiled.Pipeline.c_tuned.Cpu_tuner.t_func;
-        true)
+      let run ~packs seed kernel =
+        match kernel () with
+        | exception Invalid_argument _ -> ()
+        | compiled ->
+          let func = compiled.Pipeline.c_tuned.Cpu_tuner.t_func in
+          if packs then begin
+            let _, counts = counted register_names (fun () -> Emit.render func) in
+            check_counted func.Lower.fn_name register_names counts
+          end;
+          differential ~seed func
+      in
+      let seed = co + (10 * ko) + (100 * hw) in
+      run ~packs:true seed (fun () -> Pipeline.conv_compiled_x86 wl);
+      run ~packs:false (seed + (1000 * (other + 1))) (fun () ->
+          match other with
+          | 0 -> Pipeline.conv_compiled_arm wl
+          | 1 -> Pipeline.conv_compiled_arm ~intrin:"neon.mla.i16" wl
+          | _ ->
+            Pipeline.compiled Pipeline.X86
+              (Workload.Fc { Workload.d_k = co * 64; d_units = ko * 16 }));
+      true)
 
 (* ---------- zoo: smallest real layers under all three engines ---------- *)
 
@@ -786,6 +903,12 @@ let () =
           Alcotest.test_case "store under an If" `Quick test_tile_store_under_if;
           Alcotest.test_case "load in a Select branch" `Quick test_tile_load_in_select;
           Alcotest.test_case "tile above the cap" `Quick test_tile_above_cap
+        ] );
+      ( "register tiles",
+        [ Alcotest.test_case "Table I rows at smoke scale" `Quick test_register_table1;
+          Alcotest.test_case "deep dense stays unpacked" `Quick test_register_deep_dense;
+          Alcotest.test_case "columns sharing cells keep the array" `Quick
+            test_register_shared_columns
         ] );
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;
