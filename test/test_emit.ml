@@ -904,7 +904,7 @@ let () =
           Alcotest.test_case "load in a Select branch" `Quick test_tile_load_in_select;
           Alcotest.test_case "tile above the cap" `Quick test_tile_above_cap
         ] );
-      ( "register tiles",
+      ( "registers",
         [ Alcotest.test_case "Table I rows at smoke scale" `Quick test_register_table1;
           Alcotest.test_case "deep dense stays unpacked" `Quick test_register_deep_dense;
           Alcotest.test_case "columns sharing cells keep the array" `Quick
