@@ -84,11 +84,16 @@ let or_die = function
 
 let target_or_die name = or_die (Pipeline.target_of_string name)
 
-(* A CPU target or the GPU ([explain], [bench-report], [e2e]). *)
+(* A CPU target or the GPU ([profile], [explain], [bench-report]). *)
 let any_target_or_die name =
   match Unit_core.Explain.target_of_string name with
   | Some t -> t
   | None -> or_die (Error (Printf.sprintf "unknown target %s (x86, arm or gpu)" name))
+
+let any_target_arg =
+  Arg.(value & opt string "x86"
+       & info [ "target" ] ~docv:"TARGET"
+           ~doc:"x86 (cascadelake), arm (graviton2) or gpu (v100).")
 
 (* A store that cannot be opened — a missing parent directory, or a
    single-file store that needs store-migrate first — is one line and
@@ -434,42 +439,6 @@ let run kind isa engine trace trace_out store packs c hw k kernel stride n m kdi
     (Unit_codegen.Emit_cache.last_fallback ());
   if not ok then exit 1
 
-(* ---------- e2e ---------- *)
-
-(* End-to-end latency of one model on one platform, every engine. *)
-let e2e model_name target =
-  let tgt = any_target_or_die target in
-  let act_dtype =
-    match tgt with
-    | Unit_core.Explain.Cpu t -> Pipeline.target_act_dtype t
-    | Unit_core.Explain.Gpu -> Dtype.U8
-  in
-  let g = or_die (Unit_core.Memplan.build_graph ~model:model_name ~act_dtype) in
-  let engines =
-    let open Unit_baselines.Engines in
-    match tgt with
-    | Unit_core.Explain.Cpu Pipeline.X86 -> [ x86_unit; x86_tvm_manual; x86_mxnet_onednn ]
-    | Unit_core.Explain.Cpu Pipeline.Arm -> [ arm_unit; arm_tvm_manual; arm_tvm_neon ]
-    | Unit_core.Explain.Gpu -> [ gpu_unit; gpu_cudnn ]
-  in
-  Printf.printf "%s on %s (batch 1):\n" model_name target;
-  let times =
-    List.map
-      (fun engine ->
-        let t = Unit_core.Latency.latency engine g in
-        Printf.printf "  %-14s %10.3f ms\n%!" engine.Unit_core.Latency.e_name (t *. 1e3);
-        t)
-      engines
-  in
-  match times with
-  | unit_t :: (_ :: _ as rest) ->
-    Printf.printf "  UNIT speedup: %s\n"
-      (String.concat ", "
-         (List.map2
-            (fun e t -> Printf.sprintf "%.2fx vs %s" (t /. unit_t) e.Unit_core.Latency.e_name)
-            (List.tl engines) rest))
-  | _ -> ()
-
 (* ---------- models / table1 ---------- *)
 
 let models () =
@@ -659,54 +628,68 @@ let check target counterexamples_only trace store packs =
 
 (* ---------- profile ---------- *)
 
-(* Profile one model (or one Table I kernel, "table1:N") under tracing:
-   tensorize every distinct workload through the cached pipeline, then run
-   the graph executor numerically for per-operator wall times.  The span /
-   counter summary prints at exit; --trace-out adds a Chrome trace. *)
+module Latency = Unit_core.Latency
+
+(* The model report on the served (quantized, fused) graph, under tracing.
+   A CPU target first tensorizes and bakes each distinct conv/dense
+   workload, so --engine emitted leaves emit.* spans and --store keeps the
+   artifacts.  The span / counter summary prints at exit; --trace-out adds
+   a Chrome trace. *)
 let profile model target engine trace_out no_exec store packs =
   let engine = parse_engine engine in
-  let tgt = target_or_die target in
+  let tgt = any_target_or_die target in
   enable_tracing ?trace_out ();
   load_isa_packs packs;
   with_store store @@ fun () ->
-  (* with --engine emitted, profiling also renders + native-compiles each
-     tensorized kernel, so the trace shows the emit.* spans and a
-     store-backed profile leaves loadable artifacts behind *)
-  let time wl =
-    let c = Pipeline.compiled tgt wl in
-    Pipeline.bake engine tgt c;
-    Pipeline.seconds c
+  let act_dtype =
+    match tgt with
+    | Unit_core.Explain.Cpu t -> Pipeline.target_act_dtype t
+    | Unit_core.Explain.Gpu -> Dtype.U8
   in
-  match or_die (Unit_models.Zoo.resolve model) with
-  | `Table1 (i, wl) ->
-    let t = time (Workload.Conv wl) in
-    Printf.printf "table1[%d] %s on %s: modelled %.3f us\n" i
-      (Workload.name (Workload.Conv wl)) target (t *. 1e6)
-  | `Model build ->
-    let g = build () in
-    let tensorized = ref 0 and skipped = ref 0 in
-    let modelled = ref 0.0 in
-    List.iter
-      (fun (wl, count) ->
-        match time wl with
-        | t ->
-          incr tensorized;
-          modelled := !modelled +. (float_of_int count *. t)
-        | exception Invalid_argument reason ->
-          incr skipped;
-          Printf.printf "  %-40s skipped (%s)\n" (Workload.name wl) reason)
-      (List.map (fun (wl, n) -> (Workload.Conv wl, n)) (Unit_models.Zoo.conv_workloads g)
-       @ List.map (fun (wl, n) -> (Workload.Fc wl, n)) (Unit_models.Zoo.dense_workloads g));
-    Printf.printf
-      "%s on %s: %d workload(s) tensorized, %d skipped, modelled conv+fc time %.3f ms\n%!"
-      model target !tensorized !skipped (!modelled *. 1e3);
-    if not no_exec then begin
-      let g = Unit_graph.Passes.fuse g in
-      let input = Unit_graph.Executor.default_input g ~seed:1 in
-      let out = Unit_graph.Executor.run g ~input in
-      Printf.printf "executor: ran %s numerically (%d output elements)\n%!" model
-        (Unit_codegen.Ndarray.num_elements out.Unit_graph.Executor.arr)
-    end
+  let g = or_die (Unit_core.Memplan.build_graph ~model ~act_dtype) in
+  (match tgt with
+   | Unit_core.Explain.Gpu -> ()
+   | Unit_core.Explain.Cpu t ->
+     List.iter (fun (j : Warmup.job) -> j.job_compile ()) (Warmup.jobs_of_graph ~engine t g));
+  let engines =
+    let open Unit_baselines.Engines in
+    match tgt with
+    | Unit_core.Explain.Cpu Pipeline.X86 -> [ x86_unit; x86_tvm_manual; x86_mxnet_onednn ]
+    | Unit_core.Explain.Cpu Pipeline.Arm -> [ arm_unit; arm_tvm_manual; arm_tvm_neon ]
+    | Unit_core.Explain.Gpu -> [ gpu_unit; gpu_cudnn ]
+  in
+  let unit_engine = List.hd engines in
+  let input = if no_exec then None else Some (Unit_graph.Executor.default_input g ~seed:1) in
+  let r = Unit_core.Profile.report ?input unit_engine g in
+  let modelled = Latency.latency unit_engine g in
+  let wall = Option.value r.pr_wall ~default:0.0 in
+  let line name kind m t =
+    let cell total = function
+      | Some t -> Printf.sprintf "%12.1f %6.1f%%" (t *. 1e6) (100.0 *. t /. total)
+      | None -> Printf.sprintf "%12s %7s" "-" "-"
+    in
+    Printf.printf "  %-30s %-30s %s %s\n" name kind (cell modelled m) (cell wall t)
+  in
+  Printf.printf "%s on %s: modelled by %s, measured on the executor\n" model target
+    unit_engine.Latency.e_name;
+  Printf.printf "  %-30s %-30s %12s %7s %12s %7s\n" "node" "kind" "model(us)" "share"
+    "measured(us)" "share";
+  List.iter
+    (fun (row : Unit_core.Profile.row) ->
+      line row.pr_node row.pr_kind (Some row.pr_modelled) row.pr_measured)
+    r.pr_rows;
+  line "(inputs, weights, walk)" "" None r.pr_residual;
+  line "total" "" (Some modelled) r.pr_wall;
+  Printf.printf "%s on %s (batch 1):\n" model target;
+  let total e = Latency.latency e g in
+  List.iter
+    (fun e -> Printf.printf "  %-14s %10.3f ms\n" e.Latency.e_name (total e *. 1e3))
+    engines;
+  Printf.printf "  UNIT speedup: %s\n%!"
+    (String.concat ", "
+       (List.map
+          (fun e -> Printf.sprintf "%.2fx vs %s" (total e /. modelled) e.Latency.e_name)
+          (List.tl engines)))
 
 (* ---------- warmup / store-stats ---------- *)
 
@@ -1041,18 +1024,13 @@ let trace_fetch socket_path id out =
    platform apply to each workload, and for the rejected ones the
    structured reason (mismatching node path, failing access pair, or
    mapping exhaustion) instead of a bare "no". *)
-let explain model target engine json packs =
+let explain model target json packs =
   load_isa_packs packs;
-  (* explain is static analysis — every engine computes the same coverage
-     (they are bit-identical); the flag is validated for CLI uniformity *)
-  ignore (parse_engine engine : Pipeline.engine);
   let tgt = any_target_or_die target in
-  let workloads =
-    match or_die (Unit_models.Zoo.resolve model) with
-    | `Table1 (_, wl) -> [ wl ]
-    | `Model build -> List.map fst (Unit_models.Zoo.conv_workloads (build ()))
+  let g = or_die (Unit_core.Memplan.build_graph ~model ~act_dtype:Dtype.U8) in
+  let reports =
+    List.map (fun (wl, _) -> Unit_core.Explain.conv tgt wl) (Unit_models.Zoo.conv_workloads g)
   in
-  let reports = List.map (Unit_core.Explain.conv tgt) workloads in
   if json then
     let j =
       match reports with
@@ -1311,23 +1289,6 @@ let run_cmd =
       $ trace_out_arg $ store_arg $ isa_pack_arg $ channels_arg $ hw_arg
       $ out_channels_arg $ kernel_arg $ stride_arg $ n_arg $ m_arg $ kdim_arg)
 
-let e2e_cmd =
-  let model =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"MODEL"
-             ~doc:"A zoo model (see unitc models) or table1:N for a \
-                   conv/bias/relu block over one Table I workload.")
-  in
-  let target =
-    Arg.(value & opt string "cascadelake"
-         & info [ "target" ] ~docv:"TARGET"
-             ~doc:"cascadelake (alias x86), graviton2 (alias arm) or v100 \
-                   (alias gpu).")
-  in
-  Cmd.v
-    (Cmd.info "e2e" ~doc:"End-to-end model latency on a platform, every engine.")
-    Term.(const e2e $ model $ target)
-
 let models_cmd =
   Cmd.v (Cmd.info "models" ~doc:"List the model zoo.") Term.(const models $ const ())
 
@@ -1358,25 +1319,28 @@ let profile_cmd =
   let model =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"MODEL"
-             ~doc:"A zoo model (see unitc models) or table1:N for one Table I \
-                   kernel.")
+             ~doc:"A zoo model (see unitc models) or table1:N for a \
+                   conv/bias/relu block over one Table I workload.")
   in
   let no_exec =
     Arg.(value & flag
          & info [ "no-exec" ]
-             ~doc:"Skip the numeric executor run; profile only the \
-                   tensorization pipeline.")
+             ~doc:"Skip the executor run: modelled column and engine totals \
+                   only.")
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run a model through the tensorization pipeline and the numeric \
-          executor with tracing on; print per-stage spans, counters and \
-          histograms.  With --engine emitted, each tensorized kernel is \
-          also rendered and native-compiled (emit.* spans in the trace; \
-          artifacts persisted when --store is given).")
+         "The model report, with tracing on: one row per fused compute node \
+          of the quantized graph, the UNIT engine's modelled time next to \
+          the node's measured time in one executor run, then every engine's \
+          modelled total and UNIT's speedups; spans, counters and histograms \
+          print at exit.  On a CPU target each distinct conv/dense workload \
+          is tensorized first; with --engine emitted it is also rendered and \
+          native-compiled (emit.* spans in the trace; artifacts persisted \
+          when --store is given).")
     Term.(
-      const profile $ model $ spec_arg $ engine_arg $ trace_out_arg $ no_exec
+      const profile $ model $ any_target_arg $ engine_arg $ trace_out_arg $ no_exec
       $ store_arg $ isa_pack_arg)
 
 let warmup_cmd =
@@ -1508,11 +1472,6 @@ let memcheck_cmd =
           any planner output.")
     Term.(const memcheck $ write_bench)
 
-let explain_target_arg =
-  Arg.(value & opt string "x86"
-       & info [ "target" ] ~docv:"TARGET"
-           ~doc:"x86 (cascadelake), arm (graviton2) or gpu (v100).")
-
 let explain_cmd =
   let model =
     Arg.(required & pos 0 (some string) None
@@ -1533,7 +1492,7 @@ let explain_cmd =
           reason (mismatching expression node, failing access pair, or \
           mapping exhaustion).")
     Term.(
-      const explain $ model $ explain_target_arg $ engine_arg $ json
+      const explain $ model $ any_target_arg $ json
       $ isa_pack_arg)
 
 let bench_report_cmd =
@@ -1549,7 +1508,7 @@ let bench_report_cmd =
           estimated cycles and cost attribution for every Table I workload.  \
           Deterministic — the checked-in baseline the perf gate diffs \
           against.")
-    Term.(const bench_report $ explain_target_arg $ out)
+    Term.(const bench_report $ any_target_arg $ out)
 
 let bench_diff_cmd =
   let old_file =
@@ -1697,8 +1656,8 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ isa_cmd; inspect_cmd; compile_cmd; run_cmd; e2e_cmd;
-            models_cmd; table1_cmd; check_cmd; profile_cmd;
+          [ isa_cmd; inspect_cmd; compile_cmd; run_cmd; models_cmd;
+            table1_cmd; check_cmd; profile_cmd;
             warmup_cmd; store_stats_cmd; store_gc_cmd; store_migrate_cmd;
             emit_status_cmd;
             trace_lint_cmd; trace_fetch_cmd; explain_cmd;

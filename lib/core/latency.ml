@@ -18,73 +18,50 @@ type breakdown = {
   b_overhead : float;
 }
 
+let zero =
+  { b_conv = 0.0; b_depthwise = 0.0; b_dense = 0.0; b_elementwise = 0.0;
+    b_overhead = 0.0 }
+
 let breakdown_total b =
   b.b_conv +. b.b_depthwise +. b.b_dense +. b.b_elementwise +. b.b_overhead
 
 let elems g id = List.fold_left ( * ) 1 (Graph.shape_of g id)
 
-let latency_breakdown engine g =
-  let acc = ref { b_conv = 0.0; b_depthwise = 0.0; b_dense = 0.0;
-                  b_elementwise = 0.0; b_overhead = 0.0 } in
-  let conv t = acc := { !acc with b_conv = !acc.b_conv +. t } in
-  let dw t = acc := { !acc with b_depthwise = !acc.b_depthwise +. t } in
-  let fc t = acc := { !acc with b_dense = !acc.b_dense +. t } in
-  let glue t = acc := { !acc with b_elementwise = !acc.b_elementwise +. t } in
-  let overhead t = acc := { !acc with b_overhead = !acc.b_overhead +. t } in
-  List.iter
-    (fun (n : Graph.node) ->
-      match n.Graph.kind with
-      | Graph.Input _ | Graph.Weight _ -> ()
-      | kind ->
-        overhead engine.e_node_overhead;
-        (match kind, n.Graph.inputs with
-         | Graph.Conv2d attrs, data :: _ ->
-           (match Graph.shape_of g data with
-            | [ c; h; w ] ->
-              let wl =
-                { Workload.c; h; w;
-                  k = attrs.Graph.out_channels;
-                  kernel = attrs.Graph.kernel;
-                  stride = attrs.Graph.stride;
-                  padding = attrs.Graph.padding;
-                  groups = attrs.Graph.groups
-                }
-              in
-              if attrs.Graph.groups > 1 then dw (engine.e_depthwise wl)
-              else conv (engine.e_conv wl)
-            | _ -> ())
-         | Graph.Conv3d attrs, data :: _ ->
-           (match Graph.shape_of g data with
-            | [ c; d; h; w ] ->
-              conv
-                (engine.e_conv3d
-                   { Workload.w3_c = c; w3_d = d; w3_h = h; w3_w = w;
-                     w3_k = attrs.Graph.c3_out_channels;
-                     w3_kernel = attrs.Graph.c3_kernel;
-                     w3_stride = attrs.Graph.c3_stride;
-                     w3_padding = attrs.Graph.c3_padding
-                   })
-            | _ -> ())
-         | Graph.Dense { units }, data :: _ ->
-           (match Graph.shape_of g data with
-            | [ k ] -> fc (engine.e_dense { Workload.d_k = k; d_units = units })
-            | _ -> ())
-         | ( Graph.Bias_add | Graph.Relu | Graph.Clip _ | Graph.Add | Graph.Pool _
-           | Graph.Global_avg_pool | Graph.Flatten | Graph.Concat | Graph.Softmax
-           | Graph.Quantize _ | Graph.Dequantize _ ), _ ->
-           let in_bytes =
-             List.fold_left
-               (fun total i ->
-                 total + (elems g i * Unit_dtype.Dtype.bytes (Graph.dtype_of g i)))
-               0 n.Graph.inputs
-           in
-           let out_bytes =
-             elems g n.Graph.id * Unit_dtype.Dtype.bytes (Graph.dtype_of g n.Graph.id)
-           in
-           glue (Float.of_int (in_bytes + out_bytes) /. engine.e_elementwise_bw)
-         | (Graph.Input _ | Graph.Weight _), _ -> ()
-         | (Graph.Conv2d _ | Graph.Conv3d _ | Graph.Dense _), [] -> ()))
-    (Graph.nodes g);
-  !acc
+(* One node's share of the model: its dispatch overhead plus its
+   operator's time, in the bucket the operator belongs to.  Inputs and
+   weights cost nothing. *)
+let node_breakdown engine g (n : Graph.node) =
+  let node = { zero with b_overhead = engine.e_node_overhead } in
+  match n.Graph.kind, Workload.of_node g n with
+  | (Graph.Input _ | Graph.Weight _), _ -> zero
+  | _, Some (Workload.Conv wl) when wl.Workload.groups > 1 ->
+    { node with b_depthwise = engine.e_depthwise wl }
+  | _, Some (Workload.Conv wl) -> { node with b_conv = engine.e_conv wl }
+  | _, Some (Workload.Conv3 wl) -> { node with b_conv = engine.e_conv3d wl }
+  | _, Some (Workload.Fc wl) -> { node with b_dense = engine.e_dense wl }
+  | (Graph.Conv2d _ | Graph.Conv3d _ | Graph.Dense _), None -> node
+  | ( Graph.Bias_add | Graph.Relu | Graph.Clip _ | Graph.Add | Graph.Pool _
+    | Graph.Global_avg_pool | Graph.Flatten | Graph.Concat | Graph.Softmax
+    | Graph.Quantize _ | Graph.Dequantize _ ), None ->
+    let bytes i = elems g i * Unit_dtype.Dtype.bytes (Graph.dtype_of g i) in
+    let moved =
+      List.fold_left (fun total i -> total + bytes i) (bytes n.Graph.id) n.Graph.inputs
+    in
+    { node with b_elementwise = Float.of_int moved /. engine.e_elementwise_bw }
 
-let latency engine g = breakdown_total (latency_breakdown engine g)
+let node_seconds engine g n = breakdown_total (node_breakdown engine g n)
+
+let latency_breakdown engine g =
+  List.fold_left
+    (fun a n ->
+      let b = node_breakdown engine g n in
+      { b_conv = a.b_conv +. b.b_conv;
+        b_depthwise = a.b_depthwise +. b.b_depthwise;
+        b_dense = a.b_dense +. b.b_dense;
+        b_elementwise = a.b_elementwise +. b.b_elementwise;
+        b_overhead = a.b_overhead +. b.b_overhead
+      })
+    zero (Graph.nodes g)
+
+let latency engine g =
+  List.fold_left (fun t n -> t +. node_seconds engine g n) 0.0 (Graph.nodes g)

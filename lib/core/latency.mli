@@ -19,8 +19,13 @@ type engine = {
   e_node_overhead : float;  (** seconds of dispatch per graph node *)
 }
 
+val node_seconds : engine -> Graph.t -> Graph.node -> float
+(** One node's modelled seconds: its operator plus the dispatch
+    overhead; [0.] for inputs and weights. *)
+
 val latency : engine -> Graph.t -> float
-(** Seconds for one inference (batch 1). *)
+(** Seconds for one inference (batch 1): the sum of {!node_seconds}
+    over the graph. *)
 
 type breakdown = {
   b_conv : float;

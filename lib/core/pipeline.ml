@@ -208,13 +208,15 @@ let tensorize ?(use_store = true) ?configs ~spec op (intrin : Unit_isa.Intrin.t)
     in
     let signature = lazy (workload_signature ~spec op intrin) in
     (* [Cpu_tuner.tune] opens the [tensorize.tune] span itself (with a
-       [tensorize.lower_replace] child per candidate); a disk hit takes
+       [tensorize.lower_replace] child per candidate); a disk hit or a
+       single pinned config (a baseline's fixed schedule) takes
        [Cpu_tuner.of_config] instead, which opens [tensorize.from_config]
        and no tune/candidate spans at all. *)
     let tuned, freshly_tuned =
-      match store with
-      | None -> (Cpu_tuner.tune spec ?configs reorganized, false)
-      | Some s ->
+      match store, configs with
+      | _, Some [ config ] -> (Cpu_tuner.of_config spec reorganized config, false)
+      | None, _ -> (Cpu_tuner.tune spec ?configs reorganized, false)
+      | Some s, _ ->
         (match s.ts_lookup ~signature:(Lazy.force signature) with
          | Some config -> (Cpu_tuner.of_config spec reorganized config, false)
          | None -> (Cpu_tuner.tune spec reorganized, true))

@@ -251,16 +251,6 @@ let node t id =
 let shape_of t id = fst t.g_shapes.(id)
 let dtype_of t id = snd t.g_shapes.(id)
 
-let map_nodes t ~f =
-  let nodes =
-    List.map
-      (fun n ->
-        let kind, inputs, fused = f n in
-        { n with kind; inputs; fused })
-      (nodes t)
-  in
-  build_graph nodes t.g_output
-
 let build descriptions ~output =
   let nodes =
     List.mapi

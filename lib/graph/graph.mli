@@ -77,10 +77,6 @@ val shape_of : t -> id -> int list
 
 val dtype_of : t -> id -> Dtype.t
 
-val map_nodes : t -> f:(node -> kind * id list * kind list) -> t
-(** Rebuild the graph applying [f] to every node (same ids); used by the
-    passes.  Re-runs validation and shape inference. *)
-
 val build : (string * kind * id list * kind list) list -> output:id -> t
 (** Construct a graph from [(name, kind, inputs, fused)] descriptions; the
     position in the list is the node id.  Validates and infers shapes —
@@ -136,5 +132,6 @@ end
 val conv_out_dim : size:int -> kernel:int -> stride:int -> padding:int -> int
 (** [(size + 2*padding - kernel) / stride + 1] *)
 
+val kind_name : kind -> string
 val pp_node : Format.formatter -> node -> unit
 val pp : Format.formatter -> t -> unit

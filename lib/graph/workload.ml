@@ -30,50 +30,32 @@ type t =
   | Conv3 of conv3d
   | Fc of dense
 
+let of_node g (n : Graph.node) =
+  match n.Graph.kind, List.map (Graph.shape_of g) n.Graph.inputs with
+  | Graph.Conv2d a, [ c; h; w ] :: _ ->
+    Some
+      (Conv
+         { c; h; w; k = a.Graph.out_channels; kernel = a.Graph.kernel;
+           stride = a.Graph.stride; padding = a.Graph.padding; groups = a.Graph.groups
+         })
+  | Graph.Conv3d a, [ c; d; h; w ] :: _ ->
+    Some
+      (Conv3
+         { w3_c = c; w3_d = d; w3_h = h; w3_w = w; w3_k = a.Graph.c3_out_channels;
+           w3_kernel = a.Graph.c3_kernel; w3_stride = a.Graph.c3_stride;
+           w3_padding = a.Graph.c3_padding
+         })
+  | Graph.Dense { units }, [ k ] :: _ -> Some (Fc { d_k = k; d_units = units })
+  | _ -> None
+
 let of_graph g =
-  let acc : (t * int) list ref = ref [] in
-  let remember wl =
-    let rec bump = function
-      | [] -> [ (wl, 1) ]
-      | (w, n) :: rest -> if w = wl then (w, n + 1) :: rest else (w, n) :: bump rest
-    in
-    acc := bump !acc
+  let rec bump wl = function
+    | [] -> [ (wl, 1) ]
+    | (w, n) :: rest -> if w = wl then (w, n + 1) :: rest else (w, n) :: bump wl rest
   in
-  List.iter
-    (fun (n : Graph.node) ->
-      match n.Graph.kind, n.Graph.inputs with
-      | Graph.Conv2d attrs, data :: _ ->
-        (match Graph.shape_of g data with
-         | [ c; h; w ] ->
-           remember
-             (Conv
-                { c; h; w;
-                  k = attrs.Graph.out_channels;
-                  kernel = attrs.Graph.kernel;
-                  stride = attrs.Graph.stride;
-                  padding = attrs.Graph.padding;
-                  groups = attrs.Graph.groups
-                })
-         | _ -> ())
-      | Graph.Conv3d attrs, data :: _ ->
-        (match Graph.shape_of g data with
-         | [ c; d; h; w ] ->
-           remember
-             (Conv3
-                { w3_c = c; w3_d = d; w3_h = h; w3_w = w;
-                  w3_k = attrs.Graph.c3_out_channels;
-                  w3_kernel = attrs.Graph.c3_kernel;
-                  w3_stride = attrs.Graph.c3_stride;
-                  w3_padding = attrs.Graph.c3_padding
-                })
-         | _ -> ())
-      | Graph.Dense { units }, data :: _ ->
-        (match Graph.shape_of g data with
-         | [ k ] -> remember (Fc { d_k = k; d_units = units })
-         | _ -> ())
-      | _ -> ())
-    (Graph.nodes g);
-  !acc
+  List.fold_left
+    (fun acc n -> match of_node g n with Some wl -> bump wl acc | None -> acc)
+    [] (Graph.nodes g)
 
 let out_dim size kernel stride padding =
   Graph.conv_out_dim ~size ~kernel ~stride ~padding

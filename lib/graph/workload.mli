@@ -38,6 +38,10 @@ type t =
   | Conv3 of conv3d
   | Fc of dense
 
+val of_node : Graph.t -> Graph.node -> t option
+(** The conv2d, conv3d or dense workload a node computes; [None] for
+    every other kind. *)
+
 val of_graph : Graph.t -> (t * int) list
 (** Distinct workloads with multiplicities, in first-appearance order. *)
 

@@ -40,11 +40,8 @@ let jobs_of_graph ?engine target g =
       (Unit_models.Zoo.dense_workloads g)
 
 let jobs_of_model ?engine target name =
-  Result.map
-    (function
-      | `Model build -> jobs_of_graph ?engine target (build ())
-      | `Table1 (_, wl) -> [ job ?engine target (Workload.Conv wl) ])
-    (Unit_models.Zoo.resolve name)
+  Result.map (jobs_of_graph ?engine target)
+    (Unit_core.Memplan.build_graph ~model:name ~act_dtype:(Pipeline.target_act_dtype target))
 
 let jobs_of_zoo ?engine target =
   (* concatenated without pre-dedup: shared layers across models are

@@ -53,11 +53,15 @@ val job :
     leaves loadable [.cmxs] artifacts behind.  Emission failures degrade
     silently (counted on [emit.fallback]) — they never fail the job. *)
 
+val jobs_of_graph :
+  ?engine:Unit_core.Pipeline.engine -> target -> Unit_graph.Graph.t -> job list
+(** Every distinct conv + dense workload of a graph. *)
+
 val jobs_of_model :
   ?engine:Unit_core.Pipeline.engine -> target -> string -> (job list, string) result
-(** Every distinct conv + dense workload of one zoo model, or the one
-    row a ["table1:N"] spec names ({!Unit_models.Zoo.resolve}, with its
-    error texts). *)
+(** {!jobs_of_graph} of the graph {!Unit_core.Memplan.build_graph}
+    resolves (a zoo model, or the block over one ["table1:N"] row), with
+    its error texts. *)
 
 val jobs_of_zoo : ?engine:Unit_core.Pipeline.engine -> target -> job list
 (** All nine models, concatenated {e without} pre-deduplication — shared

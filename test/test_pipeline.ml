@@ -6,6 +6,7 @@ open Unit_dtype
 module Workload = Unit_graph.Workload
 module Pipeline = Unit_core.Pipeline
 module Latency = Unit_core.Latency
+module Profile = Unit_core.Profile
 module Baselines = Unit_baselines.Baselines
 module Engines = Unit_baselines.Engines
 module Cpu_tuner = Unit_rewriter.Cpu_tuner
@@ -353,17 +354,78 @@ let tiny_model () =
   let z = B.global_avg_pool b y in
   B.finish b (B.softmax b (B.bias_add b (B.dense b ~units:10 z)))
 
+let served_tiny () =
+  Unit_graph.Passes.fuse
+    (Unit_graph.Passes.quantize_structural ~act_dtype:Dtype.U8 (tiny_model ()))
+
+let served_resnet18 () =
+  Result.get_ok (Unit_core.Memplan.build_graph ~model:"resnet18" ~act_dtype:Dtype.U8)
+
+(* Every node's modelled seconds, summed, is the model's latency on each
+   platform's UNIT engine; the per-kind breakdown partitions it too. *)
 let test_latency_breakdown_sums () =
-  let g =
-    Unit_graph.Passes.fuse
-      (Unit_graph.Passes.quantize_structural ~act_dtype:Dtype.U8 (tiny_model ()))
-  in
-  let b = Latency.latency_breakdown Engines.x86_unit g in
-  let total = Latency.breakdown_total b in
-  check_bool "total = latency" true
-    (Float.abs (total -. Latency.latency Engines.x86_unit g) < 1e-12);
-  check_bool "conv dominates this model" true (b.Latency.b_conv > 0.0);
-  check_bool "overhead counted" true (b.Latency.b_overhead > 0.0)
+  List.iter
+    (fun g ->
+      List.iter
+        (fun engine ->
+          let total = Latency.latency engine g in
+          let rows = (Profile.report engine g).Profile.pr_rows in
+          let sum = List.fold_left (fun t r -> t +. r.Profile.pr_modelled) 0.0 rows in
+          check_bool (engine.Latency.e_name ^ ": rows sum to latency") true
+            (Float.abs (sum -. total) < 1e-12);
+          let b = Latency.latency_breakdown engine g in
+          check_bool (engine.Latency.e_name ^ ": breakdown total = latency") true
+            (Float.abs (Latency.breakdown_total b -. total) < 1e-12);
+          check_bool "conv and overhead counted" true
+            (b.Latency.b_conv > 0.0 && b.Latency.b_overhead > 0.0))
+        [ Engines.x86_unit; Engines.arm_unit; Engines.gpu_unit ])
+    [ served_tiny (); served_resnet18 () ]
+
+(* One traced run: every row is measured, the residual (inputs, weights,
+   the walk) is non-negative, and rows plus residual are the wall time.
+   resnet18 runs on a 32x32 input, below its declared size, as the
+   models benchmark does at smoke scale. *)
+let test_measured_rows_sum () =
+  let tiny = served_tiny () in
+  List.iter
+    (fun (g, input) ->
+      let r = Profile.report ~input Engines.x86_unit g in
+      let measured = List.map (fun r -> Option.get r.Profile.pr_measured) r.Profile.pr_rows in
+      let residual = Option.get r.Profile.pr_residual in
+      let wall = Option.get r.Profile.pr_wall in
+      check_bool "rows measured" true (List.for_all (fun t -> t >= 0.0) measured);
+      check_bool "residual non-negative" true (residual >= 0.0);
+      check_bool "rows + residual = wall" true
+        (Float.abs (List.fold_left ( +. ) residual measured -. wall) < 1e-9))
+    [ (tiny, Unit_graph.Executor.default_input tiny ~seed:1);
+      ( served_resnet18 (),
+        Unit_codegen.Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; 32; 32 ] (fun i ->
+            Float.of_int ((i.(0) + i.(1) + i.(2)) mod 7) /. 7.0) )
+    ]
+
+(* The report's rows are exactly the compute nodes of the graph the
+   model commands serve: no input or weight, none missing, graph order,
+   each kind carrying its fused epilogues. *)
+let test_report_rows_are_served_nodes () =
+  List.iter
+    (fun model ->
+      let g = Result.get_ok (Unit_core.Memplan.build_graph ~model ~act_dtype:Dtype.U8) in
+      let compute =
+        List.filter_map
+          (fun (n : Unit_graph.Graph.node) ->
+            match n.Unit_graph.Graph.kind with
+            | Unit_graph.Graph.Input _ | Unit_graph.Graph.Weight _ -> None
+            | _ -> Some n.Unit_graph.Graph.name)
+          (Unit_graph.Graph.nodes g)
+      in
+      let rows = (Profile.report Engines.x86_unit g).Profile.pr_rows in
+      Alcotest.(check (list string)) (model ^ " rows") compute
+        (List.map (fun r -> r.Profile.pr_node) rows))
+    [ "table1:5"; "resnet18" ];
+  let g = Result.get_ok (Unit_core.Memplan.build_graph ~model:"table1:5" ~act_dtype:Dtype.U8) in
+  Alcotest.(check (list string)) "table1:5 kinds"
+    [ "quantize"; "conv2d+bias_add+relu+quantize"; "dequantize" ]
+    (List.map (fun r -> r.Profile.pr_kind) (Profile.report Engines.x86_unit g).Profile.pr_rows)
 
 let test_fusion_reduces_latency () =
   let q = Unit_graph.Passes.quantize_structural ~act_dtype:Dtype.U8 (tiny_model ()) in
@@ -432,6 +494,9 @@ let () =
         ] );
       ( "latency",
         [ Alcotest.test_case "breakdown sums" `Quick test_latency_breakdown_sums;
+          Alcotest.test_case "measured rows sum" `Quick test_measured_rows_sum;
+          Alcotest.test_case "report rows are served nodes" `Quick
+            test_report_rows_are_served_nodes;
           Alcotest.test_case "fusion reduces latency" `Quick test_fusion_reduces_latency;
           Alcotest.test_case "engine ordering" `Quick test_engine_ordering_resnet18;
           Alcotest.test_case "structural quantization" `Quick
