@@ -22,20 +22,6 @@ module Loader = Unit_isadsl.Loader
 
 let () = Unit_isa.Defs.ensure_registered ()
 
-(* Tracing is flushed through [at_exit] so the summary and the Chrome
-   trace are emitted even on the error-exit paths (check --trace with
-   analysis errors exits 1 but still reports where the time went). *)
-let enable_tracing ?trace_out () =
-  Obs.set_enabled true;
-  at_exit (fun () ->
-      Obs.set_enabled false;
-      Format.printf "%a@?" Obs.pp_summary ();
-      Option.iter
-        (fun path ->
-          Obs.write_chrome_trace path;
-          Printf.printf "chrome trace written to %s\n%!" path)
-        trace_out)
-
 (* ---------- shared arguments ---------- *)
 
 let isa_arg =
@@ -150,27 +136,7 @@ let parse_engine s =
     prerr_endline ("unitc: " ^ Diag.to_string d);
     exit 1
 
-(* Install a store around [f] when a path was given.  Appends are durable
-   the moment they happen, so error-exit paths inside [f] lose nothing;
-   the final [save] only compacts, and the stats line reports the run's
-   disk traffic. *)
-let with_store store_dir f =
-  match store_dir with
-  | None -> f ()
-  | Some dir ->
-    store_or_die @@ fun () ->
-    Sharded.with_installed dir @@ fun store diags ->
-    print_store_diags diags;
-    Fun.protect
-      ~finally:(fun () ->
-        let st = Sharded.stats store in
-        Printf.printf
-          "store %s: %d shard(s), %d record(s), %d artifact(s); this run: %d \
-           disk hit(s), %d miss(es), %d append(s)\n%!"
-          dir (Sharded.shard_count store) st.Store.st_records
-          st.Store.st_artifacts st.Store.st_hits st.Store.st_misses
-          st.Store.st_appends)
-      f
+let with_store = Common.with_store ~prog:"unitc"
 
 let lookup_intrin name =
   match Unit_isa.Registry.find name with
@@ -362,24 +328,8 @@ let compile kind isa target c hw k kernel stride n m kdim show_ir =
   if show_ir then
     Format.printf "@.tensor IR after replacement:@.%a@." Unit_tir.Stmt.pp
       tuned.Cpu_tuner.t_func.Unit_tir.Lower.fn_body;
-  (* static validation of the generated program *)
-  let registry_axes name =
-    Option.map
-      (fun (i : Unit_isa.Intrin.t) ->
-        List.map
-          (fun (a : Axis.t) -> (a.Axis.name, a.Axis.extent))
-          (Op.all_axes i.Unit_isa.Intrin.op))
-      (Unit_isa.Registry.find name)
-  in
-  (match
-     Unit_tir.Validate.check_func ~intrin_axes:registry_axes tuned.Cpu_tuner.t_func
-   with
-   | [] -> Format.printf "@.validation: OK@."
-   | violations ->
-     List.iter
-       (fun v -> Format.printf "validation: %a@." Unit_tir.Validate.pp_violation v)
-       violations;
-     exit 1);
+  (* [tensorize_or_die] returned, so the checker passed the kernel *)
+  Format.printf "@.validation: OK@.";
   let est = tuned.Cpu_tuner.t_estimate in
   Format.printf
     "@.config: parallel_grain=%d unroll_budget=%d@.estimated: %.0f cycles (%.3f us), %.1f MACs/cycle/core@."
@@ -392,7 +342,7 @@ let compile kind isa target c hw k kernel stride n m kdim show_ir =
 
 let run kind isa engine trace trace_out store packs c hw k kernel stride n m kdim =
   let engine = parse_engine engine in
-  if trace || trace_out <> None then enable_tracing ?trace_out ();
+  if trace || trace_out <> None then Common.enable_tracing ?trace_out ();
   (* after enable_tracing, so pipeline.isa.* counters land in the trace *)
   load_isa_packs packs;
   let intrin = or_die (lookup_intrin isa) in
@@ -464,8 +414,9 @@ let table1 () = Format.printf "%a@." Unit_models.Table1.pp_table ()
 module Analysis = Unit_analysis.Analysis
 module Workload = Unit_graph.Workload
 
-(* Hand-built illegal programs the analyzer must reject; each pairs a
-   description with the rule expected to fire. *)
+(* Hand-built illegal programs the checker must reject; each pairs a
+   description and a (parameters, body) program with the rule expected
+   to fire. *)
 let counterexamples () =
   let open Unit_tir in
   let buf name size dtype = Buffer.create ~name ~dtype ~size () in
@@ -473,29 +424,32 @@ let counterexamples () =
     (* two parallel iterations share each element of out *)
     let out = buf "out" 64 Dtype.I32 in
     let p = Var.create "p" in
-    Stmt.for_ p ~extent:8 ~kind:Stmt.Parallel
-      (Stmt.Store (out, Texpr.div (Texpr.var p) (Texpr.int_imm 2), Texpr.int_imm 1))
+    ( [ out ],
+      Stmt.for_ p ~extent:8 ~kind:Stmt.Parallel
+        (Stmt.Store (out, Texpr.div (Texpr.var p) (Texpr.int_imm 2), Texpr.int_imm 1)) )
   in
   let parallel_reduction =
     (* a carried accumulation scheduled parallel *)
     let acc = buf "acc" 4 Dtype.I32 in
     let x = buf "x" 8 Dtype.I32 in
     let p = Var.create "p" in
-    Stmt.for_ p ~extent:8 ~kind:Stmt.Parallel
-      (Stmt.Store
-         ( acc,
-           Texpr.int_imm 0,
-           Texpr.add
-             (Texpr.load acc (Texpr.int_imm 0))
-             (Texpr.load x (Texpr.var p)) ))
+    ( [ acc; x ],
+      Stmt.for_ p ~extent:8 ~kind:Stmt.Parallel
+        (Stmt.Store
+           ( acc,
+             Texpr.int_imm 0,
+             Texpr.add
+               (Texpr.load acc (Texpr.int_imm 0))
+               (Texpr.load x (Texpr.var p)) )) )
   in
   let vectorized_carried =
     (* every SIMD lane writes the same element, and it is no reduction *)
     let out = buf "out" 4 Dtype.I32 in
     let x = buf "x" 8 Dtype.I32 in
     let i = Var.create "i" in
-    Stmt.for_ i ~extent:8 ~kind:Stmt.Vectorized
-      (Stmt.Store (out, Texpr.int_imm 0, Texpr.load x (Texpr.var i)))
+    ( [ out; x ],
+      Stmt.for_ i ~extent:8 ~kind:Stmt.Vectorized
+        (Stmt.Store (out, Texpr.int_imm 0, Texpr.load x (Texpr.var i))) )
   in
   let u8_overflow =
     (* u8 x u8 products do not fit an i16 accumulator *)
@@ -508,18 +462,20 @@ let counterexamples () =
         (Texpr.cast Dtype.I16 (Texpr.load a (Texpr.var i)))
         (Texpr.cast Dtype.I16 (Texpr.load b (Texpr.var i)))
     in
-    Stmt.for_ i ~extent:16
-      (Stmt.Store (out, Texpr.var i, Texpr.add (Texpr.load out (Texpr.var i)) product))
+    ( [ out; a; b ],
+      Stmt.for_ i ~extent:16
+        (Stmt.Store (out, Texpr.var i, Texpr.add (Texpr.load out (Texpr.var i)) product)) )
   in
   let broadcast_tile =
     (* an output tile broadcasting along a spatial axis: lanes collide *)
     let out = buf "out" 64 Dtype.I32 in
-    Stmt.Intrin_call
-      { intrin = "fake.mac";
-        output =
-          { Stmt.tile_buf = out; tile_base = Texpr.int_imm 0; tile_strides = [ ("x", 0) ] };
-        inputs = []
-      }
+    ( [ out ],
+      Stmt.Intrin_call
+        { intrin = "fake.mac";
+          output =
+            { Stmt.tile_buf = out; tile_base = Texpr.int_imm 0; tile_strides = [ ("x", 0) ] };
+          inputs = []
+        } )
   in
   [ ("parallel loop with overlapping writes", racy_write, Diag.Race);
     ("carried accumulation marked parallel", parallel_reduction, Diag.Race);
@@ -543,9 +499,9 @@ let fake_intrin_meta = function
 let run_counterexamples () =
   let missed = ref 0 in
   List.iter
-    (fun (what, stmt, rule) ->
+    (fun (what, (params, stmt), rule) ->
       Printf.printf "counterexample: %s\n" what;
-      let diags = Analysis.check_stmt ~intrin:fake_intrin_meta stmt in
+      let diags = Analysis.check_stmt ~intrin:fake_intrin_meta ~params stmt in
       List.iter
         (fun d -> Printf.printf "  %s\n" (Unit_tir.Diag.to_string d))
         diags;
@@ -571,7 +527,7 @@ let run_counterexamples () =
   end
 
 let check target counterexamples_only trace store packs =
-  if trace then enable_tracing ();
+  if trace then Common.enable_tracing ();
   load_isa_packs packs;
   if counterexamples_only then run_counterexamples ()
   else begin
@@ -638,7 +594,7 @@ module Latency = Unit_core.Latency
 let profile model target engine trace_out no_exec store packs =
   let engine = parse_engine engine in
   let tgt = any_target_or_die target in
-  enable_tracing ?trace_out ();
+  Common.enable_tracing ?trace_out ();
   load_isa_packs packs;
   with_store store @@ fun () ->
   let act_dtype =
@@ -700,7 +656,7 @@ let profile model target engine trace_out no_exec store packs =
 let warmup model target engine store_path domains retries trace trace_out
     assert_hit packs =
   let engine = parse_engine engine in
-  if trace || trace_out <> None then enable_tracing ?trace_out ();
+  if trace || trace_out <> None then Common.enable_tracing ?trace_out ();
   load_isa_packs packs;
   let tgt = target_or_die target in
   (match engine, Unit_codegen.Emit_cache.available () with
@@ -869,9 +825,10 @@ let emit_status () =
 (* Validate a Chrome trace emitted by --trace-out / profile.  The default
    contract: it parses as JSON, carries a traceEvents array covering all
    five tensorize stage spans, and reports a positive tuner candidate
-   count.  --forbid-span / --require-positive-counter replace that
+   count.  --forbid-span / --count-span / --require-* replace that
    default with explicit assertions (traces from commands that never
-   tensorize — e.g. a warm `run` — have no stage spans to demand). *)
+   tensorize — e.g. a warm `run` — have no stage spans to demand), and
+   the OK line then says the default contract was not checked. *)
 let trace_lint file forbid_spans require_counters count_spans require_tagged =
   let count_spans =
     List.map
@@ -975,7 +932,8 @@ let trace_lint file forbid_spans require_counters count_spans require_tagged =
         require_tagged;
       Printf.printf
         "trace-lint: %s OK (%d events; %d span(s) absent, %d counted, %d \
-         counter(s) positive, %d tag(s) checked)\n"
+         counter(s) positive, %d tag(s) checked; default stage-span and \
+         tuner.candidates contract not checked)\n"
         file (List.length events)
         (List.length forbid_spans)
         (List.length count_spans)
@@ -1123,7 +1081,7 @@ let pp_kernel_report (name, count, fp) =
    non-zero — the planner proposes, the checker proves. *)
 let memplan model target json kernels trace packs =
   load_isa_packs packs;
-  if trace then enable_tracing ();
+  if trace then Common.enable_tracing ();
   let tgt = target_or_die target in
   let g =
     or_die (Memplan.build_graph ~model ~act_dtype:(Pipeline.target_act_dtype tgt))

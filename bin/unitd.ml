@@ -13,52 +13,17 @@ module Obs = Unit_obs.Obs
 module Wire = Unit_serve.Wire
 module Protocol = Unit_serve.Protocol
 module Server = Unit_serve.Server
-module Sharded = Unit_store.Sharded
 module Diag = Unit_tir.Diag
 module Pipeline = Unit_core.Pipeline
 
 let () = Unit_isa.Defs.ensure_registered ()
 
-let enable_tracing ?trace_out () =
-  Obs.set_enabled true;
-  at_exit (fun () ->
-      Obs.set_enabled false;
-      Format.printf "%a@?" Obs.pp_summary ();
-      Option.iter
-        (fun path ->
-          Obs.write_chrome_trace path;
-          Printf.printf "chrome trace written to %s\n%!" path)
-        trace_out)
-
-(* Install a sharded store for the daemon's lifetime: tuning records and
-   emitted artifacts route by content address, so worker domains writing
-   different shards never contend.  A store that cannot be opened is one
-   line and exit 1. *)
-let with_store store_dir f =
-  match store_dir with
-  | None -> f ()
-  | Some dir ->
-    (try
-       Sharded.with_installed dir @@ fun store diags ->
-       List.iter (fun d -> Printf.printf "%s\n%!" (Diag.to_string d)) diags;
-       Fun.protect
-         ~finally:(fun () ->
-           let st = Sharded.stats store in
-           Printf.printf
-             "store %s: %d shard(s), %d record(s), %d artifact(s); this run: \
-              %d disk hit(s), %d miss(es), %d append(s)\n%!"
-             dir (Sharded.shard_count store) st.Unit_store.Store.st_records
-             st.Unit_store.Store.st_artifacts st.Unit_store.Store.st_hits
-             st.Unit_store.Store.st_misses st.Unit_store.Store.st_appends)
-         f
-     with Sys_error msg ->
-       prerr_endline ("unitd: " ^ msg);
-       exit 1)
+let with_store = Common.with_store ~prog:"unitd"
 
 (* ---------- serve ---------- *)
 
 let serve socket_path domains queue_cap retries store trace trace_out packs =
-  if trace || trace_out <> None then enable_tracing ?trace_out ();
+  if trace || trace_out <> None then Common.enable_tracing ?trace_out ();
   (* preload declarative instruction packs before the first worker can
      touch the registry; later loads arrive as load_isa requests *)
   (match Unit_isadsl.Loader.load_files packs with
@@ -168,7 +133,7 @@ let ok label = function
    submitted, so the assertions are deterministic, not a race we usually
    win. *)
 let smoke store_dir trace_out =
-  enable_tracing ?trace_out ();
+  Common.enable_tracing ?trace_out ();
   with_fresh_store ~default:"unitd_smoke_store" store_dir @@ fun () ->
   let clients = 16 in
   let submitted = Atomic.make 0 in

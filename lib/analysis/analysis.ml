@@ -8,6 +8,82 @@ type intrin_meta = {
   im_accumulates : bool;
 }
 
+let find_var v vars =
+  List.find_map (fun (w, r) -> if Var.equal v w then Some r else None) vars
+
+(* Offsets the register window of [tile] reaches from its base: each
+   strided axis spans [stride * (extent - 1)]; an axis [meta] does not
+   know counts as extent 1. *)
+let tile_span meta (tile : Stmt.tile) =
+  let extent axis =
+    match meta with
+    | None -> 1
+    | Some m ->
+      (match List.assoc_opt axis m.im_spatial with
+       | Some e -> e
+       | None -> Option.value ~default:1 (List.assoc_opt axis m.im_reduce))
+  in
+  List.fold_left
+    (fun (lo, hi) (axis, stride) ->
+      let step = stride * (extent axis - 1) in
+      (lo + Stdlib.min 0 step, hi + Stdlib.max 0 step))
+    (0, 0) tile.Stmt.tile_strides
+
+(* ------------------------------------------------------------------ *)
+(* Guard refinement.                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The constraint an [If] adds to its then-branch: [e < c] for a guard
+   [e < c] or [e <= c - 1] with a constant bound — the split-residue
+   guards lowering emits. *)
+let refine guards (cond : Texpr.t) =
+  match cond with
+  | Texpr.Cmp (((Texpr.Lt | Texpr.Le) as c), e, bound) ->
+    (match Texpr.as_const_int bound with
+     | Some b -> (e, if c = Texpr.Lt then b else b + 1) :: guards
+     | None -> guards)
+  | _ -> guards
+
+(* Replace every subtree structurally equal to [target] by [replacement]. *)
+let rec replace_subtree ~target ~replacement e =
+  let go = replace_subtree ~target ~replacement in
+  if Texpr.equal_structural e target then replacement
+  else
+    match e with
+    | Texpr.Imm _ | Texpr.Var _ -> e
+    | Texpr.Load (b, ix) -> Texpr.load b (go ix)
+    | Texpr.Binop (op, a, b) -> Texpr.binop op (go a) (go b)
+    | Texpr.Cmp (c, a, b) -> Texpr.cmp c (go a) (go b)
+    | Texpr.And (a, b) -> Texpr.and_ (go a) (go b)
+    | Texpr.Or (a, b) -> Texpr.or_ (go a) (go b)
+    | Texpr.Not a -> Texpr.not_ (go a)
+    | Texpr.Cast (dt, a) -> Texpr.cast dt (go a)
+    | Texpr.Select (c, a, b) -> Texpr.select (go c) (go a) (go b)
+
+(* {!Linear.bounds} refined by guard constraints: each guarded
+   subexpression is replaced by a fresh variable whose range is the
+   guard's bound intersected with the subexpression's own range. *)
+let refined_bounds ~env ~guards e =
+  let lookup extra v =
+    match find_var v extra with Some r -> Some r | None -> env v
+  in
+  let expr, extra =
+    List.fold_left
+      (fun (expr, extra) (guarded, upper) ->
+        let own = Linear.bounds ~env:(lookup extra) guarded in
+        let lo = match own with Some (l, _) -> Stdlib.max 0 l | None -> 0 in
+        let hi =
+          match own with
+          | Some (_, h) -> Stdlib.min h (upper - 1)
+          | None -> upper - 1
+        in
+        let placeholder = Var.create "guard_bound" in
+        ( replace_subtree ~target:guarded ~replacement:(Texpr.var placeholder) expr,
+          (placeholder, (lo, hi)) :: extra ))
+      (e, []) guards
+  in
+  Linear.bounds ~env:(lookup extra) expr
+
 (* ------------------------------------------------------------------ *)
 (* Saturating interval arithmetic.                                     *)
 (*                                                                     *)
@@ -206,13 +282,7 @@ let normalize_coords ~env_other ~exprs_of ~rewrite_in var extent items =
         (* final cleanup: residual Div/Mod that bounds alone resolve
            (quotients over a coordinate's whole extent etc.) *)
         let env v =
-          match
-            List.find_map
-              (fun (w, e) -> if Var.equal v w then Some (0, e - 1) else None)
-              coords
-          with
-          | Some r -> Some r
-          | None -> env_other v
+          match find_var v coords with Some e -> Some (0, e - 1) | None -> env_other v
         in
         (coords, List.map (rewrite_in (simp env)) items)
       | Some (cv, ce, c) ->
@@ -225,13 +295,7 @@ let normalize_coords ~env_other ~exprs_of ~rewrite_in var extent items =
             coords
         in
         let env v =
-          match
-            List.find_map
-              (fun (w, e) -> if Var.equal v w then Some (0, e - 1) else None)
-              coords
-          with
-          | Some r -> Some r
-          | None -> env_other v
+          match find_var v coords with Some e -> Some (0, e - 1) | None -> env_other v
         in
         let repl =
           Texpr.add (Texpr.mul (Texpr.var vq) (Texpr.int_imm c)) (Texpr.var vr)
@@ -242,7 +306,7 @@ let normalize_coords ~env_other ~exprs_of ~rewrite_in var extent items =
   loop [ (var, extent) ] items 0
 
 (* ------------------------------------------------------------------ *)
-(* Access collection.                                                  *)
+(* Accesses of annotated loops.                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* One memory access of the analyzed loop body. *)
@@ -265,110 +329,25 @@ let map_access_exprs f a =
     acc_guards = List.map (fun (e, b) -> (f e, b)) a.acc_guards
   }
 
-let tile_span ~axes (tile : Stmt.tile) =
-  List.fold_left
-    (fun (lo, hi) (axis, stride) ->
-      let extent = match List.assoc_opt axis axes with Some e -> e | None -> 1 in
-      let step = stride * (extent - 1) in
-      (lo + Stdlib.min 0 step, hi + Stdlib.max 0 step))
-    (0, 0) tile.Stmt.tile_strides
-
 let is_accumulating_store buf index value =
   List.exists
     (fun (b, ix) -> Buffer.equal b buf && Texpr.equal_structural ix index)
     (Texpr.loads_of value)
 
-(* Collect every access of [body], tracking variables bound inside the
-   analyzed loop, guard refinements, and locally allocated buffers
-   (private per iteration, hence excluded from race analysis). *)
-let collect_accesses ~intrin body =
-  let out = ref [] in
-  let push a = out := a :: !out in
-  let reads_of ~inner ~guards ~local e =
-    List.iter
-      (fun (b, ix) ->
-        if not (List.exists (Buffer.equal b) local) then
-          push
-            { acc_buf = b;
-              acc_index = ix;
-              acc_span = (0, 0);
-              acc_write = false;
-              acc_reduction = false;
-              acc_inner = inner;
-              acc_guards = guards;
-              acc_what = "load"
-            })
-      (Texpr.loads_of e)
-  in
-  let rec go inner guards local (s : Stmt.t) =
-    match s with
-    | Stmt.Nop -> ()
-    | Stmt.Seq stmts -> List.iter (go inner guards local) stmts
-    | Stmt.Store (buf, index, value) ->
-      reads_of ~inner ~guards ~local index;
-      reads_of ~inner ~guards ~local value;
-      if not (List.exists (Buffer.equal buf) local) then
-        push
-          { acc_buf = buf;
-            acc_index = index;
-            acc_span = (0, 0);
-            acc_write = true;
-            acc_reduction = is_accumulating_store buf index value;
-            acc_inner = inner;
-            acc_guards = guards;
-            acc_what = "store"
-          }
-    | Stmt.For { var; extent; body; _ } ->
-      go ((var, (0, Stdlib.max 0 (extent - 1))) :: inner) guards local body
-    | Stmt.If { cond; then_; else_; _ } ->
-      reads_of ~inner ~guards ~local cond;
-      let refined =
-        match cond with
-        | Texpr.Cmp (Texpr.Lt, e, bound) ->
-          (match Texpr.as_const_int bound with
-           | Some c -> (e, c) :: guards
-           | None -> guards)
-        | Texpr.Cmp (Texpr.Le, e, bound) ->
-          (match Texpr.as_const_int bound with
-           | Some c -> (e, c + 1) :: guards
-           | None -> guards)
-        | _ -> guards
-      in
-      go inner refined local then_;
-      Option.iter (go inner guards local) else_
-    | Stmt.Let (v, e, body) ->
-      reads_of ~inner ~guards ~local e;
-      go ((v, (-range_cap, range_cap)) :: inner) guards local body
-    | Stmt.Alloc (b, body) -> go inner guards (b :: local) body
-    | Stmt.Intrin_call { intrin = name; output; inputs } ->
-      let meta = intrin name in
-      let axes =
-        match meta with
-        | Some m -> m.im_spatial @ m.im_reduce
-        | None -> []
-      in
-      let accumulates =
-        match meta with Some m -> m.im_accumulates | None -> true
-      in
-      let tile_access ~write what (tile : Stmt.tile) =
-        if not (List.exists (Buffer.equal tile.Stmt.tile_buf) local) then
-          push
-            { acc_buf = tile.Stmt.tile_buf;
-              acc_index = tile.Stmt.tile_base;
-              acc_span = tile_span ~axes tile;
-              acc_write = write;
-              acc_reduction = write && accumulates;
-              acc_inner = inner;
-              acc_guards = guards;
-              acc_what = what
-            }
-      in
-      tile_access ~write:true (name ^ " output tile") output;
-      if accumulates then tile_access ~write:false (name ^ " accumulator tile") output;
-      List.iter (fun (_, tl) -> tile_access ~write:false (name ^ " input tile") tl) inputs
-  in
-  go [] [] [] body;
-  List.rev !out
+(* An annotated loop the walk is inside.  Its iterations' accesses are
+   gathered as the walk meets them and judged when it leaves the loop.
+   The scope lists are [ctx]'s just inside the loop, so what the walk
+   has added on top of them is bound, guarded or allocated inside it. *)
+type open_loop = {
+  ol_vars : (Var.t * (int * int)) list;  (* with the loop's own variable *)
+  ol_guards : (Texpr.t * int) list;
+  ol_buffers : Buffer.t list;
+  mutable ol_accesses : access list;  (* newest first *)
+}
+
+(* The elements consed onto [stop] to make [l]. *)
+let rec added ~stop l =
+  if l == stop then [] else match l with [] -> [] | x :: tl -> x :: added ~stop tl
 
 (* ------------------------------------------------------------------ *)
 (* Cross-iteration conflict test.                                      *)
@@ -401,11 +380,7 @@ let residual ~coords ~outer (a : access) =
   let env v =
     if List.exists (fun (w, _) -> Var.equal v w) coords then Some (0, 0)
     else
-      match
-        List.find_map
-          (fun (w, r) -> if Var.equal v w then Some r else None)
-          a.acc_inner
-      with
+      match find_var v a.acc_inner with
       | Some r -> Some r
       | None -> if List.exists (Var.equal v) outer then Some (0, 0) else None
   in
@@ -413,7 +388,7 @@ let residual ~coords ~outer (a : access) =
   let guarded =
     match a.acc_guards with
     | [] -> None
-    | guards -> Validate.refined_bounds ~env ~guards a.acc_index
+    | guards -> refined_bounds ~env ~guards a.acc_index
   in
   let combined =
     match plain, guarded with
@@ -481,17 +456,11 @@ let cross_iteration ~coords ~outer a b =
 
 let pair_kind a b = if a.acc_write && b.acc_write then "write/write" else "write/read"
 
-let analyze_loop ~intrin ~outer_env ~push kind var extent body =
-  let accesses = collect_accesses ~intrin body in
+let analyze_loop ~outer_env ~push kind var extent accesses =
   let env_other v =
-    match
-      List.find_map
-        (fun (w, r) -> if Var.equal v w then Some r else None)
-        (List.concat_map (fun a -> a.acc_inner) accesses)
-    with
+    match find_var v (List.concat_map (fun a -> a.acc_inner) accesses) with
     | Some r -> Some r
-    | None ->
-      List.find_map (fun (w, r) -> if Var.equal v w then Some r else None) outer_env
+    | None -> find_var v outer_env
   in
   let coords, accesses =
     normalize_coords ~env_other ~exprs_of:access_exprs ~rewrite_in:map_access_exprs
@@ -807,45 +776,182 @@ let lint_store ~diags ~loops env buf index value =
            (fst r) (snd r))
 
 (* ------------------------------------------------------------------ *)
+(* The walk's context and access recording.                            *)
+(* ------------------------------------------------------------------ *)
+
+(* What the walk knows at a node. *)
+type ctx = {
+  vars : (Var.t * (int * int)) list;  (* loop/let variables in scope, with ranges *)
+  buffers : Buffer.t list;  (* function tensors and enclosing [Alloc]s *)
+  guards : (Texpr.t * int) list;  (* refinements of the enclosing [If]s *)
+  loops : (Var.t * int) list;  (* enclosing loops and their extents *)
+  open_loops : open_loop list;  (* enclosing annotated loops *)
+}
+
+(* Note one access in every enclosing annotated loop it is not private to
+   (a buffer allocated inside the loop is per iteration). *)
+let record ctx ~write ~reduction ~span ~what buf index =
+  List.iter
+    (fun ol ->
+      if not (List.exists (Buffer.equal buf) (added ~stop:ol.ol_buffers ctx.buffers)) then
+        ol.ol_accesses <-
+          { acc_buf = buf;
+            acc_index = index;
+            acc_span = span;
+            acc_write = write;
+            acc_reduction = reduction;
+            acc_inner = added ~stop:ol.ol_vars ctx.vars;
+            acc_guards = added ~stop:ol.ol_guards ctx.guards;
+            acc_what = what
+          }
+          :: ol.ol_accesses)
+    ctx.open_loops
+
+let record_loads ctx e =
+  if ctx.open_loops <> [] then
+    List.iter
+      (fun (b, ix) -> record ctx ~write:false ~reduction:false ~span:(0, 0) ~what:"load" b ix)
+      (Texpr.loads_of e)
+
+(* ------------------------------------------------------------------ *)
+(* Well-formedness: scope, canonical loops, bounds, tile windows.      *)
+(* ------------------------------------------------------------------ *)
+
+let bounds ctx e = refined_bounds ~env:(fun v -> find_var v ctx.vars) ~guards:ctx.guards e
+let in_scope ctx b = List.exists (Buffer.equal b) ctx.buffers
+let unbound ctx e = List.filter (fun v -> find_var v ctx.vars = None) (Texpr.vars_of e)
+
+let check_access ~push ctx ~what (buf : Buffer.t) index =
+  let name = buf.Buffer.name in
+  if not (in_scope ctx buf) then
+    push (Diag.errorf Diag.Scope "%s of %s: buffer not in scope" what name)
+  else begin
+    List.iter
+      (fun v ->
+        push (Diag.errorf Diag.Scope "%s of %s: unbound variable %s" what name v.Var.name))
+      (unbound ctx index);
+    match bounds ctx index with
+    | None -> push (Diag.errorf Diag.Bounds "%s of %s: index not analyzable" what name)
+    | Some (lo, hi) ->
+      if lo < 0 || hi >= buf.Buffer.size then
+        push
+          (Diag.errorf Diag.Bounds "%s of %s: index range [%d, %d] outside [0, %d)" what
+             name lo hi buf.Buffer.size)
+  end
+
+let check_expr ~push ctx e =
+  List.iter
+    (fun v -> push (Diag.errorf Diag.Scope "unbound variable %s" v.Var.name))
+    (unbound ctx e);
+  List.iter (fun (buf, index) -> check_access ~push ctx ~what:"load" buf index)
+    (Texpr.loads_of e)
+
+let check_tile ~push ctx name meta (tile : Stmt.tile) =
+  let buf = tile.Stmt.tile_buf in
+  if not (in_scope ctx buf) then
+    push (Diag.errorf Diag.Scope "tile buffer %s not in scope" buf.Buffer.name)
+  else begin
+    List.iter
+      (fun (axis, _) ->
+        if not (List.mem_assoc axis meta.im_spatial || List.mem_assoc axis meta.im_reduce)
+        then
+          push
+            (Diag.errorf Diag.Tile "tile on %s: axis %s is not an axis of %s"
+               buf.Buffer.name axis name))
+      tile.Stmt.tile_strides;
+    (* the whole register window must stay inside the buffer *)
+    match bounds ctx tile.Stmt.tile_base with
+    | None -> push (Diag.errorf Diag.Tile "tile on %s: base not analyzable" buf.Buffer.name)
+    | Some (lo, hi) ->
+      let slo, shi = tile_span (Some meta) tile in
+      if lo + slo < 0 || hi + shi >= buf.Buffer.size then
+        push
+          (Diag.errorf Diag.Tile "tile on %s: window [%d, %d] outside [0, %d)"
+             buf.Buffer.name (lo + slo) (hi + shi) buf.Buffer.size)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Top-level walk.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let default_intrin _ = None
 
-let run ~intrin stmt =
+let run ~intrin ~params stmt =
   let diags = ref [] in
   let push d = diags := d :: !diags in
-  let rec walk env loops (s : Stmt.t) =
-    let lookup v =
-      List.find_map (fun (w, r) -> if Var.equal v w then Some r else None) env
-    in
+  let rec walk ctx (s : Stmt.t) =
+    let lookup v = find_var v ctx.vars in
     match s with
     | Stmt.Nop -> ()
-    | Stmt.Seq stmts -> List.iter (walk env loops) stmts
-    | Stmt.Store (buf, index, value) -> lint_store ~diags ~loops lookup buf index value
+    | Stmt.Seq stmts -> List.iter (walk ctx) stmts
+    | Stmt.Store (buf, index, value) ->
+      check_expr ~push ctx value;
+      check_access ~push ctx ~what:"store" buf index;
+      lint_store ~diags ~loops:ctx.loops lookup buf index value;
+      record_loads ctx index;
+      record_loads ctx value;
+      if ctx.open_loops <> [] then
+        record ctx ~write:true ~reduction:(is_accumulating_store buf index value)
+          ~span:(0, 0) ~what:"store" buf index
     | Stmt.If { cond; then_; else_; _ } ->
+      check_expr ~push ctx cond;
       ignore (lint_expr ~push lookup cond);
-      walk env loops then_;
-      Option.iter (walk env loops) else_
+      record_loads ctx cond;
+      walk { ctx with guards = refine ctx.guards cond } then_;
+      Option.iter (walk ctx) else_
     | Stmt.Let (v, e, body) ->
+      check_expr ~push ctx e;
+      record_loads ctx e;
+      (* the lint's total range, narrowed by the proof's when it has one *)
       let r = lint_expr ~push lookup e in
-      walk ((v, r) :: env) loops body
-    | Stmt.Alloc (_, body) -> walk env loops body
+      let r = Option.value ~default:r (bounds ctx e) in
+      walk { ctx with vars = (v, r) :: ctx.vars } body
+    | Stmt.Alloc (b, body) -> walk { ctx with buffers = b :: ctx.buffers } body
     | Stmt.For { var; extent; kind; body } ->
+      if extent <= 0 then
+        push (Diag.errorf Diag.Canonical "loop %s has extent %d" var.Var.name extent);
+      if lookup var <> None then
+        push (Diag.errorf Diag.Canonical "loop variable %s rebound" var.Var.name);
+      let inside =
+        { ctx with
+          vars = (var, (0, Stdlib.max 0 (extent - 1))) :: ctx.vars;
+          loops = (var, extent) :: ctx.loops
+        }
+      in
       (match kind with
        | (Stmt.Parallel | Stmt.Vectorized | Stmt.Unrolled) when extent > 1 ->
-         analyze_loop ~intrin ~outer_env:env ~push kind var extent body
-       | _ -> ());
-      walk
-        ((var, (0, Stdlib.max 0 (extent - 1))) :: env)
-        ((var, extent) :: loops)
-        body
-    | Stmt.Intrin_call { intrin = name; output; inputs = _ } ->
-      (match intrin name with
-       | Some meta -> check_intrin ~push ~loops ~env_other:lookup name meta output
-       | None -> ())
+         let ol =
+           { ol_vars = inside.vars; ol_guards = ctx.guards; ol_buffers = ctx.buffers;
+             ol_accesses = [] }
+         in
+         (* the loop's own verdicts precede its body's *)
+         let before = !diags in
+         diags := [];
+         walk { inside with open_loops = ol :: ctx.open_loops } body;
+         let body_diags = !diags in
+         diags := before;
+         analyze_loop ~outer_env:ctx.vars ~push kind var extent (List.rev ol.ol_accesses);
+         diags := body_diags @ !diags
+       | _ -> walk inside body)
+    | Stmt.Intrin_call { intrin = name; output; inputs } ->
+      let meta = intrin name in
+      (match meta with
+       | None -> push (Diag.errorf Diag.Tile "unknown instruction %s" name)
+       | Some meta ->
+         List.iter (check_tile ~push ctx name meta) (output :: List.map snd inputs);
+         check_intrin ~push ~loops:ctx.loops ~env_other:lookup name meta output);
+      if ctx.open_loops <> [] then begin
+        let accumulates = match meta with Some m -> m.im_accumulates | None -> true in
+        let tile_access ~write what (tile : Stmt.tile) =
+          record ctx ~write ~reduction:(write && accumulates) ~span:(tile_span meta tile)
+            ~what tile.Stmt.tile_buf tile.Stmt.tile_base
+        in
+        tile_access ~write:true (name ^ " output tile") output;
+        if accumulates then tile_access ~write:false (name ^ " accumulator tile") output;
+        List.iter (fun (_, tl) -> tile_access ~write:false (name ^ " input tile") tl) inputs
+      end
   in
-  walk [] [] stmt;
+  walk { vars = []; buffers = params; guards = []; loops = []; open_loops = [] } stmt;
   (* identical conflicts can surface through several access pairs; keep
      the first occurrence of each distinct diagnostic *)
   let seen = Hashtbl.create 16 in
@@ -858,7 +964,7 @@ let run ~intrin stmt =
          true
        end)
 
-let check_stmt ?(intrin = default_intrin) stmt = run ~intrin stmt
+let check_stmt ?(intrin = default_intrin) ~params stmt = run ~intrin ~params stmt
 
 let check_func ?(intrin = default_intrin) (func : Lower.func) =
-  run ~intrin func.Lower.fn_body
+  run ~intrin ~params:(List.map snd func.Lower.fn_tensors) func.Lower.fn_body

@@ -22,14 +22,6 @@ type report = {
 
 let default_intrin _ = None
 
-let tile_span ~axes (tile : Stmt.tile) =
-  List.fold_left
-    (fun (lo, hi) (axis, stride) ->
-      let extent = match List.assoc_opt axis axes with Some e -> e | None -> 1 in
-      let step = stride * (extent - 1) in
-      (lo + Stdlib.min 0 step, hi + Stdlib.max 0 step))
-    (0, 0) tile.Stmt.tile_strides
-
 let of_stmt ?(intrin = default_intrin) body =
   (* hull of addressed element ranges per buffer; [None] = unanalyzable
      index seen, charge the whole buffer *)
@@ -87,13 +79,9 @@ let of_stmt ?(intrin = default_intrin) body =
       Hashtbl.replace scratch b.Buffer.name ();
       walk env (alloc_depth + Buffer.bytes b) body
     | Stmt.Intrin_call { intrin = name; output; inputs } ->
-      let axes =
-        match intrin name with
-        | Some m -> m.Analysis.im_spatial @ m.Analysis.im_reduce
-        | None -> []
-      in
+      let meta = intrin name in
       let window (tile : Stmt.tile) =
-        let slo, shi = tile_span ~axes tile in
+        let slo, shi = Analysis.tile_span meta tile in
         let elems = shi - slo + 1 in
         let bytes = elems * Unit_dtype.Dtype.bytes tile.Stmt.tile_buf.Buffer.dtype in
         (* the buffer range this tile addresses across the whole nest:

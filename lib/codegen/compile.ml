@@ -16,8 +16,8 @@ open Unit_tir
    Execution state lives in a [ctx] allocated per {!run_compiled} call, so
    one compiled function may run concurrently on several domains.
 
-   Divergences from the tree-walker, all confined to programs that
-   {!Unit_tir.Validate} rejects: a loop variable read after its loop (the
+   Divergences from the tree-walker, all confined to programs that the
+   static checker ([Unit_analysis.Analysis]) rejects: a loop variable read after its loop (the
    slot keeps its last value instead of erroring), a buffer referenced only
    in dead code (reported as unbound at bind time rather than ignored), and
    intrinsic resolution (performed at compile time, so re-registering an

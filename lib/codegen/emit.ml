@@ -112,8 +112,10 @@ open Unit_tir
    to {!Compile}, which reproduces the tree-walker's behaviour, errors
    included.
 
-   Deliberate divergence, confined to analyzer-rejected programs: no
-   per-access bounds checks are emitted (a flat index outside the
+   Deliberate divergence, confined to programs the static checker
+   ([Unit_analysis.Analysis], which proves every index and tile window
+   in bounds and which every kernel [Pipeline.tensorize] ships has
+   passed) rejects: no per-access bounds checks are emitted (a flat index outside the
    buffer's window but inside the backing array reads that cell instead
    of erroring; outside the backing array, OCaml's own array check
    raises, possibly before the loop when the load is hoisted).  Alloc

@@ -42,7 +42,8 @@
     Render-time counters: [emit.wraps_deferred], [emit.loops_unrolled],
     [emit.loads_hoisted], [emit.scalar_cells], [emit.tiles_promoted],
     [emit.register_tiles], [emit.lanes_packed] (lane pairs).  Programs
-    {!Unit_tir.Validate} rejects may diverge
+    the static checker ([Unit_analysis.Analysis], which every kernel
+    [Unit_core.Pipeline.tensorize] ships has passed) rejects may diverge
     in their error behaviour only: the emitted code carries no
     per-access bounds checks (OCaml array safety still applies to the
     backing storage).

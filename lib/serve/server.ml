@@ -69,22 +69,20 @@ type t = {
 
 let execute t job =
   job.jb_start <- Obs.now ();
-  let rec attempt n =
-    match
-      t.fault ~key:job.jb_key ~attempt:n;
-      t.handle job.jb_request
-    with
-    | result -> Protocol.Result result
-    | exception Invalid_argument reason ->
-      (* deterministic pipeline rejection: retrying cannot change it *)
-      Protocol.Failure (Protocol.Not_applicable, reason)
-    | exception e when n <= t.cfg.retries ->
-      ignore (e : exn);
+  let attempts () =
+    let on_retry () =
       Atomic.incr t.n_retries;
-      Obs.incr c_retry;
-      t.sleep (Warmup.backoff_s ~key:job.jb_key ~attempt:n);
-      attempt (n + 1)
-    | exception e ->
+      Obs.incr c_retry
+    in
+    match
+      Warmup.with_retries ~sleep:t.sleep ~retries:t.cfg.retries ~on_retry ~key:job.jb_key
+        (fun n ->
+          t.fault ~key:job.jb_key ~attempt:n;
+          t.handle job.jb_request)
+    with
+    | Warmup.Done result -> Protocol.Result result
+    | Warmup.Rejected reason -> Protocol.Failure (Protocol.Not_applicable, reason)
+    | Warmup.Gave_up (e, n) ->
       Atomic.incr t.n_failed;
       Obs.incr c_failed;
       Protocol.Failure
@@ -93,7 +91,7 @@ let execute t job =
   in
   (* the handler runs under the leader's trace context, so pipeline
      spans, counter increments and diags land on the request's trace *)
-  let response = Obs.with_trace_id (Some job.jb_trace) (fun () -> attempt 1) in
+  let response = Obs.with_trace_id (Some job.jb_trace) attempts in
   (* unregister first: a submitter arriving after this point starts a
      fresh flight instead of adopting a published one *)
   Mutex.lock t.lock;

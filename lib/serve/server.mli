@@ -12,10 +12,11 @@
     - A fresh key meets admission control: a queue at [queue_cap] gets
       an immediate structured [overloaded] response instead of
       unbounded latency.
-    - Workers retry transient handler failures up to [retries] times on
-      the {!Unit_store.Warmup.backoff_s} schedule;
-      [Invalid_argument] (the pipeline's deterministic "does not
-      tensorize") maps to [not_applicable] without retrying.
+    - Workers retry transient handler failures up to [retries] times
+      under warm-up's policy ({!Unit_store.Warmup.with_retries}, on the
+      {!Unit_store.Warmup.backoff_s} schedule); [Invalid_argument] (the
+      pipeline's deterministic "does not tensorize") maps to
+      [not_applicable] without retrying.
     - After [Shutdown] (or {!drain}), new work gets a [draining]
       response; already-queued jobs still complete.
 

@@ -71,6 +71,28 @@ let backoff_s ~key ~attempt =
     base *. jitter
   end
 
+type 'a attempts =
+  | Done of 'a
+  | Rejected of string
+  | Gave_up of exn * int
+
+let with_retries ?(sleep = Unix.sleepf) ~retries ~on_retry ~key f =
+  let rec attempt n =
+    match f n with
+    | v -> Done v
+    | exception Invalid_argument reason ->
+      (* deterministic pipeline rejection (does not tensorize):
+         retrying cannot change the answer *)
+      Rejected reason
+    | exception e when n <= retries ->
+      ignore (e : exn);
+      on_retry ();
+      sleep (backoff_s ~key ~attempt:n);
+      attempt (n + 1)
+    | exception e -> Gave_up (e, n)
+  in
+  attempt 1
+
 (* ---------- execution ---------- *)
 
 type failure = {
@@ -116,27 +138,18 @@ let run ?domains ?(retries = 1) jobs =
       else Obs.null_span
     in
     Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
-    let rec attempt n =
-      match job.job_compile () with
-      | () ->
-        Obs.incr c_compiled;
-        Compiled
-      | exception Invalid_argument reason ->
-        (* deterministic pipeline rejection (does not tensorize):
-           retrying cannot change the answer *)
-        Skipped reason
-      | exception e when n <= retries ->
-        ignore (e : exn);
-        Obs.incr c_retry;
-        Atomic.incr retries_spent;
-        Unix.sleepf (backoff_s ~key:job.job_key ~attempt:n);
-        attempt (n + 1)
-      | exception e ->
-        Obs.incr c_fail;
-        Failed
-          { f_key = job.job_key; f_error = Printexc.to_string e; f_attempts = n }
+    let on_retry () =
+      Obs.incr c_retry;
+      Atomic.incr retries_spent
     in
-    attempt 1
+    match with_retries ~retries ~on_retry ~key:job.job_key (fun _ -> job.job_compile ()) with
+    | Done () ->
+      Obs.incr c_compiled;
+      Compiled
+    | Rejected reason -> Skipped reason
+    | Gave_up (e, n) ->
+      Obs.incr c_fail;
+      Failed { f_key = job.job_key; f_error = Printexc.to_string e; f_attempts = n }
   in
   let outcomes =
     List.map

@@ -15,9 +15,10 @@
       Jobs with different keys that share a tuning (the [Compiled] and
       [Emitted] jobs of one workload) both run, but tune once: the
       pipeline's kernel memo is single-flight across domains.
-    - {e bounded retries}: a job failing with anything other than
-      [Invalid_argument] is retried up to [retries] extra times
-      ([warmup.retry]), then reported as failed.  Each retry sleeps
+    - {e bounded retries}: each job runs under {!with_retries}, the
+      policy the serving daemon shares: a job failing with anything
+      other than [Invalid_argument] is retried up to [retries] extra
+      times ([warmup.retry]), then reported as failed.  Each retry sleeps
       {!backoff_s} first — bounded exponential backoff with a
       deterministic per-(job, attempt) jitter — so transient
       compile-shell failures don't hot-spin domains.  [Invalid_argument]
@@ -81,6 +82,27 @@ val backoff_s : key:string -> attempt:int -> float
     (1-based): [min (0.02 * 2^(attempt-1)) 0.5] seconds scaled by a
     deterministic jitter in [0.5, 1.0] derived from
     [Hashtbl.hash (key, attempt)] — pure, so the schedule is testable. *)
+
+(** How a job's attempts under {!with_retries} ended. *)
+type 'a attempts =
+  | Done of 'a
+  | Rejected of string
+      (** the job raised [Invalid_argument] — a deterministic rejection
+          (the workload does not tensorize), never retried *)
+  | Gave_up of exn * int  (** the last exception and the attempts made *)
+
+val with_retries :
+  ?sleep:(float -> unit) ->
+  retries:int ->
+  on_retry:(unit -> unit) ->
+  key:string ->
+  (int -> 'a) ->
+  'a attempts
+(** The one retry policy of warm-up and the serving daemon: run [f 1];
+    any exception other than [Invalid_argument] is retried up to
+    [retries] extra times, calling [on_retry] and then
+    [sleep (backoff_s ~key ~attempt:n)] (default [Unix.sleepf]) after
+    failed attempt [n].  [f] gets the 1-based attempt number. *)
 
 type failure = {
   f_key : string;

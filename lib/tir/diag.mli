@@ -1,9 +1,11 @@
 (** Unified diagnostics for the static checkers.
 
-    One rule-ID type shared by {!Validate} (structural/bounds validation)
-    and the dependence analyzer ([Unit_analysis.Analysis]), so every
-    checker reports through the same channel and [unitc check] can print,
-    count and gate on them uniformly. *)
+    One rule-ID type shared by the static checker
+    ([Unit_analysis.Analysis]: well-formedness and schedule legality) and
+    the other subsystems that report structured failures (tuning store,
+    memory planner, emitter, ISA packs), so every checker reports through
+    the same channel and [unitc check] can print, count and gate on them
+    uniformly. *)
 
 type rule =
   | Scope  (** unbound variable / buffer not in scope *)
@@ -50,8 +52,7 @@ val errors : t list -> t list
 val warnings : t list -> t list
 
 val pp : Format.formatter -> t -> unit
-(** Errors print as ["[rule] detail"] (the historical
-    [Validate.pp_violation] format); warnings as
+(** Errors print as ["[rule] detail"]; warnings as
     ["[rule] warning: detail"]. *)
 
 val to_string : t -> string

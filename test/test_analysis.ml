@@ -92,7 +92,7 @@ let test_parallel_overlapping_writes_flagged () =
     Stmt.for_ p ~extent:8 ~kind:Stmt.Parallel
       (Stmt.Store (out, Texpr.div (Texpr.var p) (Texpr.int_imm 2), Texpr.int_imm 1))
   in
-  check_bool "race error" true (error_with Diag.Race (Analysis.check_stmt racy))
+  check_bool "race error" true (error_with Diag.Race (Analysis.check_stmt ~params:[ out ] racy))
 
 let test_parallel_carried_accumulation_flagged () =
   (* a reduction loop scheduled parallel: every iteration reads and
@@ -108,7 +108,7 @@ let test_parallel_carried_accumulation_flagged () =
            Texpr.add (Texpr.load acc (Texpr.int_imm 0)) (Texpr.load x (Texpr.var p))
          ))
   in
-  check_bool "race error" true (error_with Diag.Race (Analysis.check_stmt racy))
+  check_bool "race error" true (error_with Diag.Race (Analysis.check_stmt ~params:[ acc; x ] racy))
 
 let test_parallel_disjoint_writes_clean () =
   let out = buf "out" 64 Dtype.I32 in
@@ -124,7 +124,7 @@ let test_parallel_disjoint_writes_clean () =
                 (Texpr.var i),
               Texpr.int_imm 1 )))
   in
-  check_int "clean" 0 (List.length (Analysis.check_stmt ok))
+  check_int "clean" 0 (List.length (Analysis.check_stmt ~params:[ out ] ok))
 
 let test_parallel_fused_divmod_clean () =
   (* the lowered form of a fused parallel loop: f/8 and f mod 8 tile a
@@ -139,7 +139,7 @@ let test_parallel_fused_divmod_clean () =
   let ok =
     Stmt.for_ f ~extent:64 ~kind:Stmt.Parallel (Stmt.Store (out, ix, Texpr.int_imm 1))
   in
-  check_int "clean" 0 (List.length (Analysis.check_stmt ok))
+  check_int "clean" 0 (List.length (Analysis.check_stmt ~params:[ out ] ok))
 
 (* ---------- carried dependences under vectorize / unroll ---------- *)
 
@@ -152,7 +152,7 @@ let test_vectorized_same_element_flagged () =
       (Stmt.Store (out, Texpr.int_imm 0, Texpr.load x (Texpr.var i)))
   in
   check_bool "carried-dep error" true
-    (error_with Diag.Carried_dep (Analysis.check_stmt bad))
+    (error_with Diag.Carried_dep (Analysis.check_stmt ~params:[ out; x ] bad))
 
 let test_vectorized_shifted_dep_warned () =
   (* out[i] reads out[i+1]: not provably disjoint across lanes, but not
@@ -166,7 +166,7 @@ let test_vectorized_shifted_dep_warned () =
            Texpr.var i,
            Texpr.load out (Texpr.add (Texpr.var i) (Texpr.int_imm 1)) ))
   in
-  let diags = Analysis.check_stmt shifted in
+  let diags = Analysis.check_stmt ~params:[ out ] shifted in
   check_bool "no errors" true (Diag.errors diags = []);
   check_bool "carried-dep warning" true (warning_with Diag.Carried_dep diags)
 
@@ -186,7 +186,7 @@ let test_unrolled_reduction_allowed () =
   check_bool "no carried-dep diagnostics" true
     (List.for_all
        (fun (d : Diag.t) -> d.Diag.rule <> Diag.Carried_dep)
-       (Analysis.check_stmt reduction))
+       (Analysis.check_stmt ~params:[ out; x ] reduction))
 
 (* ---------- tensorize legality ---------- *)
 
@@ -211,13 +211,14 @@ let test_tile_broadcast_flagged () =
   let out = buf "out" 64 Dtype.I32 in
   check_bool "footprint error" true
     (error_with Diag.Tensorize_footprint
-       (Analysis.check_stmt ~intrin:(mac_meta ()) (call ~strides:[ ("x", 0) ] out)))
+       (Analysis.check_stmt ~intrin:(mac_meta ()) ~params:[ out ]
+          (call ~strides:[ ("x", 0) ] out)))
 
 let test_tile_reduction_stride_flagged () =
   let out = buf "out" 64 Dtype.I32 in
   check_bool "footprint error" true
     (error_with Diag.Tensorize_footprint
-       (Analysis.check_stmt ~intrin:(mac_meta ())
+       (Analysis.check_stmt ~intrin:(mac_meta ()) ~params:[ out ]
           (call ~strides:[ ("x", 1); ("r", 1) ] out)))
 
 let test_non_accumulating_reissue_flagged () =
@@ -228,11 +229,11 @@ let test_non_accumulating_reissue_flagged () =
   let nest = Stmt.for_ k ~extent:4 (call out) in
   check_bool "flagged when not accumulating" true
     (error_with Diag.Tensorize_footprint
-       (Analysis.check_stmt ~intrin:(mac_meta ~accumulates:false ()) nest));
+       (Analysis.check_stmt ~intrin:(mac_meta ~accumulates:false ()) ~params:[ out ] nest));
   check_bool "clean when accumulating" true
     (List.for_all
        (fun (d : Diag.t) -> d.Diag.rule <> Diag.Tensorize_footprint)
-       (Analysis.check_stmt ~intrin:(mac_meta ()) nest))
+       (Analysis.check_stmt ~intrin:(mac_meta ()) ~params:[ out ] nest))
 
 let test_intrin_accumulator_overflow_flagged () =
   (* u8*u8 with reduction width 4 overflows an i16 accumulator tile in a
@@ -242,7 +243,7 @@ let test_intrin_accumulator_overflow_flagged () =
     (error_with Diag.Overflow
        (Analysis.check_stmt
           ~intrin:(mac_meta ~operands:[ Dtype.U8; Dtype.U8 ] ())
-          (call out16)));
+          ~params:[ out16 ] (call out16)));
   (* the same issue into i32 is fine *)
   let out32 = buf "out32" 64 Dtype.I32 in
   check_bool "i32 accumulator clean" true
@@ -250,7 +251,32 @@ let test_intrin_accumulator_overflow_flagged () =
        (fun (d : Diag.t) -> not (Diag.is_error d))
        (Analysis.check_stmt
           ~intrin:(mac_meta ~operands:[ Dtype.U8; Dtype.U8 ] ())
-          (call out32)))
+          ~params:[ out32 ] (call out32)))
+
+(* The emitted engine indexes instruction tiles without checks, so a
+   tuned kernel whose output tile base moves past the end of its buffer
+   must be rejected by the same analysis [Pipeline.tensorize] gates on. *)
+let test_shifted_output_tile_flagged () =
+  let wl = Unit_models.Table1.workloads.(1) in
+  let intrin = Unit_isa.Registry.find_exn "vnni.vpdpbusd" in
+  match Pipeline.tensorize ~spec:Spec.cascadelake (Pipeline.conv_op intrin wl) intrin with
+  | Error f -> Alcotest.failf "legal schedule rejected: %s" (Pipeline.failure_to_string f)
+  | Ok c ->
+    let tuned = c.Pipeline.c_tuned in
+    let rec shift (s : Stmt.t) =
+      match s with
+      | Stmt.Intrin_call ({ output; _ } as call) ->
+        let past = Texpr.int_imm output.Stmt.tile_buf.Buffer.size in
+        Stmt.Intrin_call
+          { call with output = { output with tile_base = Texpr.add output.Stmt.tile_base past } }
+      | _ -> Stmt.map_children shift s
+    in
+    let func = tuned.Cpu_tuner.t_func in
+    let shifted =
+      { tuned with Cpu_tuner.t_func = { func with Lower.fn_body = shift func.Lower.fn_body } }
+    in
+    check_bool "tuned kernel is clean" true (Diag.errors (Pipeline.analyze tuned) = []);
+    check_bool "tile error" true (error_with Diag.Tile (Pipeline.analyze shifted))
 
 (* ---------- overflow lint ---------- *)
 
@@ -269,7 +295,7 @@ let test_u8_product_overflow_flagged () =
     Stmt.for_ i ~extent:16
       (Stmt.Store (out, Texpr.var i, Texpr.add (Texpr.load out (Texpr.var i)) product))
   in
-  check_bool "overflow error" true (error_with Diag.Overflow (Analysis.check_stmt bad))
+  check_bool "overflow error" true (error_with Diag.Overflow (Analysis.check_stmt ~params:[ out; a; b ] bad))
 
 let test_u8_i8_into_i32_clean () =
   (* the VNNI dtype discipline: u8*i8 products accumulated in i32 *)
@@ -286,7 +312,7 @@ let test_u8_i8_into_i32_clean () =
     Stmt.for_ i ~extent:16
       (Stmt.Store (out, Texpr.var i, Texpr.add (Texpr.load out (Texpr.var i)) product))
   in
-  check_int "clean" 0 (List.length (Analysis.check_stmt ok))
+  check_int "clean" 0 (List.length (Analysis.check_stmt ~params:[ out; a; b ] ok))
 
 let test_narrowing_cast_warned () =
   let out = buf "out8" 16 Dtype.I8 in
@@ -296,7 +322,7 @@ let test_narrowing_cast_warned () =
     Stmt.for_ i ~extent:16
       (Stmt.Store (out, Texpr.var i, Texpr.cast Dtype.I8 (Texpr.load x (Texpr.var i))))
   in
-  let diags = Analysis.check_stmt narrowing in
+  let diags = Analysis.check_stmt ~params:[ out; x ] narrowing in
   check_bool "no errors" true (Diag.errors diags = []);
   check_bool "overflow warning" true (warning_with Diag.Overflow diags)
 
@@ -308,7 +334,7 @@ let test_in_range_narrowing_clean () =
     Stmt.for_ i ~extent:16
       (Stmt.Store (out, Texpr.var i, Texpr.cast Dtype.I8 (Texpr.var i)))
   in
-  check_int "clean" 0 (List.length (Analysis.check_stmt ok))
+  check_int "clean" 0 (List.length (Analysis.check_stmt ~params:[ out ] ok))
 
 let test_long_accumulation_chain_warned () =
   (* 1000 iterations of +x[i] with x up to 2^15 may exceed i16 capacity:
@@ -324,7 +350,7 @@ let test_long_accumulation_chain_warned () =
            Texpr.add (Texpr.load acc (Texpr.int_imm 0)) (Texpr.load x (Texpr.var i))
          ))
   in
-  let diags = Analysis.check_stmt chain in
+  let diags = Analysis.check_stmt ~params:[ acc; x ] chain in
   check_bool "overflow warning" true (warning_with Diag.Overflow diags)
 
 (* ---------- Pipeline.tensorize gates on analysis errors ---------- *)
@@ -381,7 +407,9 @@ let () =
           Alcotest.test_case "non-accumulating reissue" `Quick
             test_non_accumulating_reissue_flagged;
           Alcotest.test_case "intrin accumulator overflow" `Quick
-            test_intrin_accumulator_overflow_flagged
+            test_intrin_accumulator_overflow_flagged;
+          Alcotest.test_case "output tile past its buffer" `Quick
+            test_shifted_output_tile_flagged
         ] );
       ( "overflow lint",
         [ Alcotest.test_case "u8 product into i16" `Quick

@@ -1063,6 +1063,35 @@ let tune_span_count () =
     0
     (Obs.aggregate_spans (Obs.spans ()))
 
+(* The failure text of the soak's "zero duplicate tuner sweeps" check:
+   each workload ([tensorize] span detail) whose [tensorize.tune] span
+   occurs more than once since [since], with the server's retry and
+   failure counts, so a flaky failure shows its cause. *)
+let duplicate_sweeps_report ~since stats =
+  let spans = Obs.spans () in
+  let owner (sp : Obs.span_record) =
+    List.find_map
+      (fun (p : Obs.span_record) ->
+        if p.Obs.sp_domain = sp.Obs.sp_domain && p.Obs.sp_id = sp.Obs.sp_parent then
+          Some p.Obs.sp_detail
+        else None)
+      spans
+  in
+  let sweeps = Hashtbl.create 16 in
+  List.iter
+    (fun (sp : Obs.span_record) ->
+      if sp.Obs.sp_name = "tensorize.tune" && sp.Obs.sp_begin >= since then
+        let w = Option.value ~default:"?" (owner sp) in
+        Hashtbl.replace sweeps w (1 + Option.value ~default:0 (Hashtbl.find_opt sweeps w)))
+    spans;
+  let repeated =
+    Hashtbl.fold (fun w n acc -> if n > 1 then Printf.sprintf "%s x%d" w n :: acc else acc)
+      sweeps []
+  in
+  Printf.sprintf "zero duplicate tuner sweeps (swept more than once: %s; retries %d, failed %d)"
+    (match repeated with [] -> "none" | l -> String.concat ", " (List.sort compare l))
+    (List.assoc "retries" stats) (List.assoc "failed" stats)
+
 let direct_digest workload =
   let c =
     Pipeline.compiled Pipeline.X86 (Protocol.to_workload workload)
@@ -1177,6 +1206,7 @@ let test_soak () =
   in
   let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ())) in
   let tunes_before = tune_span_count () in
+  let soak_start = Obs.now () in
   let hits_before = counter "pipeline.cache.hit" in
   let waits_before = counter "pipeline.cache.wait" in
   let server = Server.create { Server.domains; queue_cap = 256; retries = 1 } in
@@ -1216,7 +1246,10 @@ let test_soak () =
   check_int "no failed or divergent responses" 0 (Atomic.get failures);
   check_int "requests all accounted" requests_total (List.assoc "requests" stats);
   check_int "nothing rejected by admission control" 0 (List.assoc "overloaded" stats);
-  check_int "zero duplicate tuner sweeps" distinct_workloads tunes_during;
+  check_int
+    (if tunes_during = distinct_workloads then "zero duplicate tuner sweeps"
+     else duplicate_sweeps_report ~since:soak_start stats)
+    distinct_workloads tunes_during;
   (* every Run workload replayed directly through the pipeline must match
      the daemon's digest bit for bit *)
   Array.iter

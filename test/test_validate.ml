@@ -1,6 +1,6 @@
-(* Tests for the tensor-IR validator: well-formed programs from every stage
-   of the pipeline must pass; hand-broken programs must be flagged with the
-   right rule. *)
+(* Tests for the checker's well-formedness rules (scope, canonical loops,
+   bounds, tiles): well-formed programs from every stage of the pipeline
+   must pass; hand-broken programs must be flagged with the right rule. *)
 
 open Unit_dtype
 open Unit_dsl
@@ -8,29 +8,22 @@ open Unit_tir
 module Inspector = Unit_inspector.Inspector
 module Reorganize = Unit_rewriter.Reorganize
 module Replace = Unit_rewriter.Replace
+module Analysis = Unit_analysis.Analysis
 
 let () = Unit_isa.Defs.ensure_registered ()
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let registry_axes name =
-  Option.map
-    (fun intrin ->
-      List.map
-        (fun (a : Axis.t) -> (a.Axis.name, a.Axis.extent))
-        (Op.all_axes intrin.Unit_isa.Intrin.op))
-    (Unit_isa.Registry.find name)
+let intrin = Unit_core.Pipeline.intrin_meta
 
 let has_rule rule violations =
   List.exists (fun (v : Diag.t) -> v.Diag.rule = rule) violations
 
 let assert_clean ?(what = "program") func =
-  let violations = Validate.check_func ~intrin_axes:registry_axes func in
+  let violations = Analysis.check_func ~intrin func in
   if violations <> [] then
-    Alcotest.failf "%s: %s" what
-      (String.concat "; "
-         (List.map (fun v -> Format.asprintf "%a" Validate.pp_violation v) violations))
+    Alcotest.failf "%s: %s" what (String.concat "; " (List.map Diag.to_string violations))
 
 let conv () =
   Op_library.conv2d_nchwc ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
@@ -75,7 +68,7 @@ let test_without_guard_refinement_out_of_bounds () =
     | _ -> Stmt.map_children strip stmt
   in
   let stripped = { func with Lower.fn_body = strip func.Lower.fn_body } in
-  let violations = Validate.check_func ~intrin_axes:registry_axes stripped in
+  let violations = Analysis.check_func ~intrin stripped in
   check_bool "stripped guards overflow" true (has_rule Diag.Bounds violations)
 
 let test_tensorized_valid () =
@@ -95,7 +88,7 @@ let test_unbound_variable_flagged () =
   let buf = Buffer.create ~name:"b" ~dtype:Dtype.I32 ~size:8 () in
   let stray = Var.create "stray" in
   let body = Stmt.Store (buf, Texpr.var stray, Texpr.int_imm ~dtype:Dtype.I32 0) in
-  let violations = Validate.check_stmt ~params:[ buf ] body in
+  let violations = Analysis.check_stmt ~params:[ buf ] body in
   check_bool "scope violation" true (has_rule Diag.Scope violations)
 
 let test_out_of_bounds_store_flagged () =
@@ -104,7 +97,7 @@ let test_out_of_bounds_store_flagged () =
   let body =
     Stmt.for_ v ~extent:10 (Stmt.Store (buf, Texpr.var v, Texpr.int_imm ~dtype:Dtype.I32 0))
   in
-  let violations = Validate.check_stmt ~params:[ buf ] body in
+  let violations = Analysis.check_stmt ~params:[ buf ] body in
   check_int "one violation" 1 (List.length violations);
   check_bool "bounds rule" true ((List.hd violations).Diag.rule = Diag.Bounds)
 
@@ -119,7 +112,7 @@ let test_wrapping_index_flagged () =
     Texpr.div (Texpr.mul (Texpr.mul (Texpr.var x) (i32 1073741824)) (i32 2)) (i32 1073741824)
   in
   let body = Stmt.for_ x ~extent:2 (Stmt.Store (buf, index, i32 7)) in
-  let violations = Validate.check_stmt ~params:[ buf ] body in
+  let violations = Analysis.check_stmt ~params:[ buf ] body in
   check_bool "bounds rule" true (has_rule Diag.Bounds violations)
 
 let test_buffer_not_in_scope_flagged () =
@@ -129,7 +122,7 @@ let test_buffer_not_in_scope_flagged () =
   let body =
     Stmt.for_ v ~extent:4 (Stmt.Store (other, Texpr.var v, Texpr.int_imm ~dtype:Dtype.I32 0))
   in
-  let violations = Validate.check_stmt ~params:[ buf ] body in
+  let violations = Analysis.check_stmt ~params:[ buf ] body in
   check_bool "scope violation" true (has_rule Diag.Scope violations)
 
 let test_alloc_brings_buffer_into_scope () =
@@ -141,7 +134,7 @@ let test_alloc_brings_buffer_into_scope () =
        Stmt.for_ v ~extent:4
          (Stmt.Store (scratch, Texpr.var v, Texpr.int_imm ~dtype:Dtype.I32 0)))
   in
-  check_int "clean" 0 (List.length (Validate.check_stmt ~params:[] body))
+  check_int "clean" 0 (List.length (Analysis.check_stmt ~params:[] body))
 
 let test_rebound_loop_variable_flagged () =
   let buf = Buffer.create ~name:"b" ~dtype:Dtype.I32 ~size:8 () in
@@ -151,7 +144,7 @@ let test_rebound_loop_variable_flagged () =
       (Stmt.for_ v ~extent:2
          (Stmt.Store (buf, Texpr.var v, Texpr.int_imm ~dtype:Dtype.I32 0)))
   in
-  let violations = Validate.check_stmt ~params:[ buf ] body in
+  let violations = Analysis.check_stmt ~params:[ buf ] body in
   check_bool "canonical violation" true (has_rule Diag.Canonical violations)
 
 let test_bad_tile_flagged () =
@@ -176,7 +169,7 @@ let test_bad_tile_flagged () =
       | _ -> Stmt.map_children corrupt stmt
     in
     let broken = { func with Lower.fn_body = corrupt func.Lower.fn_body } in
-    let violations = Validate.check_func ~intrin_axes:registry_axes broken in
+    let violations = Analysis.check_func ~intrin broken in
     check_bool "tile violation" true (has_rule Diag.Tile violations)
 
 let test_unknown_instruction_flagged () =
@@ -187,7 +180,7 @@ let test_unknown_instruction_flagged () =
     let r = Reorganize.apply op ap () in
     let func = Replace.run (Lower.lower r.Reorganize.schedule) in
     (* without the registry lookup, calls cannot be validated *)
-    let violations = Validate.check_func func in
+    let violations = Analysis.check_func func in
     check_bool "unknown instruction" true (has_rule Diag.Tile violations)
 
 let test_if_guard_keeps_access_in_bounds () =
@@ -206,10 +199,10 @@ let test_if_guard_keeps_access_in_bounds () =
          })
   in
   check_int "guarded store is clean" 0
-    (List.length (Validate.check_stmt ~params:[ buf ] guarded));
+    (List.length (Analysis.check_stmt ~params:[ buf ] guarded));
   let unguarded = Stmt.for_ i ~extent:8 store in
   check_bool "same store without the guard overflows" true
-    (has_rule Diag.Bounds (Validate.check_stmt ~params:[ buf ] unguarded))
+    (has_rule Diag.Bounds (Analysis.check_stmt ~params:[ buf ] unguarded))
 
 let test_tile_window_escape_flagged () =
   (* base is in range, but base + stride * (extent - 1) walks past the
@@ -228,7 +221,7 @@ let test_tile_window_escape_flagged () =
       }
   in
   let violations =
-    Validate.check_stmt ~intrin_axes:registry_axes ~params:[ buf ] call
+    Analysis.check_stmt ~intrin ~params:[ buf ] call
   in
   check_bool "escaping tile window" true (has_rule Diag.Tile violations)
 
@@ -250,7 +243,7 @@ let prop_random_schedules_validate =
             s)
           (Schedule.create op) splits
       in
-      Validate.check_func ~intrin_axes:registry_axes (Lower.lower s) = [])
+      Analysis.check_func ~intrin (Lower.lower s) = [])
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
