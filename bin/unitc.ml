@@ -822,13 +822,14 @@ let emit_status () =
 
 (* ---------- trace-lint ---------- *)
 
-(* Validate a Chrome trace emitted by --trace-out / profile.  The default
-   contract: it parses as JSON, carries a traceEvents array covering all
-   five tensorize stage spans, and reports a positive tuner candidate
-   count.  --forbid-span / --count-span / --require-* replace that
-   default with explicit assertions (traces from commands that never
-   tensorize — e.g. a warm `run` — have no stage spans to demand), and
-   the OK line then says the default contract was not checked. *)
+(* Validate a Chrome trace emitted by --trace-out / profile: it parses as
+   JSON and carries a traceEvents array, then one list of checks runs.
+   With no option given, the checks default to the tensorize contract:
+   every stage span present and a positive tuner.candidates counter.  Any
+   --forbid-span / --count-span / --require-* option replaces that
+   default (traces from commands that never tensorize — e.g. a warm
+   `run` — have no stage spans to demand), and the OK line lists what
+   was checked. *)
 let trace_lint file forbid_spans require_counters count_spans require_tagged =
   let count_spans =
     List.map
@@ -855,6 +856,11 @@ let trace_lint file forbid_spans require_counters count_spans require_tagged =
             (Error ("--require-span-tagged " ^ spec ^ ": expected NAME=TRACE_ID")))
       require_tagged
   in
+  let require_spans, require_counters =
+    if forbid_spans = [] && require_counters = [] && count_spans = [] && require_tagged = []
+    then (Obs.tensorize_stages, [ "tuner.candidates" ])
+    else ([], require_counters)
+  in
   match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
   | Error m -> or_die (Error (Printf.sprintf "%s does not parse as JSON: %s" file m))
   | Ok j ->
@@ -879,83 +885,72 @@ let trace_lint file forbid_spans require_counters count_spans require_tagged =
       Option.bind (Json.member "counters" j) (fun c ->
           Option.bind (Json.member name c) Json.to_num)
     in
-    let custom =
-      forbid_spans <> [] || require_counters <> [] || count_spans <> []
-      || require_tagged <> []
+    (match List.filter (fun span -> not (List.mem span names)) require_spans with
+     | [] -> ()
+     | missing ->
+       or_die
+         (Error (Printf.sprintf "%s: missing span(s): %s" file (String.concat ", " missing))));
+    List.iter
+      (fun span ->
+        if List.mem span names then
+          or_die
+            (Error (Printf.sprintf "%s: forbidden span %s present" file span)))
+      forbid_spans;
+    List.iter
+      (fun name ->
+        match counter name with
+        | Some n when n > 0.0 -> ()
+        | Some _ ->
+          or_die (Error (Printf.sprintf "%s: counter %s is zero" file name))
+        | None ->
+          or_die (Error (Printf.sprintf "%s: counter %s absent" file name)))
+      require_counters;
+    List.iter
+      (fun (span, expected) ->
+        let got =
+          List.length (List.filter (fun n -> n = span) span_names)
+        in
+        if got <> expected then
+          or_die
+            (Error
+               (Printf.sprintf "%s: span %s occurs %d time(s), expected %d"
+                  file span got expected)))
+      count_spans;
+    List.iter
+      (fun (span, trace_id) ->
+        let tagged =
+          List.exists
+            (fun e ->
+              (match Option.bind (Json.member "ph" e) Json.to_str with
+               | Some "X" -> true
+               | _ -> false)
+              && Option.bind (Json.member "name" e) Json.to_str = Some span
+              && Option.bind (Json.member "args" e) (fun a ->
+                     Option.bind (Json.member "trace_id" a) Json.to_str)
+                 = Some trace_id)
+            events
+        in
+        if not tagged then
+          or_die
+            (Error
+               (Printf.sprintf "%s: no span %s tagged with trace_id %s" file
+                  span trace_id)))
+      require_tagged;
+    let checked =
+      List.filter_map
+        (fun (what, names) ->
+          match names with
+          | [] -> None
+          | _ -> Some (Printf.sprintf "%s %s" what (String.concat ", " names)))
+        [ ("present:", require_spans);
+          ("absent:", forbid_spans);
+          ("counted:", List.map (fun (s, n) -> Printf.sprintf "%s=%d" s n) count_spans);
+          ("positive:", require_counters);
+          ("tagged:", List.map (fun (s, id) -> s ^ "=" ^ id) require_tagged)
+        ]
     in
-    if custom then begin
-      List.iter
-        (fun span ->
-          if List.mem span names then
-            or_die
-              (Error (Printf.sprintf "%s: forbidden span %s present" file span)))
-        forbid_spans;
-      List.iter
-        (fun name ->
-          match counter name with
-          | Some n when n > 0.0 -> ()
-          | Some _ ->
-            or_die (Error (Printf.sprintf "%s: counter %s is zero" file name))
-          | None ->
-            or_die (Error (Printf.sprintf "%s: counter %s absent" file name)))
-        require_counters;
-      List.iter
-        (fun (span, expected) ->
-          let got =
-            List.length (List.filter (fun n -> n = span) span_names)
-          in
-          if got <> expected then
-            or_die
-              (Error
-                 (Printf.sprintf "%s: span %s occurs %d time(s), expected %d"
-                    file span got expected)))
-        count_spans;
-      List.iter
-        (fun (span, trace_id) ->
-          let tagged =
-            List.exists
-              (fun e ->
-                (match Option.bind (Json.member "ph" e) Json.to_str with
-                 | Some "X" -> true
-                 | _ -> false)
-                && Option.bind (Json.member "name" e) Json.to_str = Some span
-                && Option.bind (Json.member "args" e) (fun a ->
-                       Option.bind (Json.member "trace_id" a) Json.to_str)
-                   = Some trace_id)
-              events
-          in
-          if not tagged then
-            or_die
-              (Error
-                 (Printf.sprintf "%s: no span %s tagged with trace_id %s" file
-                    span trace_id)))
-        require_tagged;
-      Printf.printf
-        "trace-lint: %s OK (%d events; %d span(s) absent, %d counted, %d \
-         counter(s) positive, %d tag(s) checked; default stage-span and \
-         tuner.candidates contract not checked)\n"
-        file (List.length events)
-        (List.length forbid_spans)
-        (List.length count_spans)
-        (List.length require_counters)
-        (List.length require_tagged)
-    end
-    else begin
-      let missing =
-        List.filter (fun stage -> not (List.mem stage names)) Obs.tensorize_stages
-      in
-      if missing <> [] then
-        or_die
-          (Error
-             (Printf.sprintf "%s: missing pipeline stage span(s): %s" file
-                (String.concat ", " missing)));
-      (match counter "tuner.candidates" with
-       | Some n when n > 0.0 -> ()
-       | _ -> or_die (Error (file ^ ": no positive tuner.candidates counter")));
-      Printf.printf "trace-lint: %s OK (%d events, all %d stage spans present)\n"
-        file (List.length events)
-        (List.length Obs.tensorize_stages)
-    end
+    Printf.printf "trace-lint: %s OK (%d events; %s)\n" file (List.length events)
+      (String.concat "; " checked)
 
 (* ---------- trace-fetch ---------- *)
 

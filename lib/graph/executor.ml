@@ -42,9 +42,16 @@ let error fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 
 let is_quantized v = Dtype.is_integer v.arr.Ndarray.dtype
 
-(* real-domain element access; raw unboxed reads *)
-let real_flat v i = Ndarray.get_float_flat v.arr i *. v.scale
-let real v idx = real_flat v (Ndarray.flat_index v.arr idx)
+(* The real value of each element by flat offset: the storage class is
+   matched once per tensor, then every read is raw and unboxed.  A view's
+   reads past its own elements land in the backing array, so callers check
+   operand shapes first. *)
+let reader v =
+  let s = v.scale and off = v.arr.Ndarray.offset in
+  match v.arr.Ndarray.storage with
+  | Ndarray.Float_data a -> fun i -> a.(off + i) *. s
+  | Ndarray.Int_data a -> fun i -> Float.of_int a.(off + i) *. s
+  | Ndarray.Int64_data a -> fun i -> Int64.to_float a.(off + i) *. s
 
 let qmax dtype = Int64.to_float (Dtype.max_int_value dtype)
 
@@ -57,32 +64,14 @@ type dst = dtype:Dtype.t -> shape:int list -> Ndarray.t option
 
 let no_dst ~dtype:_ ~shape:_ = None
 
-let materialize_float ~dst ~dtype ~shape f =
-  match dst ~dtype ~shape with
-  | Some view ->
-    Ndarray.fill_float view f;
-    view
-  | None -> Ndarray.init_float ~dtype ~shape f
-
-(* Represent real numbers in a quantized (or float) signature:
-   [Ndarray.init_float] rounds floats to the dtype's precision and rounds
-   integers to nearest saturating at the dtype bounds, which is exactly
-   [Value.cast_saturating] of the rounded real divided by the scale.
-   [Ndarray.fill_float] runs the identical store loop over an arena view,
-   so planned and per-op-buffer execution are bit-identical. *)
-let represent_arr ?(dst = no_dst) ~dtype ~scale ~shape f =
-  let g = if Dtype.is_float dtype then f else fun idx -> f idx /. scale in
-  { arr = materialize_float ~dst ~dtype ~shape g;
-    scale = (if Dtype.is_float dtype then 1.0 else scale)
-  }
-
 (* ---------- raw storage ---------- *)
 
-(* Weight synthesis, conv2d and dense index the backing arrays directly:
-   the storage class is matched once per op and elements are addressed
-   as [payload.(offset + flat)].  Their stores reproduce
-   [represent_arr]'s bit for bit: [round_f32] is [Value.round_float F32]
-   and [saturate] is [Ndarray.fill_float]'s integer store. *)
+(* Every store indexes the backing arrays directly: the storage class is
+   matched once per op and elements are addressed as
+   [payload.(offset + flat)].  Weight synthesis, conv2d and dense run
+   their own loops; every other op stores through [reals].  All of them
+   round alike: [round_f32] is [Value.round_float F32] and [saturate] is
+   [Ndarray.fill_float]'s integer store. *)
 
 let int_payload what (a : Ndarray.t) =
   match a.Ndarray.storage with
@@ -111,6 +100,41 @@ let[@inline] saturate ~lo ~hi y =
 
 let int_bounds dtype =
   (Int64.to_int (Dtype.min_int_value dtype), Int64.to_int (Dtype.max_int_value dtype))
+
+(* The one store loop of real numbers: element [i] of a fresh [shape]
+   tensor of [dtype] (or of the arena view [dst] offers) represents
+   [f i], exactly as [Ndarray.fill_float] stores it.  Floats round to the
+   dtype's precision (F64 is left as is); integers store [f i /. scale]
+   rounded to nearest and saturated at the dtype's bounds. *)
+let reals ?(dst = no_dst) ~dtype ~scale ~shape f =
+  let arr = output_array ~dst ~dtype ~shape in
+  let off = arr.Ndarray.offset and last = Ndarray.num_elements arr - 1 in
+  (match arr.Ndarray.storage with
+   | Ndarray.Float_data a ->
+     let round = Value.round_float dtype in
+     for i = 0 to last do
+       a.(off + i) <- round (f i)
+     done
+   | Ndarray.Int_data a ->
+     let lo, hi = int_bounds dtype in
+     for i = 0 to last do
+       a.(off + i) <- saturate ~lo ~hi (f i /. scale)
+     done
+   | Ndarray.Int64_data a ->
+     for i = 0 to last do
+       a.(off + i) <- Int64.of_float (Float.round (f i /. scale))
+     done);
+  { arr; scale = (if Dtype.is_float dtype then 1.0 else scale) }
+
+(* The real number [reals] would store for [x] in [dtype] at [scale],
+   read back: how a chain rounds between stages without storing. *)
+let reload dtype scale =
+  match Ndarray.class_of_dtype dtype with
+  | Ndarray.Float_class -> Value.round_float dtype
+  | Ndarray.Int_class ->
+    let lo, hi = int_bounds dtype in
+    fun x -> Float.of_int (saturate ~lo ~hi (x /. scale)) *. scale
+  | Ndarray.Int64_class -> fun x -> Int64.to_float (Int64.of_float (Float.round (x /. scale))) *. scale
 
 (* ---------- deterministic parameter synthesis ---------- *)
 
@@ -516,44 +540,38 @@ let conv3d ?dst (attrs : Graph.conv3d_attrs) data weights =
     Graph.conv_out_dim ~size ~kernel:attrs.Graph.c3_kernel ~stride:attrs.Graph.c3_stride
       ~padding:attrs.Graph.c3_padding
   in
+  let od = dim d and oh = dim h and ow = dim w in
   let quantized = is_quantized data in
   let out_dtype = if quantized then Dtype.I32 else Dtype.F32 in
   let out_scale = if quantized then data.scale *. weights.scale else 1.0 in
-  let darr = data.arr and warr = weights.arr in
-  let dscale = data.scale and wscale = weights.scale in
+  let rd = reader data and rw = reader weights in
   let kern = attrs.Graph.c3_kernel in
   let stride = attrs.Graph.c3_stride in
   let padding = attrs.Graph.c3_padding in
   (* data is [c; d; h; w], weights [k; c; kern; kern; kern] *)
-  let compute idx =
-    let ko = idx.(0) and z = idx.(1) and y = idx.(2) and x = idx.(3) in
-    let acc = ref 0.0 in
-    for ci = 0 to c - 1 do
-      for q = 0 to kern - 1 do
-        let iz = (z * stride) + q - padding in
-        if iz >= 0 && iz < d then
-          for r = 0 to kern - 1 do
-            let iy = (y * stride) + r - padding in
-            if iy >= 0 && iy < h then
-              for s = 0 to kern - 1 do
-                let ix = (x * stride) + s - padding in
-                if ix >= 0 && ix < w then
-                  acc :=
-                    !acc
-                    +. Ndarray.get_float_flat darr
-                         ((((((ci * d) + iz) * h) + iy) * w) + ix)
-                       *. dscale
-                       *. (Ndarray.get_float_flat warr
-                             ((((((((ko * c) + ci) * kern) + q) * kern) + r) * kern) + s)
-                          *. wscale)
-              done
-          done
-      done
-    done;
-    !acc
-  in
-  represent_arr ?dst ~dtype:out_dtype ~scale:out_scale ~shape:[ k; dim d; dim h; dim w ]
-    compute
+  reals ?dst ~dtype:out_dtype ~scale:out_scale ~shape:[ k; od; oh; ow ] (fun i ->
+      let x = i mod ow and y = i / ow mod oh and z = i / (ow * oh) mod od in
+      let ko = i / (ow * oh * od) in
+      let acc = ref 0.0 in
+      for ci = 0 to c - 1 do
+        for q = 0 to kern - 1 do
+          let iz = (z * stride) + q - padding in
+          if iz >= 0 && iz < d then
+            for r = 0 to kern - 1 do
+              let iy = (y * stride) + r - padding in
+              if iy >= 0 && iy < h then
+                for s = 0 to kern - 1 do
+                  let ix = (x * stride) + s - padding in
+                  if ix >= 0 && ix < w then
+                    acc :=
+                      !acc
+                      +. rd ((((((ci * d) + iz) * h) + iy) * w) + ix)
+                         *. rw ((((((((ko * c) + ci) * kern) + q) * kern) + r) * kern) + s)
+                done
+            done
+        done
+      done;
+      !acc)
 
 (* Float accumulation in both signatures: quantized payloads convert
    per element, as [Ndarray.get_float_flat] does. *)
@@ -610,30 +628,13 @@ let dense ?(dst = no_dst) units data weights =
     { arr = out; scale = 1.0 }
   end
 
-let map_value ?dst v f =
-  represent_arr ?dst ~dtype:v.arr.Ndarray.dtype
-    ~scale:v.scale
-    ~shape:(Array.to_list v.arr.Ndarray.shape)
-    (fun idx -> f (real v idx))
-
-let bias_add ?dst data bias =
-  let channels_first idx = idx.(0) in
-  represent_arr ?dst ~dtype:data.arr.Ndarray.dtype ~scale:data.scale
-    ~shape:(Array.to_list data.arr.Ndarray.shape)
-    (fun idx -> real data idx +. real_flat bias (channels_first idx))
-
-let add_values ?dst a b =
-  represent_arr ?dst ~dtype:a.arr.Ndarray.dtype ~scale:a.scale
-    ~shape:(Array.to_list a.arr.Ndarray.shape)
-    (fun idx -> real a idx +. real b idx)
-
 let pool ?dst pool_kind ~window ~stride ~padding data =
   let c, h, w = shape3 data in
   let oh = Graph.conv_out_dim ~size:h ~kernel:window ~stride ~padding in
   let ow = Graph.conv_out_dim ~size:w ~kernel:window ~stride ~padding in
-  represent_arr ?dst ~dtype:data.arr.Ndarray.dtype ~scale:data.scale ~shape:[ c; oh; ow ]
-    (fun idx ->
-      let ch = idx.(0) and y = idx.(1) and x = idx.(2) in
+  let rd = reader data in
+  reals ?dst ~dtype:data.arr.Ndarray.dtype ~scale:data.scale ~shape:[ c; oh; ow ] (fun i ->
+      let x = i mod ow and y = i / ow mod oh and ch = i / (ow * oh) in
       let acc = ref (match pool_kind with Graph.Max_pool -> Float.neg_infinity | Graph.Avg_pool -> 0.0) in
       let count = ref 0 in
       for r = 0 to window - 1 do
@@ -641,7 +642,7 @@ let pool ?dst pool_kind ~window ~stride ~padding data =
           let iy = (y * stride) + r - padding in
           let ix = (x * stride) + s - padding in
           if iy >= 0 && iy < h && ix >= 0 && ix < w then begin
-            let v = real_flat data ((((ch * h) + iy) * w) + ix) in
+            let v = rd ((((ch * h) + iy) * w) + ix) in
             incr count;
             match pool_kind with
             | Graph.Max_pool -> acc := Float.max !acc v
@@ -655,81 +656,106 @@ let pool ?dst pool_kind ~window ~stride ~padding data =
 
 let global_avg_pool ?dst data =
   let c, h, w = shape3 data in
-  represent_arr ?dst ~dtype:data.arr.Ndarray.dtype ~scale:data.scale ~shape:[ c ]
-    (fun idx ->
-      let ch = idx.(0) in
+  let rd = reader data in
+  reals ?dst ~dtype:data.arr.Ndarray.dtype ~scale:data.scale ~shape:[ c ] (fun ch ->
       let acc = ref 0.0 in
-      for y = 0 to h - 1 do
-        for x = 0 to w - 1 do
-          acc := !acc +. real_flat data ((((ch * h) + y) * w) + x)
-        done
+      for i = ch * h * w to ((ch + 1) * h * w) - 1 do
+        acc := !acc +. rd i
       done;
       !acc /. Float.of_int (h * w))
 
-let flatten ?(dst = no_dst) data =
-  let n = Ndarray.num_elements data.arr in
-  let dtype = data.arr.Ndarray.dtype in
-  let compute idx = Ndarray.get_flat data.arr idx.(0) in
-  let arr =
-    match dst ~dtype ~shape:[ n ] with
-    | Some view ->
-      Ndarray.fill view compute;
-      view
-    | None -> Ndarray.init ~dtype ~shape:[ n ] compute
-  in
-  { data with arr }
+let flatten ?dst data =
+  reals ?dst ~dtype:data.arr.Ndarray.dtype ~scale:data.scale
+    ~shape:[ Ndarray.num_elements data.arr ] (reader data)
 
+(* Inputs share their trailing dims, so each one is a consecutive flat
+   range of the output: input [j] covers [starts.(j), starts.(j + 1)). *)
 let concat ?dst values =
+  let trailing v =
+    match Array.to_list v.arr.Ndarray.shape with
+    | _ :: rest -> rest
+    | [] -> error "concat: empty shape"
+  in
   match values with
   | [] -> error "concat: no inputs"
   | first :: _ ->
-    let spatial =
-      match Array.to_list first.arr.Ndarray.shape with
-      | _ :: rest -> rest
-      | [] -> error "concat: empty shape"
-    in
-    let channels =
-      List.map
-        (fun v ->
-          match v.arr.Ndarray.shape with
-          | [||] -> error "concat: empty shape"
-          | shape -> shape.(0))
-        values
-    in
-    let total = List.fold_left ( + ) 0 channels in
-    represent_arr ?dst ~dtype:first.arr.Ndarray.dtype ~scale:first.scale
-      ~shape:(total :: spatial)
-      (fun idx ->
-        let rec pick ch values channels =
-          match values, channels with
-          | v :: vs, c :: cs -> if ch < c then (v, ch) else pick (ch - c) vs cs
-          | _ -> error "concat: channel out of range"
-        in
-        let v, ch = pick idx.(0) values channels in
-        let idx' = Array.copy idx in
-        idx'.(0) <- ch;
-        real v idx')
+    let spatial = trailing first in
+    List.iter
+      (fun v ->
+        if trailing v <> spatial then
+          error "concat: input [%s] does not share the trailing dims of [%s]"
+            (dims v.arr.Ndarray.shape) (dims first.arr.Ndarray.shape))
+      values;
+    let inputs = Array.of_list values in
+    let reads = Array.map reader inputs in
+    let starts = Array.make (Array.length inputs + 1) 0 in
+    Array.iteri (fun j v -> starts.(j + 1) <- starts.(j) + Ndarray.num_elements v.arr) inputs;
+    let channels = List.fold_left (fun acc v -> acc + v.arr.Ndarray.shape.(0)) 0 values in
+    reals ?dst ~dtype:first.arr.Ndarray.dtype ~scale:first.scale ~shape:(channels :: spatial)
+      (fun i ->
+        let j = ref 0 in
+        while i >= starts.(!j + 1) do
+          incr j
+        done;
+        reads.(!j) (i - starts.(!j)))
 
-let softmax ?(dst = no_dst) data =
+let softmax ?dst data =
   let n = Ndarray.num_elements data.arr in
-  let xs = Array.init n (fun i -> real_flat data i) in
+  let xs = Array.init n (reader data) in
   let m = Array.fold_left Float.max Float.neg_infinity xs in
   let exps = Array.map (fun x -> Float.exp (x -. m)) xs in
   let total = Array.fold_left ( +. ) 0.0 exps in
-  { arr =
-      materialize_float ~dst ~dtype:Dtype.F32 ~shape:[ n ] (fun idx ->
-          exps.(idx.(0)) /. total);
-    scale = 1.0
-  }
+  reals ?dst ~dtype:Dtype.F32 ~scale:1.0 ~shape:[ n ] (fun i -> exps.(i) /. total)
 
-let quantize ?dst ~scale ~dtype data =
-  represent_arr ?dst ~dtype ~scale ~shape:(Array.to_list data.arr.Ndarray.shape)
-    (real data)
+(* ---------- elementwise stages ---------- *)
 
-let dequantize ?dst data =
-  represent_arr ?dst ~dtype:Dtype.F32 ~scale:1.0
-    ~shape:(Array.to_list data.arr.Ndarray.shape)
-    (real data)
+let is_stage = function
+  | Graph.Bias_add | Graph.Relu | Graph.Clip _ | Graph.Add | Graph.Quantize _
+  | Graph.Dequantize _ -> true
+  | _ -> false
+
+(* An elementwise kind as one stage of a chain over a [shape] tensor held
+   in [dtype] at [scale]: the stage's real value at flat offset [i] from
+   the running value [x], and the dtype and scale its result is stored in.
+   [extras] are the kind's operands after the running one. *)
+let stage kind ~shape (dtype, scale) extras =
+  let same f = (f, dtype, scale) in
+  match kind, extras with
+  | Graph.Relu, [] -> same (fun _ x -> Float.max 0.0 x)
+  | Graph.Clip { lo; hi }, [] -> same (fun _ x -> Float.min hi (Float.max lo x))
+  | Graph.Bias_add, [ bias ] ->
+    if Array.length shape = 0 || bias.arr.Ndarray.shape <> [| shape.(0) |] then
+      error "bias_add: bias [%s] for data [%s]; one element per channel expected"
+        (dims bias.arr.Ndarray.shape) (dims shape);
+    let inner = Array.fold_left ( * ) 1 (Array.sub shape 1 (Array.length shape - 1)) in
+    let b = reader bias in
+    same (fun i x -> x +. b (i / inner))
+  | Graph.Add, [ b ] ->
+    if b.arr.Ndarray.shape <> shape then
+      error "add: operand shapes [%s] and [%s] differ" (dims shape) (dims b.arr.Ndarray.shape);
+    let b = reader b in
+    same (fun i x -> x +. b i)
+  | Graph.Quantize { scale; dtype }, [] -> ((fun _ x -> x), dtype, scale)
+  | Graph.Dequantize _, [] -> ((fun _ x -> x), Dtype.F32, 1.0)
+  | _ -> error "arity mismatch during execution"
+
+(* [base] through every stage in one pass that stores only into [dst]:
+   each element runs the whole chain in a register, rounded between
+   stages as a store and reload would round it, so the result is
+   bit-identical to storing every stage.  Only the last stage stores. *)
+let chain ?dst base stages =
+  let shape = base.arr.Ndarray.shape in
+  let rec go f repr = function
+    | [] -> error "empty stage chain"
+    | (kind, extras) :: rest ->
+      let g, dtype, scale = stage kind ~shape repr extras in
+      (match rest with
+       | [] -> reals ?dst ~dtype ~scale ~shape:(Array.to_list shape) (fun i -> g i (f i))
+       | _ ->
+         let round = reload dtype scale in
+         go (fun i -> round (g i (f i))) (dtype, scale) rest)
+  in
+  go (reader base) (base.arr.Ndarray.dtype, base.scale) stages
 
 (* ---------- operator dispatch ---------- *)
 
@@ -740,34 +766,28 @@ let base_arity = function
   | Graph.Softmax | Graph.Quantize _ | Graph.Dequantize _ -> 1
   | Graph.Concat -> -1 (* variadic; never fused *)
 
-let apply_values ?dst kind args =
-  match kind, args with
-  | Graph.Conv3d attrs, [ data; weights ] -> conv3d ?dst attrs data weights
-  | Graph.Bias_add, [ data; bias ] -> bias_add ?dst data bias
-  | Graph.Relu, [ data ] -> map_value ?dst data (Float.max 0.0)
-  | Graph.Clip { lo; hi }, [ data ] ->
-    map_value ?dst data (fun x -> Float.min hi (Float.max lo x))
-  | Graph.Add, [ a; b ] -> add_values ?dst a b
-  | Graph.Pool { pool = k; window; stride; padding }, [ data ] ->
-    pool ?dst k ~window ~stride ~padding data
-  | Graph.Global_avg_pool, [ data ] -> global_avg_pool ?dst data
-  | Graph.Flatten, [ data ] -> flatten ?dst data
-  | Graph.Concat, values -> concat ?dst values
-  | Graph.Softmax, [ data ] -> softmax ?dst data
-  | Graph.Quantize { scale; dtype }, [ data ] -> quantize ?dst ~scale ~dtype data
-  | Graph.Dequantize _, [ data ] -> dequantize ?dst data
-  | (Graph.Input _ | Graph.Weight _), _ -> error "input/weight evaluated as op"
-  | _ -> error "arity mismatch during execution"
-
-(* Conv2d and dense take their weight operand as it comes (packed
-   weights stay packed); every other op reads values. *)
-let apply_kind ?dst kind operands =
+(* One operator on its operands.  Conv2d and dense take their weight
+   operand as it comes (packed weights stay packed); every other op
+   reads values, and an elementwise kind is a chain of one stage based
+   on its first operand. *)
+let apply_op ?dst kind operands =
   match kind, operands with
   | Graph.Conv2d attrs, [ data; weights ] -> conv2d ?dst attrs (value_of data) weights
   | Graph.Dense { units }, [ data; weights ] -> dense ?dst units (value_of data) weights
-  | _ -> apply_values ?dst kind (List.map value_of operands)
+  | _ -> (
+    match kind, List.map value_of operands with
+    | Graph.Conv3d attrs, [ data; weights ] -> conv3d ?dst attrs data weights
+    | Graph.Pool { pool = k; window; stride; padding }, [ data ] ->
+      pool ?dst k ~window ~stride ~padding data
+    | Graph.Global_avg_pool, [ data ] -> global_avg_pool ?dst data
+    | Graph.Flatten, [ data ] -> flatten ?dst data
+    | Graph.Concat, values -> concat ?dst values
+    | Graph.Softmax, [ data ] -> softmax ?dst data
+    | kind, data :: extras when is_stage kind -> chain ?dst data [ (kind, extras) ]
+    | (Graph.Input _ | Graph.Weight _), _ -> error "input/weight evaluated as op"
+    | _ -> error "arity mismatch during execution")
 
-let apply kind args = apply_kind kind (List.map (fun v -> Value v) args)
+let apply kind args = apply_op kind (List.map (fun v -> Value v) args)
 
 (* ---------- arena plans ---------- *)
 
@@ -835,25 +855,26 @@ let take (n : Graph.node) k xs =
   in
   if k < 0 then (xs, []) else go k [] xs
 
-(* One node on its evaluated operands: the base op, then each fused
-   epilogue on the running value plus its own extra operands, in order.
-   Only the node's final value lands in its destination [node_dst], so an
-   arena slot is written exactly once; fused intermediates stay in fresh
-   buffers. *)
+(* One node on its evaluated operands: the base op, then the stage chain
+   of its fused epilogues, each with its own extra operands, in one pass
+   that stores only into [node_dst]; a node whose own kind is elementwise
+   heads the chain on its first operand.  Only a fused node's base op
+   stores elsewhere, into one fresh buffer. *)
 let eval_op (n : Graph.node) ~node_dst operands =
   let own, extra = take n (base_arity n.Graph.kind) operands in
-  let last = List.length n.Graph.fused in
-  let dst i = if i = last then node_dst else no_dst in
-  let v, leftover, _ =
-    List.fold_left
-      (fun (v, extra, i) fused_kind ->
-        let extras, rest = take n (Stdlib.max 0 (base_arity fused_kind - 1)) extra in
-        (apply_kind ~dst:(dst i) fused_kind (Value v :: extras), rest, i + 1))
-      (apply_kind ~dst:(dst 0) n.Graph.kind own, extra, 1)
-      n.Graph.fused
+  let leftover, fused =
+    List.fold_left_map
+      (fun extra kind ->
+        let extras, rest = take n (Stdlib.max 0 (base_arity kind - 1)) extra in
+        (rest, (kind, List.map value_of extras)))
+      extra n.Graph.fused
   in
   if leftover <> [] then error "%s: unconsumed inputs" n.Graph.name;
-  v
+  match own, fused with
+  | data :: extras, _ when is_stage n.Graph.kind ->
+    chain ~dst:node_dst (value_of data) ((n.Graph.kind, List.map value_of extras) :: fused)
+  | _, [] -> apply_op ~dst:node_dst n.Graph.kind own
+  | _ -> chain ~dst:node_dst (apply_op n.Graph.kind own) fused
 
 (* Evaluate [g] once, in node-id order: ids are dense and topologically
    ordered (enforced at graph construction), so every operand is ready
@@ -910,20 +931,20 @@ let run ?plan g ~input =
   (* prepared storage is never handed out: a weight output is a copy *)
   match (Graph.node g (Graph.output g)).Graph.kind, out with
   | Graph.Weight _, Value v ->
-    let shape = Array.to_list v.arr.Ndarray.shape in
-    { v with arr = Ndarray.init ~dtype:v.arr.Ndarray.dtype ~shape (Ndarray.get v.arr) }
+    reals ~dtype:v.arr.Ndarray.dtype ~scale:v.scale
+      ~shape:(Array.to_list v.arr.Ndarray.shape) (reader v)
   | _, w -> value_of w
 
 let run_to_floats ?plan g ~input =
   let out = run ?plan g ~input in
-  Array.init (Ndarray.num_elements out.arr) (fun i -> real_flat out i)
+  Array.init (Ndarray.num_elements out.arr) (reader out)
 
 let calibrate g ~input =
   let maxima = Array.make (Graph.arity g) 1.0 in
   let abs_max v =
-    let m = ref 1e-6 in
+    let m = ref 1e-6 and read = reader v in
     for i = 0 to Ndarray.num_elements v.arr - 1 do
-      m := Float.max !m (Float.abs (real_flat v i))
+      m := Float.max !m (Float.abs (read i))
     done;
     !m
   in

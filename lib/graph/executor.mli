@@ -7,6 +7,14 @@
     happens where real inference engines put it (requantize after the
     accumulator, rescale-on-add for residuals).
 
+    Conv2d, dense and weight synthesis run their own raw loops; every
+    other op stores through one flat loop of real numbers, rounded and
+    saturated into the output dtype.  A fused node runs its base op and
+    then its epilogues (bias_add, relu, clip, add, quantize, dequantize)
+    as stages of one pass, each element rounded in a register between
+    stages as storing it would round it: bit-identical to storing every
+    stage, though only the last one is stored.
+
     It is the oracle tuned kernels are checked against, and the
     benchmark's [models] workload times it: [run ~plan] on quantized
     resnet18, mobilenet1.0 and squeezenet. *)
@@ -40,11 +48,14 @@ val apply : Graph.kind -> value list -> value
     bytes {!run} prepares, and read it only in that form.
     @raise Exec_error on kind/storage combinations the graph passes never
     produce (quantized conv2d/dense weights must be [I8]), and on operands
-    whose shapes contradict the attributes: conv2d weights must be
-    [[k; c/groups; kern; kern]] with [groups] dividing both [c] and [k],
-    dense weights [[units; k']] for [k] inputs with [k' >= k] (a graph
-    run below its declared input size flattens to fewer features; dense
-    then reads the first [units * k] weights). *)
+    whose shapes contradict the attributes or each other: conv2d weights
+    must be [[k; c/groups; kern; kern]] with [groups] dividing both [c]
+    and [k]; dense weights [[units; k']] for [k] inputs with [k' >= k] (a
+    graph run below its declared input size flattens to fewer features;
+    dense then reads the first [units * k] weights); [Add] operands must
+    have one shape; a [Bias_add] bias must be rank 1 with one element per
+    channel (the data's first dim); [Concat] inputs must share their
+    trailing dims. *)
 
 val default_input : Graph.t -> seed:int -> Ndarray.t
 (** A deterministic input in [0, 1) matching the graph's input shape. *)

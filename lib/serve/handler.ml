@@ -2,7 +2,6 @@
    out.  See handler.mli. *)
 
 module Json = Unit_obs.Json
-module Obs = Unit_obs.Obs
 module Pipeline = Unit_core.Pipeline
 module Workload = Unit_graph.Workload
 module Cpu_tuner = Unit_rewriter.Cpu_tuner
@@ -50,41 +49,9 @@ let run_result ~target ~engine workload (c : Pipeline.compiled) =
     ]
 
 let handle = function
-  | Protocol.Ping -> Json.Obj [ ("pong", Json.Bool true) ]
-  | Protocol.Stats ->
-    (* normally answered inline by the server; kept total for direct use *)
-    Obs.stats_json ()
-  | Protocol.Shutdown -> Json.Obj [ ("draining", Json.Bool true) ]
-  | Protocol.Metrics ->
-    (* normally answered inline by the server; kept total for direct use *)
-    Json.Obj
-      [ ("content_type", Json.Str Unit_obs.Metrics.content_type);
-        ("body", Json.Str (Unit_obs.Metrics.render ()))
-      ]
-  | Protocol.Trace { id } ->
-    (match Obs.trace_chrome id with
-     | Some doc -> doc
-     | None ->
-       invalid_arg
-         (Printf.sprintf "unknown trace_id %S (never begun, or evicted)" id))
-  | Protocol.Flight _ ->
-    (* only the server can answer: the flight recorder is per-server
-       state the handler has no handle on *)
-    invalid_arg "flight is answered inline by the server"
-  | Protocol.Load_isa { path } ->
-    (* normally answered inline by the server; kept total for direct use *)
-    (match Unit_isadsl.Loader.load_file path with
-     | Ok info ->
-       Json.Obj
-         [ ("pack", Json.Str info.Unit_isadsl.Loader.pk_source);
-           ( "loaded",
-             Json.Num
-               (float_of_int
-                  (List.length info.Unit_isadsl.Loader.pk_instructions)) )
-         ]
-     | Error ds ->
-       invalid_arg
-         (String.concat "; " (List.map Unit_tir.Diag.to_string ds)))
+  | Protocol.Ping | Protocol.Stats | Protocol.Shutdown | Protocol.Metrics
+  | Protocol.Trace _ | Protocol.Flight _ | Protocol.Load_isa _ ->
+    invalid_arg "answered inline by the server"
   | Protocol.Tune { target; engine; workload } ->
     tune_result ~target ~engine workload
       (Pipeline.compiled target (Protocol.to_workload workload))

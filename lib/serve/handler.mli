@@ -13,6 +13,7 @@
     retried on the {!Unit_store.Warmup.backoff_s} schedule. *)
 
 val handle : Protocol.request -> Unit_obs.Json.t
-(** Total over all request kinds, so it can also be called without a
-    server (the in-process harness does); [Stats]/[Ping]/[Shutdown] are
-    normally intercepted inline by {!Server}. *)
+(** Answer a [Tune], [Run] or [Explain] request — the kinds {!Server}
+    queues; it can also be called without a server.
+    @raise Invalid_argument for every other kind: {!Server} answers
+    those inline and never queues them. *)

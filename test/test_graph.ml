@@ -26,6 +26,11 @@ let tiny_cnn () =
   let fc = B.bias_add b (B.dense b ~units:10 gap) in
   B.finish b (B.softmax b fc)
 
+(* The benchmark's seed-1 input image at [hw]x[hw]. *)
+let golden_input ?(hw = 16) () =
+  let st = Random.State.make [| 1 |] in
+  Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; hw; hw ] (fun _ -> Random.State.float st 1.0)
+
 let test_shapes () =
   let g = tiny_cnn () in
   Alcotest.(check (list int)) "output" [ 10 ] (Graph.shape_of g (Graph.output g));
@@ -105,6 +110,12 @@ let test_quantize_arm_i8 () =
   let qout = Executor.run_to_floats q ~input in
   check_bool "i8 activations also track fp32" true (relative_error qout fp32 < 0.1)
 
+(* A fused node runs its whole epilogue chain in one pass, rounding
+   between stages in registers; that must give, bit for bit, what the
+   unfused graph stores node by node.  tiny_cnn calibrated, the zoo
+   structurally quantized at 16x16, and a hand-built chain through every
+   stage kind on a quantized and an f32 conv, ending in an integer or a
+   float dtype, with and without an arena plan. *)
 let test_fusion_preserves_numerics () =
   let g = tiny_cnn () in
   let q = Passes.quantize ~act_dtype:Dtype.U8 ~calibration_seed:3 g in
@@ -113,7 +124,79 @@ let test_fusion_preserves_numerics () =
   let input = Executor.default_input g ~seed:3 in
   let before = Executor.run_to_floats q ~input in
   let after = Executor.run_to_floats fused ~input in
-  check_bool "identical results" true (before = after)
+  check_bool "identical results" true (before = after);
+  let same what unfused fused ~input =
+    let expected = (Executor.run unfused ~input).Executor.arr in
+    check_bool (what ^ ": fused = unfused") true
+      (Ndarray.equal expected (Executor.run fused ~input).Executor.arr);
+    let plan = Unit_analysis.Arena.(exec_plan (plan fused)) in
+    check_bool (what ^ ": planned fused = unfused") true
+      (Ndarray.equal expected (Executor.run ~plan fused ~input).Executor.arr)
+  in
+  List.iter
+    (fun model ->
+      let build =
+        match Unit_models.Zoo.find model with
+        | Some build -> build
+        | None -> Alcotest.failf "no zoo model %s" model
+      in
+      let q = Passes.quantize_structural ~act_dtype:Dtype.U8 (build ()) in
+      let fused = Passes.fuse q in
+      check_bool (model ^ ": fusion shrinks the graph") true (Graph.arity fused < Graph.arity q);
+      same model q fused ~input:(golden_input ()))
+    [ "resnet18"; "mobilenet1.0"; "squeezenet" ];
+  List.iter
+    (fun (quantized, dequantize) ->
+      let what =
+        Printf.sprintf "%s chain to %s"
+          (if quantized then "quantized" else "f32")
+          (if dequantize then "f32" else "u8")
+      in
+      let wdtype = if quantized then Dtype.I8 else Dtype.F32 in
+      let conv = { Graph.out_channels = 4; kernel = 3; stride = 1; padding = 1; groups = 1 } in
+      let stages =
+        [ Graph.Bias_add;
+          Graph.Relu;
+          Graph.Add;
+          Graph.Clip { lo = -0.25; hi = 0.75 };
+          Graph.Quantize { scale = 0.7 /. 255.0; dtype = Dtype.U8 }
+        ]
+        @ if dequantize then [ Graph.Dequantize { scale = 0.7 /. 255.0 } ] else []
+      in
+      (* 0 input, 1 conv data, 2 weight, 3 bias, 4 residual weight,
+         5 residual, then the chain *)
+      let prefix =
+        [ ("x", Graph.Input { shape = [ 3; 6; 6 ]; dtype = Dtype.F32 }, [], []);
+          ( "x_q",
+            (if quantized then Graph.Quantize { scale = 1.0 /. 255.0; dtype = Dtype.U8 }
+             else Graph.Relu),
+            [ 0 ],
+            [] );
+          ("w", Graph.Weight { shape = [ 4; 3; 3; 3 ]; dtype = wdtype }, [], []);
+          ("b", Graph.Weight { shape = [ 4 ]; dtype = Dtype.F32 }, [], []);
+          ("w2", Graph.Weight { shape = [ 4; 3; 3; 3 ]; dtype = wdtype }, [], []);
+          ("residual", Graph.Conv2d conv, [ 1; 4 ], [])
+        ]
+      in
+      let fused =
+        Graph.build (prefix @ [ ("conv", Graph.Conv2d conv, [ 1; 2; 3; 5 ], stages) ]) ~output:6
+      in
+      let unfused =
+        Graph.build
+          (prefix
+          @ ("conv", Graph.Conv2d conv, [ 1; 2 ], [])
+            :: List.mapi
+                 (fun i kind ->
+                   let id = 6 + i in
+                   let extra =
+                     match kind with Graph.Bias_add -> [ 3 ] | Graph.Add -> [ 5 ] | _ -> []
+                   in
+                   (Printf.sprintf "stage%d" i, kind, id :: extra, []))
+                 stages)
+          ~output:(6 + List.length stages)
+      in
+      same what unfused fused ~input:(Executor.default_input fused ~seed:4))
+    [ (true, true); (true, false); (false, true); (false, false) ]
 
 let test_fusion_folds_epilogues () =
   let g = tiny_cnn () in
@@ -411,8 +494,185 @@ let test_conv2d_pinned_shapes () =
   case "9 channels 3x3 on 2x2" ~channels:9 ~k:3 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:2
     ~w:2
 
+(* ---------- glue ops against the boxed formulation ---------- *)
+
+(* Copies of the boxed code the executor's flat store loop replaced:
+   [Ndarray.init_float] over multi-index arrays, reads through
+   [flat_index]. *)
+let ref_real (v : Executor.value) idx =
+  Ndarray.get_float_flat v.Executor.arr (Ndarray.flat_index v.Executor.arr idx) *. v.Executor.scale
+
+let ref_real_flat (v : Executor.value) i = Ndarray.get_float_flat v.Executor.arr i *. v.Executor.scale
+
+let ref_represent ~dtype ~scale ~shape f =
+  let g = if Dtype.is_float dtype then f else fun idx -> f idx /. scale in
+  { Executor.arr = Ndarray.init_float ~dtype ~shape g;
+    scale = (if Dtype.is_float dtype then 1.0 else scale)
+  }
+
+let ref_conv3d (attrs : Graph.conv3d_attrs) (data : Executor.value) (weights : Executor.value) =
+  let c, d, h, w =
+    match data.Executor.arr.Ndarray.shape with
+    | [| c; d; h; w |] -> (c, d, h, w)
+    | _ -> Alcotest.fail "conv3d data must be rank 4"
+  in
+  let k = attrs.Graph.c3_out_channels in
+  let kern = attrs.Graph.c3_kernel and stride = attrs.Graph.c3_stride in
+  let padding = attrs.Graph.c3_padding in
+  let dim size = Graph.conv_out_dim ~size ~kernel:kern ~stride ~padding in
+  let quantized = Dtype.is_integer data.Executor.arr.Ndarray.dtype in
+  let out_dtype = if quantized then Dtype.I32 else Dtype.F32 in
+  let out_scale = if quantized then data.Executor.scale *. weights.Executor.scale else 1.0 in
+  let darr = data.Executor.arr and warr = weights.Executor.arr in
+  let dscale = data.Executor.scale and wscale = weights.Executor.scale in
+  ref_represent ~dtype:out_dtype ~scale:out_scale ~shape:[ k; dim d; dim h; dim w ] (fun idx ->
+      let ko = idx.(0) and z = idx.(1) and y = idx.(2) and x = idx.(3) in
+      let acc = ref 0.0 in
+      for ci = 0 to c - 1 do
+        for q = 0 to kern - 1 do
+          let iz = (z * stride) + q - padding in
+          if iz >= 0 && iz < d then
+            for r = 0 to kern - 1 do
+              let iy = (y * stride) + r - padding in
+              if iy >= 0 && iy < h then
+                for s = 0 to kern - 1 do
+                  let ix = (x * stride) + s - padding in
+                  if ix >= 0 && ix < w then
+                    acc :=
+                      !acc
+                      +. Ndarray.get_float_flat darr ((((((ci * d) + iz) * h) + iy) * w) + ix)
+                         *. dscale
+                         *. (Ndarray.get_float_flat warr
+                               ((((((((ko * c) + ci) * kern) + q) * kern) + r) * kern) + s)
+                            *. wscale)
+                done
+            done
+        done
+      done;
+      !acc)
+
+let ref_pool pool_kind ~window ~stride ~padding (data : Executor.value) =
+  let c, h, w =
+    match data.Executor.arr.Ndarray.shape with
+    | [| c; h; w |] -> (c, h, w)
+    | _ -> Alcotest.fail "pool data must be rank 3"
+  in
+  let oh = Graph.conv_out_dim ~size:h ~kernel:window ~stride ~padding in
+  let ow = Graph.conv_out_dim ~size:w ~kernel:window ~stride ~padding in
+  ref_represent ~dtype:data.Executor.arr.Ndarray.dtype ~scale:data.Executor.scale
+    ~shape:[ c; oh; ow ] (fun idx ->
+      let ch = idx.(0) and y = idx.(1) and x = idx.(2) in
+      let acc = ref (match pool_kind with Graph.Max_pool -> Float.neg_infinity | Graph.Avg_pool -> 0.0) in
+      let count = ref 0 in
+      for r = 0 to window - 1 do
+        for s = 0 to window - 1 do
+          let iy = (y * stride) + r - padding in
+          let ix = (x * stride) + s - padding in
+          if iy >= 0 && iy < h && ix >= 0 && ix < w then begin
+            let v = ref_real_flat data ((((ch * h) + iy) * w) + ix) in
+            incr count;
+            match pool_kind with
+            | Graph.Max_pool -> acc := Float.max !acc v
+            | Graph.Avg_pool -> acc := !acc +. v
+          end
+        done
+      done;
+      match pool_kind with
+      | Graph.Max_pool -> !acc
+      | Graph.Avg_pool -> !acc /. Float.of_int (Stdlib.max 1 !count))
+
+let ref_concat (values : Executor.value list) =
+  let first = List.hd values in
+  let spatial = List.tl (Array.to_list first.Executor.arr.Ndarray.shape) in
+  let channels = List.map (fun (v : Executor.value) -> v.Executor.arr.Ndarray.shape.(0)) values in
+  ref_represent ~dtype:first.Executor.arr.Ndarray.dtype ~scale:first.Executor.scale
+    ~shape:(List.fold_left ( + ) 0 channels :: spatial) (fun idx ->
+      let rec pick ch values channels =
+        match values, channels with
+        | v :: vs, c :: cs -> if ch < c then (v, ch) else pick (ch - c) vs cs
+        | _ -> Alcotest.fail "concat: channel out of range"
+      in
+      let v, ch = pick idx.(0) values channels in
+      let idx' = Array.copy idx in
+      idx'.(0) <- ch;
+      ref_real v idx')
+
+let ref_softmax (data : Executor.value) =
+  let n = Ndarray.num_elements data.Executor.arr in
+  let xs = Array.init n (ref_real_flat data) in
+  let m = Array.fold_left Float.max Float.neg_infinity xs in
+  let exps = Array.map (fun x -> Float.exp (x -. m)) xs in
+  let total = Array.fold_left ( +. ) 0.0 exps in
+  ref_represent ~dtype:Dtype.F32 ~scale:1.0 ~shape:[ n ] (fun idx -> exps.(idx.(0)) /. total)
+
+(* Every op kind the flat store loop serves that no golden reaches —
+   conv3d, softmax, pooling with padding, concat of inputs at different
+   scales — on operands read through arena views, against the boxed
+   formula. *)
+let test_glue_matches_boxed () =
+  let st = Random.State.make [| 11 |] in
+  let value dtype scale shape =
+    let draw _ =
+      if Dtype.equal dtype Dtype.F32 then Random.State.float st 2.0 -. 1.0
+      else if Dtype.equal dtype Dtype.I8 then Float.of_int (Random.State.int st 256 - 128)
+      else Float.of_int (Random.State.int st 256)
+    in
+    { Executor.arr = arena_view ~offset:(1 + Random.State.int st 9) ~dtype ~shape draw; scale }
+  in
+  let case what kind args (expected : Executor.value) =
+    let got = Executor.apply kind args in
+    check_bool (what ^ ": dtype") true
+      (Dtype.equal got.Executor.arr.Ndarray.dtype expected.Executor.arr.Ndarray.dtype);
+    check_bool (what ^ ": scale") true (got.Executor.scale = expected.Executor.scale);
+    check_bool (what ^ ": elements") true (Ndarray.equal got.Executor.arr expected.Executor.arr)
+  in
+  List.iter
+    (fun (quantized, stride, padding) ->
+      let attrs =
+        { Graph.c3_out_channels = 3; c3_kernel = 3; c3_stride = stride; c3_padding = padding }
+      in
+      let data, weights =
+        if quantized then
+          (value Dtype.U8 0.013 [ 2; 4; 5; 6 ], value Dtype.I8 0.0071 [ 3; 2; 3; 3; 3 ])
+        else (value Dtype.F32 1.0 [ 2; 4; 5; 6 ], value Dtype.F32 1.0 [ 3; 2; 3; 3; 3 ])
+      in
+      case
+        (Printf.sprintf "conv3d %s stride %d padding %d"
+           (if quantized then "u8" else "f32")
+           stride padding)
+        (Graph.Conv3d attrs) [ data; weights ]
+        (ref_conv3d attrs data weights))
+    [ (true, 1, 1); (true, 2, 0); (false, 1, 1); (false, 2, 2) ];
+  List.iter
+    (fun (name, data) -> case ("softmax of " ^ name) Graph.Softmax [ data ] (ref_softmax data))
+    [ ("f32", value Dtype.F32 1.0 [ 10 ]); ("u8", value Dtype.U8 0.05 [ 7 ]) ];
+  List.iter
+    (fun (pool, window, stride, padding) ->
+      List.iter
+        (fun data ->
+          case
+            (Printf.sprintf "%s %dx%d stride %d padding %d on %s"
+               (match pool with Graph.Max_pool -> "max-pool" | Graph.Avg_pool -> "avg-pool")
+               window window stride padding
+               (Dtype.to_string data.Executor.arr.Ndarray.dtype))
+            (Graph.Pool { pool; window; stride; padding })
+            [ data ]
+            (ref_pool pool ~window ~stride ~padding data))
+        [ value Dtype.U8 0.02 [ 3; 5; 6 ]; value Dtype.F32 1.0 [ 3; 5; 6 ] ])
+    [ (Graph.Avg_pool, 3, 2, 1); (Graph.Avg_pool, 3, 1, 1); (Graph.Avg_pool, 2, 2, 1);
+      (Graph.Max_pool, 3, 2, 1)
+    ];
+  List.iter
+    (fun (what, values) -> case what Graph.Concat values (ref_concat values))
+    [ ( "concat of u8 at three scales",
+        [ value Dtype.U8 0.01 [ 2; 3; 3 ]; value Dtype.U8 0.03 [ 3; 3; 3 ];
+          value Dtype.U8 0.005 [ 1; 3; 3 ] ] );
+      ("concat of f32", [ value Dtype.F32 1.0 [ 1; 2; 4 ]; value Dtype.F32 1.0 [ 2; 2; 4 ] ])
+    ]
+
 (* [apply] bypasses [Graph.build], so it checks conv2d and dense operand
-   shapes against the attributes itself. *)
+   shapes against the attributes itself, and elementwise and concat
+   operands against each other. *)
 let test_apply_rejects_bad_shapes () =
   let value dtype shape =
     { Executor.arr = Ndarray.zeros ~dtype ~shape;
@@ -434,7 +694,27 @@ let test_apply_rejects_bad_shapes () =
         conv ~groups:3 ~k:3 ~kernel:1 Dtype.U8 Dtype.I8 [ 3; 1; 1; 1 ] );
       ("3 output channels, 2 weights", conv ~k:3 ~kernel:1 Dtype.F32 Dtype.F32 [ 2; 4; 1; 1 ]);
       ( "dense weights of the wrong width",
-        (Graph.Dense { units = 2 }, [ value Dtype.F32 [ 4 ]; value Dtype.F32 [ 2; 3 ] ]) )
+        (Graph.Dense { units = 2 }, [ value Dtype.F32 [ 4 ]; value Dtype.F32 [ 2; 3 ] ]) );
+      (* elementwise and concat reads are flat, so a mismatched operand
+         would read past its own elements (or a neighbour's in an arena) *)
+      ( "add of a larger second operand",
+        (Graph.Add, [ value Dtype.U8 [ 2; 3; 3 ]; value Dtype.U8 [ 2; 4; 4 ] ]) );
+      ( "add of a smaller second operand",
+        (Graph.Add, [ value Dtype.U8 [ 2; 3; 3 ]; value Dtype.U8 [ 2; 2; 2 ] ]) );
+      ( "add of a transposed second operand",
+        (Graph.Add, [ value Dtype.F32 [ 2; 3 ]; value Dtype.F32 [ 3; 2 ] ]) );
+      ( "bias with one element too few",
+        (Graph.Bias_add, [ value Dtype.I32 [ 4; 3; 3 ]; value Dtype.F32 [ 3 ] ]) );
+      ( "bias with one element too many",
+        (Graph.Bias_add, [ value Dtype.I32 [ 4; 3; 3 ]; value Dtype.F32 [ 5 ] ]) );
+      ( "rank-2 bias",
+        (Graph.Bias_add, [ value Dtype.I32 [ 4; 3; 3 ]; value Dtype.F32 [ 4; 1 ] ]) );
+      ( "concat of larger trailing dims",
+        (Graph.Concat, [ value Dtype.U8 [ 2; 3; 3 ]; value Dtype.U8 [ 2; 4; 4 ] ]) );
+      ( "concat of smaller trailing dims",
+        (Graph.Concat, [ value Dtype.U8 [ 2; 3; 3 ]; value Dtype.U8 [ 1; 2; 2 ] ]) );
+      ( "concat of a different rank",
+        (Graph.Concat, [ value Dtype.F32 [ 2; 3; 3 ]; value Dtype.F32 [ 2; 9 ] ]) )
     ]
 
 let quantized_zoo_model name =
@@ -507,10 +787,6 @@ let golden_digest ?(hw = 16) model =
   with
   | Some (Unit_obs.Json.Str d) -> d
   | _ -> Alcotest.failf "no %dx%d %s digest in models.json" hw hw model
-
-let golden_input ?(hw = 16) () =
-  let st = Random.State.make [| 1 |] in
-  Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; hw; hw ] (fun _ -> Random.State.float st 1.0)
 
 let digest_of (v : Executor.value) = Ndarray.digest v.Executor.arr
 
@@ -638,6 +914,7 @@ let () =
           Alcotest.test_case "macs counted when traced" `Quick test_macs_counted;
           Alcotest.test_case "apply rejects bad shapes" `Quick test_apply_rejects_bad_shapes;
           Alcotest.test_case "conv2d pinned shapes" `Quick test_conv2d_pinned_shapes;
+          Alcotest.test_case "glue ops match boxed formula" `Quick test_glue_matches_boxed;
           QCheck_alcotest.to_alcotest prop_conv2d_matches_boxed
         ] );
       ( "quantization",
