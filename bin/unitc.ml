@@ -81,10 +81,10 @@ let any_target_arg =
        & info [ "target" ] ~docv:"TARGET"
            ~doc:"x86 (cascadelake), arm (graviton2) or gpu (v100).")
 
-(* A store that cannot be opened — a missing parent directory, or a
+(* A file or store that cannot be opened — a missing path, or a
    single-file store that needs store-migrate first — is one line and
    exit 1, not an uncaught exception. *)
-let store_or_die f = try f () with Sys_error msg -> or_die (Error msg)
+let sys_or_die f = try f () with Sys_error msg -> or_die (Error msg)
 
 (* ---------- declarative ISA packs (--isa-pack, uniform) ---------- *)
 
@@ -672,7 +672,7 @@ let warmup model target engine store_path domains retries trace trace_out
     | name -> or_die (Warmup.jobs_of_model ~engine tgt name)
   in
   let store, report =
-    store_or_die @@ fun () ->
+    sys_or_die @@ fun () ->
     Sharded.with_installed store_path @@ fun store diags ->
     print_store_diags diags;
     (store, Warmup.run ?domains ~retries jobs)
@@ -694,7 +694,7 @@ let warmup model target engine store_path domains retries trace trace_out
    path would silently create an empty one. *)
 let open_existing_store file =
   if not (Sys.file_exists file) then or_die (Error (file ^ ": no such store"));
-  store_or_die (fun () -> Sharded.open_ file)
+  sys_or_die (fun () -> Sharded.open_ file)
 
 let store_stats file json =
   let store, diags = open_existing_store file in
@@ -785,7 +785,7 @@ let store_migrate legacy dir json =
     or_die (Error (legacy ^ ": no such store"));
   if Sys.file_exists legacy && Sys.is_directory legacy then
     or_die (Error (legacy ^ ": already a directory (expected a legacy JSONL store)"));
-  let store, open_diags = store_or_die (fun () -> Sharded.open_ dir) in
+  let store, open_diags = sys_or_die (fun () -> Sharded.open_ dir) in
   let mg, legacy_diags = Sharded.migrate store ~legacy in
   let diags = open_diags @ legacy_diags in
   if json then
@@ -861,7 +861,7 @@ let trace_lint file forbid_spans require_counters count_spans require_tagged =
     then (Obs.tensorize_stages, [ "tuner.candidates" ])
     else ([], require_counters)
   in
-  match Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+  match Json.parse (sys_or_die (fun () -> In_channel.with_open_bin file In_channel.input_all)) with
   | Error m -> or_die (Error (Printf.sprintf "%s does not parse as JSON: %s" file m))
   | Ok j ->
     let events =

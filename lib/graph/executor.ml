@@ -6,6 +6,10 @@ module Obs = Unit_obs.Obs
    kernel taps that fall on padding included. *)
 let c_macs = Obs.counter "exec.macs"
 
+(* Of those, the MACs a quantized conv2d did two per multiply, in lane
+   pairs. *)
+let c_lanes_paired = Obs.counter "exec.lanes_paired"
+
 (* Weights synthesized into a graph's prepared storage; a graph's second
    run adds nothing. *)
 let c_weights_prepared = Obs.counter ~always:true "exec.weights_prepared"
@@ -55,6 +59,9 @@ let reader v =
 
 let qmax dtype = Int64.to_float (Dtype.max_int_value dtype)
 
+(* The largest magnitude an integer dtype holds: 255 for U8, 128 for I8. *)
+let maxabs dtype = Float.max (qmax dtype) (Float.abs (Int64.to_float (Dtype.min_int_value dtype)))
+
 (* A destination factory: where an operator's output array should live.
    [None] allocates a fresh per-op buffer (the historical behaviour);
    arena-planned execution hands back a view into the shared arena.  The
@@ -101,29 +108,34 @@ let[@inline] saturate ~lo ~hi y =
 let int_bounds dtype =
   (Int64.to_int (Dtype.min_int_value dtype), Int64.to_int (Dtype.max_int_value dtype))
 
-(* The one store loop of real numbers: element [i] of a fresh [shape]
-   tensor of [dtype] (or of the arena view [dst] offers) represents
-   [f i], exactly as [Ndarray.fill_float] stores it.  Floats round to the
-   dtype's precision (F64 is left as is); integers store [f i /. scale]
-   rounded to nearest and saturated at the dtype's bounds. *)
+(* The one store loop of real numbers: element [pos + i] of [arr], for
+   [i < len], represents [f i], exactly as [Ndarray.fill_float] stores
+   it.  Floats round to the dtype's precision (F64 is left as is);
+   integers store [f i /. scale] rounded to nearest and saturated at the
+   dtype's bounds. *)
+let store_reals arr ~scale ~pos ~len f =
+  let off = arr.Ndarray.offset + pos and last = len - 1 in
+  match arr.Ndarray.storage with
+  | Ndarray.Float_data a ->
+    let round = Value.round_float arr.Ndarray.dtype in
+    for i = 0 to last do
+      a.(off + i) <- round (f i)
+    done
+  | Ndarray.Int_data a ->
+    let lo, hi = int_bounds arr.Ndarray.dtype in
+    for i = 0 to last do
+      a.(off + i) <- saturate ~lo ~hi (f i /. scale)
+    done
+  | Ndarray.Int64_data a ->
+    for i = 0 to last do
+      a.(off + i) <- Int64.of_float (Float.round (f i /. scale))
+    done
+
+(* A fresh [shape] tensor of [dtype] (or the arena view [dst] offers)
+   whose element [i] represents [f i]. *)
 let reals ?(dst = no_dst) ~dtype ~scale ~shape f =
   let arr = output_array ~dst ~dtype ~shape in
-  let off = arr.Ndarray.offset and last = Ndarray.num_elements arr - 1 in
-  (match arr.Ndarray.storage with
-   | Ndarray.Float_data a ->
-     let round = Value.round_float dtype in
-     for i = 0 to last do
-       a.(off + i) <- round (f i)
-     done
-   | Ndarray.Int_data a ->
-     let lo, hi = int_bounds dtype in
-     for i = 0 to last do
-       a.(off + i) <- saturate ~lo ~hi (f i /. scale)
-     done
-   | Ndarray.Int64_data a ->
-     for i = 0 to last do
-       a.(off + i) <- Int64.of_float (Float.round (f i /. scale))
-     done);
+  store_reals arr ~scale ~pos:0 ~len:(Ndarray.num_elements arr) f;
   { arr; scale = (if Dtype.is_float dtype then 1.0 else scale) }
 
 (* The real number [reals] would store for [x] in [dtype] at [scale],
@@ -361,7 +373,8 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
   if kern < 1 || stride < 1 then error "conv2d: kernel %d, stride %d" kern stride;
   let oh = Graph.conv_out_dim ~size:h ~kernel:kern ~stride ~padding in
   let ow = Graph.conv_out_dim ~size:w ~kernel:kern ~stride ~padding in
-  Obs.add c_macs (k * oh * ow * cg * kern * kern);
+  let macs = oh * ow * cg * kern * kern in
+  Obs.add c_macs (k * macs);
   let out_dtype = if is_quantized data then Dtype.I32 else Dtype.F32 in
   let out = output_array ~dst ~dtype:out_dtype ~shape:[ k; oh; ow ] in
   let doff = data.arr.Ndarray.offset and ooff = out.Ndarray.offset in
@@ -387,6 +400,23 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
     if doff + (c * h * w) > Array.length d || ooff + (k * plane) > Array.length o then
       error "conv2d: an operand is smaller than its shape";
     let kk = kern * kern and hw = h * w in
+    (* Lane pairs: a pass runs output channels [ko] and [ko + 1] of one
+       group at once.  Each weight it reads is [w(ko) + w(ko + 1) lsl 31],
+       so one multiply by an activation updates both sums, held in plane
+       [ko] as [lo + hi lsl 31].  That is exact while every sum of
+       [cg * kern^2] terms of magnitude at most [maxabs data * 128] lies
+       in [-2^30, 2^30): the low 31 bits, sign-extended, are then [lo]
+       (the emitted kernels' [pair_lo] / [pair_hi] split).  Where the
+       bound fails, or [ko] ends an odd group, the high weight is zero
+       and the pass is one channel. *)
+    let pairable =
+      kg >= 2 && Float.of_int (cg * kk) *. maxabs data.arr.Ndarray.dtype *. 128.0 < 0x1p30
+    in
+    let paired = ref false and pair_step = cg * kk in
+    let weight t =
+      let w = Bytes.get_int8 wt t in
+      if !paired then w + (Bytes.get_int8 wt (t + pair_step) lsl 31) else w
+    in
     (* Weight-stationary and register-blocked: a pass streams input
        planes into the output plane, whose slots hold the exact integer
        accumulators until the requantizing store, and each slot update
@@ -410,8 +440,8 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
        clipped range serves all four, since it depends only on the tap *)
     let channel_block obase dplane t r s =
       let o = o and d = d and stride = stride and hw2 = 2 * hw and hw3 = 3 * hw in
-      let w0 = Bytes.get_int8 wt t and w1 = Bytes.get_int8 wt (t + kk) in
-      let w2 = Bytes.get_int8 wt (t + (2 * kk)) and w3 = Bytes.get_int8 wt (t + (3 * kk)) in
+      let w0 = weight t and w1 = weight (t + kk) in
+      let w2 = weight (t + (2 * kk)) and w3 = weight (t + (3 * kk)) in
       let xs = x0.(s) and xe = x1.(s) in
       for y = y0.(r) to y1.(r) do
         let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
@@ -432,8 +462,8 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
        tap runs its own edges.  With no interior the two edges of a tap
        would overlap, so each tap runs its whole range instead. *)
     let tap_block obase dplane t r s =
-      let w0 = Bytes.get_int8 wt t and w1 = Bytes.get_int8 wt (t + 1) in
-      let w2 = Bytes.get_int8 wt (t + 2) in
+      let w0 = weight t and w1 = weight (t + 1) in
+      let w2 = weight (t + 2) in
       let xs = x0.(s) and xe = x1.(s + 2) in
       if xs > xe then begin
         tap obase dplane w0 r s x0.(s) x1.(s);
@@ -464,7 +494,10 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
       end
     in
     let blocked = cg - (cg mod 4) and taps = if cg < 4 then kern - (kern mod 3) else 0 in
-    for ko = 0 to k - 1 do
+    let next = ref 0 and pairs = ref 0 in
+    while !next < k do
+      let ko = !next in
+      paired := pairable && (ko mod kg) + 1 < kg;
       let obase = ooff + (ko * plane) in
       Array.fill o obase plane 0;
       let dgroup = doff + (ko / kg * cg * hw) and wk = ko * cg * kk in
@@ -484,14 +517,26 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
             tap_block obase dplane (wrow + (3 * b)) r (3 * b)
           done;
           for s = taps to kern - 1 do
-            tap obase dplane (Bytes.get_int8 wt (wrow + s)) r s x0.(s) x1.(s)
+            tap obase dplane (weight (wrow + s)) r s x0.(s) x1.(s)
           done
         done
       done;
-      for i = obase to obase + plane - 1 do
-        o.(i) <- saturate ~lo ~hi (Float.of_int o.(i) *. out_scale /. out_scale)
-      done
+      let store i v = o.(i) <- saturate ~lo ~hi (Float.of_int v *. out_scale /. out_scale) in
+      if !paired then begin
+        for i = obase to obase + plane - 1 do
+          let v = o.(i) in
+          store i (Unit_emit_hook.pair_lo v);
+          store (i + plane) (Unit_emit_hook.pair_hi v)
+        done;
+        incr pairs
+      end
+      else
+        for i = obase to obase + plane - 1 do
+          store i o.(i)
+        done;
+      next := ko + if !paired then 2 else 1
     done;
+    Obs.add c_lanes_paired (2 * !pairs * macs);
     { arr = out; scale = out_scale }
   end
   else begin
@@ -669,8 +714,11 @@ let flatten ?dst data =
     ~shape:[ Ndarray.num_elements data.arr ] (reader data)
 
 (* Inputs share their trailing dims, so each one is a consecutive flat
-   range of the output: input [j] covers [starts.(j), starts.(j + 1)). *)
-let concat ?dst values =
+   range of the output.  An int-storage input of the output's dtype and
+   scale is copied as it is: for a finite scale [s > 0] whose product
+   with the dtype's largest magnitude is finite, [round (q *. s /. s)]
+   is [q] for every stored [q].  Any other input is stored as reals. *)
+let concat ?(dst = no_dst) values =
   let trailing v =
     match Array.to_list v.arr.Ndarray.shape with
     | _ :: rest -> rest
@@ -686,18 +734,22 @@ let concat ?dst values =
           error "concat: input [%s] does not share the trailing dims of [%s]"
             (dims v.arr.Ndarray.shape) (dims first.arr.Ndarray.shape))
       values;
-    let inputs = Array.of_list values in
-    let reads = Array.map reader inputs in
-    let starts = Array.make (Array.length inputs + 1) 0 in
-    Array.iteri (fun j v -> starts.(j + 1) <- starts.(j) + Ndarray.num_elements v.arr) inputs;
+    let dtype = first.arr.Ndarray.dtype and scale = first.scale in
     let channels = List.fold_left (fun acc v -> acc + v.arr.Ndarray.shape.(0)) 0 values in
-    reals ?dst ~dtype:first.arr.Ndarray.dtype ~scale:first.scale ~shape:(channels :: spatial)
-      (fun i ->
-        let j = ref 0 in
-        while i >= starts.(!j + 1) do
-          incr j
-        done;
-        reads.(!j) (i - starts.(!j)))
+    let arr = output_array ~dst ~dtype ~shape:(channels :: spatial) in
+    let pos = ref 0 in
+    List.iter
+      (fun v ->
+        let len = Ndarray.num_elements v.arr in
+        (match v.arr.Ndarray.storage, arr.Ndarray.storage with
+         | Ndarray.Int_data src, Ndarray.Int_data out
+           when Dtype.equal v.arr.Ndarray.dtype dtype && v.scale = scale && scale > 0.0
+                && Float.is_finite (scale *. maxabs dtype) ->
+           Array.blit src v.arr.Ndarray.offset out (arr.Ndarray.offset + !pos) len
+         | _ -> store_reals arr ~scale ~pos:!pos ~len (reader v));
+        pos := !pos + len)
+      values;
+    { arr; scale = (if Dtype.is_float dtype then 1.0 else scale) }
 
 let softmax ?dst data =
   let n = Ndarray.num_elements data.arr in

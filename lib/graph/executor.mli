@@ -9,7 +9,14 @@
 
     Conv2d, dense and weight synthesis run their own raw loops; every
     other op stores through one flat loop of real numbers, rounded and
-    saturated into the output dtype.  A fused node runs its base op and
+    saturated into the output dtype (a concat input already at the
+    output's dtype and scale is copied as stored).  The quantized conv2d
+    runs two output channels of a group per pass, in lane pairs: each
+    weight it reads is [w(ko) + w(ko + 1) lsl 31], so one multiply
+    updates two exact i32 sums held in one native int, split at the
+    store.  It pairs only where [cg * kern^2 * maxabs(data dtype) * 128]
+    stays below [2^30], which keeps each lane's sum in [[-2^30, 2^30)];
+    elsewhere a pass is one channel.  A fused node runs its base op and
     then its epilogues (bias_add, relu, clip, add, quantize, dequantize)
     as stages of one pass, each element rounded in a register between
     stages as storing it would round it: bit-identical to storing every

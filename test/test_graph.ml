@@ -494,6 +494,117 @@ let test_conv2d_pinned_shapes () =
   case "9 channels 3x3 on 2x2" ~channels:9 ~k:3 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:2
     ~w:2
 
+(* ---------- lane pairs ---------- *)
+
+let lanes_paired () = List.assoc "exec.lanes_paired" (Unit_obs.Obs.counters ())
+
+(* The quantized conv2d at unit scales, so each stored output is its
+   exact integer sum, against [ref_conv2d]'s integer nest, with tracing
+   on for [exec.lanes_paired].  [paired] is how many pairs of output
+   channels the conv should run together; each pair does
+   [2 * oh * ow * cg * kern^2] MACs two per multiply. *)
+let pairs_exact what (attrs : Graph.conv2d_attrs) ~paired data weights =
+  let data = { Executor.arr = data; scale = 1.0 } in
+  let weights = { Executor.arr = weights; scale = 1.0 } in
+  let before = lanes_paired () in
+  Unit_obs.Obs.set_enabled true;
+  let got =
+    Fun.protect
+      ~finally:(fun () -> Unit_obs.Obs.set_enabled false)
+      (fun () -> Executor.apply (Graph.Conv2d attrs) [ data; weights ])
+  in
+  let expected, _ = ref_conv2d attrs data weights in
+  for i = 0 to Ndarray.num_elements expected - 1 do
+    let a = Ndarray.get_int_flat got.Executor.arr i and b = Ndarray.get_int_flat expected i in
+    if a <> b then Alcotest.failf "%s: output %d is %d, the integer nest gives %d" what i a b
+  done;
+  let oh, ow, cg =
+    match got.Executor.arr.Ndarray.shape, data.Executor.arr.Ndarray.shape with
+    | [| _; oh; ow |], [| c; _; _ |] -> (oh, ow, c / attrs.Graph.groups)
+    | _ -> Alcotest.failf "%s: unexpected shapes" what
+  in
+  let kk = attrs.Graph.kernel * attrs.Graph.kernel in
+  check_int (what ^ ": exec.lanes_paired")
+    (2 * paired * oh * ow * cg * kk)
+    (lanes_paired () - before)
+
+(* Random operands over each data dtype's whole range, on arena views,
+   through every shape the paired nest treats apart: odd [k], groups of
+   odd [kg] (the last channel of each runs alone), depthwise ([kg = 1],
+   never paired), both strides, paddings 0 to 3, 1x1, 3x3 and 7x7
+   kernels, channel blocks, tap blocks and single taps, and 2x2 inputs
+   at padding 1. *)
+let test_lane_pairs_exact () =
+  let st = Random.State.make [| 29 |] in
+  let case ~channels ~k ~kernel ~stride ~padding ~groups ~h ~w data_dtype =
+    let attrs = { Graph.out_channels = k; kernel; stride; padding; groups } in
+    let lo = Int64.to_int (Dtype.min_int_value data_dtype) in
+    let span = Int64.to_int (Dtype.max_int_value data_dtype) - lo + 1 in
+    let draw lo span _ = Float.of_int (lo + Random.State.int st span) in
+    let data =
+      arena_view ~offset:(1 + Random.State.int st 9) ~dtype:data_dtype
+        ~shape:[ channels; h; w ] (draw lo span)
+    in
+    let weights =
+      arena_view ~offset:(1 + Random.State.int st 9) ~dtype:Dtype.I8
+        ~shape:[ k; channels / groups; kernel; kernel ]
+        (draw (-128) 256)
+    in
+    let kg = k / groups in
+    pairs_exact
+      (Printf.sprintf "%s: %d channels, k %d, %dx%d stride %d padding %d, %d groups on %dx%d"
+         (Dtype.to_string data_dtype) channels k kernel kernel stride padding groups h w)
+      attrs ~paired:(groups * (kg / 2)) data weights
+  in
+  List.iter
+    (fun dtype ->
+      case ~channels:4 ~k:5 ~kernel:1 ~stride:1 ~padding:0 ~groups:1 ~h:3 ~w:4 dtype;
+      case ~channels:6 ~k:6 ~kernel:3 ~stride:1 ~padding:1 ~groups:2 ~h:5 ~w:5 dtype;
+      case ~channels:8 ~k:12 ~kernel:3 ~stride:2 ~padding:1 ~groups:4 ~h:7 ~w:6 dtype;
+      case ~channels:6 ~k:6 ~kernel:3 ~stride:2 ~padding:1 ~groups:6 ~h:6 ~w:5 dtype;
+      case ~channels:3 ~k:5 ~kernel:7 ~stride:2 ~padding:3 ~groups:1 ~h:11 ~w:9 dtype;
+      case ~channels:9 ~k:4 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:2 ~w:2 dtype;
+      case ~channels:2 ~k:3 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:2 ~w:2 dtype;
+      for padding = 0 to 3 do
+        case ~channels:5 ~k:4 ~kernel:3 ~stride:2 ~padding ~groups:1 ~h:6 ~w:7 dtype;
+        case ~channels:2 ~k:2 ~kernel:7 ~stride:1 ~padding ~groups:1 ~h:8 ~w:7 dtype
+      done)
+    [ Dtype.U8; Dtype.I8 ]
+
+(* Extreme operands at the bound: data at the value of its dtype's
+   largest magnitude and every weight -128 (or the pair's high channel
+   at 127).  A pair runs while [cg * kern^2 * maxabs * 128 < 2^30]: for
+   U8 (maxabs 255) 32896 channels pair, their sums within 16384 of
+   -2^30, and 32897 do not; for I8 (maxabs 128) 65535 channels pair,
+   their sums 16384 below 2^30, and 65536 channels, whose sums reach
+   2^30, do not.  Unpaired, every sum is still exact. *)
+let test_lane_pairs_bound () =
+  let case data_dtype ~data_value ~channels ~high ~paired =
+    let attrs = { Graph.out_channels = 2; kernel = 1; stride = 1; padding = 0; groups = 1 } in
+    let data =
+      arena_view ~offset:3 ~dtype:data_dtype ~shape:[ channels; 1; 2 ] (fun _ ->
+          Float.of_int data_value)
+    in
+    let weights =
+      arena_view ~offset:5 ~dtype:Dtype.I8 ~shape:[ 2; channels; 1; 1 ] (fun idx ->
+          if idx.(0) = 0 then -128.0 else Float.of_int high)
+    in
+    pairs_exact
+      (Printf.sprintf "%s data %d, %d channels, high weight %d" (Dtype.to_string data_dtype)
+         data_value channels high)
+      attrs
+      ~paired:(if paired then 1 else 0)
+      data weights
+  in
+  List.iter
+    (fun high ->
+      case Dtype.U8 ~data_value:255 ~channels:32896 ~high ~paired:true;
+      case Dtype.U8 ~data_value:255 ~channels:32897 ~high ~paired:false;
+      case Dtype.I8 ~data_value:(-128) ~channels:65535 ~high ~paired:true;
+      case Dtype.I8 ~data_value:(-128) ~channels:65536 ~high ~paired:false;
+      case Dtype.I8 ~data_value:127 ~channels:65535 ~high ~paired:true)
+    [ -128; 127 ]
+
 (* ---------- glue ops against the boxed formulation ---------- *)
 
 (* Copies of the boxed code the executor's flat store loop replaced:
@@ -607,8 +718,8 @@ let ref_softmax (data : Executor.value) =
 
 (* Every op kind the flat store loop serves that no golden reaches —
    conv3d, softmax, pooling with padding, concat of inputs at different
-   scales — on operands read through arena views, against the boxed
-   formula. *)
+   scales, dtypes, or one scale (copied) — on operands read through arena
+   views, against the boxed formula. *)
 let test_glue_matches_boxed () =
   let st = Random.State.make [| 11 |] in
   let value dtype scale shape =
@@ -667,6 +778,15 @@ let test_glue_matches_boxed () =
     [ ( "concat of u8 at three scales",
         [ value Dtype.U8 0.01 [ 2; 3; 3 ]; value Dtype.U8 0.03 [ 3; 3; 3 ];
           value Dtype.U8 0.005 [ 1; 3; 3 ] ] );
+      (* inputs at the output's dtype and scale are copied as stored *)
+      ( "concat of u8 at one scale",
+        [ value Dtype.U8 0.02 [ 2; 3; 3 ]; value Dtype.U8 0.02 [ 1; 3; 3 ];
+          value Dtype.U8 0.02 [ 3; 3; 3 ] ] );
+      ( "concat of u8, the first and last at one scale",
+        [ value Dtype.U8 0.02 [ 2; 3; 3 ]; value Dtype.U8 0.03 [ 1; 3; 3 ];
+          value Dtype.U8 0.02 [ 3; 3; 3 ] ] );
+      ("concat of i8 at one scale", [ value Dtype.I8 0.7 [ 2; 4 ]; value Dtype.I8 0.7 [ 3; 4 ] ]);
+      ("concat of u8 and i8 at one scale", [ value Dtype.U8 0.02 [ 2; 4 ]; value Dtype.I8 0.02 [ 3; 4 ] ]);
       ("concat of f32", [ value Dtype.F32 1.0 [ 1; 2; 4 ]; value Dtype.F32 1.0 [ 2; 2; 4 ] ])
     ]
 
@@ -915,6 +1035,8 @@ let () =
           Alcotest.test_case "apply rejects bad shapes" `Quick test_apply_rejects_bad_shapes;
           Alcotest.test_case "conv2d pinned shapes" `Quick test_conv2d_pinned_shapes;
           Alcotest.test_case "glue ops match boxed formula" `Quick test_glue_matches_boxed;
+          Alcotest.test_case "conv2d lane pairs exact" `Quick test_lane_pairs_exact;
+          Alcotest.test_case "conv2d lane-pair bound" `Quick test_lane_pairs_bound;
           QCheck_alcotest.to_alcotest prop_conv2d_matches_boxed
         ] );
       ( "quantization",
