@@ -10,6 +10,11 @@ let c_macs = Obs.counter "exec.macs"
    pairs. *)
 let c_lanes_paired = Obs.counter "exec.lanes_paired"
 
+(* Output elements a fused quantized conv2d stored through the integer
+   requantizer, and the channels whose bias step it left in floats. *)
+let c_requant_int = Obs.counter "exec.requant_int"
+let c_requant_fallback = Obs.counter "exec.requant_fallback"
+
 (* Weights synthesized into a graph's prepared storage; a graph's second
    run adds nothing. *)
 let c_weights_prepared = Obs.counter ~always:true "exec.weights_prepared"
@@ -62,6 +67,12 @@ let qmax dtype = Int64.to_float (Dtype.max_int_value dtype)
 (* The largest magnitude an integer dtype holds: 255 for U8, 128 for I8. *)
 let maxabs dtype = Float.max (qmax dtype) (Float.abs (Int64.to_float (Dtype.min_int_value dtype)))
 
+(* Whether storing the real value of every [dtype] value [q] held at
+   [scale] gives [q] back: for a finite scale [s > 0] whose product with
+   the dtype's largest magnitude is finite, [round (q *. s /. s)] is
+   [q]. *)
+let round_trips dtype scale = scale > 0.0 && Float.is_finite (scale *. maxabs dtype)
+
 (* A destination factory: where an operator's output array should live.
    [None] allocates a fresh per-op buffer (the historical behaviour);
    arena-planned execution hands back a view into the shared arena.  The
@@ -107,6 +118,8 @@ let[@inline] saturate ~lo ~hi y =
 
 let int_bounds dtype =
   (Int64.to_int (Dtype.min_int_value dtype), Int64.to_int (Dtype.max_int_value dtype))
+
+let dims a = String.concat "; " (Array.to_list (Array.map string_of_int a))
 
 (* The one store loop of real numbers: element [pos + i] of [arr], for
    [i < len], represents [f i], exactly as [Ndarray.fill_float] stores
@@ -213,9 +226,20 @@ let synth_weight (node : Graph.node) shape =
   arr
 
 (* An integer-declared weight is self-quantized with its own max-abs
-   (per-tensor symmetric, like offline weight quantization).  Until the
-   scale is known, each element's level waits in its own slot of the
-   integer output, so no f32 copy of the weight exists. *)
+   (per-tensor symmetric, like offline weight quantization): the scale
+   and each level's quantized value, given the levels its elements use. *)
+let quantize_levels levels used dtype =
+  (* the max-abs over the elements is the max over the levels they use *)
+  let maxabs = ref 1e-6 in
+  Array.iteri
+    (fun b x -> if Bytes.get used b = '\001' then maxabs := Float.max !maxabs (Float.abs x))
+    levels;
+  let scale = !maxabs /. qmax dtype in
+  let lo, hi = int_bounds dtype in
+  (scale, Array.map (fun x -> saturate ~lo ~hi (x /. scale)) levels)
+
+(* Until the scale is known, each element's level waits in its own slot
+   of the integer output, so no f32 copy of the weight exists. *)
 let weight_value (node : Graph.node) shape dtype =
   if Dtype.equal dtype Dtype.F32 then { arr = synth_weight node shape; scale = 1.0 }
   else begin
@@ -226,14 +250,7 @@ let weight_value (node : Graph.node) shape dtype =
     iter_levels ~key shape (fun i b ->
         q.(i) <- b;
         Bytes.set used b '\001');
-    (* the max-abs over the elements is the max over the levels they use *)
-    let maxabs = ref 1e-6 in
-    Array.iteri
-      (fun b x -> if Bytes.get used b = '\001' then maxabs := Float.max !maxabs (Float.abs x))
-      levels;
-    let scale = !maxabs /. qmax dtype in
-    let lo, hi = int_bounds dtype in
-    let quantized = Array.map (fun x -> saturate ~lo ~hi (x /. scale)) levels in
+    let scale, quantized = quantize_levels levels used dtype in
     for i = 0 to Array.length q - 1 do
       q.(i) <- quantized.(q.(i))
     done;
@@ -267,6 +284,18 @@ let pack what (v : value) =
   done;
   { pk_bytes = bytes; pk_shape = Array.copy v.arr.Ndarray.shape; pk_scale = v.scale }
 
+(* [pack (weight_value node shape I8)] without its [int array] form: one
+   walk over the levels finds those the elements use, a second stores
+   each element's quantized level. *)
+let packed_value (node : Graph.node) shape =
+  let key, levels = param_levels node shape in
+  let used = Bytes.make buckets '\000' in
+  iter_levels ~key shape (fun _ b -> Bytes.set used b '\001');
+  let scale, quantized = quantize_levels levels used Dtype.I8 in
+  let bytes = Bytes.create (List.fold_left ( * ) 1 shape) in
+  iter_levels ~key shape (fun i b -> Bytes.set_int8 bytes i quantized.(b));
+  { pk_bytes = bytes; pk_shape = Array.of_list shape; pk_scale = scale }
+
 let unpack p =
   let arr = Ndarray.zeros ~dtype:Dtype.I8 ~shape:(Array.to_list p.pk_shape) in
   let x = int_payload "weight" arr in
@@ -278,12 +307,219 @@ let unpack p =
 let value_of = function Value v -> v | Packed p -> unpack p
 let packed_of what = function Packed p -> p | Value v -> pack what v
 
+(* ---------- elementwise stages ---------- *)
+
+let is_stage = function
+  | Graph.Bias_add | Graph.Relu | Graph.Clip _ | Graph.Add | Graph.Quantize _
+  | Graph.Dequantize _ -> true
+  | _ -> false
+
+(* An elementwise kind as one stage of a chain over a [shape] tensor held
+   in [dtype] at [scale]: the stage's real value at flat offset [i] from
+   the running value [x], and the dtype and scale its result is stored in.
+   [extras] are the kind's operands after the running one. *)
+let stage kind ~shape (dtype, scale) extras =
+  let same f = (f, dtype, scale) in
+  match kind, extras with
+  | Graph.Relu, [] -> same (fun _ x -> Float.max 0.0 x)
+  | Graph.Clip { lo; hi }, [] -> same (fun _ x -> Float.min hi (Float.max lo x))
+  | Graph.Bias_add, [ bias ] ->
+    if Array.length shape = 0 || bias.arr.Ndarray.shape <> [| shape.(0) |] then
+      error "bias_add: bias [%s] for data [%s]; one element per channel expected"
+        (dims bias.arr.Ndarray.shape) (dims shape);
+    let inner = Array.fold_left ( * ) 1 (Array.sub shape 1 (Array.length shape - 1)) in
+    let b = reader bias in
+    same (fun i x -> x +. b (i / inner))
+  | Graph.Add, [ b ] ->
+    if b.arr.Ndarray.shape <> shape then
+      error "add: operand shapes [%s] and [%s] differ" (dims shape) (dims b.arr.Ndarray.shape);
+    let b = reader b in
+    same (fun i x -> x +. b i)
+  | Graph.Quantize { scale; dtype }, [] -> ((fun _ x -> x), dtype, scale)
+  | Graph.Dequantize _, [] -> ((fun _ x -> x), Dtype.F32, 1.0)
+  | _ -> error "arity mismatch during execution"
+
+(* [f], the real value held in [repr] at flat offset [i], through every
+   stage: the last stage's real value and the dtype and scale it is
+   stored in.  Between stages each element is rounded in a register as a
+   store and reload would round it. *)
+let through ~shape repr f stages =
+  let rec go f repr = function
+    | [] -> error "empty stage chain"
+    | (kind, extras) :: rest ->
+      let g, dtype, scale = stage kind ~shape repr extras in
+      (match rest with
+       | [] -> ((fun i -> g i (f i)), dtype, scale)
+       | _ ->
+         let round = reload dtype scale in
+         go (fun i -> round (g i (f i))) (dtype, scale) rest)
+  in
+  go f repr stages
+
+(* [base] through every stage in one pass that stores only into [dst]:
+   bit-identical to storing every stage, though only the last one is
+   stored. *)
+let chain ?dst base stages =
+  let shape = base.arr.Ndarray.shape in
+  let f, dtype, scale = through ~shape (base.arr.Ndarray.dtype, base.scale) (reader base) stages in
+  reals ?dst ~dtype ~scale ~shape:(Array.to_list shape) f
+
+(* ---------- integer requantization ---------- *)
+
+(* A quantized conv2d fused with [Bias_add; (Relu | Clip)*; Quantize]
+   stores its chain's output straight from its exact sums, in integers;
+   the interface gives the three exactness arguments. *)
+
+let lo32 = -0x8000_0000
+let hi32 = 0x7fff_ffff
+let[@inline] clamp32 v = if v < lo32 then lo32 else if v > hi32 then hi32 else v
+
+(* The accumulator scales at which the I32 store of a sum [v],
+   [saturate (of_int v *. s /. s)], is [clamp32 v]. *)
+let exact_scale s = s >= 0x1p-900 && s <= 0x1p900
+
+(* The bias step in integers needs [b /. s0] this far from a tie; its
+   float error is below 2^-19. *)
+let tie_margin = 0x1p-16
+
+(* The chain after the bias stage as a map [g] from the bias stage's I32
+   result [k] to the output level, for sums at scale [rq_s0].  [g] is
+   non-decreasing, so it is stored as the [k]s where it steps. *)
+type requant = {
+  rq_s0 : float;
+  rq_dtype : Dtype.t;
+  rq_scale : float;
+  rq_mul : int;
+  rq_shift : int;
+      (* [g k] is about [(k * rq_mul + 2^(rq_shift - 1)) asr rq_shift],
+         [rq_mul] below 2^31 so the product fits *)
+  rq_gmin : int;  (* [g] of the least I32 *)
+  rq_steps : int array;
+      (* [rq_steps.(j)] is the least I32 [k] with [g k >= rq_gmin + j], for
+         [0 < j <= gmax - gmin]; [min_int] before them, [max_int] after *)
+}
+
+(* The stages after the bias, if they are [(Relu | Clip)*] then a
+   [Quantize] to an int-storage dtype of at most 2^16 levels at a finite
+   scale > 0: that dtype and scale. *)
+let rec requant_tail = function
+  | [ (Graph.Quantize { scale; dtype }, []) ] ->
+    if Ndarray.class_of_dtype dtype = Ndarray.Int_class
+       && (let lo, hi = int_bounds dtype in hi - lo < 0x10000)
+       && Float.is_finite scale && scale > 0.0
+    then Some (dtype, scale)
+    else None
+  | (Graph.Relu, []) :: rest -> requant_tail rest
+  | (Graph.Clip { lo; hi }, []) :: rest when not (Float.is_nan lo || Float.is_nan hi) ->
+    requant_tail rest
+  | _ -> None
+
+(* [tail]'s table for sums at scale [s0], or [None] where the integer
+   store does not serve it.  [g] runs the chain's own float code from the
+   bias stage's reload [of_int k *. s0] on, so each threshold, found by
+   bisection over the I32 range, is exact. *)
+let requant_table s0 tail =
+  match requant_tail tail with
+  | Some (dtype, scale) when exact_scale s0 && s0 /. scale <= 0x1p30 ->
+    let f, _, _ = through ~shape:[||] (Dtype.I32, s0) (fun k -> Float.of_int k *. s0) tail in
+    let lo, hi = int_bounds dtype in
+    let g k = saturate ~lo ~hi (f k /. scale) in
+    let gmin = g lo32 in
+    let levels = g hi32 - gmin in
+    let steps = Array.make (levels + 2) max_int in
+    steps.(0) <- min_int;
+    for j = 1 to levels do
+      (* g below < gmin + j <= g above *)
+      let below = ref (if j = 1 then lo32 else steps.(j - 1) - 1) and above = ref hi32 in
+      while !above - !below > 1 do
+        let mid = (!below + !above) asr 1 in
+        if g mid >= gmin + j then above := mid else below := mid
+      done;
+      steps.(j) <- !above
+    done;
+    (* [g k] is about [round (k * slope)]: in fixed point, [slope * 2^shift]
+       in [2^30, 2^31) where the shift allows *)
+    let slope = s0 /. scale in
+    let shift = Int.min 62 (31 - snd (Float.frexp slope)) in
+    Some
+      { rq_s0 = s0;
+        rq_dtype = dtype;
+        rq_scale = scale;
+        rq_mul = Float.to_int (Float.ldexp slope shift);
+        rq_shift = shift;
+        rq_gmin = gmin;
+        rq_steps = steps
+      }
+  | _ -> None
+
+(* [acc.(i) + r], for [lo <= i < hi], as output levels into
+   [o.(i + delta)]: an estimate, then the steps on either side decide.
+   Its own function, so the loop's values stay in registers. *)
+let store_levels rq r acc lo hi o delta =
+  let steps = rq.rq_steps and gmin = rq.rq_gmin in
+  let mul = rq.rq_mul and shift = rq.rq_shift in
+  let half = if shift = 0 then 0 else 1 lsl (shift - 1) and top = Array.length steps - 2 in
+  for i = lo to hi - 1 do
+    let k = clamp32 (clamp32 (Array.unsafe_get acc i) + r) in
+    let e = (((k * mul) + half) asr shift) - gmin in
+    let e = ref (if e < 0 then 0 else if e > top then top else e) in
+    while Array.unsafe_get steps (!e + 1) <= k do
+      incr e
+    done;
+    while Array.unsafe_get steps !e > k do
+      decr e
+    done;
+    Array.unsafe_set o (i + delta) (gmin + !e)
+  done
+
+(* Channel [ko]'s sums [acc.(aoff + i)], [i < plane], stored as the
+   chain's output levels into [o.(obase + i)]; the caller keeps both
+   ranges inside their arrays.  A channel whose bias step is not exact in
+   integers first replaces each sum in place by the float step's result,
+   which the table then takes as is. *)
+let requant_channel rq ~bias ko acc aoff o obase plane =
+  let s0 = rq.rq_s0 and b = bias ko in
+  let beta = b /. s0 in
+  let r =
+    if Float.abs beta < 0x1p31 && Float.abs (beta -. Float.floor beta -. 0.5) > tie_margin then
+      Float.to_int (Float.round beta)
+    else begin
+      Obs.incr c_requant_fallback;
+      for i = aoff to aoff + plane - 1 do
+        acc.(i) <- saturate ~lo:lo32 ~hi:hi32 (((Float.of_int (clamp32 acc.(i)) *. s0) +. b) /. s0)
+      done;
+      0
+    end
+  in
+  store_levels rq r acc aoff (aoff + plane) o (obase - aoff);
+  Obs.add c_requant_int plane
+
+let requantize ~accs ~shape ~scale stages =
+  let n = List.fold_left ( * ) 1 shape in
+  if Array.length accs <> n then
+    error "requantize: %d sums for a [%s] tensor" (Array.length accs) (dims (Array.of_list shape));
+  match shape, stages with
+  | channels :: _, (Graph.Bias_add, [ bias ]) :: tail
+    when channels > 0 && bias.arr.Ndarray.shape = [| channels |] ->
+    Option.map
+      (fun rq ->
+        let arr = Ndarray.zeros ~dtype:rq.rq_dtype ~shape in
+        let o = int_payload "requantize" arr and acc = Array.copy accs in
+        let plane = n / channels and bias = reader bias in
+        for ko = 0 to channels - 1 do
+          requant_channel rq ~bias ko acc (ko * plane) o (ko * plane) plane
+        done;
+        { arr; scale = rq.rq_scale })
+      (requant_table scale tail)
+  | _ -> None
+
 (* ---------- prepared graphs ---------- *)
 
 (* Each graph's weights, synthesized by its first run and reused by every
-   later one: one slot per node id, filled for weight nodes.  The table
-   is keyed by the graph's physical identity (a graph is immutable once
-   built; [Hashtbl.hash] reads a bounded prefix of it), and an entry
+   later one, and the requantization tables of its fused convs, built by
+   the first run that needs them: one slot of each per node id.  The
+   table is keyed by the graph's physical identity (a graph is immutable
+   once built; [Hashtbl.hash] reads a bounded prefix of it), and an entry
    holds no reference back to its graph, so it is freed with the graph. *)
 module Prepared = Ephemeron.K1.Make (struct
   type t = Graph.t
@@ -292,30 +528,49 @@ module Prepared = Ephemeron.K1.Make (struct
   let hash = Hashtbl.hash
 end)
 
+type prepared = {
+  pr_weights : operand option Atomic.t array;
+  pr_requants : requant option Atomic.t array;
+}
+
 let prepared_lock = Mutex.create ()
-let prepared_graphs : operand option Atomic.t array Prepared.t = Prepared.create 8
+let prepared_graphs : prepared Prepared.t = Prepared.create 8
 
 let prepared g =
   Mutex.protect prepared_lock (fun () ->
       match Prepared.find_opt prepared_graphs g with
-      | Some slots -> slots
+      | Some p -> p
       | None ->
-        let slots = Array.init (Graph.arity g) (fun _ -> Atomic.make None) in
-        Prepared.replace prepared_graphs g slots;
-        slots)
+        let slots () = Array.init (Graph.arity g) (fun _ -> Atomic.make None) in
+        let p = { pr_weights = slots (); pr_requants = slots () } in
+        Prepared.replace prepared_graphs g p;
+        p)
 
 (* The node's prepared weight, synthesized on first use.  Domains racing
    on one fresh graph may both synthesize it; the first to publish wins
    and the other adopts its (identical) weight. *)
-let prepared_weight slots (n : Graph.node) shape dtype =
-  let slot = slots.(n.Graph.id) in
+let prepared_weight p (n : Graph.node) shape dtype =
+  let slot = p.pr_weights.(n.Graph.id) in
   match Atomic.get slot with
   | Some w -> w
   | None ->
-    let v = weight_value n shape dtype in
-    let w = if Dtype.equal dtype Dtype.I8 then Packed (pack n.Graph.name v) else Value v in
+    let w =
+      if Dtype.equal dtype Dtype.I8 then Packed (packed_value n shape)
+      else Value (weight_value n shape dtype)
+    in
     if Atomic.compare_and_set slot None (Some w) then Obs.incr c_weights_prepared;
     Option.get (Atomic.get slot)
+
+(* The table for a fused conv's chain after its bias at scale [s0], from
+   the node's slot if it was built for that scale; a new table replaces
+   the slot's.  Racing domains build identical tables. *)
+let prepared_requant slot s0 tail =
+  match Atomic.get slot with
+  | Some rq when rq.rq_s0 = s0 -> Some rq
+  | _ ->
+    let rq = requant_table s0 tail in
+    if Option.is_some rq then Atomic.set slot rq;
+    rq
 
 let packed_weight g id =
   let n = Graph.node g id in
@@ -353,11 +608,15 @@ let shape3 v =
    dense check their weight shape themselves: the conv's unchecked reads
    rely on it. *)
 let weight_shape = function Value v -> v.arr.Ndarray.shape | Packed p -> p.pk_shape
-let dims a = String.concat "; " (Array.to_list (Array.map string_of_int a))
+
+let weight_scale = function Value v -> v.scale | Packed p -> p.pk_scale
 
 (* Data is [c; h; w], weights [k; c/g; kern; kern], output [k; oh; ow].
-   Quantized weights are read packed (a value operand is packed first). *)
-let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
+   Quantized weights are read packed (a value operand is packed first).
+   A quantized conv stores its sums as I32 at data scale times weight
+   scale, or, given [requant] (a table for that scale and the bias), as
+   the fused chain's output levels. *)
+let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
   let c, h, w = shape3 data in
   let k = attrs.Graph.out_channels and groups = attrs.Graph.groups in
   let kern = attrs.Graph.kernel in
@@ -375,13 +634,20 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
   let ow = Graph.conv_out_dim ~size:w ~kernel:kern ~stride ~padding in
   let macs = oh * ow * cg * kern * kern in
   Obs.add c_macs (k * macs);
-  let out_dtype = if is_quantized data then Dtype.I32 else Dtype.F32 in
-  let out = output_array ~dst ~dtype:out_dtype ~shape:[ k; oh; ow ] in
-  let doff = data.arr.Ndarray.offset and ooff = out.Ndarray.offset in
   let plane = oh * ow in
+  let doff = data.arr.Ndarray.offset in
   if is_quantized data then begin
     let weights = packed_of "conv2d" weights in
-    let out_scale = data.scale *. weights.pk_scale in
+    let s0 = data.scale *. weights.pk_scale in
+    let out_dtype, out_scale =
+      match requant with
+      | None -> (Dtype.I32, s0)
+      | Some (rq, _) ->
+        if rq.rq_s0 <> s0 then error "conv2d: a table for sums at %h, not %h" rq.rq_s0 s0;
+        (rq.rq_dtype, rq.rq_scale)
+    in
+    let out = output_array ~dst ~dtype:out_dtype ~shape:[ k; oh; ow ] in
+    let ooff = out.Ndarray.offset in
     let d = int_payload "conv2d" data.arr and wt = weights.pk_bytes in
     let o = int_payload "conv2d" out in
     (* per tap, the output rows (columns) whose input coordinate
@@ -393,22 +659,23 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
     in
     let y0 = Array.init kern first and y1 = Array.init kern (last ~size:h ~out_size:oh) in
     let x0 = Array.init kern first and x1 = Array.init kern (last ~size:w ~out_size:ow) in
-    let lo, hi = int_bounds Dtype.I32 in
-    (* The clipped tap ranges keep every index inside these two windows
-       and the checked weight shape, which is what licenses the
-       unchecked accesses below. *)
+    (* The clipped tap ranges keep every index inside these two windows,
+       the checked weight shape and the accumulator planes, which is what
+       licenses the unchecked accesses below. *)
     if doff + (c * h * w) > Array.length d || ooff + (k * plane) > Array.length o then
       error "conv2d: an operand is smaller than its shape";
     let kk = kern * kern and hw = h * w in
+    (* A pass accumulates one output plane of exact sums: plane 0 of
+       [acc]; plane 1 takes the high lanes of a pair at the store. *)
+    let acc = Array.make (2 * plane) 0 in
     (* Lane pairs: a pass runs output channels [ko] and [ko + 1] of one
        group at once.  Each weight it reads is [w(ko) + w(ko + 1) lsl 31],
-       so one multiply by an activation updates both sums, held in plane
-       [ko] as [lo + hi lsl 31].  That is exact while every sum of
+       so one multiply by an activation updates both sums, held in one
+       slot as [lo + hi lsl 31].  That is exact while every sum of
        [cg * kern^2] terms of magnitude at most [maxabs data * 128] lies
-       in [-2^30, 2^30): the low 31 bits, sign-extended, are then [lo]
-       (the emitted kernels' [pair_lo] / [pair_hi] split).  Where the
-       bound fails, or [ko] ends an odd group, the high weight is zero
-       and the pass is one channel. *)
+       in [-2^30, 2^30): the low 31 bits, sign-extended, are then [lo].
+       Where the bound fails, or [ko] ends an odd group, the high weight
+       is zero and the pass is one channel. *)
     let pairable =
       kg >= 2 && Float.of_int (cg * kk) *. maxabs data.arr.Ndarray.dtype *. 128.0 < 0x1p30
     in
@@ -418,38 +685,37 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
       if !paired then w + (Bytes.get_int8 wt (t + pair_step) lsl 31) else w
     in
     (* Weight-stationary and register-blocked: a pass streams input
-       planes into the output plane, whose slots hold the exact integer
-       accumulators until the requantizing store, and each slot update
-       adds several terms.  A pass covers four input channels at one tap
+       planes into the accumulator plane, and each slot update adds
+       several terms.  A pass covers four input channels at one tap
        (channel block), or, in a group of fewer than four channels, three
        horizontal taps of one channel (tap block).  What neither block
        covers runs [tap], one term per update. *)
-    let tap obase dplane wv r s xs xe =
+    let tap dplane wv r s xs xe =
       (* locals, so the loops do not reload them from the closure *)
-      let o = o and d = d and stride = stride in
+      let acc = acc and d = d and stride = stride in
       for y = y0.(r) to y1.(r) do
         let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-        let orow = obase + (y * ow) in
+        let orow = y * ow in
         for x = xs to xe do
-          Array.unsafe_set o (orow + x)
-            (Array.unsafe_get o (orow + x) + (wv * Array.unsafe_get d (drow + (x * stride))))
+          Array.unsafe_set acc (orow + x)
+            (Array.unsafe_get acc (orow + x) + (wv * Array.unsafe_get d (drow + (x * stride))))
         done
       done
     in
     (* channels [dplane + j * hw] with weights [t + j * kk], j < 4: one
        clipped range serves all four, since it depends only on the tap *)
-    let channel_block obase dplane t r s =
-      let o = o and d = d and stride = stride and hw2 = 2 * hw and hw3 = 3 * hw in
+    let channel_block dplane t r s =
+      let acc = acc and d = d and stride = stride and hw2 = 2 * hw and hw3 = 3 * hw in
       let w0 = weight t and w1 = weight (t + kk) in
       let w2 = weight (t + (2 * kk)) and w3 = weight (t + (3 * kk)) in
       let xs = x0.(s) and xe = x1.(s) in
       for y = y0.(r) to y1.(r) do
         let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-        let orow = obase + (y * ow) in
+        let orow = y * ow in
         for x = xs to xe do
           let i = drow + (x * stride) in
-          Array.unsafe_set o (orow + x)
-            (Array.unsafe_get o (orow + x)
+          Array.unsafe_set acc (orow + x)
+            (Array.unsafe_get acc (orow + x)
              + (w0 * Array.unsafe_get d i)
              + (w1 * Array.unsafe_get d (i + hw))
              + (w2 * Array.unsafe_get d (i + hw2))
@@ -461,51 +727,72 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
        body covers the interior, where all three are in bounds, and each
        tap runs its own edges.  With no interior the two edges of a tap
        would overlap, so each tap runs its whole range instead. *)
-    let tap_block obase dplane t r s =
+    let tap_block dplane t r s =
       let w0 = weight t and w1 = weight (t + 1) in
       let w2 = weight (t + 2) in
       let xs = x0.(s) and xe = x1.(s + 2) in
       if xs > xe then begin
-        tap obase dplane w0 r s x0.(s) x1.(s);
-        tap obase dplane w1 r (s + 1) x0.(s + 1) x1.(s + 1);
-        tap obase dplane w2 r (s + 2) x0.(s + 2) x1.(s + 2)
+        tap dplane w0 r s x0.(s) x1.(s);
+        tap dplane w1 r (s + 1) x0.(s + 1) x1.(s + 1);
+        tap dplane w2 r (s + 2) x0.(s + 2) x1.(s + 2)
       end
       else begin
-        let o = o and d = d and stride = stride in
+        let acc = acc and d = d and stride = stride in
         for y = y0.(r) to y1.(r) do
           let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-          let orow = obase + (y * ow) in
+          let orow = y * ow in
           for x = xs to xe do
             let i = drow + (x * stride) in
-            Array.unsafe_set o (orow + x)
-              (Array.unsafe_get o (orow + x)
+            Array.unsafe_set acc (orow + x)
+              (Array.unsafe_get acc (orow + x)
                + (w0 * Array.unsafe_get d i)
                + (w1 * Array.unsafe_get d (i + 1))
                + (w2 * Array.unsafe_get d (i + 2)))
           done
         done;
         let edges j wv =
-          tap obase dplane wv r (s + j) x0.(s + j) (xs - 1);
-          tap obase dplane wv r (s + j) (xe + 1) x1.(s + j)
+          tap dplane wv r (s + j) x0.(s + j) (xs - 1);
+          tap dplane wv r (s + j) (xe + 1) x1.(s + j)
         in
         edges 0 w0;
         edges 1 w1;
         edges 2 w2
       end
     in
+    (* Channel [ko]'s sums, plane [aoff] of [acc], into its output plane:
+       the fused chain's levels, or the I32 store [saturate (of_int v *.
+       s0 /. s0)], which is [clamp32 v] at every scale [exact_scale]
+       admits. *)
+    let store =
+      match requant with
+      | Some (rq, bias) ->
+        let bias = reader bias in
+        fun ko aoff -> requant_channel rq ~bias ko acc aoff o (ooff + (ko * plane)) plane
+      | None when exact_scale s0 ->
+        fun ko aoff ->
+          let obase = ooff + (ko * plane) in
+          for i = 0 to plane - 1 do
+            Array.unsafe_set o (obase + i) (clamp32 (Array.unsafe_get acc (aoff + i)))
+          done
+      | None ->
+        fun ko aoff ->
+          let obase = ooff + (ko * plane) in
+          for i = 0 to plane - 1 do
+            o.(obase + i) <- saturate ~lo:lo32 ~hi:hi32 (Float.of_int acc.(aoff + i) *. s0 /. s0)
+          done
+    in
     let blocked = cg - (cg mod 4) and taps = if cg < 4 then kern - (kern mod 3) else 0 in
     let next = ref 0 and pairs = ref 0 in
     while !next < k do
       let ko = !next in
       paired := pairable && (ko mod kg) + 1 < kg;
-      let obase = ooff + (ko * plane) in
-      Array.fill o obase plane 0;
+      Array.fill acc 0 plane 0;
       let dgroup = doff + (ko / kg * cg * hw) and wk = ko * cg * kk in
       for b = 0 to (blocked / 4) - 1 do
         let dplane = dgroup + (4 * b * hw) and wtap = wk + (4 * b * kk) in
         for r = 0 to kern - 1 do
           for s = 0 to kern - 1 do
-            channel_block obase dplane (wtap + (r * kern) + s) r s
+            channel_block dplane (wtap + (r * kern) + s) r s
           done
         done
       done;
@@ -514,26 +801,27 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
         for r = 0 to kern - 1 do
           let wrow = wtap + (r * kern) in
           for b = 0 to (taps / 3) - 1 do
-            tap_block obase dplane (wrow + (3 * b)) r (3 * b)
+            tap_block dplane (wrow + (3 * b)) r (3 * b)
           done;
           for s = taps to kern - 1 do
-            tap obase dplane (weight (wrow + s)) r s x0.(s) x1.(s)
+            tap dplane (weight (wrow + s)) r s x0.(s) x1.(s)
           done
         done
       done;
-      let store i v = o.(i) <- saturate ~lo ~hi (Float.of_int v *. out_scale /. out_scale) in
       if !paired then begin
-        for i = obase to obase + plane - 1 do
-          let v = o.(i) in
-          store i (Unit_emit_hook.pair_lo v);
-          store (i + plane) (Unit_emit_hook.pair_hi v)
+        (* split each slot into its low lane (the low 31 bits,
+           sign-extended) and its high lane *)
+        for i = 0 to plane - 1 do
+          let v = Array.unsafe_get acc i in
+          let lo = (v lsl 32) asr 32 in
+          Array.unsafe_set acc i lo;
+          Array.unsafe_set acc (plane + i) ((v - lo) asr 31)
         done;
+        store ko 0;
+        store (ko + 1) plane;
         incr pairs
       end
-      else
-        for i = obase to obase + plane - 1 do
-          store i o.(i)
-        done;
+      else store ko 0;
       next := ko + if !paired then 2 else 1
     done;
     Obs.add c_lanes_paired (2 * !pairs * macs);
@@ -541,7 +829,8 @@ let conv2d ?(dst = no_dst) (attrs : Graph.conv2d_attrs) data weights =
   end
   else begin
     let weights = value_of weights in
-    let woff = weights.arr.Ndarray.offset in
+    let out = output_array ~dst ~dtype:Dtype.F32 ~shape:[ k; oh; ow ] in
+    let woff = weights.arr.Ndarray.offset and ooff = out.Ndarray.offset in
     let d = float_payload "conv2d" data.arr and wt = float_payload "conv2d" weights.arr in
     let o = float_payload "conv2d" out in
     let dscale = data.scale and wscale = weights.scale in
@@ -643,17 +932,37 @@ let dense ?(dst = no_dst) units data weights =
     let out_scale = dscale *. wscale in
     let d = int_payload "dense" data.arr and wt = weights.pk_bytes in
     let o = int_payload "dense" out in
-    let lo, hi = int_bounds Dtype.I32 in
-    for u = 0 to units - 1 do
-      let wrow = u * k in
+    (* each input's real value, and each i8 weight's by its byte + 128 *)
+    let x = Array.init k (fun i -> Float.of_int d.(doff + i) *. dscale) in
+    let wreal = Array.init 256 (fun b -> Float.of_int (b - 128) *. wscale) in
+    let[@inline] term xi row i = xi *. Array.unsafe_get wreal (Bytes.get_int8 wt (row + i) + 128) in
+    let store u acc = o.(ooff + u) <- saturate ~lo:lo32 ~hi:hi32 (acc /. out_scale) in
+    (* four units per pass, each summing its terms in input order *)
+    let quads = units / 4 in
+    for q = 0 to quads - 1 do
+      let r0 = 4 * q * k in
+      let r1 = r0 + k in
+      let r2 = r1 + k in
+      let r3 = r2 + k in
+      let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
+      for i = 0 to k - 1 do
+        let xi = Array.unsafe_get x i in
+        a0 := !a0 +. term xi r0 i;
+        a1 := !a1 +. term xi r1 i;
+        a2 := !a2 +. term xi r2 i;
+        a3 := !a3 +. term xi r3 i
+      done;
+      store (4 * q) !a0;
+      store ((4 * q) + 1) !a1;
+      store ((4 * q) + 2) !a2;
+      store ((4 * q) + 3) !a3
+    done;
+    for u = 4 * quads to units - 1 do
       let acc = ref 0.0 in
       for i = 0 to k - 1 do
-        acc :=
-          !acc
-          +. (Float.of_int d.(doff + i) *. dscale
-              *. (Float.of_int (Bytes.get_int8 wt (wrow + i)) *. wscale))
+        acc := !acc +. term (Array.unsafe_get x i) (u * k) i
       done;
-      o.(ooff + u) <- saturate ~lo ~hi (!acc /. out_scale)
+      store u !acc
     done;
     { arr = out; scale = out_scale }
   end
@@ -673,31 +982,65 @@ let dense ?(dst = no_dst) units data weights =
     { arr = out; scale = 1.0 }
   end
 
-let pool ?dst pool_kind ~window ~stride ~padding data =
+(* A max pool over int storage whose values round-trip takes the integer
+   max of each window: [of_int q *. s] is non-decreasing in [q], so the
+   real-valued max stores the same [q].  A window with no tap inside the
+   input stores what the real-valued max of no taps, [-infinity],
+   stores. *)
+let pool ?(dst = no_dst) pool_kind ~window ~stride ~padding data =
   let c, h, w = shape3 data in
   let oh = Graph.conv_out_dim ~size:h ~kernel:window ~stride ~padding in
   let ow = Graph.conv_out_dim ~size:w ~kernel:window ~stride ~padding in
-  let rd = reader data in
-  reals ?dst ~dtype:data.arr.Ndarray.dtype ~scale:data.scale ~shape:[ c; oh; ow ] (fun i ->
-      let x = i mod ow and y = i / ow mod oh and ch = i / (ow * oh) in
-      let acc = ref (match pool_kind with Graph.Max_pool -> Float.neg_infinity | Graph.Avg_pool -> 0.0) in
-      let count = ref 0 in
-      for r = 0 to window - 1 do
-        for s = 0 to window - 1 do
-          let iy = (y * stride) + r - padding in
-          let ix = (x * stride) + s - padding in
-          if iy >= 0 && iy < h && ix >= 0 && ix < w then begin
-            let v = rd ((((ch * h) + iy) * w) + ix) in
-            incr count;
-            match pool_kind with
-            | Graph.Max_pool -> acc := Float.max !acc v
-            | Graph.Avg_pool -> acc := !acc +. v
-          end
+  let dtype = data.arr.Ndarray.dtype and scale = data.scale in
+  match pool_kind, data.arr.Ndarray.storage with
+  | Graph.Max_pool, Ndarray.Int_data d when round_trips dtype scale ->
+    let arr = output_array ~dst ~dtype ~shape:[ c; oh; ow ] in
+    let o = int_payload "pool" arr in
+    let lo, hi = int_bounds dtype in
+    let empty = saturate ~lo ~hi (Float.neg_infinity /. scale) in
+    let doff = data.arr.Ndarray.offset and ooff = arr.Ndarray.offset in
+    for ch = 0 to c - 1 do
+      for y = 0 to oh - 1 do
+        let r0 = Int.max 0 (padding - (y * stride)) in
+        let r1 = Int.min (window - 1) (h - 1 + padding - (y * stride)) in
+        for x = 0 to ow - 1 do
+          let s0 = Int.max 0 (padding - (x * stride)) in
+          let s1 = Int.min (window - 1) (w - 1 + padding - (x * stride)) in
+          let m = ref min_int in
+          for r = r0 to r1 do
+            let row = doff + (((ch * h) + (y * stride) + r - padding) * w) + (x * stride) - padding in
+            for s = s0 to s1 do
+              let q = d.(row + s) in
+              if q > !m then m := q
+            done
+          done;
+          o.(ooff + (((ch * oh) + y) * ow) + x) <- (if r0 > r1 || s0 > s1 then empty else !m)
         done
-      done;
-      match pool_kind with
-      | Graph.Max_pool -> !acc
-      | Graph.Avg_pool -> !acc /. Float.of_int (Stdlib.max 1 !count))
+      done
+    done;
+    { arr; scale }
+  | _ ->
+    let rd = reader data in
+    reals ~dst ~dtype ~scale ~shape:[ c; oh; ow ] (fun i ->
+        let x = i mod ow and y = i / ow mod oh and ch = i / (ow * oh) in
+        let acc = ref (match pool_kind with Graph.Max_pool -> Float.neg_infinity | Graph.Avg_pool -> 0.0) in
+        let count = ref 0 in
+        for r = 0 to window - 1 do
+          for s = 0 to window - 1 do
+            let iy = (y * stride) + r - padding in
+            let ix = (x * stride) + s - padding in
+            if iy >= 0 && iy < h && ix >= 0 && ix < w then begin
+              let v = rd ((((ch * h) + iy) * w) + ix) in
+              incr count;
+              match pool_kind with
+              | Graph.Max_pool -> acc := Float.max !acc v
+              | Graph.Avg_pool -> acc := !acc +. v
+            end
+          done
+        done;
+        match pool_kind with
+        | Graph.Max_pool -> !acc
+        | Graph.Avg_pool -> !acc /. Float.of_int (Stdlib.max 1 !count))
 
 let global_avg_pool ?dst data =
   let c, h, w = shape3 data in
@@ -715,9 +1058,8 @@ let flatten ?dst data =
 
 (* Inputs share their trailing dims, so each one is a consecutive flat
    range of the output.  An int-storage input of the output's dtype and
-   scale is copied as it is: for a finite scale [s > 0] whose product
-   with the dtype's largest magnitude is finite, [round (q *. s /. s)]
-   is [q] for every stored [q].  Any other input is stored as reals. *)
+   scale is copied as it is where its values round-trip; any other input
+   is stored as reals. *)
 let concat ?(dst = no_dst) values =
   let trailing v =
     match Array.to_list v.arr.Ndarray.shape with
@@ -743,8 +1085,8 @@ let concat ?(dst = no_dst) values =
         let len = Ndarray.num_elements v.arr in
         (match v.arr.Ndarray.storage, arr.Ndarray.storage with
          | Ndarray.Int_data src, Ndarray.Int_data out
-           when Dtype.equal v.arr.Ndarray.dtype dtype && v.scale = scale && scale > 0.0
-                && Float.is_finite (scale *. maxabs dtype) ->
+           when Dtype.equal v.arr.Ndarray.dtype dtype && v.scale = scale
+                && round_trips dtype scale ->
            Array.blit src v.arr.Ndarray.offset out (arr.Ndarray.offset + !pos) len
          | _ -> store_reals arr ~scale ~pos:!pos ~len (reader v));
         pos := !pos + len)
@@ -758,56 +1100,6 @@ let softmax ?dst data =
   let exps = Array.map (fun x -> Float.exp (x -. m)) xs in
   let total = Array.fold_left ( +. ) 0.0 exps in
   reals ?dst ~dtype:Dtype.F32 ~scale:1.0 ~shape:[ n ] (fun i -> exps.(i) /. total)
-
-(* ---------- elementwise stages ---------- *)
-
-let is_stage = function
-  | Graph.Bias_add | Graph.Relu | Graph.Clip _ | Graph.Add | Graph.Quantize _
-  | Graph.Dequantize _ -> true
-  | _ -> false
-
-(* An elementwise kind as one stage of a chain over a [shape] tensor held
-   in [dtype] at [scale]: the stage's real value at flat offset [i] from
-   the running value [x], and the dtype and scale its result is stored in.
-   [extras] are the kind's operands after the running one. *)
-let stage kind ~shape (dtype, scale) extras =
-  let same f = (f, dtype, scale) in
-  match kind, extras with
-  | Graph.Relu, [] -> same (fun _ x -> Float.max 0.0 x)
-  | Graph.Clip { lo; hi }, [] -> same (fun _ x -> Float.min hi (Float.max lo x))
-  | Graph.Bias_add, [ bias ] ->
-    if Array.length shape = 0 || bias.arr.Ndarray.shape <> [| shape.(0) |] then
-      error "bias_add: bias [%s] for data [%s]; one element per channel expected"
-        (dims bias.arr.Ndarray.shape) (dims shape);
-    let inner = Array.fold_left ( * ) 1 (Array.sub shape 1 (Array.length shape - 1)) in
-    let b = reader bias in
-    same (fun i x -> x +. b (i / inner))
-  | Graph.Add, [ b ] ->
-    if b.arr.Ndarray.shape <> shape then
-      error "add: operand shapes [%s] and [%s] differ" (dims shape) (dims b.arr.Ndarray.shape);
-    let b = reader b in
-    same (fun i x -> x +. b i)
-  | Graph.Quantize { scale; dtype }, [] -> ((fun _ x -> x), dtype, scale)
-  | Graph.Dequantize _, [] -> ((fun _ x -> x), Dtype.F32, 1.0)
-  | _ -> error "arity mismatch during execution"
-
-(* [base] through every stage in one pass that stores only into [dst]:
-   each element runs the whole chain in a register, rounded between
-   stages as a store and reload would round it, so the result is
-   bit-identical to storing every stage.  Only the last stage stores. *)
-let chain ?dst base stages =
-  let shape = base.arr.Ndarray.shape in
-  let rec go f repr = function
-    | [] -> error "empty stage chain"
-    | (kind, extras) :: rest ->
-      let g, dtype, scale = stage kind ~shape repr extras in
-      (match rest with
-       | [] -> reals ?dst ~dtype ~scale ~shape:(Array.to_list shape) (fun i -> g i (f i))
-       | _ ->
-         let round = reload dtype scale in
-         go (fun i -> round (g i (f i))) (dtype, scale) rest)
-  in
-  go (reader base) (base.arr.Ndarray.dtype, base.scale) stages
 
 (* ---------- operator dispatch ---------- *)
 
@@ -863,14 +1155,45 @@ type arena_plan = {
   ap_slots : slot list;
 }
 
-(* One arena per storage class; a slot's view reinterprets its window
-   under the producing op's runtime dtype.  The factory re-checks class
-   and capacity so a stale or corrupt plan fails loudly instead of
-   silently aliasing. *)
-let plan_dst p : Graph.id -> dst =
-  let farena = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ p.ap_float_words ] in
-  let iarena = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ p.ap_int_words ] in
-  let larena = Ndarray.zeros ~dtype:Dtype.I64 ~shape:[ p.ap_int64_words ] in
+(* A run's arenas: one per storage class, by [class_index]. *)
+let class_index = function
+  | Ndarray.Float_class -> 0
+  | Ndarray.Int_class -> 1
+  | Ndarray.Int64_class -> 2
+
+(* Arena sets that finished runs left for later ones, of any plan: a run
+   takes a free set, or allocates one, and gives it back when it ends,
+   so steady-state runs allocate no arena and concurrent runs never share
+   one.  A free set too small for a plan is dropped for one big enough
+   for both.  Every op writes each element of its output before a
+   consumer reads it, so a reused arena is not cleared. *)
+let free_lock = Mutex.create ()
+let free_arenas : Ndarray.t array list ref = ref []
+
+let take_arenas p =
+  let need = [| p.ap_float_words; p.ap_int_words; p.ap_int64_words |] in
+  let spare =
+    Mutex.protect free_lock (fun () ->
+        match !free_arenas with
+        | a :: rest ->
+          free_arenas := rest;
+          Some a
+        | [] -> None)
+  in
+  let words c = match spare with Some a -> Ndarray.num_elements a.(c) | None -> 0 in
+  match spare with
+  | Some a when words 0 >= need.(0) && words 1 >= need.(1) && words 2 >= need.(2) -> a
+  | _ ->
+    Array.mapi
+      (fun c dtype -> Ndarray.zeros ~dtype ~shape:[ Int.max need.(c) (words c) ])
+      [| Dtype.F32; Dtype.I32; Dtype.I64 |]
+
+let give_back a = Mutex.protect free_lock (fun () -> free_arenas := a :: !free_arenas)
+
+(* A slot's view reinterprets its window of [a] under the producing op's
+   runtime dtype.  The factory re-checks class and capacity so a stale or
+   corrupt plan fails loudly instead of silently aliasing. *)
+let plan_dst p a : Graph.id -> dst =
   let slots : (int, slot) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun s -> Hashtbl.replace slots s.sl_id s) p.ap_slots;
   fun id ->
@@ -885,13 +1208,7 @@ let plan_dst p : Graph.id -> dst =
         if n > sl.sl_words then
           error "arena plan: node %d needs %d words but its slot holds %d" id n
             sl.sl_words;
-        let arena =
-          match sl.sl_class with
-          | Ndarray.Float_class -> farena
-          | Ndarray.Int_class -> iarena
-          | Ndarray.Int64_class -> larena
-        in
-        Some (Ndarray.view arena ~offset:sl.sl_offset ~dtype ~shape)
+        Some (Ndarray.view a.(class_index sl.sl_class) ~offset:sl.sl_offset ~dtype ~shape)
 
 (* ---------- the walk ---------- *)
 
@@ -910,9 +1227,11 @@ let take (n : Graph.node) k xs =
 (* One node on its evaluated operands: the base op, then the stage chain
    of its fused epilogues, each with its own extra operands, in one pass
    that stores only into [node_dst]; a node whose own kind is elementwise
-   heads the chain on its first operand.  Only a fused node's base op
-   stores elsewhere, into one fresh buffer. *)
-let eval_op (n : Graph.node) ~node_dst operands =
+   heads the chain on its first operand.  A quantized conv2d whose chain
+   the integer requantizer serves stores the chain's output itself, with
+   the table from the node's [requant] slot; any other fused node's base
+   op stores into one fresh buffer. *)
+let eval_op (n : Graph.node) ~node_dst ~requant operands =
   let own, extra = take n (base_arity n.Graph.kind) operands in
   let leftover, fused =
     List.fold_left_map
@@ -922,11 +1241,21 @@ let eval_op (n : Graph.node) ~node_dst operands =
       extra n.Graph.fused
   in
   if leftover <> [] then error "%s: unconsumed inputs" n.Graph.name;
-  match own, fused with
-  | data :: extras, _ when is_stage n.Graph.kind ->
-    chain ~dst:node_dst (value_of data) ((n.Graph.kind, List.map value_of extras) :: fused)
-  | _, [] -> apply_op ~dst:node_dst n.Graph.kind own
-  | _ -> chain ~dst:node_dst (apply_op n.Graph.kind own) fused
+  match n.Graph.kind, own, fused with
+  | kind, data :: extras, _ when is_stage kind ->
+    chain ~dst:node_dst (value_of data) ((kind, List.map value_of extras) :: fused)
+  | kind, _, [] -> apply_op ~dst:node_dst kind own
+  | Graph.Conv2d attrs, [ data; weights ], (Graph.Bias_add, [ bias ]) :: tail -> (
+    let data = value_of data in
+    let table =
+      if is_quantized data && bias.arr.Ndarray.shape = [| attrs.Graph.out_channels |] then
+        prepared_requant requant (data.scale *. weight_scale weights) tail
+      else None
+    in
+    match table with
+    | Some rq -> conv2d ~dst:node_dst ~requant:(rq, bias) attrs data weights
+    | None -> chain ~dst:node_dst (conv2d attrs data weights) fused)
+  | kind, _, _ -> chain ~dst:node_dst (apply_op kind own) fused
 
 (* Evaluate [g] once, in node-id order: ids are dense and topologically
    ordered (enforced at graph construction), so every operand is ready
@@ -934,7 +1263,7 @@ let eval_op (n : Graph.node) ~node_dst operands =
    [dst_of id] places node [id]'s output; [observe] sees every node's
    result as it is produced.  Returns the output node's result. *)
 let walk g ~input ~dst_of ~observe =
-  let weights = prepared g in
+  let prepared = prepared g in
   let results = Array.make (Graph.arity g) None in
   let operand i = Option.get results.(i) in
   List.iter
@@ -953,10 +1282,12 @@ let walk g ~input ~dst_of ~observe =
             if not (Dtype.equal input.Ndarray.dtype dtype) then
               error "input dtype mismatch";
             Value { arr = input; scale = 1.0 }
-          | Graph.Weight { shape; dtype } -> prepared_weight weights n shape dtype
+          | Graph.Weight { shape; dtype } -> prepared_weight prepared n shape dtype
           | _ ->
             Value
-              (eval_op n ~node_dst:(dst_of n.Graph.id) (List.map operand n.Graph.inputs))
+              (eval_op n ~node_dst:(dst_of n.Graph.id)
+                 ~requant:prepared.pr_requants.(n.Graph.id)
+                 (List.map operand n.Graph.inputs))
         in
         (* the output shape/dtype is only known post-hoc; same guard as
            the span itself so the disabled path allocates nothing *)
@@ -977,15 +1308,37 @@ let walk g ~input ~dst_of ~observe =
     (Graph.nodes g);
   operand (Graph.output g)
 
+(* [v] in fresh storage of its own, element for element. *)
+let copy v =
+  let arr = Ndarray.zeros ~dtype:v.arr.Ndarray.dtype ~shape:(Array.to_list v.arr.Ndarray.shape) in
+  let n = Ndarray.num_elements arr and off = v.arr.Ndarray.offset in
+  (match v.arr.Ndarray.storage, arr.Ndarray.storage with
+   | Ndarray.Float_data x, Ndarray.Float_data y -> Array.blit x off y 0 n
+   | Ndarray.Int_data x, Ndarray.Int_data y -> Array.blit x off y 0 n
+   | Ndarray.Int64_data x, Ndarray.Int64_data y -> Array.blit x off y 0 n
+   | _ -> error "copy: storage classes differ");
+  { v with arr }
+
 let run ?plan g ~input =
-  let dst_of = match plan with None -> fun _ -> no_dst | Some p -> plan_dst p in
-  let out = walk g ~input ~dst_of ~observe:(fun _ _ -> ()) in
-  (* prepared storage is never handed out: a weight output is a copy *)
-  match (Graph.node g (Graph.output g)).Graph.kind, out with
-  | Graph.Weight _, Value v ->
-    reals ~dtype:v.arr.Ndarray.dtype ~scale:v.scale
-      ~shape:(Array.to_list v.arr.Ndarray.shape) (reader v)
-  | _, w -> value_of w
+  (* neither prepared storage nor an arena is handed out: a weight
+     output, or one that lives in an arena, is a copy *)
+  let finish ?(arenas = [||]) = function
+    | Value v
+      when (match (Graph.node g (Graph.output g)).Graph.kind with
+            | Graph.Weight _ -> true
+            | _ -> false)
+           || Array.exists (fun a -> v.arr.Ndarray.storage == a.Ndarray.storage) arenas ->
+      copy v
+    | w -> value_of w
+  in
+  let walk dst_of = walk g ~input ~dst_of ~observe:(fun _ _ -> ()) in
+  match plan with
+  | None -> finish (walk (fun _ -> no_dst))
+  | Some p ->
+    let arenas = take_arenas p in
+    Fun.protect
+      ~finally:(fun () -> give_back arenas)
+      (fun () -> finish ~arenas (walk (plan_dst p arenas)))
 
 let run_to_floats ?plan g ~input =
   let out = run ?plan g ~input in

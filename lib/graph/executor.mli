@@ -7,10 +7,12 @@
     happens where real inference engines put it (requantize after the
     accumulator, rescale-on-add for residuals).
 
-    Conv2d, dense and weight synthesis run their own raw loops; every
-    other op stores through one flat loop of real numbers, rounded and
-    saturated into the output dtype (a concat input already at the
-    output's dtype and scale is copied as stored).  The quantized conv2d
+    Conv2d, dense and weight synthesis run their own raw loops;
+    every other op stores through one flat loop of real numbers, rounded
+    and saturated into the output dtype (a concat input already at the
+    output's dtype and scale is copied as stored, and a max pool over
+    int storage at such a scale takes integer maxima).  The quantized
+    conv2d accumulates one output plane at a time in exact integers, and
     runs two output channels of a group per pass, in lane pairs: each
     weight it reads is [w(ko) + w(ko + 1) lsl 31], so one multiply
     updates two exact i32 sums held in one native int, split at the
@@ -21,6 +23,44 @@
     as stages of one pass, each element rounded in a register between
     stages as storing it would round it: bit-identical to storing every
     stage, though only the last one is stored.
+
+    {b Integer requantization.}  A quantized conv2d fused with
+    [Bias_add], any number of [Relu]/[Clip] stages (bounds not NaN) and
+    a final [Quantize] to an int-storage dtype of at most 2^16 levels,
+    with every scale finite and positive, stores that chain's output
+    levels straight from its sums, in integer operations.  Let [s0] be
+    data scale times weight scale, in [[2^-900, 2^900]], with
+    [s0 / output scale <= 2^30].  Three steps keep the result
+    bit-identical to the float chain:
+    + {e Conv store.}  The I32 store of a sum [v],
+      [saturate (of_int v *. s0 /. s0)], is [clamp32 v] for every
+      [|v| < 2^61].  Below 2^50 the two roundings move [v] by at most
+      [2 * 2^-53 * |v| < 1/4], so rounding gives [v] back; from 2^50 on
+      the result stays far beyond 2^31 and both saturate alike.  [s0]'s
+      range keeps [v * s0] finite and normal.
+    + {e Bias stage.}  Its reload [sat32 (round ((c *. s0 +. b) /. s0))]
+      of a stored sum [c] is [clamp32 (c + r)], [r = round (b / s0)],
+      for every channel whose [beta = b /. s0] is below 2^31 in
+      magnitude and farther than 2^-16 from a half-integer.  With [|c|]
+      and [|beta|] at most 2^31 the three float operations err by less
+      than [2^31 * 2^-53 + 2^32 * 2^-52 < 2^-19], and [beta] itself by
+      less than 2^-22, so the rounding cannot cross a half-integer.
+      Other channels run the float step.
+    + {e The rest of the chain.}  From the bias stage's I32 result [k],
+      each later stage is a composition of non-decreasing maps (a
+      product or quotient by a positive scale, max or min with a
+      constant, round to nearest, a clamp), and [s0]'s bounds keep each
+      conversion to int in range, so the output level [g k] is
+      non-decreasing in [k].  It is stored as a table of thresholds:
+      [t_j], the least [k] with [g k >= j], found by bisection with the
+      chain's own float code.  An element costs one estimate of its
+      level and a compare on either side.
+    Each graph's tables are built by its first run that needs them and
+    kept with its prepared weights, per node, checked against the [s0]
+    they were built for.  The gated counters [exec.requant_int] (output
+    elements stored this way) and [exec.requant_fallback] (channels whose
+    bias step ran in floats) count them.  Any other chain, and float
+    data, runs the float chain on the conv's I32 output.
 
     It is the oracle tuned kernels are checked against, and the
     benchmark's [models] workload times it: [run ~plan] on quantized
@@ -64,6 +104,16 @@ val apply : Graph.kind -> value list -> value
     channel (the data's first dim); [Concat] inputs must share their
     trailing dims. *)
 
+val requantize :
+  accs:int array -> shape:int list -> scale:float -> (Graph.kind * value list) list -> value option
+(** The integer store of a fused quantized conv2d, on given sums: [accs]
+    holds one exact sum per element of a [shape] tensor (channel first),
+    each below 2^61 in magnitude, at [scale].  [Some] of what storing
+    them as the conv's I32 output and running the fused [stages] (the
+    bias stage first, each with its extra operands) would give, or
+    [None] when the integer store does not serve that chain at [scale].
+    @raise Exec_error when [accs] does not have one sum per element. *)
+
 val default_input : Graph.t -> seed:int -> Ndarray.t
 (** A deterministic input in [0, 1) matching the graph's input shape. *)
 
@@ -94,16 +144,20 @@ val run : ?plan:arena_plan -> Graph.t -> input:Ndarray.t -> value
     [?plan], planned intermediates write arena views instead of fresh
     per-op buffers — bit-identical results, bounded peak memory.  Nodes
     without a slot (inputs, weights, anything unplanned) keep private
-    buffers.
+    buffers.  A run takes its arenas from those earlier runs gave back
+    (of any plan, allocating when none is free or big enough) and gives
+    them back when it ends.
 
     The graph's weights are prepared once: the first [run] (or
-    {!calibrate}) of a graph synthesizes each weight with
-    {!weight_value} (an [I8] weight packed one byte per element), and
-    every later run of the same physical graph reuses them — counted by
-    the always-on [exec.weights_prepared] counter.  The prepared weights
-    are freed with the graph.  The returned value never shares storage
-    with them: a graph whose output is a weight returns a copy.  Safe to
-    call from several domains at once, on one graph or many.
+    {!calibrate}) of a graph synthesizes each weight as {!weight_value}
+    does (an [I8] weight straight into one byte per element), and every
+    later run of the same physical graph reuses them — counted by the
+    always-on [exec.weights_prepared] counter.  Its fused convs'
+    requantization tables are kept with them, and both are freed with
+    the graph.  The returned value never shares storage with them or
+    with an arena: a graph whose output is a weight, or lives in an
+    arena, returns a copy.  Safe to call from several domains at once,
+    on one graph or many.
     @raise Exec_error on kind/dtype combinations the graph passes never
     produce, or when a runtime tensor does not fit its planned slot. *)
 

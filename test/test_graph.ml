@@ -605,6 +605,187 @@ let test_lane_pairs_bound () =
       case Dtype.I8 ~data_value:127 ~channels:65535 ~high ~paired:true)
     [ -128; 127 ]
 
+(* ---------- integer requantization ---------- *)
+
+let requant_int () = List.assoc "exec.requant_int" (Unit_obs.Obs.counters ())
+
+(* [stages] applied one by one, each stored, on the I32 tensor a conv2d
+   stored its sums [accs] in before the integer store:
+   [saturate (of_int v *. s0 /. s0)] per element, the store
+   [Ndarray.fill_float] makes. *)
+let requant_reference ~accs ~shape ~s0 stages =
+  let base =
+    { Executor.arr =
+        Ndarray.init_float ~dtype:Dtype.I32 ~shape (fun idx ->
+            let flat =
+              List.fold_left (fun acc (i, d) -> (acc * d) + i) 0
+                (List.combine (Array.to_list idx) shape)
+            in
+            Float.of_int accs.(flat) *. s0 /. s0);
+      scale = s0
+    }
+  in
+  List.fold_left (fun v (kind, extras) -> Executor.apply kind (v :: extras)) base stages
+
+(* The integer store of a fused quantized conv2d against the float chain
+   it replaces, output by output: U8 and I8 outputs; bias then quantize,
+   with relu, clip or both between, and a clip to one real value (a
+   constant output, no thresholds); sums 0, +-1, +-2^30, +-(2^31 - 1),
+   beyond i32 and near far thresholds; biases whose [b / s0] is a
+   half-integer, or just inside or just outside 2^-16 of one, or too
+   large for i32, so the float step runs for some channels; an i32 bias;
+   accumulator scales from 2^-30 to 2^10 at several output slopes.  Then
+   in place: fused conv graphs with lane pairs and a lone channel, on U8
+   and I8 data, against their unfused form, every output counted by
+   [exec.requant_int]. *)
+let test_requant_exact () =
+  let st = Random.State.make [| 31 |] in
+  let far = List.concat_map (fun m -> [ (m * (1 lsl 23)) - 1; m * (1 lsl 23); (m * (1 lsl 23)) + 1 ]) [ 1; 3; 255 ] in
+  let edges =
+    [ 0; 1; 2; 1 lsl 30; (1 lsl 31) - 1; (1 lsl 31) - 2; 1 lsl 31; (1 lsl 31) + 1; 1 lsl 40;
+      (1 lsl 31) + (1 lsl 24) ]
+  in
+  let accs =
+    List.init 601 (fun i -> i - 300)
+    @ List.concat_map (fun v -> [ v; -v ]) (edges @ far)
+    @ List.init 100 (fun _ -> Random.State.full_int st (1 lsl 34) - (1 lsl 33))
+  in
+  let na = List.length accs in
+  let half = [ 0.5; -0.5; 2.5; -7.5 ] in
+  let betas =
+    [ 0.0; 37.3; -1234.56; 1e-3; Float.ldexp 1.0 24; -.Float.ldexp 1.0 24; 2147483651.0;
+      -2147483651.0 ]
+    @ half
+    @ List.concat_map (fun h -> [ h +. 0x1p-20; h -. 0x1p-20; h +. 0x1p-10; h -. 0x1p-10 ]) half
+  in
+  let nb = List.length betas in
+  let shape = [ nb; 1; na ] in
+  let accs = Array.concat (List.init nb (fun _ -> Array.of_list accs)) in
+  let count = ref 0 in
+  List.iter
+    (fun s0 ->
+      let f32_bias =
+        { Executor.arr =
+            Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ nb ] (fun idx ->
+                List.nth betas idx.(0) *. s0);
+          scale = 1.0
+        }
+      in
+      let i32_bias =
+        { Executor.arr =
+            Ndarray.init_float ~dtype:Dtype.I32 ~shape:[ nb ] (fun idx ->
+                Float.round (List.nth betas idx.(0)));
+          scale = s0
+        }
+      in
+      List.iter
+        (fun slope ->
+          let sq = s0 /. slope in
+          List.iter
+            (fun dtype ->
+              List.iter
+                (fun (chain, bias, tail) ->
+                  let stages =
+                    ((Graph.Bias_add, [ bias ]) :: List.map (fun k -> (k, [])) tail)
+                    @ [ (Graph.Quantize { scale = sq; dtype }, []) ]
+                  in
+                  let what =
+                    Printf.sprintf "%s to %s, s0 %h, slope %g" chain (Dtype.to_string dtype) s0
+                      slope
+                  in
+                  let expected = requant_reference ~accs ~shape ~s0 stages in
+                  match Executor.requantize ~accs ~shape ~scale:s0 stages with
+                  | None -> Alcotest.failf "%s: not served by the integer store" what
+                  | Some got ->
+                    incr count;
+                    check_bool (what ^ ": dtype") true
+                      (Dtype.equal got.Executor.arr.Ndarray.dtype dtype);
+                    check_bool (what ^ ": scale") true (got.Executor.scale = sq);
+                    for i = 0 to Array.length accs - 1 do
+                      let a = Ndarray.get_int_flat got.Executor.arr i in
+                      let b = Ndarray.get_int_flat expected.Executor.arr i in
+                      if a <> b then
+                        Alcotest.failf "%s: sum %d with bias %g stores %d, the chain %d" what
+                          accs.(i) (List.nth betas (i / na)) a b
+                    done)
+                [ ("bias,q", f32_bias, []);
+                  ("bias,relu,q", f32_bias, [ Graph.Relu ]);
+                  ("bias,clip,q", f32_bias, [ Graph.Clip { lo = -40.0 *. sq; hi = 100.0 *. sq } ]);
+                  ( "bias,relu,clip,q",
+                    f32_bias,
+                    [ Graph.Relu; Graph.Clip { lo = -40.0 *. sq; hi = 100.0 *. sq } ] );
+                  ("i32 bias,relu,q", i32_bias, [ Graph.Relu ]);
+                  ("bias,clip to one value,q", f32_bias, [ Graph.Clip { lo = 3.3 *. sq; hi = 3.3 *. sq } ])
+                ])
+            [ Dtype.U8; Dtype.I8 ])
+        [ 0x1p-24; 0.37; 1.0; 3.0 ])
+    [ 0x1p-30; 1.37 *. 0x1p-12; 0.01; 1.0; 0x1p10 ];
+  check_int "chains checked" (5 * 4 * 2 * 6) !count;
+  (* a chain the integer store does not serve, and a scale it does not *)
+  let bias = { Executor.arr = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ 1 ]; scale = 1.0 } in
+  let q = (Graph.Quantize { scale = 0.1; dtype = Dtype.U8 }, []) in
+  check_bool "dequantize tail" true
+    (Executor.requantize ~accs:[| 0 |] ~shape:[ 1 ] ~scale:1.0
+       [ (Graph.Bias_add, [ bias ]); q; (Graph.Dequantize { scale = 0.1 }, []) ]
+    = None);
+  check_bool "i32 output" true
+    (Executor.requantize ~accs:[| 0 |] ~shape:[ 1 ] ~scale:1.0
+       [ (Graph.Bias_add, [ bias ]); (Graph.Quantize { scale = 0.1; dtype = Dtype.I32 }, []) ]
+    = None);
+  check_bool "scale 2^-901" true
+    (Executor.requantize ~accs:[| 0 |] ~shape:[ 1 ] ~scale:0x1p-901 [ (Graph.Bias_add, [ bias ]); q ]
+    = None);
+  (* in place *)
+  List.iter
+    (fun (data_dtype, out_dtype, k, tail) ->
+      let what =
+        Printf.sprintf "%s conv to %s, %d channels, %d stages" (Dtype.to_string data_dtype)
+          (Dtype.to_string out_dtype) k (List.length tail)
+      in
+      let conv = { Graph.out_channels = k; kernel = 3; stride = 1; padding = 1; groups = 1 } in
+      let stages =
+        (Graph.Bias_add :: tail) @ [ Graph.Quantize { scale = 2.0 /. 255.0; dtype = out_dtype } ]
+      in
+      let prefix =
+        [ ("x", Graph.Input { shape = [ 3; 6; 6 ]; dtype = Dtype.F32 }, [], []);
+          ("x_q", Graph.Quantize { scale = 1.0 /. 255.0; dtype = data_dtype }, [ 0 ], []);
+          ("w", Graph.Weight { shape = [ k; 3; 3; 3 ]; dtype = Dtype.I8 }, [], []);
+          ("b", Graph.Weight { shape = [ k ]; dtype = Dtype.F32 }, [], [])
+        ]
+      in
+      let fused = Graph.build (prefix @ [ ("conv", Graph.Conv2d conv, [ 1; 2; 3 ], stages) ]) ~output:4 in
+      let unfused =
+        Graph.build
+          (prefix
+          @ ("conv", Graph.Conv2d conv, [ 1; 2 ], [])
+            :: List.mapi
+                 (fun i kind ->
+                   (Printf.sprintf "stage%d" i, kind, (4 + i) :: (if i = 0 then [ 3 ] else []), []))
+                 stages)
+          ~output:(4 + List.length stages)
+      in
+      let input = Executor.default_input fused ~seed:6 in
+      let expected = (Executor.run unfused ~input).Executor.arr in
+      let before = requant_int () in
+      Unit_obs.Obs.set_enabled true;
+      let got =
+        Fun.protect
+          ~finally:(fun () -> Unit_obs.Obs.set_enabled false)
+          (fun () -> (Executor.run fused ~input).Executor.arr)
+      in
+      check_bool (what ^ ": fused = unfused") true (Ndarray.equal expected got);
+      check_int (what ^ ": exec.requant_int") (k * 36) (requant_int () - before))
+    (List.concat_map
+       (fun (data_dtype, out_dtype) ->
+         List.concat_map
+           (fun k ->
+             List.map
+               (fun tail -> (data_dtype, out_dtype, k, tail))
+               [ []; [ Graph.Relu ]; [ Graph.Clip { lo = -0.5; hi = 0.6 } ];
+                 [ Graph.Relu; Graph.Clip { lo = -0.5; hi = 0.6 } ] ])
+           [ 4; 5 ])
+       [ (Dtype.U8, Dtype.U8); (Dtype.U8, Dtype.I8); (Dtype.I8, Dtype.U8); (Dtype.I8, Dtype.I8) ])
+
 (* ---------- glue ops against the boxed formulation ---------- *)
 
 (* Copies of the boxed code the executor's flat store loop replaced:
@@ -757,8 +938,10 @@ let test_glue_matches_boxed () =
   List.iter
     (fun (name, data) -> case ("softmax of " ^ name) Graph.Softmax [ data ] (ref_softmax data))
     [ ("f32", value Dtype.F32 1.0 [ 10 ]); ("u8", value Dtype.U8 0.05 [ 7 ]) ];
+  (* a max pool over int storage takes integer maxima; the last case has
+     windows with no tap inside the input *)
   List.iter
-    (fun (pool, window, stride, padding) ->
+    (fun (pool, window, stride, padding, dtypes) ->
       List.iter
         (fun data ->
           case
@@ -769,9 +952,12 @@ let test_glue_matches_boxed () =
             (Graph.Pool { pool; window; stride; padding })
             [ data ]
             (ref_pool pool ~window ~stride ~padding data))
-        [ value Dtype.U8 0.02 [ 3; 5; 6 ]; value Dtype.F32 1.0 [ 3; 5; 6 ] ])
-    [ (Graph.Avg_pool, 3, 2, 1); (Graph.Avg_pool, 3, 1, 1); (Graph.Avg_pool, 2, 2, 1);
-      (Graph.Max_pool, 3, 2, 1)
+        (List.map
+           (fun (dtype, scale) -> value dtype scale [ 3; 5; 6 ])
+           ((Dtype.U8, 0.02) :: (Dtype.F32, 1.0) :: dtypes)))
+    [ (Graph.Avg_pool, 3, 2, 1, []); (Graph.Avg_pool, 3, 1, 1, []); (Graph.Avg_pool, 2, 2, 1, []);
+      (Graph.Max_pool, 3, 2, 1, [ (Dtype.I8, 0.7) ]); (Graph.Max_pool, 2, 2, 1, [ (Dtype.I8, 0.03) ]);
+      (Graph.Max_pool, 3, 1, 2, [ (Dtype.I8, 0.03) ]); (Graph.Max_pool, 2, 3, 2, [])
     ];
   List.iter
     (fun (what, values) -> case what Graph.Concat values (ref_concat values))
@@ -1037,6 +1223,7 @@ let () =
           Alcotest.test_case "glue ops match boxed formula" `Quick test_glue_matches_boxed;
           Alcotest.test_case "conv2d lane pairs exact" `Quick test_lane_pairs_exact;
           Alcotest.test_case "conv2d lane-pair bound" `Quick test_lane_pairs_bound;
+          Alcotest.test_case "fused requantization exact" `Quick test_requant_exact;
           QCheck_alcotest.to_alcotest prop_conv2d_matches_boxed
         ] );
       ( "quantization",
