@@ -619,20 +619,27 @@ let profile model target engine trace_out no_exec store packs =
   let r = Unit_core.Profile.report ?input unit_engine g in
   let modelled = Latency.latency unit_engine g in
   let wall = Option.value r.pr_wall ~default:0.0 in
-  let line name kind m t =
+  (* the measured rate of a conv or dense row: its MACs over its measured
+     seconds *)
+  let line ?macs name kind m t =
     let cell total = function
       | Some t -> Printf.sprintf "%12.1f %6.1f%%" (t *. 1e6) (100.0 *. t /. total)
       | None -> Printf.sprintf "%12s %7s" "-" "-"
     in
-    Printf.printf "  %-30s %-30s %s %s\n" name kind (cell modelled m) (cell wall t)
+    let rate =
+      match macs, t with
+      | Some macs, Some t when t > 0.0 -> Printf.sprintf "%7.2f" (Float.of_int macs /. t /. 1e9)
+      | _ -> Printf.sprintf "%7s" "-"
+    in
+    Printf.printf "  %-30s %-30s %s %s %s\n" name kind (cell modelled m) (cell wall t) rate
   in
   Printf.printf "%s on %s: modelled by %s, measured on the executor\n" model target
     unit_engine.Latency.e_name;
-  Printf.printf "  %-30s %-30s %12s %7s %12s %7s\n" "node" "kind" "model(us)" "share"
-    "measured(us)" "share";
+  Printf.printf "  %-30s %-30s %12s %7s %12s %7s %7s\n" "node" "kind" "model(us)" "share"
+    "measured(us)" "share" "GMAC/s";
   List.iter
     (fun (row : Unit_core.Profile.row) ->
-      line row.pr_node row.pr_kind (Some row.pr_modelled) row.pr_measured)
+      line ?macs:row.pr_macs row.pr_node row.pr_kind (Some row.pr_modelled) row.pr_measured)
     r.pr_rows;
   line "(inputs, weights, walk)" "" None r.pr_residual;
   line "total" "" (Some modelled) r.pr_wall;

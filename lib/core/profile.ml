@@ -6,6 +6,7 @@ type row = {
   pr_kind : string;
   pr_modelled : float;
   pr_measured : float option;
+  pr_macs : int option;
 }
 
 type t = {
@@ -45,7 +46,8 @@ let report ?input engine g =
               pr_kind = String.concat "+" (List.map Graph.kind_name (kind :: n.fused));
               pr_modelled = Latency.node_seconds engine g n;
               pr_measured =
-                Option.map (fun (spans, _) -> Hashtbl.find spans n.name) measured
+                Option.map (fun (spans, _) -> Hashtbl.find spans n.name) measured;
+              pr_macs = Option.map Workload.macs (Workload.of_node g n)
             })
       (Graph.nodes g)
   in

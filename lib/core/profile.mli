@@ -7,6 +7,7 @@ type row = {
   pr_kind : string;  (** kind, then fused epilogue kinds: [conv2d+bias_add+relu] *)
   pr_modelled : float;  (** {!Latency.node_seconds} *)
   pr_measured : float option;  (** seconds of the node's [exec.*] span *)
+  pr_macs : int option;  (** {!Unit_graph.Workload.macs} of a conv or dense node *)
 }
 
 type t = {

@@ -10,6 +10,9 @@ let c_macs = Obs.counter "exec.macs"
    pairs. *)
 let c_lanes_paired = Obs.counter "exec.lanes_paired"
 
+(* Of those, the MACs a quantized conv2d did in the panel kernel. *)
+let c_panel_macs = Obs.counter "exec.panel_macs"
+
 (* Output elements a fused quantized conv2d stored through the integer
    requantizer, and the channels whose bias step it left in floats. *)
 let c_requant_int = Obs.counter "exec.requant_int"
@@ -109,12 +112,24 @@ let output_array ~dst ~dtype ~shape =
 
 let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
-(* Round to nearest, then clamp.  Everything stored here (accumulators,
-   quantized reals) lies far inside the native int range, where
-   [Float.to_int] agrees with [fill_float]'s Int64 conversion. *)
+(* Round to nearest, then clamp, as [fill_float] stores into [lo, hi].
+   Below 2^62 in magnitude [Float.to_int] is its Int64 conversion; beyond
+   that, and for infinities and NaN, where [Float.to_int] drops the top
+   bit (giving 0 for both infinities), the value takes [fill_float]'s own
+   conversion. *)
+let saturate_wide ~lo ~hi r =
+  let x = Int64.of_float r in
+  if Int64.compare x (Int64.of_int lo) < 0 then lo
+  else if Int64.compare x (Int64.of_int hi) > 0 then hi
+  else Int64.to_int x
+
 let[@inline] saturate ~lo ~hi y =
-  let x = Float.to_int (Float.round y) in
-  if x < lo then lo else if x > hi then hi else x
+  let r = Float.round y in
+  if Float.abs r < 0x1p62 then begin
+    let x = Float.to_int r in
+    if x < lo then lo else if x > hi then hi else x
+  end
+  else saturate_wide ~lo ~hi r
 
 let int_bounds dtype =
   (Int64.to_int (Dtype.min_int_value dtype), Int64.to_int (Dtype.max_int_value dtype))
@@ -611,6 +626,68 @@ let weight_shape = function Value v -> v.arr.Ndarray.shape | Packed p -> p.pk_sh
 
 let weight_scale = function Value v -> v.scale | Packed p -> p.pk_scale
 
+(* ---------- the panel kernel ---------- *)
+
+(* What the panel kernel works in: a chunk's sums, its panel and a
+   weight row.  A conv takes a set from the free list, or an empty one,
+   grows what it needs and gives it back when it ends, so steady-state
+   convs allocate none and concurrent convs never share one. *)
+type scratch = {
+  mutable sums : int array;
+  mutable panel : int array;
+  mutable rows : int array;
+}
+
+let scratch_lock = Mutex.create ()
+let free_scratch : scratch list ref = ref []
+
+let take_scratch () =
+  Mutex.protect scratch_lock (fun () ->
+      match !free_scratch with
+      | s :: rest ->
+        free_scratch := rest;
+        s
+      | [] -> { sums = [||]; panel = [||]; rows = [||] })
+
+let give_scratch s = Mutex.protect scratch_lock (fun () -> free_scratch := s :: !free_scratch)
+
+(* The i8 weight at byte [i] of [wt]; unchecked. *)
+let[@inline] weight_byte wt i = (Char.code (Bytes.unsafe_get wt i) lxor 0x80) - 0x80
+
+(* [a] if it holds [n] ints, else a fresh array that does *)
+let grown a n = if Array.length a >= n then a else Array.make n 0
+
+(* The microkernel: the sums of four output positions over a reduction
+   of [n] terms, each held in a register from the first term to the
+   last.  Position [j]'s operand [r] is [src.(base + r * rs + j)], from a
+   panel ([rs = 4]) or in place from the data ([rs] its plane size), its
+   weight [rows.(r)], and its sum goes to [acc.(ao + j)].  The caller
+   keeps every index in bounds. *)
+let kernel_4 rows src base rs n acc ao =
+  let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
+  let i = ref base in
+  for r = 0 to n - 1 do
+    let wv = Array.unsafe_get rows r and i0 = !i in
+    s0 := !s0 + (wv * Array.unsafe_get src i0);
+    s1 := !s1 + (wv * Array.unsafe_get src (i0 + 1));
+    s2 := !s2 + (wv * Array.unsafe_get src (i0 + 2));
+    s3 := !s3 + (wv * Array.unsafe_get src (i0 + 3));
+    i := i0 + rs
+  done;
+  Array.unsafe_set acc ao !s0;
+  Array.unsafe_set acc (ao + 1) !s1;
+  Array.unsafe_set acc (ao + 2) !s2;
+  Array.unsafe_set acc (ao + 3) !s3
+
+(* The shape rule: an unpadded 1x1 stride-1 conv whose plane holds at
+   least four positions reads its operands in place; every other conv
+   with [kg >= 2] gathers a panel, in chunks of positions where the
+   plane's would exceed [panel_words] ints (384 KB). *)
+let panel_words = 3 lsl 14
+
+let reads_in_place ~kern ~stride ~padding ~plane =
+  kern = 1 && stride = 1 && padding = 0 && plane >= 4
+
 (* Data is [c; h; w], weights [k; c/g; kern; kern], output [k; oh; ow].
    Quantized weights are read packed (a value operand is packed first).
    A quantized conv stores its sums as I32 at data scale times weight
@@ -650,116 +727,15 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
     let ooff = out.Ndarray.offset in
     let d = int_payload "conv2d" data.arr and wt = weights.pk_bytes in
     let o = int_payload "conv2d" out in
-    (* per tap, the output rows (columns) whose input coordinate
-       [pos * stride + tap - padding] lies inside the input *)
-    let first tap = if tap >= padding then 0 else (padding - tap + stride - 1) / stride in
-    let last ~size ~out_size tap =
-      let l = size - 1 + padding - tap in
-      if l < 0 then -1 else Int.min (out_size - 1) (l / stride)
-    in
-    let y0 = Array.init kern first and y1 = Array.init kern (last ~size:h ~out_size:oh) in
-    let x0 = Array.init kern first and x1 = Array.init kern (last ~size:w ~out_size:ow) in
-    (* The clipped tap ranges keep every index inside these two windows,
-       the checked weight shape and the accumulator planes, which is what
-       licenses the unchecked accesses below. *)
+    (* The panel kernel, the nest's clipped tap ranges, the checked weight
+       shape and these two windows keep every index inside the arrays,
+       which is what licenses the unchecked accesses below. *)
     if doff + (c * h * w) > Array.length d || ooff + (k * plane) > Array.length o then
       error "conv2d: an operand is smaller than its shape";
     let kk = kern * kern and hw = h * w in
-    (* A pass accumulates one output plane of exact sums: plane 0 of
-       [acc]; plane 1 takes the high lanes of a pair at the store. *)
-    let acc = Array.make (2 * plane) 0 in
-    (* Lane pairs: a pass runs output channels [ko] and [ko + 1] of one
-       group at once.  Each weight it reads is [w(ko) + w(ko + 1) lsl 31],
-       so one multiply by an activation updates both sums, held in one
-       slot as [lo + hi lsl 31].  That is exact while every sum of
-       [cg * kern^2] terms of magnitude at most [maxabs data * 128] lies
-       in [-2^30, 2^30): the low 31 bits, sign-extended, are then [lo].
-       Where the bound fails, or [ko] ends an odd group, the high weight
-       is zero and the pass is one channel. *)
-    let pairable =
-      kg >= 2 && Float.of_int (cg * kk) *. maxabs data.arr.Ndarray.dtype *. 128.0 < 0x1p30
-    in
-    let paired = ref false and pair_step = cg * kk in
-    let weight t =
-      let w = Bytes.get_int8 wt t in
-      if !paired then w + (Bytes.get_int8 wt (t + pair_step) lsl 31) else w
-    in
-    (* Weight-stationary and register-blocked: a pass streams input
-       planes into the accumulator plane, and each slot update adds
-       several terms.  A pass covers four input channels at one tap
-       (channel block), or, in a group of fewer than four channels, three
-       horizontal taps of one channel (tap block).  What neither block
-       covers runs [tap], one term per update. *)
-    let tap dplane wv r s xs xe =
-      (* locals, so the loops do not reload them from the closure *)
-      let acc = acc and d = d and stride = stride in
-      for y = y0.(r) to y1.(r) do
-        let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-        let orow = y * ow in
-        for x = xs to xe do
-          Array.unsafe_set acc (orow + x)
-            (Array.unsafe_get acc (orow + x) + (wv * Array.unsafe_get d (drow + (x * stride))))
-        done
-      done
-    in
-    (* channels [dplane + j * hw] with weights [t + j * kk], j < 4: one
-       clipped range serves all four, since it depends only on the tap *)
-    let channel_block dplane t r s =
-      let acc = acc and d = d and stride = stride and hw2 = 2 * hw and hw3 = 3 * hw in
-      let w0 = weight t and w1 = weight (t + kk) in
-      let w2 = weight (t + (2 * kk)) and w3 = weight (t + (3 * kk)) in
-      let xs = x0.(s) and xe = x1.(s) in
-      for y = y0.(r) to y1.(r) do
-        let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-        let orow = y * ow in
-        for x = xs to xe do
-          let i = drow + (x * stride) in
-          Array.unsafe_set acc (orow + x)
-            (Array.unsafe_get acc (orow + x)
-             + (w0 * Array.unsafe_get d i)
-             + (w1 * Array.unsafe_get d (i + hw))
-             + (w2 * Array.unsafe_get d (i + hw2))
-             + (w3 * Array.unsafe_get d (i + hw3)))
-        done
-      done
-    in
-    (* taps [s, s + 1, s + 2] of row [r] with weights [t + j]: the 3-term
-       body covers the interior, where all three are in bounds, and each
-       tap runs its own edges.  With no interior the two edges of a tap
-       would overlap, so each tap runs its whole range instead. *)
-    let tap_block dplane t r s =
-      let w0 = weight t and w1 = weight (t + 1) in
-      let w2 = weight (t + 2) in
-      let xs = x0.(s) and xe = x1.(s + 2) in
-      if xs > xe then begin
-        tap dplane w0 r s x0.(s) x1.(s);
-        tap dplane w1 r (s + 1) x0.(s + 1) x1.(s + 1);
-        tap dplane w2 r (s + 2) x0.(s + 2) x1.(s + 2)
-      end
-      else begin
-        let acc = acc and d = d and stride = stride in
-        for y = y0.(r) to y1.(r) do
-          let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-          let orow = y * ow in
-          for x = xs to xe do
-            let i = drow + (x * stride) in
-            Array.unsafe_set acc (orow + x)
-              (Array.unsafe_get acc (orow + x)
-               + (w0 * Array.unsafe_get d i)
-               + (w1 * Array.unsafe_get d (i + 1))
-               + (w2 * Array.unsafe_get d (i + 2)))
-          done
-        done;
-        let edges j wv =
-          tap dplane wv r (s + j) x0.(s + j) (xs - 1);
-          tap dplane wv r (s + j) (xe + 1) x1.(s + j)
-        in
-        edges 0 w0;
-        edges 1 w1;
-        edges 2 w2
-      end
-    in
-    (* Channel [ko]'s sums, plane [aoff] of [acc], into its output plane:
+    let n = cg * kk in
+    (* Every pass leaves its exact sums in the output planes, which the
+       store then overwrites in place, channel [ko]'s plane at [obase]:
        the fused chain's levels, or the I32 store [saturate (of_int v *.
        s0 /. s0)], which is [clamp32 v] at every scale [exact_scale]
        admits. *)
@@ -767,64 +743,220 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
       match requant with
       | Some (rq, bias) ->
         let bias = reader bias in
-        fun ko aoff -> requant_channel rq ~bias ko acc aoff o (ooff + (ko * plane)) plane
+        fun ko obase -> requant_channel rq ~bias ko o obase o obase plane
       | None when exact_scale s0 ->
-        fun ko aoff ->
-          let obase = ooff + (ko * plane) in
-          for i = 0 to plane - 1 do
-            Array.unsafe_set o (obase + i) (clamp32 (Array.unsafe_get acc (aoff + i)))
+        fun _ obase ->
+          for i = obase to obase + plane - 1 do
+            Array.unsafe_set o i (clamp32 (Array.unsafe_get o i))
           done
       | None ->
-        fun ko aoff ->
-          let obase = ooff + (ko * plane) in
-          for i = 0 to plane - 1 do
-            o.(obase + i) <- saturate ~lo:lo32 ~hi:hi32 (Float.of_int acc.(aoff + i) *. s0 /. s0)
+        fun _ obase ->
+          for i = obase to obase + plane - 1 do
+            o.(i) <- saturate ~lo:lo32 ~hi:hi32 (Float.of_int o.(i) *. s0 /. s0)
           done
     in
-    let blocked = cg - (cg mod 4) and taps = if cg < 4 then kern - (kern mod 3) else 0 in
-    let next = ref 0 and pairs = ref 0 in
-    while !next < k do
-      let ko = !next in
-      paired := pairable && (ko mod kg) + 1 < kg;
-      Array.fill acc 0 plane 0;
-      let dgroup = doff + (ko / kg * cg * hw) and wk = ko * cg * kk in
-      for b = 0 to (blocked / 4) - 1 do
-        let dplane = dgroup + (4 * b * hw) and wtap = wk + (4 * b * kk) in
-        for r = 0 to kern - 1 do
-          for s = 0 to kern - 1 do
-            channel_block dplane (wtap + (r * kern) + s) r s
+    if kg >= 2 then begin
+      (* Lane pairs: a pass of the panel kernel runs output channels [ko]
+         and [ko + 1] of one group.  Its weight row holds
+         [w(ko) + w(ko + 1) lsl 31], so one multiply by an activation
+         updates both sums, held in one slot as [lo + hi lsl 31].  That is
+         exact while every sum of [cg * kern^2] terms of magnitude at most
+         [maxabs data * 128] lies in [-2^30, 2^30): the low 31 bits,
+         sign-extended, are then [lo].  Where the bound fails, or [ko]
+         ends an odd group, the pass is one channel. *)
+      let pairable = Float.of_int n *. maxabs data.arr.Ndarray.dtype *. 128.0 < 0x1p30 in
+      let in_place = reads_in_place ~kern ~stride ~padding ~plane in
+      let scratch = take_scratch () in
+      (* positions per chunk: the whole plane read in place, else as many
+         blocks of four as fit [panel_words] *)
+      let chunk =
+        if in_place then plane else Int.min plane (Int.max 4 ((panel_words / n) land lnot 3))
+      in
+      scratch.rows <- grown scratch.rows n;
+      scratch.sums <- grown scratch.sums ((chunk + 3) land lnot 3);
+      if not in_place then scratch.panel <- grown scratch.panel (((chunk + 3) land lnot 3) * n);
+      let rows = scratch.rows and sums = scratch.sums and panel = scratch.panel in
+      (* Positions [c0, c0 + len) of group [dgroup]: position [c0 + q]'s
+         operand [r], [r = (ci * kern + kr) * kern + ks] as in a weight
+         row, at [panel.(((q / 4 * n) + r) * 4 + q mod 4)], 0 for a tap
+         on padding.  In a last block of fewer than four positions the
+         rest hold whatever an earlier conv left: their sums are never
+         stored. *)
+      let gather dgroup c0 len =
+        for q = 0 to len - 1 do
+          let p = c0 + q in
+          let ys = (p / ow * stride) - padding and xs = (p mod ow * stride) - padding in
+          let t0 = (q lsr 2 * 4 * n) + (q land 3) in
+          (* taps [s_lo, s_hi] of a row are inside the input *)
+          let s_lo = Int.min kern (Int.max 0 (-xs)) in
+          let s_hi = Int.max (s_lo - 1) (Int.min (kern - 1) (w - 1 - xs)) in
+          for ci = 0 to cg - 1 do
+            for kr = 0 to kern - 1 do
+              let iy = ys + kr and t = t0 + (4 * ((ci * kk) + (kr * kern))) in
+              if iy < 0 || iy >= h then
+                for ks = 0 to kern - 1 do
+                  Array.unsafe_set panel (t + (4 * ks)) 0
+                done
+              else begin
+                let row = dgroup + (ci * hw) + (iy * w) + xs in
+                for ks = 0 to s_lo - 1 do
+                  Array.unsafe_set panel (t + (4 * ks)) 0
+                done;
+                for ks = s_lo to s_hi do
+                  Array.unsafe_set panel (t + (4 * ks)) (Array.unsafe_get d (row + ks))
+                done;
+                for ks = s_hi + 1 to kern - 1 do
+                  Array.unsafe_set panel (t + (4 * ks)) 0
+                done
+              end
+            done
           done
         done
-      done;
-      for ci = blocked to cg - 1 do
-        let dplane = dgroup + (ci * hw) and wtap = wk + (ci * kk) in
-        for r = 0 to kern - 1 do
-          let wrow = wtap + (r * kern) in
-          for b = 0 to (taps / 3) - 1 do
-            tap_block dplane (wrow + (3 * b)) r (3 * b)
+      in
+      (* the weight row of channel [ko], or of the pair [ko, ko + 1] *)
+      let fill ko pair =
+        let t = ko * n in
+        if pair then
+          for r = 0 to n - 1 do
+            Array.unsafe_set rows r (weight_byte wt (t + r) + (weight_byte wt (t + n + r) lsl 31))
+          done
+        else
+          for r = 0 to n - 1 do
+            Array.unsafe_set rows r (weight_byte wt (t + r))
+          done
+      in
+      (* the chunk's sums, position [c0 + q]'s at [sums.(q)]: every block
+         of four through the kernel; read in place, a plane that is no
+         multiple of four ends with a block that overlaps the one before
+         it *)
+      let sweep dgroup len =
+        if in_place then begin
+          for b = 0 to (plane / 4) - 1 do
+            kernel_4 rows d (dgroup + (4 * b)) hw n sums (4 * b)
           done;
-          for s = taps to kern - 1 do
-            tap dplane (weight (wrow + s)) r s x0.(s) x1.(s)
+          if plane land 3 <> 0 then kernel_4 rows d (dgroup + plane - 4) hw n sums (plane - 4)
+        end
+        else
+          for b = 0 to ((len + 3) / 4) - 1 do
+            kernel_4 rows panel (4 * b * n) 4 n sums (4 * b)
           done
+      in
+      for g = 0 to groups - 1 do
+        let dgroup = doff + (g * cg * hw) and stop = (g + 1) * kg in
+        let c0 = ref 0 in
+        while !c0 < plane do
+          let len = Int.min chunk (plane - !c0) in
+          if not in_place then gather dgroup !c0 len;
+          let ko = ref (g * kg) in
+          while !ko < stop do
+            let pair = pairable && !ko + 1 < stop in
+            fill !ko pair;
+            sweep dgroup len;
+            let obase = ooff + (!ko * plane) + !c0 in
+            if pair then
+              (* each slot's low lane (the low 31 bits, sign-extended) to
+                 channel [ko], its high lane to [ko + 1] *)
+              for q = 0 to len - 1 do
+                let v = Array.unsafe_get sums q in
+                let lo = (v lsl 32) asr 32 in
+                Array.unsafe_set o (obase + q) lo;
+                Array.unsafe_set o (obase + plane + q) ((v - lo) asr 31)
+              done
+            else Array.blit sums 0 o obase len;
+            ko := !ko + if pair then 2 else 1
+          done;
+          c0 := !c0 + len
+        done;
+        for ko = g * kg to stop - 1 do
+          store ko (ooff + (ko * plane))
         done
       done;
-      if !paired then begin
-        (* split each slot into its low lane (the low 31 bits,
-           sign-extended) and its high lane *)
-        for i = 0 to plane - 1 do
-          let v = Array.unsafe_get acc i in
-          let lo = (v lsl 32) asr 32 in
-          Array.unsafe_set acc i lo;
-          Array.unsafe_set acc (plane + i) ((v - lo) asr 31)
+      give_scratch scratch;
+      Obs.add c_panel_macs (k * macs);
+      if pairable then Obs.add c_lanes_paired (2 * groups * (kg / 2) * macs)
+    end
+    else begin
+      (* Depthwise ([kg = 1]): weight-stationary, one output channel per
+         pass, which streams its input planes into the channel's output
+         plane.  A slot update adds three horizontal taps of one channel
+         (tap block); what that does not cover runs [tap], one term per
+         update.  Per tap, the output rows (columns) whose input coordinate
+         [pos * stride + tap - padding] lies inside the input: *)
+      let first tap = if tap >= padding then 0 else (padding - tap + stride - 1) / stride in
+      let last ~size ~out_size tap =
+        let l = size - 1 + padding - tap in
+        if l < 0 then -1 else Int.min (out_size - 1) (l / stride)
+      in
+      let y0 = Array.init kern first and y1 = Array.init kern (last ~size:h ~out_size:oh) in
+      let x0 = Array.init kern first and x1 = Array.init kern (last ~size:w ~out_size:ow) in
+      let tap obase dplane wv r s xs xe =
+        (* locals, so the loops do not reload them from the closure *)
+        let o = o and d = d and stride = stride in
+        for y = y0.(r) to y1.(r) do
+          let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
+          let orow = obase + (y * ow) in
+          for x = xs to xe do
+            Array.unsafe_set o (orow + x)
+              (Array.unsafe_get o (orow + x) + (wv * Array.unsafe_get d (drow + (x * stride))))
+          done
+        done
+      in
+      (* taps [s, s + 1, s + 2] of row [r] with weights [t + j]: the 3-term
+         body covers the interior, where all three are in bounds, and each
+         tap runs its own edges.  With no interior the two edges of a tap
+         would overlap, so each tap runs its whole range instead. *)
+      let tap_block obase dplane t r s =
+        let w0 = Bytes.get_int8 wt t and w1 = Bytes.get_int8 wt (t + 1) in
+        let w2 = Bytes.get_int8 wt (t + 2) in
+        let xs = x0.(s) and xe = x1.(s + 2) in
+        if xs > xe then begin
+          tap obase dplane w0 r s x0.(s) x1.(s);
+          tap obase dplane w1 r (s + 1) x0.(s + 1) x1.(s + 1);
+          tap obase dplane w2 r (s + 2) x0.(s + 2) x1.(s + 2)
+        end
+        else begin
+          let o = o and d = d and stride = stride in
+          for y = y0.(r) to y1.(r) do
+            let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
+            let orow = obase + (y * ow) in
+            for x = xs to xe do
+              let i = drow + (x * stride) in
+              Array.unsafe_set o (orow + x)
+                (Array.unsafe_get o (orow + x)
+                 + (w0 * Array.unsafe_get d i)
+                 + (w1 * Array.unsafe_get d (i + 1))
+                 + (w2 * Array.unsafe_get d (i + 2)))
+            done
+          done;
+          let edges j wv =
+            tap obase dplane wv r (s + j) x0.(s + j) (xs - 1);
+            tap obase dplane wv r (s + j) (xe + 1) x1.(s + j)
+          in
+          edges 0 w0;
+          edges 1 w1;
+          edges 2 w2
+        end
+      in
+      let taps = kern - (kern mod 3) in
+      for ko = 0 to k - 1 do
+        let obase = ooff + (ko * plane) in
+        Array.fill o obase plane 0;
+        let dgroup = doff + (ko * cg * hw) and wk = ko * cg * kk in
+        for ci = 0 to cg - 1 do
+          let dplane = dgroup + (ci * hw) and wtap = wk + (ci * kk) in
+          for r = 0 to kern - 1 do
+            let wrow = wtap + (r * kern) in
+            for b = 0 to (taps / 3) - 1 do
+              tap_block obase dplane (wrow + (3 * b)) r (3 * b)
+            done;
+            for s = taps to kern - 1 do
+              tap obase dplane (Bytes.get_int8 wt (wrow + s)) r s x0.(s) x1.(s)
+            done
+          done
         done;
-        store ko 0;
-        store (ko + 1) plane;
-        incr pairs
-      end
-      else store ko 0;
-      next := ko + if !paired then 2 else 1
-    done;
-    Obs.add c_lanes_paired (2 * !pairs * macs);
+        store ko obase
+      done
+    end;
     { arr = out; scale = out_scale }
   end
   else begin

@@ -11,14 +11,37 @@
     every other op stores through one flat loop of real numbers, rounded
     and saturated into the output dtype (a concat input already at the
     output's dtype and scale is copied as stored, and a max pool over
-    int storage at such a scale takes integer maxima).  The quantized
-    conv2d accumulates one output plane at a time in exact integers, and
-    runs two output channels of a group per pass, in lane pairs: each
-    weight it reads is [w(ko) + w(ko + 1) lsl 31], so one multiply
-    updates two exact i32 sums held in one native int, split at the
-    store.  It pairs only where [cg * kern^2 * maxabs(data dtype) * 128]
-    stays below [2^30], which keeps each lane's sum in [[-2^30, 2^30)];
-    elsewhere a pass is one channel.  A fused node runs its base op and
+    int storage at such a scale takes integer maxima).
+
+    {b Quantized conv2d.} Its sums are exact integers. A conv whose groups
+    hold at least two output channels ([kg >= 2], every dense zoo conv)
+    runs as a small GEMM: once per group it gathers each output position's
+    receptive field into a panel laid out [[P/4][R][4]], with [R =
+    cg*kern^2] in weight-row order and [P] positions, 0 for a tap on
+    padding; [P] is the plane [oh * ow], or a chunk of it where the
+    plane's panel would exceed 3 * 2^14 ints. An unpadded 1x1 stride-1
+    conv whose plane holds at least four positions reads its data in place
+    instead, with row stride [h * w] (a plane that is no multiple of four
+    ends with a block overlapping the one before it). A pass runs two
+    output channels of a group, in lane pairs: their weight row, built
+    from the i8 bytes once per pass and chunk, holds [w(ko) + w(ko + 1)
+    lsl 31], so one multiply updates two exact i32 sums held in one native
+    int. The microkernel keeps four positions' sums in registers over the
+    whole reduction and writes each once; the pass splits them into the
+    two channels' output planes, and once a group is done each plane is
+    stored in place. It pairs only where [cg * kern^2 * maxabs(data dtype)
+    * 128] stays below [2^30], which keeps each lane's sum in [[-2^30,
+    2^30)]; elsewhere a pass is one channel. Padding taps add 0 and
+    integer addition is exact in any order, so each sum is the same
+    integer whatever order the loops take. Depthwise convs ([kg = 1]) run
+    a weight-stationary nest instead: one channel per pass, three
+    horizontal taps per accumulator update, summing into the output plane.
+    The panel, weight row and the chunk's sums live in scratch that a conv
+    takes from a free list and gives back, so concurrent convs never share
+    it and steady-state convs allocate none. The gated counter
+    [exec.panel_macs] counts the MACs the microkernel does.
+
+    A fused node runs its base op and
     then its epilogues (bias_add, relu, clip, add, quantize, dequantize)
     as stages of one pass, each element rounded in a register between
     stages as storing it would round it: bit-identical to storing every

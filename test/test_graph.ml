@@ -605,6 +605,154 @@ let test_lane_pairs_bound () =
       case Dtype.I8 ~data_value:127 ~channels:65535 ~high ~paired:true)
     [ -128; 127 ]
 
+(* ---------- the panel kernel ---------- *)
+
+let panel_macs () = List.assoc "exec.panel_macs" (Unit_obs.Obs.counters ())
+
+(* [pairs_exact], and every MAC of the conv counted by [exec.panel_macs]:
+   its groups hold at least two output channels each. *)
+let panel_exact what (attrs : Graph.conv2d_attrs) ~paired data weights =
+  let before = panel_macs () in
+  pairs_exact what attrs ~paired data weights;
+  let kern = attrs.Graph.kernel and stride = attrs.Graph.stride in
+  let padding = attrs.Graph.padding in
+  let c, h, w =
+    match data.Ndarray.shape with
+    | [| c; h; w |] -> (c, h, w)
+    | _ -> Alcotest.failf "%s: unexpected shapes" what
+  in
+  let oh = Graph.conv_out_dim ~size:h ~kernel:kern ~stride ~padding in
+  let ow = Graph.conv_out_dim ~size:w ~kernel:kern ~stride ~padding in
+  check_int (what ^ ": exec.panel_macs")
+    (attrs.Graph.out_channels * oh * ow * (c / attrs.Graph.groups) * kern * kern)
+    (panel_macs () - before)
+
+(* The panel kernel at unit scales against the integer nest, on random
+   operands over each data dtype's whole range, read through arena views
+   at nonzero offsets: planes of fewer than four positions and planes
+   with a partial last block of four; odd [k] and odd [kg], whose last
+   channel runs alone; two and four groups, one panel each; 1x1 stride-1
+   convs read in place, including planes that are no multiple of four
+   (an overlapping last block) and grouped ones; 3x3 at 2x2 and 4x4 with
+   padding 1, where most panel entries are zero, and at padding 3, where
+   some positions see no input at all; planes gathered in several chunks,
+   the last one short.  Then both sides of the pair bound, paneled and
+   in place: data at 255 and weights at -128, the pair's high channel at
+   -128 or 127. *)
+let test_panel_exact () =
+  let st = Random.State.make [| 37 |] in
+  let case what ~channels ~k ~kernel ~stride ~padding ~groups ~h ~w data_dtype =
+    let attrs = { Graph.out_channels = k; kernel; stride; padding; groups } in
+    let draw lo span _ = Float.of_int (lo + Random.State.int st span) in
+    let lo = Int64.to_int (Dtype.min_int_value data_dtype) in
+    let span = Int64.to_int (Dtype.max_int_value data_dtype) - lo + 1 in
+    let data =
+      arena_view ~offset:(1 + Random.State.int st 9) ~dtype:data_dtype
+        ~shape:[ channels; h; w ] (draw lo span)
+    in
+    let weights =
+      arena_view ~offset:(1 + Random.State.int st 9) ~dtype:Dtype.I8
+        ~shape:[ k; channels / groups; kernel; kernel ]
+        (draw (-128) 256)
+    in
+    panel_exact
+      (Printf.sprintf "%s: %s %d channels, k %d, %dx%d stride %d padding %d, %d groups on %dx%d"
+         what (Dtype.to_string data_dtype) channels k kernel kernel stride padding groups h w)
+      attrs
+      ~paired:(groups * (k / groups / 2))
+      data weights
+  in
+  List.iter
+    (fun dtype ->
+      case "short plane" ~channels:3 ~k:4 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:1 ~w:3 dtype;
+      case "tail block" ~channels:5 ~k:5 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:3 ~w:3 dtype;
+      case "tail block, stride 2" ~channels:4 ~k:7 ~kernel:3 ~stride:2 ~padding:1 ~groups:1 ~h:9
+        ~w:10 dtype;
+      case "7x7 stem" ~channels:3 ~k:6 ~kernel:7 ~stride:2 ~padding:3 ~groups:1 ~h:6 ~w:4 dtype;
+      case "two groups" ~channels:6 ~k:6 ~kernel:3 ~stride:1 ~padding:1 ~groups:2 ~h:5 ~w:3 dtype;
+      case "four groups" ~channels:8 ~k:8 ~kernel:3 ~stride:2 ~padding:0 ~groups:4 ~h:7 ~w:9 dtype;
+      case "four groups, odd kg" ~channels:4 ~k:12 ~kernel:1 ~stride:2 ~padding:1 ~groups:4 ~h:5
+        ~w:5 dtype;
+      case "in place, 2x2" ~channels:9 ~k:4 ~kernel:1 ~stride:1 ~padding:0 ~groups:1 ~h:2 ~w:2
+        dtype;
+      case "in place, overlapping block" ~channels:7 ~k:5 ~kernel:1 ~stride:1 ~padding:0 ~groups:1
+        ~h:5 ~w:5 dtype;
+      case "in place, 3x2" ~channels:2 ~k:3 ~kernel:1 ~stride:1 ~padding:0 ~groups:1 ~h:3 ~w:2
+        dtype;
+      case "in place, two groups" ~channels:6 ~k:10 ~kernel:1 ~stride:1 ~padding:0 ~groups:2 ~h:3
+        ~w:3 dtype;
+      case "1x1 under four positions" ~channels:5 ~k:3 ~kernel:1 ~stride:1 ~padding:0 ~groups:1
+        ~h:1 ~w:3 dtype;
+      case "3x3 at 2x2" ~channels:16 ~k:9 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:2 ~w:2 dtype;
+      case "3x3 at 4x4" ~channels:8 ~k:6 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:4 ~w:4 dtype;
+      case "3x3 at 2x2, padding 3" ~channels:3 ~k:2 ~kernel:3 ~stride:1 ~padding:3 ~groups:1 ~h:2
+        ~w:2 dtype;
+      (* panels of at most 3 * 2^14 ints: chunks of 4 positions (9216
+         terms), and of 16 (2700 terms) with a last chunk of one *)
+      case "chunks of four" ~channels:1024 ~k:3 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:3
+        ~w:5 dtype;
+      case "chunks of sixteen" ~channels:600 ~k:4 ~kernel:3 ~stride:1 ~padding:1 ~groups:2 ~h:7
+        ~w:7 dtype)
+    [ Dtype.U8; Dtype.I8 ];
+  (* [cg * kern^2 * 255 * 128 < 2^30]: 32896 terms pair, 32897 do not *)
+  List.iter
+    (fun high ->
+      List.iter
+        (fun (what, channels, kernel, padding, paired) ->
+          let attrs = { Graph.out_channels = 2; kernel; stride = 1; padding; groups = 1 } in
+          let data =
+            arena_view ~offset:3 ~dtype:Dtype.U8 ~shape:[ channels; 2; 2 ] (fun _ -> 255.0)
+          in
+          let weights =
+            arena_view ~offset:5 ~dtype:Dtype.I8 ~shape:[ 2; channels; kernel; kernel ] (fun idx ->
+                if idx.(0) = 0 then -128.0 else Float.of_int high)
+          in
+          panel_exact
+            (Printf.sprintf "%s: %d channels, high weight %d" what channels high)
+            attrs ~paired data weights)
+        [ ("bound, in place", 32896, 1, 0, 1); ("past the bound, in place", 32897, 1, 0, 0);
+          ("bound, 3x3", 3655, 3, 1, 1); ("past the bound, 3x3", 3656, 3, 1, 0)
+        ])
+    [ -128; 127 ]
+
+(* Two domains run quantized convs of different shapes (one paneled, one
+   read in place) at the same time, over and over: each result must stay
+   the integer nest's, so no two convs share scratch. *)
+let test_panel_concurrent () =
+  let st = Random.State.make [| 41 |] in
+  let operands ~channels ~k ~kernel ~padding ~h ~w =
+    let attrs = { Graph.out_channels = k; kernel; stride = 1; padding; groups = 1 } in
+    let value shape lo span =
+      { Executor.arr =
+          arena_view ~offset:(1 + Random.State.int st 9)
+            ~dtype:(if lo < 0 then Dtype.I8 else Dtype.U8)
+            ~shape
+            (fun _ -> Float.of_int (lo + Random.State.int st span));
+        scale = 1.0
+      }
+    in
+    let data = value [ channels; h; w ] 0 256 in
+    let weights = value [ k; channels; kernel; kernel ] (-128) 256 in
+    let expected, _ = ref_conv2d attrs data weights in
+    (attrs, data, weights, expected)
+  in
+  let jobs =
+    [ operands ~channels:24 ~k:16 ~kernel:3 ~padding:1 ~h:10 ~w:9;
+      operands ~channels:40 ~k:12 ~kernel:1 ~padding:0 ~h:7 ~w:11
+    ]
+  in
+  let exact (attrs, data, weights, expected) =
+    let ok = ref true in
+    for _ = 1 to 200 do
+      let got = Executor.apply (Graph.Conv2d attrs) [ data; weights ] in
+      if not (Ndarray.equal got.Executor.arr expected) then ok := false
+    done;
+    !ok
+  in
+  List.iteri
+    (fun i ok -> check_bool (Printf.sprintf "domain %d: every conv exact" i) true ok)
+    (Unit_codegen.Parallel_oracle.map ~domains:2 exact jobs)
+
 (* ---------- integer requantization ---------- *)
 
 let requant_int () = List.assoc "exec.requant_int" (Unit_obs.Obs.counters ())
@@ -957,7 +1105,8 @@ let test_glue_matches_boxed () =
            ((Dtype.U8, 0.02) :: (Dtype.F32, 1.0) :: dtypes)))
     [ (Graph.Avg_pool, 3, 2, 1, []); (Graph.Avg_pool, 3, 1, 1, []); (Graph.Avg_pool, 2, 2, 1, []);
       (Graph.Max_pool, 3, 2, 1, [ (Dtype.I8, 0.7) ]); (Graph.Max_pool, 2, 2, 1, [ (Dtype.I8, 0.03) ]);
-      (Graph.Max_pool, 3, 1, 2, [ (Dtype.I8, 0.03) ]); (Graph.Max_pool, 2, 3, 2, [])
+      (Graph.Max_pool, 3, 1, 2, [ (Dtype.I8, 0.03) ]);
+      (Graph.Max_pool, 2, 3, 2, [ (Dtype.I8, 0.03); (Dtype.I8, 1e307) ])
     ];
   List.iter
     (fun (what, values) -> case what Graph.Concat values (ref_concat values))
@@ -1223,6 +1372,8 @@ let () =
           Alcotest.test_case "glue ops match boxed formula" `Quick test_glue_matches_boxed;
           Alcotest.test_case "conv2d lane pairs exact" `Quick test_lane_pairs_exact;
           Alcotest.test_case "conv2d lane-pair bound" `Quick test_lane_pairs_bound;
+          Alcotest.test_case "conv2d panel kernel exact" `Quick test_panel_exact;
+          Alcotest.test_case "conv2d panel kernel concurrent" `Quick test_panel_concurrent;
           Alcotest.test_case "fused requantization exact" `Quick test_requant_exact;
           QCheck_alcotest.to_alcotest prop_conv2d_matches_boxed
         ] );

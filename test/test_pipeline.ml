@@ -381,6 +381,27 @@ let test_latency_breakdown_sums () =
         [ Engines.x86_unit; Engines.arm_unit; Engines.gpu_unit ])
     [ served_tiny (); served_resnet18 () ]
 
+(* Each conv2d and dense row carries its workload's MACs, the numerator
+   of the report's GMAC/s column; other rows carry none. *)
+let test_rows_carry_macs () =
+  let g = served_tiny () in
+  let rows = (Profile.report Engines.x86_unit g).Profile.pr_rows in
+  List.iter
+    (fun (n : Unit_graph.Graph.node) ->
+      match List.find_opt (fun r -> r.Profile.pr_node = n.name) rows with
+      | None -> ()
+      | Some r ->
+        let expected =
+          match n.kind with
+          | Unit_graph.Graph.Conv2d _ | Unit_graph.Graph.Dense _ ->
+            Some (Workload.macs (Option.get (Workload.of_node g n)))
+          | _ -> None
+        in
+        check_bool (n.name ^ ": MACs") true (r.Profile.pr_macs = expected))
+    (Unit_graph.Graph.nodes g);
+  check_bool "some row has MACs" true
+    (List.exists (fun r -> Option.is_some r.Profile.pr_macs) rows)
+
 (* One traced run: every row is measured, the residual (inputs, weights,
    the walk) is non-negative, and rows plus residual are the wall time.
    resnet18 runs on a 32x32 input, below its declared size, as the
@@ -495,6 +516,7 @@ let () =
       ( "latency",
         [ Alcotest.test_case "breakdown sums" `Quick test_latency_breakdown_sums;
           Alcotest.test_case "measured rows sum" `Quick test_measured_rows_sum;
+          Alcotest.test_case "rows carry MACs" `Quick test_rows_carry_macs;
           Alcotest.test_case "report rows are served nodes" `Quick
             test_report_rows_are_served_nodes;
           Alcotest.test_case "fusion reduces latency" `Quick test_fusion_reduces_latency;
