@@ -116,16 +116,12 @@ let modname_of_key key = "unit_emitted_" ^ String.sub key 0 16
 let lock = Mutex.create ()
 let memo : (string, Unit_emit_hook.kernel) Hashtbl.t = Hashtbl.create 16
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 (* Diagnostics go to stderr once per process and [key]. *)
 let printed : (string, unit) Hashtbl.t = Hashtbl.create 8
 
 let print_once ~key d =
   let fresh =
-    with_lock (fun () ->
+    Mutex.protect lock (fun () ->
         let fresh = not (Hashtbl.mem printed key) in
         if fresh then Hashtbl.add printed key ();
         fresh)
@@ -286,7 +282,7 @@ let max_loaded = 16
 
 let load ~signature func =
   match
-    with_lock (fun () ->
+    Mutex.protect lock (fun () ->
         List.find_map
           (fun (s, f, k) -> if f == func && String.equal s signature then Some k else None)
           !loaded)
@@ -303,7 +299,7 @@ let load ~signature func =
       | plan, source ->
         List.iter (fun d -> print_once ~key:(Diag.to_string d) d) plan.Emit.p_diags;
         let key = artifact_key ~signature ~source in
-        with_lock (fun () ->
+        Mutex.protect lock (fun () ->
             match load_locked tc ~signature ~key ~source with
             | Ok fn ->
               let k = { k_plan = plan; k_fn = fn } in

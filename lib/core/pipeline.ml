@@ -291,10 +291,6 @@ let cache_order : cache_key Queue.t = Queue.create ()
 let flights : (cache_key, flight) Hashtbl.t = Hashtbl.create 16
 let cache_cap = ref 1024
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let evict_over_cap_locked () =
   while Hashtbl.length cache > !cache_cap do
     match Queue.take_opt cache_order with
@@ -308,17 +304,17 @@ let evict_over_cap_locked () =
 
 let set_cache_cap n =
   if n < 1 then invalid_arg "Pipeline.set_cache_cap: cap must be >= 1";
-  with_lock cache_lock (fun () ->
+  Mutex.protect cache_lock (fun () ->
       cache_cap := n;
       evict_over_cap_locked ())
 
 let cache_cap () = !cache_cap
-let cache_size () = with_lock cache_lock (fun () -> Hashtbl.length cache)
+let cache_size () = Mutex.protect cache_lock (fun () -> Hashtbl.length cache)
 
 (* In-flight compiles are left alone: their leaders still publish and
    wake their waiters. *)
 let clear_cache () =
-  with_lock cache_lock (fun () ->
+  Mutex.protect cache_lock (fun () ->
       Hashtbl.reset cache;
       Queue.clear cache_order)
 
@@ -348,7 +344,7 @@ let memo ~tag ~workload ~config f =
          Hashtbl.add flights key fl;
          Error fl)
   in
-  match with_lock cache_lock claim with
+  match Mutex.protect cache_lock claim with
   | Ok e -> e
   | Error fl ->
     let settle state =
@@ -358,7 +354,7 @@ let memo ~tag ~workload ~config f =
     in
     (match f () with
      | e ->
-       with_lock cache_lock (fun () ->
+       Mutex.protect cache_lock (fun () ->
            Hashtbl.replace cache key e;
            Queue.push key cache_order;
            evict_over_cap_locked ();
@@ -366,7 +362,7 @@ let memo ~tag ~workload ~config f =
        e
      | exception exn ->
        let bt = Printexc.get_raw_backtrace () in
-       with_lock cache_lock (fun () -> settle Abandoned);
+       Mutex.protect cache_lock (fun () -> settle Abandoned);
        Printexc.raise_with_backtrace exn bt)
 
 let entry_seconds = function

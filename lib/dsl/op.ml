@@ -75,8 +75,6 @@ let inputs t =
 
 let all_axes t = t.spatial @ t.reduce
 
-let axis_by_id t id = List.find_opt (fun (a : Axis.t) -> a.id = id) (all_axes t)
-
 let has_reduction t = t.reduce <> []
 
 let macs t = List.fold_left (fun acc (a : Axis.t) -> acc * a.extent) 1 (all_axes t)

@@ -54,8 +54,6 @@ val inputs : t -> Tensor.t list
 val all_axes : t -> Axis.t list
 (** [spatial @ reduce]. *)
 
-val axis_by_id : t -> int -> Axis.t option
-
 val has_reduction : t -> bool
 
 val macs : t -> int

@@ -628,14 +628,16 @@ let weight_scale = function Value v -> v.scale | Packed p -> p.pk_scale
 
 (* ---------- the panel kernel ---------- *)
 
-(* What the panel kernel works in: a chunk's sums, its panel and a
-   weight row.  A conv takes a set from the free list, or an empty one,
-   grows what it needs and gives it back when it ends, so steady-state
-   convs allocate none and concurrent convs never share one. *)
+(* What a quantized conv works in: the bordered copy of a group's input
+   planes, and the panel kernel's chunk sums, panel and weight row.  A
+   conv takes a set from the free list, or an empty one, grows what it
+   needs and gives it back when it ends, so steady-state convs allocate
+   none and concurrent convs never share one. *)
 type scratch = {
   mutable sums : int array;
   mutable panel : int array;
   mutable rows : int array;
+  mutable border : int array;
 }
 
 let scratch_lock = Mutex.create ()
@@ -647,7 +649,7 @@ let take_scratch () =
       | s :: rest ->
         free_scratch := rest;
         s
-      | [] -> { sums = [||]; panel = [||]; rows = [||] })
+      | [] -> { sums = [||]; panel = [||]; rows = [||]; border = [||] })
 
 let give_scratch s = Mutex.protect scratch_lock (fun () -> free_scratch := s :: !free_scratch)
 
@@ -656,6 +658,16 @@ let[@inline] weight_byte wt i = (Char.code (Bytes.unsafe_get wt i) lxor 0x80) - 
 
 (* [a] if it holds [n] ints, else a fresh array that does *)
 let grown a n = if Array.length a >= n then a else Array.make n 0
+
+(* [Array.blit] for ints, as a plain loop: a blit into an array outside
+   the minor heap runs the write barrier on every element, which storing
+   an int does not need. *)
+let blit_ints (src : int array) so (dst : int array) o len =
+  if so < 0 || o < 0 || len < 0 || so + len > Array.length src || o + len > Array.length dst then
+    invalid_arg "blit_ints";
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (o + i) (Array.unsafe_get src (so + i))
+  done
 
 (* The microkernel: the sums of four output positions over a reduction
    of [n] terms, each held in a register from the first term to the
@@ -709,6 +721,8 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
   if kern < 1 || stride < 1 then error "conv2d: kernel %d, stride %d" kern stride;
   let oh = Graph.conv_out_dim ~size:h ~kernel:kern ~stride ~padding in
   let ow = Graph.conv_out_dim ~size:w ~kernel:kern ~stride ~padding in
+  if oh > 0 && ow > 0 && (h + (2 * padding) < kern || w + (2 * padding) < kern) then
+    error "conv2d: kernel %d past a %dx%d input at padding %d" kern h w padding;
   let macs = oh * ow * cg * kern * kern in
   Obs.add c_macs (k * macs);
   let plane = oh * ow in
@@ -727,13 +741,45 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
     let ooff = out.Ndarray.offset in
     let d = int_payload "conv2d" data.arr and wt = weights.pk_bytes in
     let o = int_payload "conv2d" out in
-    (* The panel kernel, the nest's clipped tap ranges, the checked weight
-       shape and these two windows keep every index inside the arrays,
-       which is what licenses the unchecked accesses below. *)
+    (* Both kernels read each group's planes from a bordered source (the
+       data itself at padding 0, else a copy with [padding] zeros on
+       every side) and clip no tap: a tap reads bordered row (column) at
+       most [(oh - 1) * stride + kern - 1 <= h + 2 * padding - 1], which
+       the window check above keeps.  That, the checked weight shape and
+       these two windows keep every index inside the arrays, which is what
+       licenses the unchecked accesses below. *)
     if doff + (c * h * w) > Array.length d || ooff + (k * plane) > Array.length o then
       error "conv2d: an operand is smaller than its shape";
     let kk = kern * kern and hw = h * w in
     let n = cg * kk in
+    let bw = w + (2 * padding) in
+    let bhw = (h + (2 * padding)) * bw in
+    let scratch = take_scratch () in
+    let src =
+      if padding = 0 then d
+      else begin
+        scratch.border <- grown scratch.border (cg * bhw);
+        Array.fill scratch.border 0 (cg * bhw) 0;
+        scratch.border
+      end
+    in
+    (* Where group [g]'s bordered planes start in [src], [bhw] ints
+       apart, rows [bw] apart; at padding 0 the data, else the border,
+       its interior filled from the group's planes (the border stays 0
+       from the conv's one fill). *)
+    let source g =
+      let dgroup = doff + (g * cg * hw) in
+      if padding = 0 then dgroup
+      else begin
+        for ci = 0 to cg - 1 do
+          for y = 0 to h - 1 do
+            let into = (ci * bhw) + ((y + padding) * bw) + padding in
+            blit_ints d (dgroup + (ci * hw) + (y * w)) src into w
+          done
+        done;
+        0
+      end
+    in
     (* Every pass leaves its exact sums in the output planes, which the
        store then overwrites in place, channel [ko]'s plane at [obase]:
        the fused chain's levels, or the I32 store [saturate (of_int v *.
@@ -766,7 +812,6 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
          ends an odd group, the pass is one channel. *)
       let pairable = Float.of_int n *. maxabs data.arr.Ndarray.dtype *. 128.0 < 0x1p30 in
       let in_place = reads_in_place ~kern ~stride ~padding ~plane in
-      let scratch = take_scratch () in
       (* positions per chunk: the whole plane read in place, else as many
          blocks of four as fit [panel_words] *)
       let chunk =
@@ -776,39 +821,23 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
       scratch.sums <- grown scratch.sums ((chunk + 3) land lnot 3);
       if not in_place then scratch.panel <- grown scratch.panel (((chunk + 3) land lnot 3) * n);
       let rows = scratch.rows and sums = scratch.sums and panel = scratch.panel in
-      (* Positions [c0, c0 + len) of group [dgroup]: position [c0 + q]'s
-         operand [r], [r = (ci * kern + kr) * kern + ks] as in a weight
-         row, at [panel.(((q / 4 * n) + r) * 4 + q mod 4)], 0 for a tap
-         on padding.  In a last block of fewer than four positions the
-         rest hold whatever an earlier conv left: their sums are never
-         stored. *)
-      let gather dgroup c0 len =
+      (* Positions [c0, c0 + len) of the group whose source starts at
+         [sbase]: position [c0 + q]'s operand [r],
+         [r = (ci * kern + kr) * kern + ks] as in a weight row, at
+         [panel.(((q / 4 * n) + r) * 4 + q mod 4)].  In a last block of
+         fewer than four positions the rest hold whatever an earlier conv
+         left: their sums are never stored. *)
+      let gather sbase c0 len =
         for q = 0 to len - 1 do
           let p = c0 + q in
-          let ys = (p / ow * stride) - padding and xs = (p mod ow * stride) - padding in
+          let at = sbase + (p / ow * stride * bw) + (p mod ow * stride) in
           let t0 = (q lsr 2 * 4 * n) + (q land 3) in
-          (* taps [s_lo, s_hi] of a row are inside the input *)
-          let s_lo = Int.min kern (Int.max 0 (-xs)) in
-          let s_hi = Int.max (s_lo - 1) (Int.min (kern - 1) (w - 1 - xs)) in
           for ci = 0 to cg - 1 do
             for kr = 0 to kern - 1 do
-              let iy = ys + kr and t = t0 + (4 * ((ci * kk) + (kr * kern))) in
-              if iy < 0 || iy >= h then
-                for ks = 0 to kern - 1 do
-                  Array.unsafe_set panel (t + (4 * ks)) 0
-                done
-              else begin
-                let row = dgroup + (ci * hw) + (iy * w) + xs in
-                for ks = 0 to s_lo - 1 do
-                  Array.unsafe_set panel (t + (4 * ks)) 0
-                done;
-                for ks = s_lo to s_hi do
-                  Array.unsafe_set panel (t + (4 * ks)) (Array.unsafe_get d (row + ks))
-                done;
-                for ks = s_hi + 1 to kern - 1 do
-                  Array.unsafe_set panel (t + (4 * ks)) 0
-                done
-              end
+              let row = at + (ci * bhw) + (kr * bw) and t = t0 + (4 * ((ci * kk) + (kr * kern))) in
+              for ks = 0 to kern - 1 do
+                Array.unsafe_set panel (t + (4 * ks)) (Array.unsafe_get src (row + ks))
+              done
             done
           done
         done
@@ -829,12 +858,12 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
          of four through the kernel; read in place, a plane that is no
          multiple of four ends with a block that overlaps the one before
          it *)
-      let sweep dgroup len =
+      let sweep sbase len =
         if in_place then begin
           for b = 0 to (plane / 4) - 1 do
-            kernel_4 rows d (dgroup + (4 * b)) hw n sums (4 * b)
+            kernel_4 rows src (sbase + (4 * b)) bhw n sums (4 * b)
           done;
-          if plane land 3 <> 0 then kernel_4 rows d (dgroup + plane - 4) hw n sums (plane - 4)
+          if plane land 3 <> 0 then kernel_4 rows src (sbase + plane - 4) bhw n sums (plane - 4)
         end
         else
           for b = 0 to ((len + 3) / 4) - 1 do
@@ -842,16 +871,16 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
           done
       in
       for g = 0 to groups - 1 do
-        let dgroup = doff + (g * cg * hw) and stop = (g + 1) * kg in
+        let sbase = source g and stop = (g + 1) * kg in
         let c0 = ref 0 in
         while !c0 < plane do
           let len = Int.min chunk (plane - !c0) in
-          if not in_place then gather dgroup !c0 len;
+          if not in_place then gather sbase !c0 len;
           let ko = ref (g * kg) in
           while !ko < stop do
             let pair = pairable && !ko + 1 < stop in
             fill !ko pair;
-            sweep dgroup len;
+            sweep sbase len;
             let obase = ooff + (!ko * plane) + !c0 in
             if pair then
               (* each slot's low lane (the low 31 bits, sign-extended) to
@@ -862,7 +891,7 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
                 Array.unsafe_set o (obase + q) lo;
                 Array.unsafe_set o (obase + plane + q) ((v - lo) asr 31)
               done
-            else Array.blit sums 0 o obase len;
+            else blit_ints sums 0 o obase len;
             ko := !ko + if pair then 2 else 1
           done;
           c0 := !c0 + len
@@ -871,92 +900,65 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
           store ko (ooff + (ko * plane))
         done
       done;
-      give_scratch scratch;
       Obs.add c_panel_macs (k * macs);
       if pairable then Obs.add c_lanes_paired (2 * groups * (kg / 2) * macs)
     end
     else begin
       (* Depthwise ([kg = 1]): weight-stationary, one output channel per
-         pass, which streams its input planes into the channel's output
-         plane.  A slot update adds three horizontal taps of one channel
-         (tap block); what that does not cover runs [tap], one term per
-         update.  Per tap, the output rows (columns) whose input coordinate
-         [pos * stride + tap - padding] lies inside the input: *)
-      let first tap = if tap >= padding then 0 else (padding - tap + stride - 1) / stride in
-      let last ~size ~out_size tap =
-        let l = size - 1 + padding - tap in
-        if l < 0 then -1 else Int.min (out_size - 1) (l / stride)
-      in
-      let y0 = Array.init kern first and y1 = Array.init kern (last ~size:h ~out_size:oh) in
-      let x0 = Array.init kern first and x1 = Array.init kern (last ~size:w ~out_size:ow) in
-      let tap obase dplane wv r s xs xe =
+         pass, which streams its source planes into the channel's output
+         plane, every tap over the whole plane.  A slot update adds three
+         horizontal taps of one channel (tap block); the taps of a row
+         that no block covers run [tap], one term per update.  [at] is
+         where the tap's (block's first tap's) input for output [0, 0]
+         lies in [src]. *)
+      let tap obase at wv =
         (* locals, so the loops do not reload them from the closure *)
-        let o = o and d = d and stride = stride in
-        for y = y0.(r) to y1.(r) do
-          let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-          let orow = obase + (y * ow) in
-          for x = xs to xe do
+        let o = o and src = src and stride = stride in
+        for y = 0 to oh - 1 do
+          let srow = at + (y * stride * bw) and orow = obase + (y * ow) in
+          for x = 0 to ow - 1 do
             Array.unsafe_set o (orow + x)
-              (Array.unsafe_get o (orow + x) + (wv * Array.unsafe_get d (drow + (x * stride))))
+              (Array.unsafe_get o (orow + x) + (wv * Array.unsafe_get src (srow + (x * stride))))
           done
         done
       in
-      (* taps [s, s + 1, s + 2] of row [r] with weights [t + j]: the 3-term
-         body covers the interior, where all three are in bounds, and each
-         tap runs its own edges.  With no interior the two edges of a tap
-         would overlap, so each tap runs its whole range instead. *)
-      let tap_block obase dplane t r s =
+      (* three taps from [at] with weights [t, t + 1, t + 2] *)
+      let tap_block obase at t =
         let w0 = Bytes.get_int8 wt t and w1 = Bytes.get_int8 wt (t + 1) in
         let w2 = Bytes.get_int8 wt (t + 2) in
-        let xs = x0.(s) and xe = x1.(s + 2) in
-        if xs > xe then begin
-          tap obase dplane w0 r s x0.(s) x1.(s);
-          tap obase dplane w1 r (s + 1) x0.(s + 1) x1.(s + 1);
-          tap obase dplane w2 r (s + 2) x0.(s + 2) x1.(s + 2)
-        end
-        else begin
-          let o = o and d = d and stride = stride in
-          for y = y0.(r) to y1.(r) do
-            let drow = dplane + (((y * stride) + r - padding) * w) + s - padding in
-            let orow = obase + (y * ow) in
-            for x = xs to xe do
-              let i = drow + (x * stride) in
-              Array.unsafe_set o (orow + x)
-                (Array.unsafe_get o (orow + x)
-                 + (w0 * Array.unsafe_get d i)
-                 + (w1 * Array.unsafe_get d (i + 1))
-                 + (w2 * Array.unsafe_get d (i + 2)))
-            done
-          done;
-          let edges j wv =
-            tap obase dplane wv r (s + j) x0.(s + j) (xs - 1);
-            tap obase dplane wv r (s + j) (xe + 1) x1.(s + j)
-          in
-          edges 0 w0;
-          edges 1 w1;
-          edges 2 w2
-        end
+        let o = o and src = src and stride = stride in
+        for y = 0 to oh - 1 do
+          let srow = at + (y * stride * bw) and orow = obase + (y * ow) in
+          for x = 0 to ow - 1 do
+            let i = srow + (x * stride) in
+            Array.unsafe_set o (orow + x)
+              (Array.unsafe_get o (orow + x)
+               + (w0 * Array.unsafe_get src i)
+               + (w1 * Array.unsafe_get src (i + 1))
+               + (w2 * Array.unsafe_get src (i + 2)))
+          done
+        done
       in
       let taps = kern - (kern mod 3) in
       for ko = 0 to k - 1 do
         let obase = ooff + (ko * plane) in
         Array.fill o obase plane 0;
-        let dgroup = doff + (ko * cg * hw) and wk = ko * cg * kk in
+        let sbase = source ko in
         for ci = 0 to cg - 1 do
-          let dplane = dgroup + (ci * hw) and wtap = wk + (ci * kk) in
           for r = 0 to kern - 1 do
-            let wrow = wtap + (r * kern) in
+            let at = sbase + (ci * bhw) + (r * bw) and wrow = (ko * n) + (ci * kk) + (r * kern) in
             for b = 0 to (taps / 3) - 1 do
-              tap_block obase dplane (wrow + (3 * b)) r (3 * b)
+              tap_block obase (at + (3 * b)) (wrow + (3 * b))
             done;
             for s = taps to kern - 1 do
-              tap obase dplane (Bytes.get_int8 wt (wrow + s)) r s x0.(s) x1.(s)
+              tap obase (at + s) (Bytes.get_int8 wt (wrow + s))
             done
           done
         done;
         store ko obase
       done
     end;
+    give_scratch scratch;
     { arr = out; scale = out_scale }
   end
   else begin
@@ -1219,7 +1221,7 @@ let concat ?(dst = no_dst) values =
          | Ndarray.Int_data src, Ndarray.Int_data out
            when Dtype.equal v.arr.Ndarray.dtype dtype && v.scale = scale
                 && round_trips dtype scale ->
-           Array.blit src v.arr.Ndarray.offset out (arr.Ndarray.offset + !pos) len
+           blit_ints src v.arr.Ndarray.offset out (arr.Ndarray.offset + !pos) len
          | _ -> store_reals arr ~scale ~pos:!pos ~len (reader v));
         pos := !pos + len)
       values;
@@ -1446,7 +1448,7 @@ let copy v =
   let n = Ndarray.num_elements arr and off = v.arr.Ndarray.offset in
   (match v.arr.Ndarray.storage, arr.Ndarray.storage with
    | Ndarray.Float_data x, Ndarray.Float_data y -> Array.blit x off y 0 n
-   | Ndarray.Int_data x, Ndarray.Int_data y -> Array.blit x off y 0 n
+   | Ndarray.Int_data x, Ndarray.Int_data y -> blit_ints x off y 0 n
    | Ndarray.Int64_data x, Ndarray.Int64_data y -> Array.blit x off y 0 n
    | _ -> error "copy: storage classes differ");
   { v with arr }

@@ -13,13 +13,16 @@
     output's dtype and scale is copied as stored, and a max pool over
     int storage at such a scale takes integer maxima).
 
-    {b Quantized conv2d.} Its sums are exact integers. A conv whose groups
-    hold at least two output channels ([kg >= 2], every dense zoo conv)
-    runs as a small GEMM: once per group it gathers each output position's
-    receptive field into a panel laid out [[P/4][R][4]], with [R =
-    cg*kern^2] in weight-row order and [P] positions, 0 for a tap on
-    padding; [P] is the plane [oh * ow], or a chunk of it where the
-    plane's panel would exceed 3 * 2^14 ints. An unpadded 1x1 stride-1
+    {b Quantized conv2d.} Its sums are exact integers. Both of its kernels
+    read each group's input planes from one zero-bordered source: the
+    data itself at padding 0, else a copy with [padding] zeros on every
+    side, so no kernel clips a tap. A conv whose groups hold at least two
+    output channels ([kg >= 2], every dense zoo conv) runs as a small
+    GEMM: once per group it gathers each output position's receptive
+    field into a panel laid out [[P/4][R][4]], with [R = cg*kern^2] in
+    weight-row order and [P] positions, a padding tap gathering a border
+    0; [P] is the plane [oh * ow], or a chunk of it where the plane's
+    panel would exceed 3 * 2^14 ints. An unpadded 1x1 stride-1
     conv whose plane holds at least four positions reads its data in place
     instead, with row stride [h * w] (a plane that is no multiple of four
     ends with a block overlapping the one before it). A pass runs two
@@ -35,10 +38,11 @@
     integer addition is exact in any order, so each sum is the same
     integer whatever order the loops take. Depthwise convs ([kg = 1]) run
     a weight-stationary nest instead: one channel per pass, three
-    horizontal taps per accumulator update, summing into the output plane.
-    The panel, weight row and the chunk's sums live in scratch that a conv
-    takes from a free list and gives back, so concurrent convs never share
-    it and steady-state convs allocate none. The gated counter
+    horizontal taps per accumulator update, each over the whole output
+    plane. The bordered copy, panel, weight row and the chunk's sums live
+    in scratch that a conv takes from a free list and gives back, so
+    concurrent convs never share it and steady-state convs allocate none.
+    The gated counter
     [exec.panel_macs] counts the MACs the microkernel does.
 
     A fused node runs its base op and
@@ -120,7 +124,8 @@ val apply : Graph.kind -> value list -> value
     produce (quantized conv2d/dense weights must be [I8]), and on operands
     whose shapes contradict the attributes or each other: conv2d weights
     must be [[k; c/groups; kern; kern]] with [groups] dividing both [c]
-    and [k]; dense weights [[units; k']] for [k] inputs with [k' >= k] (a
+    and [k], and a kernel of a non-empty output must fit the padded input
+    ([kern <= size + 2 * padding]); dense weights [[units; k']] for [k] inputs with [k' >= k] (a
     graph run below its declared input size flattens to fewer features;
     dense then reads the first [units * k] weights); [Add] operands must
     have one shape; a [Bias_add] bias must be rank 1 with one element per

@@ -57,8 +57,6 @@ let output_lanes t =
 let reduction_width t =
   List.fold_left (fun acc (a : Axis.t) -> acc * a.extent) 1 t.op.Op.reduce
 
-let axis_names t = List.map (fun (a : Axis.t) -> a.name) (Op.all_axes t.op)
-
 let axis_by_name t name =
   List.find_opt (fun (a : Axis.t) -> String.equal a.name name) (Op.all_axes t.op)
 

@@ -53,9 +53,6 @@ val output_lanes : t -> int
 val reduction_width : t -> int
 (** Product of reduce-axis extents = elements accumulated per lane. *)
 
-val axis_names : t -> string list
-(** Names of all axes (spatial then reduce); unique within one intrin. *)
-
 val axis_by_name : t -> string -> Unit_dsl.Axis.t option
 
 val tensor_by_name : t -> string -> Unit_dsl.Tensor.t option

@@ -27,17 +27,14 @@ type pack_info = {
   pk_warnings : Diag.t list;
 }
 
+(* Taken only through [Mutex.protect]: an unexpected raise inside the
+   critical section must not leave it held, or every later pack load
+   deadlocks. *)
 let lock = Mutex.create ()
 
-(* Exception-safe: an unexpected raise inside the critical section must
-   not leave [lock] held, or every later pack load deadlocks. *)
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 let loaded_packs : pack_info list ref = ref []
-let loaded () = with_lock (fun () -> List.rev !loaded_packs)
-let reset_for_testing () = with_lock (fun () -> loaded_packs := [])
+let loaded () = Mutex.protect lock (fun () -> List.rev !loaded_packs)
+let reset_for_testing () = Mutex.protect lock (fun () -> loaded_packs := [])
 
 (* ---------- check (parse + elaborate, no registration) ---------- *)
 
@@ -55,7 +52,7 @@ let load_string ~source text =
   match check_string ~source text with
   | Error ds -> Error ds
   | Ok els ->
-    with_lock (fun () ->
+    Mutex.protect lock (fun () ->
       (* two-phase: check every instruction against the registry before
          registering any, so a pack with one conflicting instruction is
          refused atomically instead of half-loaded *)

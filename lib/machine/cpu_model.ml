@@ -397,8 +397,6 @@ let estimate_stmt_with_report spec ?threads stmt =
   in
   (est, report)
 
-let estimate_stmt spec ?threads stmt = fst (estimate_stmt_with_report spec ?threads stmt)
-
 let estimate_with_report spec ?threads (func : Lower.func) =
   estimate_stmt_with_report spec ?threads func.Lower.fn_body
 

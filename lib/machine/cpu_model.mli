@@ -36,10 +36,6 @@ type estimate = {
 val estimate : Spec.cpu -> ?threads:int -> Unit_tir.Lower.func -> estimate
 (** [threads] defaults to [spec.cores]. *)
 
-val estimate_stmt : Spec.cpu -> ?threads:int -> Unit_tir.Stmt.t -> estimate
-(** Same model on a bare statement (used by unit tests and the GPU model's
-    per-block bodies). *)
-
 val estimate_with_report :
   Spec.cpu -> ?threads:int -> Unit_tir.Lower.func -> estimate * Cost_report.t
 (** [estimate] plus the cycle attribution: the report's components sum

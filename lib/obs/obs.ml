@@ -40,7 +40,6 @@ let now () = if monotonic_available then monotonic_s () else Unix.gettimeofday (
 let trace_key : string option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current_trace_id () = Domain.DLS.get trace_key
-let set_trace_id id = Domain.DLS.set trace_key id
 
 let with_trace_id id f =
   let prev = Domain.DLS.get trace_key in

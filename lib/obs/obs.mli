@@ -48,9 +48,6 @@ val now : unit -> float
     {!trace_diag} tags diagnostics.  The store retains the most recent
     [trace_cap] (default 256) traces, FIFO-evicted. *)
 
-val set_trace_id : string option -> unit
-(** Set/clear this domain's trace context. *)
-
 val current_trace_id : unit -> string option
 
 val with_trace_id : string option -> (unit -> 'a) -> 'a
@@ -123,7 +120,7 @@ val counter : ?always:bool -> string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 (** No-ops while disabled unless the counter was interned with
-    [~always:true].  Per-trace attribution (see {!set_trace_id}) happens
+    [~always:true].  Per-trace attribution (see {!with_trace_id}) happens
     regardless of the [enabled] gate whenever a context is set. *)
 
 val value : counter -> int

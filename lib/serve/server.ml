@@ -65,14 +65,27 @@ type t = {
   n_overloaded : int Atomic.t;
   n_retries : int Atomic.t;
   n_failed : int Atomic.t;
+  mutable retried : string list;
+      (* the last [retried_cap] retried attempts, newest first, under
+         [lock] *)
 }
+
+let retried_cap = 8
 
 let execute t job =
   job.jb_start <- Obs.now ();
   let attempts () =
-    let on_retry () =
+    (* what a retried attempt raised goes on the request's trace, on
+       stderr and into [retried], so a retry that changes an outcome
+       names its cause *)
+    let on_retry n e =
       Atomic.incr t.n_retries;
-      Obs.incr c_retry
+      Obs.incr c_retry;
+      let text = Printf.sprintf "%s attempt %d: %s" job.jb_key n (Printexc.to_string e) in
+      Obs.trace_diag ("retried " ^ text);
+      Printf.eprintf "[serve] retried %s\n%!" text;
+      Mutex.protect t.lock (fun () ->
+          t.retried <- List.filteri (fun i _ -> i < retried_cap) (text :: t.retried))
     in
     match
       Warmup.with_retries ~sleep:t.sleep ~retries:t.cfg.retries ~on_retry ~key:job.jb_key
@@ -142,7 +155,8 @@ let create ?(fault = fun ~key:_ ~attempt:_ -> ()) ?(sleep = Unix.sleepf)
       n_coalesced = Atomic.make 0;
       n_overloaded = Atomic.make 0;
       n_retries = Atomic.make 0;
-      n_failed = Atomic.make 0
+      n_failed = Atomic.make 0;
+      retried = []
     }
   in
   t.workers <- List.init cfg.domains (fun _ -> Domain.spawn (worker t));
@@ -156,6 +170,7 @@ let create ?(fault = fun ~key:_ ~attempt:_ -> ()) ?(sleep = Unix.sleepf)
   t
 
 let flight t = t.flight
+let retried t = Mutex.protect t.lock (fun () -> List.rev t.retried)
 
 let stats_fields t =
   Mutex.lock t.lock;

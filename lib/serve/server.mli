@@ -14,7 +14,8 @@
       unbounded latency.
     - Workers retry transient handler failures up to [retries] times
       under warm-up's policy ({!Unit_store.Warmup.with_retries}, on the
-      {!Unit_store.Warmup.backoff_s} schedule); [Invalid_argument] (the
+      {!Unit_store.Warmup.backoff_s} schedule), recording what each
+      retried attempt raised ({!retried}); [Invalid_argument] (the
       pipeline's deterministic "does not tensorize") maps to
       [not_applicable] without retrying.
     - After [Shutdown] (or {!drain}), new work gets a [draining]
@@ -77,6 +78,12 @@ val submit_traced :
     coalesced follower keeps its own id (its response names the
     leader's as ["leader_trace_id"]; the spans live on the leader's
     trace). *)
+
+val retried : t -> string list
+(** What the most recent retried attempts (at most 8) raised, oldest
+    first, each as ["KEY attempt N: EXCEPTION"].  Each also went to
+    stderr as one [[serve] retried ...] line and onto its request's
+    trace as a diag. *)
 
 val flight : t -> Flight.t
 (** The server's flight recorder (the bench harness freezes exact

@@ -66,10 +66,6 @@ type t = {
          the next append truncates it there first *)
 }
 
-let with_lock t f =
-  Mutex.lock t.t_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.t_lock) f
-
 let key_of_signature signature =
   Digest.to_hex
     (Digest.string
@@ -295,7 +291,7 @@ let path t = t.t_path
 
 let lookup t ~signature =
   let key = key_of_signature signature in
-  with_lock t (fun () ->
+  Mutex.protect t.t_lock (fun () ->
       match Hashtbl.find_opt t.t_records key with
       | Some r ->
         t.t_hits <- t.t_hits + 1;
@@ -306,10 +302,10 @@ let lookup t ~signature =
         Obs.incr c_miss;
         None)
 
-let size t = with_lock t (fun () -> Hashtbl.length t.t_records)
+let size t = Mutex.protect t.t_lock (fun () -> Hashtbl.length t.t_records)
 
 let stats t =
-  with_lock t (fun () ->
+  Mutex.protect t.t_lock (fun () ->
       { st_records = Hashtbl.length t.t_records;
         st_artifacts = Hashtbl.length t.t_artifacts;
         st_loaded = t.t_loaded;
@@ -322,7 +318,7 @@ let stats t =
 
 let iter t f =
   let snapshot =
-    with_lock t (fun () -> Hashtbl.fold (fun _ r acc -> r :: acc) t.t_records [])
+    Mutex.protect t.t_lock (fun () -> Hashtbl.fold (fun _ r acc -> r :: acc) t.t_records [])
   in
   List.iter f snapshot
 
@@ -351,14 +347,14 @@ let record ?report t ~signature ~workload ~isa ~target ~config ~cycles ~diag_dig
       r_report = report
     }
   in
-  with_lock t (fun () ->
+  Mutex.protect t.t_lock (fun () ->
       Hashtbl.replace t.t_records r.r_key r;
       t.t_appends <- t.t_appends + 1;
       Obs.incr c_append;
       append_line t (Json.to_string (record_to_json r)))
 
 let save t =
-  with_lock t (fun () ->
+  Mutex.protect t.t_lock (fun () ->
       let tmp = Printf.sprintf "%s.tmp.%d" t.t_path (Unix.getpid ()) in
       let oc = open_out_bin tmp in
       (try
@@ -409,7 +405,7 @@ let is_live t a =
   && Sys.file_exists (artifact_path t a)
 
 let artifact_lookup t ~key =
-  match with_lock t (fun () -> Hashtbl.find_opt t.t_artifacts key) with
+  match Mutex.protect t.t_lock (fun () -> Hashtbl.find_opt t.t_artifacts key) with
   | Some a when is_live t a -> Some a
   | _ -> None
 
@@ -424,7 +420,7 @@ let artifact_record t ~key ~signature ~file ~bytes ~digest =
       a_digest = digest
     }
   in
-  with_lock t (fun () ->
+  Mutex.protect t.t_lock (fun () ->
       Hashtbl.replace t.t_artifacts a.a_key a;
       t.t_appends <- t.t_appends + 1;
       Obs.incr c_append;
@@ -432,7 +428,7 @@ let artifact_record t ~key ~signature ~file ~bytes ~digest =
 
 let iter_artifacts t f =
   let snapshot =
-    with_lock t (fun () ->
+    Mutex.protect t.t_lock (fun () ->
         Hashtbl.fold (fun _ a acc -> a :: acc) t.t_artifacts [])
   in
   List.iter f snapshot
@@ -456,7 +452,7 @@ type gc_report = {
 
 let gc t =
   let dropped = ref 0 in
-  with_lock t (fun () ->
+  Mutex.protect t.t_lock (fun () ->
       Hashtbl.iter
         (fun key a ->
           if not (is_live t a) then begin
@@ -486,7 +482,7 @@ let gc t =
         end)
       (Sys.readdir dir);
   save t;
-  { gc_live = with_lock t (fun () -> Hashtbl.length t.t_artifacts);
+  { gc_live = Mutex.protect t.t_lock (fun () -> Hashtbl.length t.t_artifacts);
     gc_dropped = !dropped;
     gc_deleted_files = !deleted;
     gc_reclaimed_bytes = !reclaimed

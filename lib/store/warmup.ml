@@ -85,8 +85,7 @@ let with_retries ?(sleep = Unix.sleepf) ~retries ~on_retry ~key f =
          retrying cannot change the answer *)
       Rejected reason
     | exception e when n <= retries ->
-      ignore (e : exn);
-      on_retry ();
+      on_retry n e;
       sleep (backoff_s ~key ~attempt:n);
       attempt (n + 1)
     | exception e -> Gave_up (e, n)
@@ -138,7 +137,7 @@ let run ?domains ?(retries = 1) jobs =
       else Obs.null_span
     in
     Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
-    let on_retry () =
+    let on_retry _ _ =
       Obs.incr c_retry;
       Atomic.incr retries_spent
     in

@@ -94,15 +94,15 @@ type 'a attempts =
 val with_retries :
   ?sleep:(float -> unit) ->
   retries:int ->
-  on_retry:(unit -> unit) ->
+  on_retry:(int -> exn -> unit) ->
   key:string ->
   (int -> 'a) ->
   'a attempts
 (** The one retry policy of warm-up and the serving daemon: run [f 1];
     any exception other than [Invalid_argument] is retried up to
-    [retries] extra times, calling [on_retry] and then
+    [retries] extra times, calling [on_retry n e] and then
     [sleep (backoff_s ~key ~attempt:n)] (default [Unix.sleepf]) after
-    failed attempt [n].  [f] gets the 1-based attempt number. *)
+    attempt [n] raised [e].  [f] gets the 1-based attempt number. *)
 
 type failure = {
   f_key : string;

@@ -12,11 +12,6 @@ exception Lower_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Lower_error s)) fmt
 
-let buffer_of_tensor func tensor =
-  match List.find_opt (fun (t, _) -> Tensor.equal t tensor) func.fn_tensors with
-  | Some (_, b) -> b
-  | None -> raise Not_found
-
 let flatten_index tensor indices =
   let strides = Tensor.row_major_strides tensor in
   if List.length indices <> Array.length strides then

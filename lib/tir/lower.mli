@@ -28,8 +28,6 @@ val lower : Unit_dsl.Schedule.t -> func
 (** @raise Lower_error on malformed schedules (e.g. a [Tensorize]
     annotation would also be checked downstream). *)
 
-val buffer_of_tensor : func -> Unit_dsl.Tensor.t -> Buffer.t
-(** @raise Not_found if the tensor is not part of the op. *)
 
 val flatten_index : Unit_dsl.Tensor.t -> Texpr.t list -> Texpr.t
 (** Row-major flattening of a multi-dimensional index. *)

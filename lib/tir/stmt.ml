@@ -153,11 +153,6 @@ let rec loop_depth = function
   | Let (_, _, body) | Alloc (_, body) -> loop_depth body
   | Seq stmts -> List.fold_left (fun acc s -> Stdlib.max acc (loop_depth s)) 0 stmts
 
-let count_stmts t =
-  let n = ref 0 in
-  iter_stmts (fun _ -> incr n) t;
-  !n
-
 let kind_to_string = function
   | Serial -> ""
   | Parallel -> " /*parallel*/"

@@ -71,8 +71,6 @@ val buffers_of : t -> Buffer.t list
 val loop_depth : t -> int
 (** Maximum loop nesting depth. *)
 
-val count_stmts : t -> int
-
 val pp : Format.formatter -> t -> unit
 (** C-like indented form; the printer behind [unitc]'s IR dumps. *)
 

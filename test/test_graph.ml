@@ -470,7 +470,8 @@ let prop_conv2d_matches_boxed =
       let attrs = { Graph.out_channels = k; kernel; stride; padding; groups } in
       conv_matches_boxed ~quantized ~seed attrs ~channels ~h ~w)
 
-(* Shapes that reach the blocked nest's edge cases, pinned. *)
+(* Shapes that reach the edge cases of the quantized conv's bordered
+   source, its panel gather and its depthwise tap blocks, pinned. *)
 let test_conv2d_pinned_shapes () =
   let case what ~channels ~k ~kernel ~stride ~padding ~groups ~h ~w =
     let attrs = { Graph.out_channels = k; kernel; stride; padding; groups } in
@@ -482,7 +483,7 @@ let test_conv2d_pinned_shapes () =
           (conv_matches_boxed ~quantized ~seed:7 attrs ~channels ~h ~w))
       [ true; false ]
   in
-  (* a tap block with no interior: each tap runs its whole range *)
+  (* depthwise outputs narrower than a tap block's three taps *)
   List.iter
     (fun (h, w) ->
       case
@@ -492,7 +493,28 @@ let test_conv2d_pinned_shapes () =
   case "resnet18 stem on 11x9" ~channels:3 ~k:5 ~kernel:7 ~stride:2 ~padding:3 ~groups:1 ~h:11
     ~w:9;
   case "9 channels 3x3 on 2x2" ~channels:9 ~k:3 ~kernel:3 ~stride:1 ~padding:1 ~groups:1 ~h:2
-    ~w:2
+    ~w:2;
+  (* tap blocks plus leftover taps *)
+  case "depthwise 5x5 padding 2 on 6x7" ~channels:3 ~k:3 ~kernel:5 ~stride:1 ~padding:2 ~groups:3
+    ~h:6 ~w:7;
+  case "depthwise 7x7 stride 2 padding 3 on 9x8" ~channels:2 ~k:2 ~kernel:7 ~stride:2 ~padding:3
+    ~groups:2 ~h:9 ~w:8;
+  (* padding at least the kernel: whole rows and columns in the border *)
+  case "3x3 padding 3 on 4x5" ~channels:2 ~k:4 ~kernel:3 ~stride:1 ~padding:3 ~groups:1 ~h:4 ~w:5;
+  case "depthwise 3x3 stride 2 padding 4 on 3x2" ~channels:3 ~k:3 ~kernel:3 ~stride:2 ~padding:4
+    ~groups:3 ~h:3 ~w:2;
+  case "stride 3, 3x3 padding 1 on 8x7" ~channels:4 ~k:4 ~kernel:3 ~stride:3 ~padding:1 ~groups:1
+    ~h:8 ~w:7;
+  case "depthwise stride 3, 5x5 padding 2 on 10x9" ~channels:2 ~k:2 ~kernel:5 ~stride:3 ~padding:2
+    ~groups:2 ~h:10 ~w:9;
+  case "two channels a group, one output each" ~channels:6 ~k:3 ~kernel:3 ~stride:1 ~padding:1
+    ~groups:3 ~h:5 ~w:4;
+  (* a 1-pixel-wide output *)
+  case "3x3 on 6x3" ~channels:3 ~k:2 ~kernel:3 ~stride:1 ~padding:0 ~groups:1 ~h:6 ~w:3;
+  case "depthwise 5x5 padding 1 on 5x3" ~channels:2 ~k:2 ~kernel:5 ~stride:1 ~padding:1 ~groups:2
+    ~h:5 ~w:3;
+  case "two groups 3x3 padding 3 on 2x2" ~channels:4 ~k:4 ~kernel:3 ~stride:1 ~padding:3 ~groups:2
+    ~h:2 ~w:2
 
 (* ---------- lane pairs ---------- *)
 
@@ -1148,6 +1170,10 @@ let test_apply_rejects_bad_shapes () =
       ( "3 groups on 4 channels",
         conv ~groups:3 ~k:3 ~kernel:1 Dtype.U8 Dtype.I8 [ 3; 1; 1; 1 ] );
       ("3 output channels, 2 weights", conv ~k:3 ~kernel:1 Dtype.F32 Dtype.F32 [ 2; 4; 1; 1 ]);
+      (* (5 - 7) / 3 + 1 = 1 output row, whose window ends past the input *)
+      ( "a 7x7 stride-3 window past a 5x5 input",
+        ( Graph.Conv2d { Graph.out_channels = 2; kernel = 7; stride = 3; padding = 0; groups = 1 },
+          [ value Dtype.U8 [ 4; 5; 5 ]; value Dtype.I8 [ 2; 4; 7; 7 ] ] ) );
       ( "dense weights of the wrong width",
         (Graph.Dense { units = 2 }, [ value Dtype.F32 [ 4 ]; value Dtype.F32 [ 2; 3 ] ]) );
       (* elementwise and concat reads are flat, so a mismatched operand

@@ -855,12 +855,21 @@ let test_retry_follows_backoff_schedule () =
     Server.create ~handle ~sleep { Server.domains = 1; queue_cap = 4; retries = 2 }
   in
   let req = tune_table1 1 in
-  (match Server.submit server req with
-   | Protocol.Result _ -> ()
-   | Protocol.Failure (_, m) -> Alcotest.fail ("retried job should succeed: " ^ m));
+  let trace =
+    match Server.submit_traced server req with
+    | Protocol.Result _, trace -> trace
+    | Protocol.Failure (_, m), _ -> Alcotest.fail ("retried job should succeed: " ^ m)
+  in
   check_int "three attempts" 3 (Atomic.get attempts);
   check_int "retries counted" 2 (stat server "retries");
   let key = Option.get (Protocol.coalesce_key req) in
+  let raised n = Printf.sprintf "%s attempt %d: Failure(\"transient worker death\")" key n in
+  Alcotest.(check (list string))
+    "each retried attempt's exception kept" [ raised 1; raised 2 ] (Server.retried server);
+  Alcotest.(check (option (list string)))
+    "and tagged on the request's trace"
+    (Some [ "retried " ^ raised 1; "retried " ^ raised 2 ])
+    (Obs.trace_diags trace);
   let expected = [ Warmup.backoff_s ~key ~attempt:1; Warmup.backoff_s ~key ~attempt:2 ] in
   Alcotest.(check (list (float 1e-9)))
     "waits follow the deterministic Warmup.backoff_s schedule" expected
@@ -1066,8 +1075,10 @@ let tune_span_count () =
 (* The failure text of the soak's "zero duplicate tuner sweeps" check:
    each workload ([tensorize] span detail) whose [tensorize.tune] span
    occurs more than once since [since], with the server's retry and
-   failure counts, so a flaky failure shows its cause. *)
-let duplicate_sweeps_report ~since stats =
+   failure counts and what its retried attempts raised, so a flaky
+   failure shows its cause. *)
+let duplicate_sweeps_report ~since server =
+  let stats = Server.stats_fields server in
   let spans = Obs.spans () in
   let owner (sp : Obs.span_record) =
     List.find_map
@@ -1088,9 +1099,11 @@ let duplicate_sweeps_report ~since stats =
     Hashtbl.fold (fun w n acc -> if n > 1 then Printf.sprintf "%s x%d" w n :: acc else acc)
       sweeps []
   in
-  Printf.sprintf "zero duplicate tuner sweeps (swept more than once: %s; retries %d, failed %d)"
+  Printf.sprintf
+    "zero duplicate tuner sweeps (swept more than once: %s; retries %d, failed %d; retried: %s)"
     (match repeated with [] -> "none" | l -> String.concat ", " (List.sort compare l))
     (List.assoc "retries" stats) (List.assoc "failed" stats)
+    (match Server.retried server with [] -> "none" | l -> String.concat "; " l)
 
 let direct_digest workload =
   let c =
@@ -1248,7 +1261,7 @@ let test_soak () =
   check_int "nothing rejected by admission control" 0 (List.assoc "overloaded" stats);
   check_int
     (if tunes_during = distinct_workloads then "zero duplicate tuner sweeps"
-     else duplicate_sweeps_report ~since:soak_start stats)
+     else duplicate_sweeps_report ~since:soak_start server)
     distinct_workloads tunes_during;
   (* every Run workload replayed directly through the pipeline must match
      the daemon's digest bit for bit *)
