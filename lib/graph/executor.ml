@@ -718,11 +718,10 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
     error "conv2d: weight shape [%s], expected [%s]"
       (dims (weight_shape weights))
       (dims [| k; cg; kern; kern |]);
-  if kern < 1 || stride < 1 then error "conv2d: kernel %d, stride %d" kern stride;
+  if kern < 1 || stride < 1 || padding < 0 then
+    error "conv2d: kernel %d, stride %d, padding %d" kern stride padding;
   let oh = Graph.conv_out_dim ~size:h ~kernel:kern ~stride ~padding in
   let ow = Graph.conv_out_dim ~size:w ~kernel:kern ~stride ~padding in
-  if oh > 0 && ow > 0 && (h + (2 * padding) < kern || w + (2 * padding) < kern) then
-    error "conv2d: kernel %d past a %dx%d input at padding %d" kern h w padding;
   let macs = oh * ow * cg * kern * kern in
   Obs.add c_macs (k * macs);
   let plane = oh * ow in
@@ -745,9 +744,9 @@ let conv2d ?(dst = no_dst) ?requant (attrs : Graph.conv2d_attrs) data weights =
        data itself at padding 0, else a copy with [padding] zeros on
        every side) and clip no tap: a tap reads bordered row (column) at
        most [(oh - 1) * stride + kern - 1 <= h + 2 * padding - 1], which
-       the window check above keeps.  That, the checked weight shape and
-       these two windows keep every index inside the arrays, which is what
-       licenses the unchecked accesses below. *)
+       [conv_out_dim] keeps.  That, the checked weight shape and these two
+       windows keep every index inside the arrays, which is what licenses
+       the unchecked accesses below. *)
     if doff + (c * h * w) > Array.length d || ooff + (k * plane) > Array.length o then
       error "conv2d: an operand is smaller than its shape";
     let kk = kern * kern and hw = h * w in

@@ -124,9 +124,10 @@ val apply : Graph.kind -> value list -> value
     produce (quantized conv2d/dense weights must be [I8]), and on operands
     whose shapes contradict the attributes or each other: conv2d weights
     must be [[k; c/groups; kern; kern]] with [groups] dividing both [c]
-    and [k], and a kernel of a non-empty output must fit the padded input
-    ([kern <= size + 2 * padding]); dense weights [[units; k']] for [k] inputs with [k' >= k] (a
-    graph run below its declared input size flattens to fewer features;
+    and [k], and padding must not be negative (a kernel larger than the
+    padded input gives an empty output, {!Graph.conv_out_dim}); dense
+    weights [[units; k']] for [k] inputs with [k' >= k] (a graph run
+    below its declared input size flattens to fewer features;
     dense then reads the first [units * k] weights); [Add] operands must
     have one shape; a [Bias_add] bias must be rank 1 with one element per
     channel (the data's first dim); [Concat] inputs must share their

@@ -58,7 +58,7 @@ exception Graph_error of string
 let error fmt = Printf.ksprintf (fun s -> raise (Graph_error s)) fmt
 
 let conv_out_dim ~size ~kernel ~stride ~padding =
-  ((size + (2 * padding) - kernel) / stride) + 1
+  if size + (2 * padding) < kernel then 0 else ((size + (2 * padding) - kernel) / stride) + 1
 
 let kind_name = function
   | Input _ -> "input"

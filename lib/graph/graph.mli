@@ -130,7 +130,9 @@ module Builder : sig
 end
 
 val conv_out_dim : size:int -> kernel:int -> stride:int -> padding:int -> int
-(** [(size + 2*padding - kernel) / stride + 1] *)
+(** [(size + 2*padding - kernel) / stride + 1], or 0 when the kernel is
+    larger than the padded input: every output's window lies inside the
+    padded input. *)
 
 val kind_name : kind -> string
 val pp_node : Format.formatter -> node -> unit

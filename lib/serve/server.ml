@@ -75,15 +75,12 @@ let retried_cap = 8
 let execute t job =
   job.jb_start <- Obs.now ();
   let attempts () =
-    (* what a retried attempt raised goes on the request's trace, on
-       stderr and into [retried], so a retry that changes an outcome
-       names its cause *)
+    (* what a retried attempt raised goes into [retried], so a retry that
+       changes an outcome names its cause *)
     let on_retry n e =
       Atomic.incr t.n_retries;
       Obs.incr c_retry;
       let text = Printf.sprintf "%s attempt %d: %s" job.jb_key n (Printexc.to_string e) in
-      Obs.trace_diag ("retried " ^ text);
-      Printf.eprintf "[serve] retried %s\n%!" text;
       Mutex.protect t.lock (fun () ->
           t.retried <- List.filteri (fun i _ -> i < retried_cap) (text :: t.retried))
     in

@@ -81,9 +81,7 @@ val submit_traced :
 
 val retried : t -> string list
 (** What the most recent retried attempts (at most 8) raised, oldest
-    first, each as ["KEY attempt N: EXCEPTION"].  Each also went to
-    stderr as one [[serve] retried ...] line and onto its request's
-    trace as a diag. *)
+    first, each as ["KEY attempt N: EXCEPTION"]. *)
 
 val flight : t -> Flight.t
 (** The server's flight recorder (the bench harness freezes exact

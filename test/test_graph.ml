@@ -47,7 +47,12 @@ let test_builder_validation () =
 
 let test_conv_out_dim () =
   check_int "56 k3 s2 p1" 28 (Graph.conv_out_dim ~size:56 ~kernel:3 ~stride:2 ~padding:1);
-  check_int "7 k1 s1 p0" 7 (Graph.conv_out_dim ~size:7 ~kernel:1 ~stride:1 ~padding:0)
+  check_int "7 k1 s1 p0" 7 (Graph.conv_out_dim ~size:7 ~kernel:1 ~stride:1 ~padding:0);
+  (* a kernel larger than the padded input has no window, not one
+     rounded up from a negative numerator *)
+  check_int "5 k7 s3 p0" 0 (Graph.conv_out_dim ~size:5 ~kernel:7 ~stride:3 ~padding:0);
+  check_int "1 k3 s1 p0" 0 (Graph.conv_out_dim ~size:1 ~kernel:3 ~stride:1 ~padding:0);
+  check_int "1 k3 s2 p1" 1 (Graph.conv_out_dim ~size:1 ~kernel:3 ~stride:2 ~padding:1)
 
 let test_fp32_execution_deterministic () =
   let g = tiny_cnn () in
@@ -514,7 +519,10 @@ let test_conv2d_pinned_shapes () =
   case "depthwise 5x5 padding 1 on 5x3" ~channels:2 ~k:2 ~kernel:5 ~stride:1 ~padding:1 ~groups:2
     ~h:5 ~w:3;
   case "two groups 3x3 padding 3 on 2x2" ~channels:4 ~k:4 ~kernel:3 ~stride:1 ~padding:3 ~groups:2
-    ~h:2 ~w:2
+    ~h:2 ~w:2;
+  (* a kernel larger than the input: an empty output, nothing read *)
+  case "3x3 on 1x1" ~channels:1 ~k:2 ~kernel:3 ~stride:1 ~padding:0 ~groups:1 ~h:1 ~w:1;
+  case "7x7 stride 3 on 5x5" ~channels:4 ~k:2 ~kernel:7 ~stride:3 ~padding:0 ~groups:1 ~h:5 ~w:5
 
 (* ---------- lane pairs ---------- *)
 
@@ -1170,10 +1178,12 @@ let test_apply_rejects_bad_shapes () =
       ( "3 groups on 4 channels",
         conv ~groups:3 ~k:3 ~kernel:1 Dtype.U8 Dtype.I8 [ 3; 1; 1; 1 ] );
       ("3 output channels, 2 weights", conv ~k:3 ~kernel:1 Dtype.F32 Dtype.F32 [ 2; 4; 1; 1 ]);
-      (* (5 - 7) / 3 + 1 = 1 output row, whose window ends past the input *)
-      ( "a 7x7 stride-3 window past a 5x5 input",
-        ( Graph.Conv2d { Graph.out_channels = 2; kernel = 7; stride = 3; padding = 0; groups = 1 },
-          [ value Dtype.U8 [ 4; 5; 5 ]; value Dtype.I8 [ 2; 4; 7; 7 ] ] ) );
+      ( "i8 conv at padding -1",
+        ( Graph.Conv2d { Graph.out_channels = 2; kernel = 3; stride = 1; padding = -1; groups = 1 },
+          [ value Dtype.U8 [ 4; 5; 5 ]; value Dtype.I8 [ 2; 4; 3; 3 ] ] ) );
+      ( "f32 conv at padding -1",
+        ( Graph.Conv2d { Graph.out_channels = 2; kernel = 3; stride = 1; padding = -1; groups = 1 },
+          [ value Dtype.F32 [ 4; 5; 5 ]; value Dtype.F32 [ 2; 4; 3; 3 ] ] ) );
       ( "dense weights of the wrong width",
         (Graph.Dense { units = 2 }, [ value Dtype.F32 [ 4 ]; value Dtype.F32 [ 2; 3 ] ]) );
       (* elementwise and concat reads are flat, so a mismatched operand
