@@ -92,13 +92,30 @@ open Unit_tir
 
    Loop shaping.  A loop with no inner loop, or a register tile's lane
    loop, with a static extent ≤ 16 is replicated with its index rendered
-   as a literal.  In a loop whose body then has no loop left, unrolled
-   or not, every load that runs on each iteration, is indexed by
-   variables bound outside the loop, and reads a buffer the body never
-   stores to is bound once before the loop.  That is only sound when
-   distinct bound buffers never share storage; {!Emit_cache} checks the
-   bound windows and falls back when two overlap.  A [Let] whose
-   variable is never read and whose value loads nothing is dropped.
+   as a literal.  Every other loop is a level (outermost 1), and
+   ocamlopt moves no arithmetic out of a loop, so {!hoist_terms} does:
+   each exact, load-free i32 term — every [Let] value and load or store
+   index among them — is normalised to a sum of [c * atom] terms and a
+   constant, with exact [Let]s inlined and [(a + b) * c] distributed.
+   An atom (a variable, or a non-affine term such as [v mod 27]) goes
+   with the deepest level it reads; an unrolled copy's index and a
+   [Let] bound at the same level stay with the constant.  Each level's
+   running partial sum is bound once at the top of its loop's body,
+   the outermost partial of a bound buffer's index also taking the
+   buffer's offset [o<k>] (not for packed weights, which have their own
+   array), so the innermost loop is left with [partial + c * v] and
+   its copies with [partial + literal].  A partial is bound only when
+   {!Unit_tir.Linear.bounds} proves it and every node building it fits
+   i32; otherwise the term renders as it stands.  A loop of extent 1
+   that does not unroll becomes a [Let] of 0.  A proven constant
+   renders as its literal.  In a loop whose body then has no loop left,
+   unrolled or not, every load that runs on each iteration, is indexed
+   by variables bound outside the loop, and reads a buffer the body
+   never stores to is bound once before the loop.  That is only sound
+   when distinct bound buffers never share storage; {!Emit_cache}
+   checks the bound windows and falls back when two overlap.  A [Let]
+   whose variable is never read and whose value loads nothing is
+   dropped.
 
    The module opens {!Unit_emit_hook}, which holds the canonicalizers
    ([w_*], [sat_*], [r_bf16], [trunc*]) and the lane-pair
@@ -127,13 +144,14 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 7
+let version = 8
 
 module Obs = Unit_obs.Obs
 
 let c_wraps_deferred = Obs.counter "emit.wraps_deferred"
 let c_loops_unrolled = Obs.counter "emit.loops_unrolled"
 let c_loads_hoisted = Obs.counter "emit.loads_hoisted"
+let c_index_terms_hoisted = Obs.counter "emit.index_terms_hoisted"
 let c_scalar_cells = Obs.counter "emit.scalar_cells"
 let c_tiles_promoted = Obs.counter "emit.tiles_promoted"
 let c_register_tiles = Obs.counter "emit.register_tiles"
@@ -192,6 +210,12 @@ let own_exprs (s : Stmt.t) =
   | Stmt.If { cond; _ } -> [ cond ]
   | Stmt.Let (_, e, _) -> [ e ]
   | _ -> []
+
+(* Whether an expression [s] evaluates reads [v]. *)
+let reads (v : Var.t) s =
+  Stmt.exists
+    (fun s -> List.exists (fun e -> List.exists (Var.equal v) (Texpr.vars_of e)) (own_exprs s))
+    s
 
 (* The ids of [loop_var] and of every variable [body] binds. *)
 let bound_in (loop_var : Var.t) body =
@@ -787,18 +811,328 @@ let promote_tiles func =
   let t = promote func in
   (t.tl_func, t.tl_tiles)
 
+(* ---- index terms *)
+
+(* A loop {!render} replicates with literal indices: innermost or a
+   register tile's lane loop ([lanes]), at most [max_unroll] iterations
+   whose indices fit the variable's dtype.  Parallel loops keep their
+   fan. *)
+let unrollable ~lanes (s : Stmt.t) =
+  match s with
+  | Stmt.For { var; extent; kind; body } ->
+    extent >= 1 && extent <= max_unroll
+    && Linear.fit var.Var.dtype (0, extent - 1) <> None
+    && (match kind with Stmt.Parallel -> false | _ -> true)
+    && (Hashtbl.mem lanes var.Var.id || not (Stmt.exists is_loop body))
+  | _ -> false
+
+(* The values a load of [b] may take, for {!Linear.bounds}: a narrow
+   integer dtype's range, unless [b] is scratch holding raw values. *)
+let load_range ~raw (b : Buffer.t) =
+  let dt = b.Buffer.dtype in
+  if is_narrow dt && not raw then
+    Some (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
+  else None
+
+(* [coeff * atom] in a sum: [atom] is a variable or a non-affine
+   subterm, [level] the loop level from which on its value is known
+   (see [hoist_terms]). *)
+type term = { t_atom : Texpr.t; t_level : int; t_coeff : int }
+
+(* A variable in scope, as [hoist_terms] sees it. *)
+type binding =
+  | Level of int  (* known from the top of that loop level's body on *)
+  | Copy  (* an unrolled loop's index: a literal in each copy *)
+  | Inlined of term list * int * Texpr.t
+      (* an exact [Let]: its value's terms, constant and closed form *)
+
+(* What an offset-carrying partial adds its value to: the buffer's
+   offset [o<k>] or the partial of an outer level. *)
+type base = Offset | After of Var.t
+
+type hoisting = {
+  ht_body : Stmt.t;
+  ht_carries : (int, Buffer.t * base) Hashtbl.t;
+      (* partial var id -> the bound buffer whose offset it carries *)
+  ht_hoisted : int;  (* partials bound and extent-1 loops folded *)
+}
+
+exception Unhoistable
+
+let coefficient_cap = 1 lsl 30
+
+(* Index terms hoisted out of the loops that do not change them (the
+   header's "Loop shaping"): a loop's index has its loop's level, a
+   [Let]'s variable the level below its binding, an unrolled copy's
+   index none.  [offset b]: [b]'s indices take its offset into their
+   outermost partial. *)
+let hoist_terms ~lanes ~offset (body : Stmt.t) =
+  let allocs = Hashtbl.create 8 in
+  Stmt.iter_stmts
+    (function Stmt.Alloc (b, _) -> Hashtbl.replace allocs b.Buffer.id () | _ -> ())
+    body;
+  let load (b : Buffer.t) =
+    load_range ~raw:(Hashtbl.mem allocs b.Buffer.id && deferrable b.Buffer.dtype) b
+  in
+  let env : (int, binding) Hashtbl.t = Hashtbl.create 16 in
+  let ivs : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let interval = Linear.bounds ~load ~env:(fun (v : Var.t) -> Hashtbl.find_opt ivs v.Var.id) in
+  let scoped (v : Var.t) b iv f =
+    let id = v.Var.id in
+    let had_b = Hashtbl.find_opt env id and had_iv = Hashtbl.find_opt ivs id in
+    let set tbl = function
+      | Some x -> Hashtbl.replace tbl id x
+      | None -> Hashtbl.remove tbl id
+    in
+    Hashtbl.replace env id b;
+    set ivs iv;
+    let r = f () in
+    set env had_b;
+    set ivs had_iv;
+    r
+  in
+  (* ---- normal forms: terms in first-seen order, like atoms merged *)
+  let add ts (u : term) =
+    let same (t : term) = Texpr.equal_structural t.t_atom u.t_atom in
+    if List.exists same ts then
+      List.filter_map
+        (fun t ->
+          if not (same t) then Some t
+          else
+            let c = t.t_coeff + u.t_coeff in
+            if c = 0 then None else Some { t with t_coeff = c })
+        ts
+    else ts @ [ u ]
+  in
+  let sum (ts, c) (us, d) = (List.fold_left add ts us, c + d) in
+  let scale k (ts, c) =
+    let mul x =
+      let p = k * x in
+      if abs p > coefficient_cap then raise Unhoistable else p
+    in
+    if k = 0 then ([], 0) else (List.map (fun t -> { t with t_coeff = mul t.t_coeff }) ts, mul c)
+  in
+  (* [e] with the inlined [Let]s it reads replaced by their values *)
+  let close (e : Texpr.t) =
+    Texpr.substitute
+      (List.filter_map
+         (fun (v : Var.t) ->
+           match Hashtbl.find_opt env v.Var.id with
+           | Some (Inlined (_, _, x)) -> Some (v, x)
+           | _ -> None)
+         (Texpr.vars_of e))
+      e
+  in
+  let atom (e : Texpr.t) =
+    let e = close e in
+    let level =
+      List.fold_left
+        (fun l (v : Var.t) ->
+          match Hashtbl.find_opt env v.Var.id with
+          | Some (Level k) -> Stdlib.max l k
+          | Some Copy -> max_int
+          | Some (Inlined _) | None -> raise Unhoistable)
+        0 (Texpr.vars_of e)
+    in
+    ([ { t_atom = e; t_level = level; t_coeff = 1 } ], 0)
+  in
+  let rec norm (e : Texpr.t) =
+    match e with
+    | Texpr.Imm _ -> (
+      match Texpr.as_const_int e with Some c -> ([], c) | None -> raise Unhoistable)
+    | Texpr.Var v -> (
+      match Hashtbl.find_opt env v.Var.id with
+      | Some (Inlined (ts, c, _)) -> (ts, c)
+      | _ -> atom e)
+    | Texpr.Binop (Texpr.Add, a, b) -> sum (norm a) (norm b)
+    | Texpr.Binop (Texpr.Sub, a, b) -> sum (norm a) (scale (-1) (norm b))
+    | Texpr.Binop (Texpr.Mul, a, b) -> (
+      match norm a, norm b with
+      | ([], k), n | n, ([], k) -> scale k n
+      | _ -> atom e)
+    | Texpr.Load _ -> raise Unhoistable
+    | _ -> atom e
+  in
+  let exact (e : Texpr.t) =
+    Dtype.equal (Texpr.dtype_of e) Dtype.I32 && Texpr.loads_of e = [] && interval e <> None
+  in
+  (* ---- partials: [frames] holds, innermost first, each open loop's
+     partials as (carried buffer, terms, var, value) in binding order *)
+  let frames : (Buffer.t option * term list * Var.t * Texpr.t) list ref list ref = ref [] in
+  let depth () = List.length !frames in
+  let carries = Hashtbl.create 8 in
+  let n_terms = ref 0 in
+  let product (t : term) =
+    if t.t_coeff = 1 then t.t_atom else Texpr.mul (Texpr.int_imm t.t_coeff) t.t_atom
+  in
+  let total = function
+    | [] -> Texpr.int_imm 0
+    | t :: ts -> List.fold_left (fun acc t -> Texpr.add acc (product t)) (product t) ts
+  in
+  let same_terms ts us =
+    List.length ts = List.length us
+    && List.for_all
+         (fun (t : term) ->
+           List.exists
+             (fun (u : term) ->
+               u.t_coeff = t.t_coeff && Texpr.equal_structural u.t_atom t.t_atom)
+             us)
+         ts
+  in
+  (* [e] as [partial + rest], or [None] *)
+  let rewrite ~carry (e : Texpr.t) =
+    let d = depth () in
+    match if d > 0 && exact e then Some (norm e) else None with
+    | None | (exception Unhoistable) -> None
+    | Some (ts, c) -> (
+      let hoisted, rest = List.partition (fun t -> t.t_level <= d) ts in
+      (* level-0 terms join the first loop level's partial *)
+      let level (t : term) = Stdlib.max 1 t.t_level in
+      let levels = List.sort_uniq compare (List.map level hoisted) in
+      let pending = ref [] in
+      let step (prev, sofar) k =
+        let mine = List.filter (fun t -> level t = k) hoisted in
+        let sofar = sofar @ mine in
+        let frame = List.nth !frames (d - k) in
+        match
+          List.find_opt
+            (fun (b, ts, _, _) -> Option.equal Buffer.equal b carry && same_terms ts sofar)
+            !frame
+        with
+        | Some (_, _, p, _) -> (Some p, sofar)
+        | None ->
+          let delta = total mine in
+          let full = match prev with None -> delta | Some p -> Texpr.add (Texpr.var p) delta in
+          (* every node of [full], [delta] among them, fits *)
+          let iv = match interval full with Some iv -> iv | None -> raise Unhoistable in
+          let p = Var.create "p" in
+          Hashtbl.replace ivs p.Var.id iv;
+          let value, base =
+            match carry, prev with
+            | Some b, None -> (delta, Some (b, Offset))
+            | Some b, Some q -> (delta, Some (b, After q))
+            | None, _ -> (full, None)
+          in
+          pending := (frame, (carry, sofar, p, value), base) :: !pending;
+          (Some p, sofar)
+      in
+      match List.fold_left step (None, []) levels with
+      | exception Unhoistable -> None
+      | None, _ -> None
+      | Some p, _ ->
+        let r = Texpr.add (Texpr.var p) (Texpr.add (total rest) (Texpr.int_imm c)) in
+        if interval r = None then None
+        else begin
+          List.iter
+            (fun (frame, (b, ts, p, v), base) ->
+              incr n_terms;
+              frame := !frame @ [ (b, ts, p, v) ];
+              Option.iter (Hashtbl.replace carries p.Var.id) base)
+            (List.rev !pending);
+          Some r
+        end)
+  in
+  (* maximal exact terms of [e], and the indices of its loads *)
+  let rec ex (e : Texpr.t) =
+    let candidate =
+      match e with
+      | Texpr.Binop _ -> true
+      | Texpr.Var v -> (
+        match Hashtbl.find_opt env v.Var.id with Some (Inlined _) -> true | _ -> false)
+      | _ -> false
+    in
+    match if candidate then rewrite ~carry:None e else None with
+    | Some r -> r
+    | None -> sub e
+  and sub (e : Texpr.t) =
+    match e with
+    | Texpr.Imm _ | Texpr.Var _ -> e
+    | Texpr.Load (b, ix) -> Texpr.load b (index b ix)
+    | Texpr.Binop (op, x, y) -> Texpr.binop op (ex x) (ex y)
+    | Texpr.Cmp (op, x, y) -> Texpr.cmp op (ex x) (ex y)
+    | Texpr.And (x, y) -> Texpr.and_ (ex x) (ex y)
+    | Texpr.Or (x, y) -> Texpr.or_ (ex x) (ex y)
+    | Texpr.Not x -> Texpr.not_ (ex x)
+    | Texpr.Cast (dt, x) -> Texpr.cast dt (ex x)
+    | Texpr.Select (c, x, y) -> Texpr.select (ex c) (ex x) (ex y)
+  and index b ix =
+    match rewrite ~carry:(if offset b then Some b else None) ix with
+    | Some r -> r
+    | None -> ex ix
+  in
+  let rec st (s : Stmt.t) =
+    match s with
+    | Stmt.For ({ var; extent; body; _ } as r) when unrollable ~lanes s ->
+      scoped var Copy (Linear.fit var.Var.dtype (0, extent - 1)) (fun () ->
+          Stmt.For { r with body = st body })
+    | Stmt.For { var; extent = 1; kind; body }
+      when (match kind with Stmt.Parallel -> false | _ -> true) ->
+      incr n_terms;
+      st (Stmt.Let (var, Texpr.int_imm ~dtype:var.Var.dtype 0, body))
+    | Stmt.For ({ var; extent; body; _ } as r) ->
+      let frame = ref [] in
+      frames := frame :: !frames;
+      let body =
+        scoped var (Level (depth ())) (Linear.fit var.Var.dtype (0, extent - 1)) (fun () ->
+            st body)
+      in
+      frames := List.tl !frames;
+      let body =
+        List.fold_right (fun (_, _, p, v) body -> Stmt.Let (p, v, body)) !frame body
+      in
+      Stmt.For { r with body }
+    | Stmt.Let (v, e, body) ->
+      let iv = Option.bind (interval e) (Linear.fit v.Var.dtype) in
+      let inlined =
+        if Dtype.equal v.Var.dtype Dtype.I32 && exact e then
+          match norm e with
+          | exception Unhoistable -> None
+          | ts, c ->
+            (* inlining must not capture: neither the [Let] nor
+               anything in [body] rebinds a variable the value reads *)
+            let closed = close e and bound = v.Var.id :: binders body in
+            if List.exists (fun (u : Var.t) -> List.mem u.Var.id bound) (Texpr.vars_of closed)
+            then None
+            else Some (Inlined (ts, c, closed))
+        else None
+      in
+      let b = match inlined with Some b -> b | None -> Level (depth () + 1) in
+      let body = scoped v b iv (fun () -> st body) in
+      if inlined <> None && not (reads v body) then body else Stmt.Let (v, ex e, body)
+    | Stmt.Store (b, ix, v) ->
+      let v = ex v in
+      Stmt.Store (b, index b ix, v)
+    | Stmt.If ({ cond; then_; else_; _ } as r) ->
+      let cond = ex cond in
+      Stmt.If { r with cond; then_ = st then_; else_ = Option.map st else_ }
+    | Stmt.Alloc (b, body) -> Stmt.Alloc (b, st body)
+    | Stmt.Seq l -> Stmt.Seq (List.map st l)
+    | Stmt.Nop | Stmt.Intrin_call _ -> s
+  in
+  let body = st body in
+  { ht_body = body; ht_carries = carries; ht_hoisted = !n_terms }
+
 (* Canonicalizer names from {!Unit_emit_hook}, which the kernel opens. *)
 let wname dt = "w_" ^ Dtype.to_string dt
 let satname dt = "sat_" ^ Dtype.to_string dt
 
 (* Round-to-precision: the identity for f64, a trip through Int32 bits
-   for f32 (written out: a call into the hook would not inline, and f32
-   rounds after every op), [r_bf16] for bf16. *)
+   for f32, and for bf16 that trip with the low 16 bits rounded to
+   nearest even.  Both are written out: a call into the hook would not
+   inline, and both round after every op.  A NaN, or an f32 that lands
+   on a bf16 tie, takes the hook's [r_bf16], which breaks the tie with
+   the bits the f32 step dropped. *)
 let rounded dt s =
   match dt with
   | Dtype.F64 -> s
   | Dtype.F32 -> Printf.sprintf "(Int32.float_of_bits (Int32.bits_of_float %s))" s
-  | Dtype.Bf16 -> Printf.sprintf "(r_bf16 %s)" s
+  | Dtype.Bf16 ->
+    Printf.sprintf
+      "(let x_ = %s in let b_ = Int32.bits_of_float x_ in if x_ = x_ && Int32.logand b_ \
+       0xffffl <> 0x8000l then Int32.float_of_bits (Int32.logand (Int32.add b_ (Int32.add \
+       0x7fffl (Int32.logand (Int32.shift_right_logical b_ 16) 1l))) 0xffff0000l) else \
+       r_bf16 x_)"
+      s
   | _ -> unsupported "round to %s" (Dtype.to_string dt)
 
 let int_lit c = if c < 0 then Printf.sprintf "(%d)" c else string_of_int c
@@ -826,6 +1160,19 @@ let render (func : Lower.func) : plan * string =
   in
   let tiling = promote func in
   let func = tiling.tl_func in
+  let bound = List.map snd func.Lower.fn_tensors in
+  (* packed weights are addressed from their own array, without offset *)
+  let packed (b : Buffer.t) =
+    Hashtbl.fold
+      (fun _ p acc ->
+        acc || match p with Some p -> Buffer.equal p.pr_weights b | None -> false)
+      tiling.tl_registers false
+  in
+  let hoisting =
+    hoist_terms ~lanes:tiling.tl_lanes
+      ~offset:(fun b -> List.exists (Buffer.equal b) bound && not (packed b))
+      func.Lower.fn_body
+  in
   (* ---- binding plan: one cell per buffer, grouped by storage class *)
   let nf = ref 0 and ni = ref 0 and nl = ref 0 in
   let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -879,14 +1226,7 @@ let render (func : Lower.func) : plan * string =
   let ienv : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
   let interval =
     let env (v : Var.t) = Hashtbl.find_opt ienv v.Var.id in
-    let load (b : Buffer.t) =
-      let dt = b.Buffer.dtype in
-      if is_narrow dt && not (raw_scratch b) then
-        Some
-          (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
-      else None
-    in
-    Linear.bounds ~env ~load
+    Linear.bounds ~env ~load:(fun b -> load_range ~raw:(raw_scratch b) b)
   in
   (* Rendered names must not leak the process-global [Var.id] /
      [Buffer.id] counters: the same logical kernel lowered in two
@@ -937,13 +1277,13 @@ let render (func : Lower.func) : plan * string =
       packs := !packs @ [ (n, p.pr_weights, p.pr_dist) ];
       n
   in
-  let addr_in (b : Buffer.t) idx =
-    match Hashtbl.find_opt defined b.Buffer.id, !packing with
-    | _, Some (_, w, pk) when w = b.Buffer.id -> Printf.sprintf "%s.(%s)" pk idx
-    | None, _ -> unsupported "buffer %s unbound" b.Buffer.name
-    | Some true, _ ->
-      Printf.sprintf "%s.(o%d + %s)" (cellname b) (norm_buf b.Buffer.id) idx
-    | Some false, _ -> Printf.sprintf "%s.(%s)" (cellname b) idx
+  (* Partials that carry a bound buffer's offset (see [hoist_terms]):
+     they have no interval, and render only as the head of that
+     buffer's index. *)
+  let carried (b : Buffer.t) (v : Var.t) =
+    match Hashtbl.find_opt hoisting.ht_carries v.Var.id with
+    | Some (b', _) -> Buffer.equal b b'
+    | None -> false
   in
   (* A register tile's cells render at literal offsets: its lane loops
      unroll.  A packed tile's cell [i] is the low ([i] even) or high lane
@@ -974,11 +1314,6 @@ let render (func : Lower.func) : plan * string =
   in
   (* Loads bound before the loop being rendered: rendered load -> name. *)
   let hoisted : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  (* Integer terms bound before the copies of an unrolled loop: rendered
-     term -> name.  Load keys are rendered with [sharing] off, as they
-     were when the load was hoisted. *)
-  let shared : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  let sharing = ref true in
   (* ---- expressions; [re] yields the value in its dtype's carrier,
      canonical; [rv] may leave a deferrable add/sub/mul or scalar-cell
      load raw and says so *)
@@ -1003,17 +1338,24 @@ let render (func : Lower.func) : plan * string =
       (Printf.sprintf "(%s %s %s)" sa sym sb, true)
     | _ -> (rcanon e, false)
 
+  and addr_in (b : Buffer.t) (ix : Texpr.t) =
+    match Hashtbl.find_opt defined b.Buffer.id, !packing, ix with
+    | _, Some (_, w, pk), _ when w = b.Buffer.id -> Printf.sprintf "%s.(%s)" pk (rint ix)
+    | None, _, _ -> unsupported "buffer %s unbound" b.Buffer.name
+    | Some true, _, Texpr.Var p when carried b p ->
+      Printf.sprintf "%s.(%s)" (cellname b) (vname p)
+    | Some true, _, Texpr.Binop (Texpr.Add, Texpr.Var p, r) when carried b p ->
+      Printf.sprintf "%s.(%s + %s)" (cellname b) (vname p) (rint r)
+    | Some true, _, _ ->
+      Printf.sprintf "%s.(o%d + %s)" (cellname b) (norm_buf b.Buffer.id) (rint ix)
+    | Some false, _, _ -> Printf.sprintf "%s.(%s)" (cellname b) (rint ix)
+
   and rload (b : Buffer.t) ix =
     match pairing_of b with
     | Some p -> reg_load b p ix
     | None ->
-    let was = !sharing in
-    sharing := false;
-    let key = if is_cell b then "!" ^ cellname b else addr_in b (rint ix) in
-    sharing := was;
-    match Hashtbl.find_opt hoisted key with
-    | Some h -> h
-    | None -> if is_cell b || not was then key else addr_in b (rint ix)
+      let s = if is_cell b then "!" ^ cellname b else addr_in b ix in
+      Option.value (Hashtbl.find_opt hoisted s) ~default:s
 
   and rcanon (e : Texpr.t) : string =
     match e with
@@ -1021,6 +1363,8 @@ let render (func : Lower.func) : plan * string =
     | Texpr.Var v ->
       if not (Hashtbl.mem bound_vars v.Var.id) then
         unsupported "variable %s read out of scope" v.Var.name;
+      if Hashtbl.mem hoisting.ht_carries v.Var.id then
+        unsupported "offset partial %s read outside an index" v.Var.name;
       let dt = v.Var.dtype in
       (match carrier_of dt, Hashtbl.find_opt lits v.Var.id with
        | CI, Some i -> int_lit i
@@ -1032,9 +1376,13 @@ let render (func : Lower.func) : plan * string =
        | CL, None -> Printf.sprintf "(Int64.of_int %s)" (vname v)
        | CF, _ -> unsupported "float-dtyped variable %s" v.Var.name)
     | Texpr.Load (b, ix) -> rload b ix
-    | Texpr.Binop (op, a, b) ->
-      let s = rbinop e (Texpr.dtype_of e) op a b in
-      (match Hashtbl.find_opt shared s with Some u when !sharing -> u | _ -> s)
+    | Texpr.Binop (op, a, b) -> (
+      (* a proven constant renders as its literal *)
+      match interval e with
+      | Some (c, c')
+        when c = c' && carrier_of (Texpr.dtype_of e) = CI && Texpr.loads_of e = [] ->
+        int_lit c
+      | _ -> rbinop e (Texpr.dtype_of e) op a b)
     | Texpr.Cmp (c, a, b) -> Printf.sprintf "(if %s then 1 else 0)" (rcmp c a b)
     | Texpr.And (a, b) ->
       Printf.sprintf "(if %s && %s then 1 else 0)" (rtruth a) (rtruth b)
@@ -1210,62 +1558,9 @@ let render (func : Lower.func) : plan * string =
     restore ienv had_iv;
     restore lits had_lit
   in
-  (* A loop replicated with literal indices: innermost or a register
-     tile's lane loop, at most [max_unroll] iterations whose indices fit
-     the variable's dtype.  Parallel loops keep their fan. *)
-  let unrollable (s : Stmt.t) =
-    match s with
-    | Stmt.For { var; extent; kind; body } ->
-      extent >= 1 && extent <= max_unroll
-      && Linear.fit var.Var.dtype (0, extent - 1) <> None
-      && (match kind with Stmt.Parallel -> false | _ -> true)
-      && (Hashtbl.mem tiling.tl_lanes var.Var.id || not (Stmt.exists is_loop body))
-    | _ -> false
-  in
+  let unrollable = unrollable ~lanes:tiling.tl_lanes in
   let only_unrollable body =
     not (Stmt.exists (fun s -> is_loop s && not (unrollable s)) body)
-  in
-  (* The copies of an unrolled loop render every term that ignores its
-     index alike.  The maximal exact integer terms free of loads and of
-     variables bound in [body] are bound once before the copies, smaller
-     first so a larger term's key names the smaller ones it contains;
-     this keeps the unrolled source as cheap for ocamlopt as the loop.
-     Evaluating them early is safe: exact arithmetic never raises. *)
-  let share_terms (loop_var : Var.t) body =
-    let inner = bound_in loop_var body in
-    let terms = ref [] in
-    let rec ex (e : Texpr.t) =
-      match e with
-      | Texpr.Imm _ | Texpr.Var _ -> ()
-      | Texpr.Binop _
-        when carrier_of (Texpr.dtype_of e) = CI
-             && interval e <> None
-             && Texpr.loads_of e = []
-             && List.for_all
-                  (fun (v : Var.t) -> not (Hashtbl.mem inner v.Var.id))
-                  (Texpr.vars_of e) ->
-        terms := e :: !terms
-      | Texpr.Binop (_, a, b) | Texpr.Cmp (_, a, b) | Texpr.And (a, b) | Texpr.Or (a, b) ->
-        ex a;
-        ex b
-      | Texpr.Load (_, a) | Texpr.Not a | Texpr.Cast (_, a) -> ex a
-      | Texpr.Select (c, a, b) -> ex c; ex a; ex b
-    in
-    Stmt.iter_stmts (fun s -> List.iter ex (own_exprs s)) body;
-    let size e = String.length (rcanon e) in
-    List.filter_map
-      (fun (e : Texpr.t) ->
-        match e with
-        | Texpr.Binop (op, a, b) ->
-          let key = rbinop e (Texpr.dtype_of e) op a b in
-          if Hashtbl.mem shared key then None
-          else begin
-            let name = Printf.sprintf "u%d" (Hashtbl.length shared) in
-            Hashtbl.replace shared key name;
-            Some (name, key)
-          end
-        | _ -> None)
-      (List.stable_sort (fun a b -> compare (size a) (size b)) (List.rev !terms))
   in
   (* The loads of a loop's [body] (no loop left once unrolled) to bind
      before the loop, as [(name, rendered load)] in binding order; each
@@ -1363,14 +1658,14 @@ let render (func : Lower.func) : plan * string =
     | CL, CL -> re v
   in
   (* [k] renders inside [let name = value in] for each binding, which
-     [share_terms]/[hoist_loads] entered into [tbl] for this scope. *)
-  let with_binds ind tbl binds k =
+     [hoist_loads] entered into [hoisted] for this scope. *)
+  let with_binds ind binds k =
     if binds = [] then k ind
     else begin
       line ind "begin";
       List.iter (fun (n, v) -> line (ind + 1) (Printf.sprintf "let %s = %s in" n v)) binds;
       k (ind + 1);
-      List.iter (fun (_, v) -> Hashtbl.remove tbl v) binds;
+      List.iter (fun (_, v) -> Hashtbl.remove hoisted v) binds;
       line ind "end;"
     end
   in
@@ -1387,7 +1682,7 @@ let render (func : Lower.func) : plan * string =
       (* value before index, like the tree-walker *)
       line ind
         (Printf.sprintf "(let x_ = %s in %s <- x_);" (store_payload b v)
-           (addr_in b (rint ix)))
+           (addr_in b ix))
     | Stmt.For { var; extent; body; _ } when unrollable s ->
       bump n_unrolled;
       (* a packed tile's lane loop renders its even copies, one per pair *)
@@ -1400,22 +1695,20 @@ let render (func : Lower.func) : plan * string =
         | None -> (1, None)
       in
       let hoists = if extent > 1 then hoist_loads var body else [] in
-      with_binds ind hoisted hoists (fun ind ->
-          let binds = if extent > 1 then share_terms var body else [] in
-          with_binds ind shared binds (fun ind ->
-              let was = !packing in
-              if lanes_packing <> None then packing := lanes_packing;
-              for c = 0 to (extent / step) - 1 do
-                let i = c * step in
-                with_var var ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
-              done;
-              packing := was))
+      with_binds ind hoists (fun ind ->
+          let was = !packing in
+          if lanes_packing <> None then packing := lanes_packing;
+          for c = 0 to (extent / step) - 1 do
+            let i = c * step in
+            with_var var ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
+          done;
+          packing := was)
     | Stmt.For { var; extent; kind; body } ->
       let iv = Linear.fit var.Var.dtype (0, extent - 1) in
       let binds =
         if extent >= 1 && only_unrollable body then hoist_loads var body else []
       in
-      with_binds ind hoisted binds (fun ind ->
+      with_binds ind binds (fun ind ->
           if (match kind with Stmt.Parallel -> true | _ -> false) && not in_par then begin
             line ind (Printf.sprintf "par %d (fun %s ->" extent (vname var));
             with_var var ?iv (fun () -> rs (ind + 1) ~in_par:true body);
@@ -1426,15 +1719,17 @@ let render (func : Lower.func) : plan * string =
             with_var var ?iv (fun () -> rs (ind + 1) ~in_par body);
             line ind "done;"
           end)
-    | Stmt.Let (v, e, body)
-      when Texpr.loads_of e = []
-           && not
-                (Stmt.exists
-                   (fun s ->
-                     List.exists
-                       (fun e -> List.exists (Var.equal v) (Texpr.vars_of e))
-                       (own_exprs s))
-                   body) ->
+    | Stmt.Let (v, e, body) when Hashtbl.mem hoisting.ht_carries v.Var.id ->
+      (* an offset partial: no interval, as it holds an offset *)
+      let base =
+        match Hashtbl.find hoisting.ht_carries v.Var.id with
+        | b, Offset -> Printf.sprintf "o%d" (norm_buf b.Buffer.id)
+        | _, After p -> vname p
+      in
+      line ind (Printf.sprintf "begin let %s = (%s + %s) in" (vname v) base (rint e));
+      with_var v (fun () -> rs (ind + 1) ~in_par body);
+      line ind "end;"
+    | Stmt.Let (v, e, body) when Texpr.loads_of e = [] && not (reads v body) ->
       (* dead, and evaluating it cannot raise *)
       rs ind ~in_par body
     | Stmt.Let (v, e, body) ->
@@ -1503,7 +1798,7 @@ let render (func : Lower.func) : plan * string =
   in
   (* ---- module assembly: the body renders first, so the packed
      weights it names are known before the kernel's head binds them *)
-  rs 1 ~in_par:false func.Lower.fn_body;
+  rs 1 ~in_par:false hoisting.ht_body;
   line 1 "()";
   let body = B.contents buf in
   B.clear buf;
@@ -1534,6 +1829,7 @@ let render (func : Lower.func) : plan * string =
   Obs.add c_wraps_deferred !n_deferred;
   Obs.add c_loops_unrolled !n_unrolled;
   Obs.add c_loads_hoisted !n_hoisted;
+  Obs.add c_index_terms_hoisted hoisting.ht_hoisted;
   Obs.add c_scalar_cells !n_cells;
   Obs.add c_tiles_promoted tiling.tl_tiles;
   Obs.add c_register_tiles (Hashtbl.length tiling.tl_registers);

@@ -31,16 +31,22 @@
     int (the weights are packed once per run).
 
     Loop shaping: innermost loops and register-tile lane loops of at
-    most 16 iterations are unrolled (their copies share the integer
-    terms that ignore the index), a loop with no loop left inside binds
-    each load that runs on every iteration, with a loop-invariant index,
-    from a buffer the loop never stores to, once before the loop, and a
-    [Let] nothing reads whose value loads nothing is dropped.  Hoisting assumes distinct bound
+    most 16 iterations are unrolled; every other loop binds, at the top
+    of its body, its share of each exact i32 index and [Let] value
+    nested in it (the running partial sum of the terms its variable and
+    the loops around it change, a bound buffer's offset folded into the
+    outermost), so an inner loop adds one term per index instead of
+    recomputing it, and loops of extent 1 disappear; a loop with no
+    loop left inside binds each load that runs on every iteration, with
+    a loop-invariant index, from a buffer the loop never stores to, once
+    before the loop, and a [Let] nothing reads whose value loads nothing
+    is dropped.  Hoisting assumes distinct bound
     buffers never share cells; {!Emit_cache.run} falls back when two
     bound windows overlap in one array.
 
     Render-time counters: [emit.wraps_deferred], [emit.loops_unrolled],
-    [emit.loads_hoisted], [emit.scalar_cells], [emit.tiles_promoted],
+    [emit.loads_hoisted], [emit.index_terms_hoisted] (partials bound
+    and extent-1 loops folded), [emit.scalar_cells], [emit.tiles_promoted],
     [emit.register_tiles], [emit.lanes_packed] (lane pairs).  Programs
     the static checker ([Unit_analysis.Analysis], which every kernel
     [Unit_core.Pipeline.tensorize] ships has passed) rejects may diverge
@@ -70,7 +76,9 @@ val version : int
     their TIR expansion; version 5 adds scalar cells, deferred wraps,
     innermost unrolling and load hoisting; version 6 adds accumulator
     tiles and raw scratch; version 7 adds register tiles and lane pairs
-    and moves the canonicalizers into [Unit_emit_hook]. *)
+    and moves the canonicalizers into [Unit_emit_hook]; version 8 hoists
+    index terms to the loop that changes them, folds extent-1 loops and
+    rounds bf16 inline. *)
 
 type klass = KF | KI | KL
 (** Storage class of a bound tensor: [float array] / [int array] /

@@ -26,15 +26,27 @@ let w_i32 x =
   let m = x land 0xffffffff in
   if m land 0x80000000 <> 0 then m - 0x100000000 else m
 
+(* Bf16.round_float: nearest even from the f32 bits, except where the
+   f64 -> f32 step landed on a bf16 tie, which the dropped bits break *)
 let r_bf16 x =
   if Float.is_nan x then Int32.float_of_bits 0x7fc00000l
   else begin
     let b = Int32.bits_of_float x in
-    let b =
-      Int32.add b
-        (Int32.add 0x7fffl (Int32.logand (Int32.shift_right_logical b 16) 1l))
+    let hi =
+      if Int32.logand b 0xffffl <> 0x8000l then
+        Int32.shift_right_logical
+          (Int32.add b (Int32.add 0x7fffl (Int32.logand (Int32.shift_right_logical b 16) 1l)))
+          16
+      else begin
+        let hi = Int32.shift_right_logical b 16 in
+        let f = Int32.float_of_bits b in
+        if Float.equal f x then
+          if Int32.logand hi 1l = 1l then Int32.add hi 1l else hi
+        else if Float.abs x > Float.abs f then Int32.add hi 1l
+        else hi
+      end
     in
-    Int32.float_of_bits (Int32.logand b 0xffff0000l)
+    Int32.float_of_bits (Int32.shift_left (Int32.logand hi 0xffffl) 16)
   end
 
 let trunc64 f =

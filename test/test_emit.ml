@@ -542,7 +542,8 @@ let test_emit_rule_counters () =
   let compiled = Pipeline.conv_compiled_x86 small_conv in
   let names =
     [ "emit.wraps_deferred"; "emit.loops_unrolled"; "emit.loads_hoisted";
-      "emit.tiles_promoted"; "emit.register_tiles"; "emit.lanes_packed" ]
+      "emit.index_terms_hoisted"; "emit.tiles_promoted"; "emit.register_tiles";
+      "emit.lanes_packed" ]
   in
   let _, counts =
     counted names (fun () -> Emit.render compiled.Pipeline.c_tuned.Cpu_tuner.t_func)
@@ -683,6 +684,202 @@ let test_bake_serves_run () =
             workload = Unit_serve.Protocol.Conv wl })
       : Unit_obs.Json.t);
   Alcotest.(check int) "emit.compile spans in the served run" 0 (compile_spans ())
+
+(* ---------- index hoisting ---------- *)
+
+let kernel_rows = [ 2; 3; 5; 13; 14; 15 ]
+
+let table1_func ?(smoke = false) index =
+  let wl = Unit_models.Table1.workloads.(index - 1) in
+  let hw = wl.Workload.kernel + wl.Workload.stride in
+  let wl = if smoke then { wl with Workload.h = hw; w = hw } else wl in
+  (Pipeline.conv_compiled_x86 wl).Pipeline.c_tuned.Cpu_tuner.t_func
+
+(* The innermost loops of rendered source, each as the names of the
+   loop variables bound around it and the text of its body. *)
+let innermost_loops src =
+  let words l = String.split_on_char ' ' (String.trim l) in
+  let rec go open_ acc = function
+    | [] -> acc
+    | l :: rest -> (
+      match words l with
+      | "for" :: v :: _ -> go ((v, ref false, Stdlib.Buffer.create 256) :: open_) acc rest
+      | "par" :: _ :: "(fun" :: v :: _ ->
+        (* a parallel loop's body ends with its closure *)
+        go ((v, ref true, Stdlib.Buffer.create 0) :: open_) acc rest
+      | [ "done;" ] | [ "());" ] -> (
+        match open_ with
+        | (_, inner, body) :: outer ->
+          let acc =
+            if !inner then acc
+            else (List.map (fun (v, _, _) -> v) outer, Stdlib.Buffer.contents body) :: acc
+          in
+          List.iter (fun (_, inner, _) -> inner := true) outer;
+          go outer acc rest
+        | [] -> go open_ acc rest)
+      | _ ->
+        List.iter (fun (_, _, b) -> Stdlib.Buffer.add_string b (l ^ "\n")) open_;
+        go open_ acc rest)
+  in
+  go [] [] (String.split_on_char '\n' src)
+
+(* The kernels workload's rows render with every index term hoisted to
+   the loop that changes it: no innermost loop divides, takes a
+   remainder or multiplies by a variable bound outside it, and the
+   1x1 rows' extent-1 reduction loops are gone. *)
+let test_hoisting_rendered () =
+  List.iter
+    (fun index ->
+      let what = Printf.sprintf "t%d" index in
+      let (_, src), counts =
+        counted [ "emit.index_terms_hoisted" ] (fun () -> Emit.render (table1_func index))
+      in
+      check_bool (what ^ ": index terms hoisted") true (List.hd counts > 0);
+      check_bool (what ^ ": no extent-1 loop left") false (mentions src " = 0 to 0 do");
+      let loops = innermost_loops src in
+      check_bool (what ^ ": has innermost loops") true (loops <> []);
+      List.iter
+        (fun (outer, body) ->
+          check_bool (what ^ ": no mod in an innermost loop") false (mentions body " mod ");
+          check_bool (what ^ ": no division in an innermost loop") false (mentions body " / ");
+          List.iter
+            (fun v ->
+              check_bool
+                (Printf.sprintf "%s: no product with %s in an innermost loop" what v)
+                false
+                (mentions body ("(" ^ v ^ " * ") || mentions body (" * " ^ v ^ ")")))
+            outer)
+        loops)
+    kernel_rows
+
+(* Hoisted indices are exact: the six rows at smoke scale, a stride-2
+   1x1 conv and a padded conv are bit-identical on the three engines
+   ("arm conv" covers an Arm udot conv). *)
+let test_hoisting_exact () =
+  List.iter (fun index -> differential (table1_func ~smoke:true index)) kernel_rows;
+  List.iter
+    (fun wl -> differential (Pipeline.conv_compiled_x86 wl).Pipeline.c_tuned.Cpu_tuner.t_func)
+    [ { Workload.c = 16; h = 8; w = 8; k = 32; kernel = 1; stride = 2; padding = 0; groups = 1 };
+      { Workload.c = 16; h = 6; w = 6; k = 16; kernel = 3; stride = 1; padding = 2; groups = 1 } ]
+
+(* An index whose terms {!Linear.bounds} cannot prove (a literal beyond
+   2^30) keeps its rendering: nothing is hoisted, and the result still
+   matches the other engines. *)
+let test_hoisting_unproven () =
+  let func =
+    map_func ~name:"emit_unproven" ~n:40 ~src_dtype:Dtype.I32 ~dst_dtype:Dtype.I32
+      (fun ~src ~dst ~n:_ i ->
+        let j = Var.create "j" in
+        let big = Texpr.int_imm ((1 lsl 30) + 1) in
+        (* (i * big) / big is i, through a node no interval covers *)
+        let at =
+          Texpr.add
+            (Texpr.mul (Texpr.div (Texpr.mul (Texpr.var i) big) big) (Texpr.int_imm 20))
+            (Texpr.var j)
+        in
+        Stmt.for_ i ~extent:2
+          (Stmt.for_ j ~extent:20 (Stmt.Store (dst, at, Texpr.load src at))))
+  in
+  let _, counts = counted [ "emit.index_terms_hoisted" ] (fun () -> Emit.render func) in
+  Alcotest.(check (list int)) "no partial hoisted" [ 0 ] counts;
+  check_bool "index keeps its offset" true (mentions (source func) "o0 + ");
+  differential func
+
+(* [t] rebound from its own value: the inner [t + j] must not be
+   inlined where [t] already names the inner binding. *)
+let test_hoisting_rebound_let () =
+  differential
+    (map_func ~name:"emit_rebound_let" ~n:40 ~src_dtype:Dtype.U8 ~dst_dtype:Dtype.I32
+       (fun ~src ~dst ~n:_ i ->
+         let j = Var.create "j" and t = Var.create "t" in
+         let vi = Texpr.var i and vj = Texpr.var j and vt = Texpr.var t in
+         Stmt.for_ j ~extent:2
+           (Stmt.Let
+              ( t,
+                Texpr.cast Dtype.I32 (Texpr.load src vj),
+                Stmt.Let
+                  ( t,
+                    Texpr.add vt vj,
+                    Stmt.for_ i ~extent:20
+                      (Stmt.Store
+                         ( dst,
+                           Texpr.add vi (Texpr.mul vj (Texpr.int_imm 20)),
+                           Texpr.add (Texpr.mul vt (Texpr.int_imm 3)) vi )) ) ))))
+
+(* Random loop nests whose values and indices mix affine terms,
+   products, [/] and [mod] of the loop variables and of [Let]s, some
+   reading a load: emitted = compiled = interp.  Extents 1 fold, up to
+   16 unroll, 17 and 20 stay loops.  The seed picks the program. *)
+let prop_hoisting_random =
+  QCheck.Test.make ~name:"random index terms" ~count:12 QCheck.small_nat (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let e1 = pick [| 1; 3; 17 |] and e2 = pick [| 1; 2; 20 |] and e3 = pick [| 1; 5; 17 |] in
+      let tin = Tensor.create ~name:"in" ~shape:[ 64 ] Dtype.U8 in
+      let bin = Buffer.of_tensor tin in
+      let tout = Tensor.create ~name:"out" ~shape:[ e1 * e2 * e3 ] Dtype.I32 in
+      let bout = Buffer.of_tensor tout in
+      let i = Var.create "i" and j = Var.create "j" and k = Var.create "k" in
+      let t = Var.create "t" and u = Var.create "u" in
+      let imm n = Texpr.int_imm n in
+      (* in range whatever the sign of [ix] *)
+      let load ix =
+        let at = Texpr.mod_ (Texpr.add (Texpr.mod_ ix (imm 64)) (imm 64)) (imm 64) in
+        Texpr.cast Dtype.I32 (Texpr.load bin at)
+      in
+      (* non-negative unless it wraps or reads [u] *)
+      let rec nonneg vars d =
+        if d = 0 || Random.State.int rng 3 = 0 then
+          if Random.State.bool rng then Texpr.var (pick vars) else imm (Random.State.int rng 10)
+        else
+          let a = nonneg vars (d - 1) in
+          match Random.State.int rng 6 with
+          | 0 | 1 -> Texpr.add a (nonneg vars (d - 1))
+          | 2 -> Texpr.mul (imm (1 + Random.State.int rng 50)) a
+          | 3 -> Texpr.mul a (nonneg vars (d - 1))
+          | 4 -> Texpr.div a (imm (1 + Random.State.int rng 7))
+          | _ -> Texpr.mod_ a (imm (1 + Random.State.int rng 9))
+      in
+      let any vars =
+        match Random.State.int rng 3 with
+        | 0 -> Texpr.sub (nonneg vars 3) (nonneg vars 3)
+        | 1 -> Texpr.add (nonneg vars 3) (load (nonneg vars 2))
+        | _ -> Texpr.mul (imm (Random.State.int rng 11 - 5)) (nonneg vars 3)
+      in
+      let t_value =
+        if Random.State.bool rng then nonneg [| i; j |] 3 else load (nonneg [| i; j |] 2)
+      in
+      let at =
+        Texpr.add
+          (Texpr.mul (Texpr.add (Texpr.mul (Texpr.var i) (imm e2)) (Texpr.var j)) (imm e3))
+          (Texpr.var k)
+      in
+      let body =
+        Stmt.for_ i ~extent:e1
+          (Stmt.for_ j ~extent:e2
+             (Stmt.Let
+                ( t,
+                  t_value,
+                  Stmt.for_ k ~extent:e3
+                    (Stmt.Let
+                       ( u,
+                         any [| i; j; k; t |],
+                         Stmt.Store (bout, at, Texpr.add (Texpr.var u) (any [| i; j; k; t; u |]))
+                       )) )))
+      in
+      differential ~seed
+        { Lower.fn_name = Printf.sprintf "emit_random_terms_%d" seed;
+          fn_tensors = [ (tout, bout); (tin, bin) ]; fn_output = bout;
+          fn_iter_vars = [ (0, i) ]; fn_body = body };
+      true)
+
+(* i32 -> bf16 around 2^24 + 2^16, where the f32 step lands on a bf16
+   tie: the inline rounding must break it like Value does. *)
+let test_bf16_ties () =
+  differential
+    (scalar_func ~name:"emit_bf16_ties" ~dtype:Dtype.Bf16 ~n:24 (fun buf i ->
+         let x = Texpr.add (Texpr.int_imm ((1 lsl 24) + (1 lsl 16) - 8)) (Texpr.var i) in
+         Stmt.Store (buf, Texpr.var i, Texpr.cast Dtype.Bf16 x)))
 
 (* ---------- arena-backed views ---------- *)
 
@@ -910,6 +1107,14 @@ let () =
           Alcotest.test_case "columns sharing cells keep the array" `Quick
             test_register_shared_columns
         ] );
+      ( "hoisting",
+        [ Alcotest.test_case "kernels rows hoisted" `Quick test_hoisting_rendered;
+          Alcotest.test_case "index hoisting exact" `Quick test_hoisting_exact;
+          Alcotest.test_case "unproven index stays" `Quick test_hoisting_unproven;
+          Alcotest.test_case "let rebound from itself" `Quick test_hoisting_rebound_let;
+          Alcotest.test_case "bf16 ties round as Value" `Quick test_bf16_ties
+        ]
+        @ qcheck [ prop_hoisting_random ] );
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;
           Alcotest.test_case "arm conv" `Quick test_emit_pipeline_arm;
