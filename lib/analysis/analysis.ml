@@ -230,11 +230,7 @@ let rec simp env e =
     | Some (ylo, yhi), Some (xlo, _) -> ylo >= 0 && yhi < c && xlo >= 0
     | _ -> false
   in
-  let within c a =
-    match Linear.bounds ~env a with
-    | Some (lo, hi) -> lo >= 0 && hi < c
-    | None -> false
-  in
+  let within c a = Linear.in_bounds ~size:c (Linear.bounds ~env a) in
   match resolved with
   | Texpr.Binop
       ((Texpr.Div | Texpr.Mod) as op,

@@ -329,10 +329,7 @@ let compile (func : Lower.func) =
   and comp_addr ~what bi ix =
     let ic = eval_int_c ix in
     let size = bi.b_buf.Buffer.size in
-    let proven =
-      match interval ix with Some (lo, hi) -> lo >= 0 && hi < size | None -> false
-    in
-    if proven then begin
+    if Linear.in_bounds ~size (interval ix) then begin
       Obs.incr c_bounds_hoisted;
       ic
     end

@@ -106,7 +106,9 @@ open Unit_tir
    array), so the innermost loop is left with [partial + c * v] and
    its copies with [partial + literal].  A partial is bound only when
    {!Unit_tir.Linear.bounds} proves it and every node building it fits
-   i32; otherwise the term renders as it stands.  A loop of extent 1
+   i32; otherwise the term renders as it stands.  An offset-carrying
+   partial keeps the interval proven for its value without the offset,
+   which the bounds rule below reads.  A loop of extent 1
    that does not unroll becomes a [Let] of 0.  A proven constant
    renders as its literal.  In a loop whose body then has no loop left,
    unrolled or not, every load that runs on each iteration, is indexed
@@ -117,9 +119,23 @@ open Unit_tir
    whose variable is never read and whose value loads nothing is
    dropped.
 
+   Bounds.  Every array access renders as [Array.unsafe_get] or
+   [Array.unsafe_set].  Where {!Unit_tir.Linear.in_bounds}, the bounds
+   rule {!Compile} also uses, proves the index without the buffer's
+   offset inside [[0, size)], the access is bare.  That is sound because
+   the kernel first checks, once per bound tensor, that its window
+   [[o<k>, o<k> + size)] lies inside its array
+   ([Unit_emit_hook.check_window]); scratch is allocated at its size and
+   packed weights at their buffer's.  Any other access binds its index
+   once and checks it against the buffer's window where it runs.  A
+   failed check raises [Unit_emit_hook.Out_of_window] before the access
+   it guards, and {!Emit_cache} falls back to the closure engine, which
+   raises its own error (running on whatever the kernel already
+   stored).
+
    The module opens {!Unit_emit_hook}, which holds the canonicalizers
-   ([w_*], [sat_*], [r_bf16], [trunc*]) and the lane-pair
-   helpers, so each kernel's source is only its own code.
+   ([w_*], [sat_*], [r_bf16], [trunc*]), the bounds checks and the
+   lane-pair helpers, so each kernel's source is only its own code.
 
    The emitter refuses (raising {!Unsupported}) anything whose runtime
    behaviour it cannot reproduce statically — f16, float-dtyped scalar
@@ -127,24 +143,15 @@ open Unit_tir
    tiles the semantics layer would reject at run time, operands whose
    dtype differs from the instruction's).  {!Emit_cache} then falls back
    to {!Compile}, which reproduces the tree-walker's behaviour, errors
-   included.
-
-   Deliberate divergence, confined to programs the static checker
-   ([Unit_analysis.Analysis], which proves every index and tile window
-   in bounds and which every kernel [Pipeline.tensorize] ships has
-   passed) rejects: no per-access bounds checks are emitted (a flat index outside the
-   buffer's window but inside the backing array reads that cell instead
-   of erroring; outside the backing array, OCaml's own array check
-   raises, possibly before the loop when the load is hoisted).  Alloc
-   scratch visibility is lexical here, while Compile leaks the last
-   array past the Alloc's scope — such programs fail to compile and take
-   the fallback path instead. *)
+   included.  Alloc scratch visibility is lexical here, while Compile
+   leaks the last array past the Alloc's scope: such programs fail to
+   compile and take the fallback path too. *)
 
 exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 8
+let version = 9
 
 module Obs = Unit_obs.Obs
 
@@ -156,6 +163,8 @@ let c_scalar_cells = Obs.counter "emit.scalar_cells"
 let c_tiles_promoted = Obs.counter "emit.tiles_promoted"
 let c_register_tiles = Obs.counter "emit.register_tiles"
 let c_lanes_packed = Obs.counter "emit.lanes_packed"
+let c_accesses_unchecked = Obs.counter "emit.accesses_unchecked"
+let c_accesses_checked = Obs.counter "emit.accesses_checked"
 
 type klass = KF | KI | KL
 
@@ -852,8 +861,9 @@ type base = Offset | After of Var.t
 
 type hoisting = {
   ht_body : Stmt.t;
-  ht_carries : (int, Buffer.t * base) Hashtbl.t;
-      (* partial var id -> the bound buffer whose offset it carries *)
+  ht_carries : (int, Buffer.t * base * (int * int)) Hashtbl.t;
+      (* partial var id -> the bound buffer whose offset it carries, and
+         the interval proven for its value without that offset *)
   ht_hoisted : int;  (* partials bound and extent-1 loops folded *)
 }
 
@@ -1009,8 +1019,8 @@ let hoist_terms ~lanes ~offset (body : Stmt.t) =
           Hashtbl.replace ivs p.Var.id iv;
           let value, base =
             match carry, prev with
-            | Some b, None -> (delta, Some (b, Offset))
-            | Some b, Some q -> (delta, Some (b, After q))
+            | Some b, None -> (delta, Some (b, Offset, iv))
+            | Some b, Some q -> (delta, Some (b, After q, iv))
             | None, _ -> (full, None)
           in
           pending := (frame, (carry, sofar, p, value), base) :: !pending;
@@ -1210,6 +1220,7 @@ let render (func : Lower.func) : plan * string =
      node counts once. *)
   let n_deferred = ref 0 and n_unrolled = ref 0 and n_hoisted = ref 0 in
   let n_cells = ref 0 and n_pairs = ref 0 in
+  let n_unchecked = ref 0 and n_checked = ref 0 in
   let counting = ref true in
   let bump r = if !counting then incr r in
   (* a raw add/sub/mul consumed raw: one wrap the old rendering paid *)
@@ -1224,9 +1235,16 @@ let render (func : Lower.func) : plan * string =
      have no interval: a raw add/sub/mul already has none, and a
      scalar-cell load gets none from [load]. *)
   let ienv : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-  let interval =
-    let env (v : Var.t) = Hashtbl.find_opt ienv v.Var.id in
-    Linear.bounds ~env ~load:(fun b -> load_range ~raw:(raw_scratch b) b)
+  let bounds env = Linear.bounds ~env ~load:(fun b -> load_range ~raw:(raw_scratch b) b) in
+  let interval = bounds (fun (v : Var.t) -> Hashtbl.find_opt ienv v.Var.id) in
+  (* An index's interval without its buffer's offset: a partial that
+     carries the offset counts at the interval [hoist_terms] proved for
+     it without the offset. *)
+  let index_interval =
+    bounds (fun (v : Var.t) ->
+        match Hashtbl.find_opt hoisting.ht_carries v.Var.id with
+        | Some (_, _, iv) -> Some iv
+        | None -> Hashtbl.find_opt ienv v.Var.id)
   in
   (* Rendered names must not leak the process-global [Var.id] /
      [Buffer.id] counters: the same logical kernel lowered in two
@@ -1282,7 +1300,7 @@ let render (func : Lower.func) : plan * string =
      buffer's index. *)
   let carried (b : Buffer.t) (v : Var.t) =
     match Hashtbl.find_opt hoisting.ht_carries v.Var.id with
-    | Some (b', _) -> Buffer.equal b b'
+    | Some (b', _, _) -> Buffer.equal b b'
     | None -> false
   in
   (* A register tile's cells render at literal offsets: its lane loops
@@ -1338,23 +1356,44 @@ let render (func : Lower.func) : plan * string =
       (Printf.sprintf "(%s %s %s)" sa sym sb, true)
     | _ -> (rcanon e, false)
 
-  and addr_in (b : Buffer.t) (ix : Texpr.t) =
-    match Hashtbl.find_opt defined b.Buffer.id, !packing, ix with
-    | _, Some (_, w, pk), _ when w = b.Buffer.id -> Printf.sprintf "%s.(%s)" pk (rint ix)
-    | None, _, _ -> unsupported "buffer %s unbound" b.Buffer.name
-    | Some true, _, Texpr.Var p when carried b p ->
-      Printf.sprintf "%s.(%s)" (cellname b) (vname p)
-    | Some true, _, Texpr.Binop (Texpr.Add, Texpr.Var p, r) when carried b p ->
-      Printf.sprintf "%s.(%s + %s)" (cellname b) (vname p) (rint r)
-    | Some true, _, _ ->
-      Printf.sprintf "%s.(o%d + %s)" (cellname b) (norm_buf b.Buffer.id) (rint ix)
-    | Some false, _, _ -> Printf.sprintf "%s.(%s)" (cellname b) (rint ix)
+  (* [access arr at] for the access [b.(ix)]: [arr] the array holding
+     [b], [at] the rendered cell.  A proven index renders bare, behind
+     the kernel's entry check; any other is checked against [b]'s
+     window where it runs (see the header's "Bounds"). *)
+  and addr_in (b : Buffer.t) (ix : Texpr.t) access =
+    let k = norm_buf b.Buffer.id in
+    let o = Printf.sprintf "o%d" k in
+    (* the array, where [b]'s window starts in it, and the cell *)
+    let arr, lo, at =
+      match Hashtbl.find_opt defined b.Buffer.id, !packing, ix with
+      | _, Some (_, w, pk), _ when w = b.Buffer.id -> (pk, "0", rint ix)
+      | None, _, _ -> unsupported "buffer %s unbound" b.Buffer.name
+      | Some true, _, Texpr.Var p when carried b p -> (cellname b, o, vname p)
+      | Some true, _, Texpr.Binop (Texpr.Add, Texpr.Var p, r) when carried b p ->
+        (cellname b, o, Printf.sprintf "(%s + %s)" (vname p) (rint r))
+      | Some true, _, _ -> (cellname b, o, Printf.sprintf "(%s + %s)" o (rint ix))
+      | Some false, _, _ -> (cellname b, "0", rint ix)
+    in
+    let size = b.Buffer.size in
+    if Linear.in_bounds ~size (index_interval ix) then begin
+      bump n_unchecked;
+      access arr at
+    end
+    else begin
+      bump n_checked;
+      Printf.sprintf
+        "(let a_ = %s in if a_ < %s || a_ >= %s + %d then out_of_window %d (a_ - %s) %d; %s)"
+        at lo lo size k lo size (access arr "a_")
+    end
 
   and rload (b : Buffer.t) ix =
     match pairing_of b with
     | Some p -> reg_load b p ix
     | None ->
-      let s = if is_cell b then "!" ^ cellname b else addr_in b ix in
+      let s =
+        if is_cell b then "!" ^ cellname b
+        else addr_in b ix (Printf.sprintf "(Array.unsafe_get %s %s)")
+      in
       Option.value (Hashtbl.find_opt hoisted s) ~default:s
 
   and rcanon (e : Texpr.t) : string =
@@ -1681,8 +1720,8 @@ let render (func : Lower.func) : plan * string =
     | Stmt.Store (b, ix, v) ->
       (* value before index, like the tree-walker *)
       line ind
-        (Printf.sprintf "(let x_ = %s in %s <- x_);" (store_payload b v)
-           (addr_in b ix))
+        (Printf.sprintf "(let x_ = %s in %s);" (store_payload b v)
+           (addr_in b ix (Printf.sprintf "Array.unsafe_set %s %s x_")))
     | Stmt.For { var; extent; body; _ } when unrollable s ->
       bump n_unrolled;
       (* a packed tile's lane loop renders its even copies, one per pair *)
@@ -1723,8 +1762,8 @@ let render (func : Lower.func) : plan * string =
       (* an offset partial: no interval, as it holds an offset *)
       let base =
         match Hashtbl.find hoisting.ht_carries v.Var.id with
-        | b, Offset -> Printf.sprintf "o%d" (norm_buf b.Buffer.id)
-        | _, After p -> vname p
+        | b, Offset, _ -> Printf.sprintf "o%d" (norm_buf b.Buffer.id)
+        | _, After p, _ -> vname p
       in
       line ind (Printf.sprintf "begin let %s = (%s + %s) in" (vname v) base (rint e));
       with_var v (fun () -> rs (ind + 1) ~in_par body);
@@ -1814,10 +1853,10 @@ let render (func : Lower.func) : plan * string =
       let arr = match e.e_class with KF -> "af" | KI -> "ai" | KL -> "al" in
       line 1
         (Printf.sprintf "let %s = %s.(%d) in" (cellname e.e_buf) arr e.e_cell);
+      let k = norm_buf e.e_buf.Buffer.id in
+      line 1 (Printf.sprintf "let o%d = offs.(%d) in" k e.e_slot);
       line 1
-        (Printf.sprintf "let o%d = offs.(%d) in"
-           (norm_buf e.e_buf.Buffer.id)
-           e.e_slot))
+        (Printf.sprintf "check_window %d %s o%d %d;" k (cellname e.e_buf) k e.e_buf.Buffer.size))
     entries;
   List.iter
     (fun (name, (w : Buffer.t), d) ->
@@ -1834,6 +1873,8 @@ let render (func : Lower.func) : plan * string =
   Obs.add c_tiles_promoted tiling.tl_tiles;
   Obs.add c_register_tiles (Hashtbl.length tiling.tl_registers);
   Obs.add c_lanes_packed !n_pairs;
+  Obs.add c_accesses_unchecked !n_unchecked;
+  Obs.add c_accesses_checked !n_checked;
   B.add_string buf "\nlet () = Unit_emit_hook.register kernel\n";
   let plan =
     {

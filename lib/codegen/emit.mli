@@ -44,15 +44,21 @@
     buffers never share cells; {!Emit_cache.run} falls back when two
     bound windows overlap in one array.
 
+    Bounds: an access whose index {!Unit_tir.Linear.in_bounds} proves
+    inside its buffer (the rule {!Compile} uses) renders as a bare
+    [Array.unsafe_get]/[Array.unsafe_set], behind one window check per
+    bound tensor at kernel entry; every other access is checked against
+    its buffer's window where it runs.  A failed check raises
+    [Unit_emit_hook.Out_of_window] before the access it guards, and
+    {!Emit_cache.run} falls back to the engine that reports the error,
+    so errors match {!Compile}'s.
+
     Render-time counters: [emit.wraps_deferred], [emit.loops_unrolled],
     [emit.loads_hoisted], [emit.index_terms_hoisted] (partials bound
     and extent-1 loops folded), [emit.scalar_cells], [emit.tiles_promoted],
-    [emit.register_tiles], [emit.lanes_packed] (lane pairs).  Programs
-    the static checker ([Unit_analysis.Analysis], which every kernel
-    [Unit_core.Pipeline.tensorize] ships has passed) rejects may diverge
-    in their error behaviour only: the emitted code carries no
-    per-access bounds checks (OCaml array safety still applies to the
-    backing storage).
+    [emit.register_tiles], [emit.lanes_packed] (lane pairs),
+    [emit.accesses_unchecked] and [emit.accesses_checked] (array
+    accesses rendered bare and window-checked).
 
     Unlike {!Compile}, emitted kernels address every bound tensor
     through a per-tensor element offset, so arena-backed
@@ -78,7 +84,9 @@ val version : int
     tiles and raw scratch; version 7 adds register tiles and lane pairs
     and moves the canonicalizers into [Unit_emit_hook]; version 8 hoists
     index terms to the loop that changes them, folds extent-1 loops and
-    rounds bf16 inline. *)
+    rounds bf16 inline; version 9 renders proven accesses unchecked
+    behind one window check per binding at entry and checks every other
+    access against its buffer's window. *)
 
 type klass = KF | KI | KL
 (** Storage class of a bound tensor: [float array] / [int array] /

@@ -309,7 +309,11 @@ let load ~signature func =
 
 (* ---- running a loaded kernel *)
 
-let error fmt = Printf.ksprintf (fun s -> raise (Interp.Runtime_error s)) fmt
+(* A binding the kernel cannot take: the run falls back, and the
+   fallback engine reports the error in its own words. *)
+exception Unbindable of string
+
+let unbindable fmt = Printf.ksprintf (fun s -> raise (Unbindable s)) fmt
 
 (* Parallel fan for emitted [Parallel] loops.  Guarded by a busy flag:
    if a kernel is already fanning (or the caller sits inside the
@@ -364,8 +368,10 @@ let overlapping windows =
   in
   go windows
 
-let run_kernel { k_plan; k_fn } ~bindings =
-  Obs.with_span "emit.run" @@ fun () ->
+(* The kernel's arguments for [bindings], as [(af, ai, al, offs)].
+   @raise Unbindable when a binding does not fit the plan or two bound
+   windows overlap. *)
+let marshal k_plan ~bindings =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun ((t : Unit_dsl.Tensor.t), arr) ->
@@ -382,21 +388,21 @@ let run_kernel { k_plan; k_fn } ~bindings =
       let t = e.Emit.e_tensor in
       let b = e.Emit.e_buf in
       match Hashtbl.find_opt tbl t.Unit_dsl.Tensor.id with
-      | None -> error "tensor %s not bound" t.Unit_dsl.Tensor.name
+      | None -> unbindable "tensor %s not bound" t.Unit_dsl.Tensor.name
       | Some (arr : Ndarray.t) ->
         if not (Unit_dtype.Dtype.equal arr.Ndarray.dtype b.Buffer.dtype) then
-          error "buffer %s: dtype mismatch (%s vs %s)" b.Buffer.name
+          unbindable "buffer %s: dtype mismatch (%s vs %s)" b.Buffer.name
             (Unit_dtype.Dtype.to_string arr.Ndarray.dtype)
             (Unit_dtype.Dtype.to_string b.Buffer.dtype);
         if Ndarray.num_elements arr <> b.Buffer.size then
-          error "buffer %s: %d elements bound, %d expected" b.Buffer.name
+          unbindable "buffer %s: %d elements bound, %d expected" b.Buffer.name
             (Ndarray.num_elements arr) b.Buffer.size;
         offs.(e.Emit.e_slot) <- arr.Ndarray.offset;
         (match e.Emit.e_class, arr.Ndarray.storage with
          | Emit.KF, Ndarray.Float_data a -> af.(e.Emit.e_cell) <- a
          | Emit.KI, Ndarray.Int_data a -> ai.(e.Emit.e_cell) <- a
          | Emit.KL, Ndarray.Int64_data a -> al.(e.Emit.e_cell) <- a
-         | _ -> error "buffer %s: storage kind mismatch" b.Buffer.name))
+         | _ -> unbindable "buffer %s: storage kind mismatch" b.Buffer.name))
     k_plan.Emit.p_entries;
   let windows =
     List.map
@@ -404,9 +410,25 @@ let run_kernel { k_plan; k_fn } ~bindings =
         (e.Emit.e_buf, Hashtbl.find tbl e.Emit.e_tensor.Unit_dsl.Tensor.id))
       k_plan.Emit.p_entries
   in
-  match overlapping windows with
-  | Some reason -> Error reason
-  | None -> Ok (k_fn af ai al offs (make_par ()))
+  Option.iter (unbindable "%s") (overlapping windows);
+  (af, ai, al, offs)
+
+let run_kernel { k_plan; k_fn } ~bindings =
+  Obs.with_span "emit.run" @@ fun () ->
+  match
+    let af, ai, al, offs = marshal k_plan ~bindings in
+    k_fn af ai al offs (make_par ())
+  with
+  | () -> Ok ()
+  | exception Unbindable reason -> Error reason
+  | exception Unit_emit_hook.Out_of_window (k, what) ->
+    (* bound tensors are the kernel's first buffers, in plan order *)
+    let name =
+      match List.nth_opt k_plan.Emit.p_entries k with
+      | Some e -> e.Emit.e_buf.Buffer.name
+      | None -> Printf.sprintf "scratch buffer %d" k
+    in
+    Error (Printf.sprintf "%s: %s" name what)
 
 (* ---- fallback ladder *)
 

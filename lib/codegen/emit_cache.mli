@@ -14,12 +14,15 @@
     warm process loads native kernels from disk with zero recompilation.
 
     Everything degrades: no native [Dynlink], no [ocamlopt], an
-    {!Emit.Unsupported} construct, a failed compile, or two bound
-    windows overlapping in one array (the emitted code hoists loads on
-    the assumption that distinct buffers never alias) all fall back to
+    {!Emit.Unsupported} construct, a failed compile, a binding that does
+    not fit the plan, two bound windows overlapping in one array (the
+    emitted code hoists loads on the assumption that distinct buffers
+    never alias), or a bounds check the kernel fails
+    ([Unit_emit_hook.Out_of_window]: a window past its array at entry,
+    or an unproven index outside its buffer) all fall back to
     {!Compile.run} (or {!Interp.run} when a binding is an arena view,
-    which the closure engine rejects) with a one-shot [Diag] warning —
-    never an error.
+    which the closure engine rejects) with a one-shot [Diag] warning.
+    The fallback engine then gives the result, or raises its own error.
 
     Obs surface: spans [emit.render] / [emit.compile] / [emit.dynlink] /
     [emit.run]; counters [emit.artifact.hit] / [emit.artifact.miss] /
@@ -57,6 +60,18 @@ val artifact_key : signature:string -> source:string -> string
 (** Content address of a compiled kernel: digest over emitter version,
     [Sys.ocaml_version], the workload signature and the source digest. *)
 
+type kernel = {
+  k_plan : Emit.plan;
+  k_fn : Unit_emit_hook.kernel;
+}
+(** A loaded kernel: its binding plan and the function its module
+    registered through [Unit_emit_hook]. *)
+
+val load : signature:string -> Lower.func -> (kernel, string) result
+(** Render, compile and load [func] (or hit the caches) without running
+    it; [Error] says why the emitted engine cannot run it.  Nothing is
+    counted as a fallback. *)
+
 val prepare : signature:string -> Lower.func -> (unit, string) result
 (** Render + compile + load (or hit the caches) without running;
     the warm-up scheduler uses this to pre-bake artifacts. *)
@@ -72,8 +87,8 @@ val run :
     [Pipeline.workload_signature] so artifacts are shared across
     processes.  Bit-identical to {!Interp.run} / {!Compile.run};
     arena-backed {!Ndarray.view} bindings are supported natively.
-    @raise Interp.Runtime_error on binding mismatches, like the other
-    engines. *)
+    @raise Interp.Runtime_error from the fallback engine, on binding
+    mismatches and out-of-bounds accesses, as that engine raises it. *)
 
 val last_fallback : unit -> Diag.t option
 (** The most recent fallback diagnostic emitted by {!run}/{!prepare} in

@@ -14,6 +14,21 @@ let take () =
   slot := None;
   k
 
+(* ---- bounds: proven accesses render unchecked, behind one window
+   check per binding at kernel entry; every other access is checked *)
+
+exception Out_of_window of int * string
+
+let check_window k a o n =
+  let len = Array.length a in
+  if o < 0 || o > len - n then
+    raise
+      (Out_of_window
+         (k, Printf.sprintf "window [%d, %d) outside its array of %d" o (o + n) len))
+
+let out_of_window k i n =
+  raise (Out_of_window (k, Printf.sprintf "index %d outside [0, %d)" i n))
+
 (* The canonicalizers below replicate Value.ml's raw-payload
    canonicalizers verbatim; any drift there must be mirrored here (and
    [Emit.version] bumped). *)

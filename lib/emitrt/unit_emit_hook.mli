@@ -30,6 +30,31 @@ val register : kernel -> unit
 val take : unit -> kernel option
 (** Read and clear the slot. *)
 
+(** {2 Bounds}
+
+    An emitted kernel reads and writes its arrays with
+    [Array.unsafe_get]/[Array.unsafe_set].  An access whose index the
+    emitter proved inside its buffer's [[0, size)] is rendered bare; it
+    is safe because the kernel first checks each bound tensor's window
+    against its array ({!check_window}).  Any other access is checked
+    against [[0, size)] where it runs ({!out_of_window}).  Either check
+    raises {!Out_of_window}, and the host falls back to an engine that
+    reports the error itself. *)
+
+exception Out_of_window of int * string
+(** [Out_of_window (k, what)]: the window or an index of the kernel's
+    buffer [k] (plan order for bound tensors, which come first) failed
+    its check; [what] says how. *)
+
+val check_window : int -> 'a array -> int -> int -> unit
+(** [check_window k a o n] raises {!Out_of_window} unless
+    [0 <= o] and [o + n <= Array.length a]: buffer [k]'s [n]-element
+    window at offset [o] fits its array. *)
+
+val out_of_window : int -> int -> int -> 'a
+(** [out_of_window k i n] raises {!Out_of_window}: index [i] of buffer
+    [k] left [[0, n)]. *)
+
 (** {2 Canonicalizers}
 
     [Value]'s raw-payload canonicalizers, verbatim: [w_*] wrap a native

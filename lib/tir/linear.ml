@@ -51,6 +51,8 @@ let fit dt ((lo, hi) as iv) =
   let dlo, dhi = clamped_range dt in
   if dlo <= lo && lo <= hi && hi <= dhi then Some iv else None
 
+let in_bounds ~size = function Some (lo, hi) -> lo >= 0 && hi < size | None -> false
+
 let binop_bounds dt op l1 h1 l2 h2 =
   match op with
   | Add -> fit dt (l1 + l2, h1 + h2)

@@ -45,5 +45,12 @@ val fit : Unit_dtype.Dtype.t -> int * int -> (int * int) option
     [None] otherwise.  The rule {!bounds} applies at every node, for
     callers that bind variables to intervals. *)
 
+val in_bounds : size:int -> (int * int) option -> bool
+(** [in_bounds ~size iv]: the index interval [iv], as {!bounds} proved
+    it, lies inside [[0, size)], so an access at any index it covers
+    needs no check.  [false] for [None].  The one bounds rule of the fast
+    engines: {!bounds}-proven accesses run unchecked in [Compile] and
+    [Emit], every other access is checked against [[0, size)]. *)
+
 val substitute_zero : Var.t list -> Texpr.t -> Texpr.t
 (** Set the given variables to 0 — the "base index" of a register tile. *)

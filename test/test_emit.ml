@@ -177,6 +177,43 @@ let mentions src sub =
 
 let source func = snd (Emit.render func)
 
+(* The innermost loops of rendered source, each as the names of the
+   loop variables bound around it and the text of its body. *)
+let innermost_loops src =
+  let words l = String.split_on_char ' ' (String.trim l) in
+  let rec go open_ acc = function
+    | [] -> acc
+    | l :: rest -> (
+      match words l with
+      | "for" :: v :: _ -> go ((v, ref false, Stdlib.Buffer.create 256) :: open_) acc rest
+      | "par" :: _ :: "(fun" :: v :: _ ->
+        (* a parallel loop's body ends with its closure *)
+        go ((v, ref true, Stdlib.Buffer.create 0) :: open_) acc rest
+      | [ "done;" ] | [ "());" ] -> (
+        match open_ with
+        | (_, inner, body) :: outer ->
+          let acc =
+            if !inner then acc
+            else (List.map (fun (v, _, _) -> v) outer, Stdlib.Buffer.contents body) :: acc
+          in
+          List.iter (fun (_, inner, _) -> inner := true) outer;
+          go outer acc rest
+        | [] -> go open_ acc rest)
+      | _ ->
+        List.iter (fun (_, _, b) -> Stdlib.Buffer.add_string b (l ^ "\n")) open_;
+        go open_ acc rest)
+  in
+  go [] [] (String.split_on_char '\n' src)
+
+(* A load bound before a loop ([let h<n> = ...]) reads buffer [cell]. *)
+let hoisted_from src cell =
+  List.exists
+    (fun l ->
+      let l = String.trim l in
+      String.length l > 5 && String.sub l 0 5 = "let h"
+      && mentions l ("Array.unsafe_get " ^ cell ^ " "))
+    (String.split_on_char '\n' src)
+
 (* acc := acc * k + x * x - x, through a one-element scratch cell: the
    chain overflows the dtype several times before each store. *)
 let cell_chain dtype k () =
@@ -341,9 +378,8 @@ let test_emit_stored_buffer_load () =
              ]))
   in
   let src = source func in
-  check_bool "load of the stored buffer stays in the loop" false
-    (mentions src "let h0 = c0");
-  check_bool "invariant load of the other buffer is hoisted" true (mentions src "let h0 = c1");
+  check_bool "load of the stored buffer stays in the loop" false (hoisted_from src "c0");
+  check_bool "invariant load of the other buffer is hoisted" true (hoisted_from src "c1");
   differential func
 
 (* ---------- accumulator tiles ---------- *)
@@ -430,8 +466,12 @@ let test_tile_i32_overflow () =
     accumulate ~name:"tile_overflow" (fun ~src ~dst ~r ~i ->
         Stmt.for_ r ~extent:64 (Stmt.for_ i ~extent:4 (mac ~src ~dst ~r (Texpr.var i))))
   in
-  (* a wrapped sum renders as (w_i32 (x + y)); copy-out wraps a load *)
-  check_bool "no wrap inside the reduction" false (mentions (source func) "(w_i32 (");
+  (* the reduction is the innermost loop; only the copy-out wraps *)
+  let loops = innermost_loops (source func) in
+  check_bool "reduction loop rendered" true (loops <> []);
+  List.iter
+    (fun (_, body) -> check_bool "no wrap inside the reduction" false (mentions body "w_i32"))
+    loops;
   tiled_positive func
 
 let test_tile_index_varies () =
@@ -543,7 +583,7 @@ let test_emit_rule_counters () =
   let names =
     [ "emit.wraps_deferred"; "emit.loops_unrolled"; "emit.loads_hoisted";
       "emit.index_terms_hoisted"; "emit.tiles_promoted"; "emit.register_tiles";
-      "emit.lanes_packed" ]
+      "emit.lanes_packed"; "emit.accesses_unchecked" ]
   in
   let _, counts =
     counted names (fun () -> Emit.render compiled.Pipeline.c_tuned.Cpu_tuner.t_func)
@@ -695,34 +735,6 @@ let table1_func ?(smoke = false) index =
   let wl = if smoke then { wl with Workload.h = hw; w = hw } else wl in
   (Pipeline.conv_compiled_x86 wl).Pipeline.c_tuned.Cpu_tuner.t_func
 
-(* The innermost loops of rendered source, each as the names of the
-   loop variables bound around it and the text of its body. *)
-let innermost_loops src =
-  let words l = String.split_on_char ' ' (String.trim l) in
-  let rec go open_ acc = function
-    | [] -> acc
-    | l :: rest -> (
-      match words l with
-      | "for" :: v :: _ -> go ((v, ref false, Stdlib.Buffer.create 256) :: open_) acc rest
-      | "par" :: _ :: "(fun" :: v :: _ ->
-        (* a parallel loop's body ends with its closure *)
-        go ((v, ref true, Stdlib.Buffer.create 0) :: open_) acc rest
-      | [ "done;" ] | [ "());" ] -> (
-        match open_ with
-        | (_, inner, body) :: outer ->
-          let acc =
-            if !inner then acc
-            else (List.map (fun (v, _, _) -> v) outer, Stdlib.Buffer.contents body) :: acc
-          in
-          List.iter (fun (_, inner, _) -> inner := true) outer;
-          go outer acc rest
-        | [] -> go open_ acc rest)
-      | _ ->
-        List.iter (fun (_, _, b) -> Stdlib.Buffer.add_string b (l ^ "\n")) open_;
-        go open_ acc rest)
-  in
-  go [] [] (String.split_on_char '\n' src)
-
 (* The kernels workload's rows render with every index term hoisted to
    the loop that changes it: no innermost loop divides, takes a
    remainder or multiplies by a variable bound outside it, and the
@@ -750,6 +762,21 @@ let test_hoisting_rendered () =
                 (mentions body ("(" ^ v ^ " * ") || mentions body (" * " ^ v ^ ")")))
             outer)
         loops)
+    kernel_rows
+
+(* Every access of the kernels workload's rows is proven inside its
+   buffer: each renders unchecked, behind the kernel's entry check. *)
+let test_bounds_rendered () =
+  List.iter
+    (fun index ->
+      let _, counts =
+        counted [ "emit.accesses_unchecked"; "emit.accesses_checked" ] (fun () ->
+            Emit.render (table1_func index))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "t%d: accesses unchecked, checked" index)
+        [ 1; 0 ]
+        (List.map (Stdlib.min 1) counts))
     kernel_rows
 
 (* Hoisted indices are exact: the six rows at smoke scale, a stride-2
@@ -784,6 +811,70 @@ let test_hoisting_unproven () =
   Alcotest.(check (list int)) "no partial hoisted" [ 0 ] counts;
   check_bool "index keeps its offset" true (mentions (source func) "o0 + ");
   differential func
+
+(* Random store and load indices, some of which leave their buffer's
+   window, in loops the interval analysis cannot see guards through:
+   the emitted engine gives the closure engine's output, or falls back
+   and raises the closure engine's error.  An in-bounds run must not
+   fall back: a check that fires spuriously would hide behind the
+   fallback. *)
+let prop_window_random =
+  QCheck.Test.make ~name:"indices leaving the window" ~count:16 QCheck.small_nat
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let e1 = pick [| 1; 3; 17 |] and e2 = pick [| 2; 5; 20 |] in
+      let n = e1 * e2 in
+      let tin = Tensor.create ~name:"in" ~shape:[ 64 ] Dtype.I32 in
+      let bin = Buffer.of_tensor tin in
+      let tout = Tensor.create ~name:"out" ~shape:[ n ] Dtype.I32 in
+      let bout = Buffer.of_tensor tout in
+      let i = Var.create "i" and j = Var.create "j" in
+      let imm k = Texpr.int_imm k in
+      let vi = Texpr.var i and vj = Texpr.var j in
+      (* a term over [i] and [j] that may be negative or past [bound] *)
+      let term bound =
+        match Random.State.int rng 4 with
+        | 0 -> imm 0
+        | 1 -> imm (Random.State.int rng 7 - 3)
+        | 2 -> Texpr.sub (Texpr.mod_ vj (imm (1 + Random.State.int rng 4))) (imm 1)
+        | _ ->
+          Texpr.sub
+            (Texpr.add (Texpr.mul vi (imm (Random.State.int rng 5))) vj)
+            (imm (Random.State.int rng (bound + 1)))
+      in
+      let at = Texpr.add (Texpr.add (Texpr.mul vi (imm e2)) vj) (term n) in
+      let from = Texpr.add (Texpr.add (Texpr.mul vi (imm 3)) vj) (term 64) in
+      let store =
+        Stmt.Store (bout, at, Texpr.add (Texpr.mul (Texpr.load bin from) (imm 3)) vi)
+      in
+      (* a guard keeps the store in the window, but not the analysis *)
+      let guarded =
+        Stmt.If
+          { cond =
+              Texpr.and_ (Texpr.cmp Texpr.Le (imm 0) at) (Texpr.cmp Texpr.Lt at (imm n));
+            likely = true; then_ = store; else_ = None }
+      in
+      let body =
+        Stmt.for_ i ~extent:e1
+          (Stmt.for_ j ~extent:e2 (if Random.State.bool rng then guarded else store))
+      in
+      let func =
+        { Lower.fn_name = Printf.sprintf "emit_window_%d" seed;
+          fn_tensors = [ (tout, bout); (tin, bin) ]; fn_output = bout;
+          fn_iter_vars = [ (0, i) ]; fn_body = body }
+      in
+      let run engine =
+        let out = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ n ] in
+        match engine ~bindings:[ (tout, out); (tin, Ndarray.random_for_tensor ~seed tin) ] with
+        | () -> Ok (Ndarray.digest out)
+        | exception Interp.Runtime_error e -> Error e
+      in
+      let before = Emit_cache.last_fallback () in
+      let emitted = run (Emit_cache.run func) in
+      let fell_back = Emit_cache.last_fallback () != before in
+      let compiled = run (Compile.run func) in
+      emitted = compiled && ((not emit_available) || fell_back = Result.is_error compiled))
 
 (* [t] rebound from its own value: the inner [t + j] must not be
    inlined where [t] already names the inner binding. *)
@@ -959,6 +1050,62 @@ let test_emit_aliased_bindings () =
 
 (* ---------- fallback ladder ---------- *)
 
+(* A kernel handed an array shorter than its binding's offset plus the
+   buffer's size raises at entry, before any access: out.(i) <- i runs
+   first in the kernel, yet [out] keeps its contents.  Through
+   [Emit_cache.run], a binding shorter than its buffer falls back with a
+   diagnostic and raises the closure engine's own error. *)
+let test_emit_overrun () =
+  let func =
+    map_func ~name:"emit_overrun" ~n:32 ~src_dtype:Dtype.I32 ~dst_dtype:Dtype.I32
+      (fun ~src ~dst ~n i ->
+        let j = Var.create "j" in
+        Stmt.seq
+          [ Stmt.for_ j ~extent:n (Stmt.Store (dst, Texpr.var j, Texpr.var j));
+            Stmt.for_ i ~extent:n
+              (Stmt.Store
+                 ( dst,
+                   Texpr.var i,
+                   Texpr.add (Texpr.load dst (Texpr.var i)) (Texpr.load src (Texpr.var i)) ))
+          ])
+  in
+  (match Emit_cache.load ~signature:"test|overrun" func with
+   | Error e -> if emit_available then Alcotest.fail ("overrun kernel not loaded: " ^ e)
+   | Ok k ->
+     let cells = Array.make 2 [||] and offs = Array.make 2 0 in
+     let out = Array.make 32 7 in
+     List.iter
+       (fun (e : Emit.entry) ->
+         if Buffer.equal e.Emit.e_buf func.Lower.fn_output then cells.(e.Emit.e_cell) <- out
+         else begin
+           (* the window [8, 40) of a 36-cell array *)
+           cells.(e.Emit.e_cell) <- Array.make 36 1;
+           offs.(e.Emit.e_slot) <- 8
+         end)
+       k.Emit_cache.k_plan.Emit.p_entries;
+     let serial n f = for x = 0 to n - 1 do f x done in
+     (match k.Emit_cache.k_fn [||] cells [||] offs serial with
+      | () -> Alcotest.fail "the overrun kernel ran"
+      | exception Unit_emit_hook.Out_of_window (b, what) ->
+        Alcotest.(check int) "the input binding overruns" 1 b;
+        check_bool "what names the window" true (mentions what "window [8, 40)"));
+     check_bool "no access before the raise" true (Array.for_all (( = ) 7) out));
+  let tout, _ = List.hd func.Lower.fn_tensors and tin, _ = List.nth func.Lower.fn_tensors 1 in
+  let run engine =
+    let bindings =
+      [ (tout, Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 32 ]);
+        (tin, Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 24 ]) ]
+    in
+    match engine ~bindings with
+    | () -> Ok ()
+    | exception Interp.Runtime_error e -> Error e
+  in
+  let before = Emit_cache.last_fallback () in
+  let emitted = run (Emit_cache.run func) in
+  check_bool "a fallback diagnostic" true (Emit_cache.last_fallback () != before);
+  check_bool "the closure engine's error" true (emitted = run (Compile.run func));
+  check_bool "an error" true (Result.is_error emitted)
+
 (* f16 has no native carrier, so the emitter refuses it while the
    Value-backed engines handle it fine: the run must degrade to the
    closure engine (bit-identically) and surface a structured Diag.Emit
@@ -1087,7 +1234,8 @@ let () =
           Alcotest.test_case "stored buffer load not hoisted" `Quick
             test_emit_stored_buffer_load;
           Alcotest.test_case "fallback diagnostic" `Quick
-            test_emit_fallback_diag
+            test_emit_fallback_diag;
+          Alcotest.test_case "window overrun raises at entry" `Quick test_emit_overrun
         ] );
       ( "tiles",
         [ Alcotest.test_case "smoke Table I row" `Quick test_tile_table1;
@@ -1109,12 +1257,13 @@ let () =
         ] );
       ( "hoisting",
         [ Alcotest.test_case "kernels rows hoisted" `Quick test_hoisting_rendered;
+          Alcotest.test_case "kernels rows unchecked" `Quick test_bounds_rendered;
           Alcotest.test_case "index hoisting exact" `Quick test_hoisting_exact;
           Alcotest.test_case "unproven index stays" `Quick test_hoisting_unproven;
           Alcotest.test_case "let rebound from itself" `Quick test_hoisting_rebound_let;
           Alcotest.test_case "bf16 ties round as Value" `Quick test_bf16_ties
         ]
-        @ qcheck [ prop_hoisting_random ] );
+        @ qcheck [ prop_hoisting_random; prop_window_random ] );
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;
           Alcotest.test_case "arm conv" `Quick test_emit_pipeline_arm;
