@@ -70,6 +70,10 @@ let or_die = function
 
 let target_or_die name = or_die (Pipeline.target_of_string name)
 
+(* Checked before tracing starts, like the target and engine, so a bad
+   name prints one error line and no all-zero summary. *)
+let model_or_die model = ignore (or_die (Unit_models.Zoo.resolve model))
+
 (* A CPU target or the GPU ([profile], [explain], [bench-report]). *)
 let any_target_or_die name =
   match Unit_core.Explain.target_of_string name with
@@ -527,12 +531,12 @@ let run_counterexamples () =
   end
 
 let check target counterexamples_only trace store packs =
+  let tgt = target_or_die target in
   if trace then Common.enable_tracing ();
   load_isa_packs packs;
   if counterexamples_only then run_counterexamples ()
   else begin
     with_store store @@ fun () ->
-    let tgt = target_or_die target in
     let spec = Pipeline.target_spec tgt in
     let intrin = or_die (lookup_intrin (Pipeline.target_intrin tgt)) in
     let kernels = ref 0 and errors = ref 0 and warnings = ref 0 in
@@ -594,6 +598,7 @@ module Latency = Unit_core.Latency
 let profile model target engine trace_out no_exec store packs =
   let engine = parse_engine engine in
   let tgt = any_target_or_die target in
+  model_or_die model;
   Common.enable_tracing ?trace_out ();
   load_isa_packs packs;
   with_store store @@ fun () ->
@@ -663,9 +668,10 @@ let profile model target engine trace_out no_exec store packs =
 let warmup model target engine store_path domains retries trace trace_out
     assert_hit packs =
   let engine = parse_engine engine in
+  let tgt = target_or_die target in
+  if model <> "table1" && model <> "zoo" then model_or_die model;
   if trace || trace_out <> None then Common.enable_tracing ?trace_out ();
   load_isa_packs packs;
-  let tgt = target_or_die target in
   (match engine, Unit_codegen.Emit_cache.available () with
    | Pipeline.Emitted, Error reason ->
      Printf.printf
@@ -1082,9 +1088,10 @@ let pp_kernel_report (name, count, fp) =
    independent checker's verdict.  A rejected plan is printed and exits
    non-zero — the planner proposes, the checker proves. *)
 let memplan model target json kernels trace packs =
-  load_isa_packs packs;
-  if trace then Common.enable_tracing ();
   let tgt = target_or_die target in
+  model_or_die model;
+  if trace then Common.enable_tracing ();
+  load_isa_packs packs;
   let g =
     or_die (Memplan.build_graph ~model ~act_dtype:(Pipeline.target_act_dtype tgt))
   in

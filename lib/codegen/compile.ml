@@ -16,6 +16,12 @@ open Unit_tir
    Execution state lives in a [ctx] allocated per {!run_compiled} call, so
    one compiled function may run concurrently on several domains.
 
+   Binding is the emitted engine's: {!Interp.resolve} checks the arrays
+   (same errors as the tree-walker), {!Binding.fill} loads them into the
+   function's {!Binding.layout}, and the buffers the body allocates or
+   only references take the cells after the layout's.  An arena view is
+   refused, since the closures address each array from 0.
+
    Divergences from the tree-walker, all confined to programs that the
    static checker ([Unit_analysis.Analysis]) rejects: a loop variable read after its loop (the
    slot keeps its last value instead of erroring), a buffer referenced only
@@ -35,13 +41,11 @@ let c_bounds_emitted = Obs.counter "codegen.bounds_emitted"
 let c_wraps_elided = Obs.counter "codegen.wraps_elided"
 let c_affine_flattened = Obs.counter "codegen.affine_flattened"
 
-type storage_kind = KF | KI | KL
-
-(* Compile-time facts about one buffer: which kind-specific cell array it
-   lives in, and whether an [Alloc] provides it. *)
+(* Compile-time facts about one buffer: which class's cell array it lives
+   in, and whether an [Alloc] provides it. *)
 type binfo = {
   b_buf : Buffer.t;
-  b_kind : storage_kind;
+  b_kind : Ndarray.storage_class;
   b_cell : int;
   mutable b_alloc : bool;
 }
@@ -63,21 +67,12 @@ type exp =
   | EV of (ctx -> Value.t)
 
 type compiled = {
+  cp_func : Lower.func;
   cp_nslots : int;
-  cp_nf : int;
-  cp_ni : int;
-  cp_nl : int;
-  cp_bind : (Unit_dsl.Tensor.t * binfo) list;
+  cp_layout : Binding.layout;  (** the bound cells, then the body's own *)
   cp_required : binfo list;
   cp_body : ctx -> unit;
 }
-
-let kind_of_dtype dt =
-  if Dtype.is_float dt then KF
-  else if Dtype.equal dt Dtype.I64 then KL
-  else KI
-
-let is_narrow dt = Dtype.is_integer dt && Dtype.bits dt <= 32
 
 (* Specialized wrap-to-dtype on native ints; same rules as
    [Value.wrap_native] with the dtype dispatch paid once at compile. *)
@@ -94,27 +89,39 @@ let mk_wrap dt =
   else if Dtype.equal dt Dtype.Bool then fun x -> if x land mask = 0 then 0 else 1
   else fun x -> x land mask
 
+(* 0 while the buffer is neither bound nor inside its [Alloc] *)
+let cell_length ctx bi =
+  match bi.b_kind with
+  | Float_class -> Array.length ctx.fcells.(bi.b_cell)
+  | Int_class -> Array.length ctx.icells.(bi.b_cell)
+  | Int64_class -> Array.length ctx.lcells.(bi.b_cell)
+
 let mk_round dt = if Dtype.equal dt Dtype.F64 then Fun.id else Value.round_float dt
 
 let compile (func : Lower.func) =
   let obs_tok = Obs.start "codegen.compile" in
   Fun.protect ~finally:(fun () -> Obs.stop obs_tok) @@ fun () ->
+  (* the bound buffers take the layout's cells; every other buffer gets
+     the next cell of its class *)
+  let layout = Binding.layout func in
   let binfos : (int, binfo) Hashtbl.t = Hashtbl.create 16 in
-  let nf = ref 0 and ni = ref 0 and nl = ref 0 in
+  List.iter
+    (fun (s : Binding.slot) ->
+      Hashtbl.replace binfos s.sl_buf.Buffer.id
+        { b_buf = s.sl_buf; b_kind = s.sl_class; b_cell = s.sl_cell; b_alloc = false })
+    layout.l_slots;
+  let nf = ref layout.l_nf and ni = ref layout.l_ni and nl = ref layout.l_nl in
   let get_binfo (b : Buffer.t) =
     match Hashtbl.find_opt binfos b.Buffer.id with
     | Some bi -> bi
     | None ->
-      let k = kind_of_dtype b.Buffer.dtype in
-      let counter = match k with KF -> nf | KI -> ni | KL -> nl in
+      let k = Ndarray.class_of_dtype b.Buffer.dtype in
+      let counter = match k with Float_class -> nf | Int_class -> ni | Int64_class -> nl in
       let bi = { b_buf = b; b_kind = k; b_cell = !counter; b_alloc = false } in
       incr counter;
       Hashtbl.add binfos b.Buffer.id bi;
       bi
   in
-  (* Register the function's own buffers first so binding reports a missing
-     tensor in declaration order, like the tree-walker. *)
-  let bind = List.map (fun (t, b) -> (t, get_binfo b)) func.Lower.fn_tensors in
   let slots : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let nslots = ref 0 in
   let slot_of (v : Var.t) =
@@ -142,7 +149,7 @@ let compile (func : Lower.func) =
     let env (v : Var.t) = Hashtbl.find_opt ienv v.Var.id in
     let load (b : Buffer.t) =
       let dt = b.Buffer.dtype in
-      if is_narrow dt then
+      if Ndarray.is_narrow dt then
         Some
           (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
       else None
@@ -237,51 +244,36 @@ let compile (func : Lower.func) =
     if addr < 0 || addr >= b.Buffer.size then
       error "%s %s[%d]: out of bounds (size %d)" what b.Buffer.name addr b.Buffer.size
   in
-  let cb_read ctx (b : Buffer.t) addr =
+  (* the buffer's class after checking it is live and [addr] in bounds *)
+  let live what ctx (b : Buffer.t) addr =
     let bi = find_binfo b in
-    match bi.b_kind with
-    | KF ->
-      let cell = ctx.fcells.(bi.b_cell) in
-      if Array.length cell = 0 then error "buffer %s unbound" b.Buffer.name;
-      check_bounds "load" b addr;
-      Value.of_float b.Buffer.dtype cell.(addr)
-    | KI ->
-      let cell = ctx.icells.(bi.b_cell) in
-      if Array.length cell = 0 then error "buffer %s unbound" b.Buffer.name;
-      check_bounds "load" b addr;
-      Value.of_int b.Buffer.dtype cell.(addr)
-    | KL ->
-      let cell = ctx.lcells.(bi.b_cell) in
-      if Array.length cell = 0 then error "buffer %s unbound" b.Buffer.name;
-      check_bounds "load" b addr;
-      Value.of_int64 b.Buffer.dtype cell.(addr)
+    if cell_length ctx bi = 0 then error "buffer %s unbound" b.Buffer.name;
+    check_bounds what b addr;
+    bi
   in
-  let cb_write ctx (b : Buffer.t) addr v =
-    let bi = find_binfo b in
+  let cb_read ctx (b : Buffer.t) addr =
+    let bi = live "load" ctx b addr in
     let dt = b.Buffer.dtype in
     match bi.b_kind with
-    | KF ->
-      let cell = ctx.fcells.(bi.b_cell) in
-      if Array.length cell = 0 then error "buffer %s unbound" b.Buffer.name;
-      check_bounds "store" b addr;
-      cell.(addr) <- Value.round_float dt (Value.to_float v)
-    | KI ->
-      let cell = ctx.icells.(bi.b_cell) in
-      if Array.length cell = 0 then error "buffer %s unbound" b.Buffer.name;
-      check_bounds "store" b addr;
-      cell.(addr) <- Value.wrap_native dt (Int64.to_int (Value.to_int64 v))
-    | KL ->
-      let cell = ctx.lcells.(bi.b_cell) in
-      if Array.length cell = 0 then error "buffer %s unbound" b.Buffer.name;
-      check_bounds "store" b addr;
-      cell.(addr) <- Value.to_int64 v
+    | Float_class -> Value.of_float dt ctx.fcells.(bi.b_cell).(addr)
+    | Int_class -> Value.of_int dt ctx.icells.(bi.b_cell).(addr)
+    | Int64_class -> Value.of_int64 dt ctx.lcells.(bi.b_cell).(addr)
+  in
+  let cb_write ctx (b : Buffer.t) addr v =
+    let bi = live "store" ctx b addr in
+    let dt = b.Buffer.dtype in
+    match bi.b_kind with
+    | Float_class -> ctx.fcells.(bi.b_cell).(addr) <- Value.round_float dt (Value.to_float v)
+    | Int_class ->
+      ctx.icells.(bi.b_cell).(addr) <- Value.wrap_native dt (Int64.to_int (Value.to_int64 v))
+    | Int64_class -> ctx.lcells.(bi.b_cell).(addr) <- Value.to_int64 v
   in
   (* ---- expressions *)
   let rec comp_e (e : Texpr.t) : exp =
     match e with
     | Texpr.Imm v ->
       (match v with
-       | Value.Int (dt, x) when is_narrow dt ->
+       | Value.Int (dt, x) when Ndarray.is_narrow dt ->
          let c = Int64.to_int x in
          EI (fun _ -> c)
        | Value.Int _ -> EV (fun _ -> v)
@@ -289,7 +281,7 @@ let compile (func : Lower.func) =
     | Texpr.Var v ->
       let s = var_slot v in
       let dt = v.Var.dtype in
-      if is_narrow dt then
+      if Ndarray.is_narrow dt then
         if Hashtbl.mem ienv v.Var.id then
           (* the binding's interval fits the dtype, so the per-reference
              wrap is the identity *)
@@ -307,9 +299,9 @@ let compile (func : Lower.func) =
       let dt = b.Buffer.dtype in
       let cell = bi.b_cell in
       (match bi.b_kind with
-       | KF -> EF (fun ctx -> ctx.fcells.(cell).(addr ctx))
-       | KI -> EI (fun ctx -> ctx.icells.(cell).(addr ctx))
-       | KL -> EV (fun ctx -> Value.of_int64 dt ctx.lcells.(cell).(addr ctx)))
+       | Float_class -> EF (fun ctx -> ctx.fcells.(cell).(addr ctx))
+       | Int_class -> EI (fun ctx -> ctx.icells.(cell).(addr ctx))
+       | Int64_class -> EV (fun ctx -> Value.of_int64 dt ctx.lcells.(cell).(addr ctx)))
     | Texpr.Binop (op, a, b) -> comp_binop e op a b
     | Texpr.Cmp (c, a, b) -> comp_cmp c a b
     | Texpr.And (a, b) ->
@@ -371,7 +363,7 @@ let compile (func : Lower.func) =
        wrap is the identity and is dropped *)
     let exact = interval e <> None in
     match comp_e a, comp_e b with
-    | EI fa, EI fb when is_narrow dt ->
+    | EI fa, EI fb when Ndarray.is_narrow dt ->
       let w = mk_wrap dt in
       (if exact then
          match op with
@@ -565,7 +557,7 @@ let compile (func : Lower.func) =
     let src = Texpr.dtype_of a in
     match comp_e a with
     | EI f ->
-      if is_narrow dt then
+      if Ndarray.is_narrow dt then
         if Dtype.equal dt src then EI f
         else if Option.bind (interval a) (Linear.fit dt) <> None then begin
           Obs.incr c_wraps_elided;
@@ -587,11 +579,11 @@ let compile (func : Lower.func) =
           let r = mk_round dt in
           EF (fun ctx -> r (f ctx))
         end
-      else if is_narrow dt then EI (fun ctx -> Value.sat_int_of_float dt (f ctx))
+      else if Ndarray.is_narrow dt then EI (fun ctx -> Value.sat_int_of_float dt (f ctx))
       else EV (fun ctx -> Value.cast dt (Value.of_float src (f ctx)))
     | EV f ->
       let g ctx = Value.cast dt (f ctx) in
-      if is_narrow dt then EI (fun ctx -> Int64.to_int (Value.to_int64 (g ctx)))
+      if Ndarray.is_narrow dt then EI (fun ctx -> Int64.to_int (Value.to_int64 (g ctx)))
       else if Dtype.is_float dt then EF (fun ctx -> Value.to_float (g ctx))
       else EV g
 
@@ -601,7 +593,7 @@ let compile (func : Lower.func) =
     let da = Texpr.dtype_of a in
     let db = Texpr.dtype_of b in
     match comp_e a, comp_e b with
-    | EI fa, EI fb when is_narrow dt && Dtype.equal da db ->
+    | EI fa, EI fb when Ndarray.is_narrow dt && Dtype.equal da db ->
       EI (fun ctx -> if t ctx then fa ctx else fb ctx)
     | EF fa, EF fb when Dtype.equal da db ->
       EF (fun ctx -> if t ctx then fa ctx else fb ctx)
@@ -632,7 +624,7 @@ let compile (func : Lower.func) =
          (OCaml right-to-left application); keep that order so error
          behaviour is identical *)
       (match bi.b_kind with
-       | KF ->
+       | Float_class ->
          let payload =
            match vc with
            | EF f ->
@@ -652,7 +644,7 @@ let compile (func : Lower.func) =
            let x = payload ctx in
            let a = addr ctx in
            ctx.fcells.(cell).(a) <- x
-       | KI ->
+       | Int_class ->
          let payload =
            match vc with
            | EI f ->
@@ -672,7 +664,7 @@ let compile (func : Lower.func) =
            let x = payload ctx in
            let a = addr ctx in
            ctx.icells.(cell).(a) <- x
-       | KL ->
+       | Int64_class ->
          let payload =
            match vc with
            | EI f -> fun ctx -> Int64.of_int (f ctx)
@@ -715,15 +707,15 @@ let compile (func : Lower.func) =
       let size = b.Buffer.size in
       let cell = bi.b_cell in
       (match bi.b_kind with
-       | KF ->
+       | Float_class ->
          fun ctx ->
            ctx.fcells.(cell) <- Array.make size 0.0;
            bc ctx
-       | KI ->
+       | Int_class ->
          fun ctx ->
            ctx.icells.(cell) <- Array.make size 0;
            bc ctx
-       | KL ->
+       | Int64_class ->
          fun ctx ->
            ctx.lcells.(cell) <- Array.make size 0L;
            bc ctx)
@@ -762,79 +754,37 @@ let compile (func : Lower.func) =
     c
   in
   let body_c = comp_s func.Lower.fn_body in
-  let fn_ids =
-    List.fold_left
-      (fun acc ((_ : Unit_dsl.Tensor.t), bi) -> bi.b_buf.Buffer.id :: acc)
-      [] bind
+  let bound (bi : binfo) =
+    List.exists (fun (s : Binding.slot) -> Buffer.equal s.sl_buf bi.b_buf) layout.l_slots
   in
   let required =
     Hashtbl.fold
-      (fun id bi acc ->
-        if bi.b_alloc || List.mem id fn_ids then acc else bi :: acc)
+      (fun _ bi acc -> if bi.b_alloc || bound bi then acc else bi :: acc)
       binfos []
   in
   {
+    cp_func = func;
     cp_nslots = !nslots;
-    cp_nf = !nf;
-    cp_ni = !ni;
-    cp_nl = !nl;
-    cp_bind = bind;
+    cp_layout = { layout with l_nf = !nf; l_ni = !ni; l_nl = !nl };
     cp_required = required;
     cp_body = body_c;
   }
 
-let bind_cell ctx bi (arr : Ndarray.t) =
-  let b = bi.b_buf in
-  if not (Dtype.equal arr.Ndarray.dtype b.Buffer.dtype) then
-    error "buffer %s: dtype mismatch (%s vs %s)" b.Buffer.name
-      (Dtype.to_string arr.Ndarray.dtype)
-      (Dtype.to_string b.Buffer.dtype);
-  if Ndarray.num_elements arr <> b.Buffer.size then
-    error "buffer %s: %d elements bound, %d expected" b.Buffer.name
-      (Ndarray.num_elements arr) b.Buffer.size;
-  (* the compiled closures address the raw backing array from 0 and would
-     silently read past a view's window *)
-  if Ndarray.is_view arr then
-    error "buffer %s: arena views cannot be bound to compiled kernels"
-      b.Buffer.name;
-  match bi.b_kind, arr.Ndarray.storage with
-  | KF, Ndarray.Float_data a -> ctx.fcells.(bi.b_cell) <- a
-  | KI, Ndarray.Int_data a -> ctx.icells.(bi.b_cell) <- a
-  | KL, Ndarray.Int64_data a -> ctx.lcells.(bi.b_cell) <- a
-  | _ -> error "buffer %s: storage kind mismatch" b.Buffer.name
-
 let run_compiled c ~bindings =
   let obs_tok = Obs.start "codegen.run" in
   Fun.protect ~finally:(fun () -> Obs.stop obs_tok) @@ fun () ->
-  let ctx =
-    {
-      frame = Array.make (Stdlib.max c.cp_nslots 1) 0;
-      fcells = Array.make (Stdlib.max c.cp_nf 1) [||];
-      icells = Array.make (Stdlib.max c.cp_ni 1) [||];
-      lcells = Array.make (Stdlib.max c.cp_nl 1) [||];
-    }
-  in
-  let tbl = Hashtbl.create 16 in
+  let resolved = Interp.resolve c.cp_func bindings in
+  (* the compiled closures address the raw backing array from 0 and would
+     silently read past a view's window *)
   List.iter
-    (fun ((t : Unit_dsl.Tensor.t), arr) ->
-      if not (Hashtbl.mem tbl t.Unit_dsl.Tensor.id) then
-        Hashtbl.add tbl t.Unit_dsl.Tensor.id arr)
-    bindings;
+    (fun ((b : Buffer.t), arr) ->
+      if Ndarray.is_view arr then
+        error "buffer %s: arena views cannot be bound to compiled kernels" b.Buffer.name)
+    resolved;
+  let fcells, icells, lcells, _ = Binding.fill c.cp_layout resolved in
+  let ctx = { frame = Array.make (Stdlib.max c.cp_nslots 1) 0; fcells; icells; lcells } in
   List.iter
-    (fun ((t : Unit_dsl.Tensor.t), bi) ->
-      match Hashtbl.find_opt tbl t.Unit_dsl.Tensor.id with
-      | Some arr -> bind_cell ctx bi arr
-      | None -> error "tensor %s not bound" t.Unit_dsl.Tensor.name)
-    c.cp_bind;
-  List.iter
-    (fun bi ->
-      let empty =
-        match bi.b_kind with
-        | KF -> Array.length ctx.fcells.(bi.b_cell) = 0
-        | KI -> Array.length ctx.icells.(bi.b_cell) = 0
-        | KL -> Array.length ctx.lcells.(bi.b_cell) = 0
-      in
-      if empty then error "buffer %s unbound" bi.b_buf.Buffer.name)
+    (fun bi -> if cell_length ctx bi = 0 then error "buffer %s unbound" bi.b_buf.Buffer.name)
     c.cp_required;
   c.cp_body ctx
 

@@ -29,8 +29,11 @@ val compile : Unit_tir.Lower.func -> compiled
 val run_compiled :
   compiled -> bindings:(Unit_dsl.Tensor.t * Ndarray.t) list -> unit
 (** Binds each function tensor to the first matching array in [bindings]
-    (the {!Ndarray} storage is shared, so outputs mutate in place) and
-    executes. *)
+    ({!Interp.resolve}; the {!Ndarray} storage is shared, so outputs
+    mutate in place) and executes.
+    @raise Interp.Runtime_error also when a binding is an arena
+    {!Ndarray.view}: ["buffer B: arena views cannot be bound to compiled
+    kernels"]. *)
 
 val run : Unit_tir.Lower.func -> bindings:(Unit_dsl.Tensor.t * Ndarray.t) list -> unit
 (** [run_compiled (compile func)] — drop-in replacement for

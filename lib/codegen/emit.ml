@@ -166,41 +166,20 @@ let c_lanes_packed = Obs.counter "emit.lanes_packed"
 let c_accesses_unchecked = Obs.counter "emit.accesses_unchecked"
 let c_accesses_checked = Obs.counter "emit.accesses_checked"
 
-type klass = KF | KI | KL
-
-type entry = {
-  e_tensor : Unit_dsl.Tensor.t;
-  e_buf : Buffer.t;
-  e_class : klass;
-  e_cell : int;
-  e_slot : int;
-}
-
 type plan = {
   p_name : string;
-  p_entries : entry list;
-  p_nf : int;
-  p_ni : int;
-  p_nl : int;
+  p_layout : Binding.layout;
   p_diags : Diag.t list;
 }
 
 module B = Stdlib.Buffer
 
-(* Carrier of a dtype in the generated code: native [int] (canonically
-   wrapped), [float] (canonically rounded), or [int64] — the same
-   partition as Compile's EI/EF/EV. *)
-type carrier = CI | CF | CL
-
+(* Carrier of a dtype in the generated code: its storage class, as a
+   native [int] (canonically wrapped), [float] (canonically rounded), or
+   [int64]. *)
 let carrier_of dt =
-  match dt with
-  | Dtype.F16 -> unsupported "f16 has no native carrier"
-  | _ ->
-    if Dtype.is_float dt then CF
-    else if Dtype.equal dt Dtype.I64 then CL
-    else CI
-
-let is_narrow dt = Dtype.is_integer dt && Dtype.bits dt <= 32
+  if Dtype.equal dt Dtype.F16 then unsupported "f16 has no native carrier";
+  Ndarray.class_of_dtype dt
 
 (* Dtypes whose canonicalizer is reduction mod 2^k, a ring homomorphism
    from native ints, so their add/sub/mul chains may defer the wrap. *)
@@ -839,7 +818,7 @@ let unrollable ~lanes (s : Stmt.t) =
    integer dtype's range, unless [b] is scratch holding raw values. *)
 let load_range ~raw (b : Buffer.t) =
   let dt = b.Buffer.dtype in
-  if is_narrow dt && not raw then
+  if Ndarray.is_narrow dt && not raw then
     Some (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
   else None
 
@@ -1158,7 +1137,7 @@ let float_lit f =
   else Printf.sprintf "(%h)" f
 
 let value_lit = function
-  | Value.Int (dt, x) when is_narrow dt -> int_lit (Int64.to_int x)
+  | Value.Int (dt, x) when Ndarray.is_narrow dt -> int_lit (Int64.to_int x)
   | Value.Int (_, x) -> int64_lit x
   | Value.Float (Dtype.F16, _) -> unsupported "f16 immediate"
   | Value.Float (_, f) -> float_lit f
@@ -1184,27 +1163,18 @@ let render (func : Lower.func) : plan * string =
       func.Lower.fn_body
   in
   (* ---- binding plan: one cell per buffer, grouped by storage class *)
-  let nf = ref 0 and ni = ref 0 and nl = ref 0 in
-  let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let entries =
-    List.mapi
-      (fun slot ((t : Unit_dsl.Tensor.t), (b : Buffer.t)) ->
-        if Hashtbl.mem seen b.Buffer.id then
-          unsupported "buffer %s bound through two tensors" b.Buffer.name;
-        Hashtbl.add seen b.Buffer.id ();
-        let k =
-          match carrier_of b.Buffer.dtype with CF -> KF | CI -> KI | CL -> KL
-        in
-        let counter = match k with KF -> nf | KI -> ni | KL -> nl in
-        let cell = !counter in
-        incr counter;
-        { e_tensor = t; e_buf = b; e_class = k; e_cell = cell; e_slot = slot })
-      func.Lower.fn_tensors
-  in
+  let layout = Binding.layout func in
   (* Buffers in scope: id -> [true] when addressed through a per-tensor
      offset (bound entries), [false] for Alloc scratch (always based at 0). *)
   let defined : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace defined e.e_buf.Buffer.id true) entries;
+  List.iter
+    (fun (s : Binding.slot) ->
+      let b = s.sl_buf in
+      if Hashtbl.mem defined b.Buffer.id then
+        unsupported "buffer %s bound through two tensors" b.Buffer.name;
+      ignore (carrier_of b.Buffer.dtype : Ndarray.storage_class) (* refuses f16 *);
+      Hashtbl.replace defined b.Buffer.id true)
+    layout.l_slots;
   (* Alloc scratch rendered as a local [ref] (see [is_scalar_cell]). *)
   let cells : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let is_cell (b : Buffer.t) = Hashtbl.mem cells b.Buffer.id in
@@ -1270,7 +1240,7 @@ let render (func : Lower.func) : plan * string =
       Hashtbl.add buf_ids id n;
       n
   in
-  List.iter (fun e -> ignore (norm_buf e.e_buf.Buffer.id : int)) entries;
+  List.iter (fun (s : Binding.slot) -> ignore (norm_buf s.sl_buf.Buffer.id : int)) layout.l_slots;
   let vname (v : Var.t) = Printf.sprintf "v%d" (norm_var v.Var.id) in
   let cellname (b : Buffer.t) = Printf.sprintf "c%d" (norm_buf b.Buffer.id) in
   (* ---- register tiles: each cell (each lane pair, when packed) is a
@@ -1406,20 +1376,20 @@ let render (func : Lower.func) : plan * string =
         unsupported "offset partial %s read outside an index" v.Var.name;
       let dt = v.Var.dtype in
       (match carrier_of dt, Hashtbl.find_opt lits v.Var.id with
-       | CI, Some i -> int_lit i
-       | CL, Some i -> int64_lit (Int64.of_int i)
-       | CI, None ->
+       | Int_class, Some i -> int_lit i
+       | Int64_class, Some i -> int64_lit (Int64.of_int i)
+       | Int_class, None ->
          (* a proven range fits the dtype: the wrap is the identity *)
          if Hashtbl.mem ienv v.Var.id then vname v
          else Printf.sprintf "(%s %s)" (wname dt) (vname v)
-       | CL, None -> Printf.sprintf "(Int64.of_int %s)" (vname v)
-       | CF, _ -> unsupported "float-dtyped variable %s" v.Var.name)
+       | Int64_class, None -> Printf.sprintf "(Int64.of_int %s)" (vname v)
+       | Float_class, _ -> unsupported "float-dtyped variable %s" v.Var.name)
     | Texpr.Load (b, ix) -> rload b ix
     | Texpr.Binop (op, a, b) -> (
       (* a proven constant renders as its literal *)
       match interval e with
       | Some (c, c')
-        when c = c' && carrier_of (Texpr.dtype_of e) = CI && Texpr.loads_of e = [] ->
+        when c = c' && carrier_of (Texpr.dtype_of e) = Ndarray.Int_class && Texpr.loads_of e = [] ->
         int_lit c
       | _ -> rbinop e (Texpr.dtype_of e) op a b)
     | Texpr.Cmp (c, a, b) -> Printf.sprintf "(if %s then 1 else 0)" (rcmp c a b)
@@ -1431,7 +1401,7 @@ let render (func : Lower.func) : plan * string =
     | Texpr.Cast (dt, a) ->
       (* a proven-fitting operand makes the narrowing cast the identity *)
       (match carrier_of (Texpr.dtype_of a), carrier_of dt with
-       | CI, CI
+       | Int_class, Int_class
          when Option.bind (interval a) (Linear.fit dt) <> None ->
          re a
        | _ -> rcast dt (Texpr.dtype_of a) (re a))
@@ -1446,43 +1416,43 @@ let render (func : Lower.func) : plan * string =
      Compile.eval_int_c's carrier coercions *)
   and rint e =
     match carrier_of (Texpr.dtype_of e) with
-    | CI -> re e
-    | CF -> Printf.sprintf "(trunc %s)" (re e)
-    | CL -> Printf.sprintf "(Int64.to_int %s)" (re e)
+    | Int_class -> re e
+    | Float_class -> Printf.sprintf "(trunc %s)" (re e)
+    | Int64_class -> Printf.sprintf "(Int64.to_int %s)" (re e)
 
   and rtruth e =
     match e with
     | Texpr.Cmp (c, a, b) -> rcmp c a b
     | _ ->
       (match carrier_of (Texpr.dtype_of e) with
-       | CI -> Printf.sprintf "(%s <> 0)" (re e)
-       | CF -> Printf.sprintf "(trunc %s <> 0)" (re e)
-       | CL -> Printf.sprintf "(not (Int64.equal %s 0L))" (re e))
+       | Int_class -> Printf.sprintf "(%s <> 0)" (re e)
+       | Float_class -> Printf.sprintf "(trunc %s <> 0)" (re e)
+       | Int64_class -> Printf.sprintf "(not (Int64.equal %s 0L))" (re e))
 
   and rcmp c a b =
     let op = match c with Texpr.Lt -> "<" | Texpr.Le -> "<=" | Texpr.Eq -> "=" | Texpr.Ne -> "<>" in
     match carrier_of (Texpr.dtype_of a), carrier_of (Texpr.dtype_of b) with
-    | CI, CI -> Printf.sprintf "(%s %s %s)" (re a) op (re b)
-    | CL, CL -> Printf.sprintf "(Int64.compare %s %s %s 0)" (re a) (re b) op
-    | (CI | CF), (CI | CF) ->
+    | Int_class, Int_class -> Printf.sprintf "(%s %s %s)" (re a) op (re b)
+    | Int64_class, Int64_class -> Printf.sprintf "(Int64.compare %s %s %s 0)" (re a) (re b) op
+    | (Int_class | Float_class), (Int_class | Float_class) ->
       let as_f e = match carrier_of (Texpr.dtype_of e) with
-        | CF -> re e
+        | Float_class -> re e
         | _ -> Printf.sprintf "(float_of_int %s)" (re e)
       in
       Printf.sprintf "(Float.compare %s %s %s 0)" (as_f a) (as_f b) op
     | _ ->
       (* mixed int64/other: Value.compare_num over to_float / payloads *)
       let as64 e = match carrier_of (Texpr.dtype_of e) with
-        | CL -> re e
-        | CI -> Printf.sprintf "(Int64.of_int %s)" (re e)
-        | CF -> Printf.sprintf "(trunc64 %s)" (re e)
+        | Int64_class -> re e
+        | Int_class -> Printf.sprintf "(Int64.of_int %s)" (re e)
+        | Float_class -> Printf.sprintf "(trunc64 %s)" (re e)
       in
       (match carrier_of (Texpr.dtype_of a), carrier_of (Texpr.dtype_of b) with
-       | CF, _ | _, CF ->
+       | Float_class, _ | _, Float_class ->
          let as_f e = match carrier_of (Texpr.dtype_of e) with
-           | CF -> re e
-           | CI -> Printf.sprintf "(float_of_int %s)" (re e)
-           | CL -> Printf.sprintf "(Int64.to_float %s)" (re e)
+           | Float_class -> re e
+           | Int_class -> Printf.sprintf "(float_of_int %s)" (re e)
+           | Int64_class -> Printf.sprintf "(Int64.to_float %s)" (re e)
          in
          Printf.sprintf "(Float.compare %s %s %s 0)" (as_f a) (as_f b) op
        | _ -> Printf.sprintf "(Int64.compare %s %s %s 0)" (as64 a) (as64 b) op)
@@ -1490,7 +1460,7 @@ let render (func : Lower.func) : plan * string =
   and rbinop e dt op a b =
     let sa = re a and sb = re b in
     match carrier_of dt with
-    | CI ->
+    | Int_class ->
       let w = wname dt in
       (* a proven interval means the result fits [dt], so the
          canonicalizing wrap is the identity and is dropped — exactly
@@ -1522,7 +1492,7 @@ let render (func : Lower.func) : plan * string =
        | Texpr.Max ->
          Printf.sprintf
            "(let x_ = %s in let y_ = %s in if x_ >= y_ then x_ else y_)" sa sb)
-    | CF ->
+    | Float_class ->
       (match op with
        | Texpr.Add -> rounded dt (Printf.sprintf "(%s +. %s)" sa sb)
        | Texpr.Sub -> rounded dt (Printf.sprintf "(%s -. %s)" sa sb)
@@ -1532,7 +1502,7 @@ let render (func : Lower.func) : plan * string =
        (* min/max of canonical values is canonical; no re-round *)
        | Texpr.Min -> Printf.sprintf "(Float.min %s %s)" sa sb
        | Texpr.Max -> Printf.sprintf "(Float.max %s %s)" sa sb)
-    | CL ->
+    | Int64_class ->
       (match op with
        | Texpr.Add -> Printf.sprintf "(Int64.add %s %s)" sa sb
        | Texpr.Sub -> Printf.sprintf "(Int64.sub %s %s)" sa sb
@@ -1562,16 +1532,16 @@ let render (func : Lower.func) : plan * string =
      Compile.comp_cast *)
   and rcast dt src s =
     match carrier_of src, carrier_of dt with
-    | CI, CI -> if Dtype.equal dt src then s else Printf.sprintf "(%s %s)" (wname dt) s
-    | CI, CF -> rounded dt (Printf.sprintf "(float_of_int %s)" s)
-    | CI, CL -> Printf.sprintf "(Int64.of_int %s)" s
-    | CF, CF ->
+    | Int_class, Int_class -> if Dtype.equal dt src then s else Printf.sprintf "(%s %s)" (wname dt) s
+    | Int_class, Float_class -> rounded dt (Printf.sprintf "(float_of_int %s)" s)
+    | Int_class, Int64_class -> Printf.sprintf "(Int64.of_int %s)" s
+    | Float_class, Float_class ->
       if Dtype.equal dt Dtype.F64 || Dtype.equal dt src then s else rounded dt s
-    | CF, CI -> Printf.sprintf "(%s %s)" (satname dt) s
-    | CF, CL -> Printf.sprintf "(trunc64 %s)" s
-    | CL, CI -> Printf.sprintf "(%s (Int64.to_int %s))" (wname dt) s
-    | CL, CL -> s
-    | CL, CF -> rounded dt (Printf.sprintf "(Int64.to_float %s)" s)
+    | Float_class, Int_class -> Printf.sprintf "(%s %s)" (satname dt) s
+    | Float_class, Int64_class -> Printf.sprintf "(trunc64 %s)" s
+    | Int64_class, Int_class -> Printf.sprintf "(%s (Int64.to_int %s))" (wname dt) s
+    | Int64_class, Int64_class -> s
+    | Int64_class, Float_class -> rounded dt (Printf.sprintf "(Int64.to_float %s)" s)
   in
   (* ---- statements *)
   let buf = B.create 4096 in
@@ -1677,24 +1647,24 @@ let render (func : Lower.func) : plan * string =
     let dt = b.Buffer.dtype in
     let dv = Texpr.dtype_of v in
     match carrier_of dt, carrier_of dv with
-    | CI, CI when Dtype.equal dt dv && raw_scratch b ->
+    | Int_class, Int_class when Dtype.equal dt dv && raw_scratch b ->
       (* raw scratch keeps a raw chain raw *)
       let s, raw = rv v in
       defers v raw;
       s
-    | CF, CF ->
+    | Float_class, Float_class ->
       if Dtype.equal dt dv || Dtype.equal dt Dtype.F64 then re v
       else rounded dt (re v)
-    | CF, CI -> rounded dt (Printf.sprintf "(float_of_int %s)" (re v))
-    | CF, CL -> rounded dt (Printf.sprintf "(Int64.to_float %s)" (re v))
-    | CI, CI ->
+    | Float_class, Int_class -> rounded dt (Printf.sprintf "(float_of_int %s)" (re v))
+    | Float_class, Int64_class -> rounded dt (Printf.sprintf "(Int64.to_float %s)" (re v))
+    | Int_class, Int_class ->
       if Dtype.equal dt dv then re v
       else Printf.sprintf "(%s %s)" (wname dt) (re v)
-    | CI, CF -> Printf.sprintf "(%s (trunc %s))" (wname dt) (re v)
-    | CI, CL -> Printf.sprintf "(%s (Int64.to_int %s))" (wname dt) (re v)
-    | CL, CI -> Printf.sprintf "(Int64.of_int %s)" (re v)
-    | CL, CF -> Printf.sprintf "(trunc64 %s)" (re v)
-    | CL, CL -> re v
+    | Int_class, Float_class -> Printf.sprintf "(%s (trunc %s))" (wname dt) (re v)
+    | Int_class, Int64_class -> Printf.sprintf "(%s (Int64.to_int %s))" (wname dt) (re v)
+    | Int64_class, Int_class -> Printf.sprintf "(Int64.of_int %s)" (re v)
+    | Int64_class, Float_class -> Printf.sprintf "(trunc64 %s)" (re v)
+    | Int64_class, Int64_class -> re v
   in
   (* [k] renders inside [let name = value in] for each binding, which
      [hoist_loads] entered into [hoisted] for this scope. *)
@@ -1812,9 +1782,9 @@ let render (func : Lower.func) : plan * string =
     | Stmt.Alloc (b, body) ->
       let zero =
         match carrier_of b.Buffer.dtype with
-        | CF -> "0."
-        | CI -> "0"
-        | CL -> "0L"
+        | Float_class -> "0."
+        | Int_class -> "0"
+        | Int64_class -> "0L"
       in
       let cell = is_scalar_cell b body in
       if cell then bump n_cells;
@@ -1848,16 +1818,15 @@ let render (func : Lower.func) : plan * string =
   B.add_string buf "open Unit_emit_hook\n";
   B.add_string buf "\nlet kernel af ai al offs par =\n";
   line 1 "ignore af; ignore ai; ignore al; ignore offs; ignore par;";
-  List.iter
-    (fun e ->
-      let arr = match e.e_class with KF -> "af" | KI -> "ai" | KL -> "al" in
-      line 1
-        (Printf.sprintf "let %s = %s.(%d) in" (cellname e.e_buf) arr e.e_cell);
-      let k = norm_buf e.e_buf.Buffer.id in
-      line 1 (Printf.sprintf "let o%d = offs.(%d) in" k e.e_slot);
-      line 1
-        (Printf.sprintf "check_window %d %s o%d %d;" k (cellname e.e_buf) k e.e_buf.Buffer.size))
-    entries;
+  List.iteri
+    (fun slot (s : Binding.slot) ->
+      let b = s.sl_buf in
+      let arr = match s.sl_class with Float_class -> "af" | Int_class -> "ai" | Int64_class -> "al" in
+      line 1 (Printf.sprintf "let %s = %s.(%d) in" (cellname b) arr s.sl_cell);
+      let k = norm_buf b.Buffer.id in
+      line 1 (Printf.sprintf "let o%d = offs.(%d) in" k slot);
+      line 1 (Printf.sprintf "check_window %d %s o%d %d;" k (cellname b) k b.Buffer.size))
+    layout.l_slots;
   List.iter
     (fun (name, (w : Buffer.t), d) ->
       line 1
@@ -1879,10 +1848,7 @@ let render (func : Lower.func) : plan * string =
   let plan =
     {
       p_name = func.Lower.fn_name;
-      p_entries = entries;
-      p_nf = !nf;
-      p_ni = !ni;
-      p_nl = !nl;
+      p_layout = layout;
       p_diags = tiling.tl_diags;
     }
   in

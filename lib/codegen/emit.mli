@@ -68,7 +68,8 @@ open Unit_tir
 
 exception Unsupported of string
 (** Raised by {!render} when the function uses a construct the emitter
-    does not cover (f16 dtypes, float-dtyped scalar variables) or when
+    does not cover (f16 dtypes, float-dtyped scalar variables, a buffer
+    bound through two tensors) or when
     {!Unit_isa.Semantics.expand} rejects an intrinsic call (unregistered
     instruction, malformed tile, operand dtype differing from the
     instruction's).  Callers fall back to
@@ -88,31 +89,19 @@ val version : int
     behind one window check per binding at entry and checks every other
     access against its buffer's window. *)
 
-type klass = KF | KI | KL
-(** Storage class of a bound tensor: [float array] / [int array] /
-    [int64 array] — same partition as {!Compile}. *)
-
-type entry = {
-  e_tensor : Unit_dsl.Tensor.t;
-  e_buf : Buffer.t;
-  e_class : klass;
-  e_cell : int;  (** index within the class group passed to the kernel *)
-  e_slot : int;  (** index into the per-tensor offsets array *)
-}
-
 type plan = {
   p_name : string;
-  p_entries : entry list;  (** in [fn_tensors] declaration order *)
-  p_nf : int;
-  p_ni : int;
-  p_nl : int;
+  p_layout : Binding.layout;
+      (** where the kernel's [af]/[ai]/[al] cell arrays and [offs]
+          offsets hold each bound tensor: the {!Binding.layout} of the
+          function, whose bound buffers are all distinct *)
   p_diags : Diag.t list;
       (** warnings the render raised: an [Overflow] for each register
           tile whose lanes stay unpacked because their partial sums are
           not proven to fit *)
 }
-(** Binding plan: how {!Emit_cache.run_kernel} marshals [Ndarray.t]
-    bindings into the generated kernel's argument arrays. *)
+(** Binding plan: {!Emit_cache.run} loads the resolved bindings into the
+    kernel's arguments with {!Binding.fill}. *)
 
 val promote_tiles : Lower.func -> Lower.func * int
 (** The accumulator-tile rewrite {!render} applies after expanding

@@ -309,12 +309,6 @@ let load ~signature func =
 
 (* ---- running a loaded kernel *)
 
-(* A binding the kernel cannot take: the run falls back, and the
-   fallback engine reports the error in its own words. *)
-exception Unbindable of string
-
-let unbindable fmt = Printf.ksprintf (fun s -> raise (Unbindable s)) fmt
-
 (* Parallel fan for emitted [Parallel] loops.  Guarded by a busy flag:
    if a kernel is already fanning (or the caller sits inside the
    oracle), nested fans run serially rather than oversubscribing. *)
@@ -368,67 +362,31 @@ let overlapping windows =
   in
   go windows
 
-(* The kernel's arguments for [bindings], as [(af, ai, al, offs)].
-   @raise Unbindable when a binding does not fit the plan or two bound
-   windows overlap. *)
-let marshal k_plan ~bindings =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun ((t : Unit_dsl.Tensor.t), arr) ->
-      if not (Hashtbl.mem tbl t.Unit_dsl.Tensor.id) then
-        Hashtbl.add tbl t.Unit_dsl.Tensor.id arr)
-    bindings;
-  let n = List.length k_plan.Emit.p_entries in
-  let af = Array.make (Stdlib.max k_plan.Emit.p_nf 1) [||] in
-  let ai = Array.make (Stdlib.max k_plan.Emit.p_ni 1) [||] in
-  let al = Array.make (Stdlib.max k_plan.Emit.p_nl 1) [||] in
-  let offs = Array.make (Stdlib.max n 1) 0 in
-  List.iter
-    (fun (e : Emit.entry) ->
-      let t = e.Emit.e_tensor in
-      let b = e.Emit.e_buf in
-      match Hashtbl.find_opt tbl t.Unit_dsl.Tensor.id with
-      | None -> unbindable "tensor %s not bound" t.Unit_dsl.Tensor.name
-      | Some (arr : Ndarray.t) ->
-        if not (Unit_dtype.Dtype.equal arr.Ndarray.dtype b.Buffer.dtype) then
-          unbindable "buffer %s: dtype mismatch (%s vs %s)" b.Buffer.name
-            (Unit_dtype.Dtype.to_string arr.Ndarray.dtype)
-            (Unit_dtype.Dtype.to_string b.Buffer.dtype);
-        if Ndarray.num_elements arr <> b.Buffer.size then
-          unbindable "buffer %s: %d elements bound, %d expected" b.Buffer.name
-            (Ndarray.num_elements arr) b.Buffer.size;
-        offs.(e.Emit.e_slot) <- arr.Ndarray.offset;
-        (match e.Emit.e_class, arr.Ndarray.storage with
-         | Emit.KF, Ndarray.Float_data a -> af.(e.Emit.e_cell) <- a
-         | Emit.KI, Ndarray.Int_data a -> ai.(e.Emit.e_cell) <- a
-         | Emit.KL, Ndarray.Int64_data a -> al.(e.Emit.e_cell) <- a
-         | _ -> unbindable "buffer %s: storage kind mismatch" b.Buffer.name))
-    k_plan.Emit.p_entries;
-  let windows =
-    List.map
-      (fun (e : Emit.entry) ->
-        (e.Emit.e_buf, Hashtbl.find tbl e.Emit.e_tensor.Unit_dsl.Tensor.id))
-      k_plan.Emit.p_entries
-  in
-  Option.iter (unbindable "%s") (overlapping windows);
-  (af, ai, al, offs)
-
-let run_kernel { k_plan; k_fn } ~bindings =
+(* [Error reason] when the kernel cannot take [bindings]: a binding
+   {!Interp.resolve} rejects, two bound windows overlapping in one array,
+   or a window check the kernel fails.  The run then falls back, and the
+   fallback engine reports a bad binding in the same words. *)
+let run_kernel { k_plan; k_fn } func ~bindings =
   Obs.with_span "emit.run" @@ fun () ->
   match
-    let af, ai, al, offs = marshal k_plan ~bindings in
-    k_fn af ai al offs (make_par ())
+    let resolved = Interp.resolve func bindings in
+    (resolved, Binding.fill k_plan.Emit.p_layout resolved)
   with
-  | () -> Ok ()
-  | exception Unbindable reason -> Error reason
-  | exception Unit_emit_hook.Out_of_window (k, what) ->
-    (* bound tensors are the kernel's first buffers, in plan order *)
-    let name =
-      match List.nth_opt k_plan.Emit.p_entries k with
-      | Some e -> e.Emit.e_buf.Buffer.name
-      | None -> Printf.sprintf "scratch buffer %d" k
-    in
-    Error (Printf.sprintf "%s: %s" name what)
+  | exception Interp.Runtime_error reason -> Error reason
+  | resolved, (af, ai, al, offs) ->
+    (match overlapping resolved with
+     | Some reason -> Error reason
+     | None ->
+       (match k_fn af ai al offs (make_par ()) with
+        | () -> Ok ()
+        | exception Unit_emit_hook.Out_of_window (k, what) ->
+          (* bound tensors are the kernel's first buffers, in plan order *)
+          let name =
+            match List.nth_opt k_plan.Emit.p_layout.Binding.l_slots k with
+            | Some s -> s.Binding.sl_buf.Buffer.name
+            | None -> Printf.sprintf "scratch buffer %d" k
+          in
+          Error (Printf.sprintf "%s: %s" name what)))
 
 (* ---- fallback ladder *)
 
@@ -467,4 +425,4 @@ let run ?signature func ~bindings =
   match load ~signature func with
   | Error reason -> fallback reason
   | Ok k ->
-    (match run_kernel k ~bindings with Ok () -> () | Error reason -> fallback reason)
+    (match run_kernel k func ~bindings with Ok () -> () | Error reason -> fallback reason)

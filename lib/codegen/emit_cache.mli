@@ -14,8 +14,9 @@
     warm process loads native kernels from disk with zero recompilation.
 
     Everything degrades: no native [Dynlink], no [ocamlopt], an
-    {!Emit.Unsupported} construct, a failed compile, a binding that does
-    not fit the plan, two bound windows overlapping in one array (the
+    {!Emit.Unsupported} construct, a failed compile, a binding
+    {!Interp.resolve} rejects (the fallback reason is its error text),
+    two bound windows overlapping in one array (the
     emitted code hoists loads on the assumption that distinct buffers
     never alias), or a bounds check the kernel fails
     ([Unit_emit_hook.Out_of_window]: a window past its array at entry,
@@ -82,13 +83,16 @@ val run :
   bindings:(Unit_dsl.Tensor.t * Ndarray.t) list ->
   unit
 (** Execute [func] through the emitted engine, falling back as described
-    above.  [signature] defaults to a per-function ad-hoc key (the
+    above.  The bindings are resolved by {!Interp.resolve} and loaded
+    into the plan's {!Binding.layout} by {!Binding.fill}, as the closure
+    engine does.  [signature] defaults to a per-function ad-hoc key (the
     source digest still content-addresses correctly); pass the
     [Pipeline.workload_signature] so artifacts are shared across
     processes.  Bit-identical to {!Interp.run} / {!Compile.run};
     arena-backed {!Ndarray.view} bindings are supported natively.
     @raise Interp.Runtime_error from the fallback engine, on binding
-    mismatches and out-of-bounds accesses, as that engine raises it. *)
+    mismatches (the same text on all three engines) and out-of-bounds
+    accesses, as that engine raises it. *)
 
 val last_fallback : unit -> Diag.t option
 (** The most recent fallback diagnostic emitted by {!run}/{!prepare} in

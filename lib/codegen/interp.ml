@@ -15,14 +15,25 @@ let env_empty () = { vars = Hashtbl.create 32; buffers = Hashtbl.create 8 }
 let env_bind_var env (v : Var.t) x = Hashtbl.replace env.vars v.id x
 let env_unbind_var env (v : Var.t) = Hashtbl.remove env.vars v.id
 
-let env_bind_buffer env (b : Buffer.t) arr =
-  if not (Dtype.equal arr.Ndarray.dtype b.dtype) then
-    error "buffer %s: dtype mismatch (%s vs %s)" b.name
-      (Dtype.to_string arr.Ndarray.dtype) (Dtype.to_string b.dtype);
-  if Ndarray.num_elements arr <> b.size then
-    error "buffer %s: %d elements bound, %d expected" b.name
-      (Ndarray.num_elements arr) b.size;
-  Hashtbl.replace env.buffers b.id arr
+let resolve (func : Lower.func) bindings =
+  let by_id = Hashtbl.create (List.length bindings) in
+  List.iter
+    (fun ((t : Unit_dsl.Tensor.t), arr) ->
+      if not (Hashtbl.mem by_id t.id) then Hashtbl.add by_id t.id arr)
+    bindings;
+  List.map
+    (fun ((t : Unit_dsl.Tensor.t), (b : Buffer.t)) ->
+      match Hashtbl.find_opt by_id t.id with
+      | None -> error "tensor %s not bound" t.name
+      | Some arr ->
+        if not (Dtype.equal arr.Ndarray.dtype b.dtype) then
+          error "buffer %s: dtype mismatch (%s vs %s)" b.name
+            (Dtype.to_string arr.Ndarray.dtype) (Dtype.to_string b.dtype);
+        if Ndarray.num_elements arr <> b.size then
+          error "buffer %s: %d elements bound, %d expected" b.name
+            (Ndarray.num_elements arr) b.size;
+        (b, arr))
+    func.Lower.fn_tensors
 
 let var_value env (v : Var.t) =
   match Hashtbl.find_opt env.vars v.id with
@@ -118,19 +129,9 @@ let rec exec env (s : Stmt.t) =
 
 let run (func : Lower.func) ~bindings =
   let env = env_empty () in
-  (* index the bindings once (first occurrence wins, as List.find_opt did)
-     instead of scanning the list per function tensor *)
-  let by_id = Hashtbl.create (List.length bindings) in
   List.iter
-    (fun ((t : Unit_dsl.Tensor.t), arr) ->
-      if not (Hashtbl.mem by_id t.id) then Hashtbl.add by_id t.id arr)
-    bindings;
-  List.iter
-    (fun ((tensor : Unit_dsl.Tensor.t), buffer) ->
-      match Hashtbl.find_opt by_id tensor.id with
-      | Some arr -> env_bind_buffer env buffer arr
-      | None -> error "tensor %s not bound" tensor.name)
-    func.Lower.fn_tensors;
+    (fun ((b : Buffer.t), arr) -> Hashtbl.replace env.buffers b.id arr)
+    (resolve func bindings);
   exec env func.Lower.fn_body
 
 let run_op op ~bindings = run (Lower.scalar_reference op) ~bindings

@@ -13,10 +13,18 @@ exception Runtime_error of string
 
 type env
 
+val resolve :
+  Lower.func -> (Unit_dsl.Tensor.t * Ndarray.t) list -> (Buffer.t * Ndarray.t) list
+(** The binding rule of all three engines: each tensor of the function,
+    in [fn_tensors] order, with its buffer and the {e first} array bound
+    to it, which must have the buffer's dtype and element count.
+    @raise Runtime_error ["tensor T not bound"],
+    ["buffer B: dtype mismatch (D vs D')"] or
+    ["buffer B: N elements bound, M expected"]. *)
+
 val run : Lower.func -> bindings:(Unit_dsl.Tensor.t * Ndarray.t) list -> unit
-(** Executes the body, mutating the bound arrays in place.  Every tensor of
-    the function must be bound to an array of matching dtype and element
-    count.
+(** Executes the body, mutating the bound arrays in place, after
+    {!resolve}.
     @raise Runtime_error on missing/mismatched bindings, out-of-bounds
     accesses, or a reference to an unregistered intrinsic. *)
 
@@ -28,4 +36,3 @@ val eval_expr : env -> Texpr.t -> Unit_dtype.Value.t
 
 val env_empty : unit -> env
 val env_bind_var : env -> Var.t -> int -> unit
-val env_bind_buffer : env -> Buffer.t -> Ndarray.t -> unit

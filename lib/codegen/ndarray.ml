@@ -39,6 +39,8 @@ let class_of_dtype dtype =
   else if Dtype.equal dtype Dtype.I64 then Int64_class
   else Int_class
 
+let is_narrow dtype = class_of_dtype dtype = Int_class
+
 let class_of_storage = function
   | Float_data _ -> Float_class
   | Int_data _ -> Int_class

@@ -34,6 +34,12 @@ type t = private {
 }
 
 val class_of_dtype : Dtype.t -> storage_class
+(** The one dtype → storage-class partition: the arena planner, the
+    executor and the three engines' bindings all follow it. *)
+
+val is_narrow : Dtype.t -> bool
+(** [class_of_dtype dt = Int_class]: an integer dtype of at most 32 bits,
+    whose values fit a native int canonically wrapped. *)
 
 val zeros : dtype:Dtype.t -> shape:int list -> t
 

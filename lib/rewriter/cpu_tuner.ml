@@ -201,13 +201,10 @@ let prune_configs (r : Reorganize.t) configs =
       end)
     configs
 
-(* The warm path: realize one stored configuration without the sweep.
-   Deliberately opens no [tensorize.tune] / [tuner.candidate] spans — the
-   absence of those spans under tracing is how a warm start is audited
-   (see [unitc warmup] and the @warmup-smoke alias). *)
-let of_config spec ?threads (r : Reorganize.t) config =
-  let tok = Obs.start "tensorize.from_config" in
-  Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
+(* One configuration realized: schedule, lowered and replaced kernel,
+   modelled estimate.  Opens only the [tensorize.lower_replace] span; the
+   callers wrap it in their own. *)
+let realize spec ?threads (r : Reorganize.t) config =
   let schedule = apply r config in
   let lr_tok = Obs.start "tensorize.lower_replace" in
   let func =
@@ -218,6 +215,15 @@ let of_config spec ?threads (r : Reorganize.t) config =
   let estimate, report = Unit_machine.Cpu_model.estimate_with_report spec ?threads func in
   { t_config = config; t_schedule = schedule; t_func = func; t_estimate = estimate;
     t_report = report }
+
+(* The warm path: realize one stored configuration without the sweep.
+   Deliberately opens no [tensorize.tune] / [tuner.candidate] spans — the
+   absence of those spans under tracing is how a warm start is audited
+   (see [unitc warmup] and the @warmup-smoke alias). *)
+let of_config spec ?threads (r : Reorganize.t) config =
+  let tok = Obs.start "tensorize.from_config" in
+  Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
+  realize spec ?threads r config
 
 let tune spec ?threads ?configs (r : Reorganize.t) =
   let configs =
@@ -237,18 +243,7 @@ let tune spec ?threads ?configs (r : Reorganize.t) =
     in
     Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
     Obs.incr c_candidates;
-    let schedule = apply r config in
-    let lr_tok = Obs.start "tensorize.lower_replace" in
-    let func =
-      Fun.protect
-        ~finally:(fun () -> Obs.stop lr_tok)
-        (fun () -> Replace.run (Unit_tir.Lower.lower schedule))
-    in
-    let estimate, report =
-      Unit_machine.Cpu_model.estimate_with_report spec ?threads func
-    in
-    { t_config = config; t_schedule = schedule; t_func = func; t_estimate = estimate;
-      t_report = report }
+    realize spec ?threads r config
   in
   match prune_configs r configs with
   | [] -> assert false (* the first config of a non-empty list is always kept *)

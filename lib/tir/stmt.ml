@@ -144,15 +144,6 @@ let buffers_of t =
     t;
   List.rev !acc
 
-let rec loop_depth = function
-  | Nop | Store _ | Intrin_call _ -> 0
-  | For { body; _ } -> 1 + loop_depth body
-  | If { then_; else_; _ } ->
-    Stdlib.max (loop_depth then_)
-      (match else_ with Some e -> loop_depth e | None -> 0)
-  | Let (_, _, body) | Alloc (_, body) -> loop_depth body
-  | Seq stmts -> List.fold_left (fun acc s -> Stdlib.max acc (loop_depth s)) 0 stmts
-
 let kind_to_string = function
   | Serial -> ""
   | Parallel -> " /*parallel*/"

@@ -68,9 +68,6 @@ val substitute : (Var.t * Texpr.t) list -> t -> t
 val buffers_of : t -> Buffer.t list
 (** Every buffer read, written or allocated; deduplicated. *)
 
-val loop_depth : t -> int
-(** Maximum loop nesting depth. *)
-
 val pp : Format.formatter -> t -> unit
 (** C-like indented form; the printer behind [unitc]'s IR dumps. *)
 

@@ -184,7 +184,8 @@ let test_dtype_mismatch_binding_rejected () =
   in
   let wrong = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ 4 ] in
   match Interp.run func ~bindings:[ (t, wrong) ] with
-  | exception Interp.Runtime_error _ -> ()
+  | exception Interp.Runtime_error e ->
+    Alcotest.(check string) "error text" "buffer o: dtype mismatch (fp32 vs i32)" e
   | () -> Alcotest.fail "dtype mismatch accepted"
 
 (* ---------- compiled fast path vs tree-walker ---------- *)
@@ -447,21 +448,73 @@ let test_fresh_isa_runs_compiled () =
       check_bool "emitted engine agrees on fresh ISA" true
         (Ndarray.equal out_interp out_emitted))
 
-(* compiled-path error reporting stays faithful to the tree-walker *)
-let test_compiled_rejects_bad_bindings () =
-  let t = Tensor.create ~name:"o" ~shape:[ 4 ] Dtype.I32 in
-  let buf = Buffer.of_tensor t in
+(* One binding rule on all three engines: a bad binding raises the same
+   text from the tree-walker, the closure engine and the emitted engine,
+   whose run falls back with that text as its reason; of two bindings of
+   one tensor the first wins everywhere. *)
+let test_bad_bindings_same_text () =
+  let o = Tensor.create ~name:"o" ~shape:[ 4 ] Dtype.I32 in
+  let a = Tensor.create ~name:"a" ~shape:[ 4 ] Dtype.I32 in
+  let bo = Buffer.of_tensor o and ba = Buffer.of_tensor a in
+  let i = Var.create "i" in
   let func =
-    { Lower.fn_name = "m"; fn_tensors = [ (t, buf) ]; fn_output = buf;
-      fn_iter_vars = []; fn_body = Stmt.Nop }
+    { Lower.fn_name = "bind_rule"; fn_tensors = [ (o, bo); (a, ba) ]; fn_output = bo;
+      fn_iter_vars = [ (0, i) ];
+      fn_body =
+        Stmt.for_ i ~extent:4
+          (Stmt.Store
+             (bo, Texpr.var i, Texpr.add (Texpr.load ba (Texpr.var i)) (Texpr.int_imm 1)))
+    }
   in
-  (match Compile.run func ~bindings:[] with
-   | exception Interp.Runtime_error _ -> ()
-   | () -> Alcotest.fail "missing binding accepted");
-  let wrong = Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ 4 ] in
-  match Compile.run func ~bindings:[ (t, wrong) ] with
-  | exception Interp.Runtime_error _ -> ()
-  | () -> Alcotest.fail "dtype mismatch accepted"
+  let mentions s sub =
+    let n = String.length sub in
+    let rec go k = k + n <= String.length s && (String.sub s k n = sub || go (k + 1)) in
+    go 0
+  in
+  let emit_available = Result.is_ok (Emit_cache.available ()) in
+  let run engine bindings =
+    match engine func ~bindings with
+    | () -> None
+    | exception Interp.Runtime_error e -> Some e
+  in
+  let good () = Ndarray.init ~dtype:Dtype.I32 ~shape:[ 4 ] (fun ix -> Value.of_int Dtype.I32 ix.(0)) in
+  let rejects label bindings expected =
+    let out = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 4 ] in
+    let bindings = (o, out) :: bindings in
+    let text = Alcotest.(check (option string)) in
+    text (label ^ ": tree-walker") (Some expected) (run Interp.run bindings);
+    text (label ^ ": closure engine") (Some expected) (run Compile.run bindings);
+    text (label ^ ": emitted engine")
+      (Some expected)
+      (run (Emit_cache.run ~signature:"test|bind_rule") bindings);
+    if emit_available then
+      match Emit_cache.last_fallback () with
+      | Some d -> check_bool (label ^ ": fallback reason") true (mentions d.Diag.detail expected)
+      | None -> Alcotest.fail (label ^ ": no fallback diagnostic")
+  in
+  rejects "missing" [] "tensor a not bound";
+  rejects "dtype" [ (a, Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ 4 ]) ]
+    "buffer a: dtype mismatch (fp32 vs i32)";
+  rejects "count" [ (a, Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 5 ]) ]
+    "buffer a: 5 elements bound, 4 expected";
+  rejects "first of two wins" [ (a, Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 2 ]); (a, good ()) ]
+    "buffer a: 2 elements bound, 4 expected";
+  let expected = Ndarray.init ~dtype:Dtype.I32 ~shape:[ 4 ] (fun ix -> Value.of_int Dtype.I32 (ix.(0) + 1)) in
+  List.iter
+    (fun (label, engine) ->
+      let out = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 4 ] in
+      let bindings = [ (o, out); (a, good ()); (a, Ndarray.zeros ~dtype:Dtype.F32 ~shape:[ 4 ]) ] in
+      Alcotest.(check (option string)) (label ^ ": the first binding runs") None (run engine bindings);
+      check_bool (label ^ ": output") true (Ndarray.equal expected out))
+    [ ("tree-walker", Interp.run); ("closure engine", Compile.run);
+      ("emitted engine", Emit_cache.run ~signature:"test|bind_rule") ];
+  (* the closure engine addresses arrays from 0, so it refuses a view *)
+  let arena = Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 8 ] in
+  Alcotest.(check (option string)) "view: closure engine"
+    (Some "buffer a: arena views cannot be bound to compiled kernels")
+    (run Compile.run
+       [ (o, Ndarray.zeros ~dtype:Dtype.I32 ~shape:[ 4 ]);
+         (a, Ndarray.view arena ~offset:2 ~dtype:Dtype.I32 ~shape:[ 4 ]) ])
 
 (* property: integer expression evaluation agrees with OCaml arithmetic *)
 let prop_expr_eval_matches_native =
@@ -503,7 +556,7 @@ let () =
         [ Alcotest.test_case "fresh ISA runs compiled" `Quick
             test_fresh_isa_runs_compiled;
           Alcotest.test_case "bad bindings rejected" `Quick
-            test_compiled_rejects_bad_bindings
+            test_bad_bindings_same_text
         ]
         @ qcheck
             [ prop_compiled_matches_tree_walker;

@@ -1074,15 +1074,15 @@ let test_emit_overrun () =
    | Ok k ->
      let cells = Array.make 2 [||] and offs = Array.make 2 0 in
      let out = Array.make 32 7 in
-     List.iter
-       (fun (e : Emit.entry) ->
-         if Buffer.equal e.Emit.e_buf func.Lower.fn_output then cells.(e.Emit.e_cell) <- out
+     List.iteri
+       (fun slot (s : Binding.slot) ->
+         if Buffer.equal s.Binding.sl_buf func.Lower.fn_output then cells.(s.Binding.sl_cell) <- out
          else begin
            (* the window [8, 40) of a 36-cell array *)
-           cells.(e.Emit.e_cell) <- Array.make 36 1;
-           offs.(e.Emit.e_slot) <- 8
+           cells.(s.Binding.sl_cell) <- Array.make 36 1;
+           offs.(slot) <- 8
          end)
-       k.Emit_cache.k_plan.Emit.p_entries;
+       k.Emit_cache.k_plan.Emit.p_layout.Binding.l_slots;
      let serial n f = for x = 0 to n - 1 do f x done in
      (match k.Emit_cache.k_fn [||] cells [||] offs serial with
       | () -> Alcotest.fail "the overrun kernel ran"
