@@ -4,6 +4,10 @@ module Obs = Unit_obs.Obs
 module Sharded = Unit_store.Sharded
 module Store = Unit_store.Store
 
+(* Cleared by [usage_error]: a run stopped by an argument it could not
+   use did no work worth a summary. *)
+let summary_due = ref true
+
 (* Tracing is flushed through [at_exit] so the summary and the Chrome
    trace are emitted even on the error-exit paths (check --trace with
    analysis errors exits 1 but still reports where the time went). *)
@@ -11,12 +15,21 @@ let enable_tracing ?trace_out () =
   Obs.set_enabled true;
   at_exit (fun () ->
       Obs.set_enabled false;
-      Format.printf "%a@?" Obs.pp_summary ();
-      Option.iter
-        (fun path ->
-          Obs.write_chrome_trace path;
-          Printf.printf "chrome trace written to %s\n%!" path)
-        trace_out)
+      if !summary_due then begin
+        Format.printf "%a@?" Obs.pp_summary ();
+        Option.iter
+          (fun path ->
+            Obs.write_chrome_trace path;
+            Printf.printf "chrome trace written to %s\n%!" path)
+          trace_out
+      end)
+
+(* An argument the command cannot use (a name, a pack, a store path):
+   [msg] on stderr and exit 1, with no tracing summary after it. *)
+let usage_error msg =
+  summary_due := false;
+  prerr_endline msg;
+  exit 1
 
 (* Install a sharded store around [f] when a path was given: tuning
    records and emitted artifacts route by content address.  Appends are
@@ -42,6 +55,4 @@ let with_store ~prog store_dir f =
              st.Store.st_artifacts st.Store.st_hits st.Store.st_misses
              st.Store.st_appends)
          f
-     with Sys_error msg ->
-       prerr_endline (prog ^ ": " ^ msg);
-       exit 1)
+     with Sys_error msg -> usage_error (prog ^ ": " ^ msg))

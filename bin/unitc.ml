@@ -62,11 +62,16 @@ let store_arg =
 let print_store_diags diags =
   List.iter (fun d -> Printf.printf "%s\n" (Diag.to_string d)) diags
 
+(* One line and exit 1 with no tracing summary: an argument the command
+   cannot use, or a failure in a command that never traces. *)
 let or_die = function
   | Ok v -> v
-  | Error msg ->
-    prerr_endline ("unitc: " ^ msg);
-    exit 1
+  | Error msg -> Common.usage_error ("unitc: " ^ msg)
+
+(* A failed result: one line and exit 1; a tracing summary still follows. *)
+let fail msg =
+  prerr_endline ("unitc: " ^ msg);
+  exit 1
 
 let target_or_die name = or_die (Pipeline.target_of_string name)
 
@@ -116,8 +121,8 @@ let load_isa_packs paths =
           info.Loader.pk_warnings)
       infos
   | Error ds ->
-    List.iter (fun d -> prerr_endline ("unitc: " ^ Diag.to_string d)) ds;
-    exit 1
+    Common.usage_error
+      (String.concat "\n" (List.map (fun d -> "unitc: " ^ Diag.to_string d) ds))
 
 (* ---------- execution-engine selection (uniform across commands) ---------- *)
 
@@ -136,9 +141,7 @@ let engine_arg =
 let parse_engine s =
   match Pipeline.engine_of_string s with
   | Ok e -> e
-  | Error d ->
-    prerr_endline ("unitc: " ^ Diag.to_string d);
-    exit 1
+  | Error d -> or_die (Error (Diag.to_string d))
 
 let with_store = Common.with_store ~prog:"unitc"
 
@@ -321,7 +324,7 @@ let tensorize_or_die ~spec op intrin =
   | Error (Pipeline.Rejected _ as f) ->
     Format.printf "not applicable: %s@." (Pipeline.failure_to_string f);
     exit 1
-  | Error f -> or_die (Error (Pipeline.failure_to_string f))
+  | Error f -> fail (Pipeline.failure_to_string f)
 
 let compile kind isa target c hw k kernel stride n m kdim show_ir =
   let intrin = or_die (lookup_intrin isa) in
@@ -700,7 +703,7 @@ let warmup model target engine store_path domains retries trace trace_out
     st.Store.st_artifacts st.Store.st_loaded st.Store.st_corrupt
     st.Store.st_stale st.Store.st_hits st.Store.st_misses st.Store.st_appends;
   if assert_hit && st.Store.st_hits = 0 then
-    or_die (Error "--assert-hit: no disk hit (the store was cold)");
+    fail "--assert-hit: no disk hit (the store was cold)";
   if report.Warmup.rp_failures <> [] then exit 1
 
 (* store-stats and store-gc inspect an existing store; opening a missing

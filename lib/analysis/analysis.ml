@@ -47,18 +47,7 @@ let refine guards (cond : Texpr.t) =
 (* Replace every subtree structurally equal to [target] by [replacement]. *)
 let rec replace_subtree ~target ~replacement e =
   let go = replace_subtree ~target ~replacement in
-  if Texpr.equal_structural e target then replacement
-  else
-    match e with
-    | Texpr.Imm _ | Texpr.Var _ -> e
-    | Texpr.Load (b, ix) -> Texpr.load b (go ix)
-    | Texpr.Binop (op, a, b) -> Texpr.binop op (go a) (go b)
-    | Texpr.Cmp (c, a, b) -> Texpr.cmp c (go a) (go b)
-    | Texpr.And (a, b) -> Texpr.and_ (go a) (go b)
-    | Texpr.Or (a, b) -> Texpr.or_ (go a) (go b)
-    | Texpr.Not a -> Texpr.not_ (go a)
-    | Texpr.Cast (dt, a) -> Texpr.cast dt (go a)
-    | Texpr.Select (c, a, b) -> Texpr.select (go c) (go a) (go b)
+  if Texpr.equal_structural e target then replacement else Texpr.map_children go e
 
 (* {!Linear.bounds} refined by guard constraints: each guarded
    subexpression is replaced by a fresh variable whose range is the
@@ -200,31 +189,14 @@ let direct_divisors v e =
         (match Texpr.as_const_int b with Some c when c > 1 -> c :: acc | _ -> acc)
       | _ -> acc
     in
-    match e with
-    | Texpr.Imm _ | Texpr.Var _ -> acc
-    | Texpr.Load (_, ix) -> go acc ix
-    | Texpr.Binop (_, a, b) | Texpr.Cmp (_, a, b) | Texpr.And (a, b) | Texpr.Or (a, b) ->
-      go (go acc a) b
-    | Texpr.Not a | Texpr.Cast (_, a) -> go acc a
-    | Texpr.Select (c, a, b) -> go (go (go acc c) a) b
+    Texpr.fold_children go acc e
   in
   go [] e
 
 (* Rewrite [(x*c + y) / c -> x] and [(x*c + y) mod c -> y] when
    0 <= y < c and x >= 0 — the shapes substitution introduces. *)
 let rec simp env e =
-  let resolved =
-    match e with
-    | Texpr.Imm _ | Texpr.Var _ -> e
-    | Texpr.Load (b, ix) -> Texpr.load b (simp env ix)
-    | Texpr.Binop (op, a, b) -> Texpr.binop op (simp env a) (simp env b)
-    | Texpr.Cmp (c, a, b) -> Texpr.cmp c (simp env a) (simp env b)
-    | Texpr.And (a, b) -> Texpr.and_ (simp env a) (simp env b)
-    | Texpr.Or (a, b) -> Texpr.or_ (simp env a) (simp env b)
-    | Texpr.Not a -> Texpr.not_ (simp env a)
-    | Texpr.Cast (dt, a) -> Texpr.cast dt (simp env a)
-    | Texpr.Select (c, a, b) -> Texpr.select (simp env c) (simp env a) (simp env b)
-  in
+  let resolved = Texpr.map_children (simp env) e in
   let reducible x y c =
     match Linear.bounds ~env y, Linear.bounds ~env x with
     | Some (ylo, yhi), Some (xlo, _) -> ylo >= 0 && yhi < c && xlo >= 0

@@ -147,14 +147,7 @@ let compile (func : Lower.func) =
   let ienv : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
   let interval =
     let env (v : Var.t) = Hashtbl.find_opt ienv v.Var.id in
-    let load (b : Buffer.t) =
-      let dt = b.Buffer.dtype in
-      if Ndarray.is_narrow dt then
-        Some
-          (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
-      else None
-    in
-    Linear.bounds ~env ~load
+    Linear.bounds ~env ~load:(fun (b : Buffer.t) -> Ndarray.narrow_range b.Buffer.dtype)
   in
   (* ---- affine flattening: an integer expression whose every node has a
      proven interval (so wrapping is the identity throughout and native
@@ -268,7 +261,8 @@ let compile (func : Lower.func) =
       ctx.icells.(bi.b_cell).(addr) <- Value.wrap_native dt (Int64.to_int (Value.to_int64 v))
     | Int64_class -> ctx.lcells.(bi.b_cell).(addr) <- Value.to_int64 v
   in
-  (* ---- expressions *)
+  (* ---- expressions: a closure per node, so the recursion is written
+     out rather than on [Texpr.map_children] *)
   let rec comp_e (e : Texpr.t) : exp =
     match e with
     | Texpr.Imm v ->

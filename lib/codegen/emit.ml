@@ -191,6 +191,27 @@ let max_unroll = 16
 
 let is_loop = function Stmt.For _ -> true | _ -> false
 
+(* A loop {!render} replicates with literal indices: innermost or a
+   register tile's lane loop ([is_lane]), at most [max_unroll] iterations
+   whose indices fit the variable's dtype.  Parallel loops keep their
+   fan. *)
+let unrollable ~is_lane (s : Stmt.t) =
+  match s with
+  | Stmt.For { var; extent; kind; body } ->
+    extent >= 1 && extent <= max_unroll
+    && Linear.fit var.Var.dtype (0, extent - 1) <> None
+    && (match kind with Stmt.Parallel -> false | _ -> true)
+    && (is_lane var || not (Stmt.exists is_loop body))
+  | _ -> false
+
+(* Whether every loop in [body] unrolls. *)
+let only_unrollable ~is_lane body =
+  not (Stmt.exists (fun s -> is_loop s && not (unrollable ~is_lane s)) body)
+
+(* The values a load of [b] may take, for {!Linear.bounds}: a narrow
+   integer dtype's range, unless [b] is scratch holding raw values. *)
+let load_range ~raw (b : Buffer.t) = if raw then None else Ndarray.narrow_range b.Buffer.dtype
+
 (* The expressions a statement evaluates itself, children excluded. *)
 let own_exprs (s : Stmt.t) =
   match s with
@@ -199,22 +220,18 @@ let own_exprs (s : Stmt.t) =
   | Stmt.Let (_, e, _) -> [ e ]
   | _ -> []
 
+(* The ids of the variables [s] binds, with repeats. *)
+let binders s =
+  Stmt.fold_stmts
+    (fun acc s ->
+      match s with Stmt.For { var; _ } | Stmt.Let (var, _, _) -> var.Var.id :: acc | _ -> acc)
+    [] s
+
 (* Whether an expression [s] evaluates reads [v]. *)
 let reads (v : Var.t) s =
   Stmt.exists
     (fun s -> List.exists (fun e -> List.exists (Var.equal v) (Texpr.vars_of e)) (own_exprs s))
     s
-
-(* The ids of [loop_var] and of every variable [body] binds. *)
-let bound_in (loop_var : Var.t) body =
-  let ids = Hashtbl.create 8 in
-  Hashtbl.replace ids loop_var.Var.id ();
-  Stmt.iter_stmts
-    (function
-      | Stmt.For { var; _ } | Stmt.Let (var, _, _) -> Hashtbl.replace ids var.Var.id ()
-      | _ -> ())
-    body;
-  ids
 
 (* A one-element Alloc addressed only at the constant index 0. *)
 let is_scalar_cell (b : Buffer.t) body =
@@ -230,13 +247,6 @@ let is_scalar_cell (b : Buffer.t) body =
           body)
 
 (* ---- accumulator tiles *)
-
-(* The ids of the variables [s] binds, with repeats. *)
-let binders s =
-  Stmt.fold_stmts
-    (fun acc s ->
-      match s with Stmt.For { var; _ } | Stmt.Let (var, _, _) -> var.Var.id :: acc | _ -> acc)
-    [] s
 
 let max_tile = 1024
 
@@ -267,12 +277,8 @@ let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
   let inner (v : Var.t) = Var.equal v l_var || Hashtbl.mem env v.Var.id in
   let rec has_cast (e : Texpr.t) =
     match e with
-    | Texpr.Imm _ | Texpr.Var _ -> false
     | Texpr.Cast _ -> true
-    | Texpr.Load (_, a) | Texpr.Not a -> has_cast a
-    | Texpr.Binop (_, a, b) | Texpr.Cmp (_, a, b) | Texpr.And (a, b) | Texpr.Or (a, b) ->
-      has_cast a || has_cast b
-    | Texpr.Select (c, a, b) -> has_cast c || has_cast a || has_cast b
+    | _ -> Texpr.fold_children (fun found c -> found || has_cast c) false e
   in
   (* (base index, T) of the first access *)
   let window = ref None in
@@ -312,7 +318,9 @@ let promote_buffer ~scope (l_var : Var.t) extent body (b : Buffer.t) =
       (Texpr.int_imm 0) lanes
   in
   (* [body] with [b]'s accesses addressing [target] at their offsets;
-     [cond] marks code that may not run on every iteration *)
+     [cond] marks code that may not run on every iteration, so [ex]
+     matches every node itself: [And]/[Or] right operands and [Select]
+     branches are conditional *)
   let rec ex target ~cond (e : Texpr.t) =
     match e with
     | Texpr.Imm _ | Texpr.Var _ -> e
@@ -424,16 +432,8 @@ let nest loops inner =
 let retarget (cell : Buffer.t) (tile : Buffer.t) ix s =
   let rec ex (e : Texpr.t) =
     match e with
-    | Texpr.Imm _ | Texpr.Var _ -> e
     | Texpr.Load (b, _) when Buffer.equal b cell -> Texpr.load tile ix
-    | Texpr.Load (b, i) -> Texpr.load b (ex i)
-    | Texpr.Binop (op, x, y) -> Texpr.binop op (ex x) (ex y)
-    | Texpr.Cmp (op, x, y) -> Texpr.cmp op (ex x) (ex y)
-    | Texpr.And (x, y) -> Texpr.and_ (ex x) (ex y)
-    | Texpr.Or (x, y) -> Texpr.or_ (ex x) (ex y)
-    | Texpr.Not x -> Texpr.not_ (ex x)
-    | Texpr.Cast (dt, x) -> Texpr.cast dt (ex x)
-    | Texpr.Select (c, x, y) -> Texpr.select (ex c) (ex x) (ex y)
+    | _ -> Texpr.map_children ex e
   in
   let rec st (s : Stmt.t) =
     match s with
@@ -524,13 +524,6 @@ let pair_lanes ~name ~weights ~trips (tile : Buffer.t) lanes region =
         match Linear.coefficient_of iw l with Some d when d > 0 -> Some (wb, d) | _ -> None)
       | _ -> None
     in
-    let load (b : Buffer.t) =
-      if byte_dtype b then
-        Some
-          ( Int64.to_int (Dtype.min_int_value b.Buffer.dtype),
-            Int64.to_int (Dtype.max_int_value b.Buffer.dtype) )
-      else None
-    in
     let update ix (v : Texpr.t) =
       let own (e : Texpr.t) =
         match e with
@@ -554,7 +547,7 @@ let pair_lanes ~name ~weights ~trips (tile : Buffer.t) lanes region =
       (match !pairing with
        | None -> pairing := Some { pr_weights = w; pr_dist = d }
        | Some p -> if not (Buffer.equal p.pr_weights w && p.pr_dist = d) then raise Unpaired);
-      match Linear.bounds ~env:(fun _ -> None) ~load prod with
+      match Linear.bounds ~env:(fun _ -> None) ~load:(load_range ~raw:false) prod with
       | Some (lo, hi) -> widest := Stdlib.max !widest (Stdlib.max (abs lo) (abs hi))
       | None -> proven := false
     in
@@ -662,28 +655,14 @@ let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffe
         | _ -> ([], lanes, inner)
       in
       let is_lane (v : Var.t) = List.exists (Var.equal v) lanes in
-      let unrolls ~extent (v : Var.t) kind =
-        extent >= 1 && extent <= max_unroll
-        && Linear.fit v.Var.dtype (0, extent - 1) <> None
-        && match kind with Stmt.Parallel -> false | _ -> true
-      in
       (* each lane loop unrolls, and so does every loop inside it *)
       let lane_loops_unroll =
         List.for_all
           (fun v ->
             Stmt.exists
               (function
-                | Stmt.For { var; extent; kind; body } when Var.equal var v ->
-                  unrolls ~extent var kind
-                  && not
-                       (Stmt.exists
-                          (function
-                            | Stmt.For { var; extent; kind; body } ->
-                              not
-                                (unrolls ~extent var kind
-                                && (is_lane var || not (Stmt.exists is_loop body)))
-                            | _ -> false)
-                          body)
+                | Stmt.For { var; body; _ } as s when Var.equal var v ->
+                  unrollable ~is_lane s && only_unrollable ~is_lane body
                 | _ -> false)
               inner)
           lanes
@@ -801,27 +780,6 @@ let promote_tiles func =
 
 (* ---- index terms *)
 
-(* A loop {!render} replicates with literal indices: innermost or a
-   register tile's lane loop ([lanes]), at most [max_unroll] iterations
-   whose indices fit the variable's dtype.  Parallel loops keep their
-   fan. *)
-let unrollable ~lanes (s : Stmt.t) =
-  match s with
-  | Stmt.For { var; extent; kind; body } ->
-    extent >= 1 && extent <= max_unroll
-    && Linear.fit var.Var.dtype (0, extent - 1) <> None
-    && (match kind with Stmt.Parallel -> false | _ -> true)
-    && (Hashtbl.mem lanes var.Var.id || not (Stmt.exists is_loop body))
-  | _ -> false
-
-(* The values a load of [b] may take, for {!Linear.bounds}: a narrow
-   integer dtype's range, unless [b] is scratch holding raw values. *)
-let load_range ~raw (b : Buffer.t) =
-  let dt = b.Buffer.dtype in
-  if Ndarray.is_narrow dt && not raw then
-    Some (Int64.to_int (Dtype.min_int_value dt), Int64.to_int (Dtype.max_int_value dt))
-  else None
-
 (* [coeff * atom] in a sum: [atom] is a variable or a non-affine
    subterm, [level] the loop level from which on its value is known
    (see [hoist_terms]). *)
@@ -855,7 +813,7 @@ let coefficient_cap = 1 lsl 30
    [Let]'s variable the level below its binding, an unrolled copy's
    index none.  [offset b]: [b]'s indices take its offset into their
    outermost partial. *)
-let hoist_terms ~lanes ~offset (body : Stmt.t) =
+let hoist_terms ~is_lane ~offset (body : Stmt.t) =
   let allocs = Hashtbl.create 8 in
   Stmt.iter_stmts
     (function Stmt.Alloc (b, _) -> Hashtbl.replace allocs b.Buffer.id () | _ -> ())
@@ -1035,15 +993,8 @@ let hoist_terms ~lanes ~offset (body : Stmt.t) =
     | None -> sub e
   and sub (e : Texpr.t) =
     match e with
-    | Texpr.Imm _ | Texpr.Var _ -> e
     | Texpr.Load (b, ix) -> Texpr.load b (index b ix)
-    | Texpr.Binop (op, x, y) -> Texpr.binop op (ex x) (ex y)
-    | Texpr.Cmp (op, x, y) -> Texpr.cmp op (ex x) (ex y)
-    | Texpr.And (x, y) -> Texpr.and_ (ex x) (ex y)
-    | Texpr.Or (x, y) -> Texpr.or_ (ex x) (ex y)
-    | Texpr.Not x -> Texpr.not_ (ex x)
-    | Texpr.Cast (dt, x) -> Texpr.cast dt (ex x)
-    | Texpr.Select (c, x, y) -> Texpr.select (ex c) (ex x) (ex y)
+    | _ -> Texpr.map_children ex e
   and index b ix =
     match rewrite ~carry:(if offset b then Some b else None) ix with
     | Some r -> r
@@ -1051,7 +1002,7 @@ let hoist_terms ~lanes ~offset (body : Stmt.t) =
   in
   let rec st (s : Stmt.t) =
     match s with
-    | Stmt.For ({ var; extent; body; _ } as r) when unrollable ~lanes s ->
+    | Stmt.For ({ var; extent; body; _ } as r) when unrollable ~is_lane s ->
       scoped var Copy (Linear.fit var.Var.dtype (0, extent - 1)) (fun () ->
           Stmt.For { r with body = st body })
     | Stmt.For { var; extent = 1; kind; body }
@@ -1157,8 +1108,9 @@ let render (func : Lower.func) : plan * string =
         acc || match p with Some p -> Buffer.equal p.pr_weights b | None -> false)
       tiling.tl_registers false
   in
+  let is_lane (v : Var.t) = Hashtbl.mem tiling.tl_lanes v.Var.id in
   let hoisting =
-    hoist_terms ~lanes:tiling.tl_lanes
+    hoist_terms ~is_lane
       ~offset:(fun b -> List.exists (Buffer.equal b) bound && not (packed b))
       func.Lower.fn_body
   in
@@ -1222,24 +1174,17 @@ let render (func : Lower.func) : plan * string =
      source, because the artifact cache content-addresses it.  Both id
      spaces are renamed to first-seen sequential indices — deterministic
      given the IR structure alone. *)
-  let var_ids : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let norm_var id =
-    match Hashtbl.find_opt var_ids id with
-    | Some n -> n
-    | None ->
-      let n = Hashtbl.length var_ids in
-      Hashtbl.add var_ids id n;
-      n
+  let first_seen () =
+    let ids : (int, int) Hashtbl.t = Hashtbl.create 16 in
+    fun id ->
+      match Hashtbl.find_opt ids id with
+      | Some n -> n
+      | None ->
+        let n = Hashtbl.length ids in
+        Hashtbl.add ids id n;
+        n
   in
-  let buf_ids : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let norm_buf id =
-    match Hashtbl.find_opt buf_ids id with
-    | Some n -> n
-    | None ->
-      let n = Hashtbl.length buf_ids in
-      Hashtbl.add buf_ids id n;
-      n
-  in
+  let norm_var = first_seen () and norm_buf = first_seen () in
   List.iter (fun (s : Binding.slot) -> ignore (norm_buf s.sl_buf.Buffer.id : int)) layout.l_slots;
   let vname (v : Var.t) = Printf.sprintf "v%d" (norm_var v.Var.id) in
   let cellname (b : Buffer.t) = Printf.sprintf "c%d" (norm_buf b.Buffer.id) in
@@ -1304,7 +1249,8 @@ let render (func : Lower.func) : plan * string =
   let hoisted : (string, string) Hashtbl.t = Hashtbl.create 8 in
   (* ---- expressions; [re] yields the value in its dtype's carrier,
      canonical; [rv] may leave a deferrable add/sub/mul or scalar-cell
-     load raw and says so *)
+     load raw and says so.  [rv] and [rcanon] render each node their own
+     way, so they match on it rather than use [Texpr.map_children]. *)
   let rec re (e : Texpr.t) : string =
     match rv e with
     | s, true -> Printf.sprintf "(%s %s)" (wname (Texpr.dtype_of e)) s
@@ -1567,10 +1513,7 @@ let render (func : Lower.func) : plan * string =
     restore ienv had_iv;
     restore lits had_lit
   in
-  let unrollable = unrollable ~lanes:tiling.tl_lanes in
-  let only_unrollable body =
-    not (Stmt.exists (fun s -> is_loop s && not (unrollable s)) body)
-  in
+  let unrollable = unrollable ~is_lane and only_unrollable = only_unrollable ~is_lane in
   (* The loads of a loop's [body] (no loop left once unrolled) to bind
      before the loop, as [(name, rendered load)] in binding order; each
      is also entered into [hoisted].  A load qualifies when it runs on
@@ -1587,12 +1530,10 @@ let render (func : Lower.func) : plan * string =
         | Stmt.Store (b, _, _) | Stmt.Alloc (b, _) -> Hashtbl.replace written b.Buffer.id ()
         | _ -> ())
       body;
-    let inner = bound_in loop_var body in
     (* a variable bound both outside and inside the loop would make two
        different values render alike; otherwise a variable bound now is
        bound outside the loop or is an unrolled copy's literal *)
-    if Hashtbl.fold (fun id () acc -> acc || Hashtbl.mem bound_vars id) inner false
-    then []
+    if List.exists (Hashtbl.mem bound_vars) (loop_var.Var.id :: binders body) then []
     else begin
       let invariant (b : Buffer.t) = not (Hashtbl.mem written b.Buffer.id) in
       let qualifies b ix =
@@ -1601,6 +1542,8 @@ let render (func : Lower.func) : plan * string =
         && List.for_all (fun (v : Var.t) -> Hashtbl.mem bound_vars v.Var.id) (Texpr.vars_of ix)
       in
       let binds = ref [] in
+      (* matched node by node: [every] turns false right of [And]/[Or]
+         and in [Select] branches *)
       let rec ex every (e : Texpr.t) =
         match e with
         | Texpr.Imm _ | Texpr.Var _ -> ()

@@ -57,6 +57,8 @@ let write env (b : Buffer.t) addr v =
     error "store %s[%d]: out of bounds (size %d)" b.name addr b.size;
   Ndarray.set_flat arr addr v
 
+(* A rule per node (and [Select] evaluates one branch), so the recursion
+   is written out rather than on [Texpr.fold_children]. *)
 let rec eval_expr env (e : Texpr.t) =
   match e with
   | Texpr.Imm v -> v

@@ -41,6 +41,12 @@ let class_of_dtype dtype =
 
 let is_narrow dtype = class_of_dtype dtype = Int_class
 
+let narrow_range dtype =
+  if is_narrow dtype then
+    Some
+      (Int64.to_int (Dtype.min_int_value dtype), Int64.to_int (Dtype.max_int_value dtype))
+  else None
+
 let class_of_storage = function
   | Float_data _ -> Float_class
   | Int_data _ -> Int_class

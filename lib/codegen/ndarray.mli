@@ -41,6 +41,11 @@ val is_narrow : Dtype.t -> bool
 (** [class_of_dtype dt = Int_class]: an integer dtype of at most 32 bits,
     whose values fit a native int canonically wrapped. *)
 
+val narrow_range : Dtype.t -> (int * int) option
+(** A narrow dtype's value range, [None] for the other classes: what a
+    load of a canonically wrapped buffer may read, as the engines give it
+    to [Linear.bounds ~load]. *)
+
 val zeros : dtype:Dtype.t -> shape:int list -> t
 
 val view : t -> offset:int -> dtype:Dtype.t -> shape:int list -> t

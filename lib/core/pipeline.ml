@@ -185,9 +185,9 @@ let analyze (tuned : Cpu_tuner.tuned) =
   Unit_analysis.Analysis.check_func ~intrin:intrin_meta tuned.Cpu_tuner.t_func
 
 (* Inspect, reorganize, then tune-or-replay + analyze + persist.
-   [use_store = false] (or a pinned [configs] grid) bypasses the store in
+   [use_store = false] (or a pinned [config]) bypasses the store in
    both directions; analyzer-rejected kernels are never persisted. *)
-let tensorize ?(use_store = true) ?configs ~spec op (intrin : Unit_isa.Intrin.t) =
+let tensorize ?(use_store = true) ?config ~spec op (intrin : Unit_isa.Intrin.t) =
   let tok =
     if Obs.enabled () then
       Obs.start "tensorize"
@@ -202,21 +202,21 @@ let tensorize ?(use_store = true) ?configs ~spec op (intrin : Unit_isa.Intrin.t)
       Obs.with_span "tensorize.reorganize" (fun () -> Reorganize.apply op ap ())
     in
     let store =
-      match use_store, configs with
+      match use_store, config with
       | true, None -> Atomic.get current_store
       | _ -> None
     in
     let signature = lazy (workload_signature ~spec op intrin) in
     (* [Cpu_tuner.tune] opens the [tensorize.tune] span itself (with a
        [tensorize.lower_replace] child per candidate); a disk hit or a
-       single pinned config (a baseline's fixed schedule) takes
+       pinned config (a baseline's fixed schedule) takes
        [Cpu_tuner.of_config] instead, which opens [tensorize.from_config]
        and no tune/candidate spans at all. *)
     let tuned, freshly_tuned =
-      match store, configs with
-      | _, Some [ config ] -> (Cpu_tuner.of_config spec reorganized config, false)
-      | None, _ -> (Cpu_tuner.tune spec ?configs reorganized, false)
-      | Some s, _ ->
+      match store, config with
+      | _, Some config -> (Cpu_tuner.of_config spec reorganized config, false)
+      | None, None -> (Cpu_tuner.tune spec reorganized, false)
+      | Some s, None ->
         (match s.ts_lookup ~signature:(Lazy.force signature) with
          | Some config -> (Cpu_tuner.of_config spec reorganized config, false)
          | None -> (Cpu_tuner.tune spec reorganized, true))
@@ -425,8 +425,7 @@ let compiled_with ?intrin ?config target (wl : Workload.t) =
           | Workload.Conv3 c -> ("conv3d does not tensorize", blocked Workload.conv3d_op c)
           | Workload.Fc d -> ("dense does not tensorize", blocked Workload.dense_op d)
         in
-        let configs = Option.map (fun c -> [ c ]) config in
-        match tensorize ?configs ~spec:(target_spec target) op intrin with
+        match tensorize ?config ~spec:(target_spec target) op intrin with
         | Ok compiled -> Kernel compiled
         | Error f -> invalid_arg (what ^ ": " ^ failure_to_string f))
   with

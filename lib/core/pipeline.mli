@@ -64,17 +64,17 @@ val target_act_dtype : target -> Unit_dtype.Dtype.t
 
 val tensorize :
   ?use_store:bool ->
-  ?configs:Cpu_tuner.config list ->
+  ?config:Cpu_tuner.config ->
   spec:Spec.cpu ->
   Op.t ->
   Unit_isa.Intrin.t ->
   (compiled, failure) result
 (** The one tensorize verdict for an (operation, instruction) pair:
-    inspect, reorganize, tune (over [configs], default the full candidate
-    grid), lower, replace and analyze.  [Error (Rejected r)] when the
-    instruction does not apply; [Error (Illegal diags)] when the
-    dependence analyzer proves the tuned schedule illegal (race, carried
-    dependence, tensorize footprint, overflow).  Analyzer warnings are
+    inspect, reorganize, tune over the full candidate grid (or realize the
+    one pinned [config]), lower, replace and analyze.  [Error (Rejected
+    r)] when the instruction does not apply; [Error (Illegal diags)] when
+    the dependence analyzer proves the tuned schedule illegal (race,
+    carried dependence, tensorize footprint, overflow).  Analyzer warnings are
     kept in [c_warnings] and also reported through {!Logs.warn}.
     [use_store:false] (default [true]) leaves the installed tuning store
     untouched, as [unitc explain] does. *)

@@ -70,37 +70,41 @@ let ( + ) = add
 let ( - ) = sub
 let ( * ) = mul
 
+let map_children f e =
+  match e with
+  | Imm _ | Axis_ref _ -> e
+  | Access (t, indices) -> access t (List.map f indices)
+  | Cast (dt, a) -> cast dt (f a)
+  | Binop (op, a, b) -> binop op (f a) (f b)
+  | Neg a -> neg (f a)
+
+let fold_children f acc e =
+  match e with
+  | Imm _ | Axis_ref _ -> acc
+  | Access (_, indices) -> List.fold_left f acc indices
+  | Cast (_, a) | Neg a -> f acc a
+  | Binop (_, a, b) -> f (f acc a) b
+
 let axes_of e =
   let rec go acc = function
     | Axis_ref a -> if List.exists (Axis.equal a) acc then acc else a :: acc
-    | Imm _ -> acc
-    | Access (_, indices) -> List.fold_left go acc indices
-    | Cast (_, e) | Neg e -> go acc e
-    | Binop (_, a, b) -> go (go acc a) b
+    | e -> fold_children go acc e
   in
   List.rev (go [] e)
 
+(* indices may themselves contain accesses in principle; walk fully *)
 let tensors_of e =
-  let add_tensor acc = function
-    | Access (t, _) when not (List.exists (Tensor.equal t) acc) -> t :: acc
-    | _ -> acc
-  in
-  (* indices may themselves contain accesses in principle; walk fully *)
   let rec go acc = function
-    | Access (_, indices) as node ->
-      List.fold_left go (add_tensor acc node) indices
-    | Imm _ | Axis_ref _ -> acc
-    | Cast (_, e) | Neg e -> go acc e
-    | Binop (_, a, b) -> go (go acc a) b
+    | Access (t, _) as e ->
+      fold_children go (if List.exists (Tensor.equal t) acc then acc else t :: acc) e
+    | e -> fold_children go acc e
   in
   List.rev (go [] e)
 
 let accesses_of e =
   let rec go acc = function
-    | Access (t, indices) -> List.fold_left go ((t, indices) :: acc) indices
-    | Imm _ | Axis_ref _ -> acc
-    | Cast (_, e) | Neg e -> go acc e
-    | Binop (_, a, b) -> go (go acc a) b
+    | Access (t, indices) as e -> fold_children go ((t, indices) :: acc) e
+    | e -> fold_children go acc e
   in
   List.rev (go [] e)
 
@@ -145,14 +149,12 @@ let substitute_axes bindings e =
       (match List.find_opt (fun (b, _) -> Axis.equal a b) bindings with
        | Some (_, replacement) -> replacement
        | None -> node)
-    | Imm _ as node -> node
-    | Access (t, indices) -> Access (t, List.map go indices)
-    | Cast (dt, e) -> Cast (dt, go e)
-    | Neg e -> Neg (go e)
-    | Binop (op, a, b) -> Binop (op, go a, go b)
+    | e -> map_children go e
   in
   go e
 
+(* [equal_structural] and [pp] have a rule per node pair or node, so they
+   match on the nodes themselves rather than use the traversals above. *)
 let rec equal_structural a b =
   match a, b with
   | Imm x, Imm y -> Value.equal x y

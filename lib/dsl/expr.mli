@@ -61,6 +61,16 @@ val ( * ) : t -> t -> t
 
 val dtype_of : t -> Dtype.t
 
+val map_children : (t -> t) -> t -> t
+(** [e] rebuilt from [f] applied to each immediate child, through the
+    smart constructors above (an identity cast vanishes, dtypes are
+    re-checked); leaves come back unchanged.  Per-node evaluators and
+    printers match on the node themselves. *)
+
+val fold_children : ('a -> t -> 'a) -> 'a -> t -> 'a
+(** [f] folded over [e]'s immediate children in source order (an
+    access's indices left to right); a leaf returns [acc]. *)
+
 val axes_of : t -> Axis.t list
 (** Axes referenced anywhere in the expression, deduplicated, in first-use
     order. *)

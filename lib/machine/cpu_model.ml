@@ -41,7 +41,8 @@ let combine a b =
   }
 
 (* Issue cost of a scalar expression.  Index arithmetic is discounted: real
-   backends strength-reduce address computations out of inner loops. *)
+   backends strength-reduce address computations out of inner loops.  Each
+   node has its own charge, so the recursion is written out. *)
 let rec expr_cost (spec : Spec.cpu) ~index e =
   let discount = if index then 0.2 else 1.0 in
   match e with
@@ -57,12 +58,7 @@ let rec expr_cost (spec : Spec.cpu) ~index e =
     (discount /. spec.Spec.issue_width)
     +. expr_cost spec ~index c +. expr_cost spec ~index a +. expr_cost spec ~index b
 
-let rec expr_nodes = function
-  | Texpr.Imm _ | Texpr.Var _ -> 1
-  | Texpr.Load (_, ix) | Texpr.Not ix | Texpr.Cast (_, ix) -> 1 + expr_nodes ix
-  | Texpr.Binop (_, a, b) | Texpr.Cmp (_, a, b) | Texpr.And (a, b) | Texpr.Or (a, b) ->
-    1 + expr_nodes a + expr_nodes b
-  | Texpr.Select (c, a, b) -> 1 + expr_nodes c + expr_nodes a + expr_nodes b
+let rec expr_nodes e = Texpr.fold_children (fun n c -> n + expr_nodes c) 1 e
 
 let scalar_accum_latency dtype = if Unit_dtype.Dtype.is_float dtype then 4.0 else 1.0
 
@@ -275,9 +271,12 @@ let rec collect_accesses stmt =
 
 (* Distinct bytes an access touches across its inner loops. *)
 let access_footprint a =
+  (* one walk of the index, not one per loop: [traffic] calls this for
+     every access at every loop level of every tuning candidate *)
+  let vars = Texpr.vars_of a.index in
   let dependent_product =
     List.fold_left
-      (fun acc (v, e) -> if Linear.is_independent_of a.index v then acc else acc * e)
+      (fun acc (v, e) -> if List.exists (Var.equal v) vars then acc * e else acc)
       1 a.inner
   in
   let env v =

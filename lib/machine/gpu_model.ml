@@ -213,10 +213,9 @@ let library_estimate (spec : Spec.gpu) gemm =
     g_waves = Float.of_int (ceil_div blocks spec.Spec.sms)
   }
 
-let tune spec ?configs gemm =
-  let configs = match configs with Some c -> c | None -> candidate_configs gemm in
-  match configs with
-  | [] -> invalid_arg "Gpu_model.tune: empty configuration list"
+let tune spec gemm =
+  match candidate_configs gemm with
+  | [] -> assert false (* every p, fuse and split-k list is non-empty *)
   | first :: rest ->
     List.fold_left
       (fun ((_, best_est) as best) config ->

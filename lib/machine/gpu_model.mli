@@ -61,7 +61,7 @@ val estimate_with_report : Spec.gpu -> gemm -> config -> estimate * Cost_report.
     beyond compute is memory, and fusion-rearrangement + kernel-launch
     overheads land in fork/join.  Components sum to [g_cycles]. *)
 
-val tune : Spec.gpu -> ?configs:config list -> gemm -> config * estimate
+val tune : Spec.gpu -> gemm -> config * estimate
 
 val library_estimate : Spec.gpu -> gemm -> estimate
 (** The cuDNN stand-in: near-full tensor-core occupancy and dedicated

@@ -225,11 +225,7 @@ let of_config spec ?threads (r : Reorganize.t) config =
   Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
   realize spec ?threads r config
 
-let tune spec ?threads ?configs (r : Reorganize.t) =
-  let configs =
-    match configs with Some c -> c | None -> candidate_configs spec
-  in
-  if configs = [] then invalid_arg "Cpu_tuner.tune: empty configuration list";
+let tune spec ?threads (r : Reorganize.t) =
   let tune_tok = Obs.start "tensorize.tune" in
   Fun.protect ~finally:(fun () -> Obs.stop tune_tok) @@ fun () ->
   let evaluate config =
@@ -245,8 +241,8 @@ let tune spec ?threads ?configs (r : Reorganize.t) =
     Obs.incr c_candidates;
     realize spec ?threads r config
   in
-  match prune_configs r configs with
-  | [] -> assert false (* the first config of a non-empty list is always kept *)
+  match prune_configs r (candidate_configs spec) with
+  | [] -> assert false (* the grid is never empty and its first config is always kept *)
   | first :: rest ->
     let first = evaluate first in
     Obs.observe h_best first.t_estimate.Unit_machine.Cpu_model.est_cycles;

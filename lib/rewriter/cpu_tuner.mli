@@ -92,7 +92,6 @@ val prune_configs : Reorganize.t -> config list -> config list
 val tune :
   Unit_machine.Spec.cpu ->
   ?threads:int ->
-  ?configs:config list ->
   Reorganize.t ->
   tuned
 (** Profile every candidate on the machine model and keep the fastest —

@@ -1,12 +1,10 @@
 open Texpr
 
-let rec occurs v = function
-  | Var w -> Var.equal v w
-  | Imm _ -> false
-  | Load (_, ix) -> occurs v ix
-  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> occurs v a || occurs v b
-  | Not a | Cast (_, a) -> occurs v a
-  | Select (c, a, b) -> occurs v c || occurs v a || occurs v b
+let occurs v e =
+  let rec go found e =
+    found || match e with Var w -> Var.equal v w | e -> fold_children go false e
+  in
+  go false e
 
 let is_independent_of e v = not (occurs v e)
 
@@ -71,6 +69,8 @@ let binop_bounds dt op l1 h1 l2 h2 =
   | Min -> fit dt (Stdlib.min l1 l2, Stdlib.min h1 h2)
   | Max -> fit dt (Stdlib.max l1 l2, Stdlib.max h1 h2)
 
+(* A rule per node, so the recursion is written out rather than on
+   [Texpr.fold_children]. *)
 let bounds ?(load = fun _ -> None) ~env e =
   let rec go e =
     match e with

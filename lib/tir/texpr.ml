@@ -139,24 +139,36 @@ let select c a b =
     type_error "select: branch dtype mismatch";
   match as_bool c with Some true -> a | Some false -> b | None -> Select (c, a, b)
 
+let map_children f e =
+  match e with
+  | Imm _ | Var _ -> e
+  | Load (b, ix) -> load b (f ix)
+  | Binop (op, a, b) -> binop op (f a) (f b)
+  | Cmp (c, a, b) -> cmp c (f a) (f b)
+  | And (a, b) -> and_ (f a) (f b)
+  | Or (a, b) -> or_ (f a) (f b)
+  | Not a -> not_ (f a)
+  | Cast (dt, a) -> cast dt (f a)
+  | Select (c, a, b) -> select (f c) (f a) (f b)
+
+let fold_children f acc e =
+  match e with
+  | Imm _ | Var _ -> acc
+  | Load (_, a) | Not a | Cast (_, a) -> f acc a
+  | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> f (f acc a) b
+  | Select (c, a, b) -> f (f (f acc c) a) b
+
 let vars_of e =
   let rec go acc = function
     | Var v -> if List.exists (Var.equal v) acc then acc else v :: acc
-    | Imm _ -> acc
-    | Load (_, ix) -> go acc ix
-    | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> go (go acc a) b
-    | Not a | Cast (_, a) -> go acc a
-    | Select (c, a, b) -> go (go (go acc c) a) b
+    | e -> fold_children go acc e
   in
   List.rev (go [] e)
 
 let loads_of e =
   let rec go acc = function
     | Load (b, ix) -> go ((b, ix) :: acc) ix
-    | Imm _ | Var _ -> acc
-    | Binop (_, a, b) | Cmp (_, a, b) | And (a, b) | Or (a, b) -> go (go acc a) b
-    | Not a | Cast (_, a) -> go acc a
-    | Select (c, a, b) -> go (go (go acc c) a) b
+    | e -> fold_children go acc e
   in
   List.rev (go [] e)
 
@@ -166,15 +178,7 @@ let substitute bindings e =
       (match List.find_opt (fun (w, _) -> Var.equal v w) bindings with
        | Some (_, r) -> r
        | None -> node)
-    | Imm _ as node -> node
-    | Load (b, ix) -> load b (go ix)
-    | Binop (op, a, b) -> binop op (go a) (go b)
-    | Cmp (c, a, b) -> cmp c (go a) (go b)
-    | And (a, b) -> and_ (go a) (go b)
-    | Or (a, b) -> or_ (go a) (go b)
-    | Not a -> not_ (go a)
-    | Cast (dt, a) -> cast dt (go a)
-    | Select (c, a, b) -> select (go c) (go a) (go b)
+    | e -> map_children go e
   in
   go e
 
@@ -182,6 +186,8 @@ let as_const_int = function
   | Imm v when Dtype.is_integer (Value.dtype v) -> Some (Int64.to_int (Value.to_int64 v))
   | _ -> None
 
+(* [equal_structural] and [pp] have a rule per node pair or node, so they
+   match on the nodes themselves rather than use the traversals above. *)
 let rec equal_structural a b =
   match a, b with
   | Imm x, Imm y -> Value.equal x y

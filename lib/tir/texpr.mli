@@ -66,6 +66,19 @@ val select : t -> t -> t -> t
 
 val dtype_of : t -> Dtype.t
 
+val map_children : (t -> t) -> t -> t
+(** [e] rebuilt from [f] applied to each immediate child, through the
+    smart constructors above, so the rebuilt node folds and simplifies
+    like a fresh one; leaves come back unchanged.  The one child
+    traversal of the rewriting passes.  Walkers that treat some children
+    as conditional (the right operand of [And]/[Or], the branches of
+    [Select]) and per-node evaluators and printers match on the node
+    themselves. *)
+
+val fold_children : ('a -> t -> 'a) -> 'a -> t -> 'a
+(** [f] folded over [e]'s immediate children in source order ([Select]:
+    condition, then, else); a leaf returns [acc]. *)
+
 val vars_of : t -> Var.t list
 (** Deduplicated, first-use order. *)
 

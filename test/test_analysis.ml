@@ -48,8 +48,11 @@ let tensorized_diags ?config ~spec wl =
   | Error _ -> Alcotest.fail "inspect failed"
   | Ok ap ->
     let r = Reorganize.apply op ap () in
-    let configs = Option.map (fun c -> [ c ]) config in
-    let tuned = Cpu_tuner.tune spec ?configs r in
+    let tuned =
+      match config with
+      | Some c -> Cpu_tuner.of_config spec r c
+      | None -> Cpu_tuner.tune spec r
+    in
     Pipeline.analyze tuned
 
 let test_pipeline_schedules_clean () =

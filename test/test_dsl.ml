@@ -75,6 +75,35 @@ let test_substitute_axes () =
   let e' = Expr.substitute_axes [ (i, Expr.int_imm 7) ] e in
   check_string "substituted" "(7i32 + j)" (Expr.to_string e')
 
+let test_expr_traversals () =
+  let t = Tensor.create ~name:"t" ~shape:[ 4; 4 ] Dtype.I8 in
+  let i = Expr.axis (Axis.data_parallel ~name:"i" 4)
+  and j = Expr.axis (Axis.reduction ~name:"j" 4) in
+  let a = Expr.access t [ i; j ] in
+  let w = Expr.cast Dtype.I32 a in
+  (* one node per constructor, with its immediate children in source order *)
+  List.iter
+    (fun (name, e, children) ->
+      check_bool (name ^ ": identity map") true
+        (Expr.equal_structural e (Expr.map_children Fun.id e));
+      let seen = List.rev (Expr.fold_children (fun acc c -> c :: acc) [] e) in
+      check_bool (name ^ ": fold in source order") true
+        (List.length seen = List.length children
+        && List.for_all2 Expr.equal_structural seen children))
+    [ ("imm", Expr.int_imm 3, []);
+      ("axis", i, []);
+      ("access", a, [ i; j ]);
+      ("cast", w, [ a ]);
+      ("binop", Expr.sub w i, [ w; i ]);
+      ("neg", Expr.neg i, [ i ]) ];
+  (* the rebuild goes through the smart constructors *)
+  let to_i32 c = if Expr.equal_structural c a then Expr.int_imm 5 else c in
+  check_bool "same-dtype cast vanishes" true
+    (Expr.equal_structural (Expr.int_imm 5) (Expr.map_children to_i32 w));
+  match Expr.map_children (fun c -> if Expr.equal_structural c w then a else c) (Expr.sub w i) with
+  | exception Expr.Type_error _ -> ()
+  | _ -> Alcotest.fail "rebuilt binop skipped the dtype check"
+
 (* ---------- Op ---------- *)
 
 let mk_matmul () =
@@ -248,7 +277,8 @@ let () =
           Alcotest.test_case "cast elision" `Quick test_expr_cast_elision;
           Alcotest.test_case "axes/tensors of" `Quick test_axes_and_tensors_of;
           Alcotest.test_case "eval" `Quick test_expr_eval;
-          Alcotest.test_case "substitute axes" `Quick test_substitute_axes
+          Alcotest.test_case "substitute axes" `Quick test_substitute_axes;
+          Alcotest.test_case "child traversals" `Quick test_expr_traversals
         ] );
       ( "op",
         [ Alcotest.test_case "validation" `Quick test_op_validation;

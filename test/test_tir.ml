@@ -39,6 +39,60 @@ let test_substitute () =
   let e' = Texpr.substitute [ (v, Texpr.int_imm 4) ] e in
   check_bool "substitution folds" true (Texpr.as_const_int e' = Some 5)
 
+(* ---------- Texpr child traversals ---------- *)
+
+(* One node per constructor, with its immediate children in source order;
+   the children of each node are pairwise distinct. *)
+let texpr_nodes x y p q buf =
+  [ ("imm", Texpr.int_imm 3, []);
+    ("var", x, []);
+    ("load", Texpr.load buf x, [ x ]);
+    ("binop", Texpr.sub x y, [ x; y ]);
+    ("cmp", p, [ x; y ]);
+    ("and", Texpr.and_ p q, [ p; q ]);
+    ("or", Texpr.or_ p q, [ p; q ]);
+    ("not", Texpr.not_ p, [ p ]);
+    ("cast", Texpr.cast Dtype.I64 x, [ x ]);
+    ("select", Texpr.select p x y, [ p; x; y ]) ]
+
+let test_texpr_traversals () =
+  let x = Texpr.var (Var.create "x") and y = Texpr.var (Var.create "y") in
+  let p = Texpr.cmp Texpr.Lt x y and q = Texpr.cmp Texpr.Eq x y in
+  let buf = Buffer.create ~name:"buf" ~dtype:Dtype.I32 ~size:8 () in
+  List.iter
+    (fun (name, e, children) ->
+      check_bool (name ^ ": identity map") true
+        (Texpr.equal_structural e (Texpr.map_children Fun.id e));
+      let seen = List.rev (Texpr.fold_children (fun acc c -> c :: acc) [] e) in
+      check_bool (name ^ ": fold in source order") true
+        (List.length seen = List.length children
+        && List.for_all2 Texpr.equal_structural seen children))
+    (texpr_nodes x y p q buf);
+  (* the rebuild goes through the smart constructors *)
+  let swap pairs c =
+    match List.find_opt (fun (a, _) -> Texpr.equal_structural a c) pairs with
+    | Some (_, r) -> r
+    | None -> c
+  in
+  let yes = Texpr.cmp Texpr.Lt (Texpr.int_imm 0) (Texpr.int_imm 1) in
+  let no = Texpr.not_ yes in
+  let z = Texpr.var (Var.create ~dtype:Dtype.I64 "z") in
+  let rebuilt pairs e = Texpr.map_children (swap pairs) e in
+  let consts = [ (x, Texpr.int_imm 3); (y, Texpr.int_imm 1) ] in
+  check_bool "binop folds" true (Texpr.as_const_int (rebuilt consts (Texpr.sub x y)) = Some 2);
+  check_bool "cmp folds" true (Texpr.as_const_int (rebuilt consts p) = Some 0);
+  check_bool "and folds" true (Texpr.equal_structural q (rebuilt [ (p, yes) ] (Texpr.and_ p q)));
+  check_bool "or folds" true (Texpr.as_const_int (rebuilt [ (p, yes) ] (Texpr.or_ p q)) = Some 1);
+  check_bool "not folds" true (Texpr.as_const_int (rebuilt [ (p, yes) ] (Texpr.not_ p)) = Some 0);
+  check_bool "same-dtype cast vanishes" true
+    (Texpr.equal_structural z (rebuilt [ (x, z) ] (Texpr.cast Dtype.I64 x)));
+  check_bool "constant select folds" true
+    (Texpr.equal_structural y (rebuilt [ (p, no) ] (Texpr.select p x y)));
+  check_bool "load index rebuilt" true
+    (Texpr.equal_structural
+       (Texpr.load buf (Texpr.int_imm 3))
+       (rebuilt consts (Texpr.load buf x)))
+
 (* ---------- Linear analysis ---------- *)
 
 let test_coefficient () =
@@ -387,7 +441,8 @@ let () =
     [ ( "texpr",
         [ Alcotest.test_case "constant folding" `Quick test_constant_folding;
           Alcotest.test_case "boolean folding" `Quick test_bool_folding;
-          Alcotest.test_case "substitute" `Quick test_substitute
+          Alcotest.test_case "substitute" `Quick test_substitute;
+          Alcotest.test_case "child traversals" `Quick test_texpr_traversals
         ] );
       ( "linear",
         [ Alcotest.test_case "coefficients" `Quick test_coefficient;
