@@ -65,9 +65,10 @@ open Unit_tir
    cells.  A single lane loop wider than [max_lanes] with stride 1 is
    split into passes of [max_lanes] lanes, hoisted like a column, when
    its body addresses bound buffers only (lanes then share no state).
-   The tile left, 2 to [max_lanes] deferrable cells whose offsets read
-   only lane loops that unroll (extent ≤ 16, and only such loops inside
-   them), renders as one local [ref] per cell, which ocamlopt keeps as a
+   The tile left, 2 to [max_lanes] cells of a deferrable dtype (raw) or
+   of a float dtype but f16 (canonical), whose offsets read only lane
+   loops that unroll (extent ≤ 16, and only such loops inside them),
+   renders as one local [ref] per cell, which ocamlopt keeps as a
    mutable variable; its lane loops unroll with literal indices.  First,
    the intrinsic expansion's accumulator cell, copied from a tile cell
    at the top of a lane iteration and back at its end, is merged into
@@ -79,7 +80,8 @@ open Unit_tir
    [l] (the lanes share it), [w] reading [W[i + d·l]], [d > 0], from a
    bound buffer the kernel never stores.  [W] is packed once per run
    before [par] ([Unit_emit_hook.pack_pairs]: [w0 + w1 lsl 31] at lane
-   [2j]'s index), the pair of lanes [2j] and [2j+1] accumulates from 0
+   [2j]'s index, read unchecked inside the window the kernel's entry
+   check proved), the pair of lanes [2j] and [2j+1] accumulates from 0
    in one local, only the even lane copies render, and the copy-out
    stores [w_i32 (init + pair_lo v)] and [w_i32 (init + pair_hi v)],
    exact mod 2^32.  [pair_lo v = (v lsl 32) asr 32] is lane [2j] only
@@ -90,13 +92,37 @@ open Unit_tir
    Packing also waits until the multiplies it saves per run outnumber
    the weights it packs: a layer without weight reuse stays unpacked.
 
-   Loop shaping.  A loop with no inner loop, or a register tile's lane
-   loop, with a static extent ≤ 16 is replicated with its index rendered
-   as a literal.  Every other loop is a level (outermost 1), and
-   ocamlopt moves no arithmetic out of a loop, so {!hoist_terms} does:
-   each exact, load-free i32 term — every [Let] value and load or store
-   index among them — is normalised to a sum of [c * atom] terms and a
-   constant, with exact [Let]s inlined and [(a + b) * c] distributed.
+   Register tiles as microkernels.  A register tile whose every update
+   accumulates, [tile[c] = tile[c] + e] with [e] free of the tile,
+   renders as a top-level function [tile<n>] that the kernel calls once
+   per tile, the shape of [Executor.kernel_4]: its cells' refs, its
+   reduction loops, its body and its copy-out live in that small
+   function, where ocamlopt's graph-colouring allocator keeps the cells
+   in registers (in the kernel's one large function it spilled them).
+   Its parameters are the names bound at the call that its source reads,
+   typed where the storage class is known so array accesses specialise.
+   Three rules shape it.  The body goes operand-major: a lane loop whose
+   body is a perfect nest of unrolled loops around updates of the tile
+   alone moves inside that nest ([operand_major]), so each hoisted
+   operand [h<r>] is loaded just before the updates that read it, and
+   every cell keeps its own update order.  A tile of a deferrable dtype
+   (lane pairs, or wrapped integers) moves its longest reduction loop
+   innermost: its sums are exact mod 2^k, so their order does not
+   matter, and a lane pair's bound counts updates, not their order.
+   Each partial of that loop's indices (see "Loop shaping") of the form
+   [base + stride * v] then becomes a [ref] pointer, set to [base]
+   before the loop and bumped by [stride] at the end of each iteration.
+   A float tile keeps its loop order and its partials.  A tile that
+   does not accumulate renders inline, as it did before version 10.
+
+   Loop shaping.  A loop with no inner loop, a register tile's lane
+   loop, or a loop moved outside one, with a static extent ≤ 16 is
+   replicated with its index rendered as a literal.  Every other loop
+   is a level (outermost 1), and ocamlopt moves no arithmetic out of a
+   loop, so {!hoist_terms} does: each exact, load-free i32 term — every
+   [Let] value and load or store index among them — is normalised to a
+   sum of [c * atom] terms and a constant, with exact [Let]s inlined
+   and [(a + b) * c] distributed.
    An atom (a variable, or a non-affine term such as [v mod 27]) goes
    with the deepest level it reads; an unrolled copy's index and a
    [Let] bound at the same level stay with the constant.  Each level's
@@ -151,7 +177,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 9
+let version = 10
 
 module Obs = Unit_obs.Obs
 
@@ -165,6 +191,7 @@ let c_register_tiles = Obs.counter "emit.register_tiles"
 let c_lanes_packed = Obs.counter "emit.lanes_packed"
 let c_accesses_unchecked = Obs.counter "emit.accesses_unchecked"
 let c_accesses_checked = Obs.counter "emit.accesses_checked"
+let c_tiles_outlined = Obs.counter "emit.tiles_outlined"
 
 type plan = {
   p_name : string;
@@ -413,6 +440,9 @@ type tiling = {
   tl_tiles : int;  (* promoted tiles, register tiles included *)
   tl_registers : (int, pairing option) Hashtbl.t;  (* register tile id -> its pairing *)
   tl_lanes : (int, Buffer.t) Hashtbl.t;  (* lane loop variable id -> its register tile *)
+  tl_outlined : (int, unit) Hashtbl.t;  (* register tiles rendered as microkernels *)
+  tl_unrolled : (int, unit) Hashtbl.t;  (* loops moved outside a tile's lanes *)
+  tl_strided : (int, unit) Hashtbl.t;  (* reduction loops stepping by pointer *)
   tl_diags : Diag.t list;
 }
 
@@ -491,6 +521,11 @@ let forward_cells (tile : Buffer.t) body =
     | _ -> Stmt.map_children go s
   in
   go body
+
+(* Dtypes a register tile holds: the deferrable integers, raw, and the
+   floats but f16, canonical. *)
+let register_dtype dt =
+  deferrable dt || match dt with Dtype.F32 | Dtype.F64 | Dtype.Bf16 -> true | _ -> false
 
 let byte_dtype (b : Buffer.t) = match b.Buffer.dtype with Dtype.U8 | Dtype.I8 -> true | _ -> false
 
@@ -622,10 +657,100 @@ let split_lanes ~bound (l : Var.t) s =
   in
   go s
 
+(* ---- microkernels *)
+
+(* Whether every access of [tile] in [s] is an update
+   [tile[ix] = tile[ix] + e] with [e] free of [tile]. *)
+let accumulates (tile : Buffer.t) s =
+  let reads e = List.exists (fun (b, _) -> Buffer.equal b tile) (Texpr.loads_of e) in
+  let own ix (e : Texpr.t) =
+    match e with
+    | Texpr.Load (t, ix') -> Buffer.equal t tile && Texpr.equal_structural ix ix'
+    | _ -> false
+  in
+  not
+    (Stmt.exists
+       (fun s ->
+         match s with
+         | Stmt.Store (t, ix, v) when Buffer.equal t tile -> (
+           reads ix
+           ||
+           match v with
+           | Texpr.Binop (Texpr.Add, a, e) when own ix a -> reads e
+           | Texpr.Binop (Texpr.Add, e, a) when own ix a -> reads e
+           | _ -> true)
+         | _ -> List.exists reads (own_exprs s))
+       s)
+
+(* The tile's lane loop [l] turned operand-major:
+   [for l { for k.. { updates } }] becomes [for k.. { for l { updates } }]
+   when the updates store to [tile] only, so each lane's accumulator
+   keeps its own update order.  Returns the statement and the loops [k..]
+   moved out, which now unroll around the lanes. *)
+let operand_major (tile : Buffer.t) lanes inner =
+  let moved = ref [] in
+  let updates_only s =
+    not
+      (Stmt.exists
+         (function
+           | Stmt.Store (t, _, _) -> not (Buffer.equal t tile)
+           | Stmt.Seq _ | Stmt.Nop -> false
+           | _ -> true)
+         s)
+  in
+  let is_lane (v : Var.t) = List.exists (Var.equal v) lanes in
+  let rec go (s : Stmt.t) =
+    match s with
+    | Stmt.For ({ var; body; _ } as r) when is_lane var -> (
+      match perfect_nest body with
+      | (_ :: _ as ks), leaf
+        when updates_only leaf && not (List.exists (fun (k, _, _) -> is_lane k) ks) ->
+        moved := List.map (fun (k, _, _) -> k) ks @ !moved;
+        nest ks (Stmt.For { r with body = leaf })
+      | _ -> s)
+    | _ -> Stmt.map_children go s
+  in
+  let s = go inner in
+  (s, !moved)
+
+(* How a register tile renders (see the header's "Register tiles as
+   microkernels"). *)
+type microkernel = {
+  mk_unrolled : Var.t list;  (* loops moved outside the lanes, unrolled *)
+  mk_strided : Var.t option;  (* the reduction loop whose indices step by pointer *)
+}
+
+(* The reduction nest [loops] (outermost first) around [inner] of the
+   register tile [tile], reshaped as a microkernel: [None] keeps it as
+   it is.  An accumulating tile goes operand-major; an integer one also
+   moves its longest reduction loop innermost, as its sums do not depend
+   on their order. *)
+let microkernel (tile : Buffer.t) lanes loops inner =
+  if not (accumulates tile inner) then None
+  else
+    let inner, moved = operand_major tile lanes inner in
+    if not (deferrable tile.Buffer.dtype) then
+      Some (nest loops inner, { mk_unrolled = moved; mk_strided = None })
+    else
+      let longest =
+        List.fold_left
+          (fun best ((_, n, _) as l) ->
+            match best with Some (_, m, _) when m > n -> best | _ -> Some l)
+          None loops
+      in
+      let loops =
+        match longest with
+        | Some ((v, _, _) as l) ->
+          List.filter (fun ((u : Var.t), _, _) -> not (Var.equal u v)) loops @ [ l ]
+        | None -> loops
+      in
+      let strided = Option.map (fun (v, _, _) -> v) longest in
+      Some (nest loops inner, { mk_unrolled = moved; mk_strided = strided })
+
 (* The loop [loop] (serial) rewritten around a register tile of bound
-   buffer [b] (see the header): [Some (stmt, tile, lanes, pairing)] with
-   [lanes] the loops the tile's offsets read; [None] when a proof
-   condition fails.  [loop] runs [trips] times per run. *)
+   buffer [b] (see the header): [Some (stmt, tile, lanes, pairing,
+   microkernel)] with [lanes] the loops the tile's offsets read; [None]
+   when a proof condition fails.  [loop] runs [trips] times per run. *)
 let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffer.t) =
   let loops, inner = perfect_nest loop in
   match loops with
@@ -684,13 +809,27 @@ let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffe
       let col_ids = List.map (fun ((v : Var.t), _, _) -> v.Var.id) cols in
       match reds with
       | (r_var, r_ext, r_kind) :: reds
-        when lane_loops_unroll && stores_only_tile && deferrable b.Buffer.dtype -> (
+        when lane_loops_unroll && stores_only_tile && register_dtype b.Buffer.dtype -> (
         match promote_buffer ~scope:(col_ids @ scope) r_var r_ext (nest reds inner) b with
         | Some (tile, base, body, _)
           when tile.Buffer.size >= 2 && tile.Buffer.size <= max_lanes ->
           let region = Stmt.for_ r_var ~extent:r_ext ~kind:r_kind body in
           let trips = List.fold_left (fun t (_, n, _) -> t * n) trips cols in
-          let pairing = pair_lanes ~name ~weights ~trips tile lanes region in
+          let pairing =
+            if deferrable tile.Buffer.dtype then pair_lanes ~name ~weights ~trips tile lanes region
+            else Ok None
+          in
+          (* [body] is [reds] around the tile's rewritten [inner] *)
+          let rec peel n (s : Stmt.t) =
+            match s with Stmt.For { body; _ } when n > 0 -> peel (n - 1) body | _ -> s
+          in
+          let region, shape =
+            match
+              microkernel tile lanes ((r_var, r_ext, r_kind) :: reds) (peel (List.length reds) body)
+            with
+            | Some (region, mk) -> (region, Some mk)
+            | None -> (region, None)
+          in
           let at k = Texpr.add base k in
           let copies =
             match pairing with
@@ -705,7 +844,7 @@ let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffe
                 region;
                 copy_cells tile (fun k -> Stmt.Store (b, at k, Texpr.load tile k)) ]
           in
-          Some (nest cols (Stmt.Alloc (tile, Stmt.seq copies)), tile, lanes, pairing)
+          Some (nest cols (Stmt.Alloc (tile, Stmt.seq copies)), tile, lanes, pairing, shape)
         | _ -> None)
       | _ -> None))
 
@@ -718,6 +857,7 @@ let promote (func : Lower.func) =
   let is_bound (b : Buffer.t) = List.exists (Buffer.equal b) bound in
   let weights (w : Buffer.t) = is_bound w && not (Hashtbl.mem stored w.Buffer.id) in
   let registers = Hashtbl.create 4 and lanes = Hashtbl.create 4 in
+  let outlined = Hashtbl.create 4 and unrolled = Hashtbl.create 4 and strided = Hashtbl.create 4 in
   let diags = ref [] in
   let n = ref 0 in
   (* [trips]: how often [s] runs per kernel run *)
@@ -733,12 +873,18 @@ let promote (func : Lower.func) =
             bound
       in
       match register with
-      | Some (s, tile, lane_vars, pairing) ->
+      | Some (s, tile, lane_vars, pairing, shape) ->
         incr n;
         Hashtbl.replace registers tile.Buffer.id
           (match pairing with Ok p -> p | Error _ -> None);
         (match pairing with Error d -> diags := d :: !diags | Ok _ -> ());
         List.iter (fun (v : Var.t) -> Hashtbl.replace lanes v.Var.id tile) lane_vars;
+        Option.iter
+          (fun mk ->
+            Hashtbl.replace outlined tile.Buffer.id ();
+            List.iter (fun (v : Var.t) -> Hashtbl.replace unrolled v.Var.id ()) mk.mk_unrolled;
+            Option.iter (fun (v : Var.t) -> Hashtbl.replace strided v.Var.id ()) mk.mk_strided)
+          shape;
         s
       | None ->
         let tiles, body =
@@ -772,6 +918,9 @@ let promote (func : Lower.func) =
     tl_tiles = !n;
     tl_registers = registers;
     tl_lanes = lanes;
+    tl_outlined = outlined;
+    tl_unrolled = unrolled;
+    tl_strided = strided;
     tl_diags = List.rev !diags }
 
 let promote_tiles func =
@@ -801,6 +950,7 @@ type hoisting = {
   ht_carries : (int, Buffer.t * base * (int * int)) Hashtbl.t;
       (* partial var id -> the bound buffer whose offset it carries, and
          the interval proven for its value without that offset *)
+  ht_partials : (int, unit) Hashtbl.t;  (* every partial's var id *)
   ht_hoisted : int;  (* partials bound and extent-1 loops folded *)
 }
 
@@ -907,7 +1057,7 @@ let hoist_terms ~is_lane ~offset (body : Stmt.t) =
      partials as (carried buffer, terms, var, value) in binding order *)
   let frames : (Buffer.t option * term list * Var.t * Texpr.t) list ref list ref = ref [] in
   let depth () = List.length !frames in
-  let carries = Hashtbl.create 8 in
+  let carries = Hashtbl.create 8 and partials = Hashtbl.create 8 in
   let n_terms = ref 0 in
   let product (t : term) =
     if t.t_coeff = 1 then t.t_atom else Texpr.mul (Texpr.int_imm t.t_coeff) t.t_atom
@@ -973,6 +1123,7 @@ let hoist_terms ~is_lane ~offset (body : Stmt.t) =
           List.iter
             (fun (frame, (b, ts, p, v), base) ->
               incr n_terms;
+              Hashtbl.replace partials p.Var.id ();
               frame := !frame @ [ (b, ts, p, v) ];
               Option.iter (Hashtbl.replace carries p.Var.id) base)
             (List.rev !pending);
@@ -1050,7 +1201,7 @@ let hoist_terms ~is_lane ~offset (body : Stmt.t) =
     | Stmt.Nop | Stmt.Intrin_call _ -> s
   in
   let body = st body in
-  { ht_body = body; ht_carries = carries; ht_hoisted = !n_terms }
+  { ht_body = body; ht_carries = carries; ht_partials = partials; ht_hoisted = !n_terms }
 
 (* Canonicalizer names from {!Unit_emit_hook}, which the kernel opens. *)
 let wname dt = "w_" ^ Dtype.to_string dt
@@ -1074,6 +1225,12 @@ let rounded dt s =
        r_bf16 x_)"
       s
   | _ -> unsupported "round to %s" (Dtype.to_string dt)
+
+(* The OCaml type of a storage class's elements. *)
+let carrier_type : Ndarray.storage_class -> string = function
+  | Float_class -> "float"
+  | Int_class -> "int"
+  | Int64_class -> "int64"
 
 let int_lit c = if c < 0 then Printf.sprintf "(%d)" c else string_of_int c
 
@@ -1108,7 +1265,9 @@ let render (func : Lower.func) : plan * string =
         acc || match p with Some p -> Buffer.equal p.pr_weights b | None -> false)
       tiling.tl_registers false
   in
-  let is_lane (v : Var.t) = Hashtbl.mem tiling.tl_lanes v.Var.id in
+  let is_lane (v : Var.t) =
+    Hashtbl.mem tiling.tl_lanes v.Var.id || Hashtbl.mem tiling.tl_unrolled v.Var.id
+  in
   let hoisting =
     hoist_terms ~is_lane
       ~offset:(fun b -> List.exists (Buffer.equal b) bound && not (packed b))
@@ -1186,8 +1345,20 @@ let render (func : Lower.func) : plan * string =
   in
   let norm_var = first_seen () and norm_buf = first_seen () in
   List.iter (fun (s : Binding.slot) -> ignore (norm_buf s.sl_buf.Buffer.id : int)) layout.l_slots;
-  let vname (v : Var.t) = Printf.sprintf "v%d" (norm_var v.Var.id) in
-  let cellname (b : Buffer.t) = Printf.sprintf "c%d" (norm_buf b.Buffer.id) in
+  (* While a microkernel renders, the names its source reads, in
+     first-use order: those bound outside it become its parameters. *)
+  let uses : (string, unit) Hashtbl.t option ref = ref None and use_order = ref [] in
+  let use n =
+    (match !uses with
+     | Some t when not (Hashtbl.mem t n) ->
+       Hashtbl.add t n ();
+       use_order := n :: !use_order
+     | _ -> ());
+    n
+  in
+  let vname (v : Var.t) = use (Printf.sprintf "v%d" (norm_var v.Var.id)) in
+  let cellname (b : Buffer.t) = use (Printf.sprintf "c%d" (norm_buf b.Buffer.id)) in
+  let offname (b : Buffer.t) = use (Printf.sprintf "o%d" (norm_buf b.Buffer.id)) in
   (* ---- register tiles: each cell (each lane pair, when packed) is a
      local [ref] named after the tile and the cell *)
   let pairing_of (b : Buffer.t) = Hashtbl.find_opt tiling.tl_registers b.Buffer.id in
@@ -1247,6 +1418,27 @@ let render (func : Lower.func) : plan * string =
   in
   (* Loads bound before the loop being rendered: rendered load -> name. *)
   let hoisted : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  (* Microkernels rendered so far: (name, parameters with their types
+     where known, source) *)
+  let microkernels = ref [] in
+  (* [Some (start, stride)] when the partial [p = e] of the loop [v] is
+     [start + stride * v] (see [hoist_terms]'s partials) *)
+  let step_of (v : Var.t) (p : Var.t) (e : Texpr.t) =
+    let stride (d : Texpr.t) =
+      match Linear.coefficient_of d v with
+      | Some c
+        when c <> 0
+             && List.for_all (Var.equal v) (Texpr.vars_of d)
+             && Linear.bounds ~env:(fun _ -> Some (0, 0)) d = Some (0, 0) ->
+        Some c
+      | _ -> None
+    in
+    match Hashtbl.find_opt hoisting.ht_carries p.Var.id, e with
+    | Some (b, Offset, _), _ -> Option.map (fun c -> (offname b, c)) (stride e)
+    | Some (_, After q, _), _ -> Option.map (fun c -> (vname q, c)) (stride e)
+    | None, Texpr.Binop (Texpr.Add, Texpr.Var q, d) -> Option.map (fun c -> (vname q, c)) (stride d)
+    | None, _ -> Option.map (fun c -> ("0", c)) (stride e)
+  in
   (* ---- expressions; [re] yields the value in its dtype's carrier,
      canonical; [rv] may leave a deferrable add/sub/mul or scalar-cell
      load raw and says so.  [rv] and [rcanon] render each node their own
@@ -1278,17 +1470,17 @@ let render (func : Lower.func) : plan * string =
      window where it runs (see the header's "Bounds"). *)
   and addr_in (b : Buffer.t) (ix : Texpr.t) access =
     let k = norm_buf b.Buffer.id in
-    let o = Printf.sprintf "o%d" k in
+    let o () = offname b and zero () = "0" in
     (* the array, where [b]'s window starts in it, and the cell *)
     let arr, lo, at =
       match Hashtbl.find_opt defined b.Buffer.id, !packing, ix with
-      | _, Some (_, w, pk), _ when w = b.Buffer.id -> (pk, "0", rint ix)
+      | _, Some (_, w, pk), _ when w = b.Buffer.id -> (use pk, zero, rint ix)
       | None, _, _ -> unsupported "buffer %s unbound" b.Buffer.name
       | Some true, _, Texpr.Var p when carried b p -> (cellname b, o, vname p)
       | Some true, _, Texpr.Binop (Texpr.Add, Texpr.Var p, r) when carried b p ->
         (cellname b, o, Printf.sprintf "(%s + %s)" (vname p) (rint r))
-      | Some true, _, _ -> (cellname b, o, Printf.sprintf "(%s + %s)" o (rint ix))
-      | Some false, _, _ -> (cellname b, "0", rint ix)
+      | Some true, _, _ -> (cellname b, o, Printf.sprintf "(%s + %s)" (o ()) (rint ix))
+      | Some false, _, _ -> (cellname b, zero, rint ix)
     in
     let size = b.Buffer.size in
     if Linear.in_bounds ~size (index_interval ix) then begin
@@ -1297,6 +1489,7 @@ let render (func : Lower.func) : plan * string =
     end
     else begin
       bump n_checked;
+      let lo = lo () in
       Printf.sprintf
         "(let a_ = %s in if a_ < %s || a_ >= %s + %d then out_of_window %d (a_ - %s) %d; %s)"
         at lo lo size k lo size (access arr "a_")
@@ -1310,7 +1503,7 @@ let render (func : Lower.func) : plan * string =
         if is_cell b then "!" ^ cellname b
         else addr_in b ix (Printf.sprintf "(Array.unsafe_get %s %s)")
       in
-      Option.value (Hashtbl.find_opt hoisted s) ~default:s
+      (match Hashtbl.find_opt hoisted s with Some h -> use h | None -> s)
 
   and rcanon (e : Texpr.t) : string =
     match e with
@@ -1489,12 +1682,12 @@ let render (func : Lower.func) : plan * string =
     | Int64_class, Int64_class -> s
     | Int64_class, Float_class -> rounded dt (Printf.sprintf "(Int64.to_float %s)" s)
   in
-  (* ---- statements *)
-  let buf = B.create 4096 in
+  (* ---- statements, into the kernel's body or a microkernel's *)
+  let out = ref (B.create 4096) in
   let line i s =
-    B.add_string buf (String.make (2 * i) ' ');
-    B.add_string buf s;
-    B.add_char buf '\n'
+    B.add_string !out (String.make (2 * i) ' ');
+    B.add_string !out s;
+    B.add_char !out '\n'
   in
   let with_var (v : Var.t) ?iv ?lit f =
     let id = v.Var.id in
@@ -1655,6 +1848,44 @@ let render (func : Lower.func) : plan * string =
             with_var var ~iv:(i, i) ~lit:i (fun () -> rs ind ~in_par body)
           done;
           packing := was)
+    | Stmt.For { var; extent; body; _ } when Hashtbl.mem tiling.tl_strided var.Var.id ->
+      (* a microkernel's innermost reduction loop: each partial of the
+         form [base + stride * var] becomes a pointer bumped by [stride] *)
+      let rec peel acc (s : Stmt.t) =
+        match s with
+        | Stmt.Let (p, e, rest) when Hashtbl.mem hoisting.ht_partials p.Var.id -> (
+          match step_of var p e with
+          | Some (start, stride) -> peel ((p, e, start, stride) :: acc) rest
+          | None -> (List.rev acc, s))
+        | _ -> (List.rev acc, s)
+      in
+      let pointers, rest = peel [] body in
+      let binds = if only_unrollable body then hoist_loads var body else [] in
+      with_binds ind binds (fun ind ->
+          line ind "begin";
+          List.iter
+            (fun (p, _, start, _) ->
+              line (ind + 1) (Printf.sprintf "let %s_p = ref %s in" (vname p) start))
+            pointers;
+          line (ind + 1) (Printf.sprintf "for %s = 0 to %d do" (vname var) (extent - 1));
+          let rec bind = function
+            | [] -> rs (ind + 2) ~in_par rest
+            | (p, e, _, _) :: ps ->
+              line (ind + 2) (Printf.sprintf "let %s = !%s_p in" (vname p) (vname p));
+              (* an offset partial has no interval, as it holds an offset *)
+              let iv =
+                if Hashtbl.mem hoisting.ht_carries p.Var.id then None
+                else Option.bind (interval e) (Linear.fit p.Var.dtype)
+              in
+              with_var p ?iv (fun () -> bind ps)
+          in
+          with_var var ?iv:(Linear.fit var.Var.dtype (0, extent - 1)) (fun () -> bind pointers);
+          List.iter
+            (fun (p, _, _, stride) ->
+              line (ind + 2) (Printf.sprintf "%s_p := %s + %d;" (vname p) (vname p) stride))
+            pointers;
+          line (ind + 1) "done;";
+          line ind "end;")
     | Stmt.For { var; extent; kind; body } ->
       let iv = Linear.fit var.Var.dtype (0, extent - 1) in
       let binds =
@@ -1675,7 +1906,7 @@ let render (func : Lower.func) : plan * string =
       (* an offset partial: no interval, as it holds an offset *)
       let base =
         match Hashtbl.find hoisting.ht_carries v.Var.id with
-        | b, Offset, _ -> Printf.sprintf "o%d" (norm_buf b.Buffer.id)
+        | b, Offset, _ -> offname b
         | _, After p, _ -> vname p
       in
       line ind (Printf.sprintf "begin let %s = (%s + %s) in" (vname v) base (rint e));
@@ -1702,26 +1933,49 @@ let render (func : Lower.func) : plan * string =
          line ind "end else begin";
          rs (ind + 1) ~in_par e;
          line ind "end;")
-    | Stmt.Alloc (b, body) when Hashtbl.mem tiling.tl_registers b.Buffer.id ->
-      let cells =
-        match Option.join (pairing_of b) with
-        | Some _ ->
-          n_pairs := !n_pairs + (b.Buffer.size / 2);
-          b.Buffer.size / 2
-        | None -> b.Buffer.size
+    | Stmt.Alloc (b, body)
+      when Hashtbl.mem tiling.tl_outlined b.Buffer.id && Option.is_none !uses ->
+      (* a microkernel: its parameters are the names in scope here that
+         its body reads *)
+      let scope = Hashtbl.create 16 in
+      let add name ty = Hashtbl.replace scope name ty in
+      Hashtbl.iter
+        (fun id () ->
+          if not (Hashtbl.mem lits id) then add (Printf.sprintf "v%d" (norm_var id)) (Some "int"))
+        bound_vars;
+      Hashtbl.iter (fun id _ -> add (Printf.sprintf "c%d" (norm_buf id)) None) defined;
+      List.iter
+        (fun (sl : Binding.slot) ->
+          let k = norm_buf sl.sl_buf.Buffer.id in
+          add (Printf.sprintf "c%d" k) (Some (carrier_type sl.sl_class ^ " array"));
+          add (Printf.sprintf "o%d" k) (Some "int"))
+        layout.l_slots;
+      Hashtbl.iter (fun _ h -> add h None) hoisted;
+      let kernel = !out in
+      let src = B.create 4096 in
+      out := src;
+      uses := Some (Hashtbl.create 16);
+      use_order := [];
+      register_cells 1 ~in_par b body;
+      line 1 "()";
+      out := kernel;
+      uses := None;
+      let param n =
+        if List.exists (fun (pk, _, _) -> pk = n) !packs then Some (Some "int array")
+        else Hashtbl.find_opt scope n
       in
-      line ind "begin";
-      for i = 0 to cells - 1 do
-        line (ind + 1) (Printf.sprintf "let %s = ref 0 in" (regname b i))
-      done;
-      let id = b.Buffer.id in
-      let prev = Hashtbl.find_opt defined id in
-      Hashtbl.replace defined id false;
-      rs (ind + 1) ~in_par body;
-      (match prev with
-       | Some p -> Hashtbl.replace defined id p
-       | None -> Hashtbl.remove defined id);
-      line ind "end;"
+      let params =
+        match
+          List.filter_map (fun n -> Option.map (fun ty -> (n, ty)) (param n)) (List.rev !use_order)
+        with
+        | [] -> [ ("()", None) ]
+        | params -> params
+      in
+      let name = Printf.sprintf "tile%d" (List.length !microkernels) in
+      microkernels := !microkernels @ [ (name, params, B.contents src) ];
+      line ind (Printf.sprintf "%s %s;" name (String.concat " " (List.map fst params)))
+    | Stmt.Alloc (b, body) when Hashtbl.mem tiling.tl_registers b.Buffer.id ->
+      register_cells ind ~in_par b body
     | Stmt.Alloc (b, body) ->
       let zero =
         match carrier_of b.Buffer.dtype with
@@ -1747,18 +2001,48 @@ let render (func : Lower.func) : plan * string =
       if prev_cell then Hashtbl.replace cells id () else Hashtbl.remove cells id;
       line ind "end;"
     | Stmt.Intrin_call { intrin; _ } -> unsupported "unexpanded intrinsic %s" intrin
+  (* a register tile: one local [ref] per cell, around [body] *)
+  and register_cells ind ~in_par (b : Buffer.t) body =
+    let cells =
+      match Option.join (pairing_of b) with
+      | Some _ ->
+        n_pairs := !n_pairs + (b.Buffer.size / 2);
+        b.Buffer.size / 2
+      | None -> b.Buffer.size
+    in
+    let zero = match carrier_of b.Buffer.dtype with Float_class -> "0." | _ -> "0" in
+    line ind "begin";
+    for i = 0 to cells - 1 do
+      line (ind + 1) (Printf.sprintf "let %s = ref %s in" (regname b i) zero)
+    done;
+    let id = b.Buffer.id in
+    let prev = Hashtbl.find_opt defined id in
+    Hashtbl.replace defined id false;
+    rs (ind + 1) ~in_par body;
+    (match prev with
+     | Some p -> Hashtbl.replace defined id p
+     | None -> Hashtbl.remove defined id);
+    line ind "end;"
   in
   (* ---- module assembly: the body renders first, so the packed
      weights it names are known before the kernel's head binds them *)
   rs 1 ~in_par:false hoisting.ht_body;
   line 1 "()";
-  let body = B.contents buf in
-  B.clear buf;
+  let body = B.contents !out in
+  let buf = B.create (String.length body + 1024) in
+  out := buf;
   B.add_string buf "[@@@warning \"-a\"]\n";
   B.add_string buf
     (Printf.sprintf "(* generated by Unit_codegen.Emit v%d from %s *)\n" version
        func.Lower.fn_name);
   B.add_string buf "open Unit_emit_hook\n";
+  List.iter
+    (fun (name, params, src) ->
+      let param (n, ty) = match ty with Some t -> Printf.sprintf "(%s : %s)" n t | None -> n in
+      B.add_string buf
+        (Printf.sprintf "\nlet %s %s =\n" name (String.concat " " (List.map param params)));
+      B.add_string buf src)
+    !microkernels;
   B.add_string buf "\nlet kernel af ai al offs par =\n";
   line 1 "ignore af; ignore ai; ignore al; ignore offs; ignore par;";
   List.iteri
@@ -1787,6 +2071,7 @@ let render (func : Lower.func) : plan * string =
   Obs.add c_lanes_packed !n_pairs;
   Obs.add c_accesses_unchecked !n_unchecked;
   Obs.add c_accesses_checked !n_checked;
+  Obs.add c_tiles_outlined (List.length !microkernels);
   B.add_string buf "\nlet () = Unit_emit_hook.register kernel\n";
   let plan =
     {

@@ -178,11 +178,11 @@ let compile_source tc ~modname ~source =
   let includes =
     String.concat " " (List.map (fun d -> "-I " ^ Filename.quote d) tc.tc_incdirs)
   in
-  (* Linear-scan register allocation: a register tile's unrolled lanes
-     make graph colouring the costliest compile phase, and on the Table I
-     kernels the linear-scan code runs as fast. *)
+  (* The default graph-colouring allocator: each register tile renders
+     as its own small function, where colouring keeps the accumulators
+     in registers at no more compile time than linear scan. *)
   let cmd =
-    Printf.sprintf "%s -shared -linscan %s -o %s %s 2>%s" tc.tc_compiler includes
+    Printf.sprintf "%s -shared %s -o %s %s 2>%s" tc.tc_compiler includes
       (Filename.quote out) (Filename.quote src) (Filename.quote log)
   in
   let rc = Sys.command cmd in

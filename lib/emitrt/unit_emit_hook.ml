@@ -87,15 +87,17 @@ let sat_i32 f = sat_gen (-2147483648L) 2147483647L f
 (* ---- lane pairs *)
 
 (* plain loops: [Array.init]'s closure call per cell costs twice the
-   packing itself *)
+   packing itself.  Every read lies in [[o, o + n)], which the kernel's
+   [check_window] proved before the call, and every write in [[0, n)]. *)
 let pack_pairs w o n d =
+  if d < 1 then invalid_arg "pack_pairs: distance below 1";
   let p = Array.make n 0 in
   let paired = Stdlib.max 0 (n - d) in
   for i = 0 to paired - 1 do
-    p.(i) <- w.(o + i) + (w.(o + i + d) lsl 31)
+    Array.unsafe_set p i (Array.unsafe_get w (o + i) + (Array.unsafe_get w (o + i + d) lsl 31))
   done;
   for i = paired to n - 1 do
-    p.(i) <- w.(o + i)
+    Array.unsafe_set p i (Array.unsafe_get w (o + i))
   done;
   p
 

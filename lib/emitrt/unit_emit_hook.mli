@@ -89,7 +89,13 @@ val pack_pairs : int array -> int -> int -> int -> int array
 (** [pack_pairs w o n d] is [p] of length [n] with
     [p.(i) = w.(o+i) + w.(o+i+d) lsl 31] ([w.(o+i)] alone when
     [i + d >= n]): the weights of lane [2j] and lane [2j+1], [d] cells
-    apart, in one int at lane [2j]'s index. *)
+    apart, in one int at lane [2j]'s index.
+
+    Precondition: [0 <= o] and [o + n <= Array.length w], which the
+    kernel's {!check_window} of [w]'s binding proves just before the
+    call.  Every read lies in [[o, o + n)] and runs unchecked, so a call
+    that breaks the precondition reads out of bounds.
+    @raise Invalid_argument when [d < 1]. *)
 
 val pair_lo : int -> int
 (** The low lane of a packed sum: [(v lsl 32) asr 32]. *)

@@ -240,15 +240,10 @@ let tile_span intrin (tile : Stmt.tile) =
   in
   List.fold_left (fun acc (name, _) -> acc * extent_of name) 1 tile.Stmt.tile_strides
 
-let rec collect_accesses stmt =
+(* The accesses of a store or an intrinsic call; [traffic] collects the
+   rest. *)
+let leaf_accesses stmt =
   match stmt with
-  | Stmt.Nop -> []
-  | Stmt.Seq stmts -> List.concat_map collect_accesses stmts
-  | Stmt.Let (_, e, body) -> accesses_of_expr e @ collect_accesses body
-  | Stmt.Alloc (_, body) -> collect_accesses body
-  | Stmt.If { cond; then_; else_; _ } ->
-    accesses_of_expr cond @ collect_accesses then_
-    @ (match else_ with Some e -> collect_accesses e | None -> [])
   | Stmt.Store (buf, index, value) ->
     ({ buf; index; span = 1; inner = [] } :: accesses_of_expr value)
     @ accesses_of_expr index
@@ -264,10 +259,7 @@ let rec collect_accesses stmt =
          }
        in
        tile_access output :: List.map (fun (_, t) -> tile_access t) inputs)
-  | Stmt.For { var; extent; body; _ } ->
-    List.map
-      (fun a -> { a with inner = (var, extent) :: a.inner })
-      (collect_accesses body)
+  | _ -> []
 
 (* Distinct bytes an access touches across its inner loops. *)
 let access_footprint a =
@@ -311,19 +303,43 @@ let footprint_of_accesses accesses =
   in
   List.fold_left (fun total a -> total +. access_footprint a) 0.0 deduped
 
-(* Traffic past a cache of [capacity] bytes: once the nest footprint fits,
-   the data is loaded once; otherwise each iteration re-streams. *)
-let rec traffic capacity stmt =
+(* A statement's cache levels: each loop with its footprint, forced at
+   most once, and what its body streams when the footprint does not fit. *)
+type level =
+  | Fits of float Lazy.t
+  | Loop of int * float Lazy.t * level
+  | Sum of level list
+
+(* [stmt]'s accesses and levels, in one bottom-up pass. *)
+let rec levels stmt =
   match stmt with
-  | Stmt.Nop -> 0.0
-  | Stmt.Seq stmts -> List.fold_left (fun acc s -> acc +. traffic capacity s) 0.0 stmts
-  | Stmt.Let (_, _, body) | Stmt.Alloc (_, body) -> traffic capacity body
-  | Stmt.If { then_; else_; _ } ->
-    traffic capacity then_
-    +. (match else_ with Some e -> traffic capacity e | None -> 0.0)
-  | Stmt.Store _ | Stmt.Intrin_call _ -> footprint_of_accesses (collect_accesses stmt)
-  | Stmt.For { extent; body; _ } ->
-    let fp = footprint_of_accesses (collect_accesses stmt) in
+  | Stmt.Nop -> ([], Sum [])
+  | Stmt.Seq stmts ->
+    let parts = List.map levels stmts in
+    (List.concat_map fst parts, Sum (List.map snd parts))
+  | Stmt.Let (_, e, body) ->
+    let accesses, l = levels body in
+    (accesses_of_expr e @ accesses, l)
+  | Stmt.Alloc (_, body) -> levels body
+  | Stmt.If { cond; then_; else_; _ } ->
+    let a_then, l_then = levels then_ in
+    let a_else, l_else = match else_ with Some e -> levels e | None -> ([], Sum []) in
+    (accesses_of_expr cond @ a_then @ a_else, Sum [ l_then; l_else ])
+  | Stmt.Store _ | Stmt.Intrin_call _ ->
+    let accesses = leaf_accesses stmt in
+    (accesses, Fits (lazy (footprint_of_accesses accesses)))
+  | Stmt.For { var; extent; body; _ } ->
+    let accesses, l = levels body in
+    let accesses = List.map (fun a -> { a with inner = (var, extent) :: a.inner }) accesses in
+    (accesses, Loop (extent, lazy (footprint_of_accesses accesses), l))
+
+(* Traffic past a cache of [capacity] bytes: once a nest's footprint
+   fits, the data is loaded once; otherwise each iteration re-streams. *)
+let rec traffic capacity = function
+  | Fits fp -> Lazy.force fp
+  | Sum ls -> List.fold_left (fun acc l -> acc +. traffic capacity l) 0.0 ls
+  | Loop (extent, fp, body) ->
+    let fp = Lazy.force fp in
     if fp <= 0.8 *. Float.of_int capacity then fp
     else Float.of_int extent *. traffic capacity body
 
@@ -359,8 +375,11 @@ let estimate_stmt_with_report spec ?threads stmt =
   let chunks = (grains + threads - 1) / threads in
   let threads_used = Float.of_int grains /. Float.of_int chunks in
   let threads_used = Float.max 1.0 threads_used in
-  let l2_traffic = traffic spec.Spec.l1_bytes stmt in
-  let dram_traffic = traffic spec.Spec.llc_bytes stmt in
+  (* both capacities read one set of levels, so each loop's footprint
+     is computed once *)
+  let levels = snd (levels stmt) in
+  let l2_traffic = traffic spec.Spec.l1_bytes levels in
+  let dram_traffic = traffic spec.Spec.llc_bytes levels in
   let fork_join_cycles =
     (if grains > 1 then spec.Spec.fork_join_cost else 0.0)
     +. (per_chunk_overhead *. Float.of_int grains /. threads_used)

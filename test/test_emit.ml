@@ -583,7 +583,7 @@ let test_emit_rule_counters () =
   let names =
     [ "emit.wraps_deferred"; "emit.loops_unrolled"; "emit.loads_hoisted";
       "emit.index_terms_hoisted"; "emit.tiles_promoted"; "emit.register_tiles";
-      "emit.lanes_packed"; "emit.accesses_unchecked" ]
+      "emit.tiles_outlined"; "emit.lanes_packed"; "emit.accesses_unchecked" ]
   in
   let _, counts =
     counted names (fun () -> Emit.render compiled.Pipeline.c_tuned.Cpu_tuner.t_func)
@@ -1127,6 +1127,156 @@ let test_emit_fallback_diag () =
       (d.Diag.rule = Diag.Emit)
   | None -> Alcotest.fail "unsupported kernel left no fallback diagnostic"
 
+(* ---------- microkernels ---------- *)
+
+(* The top-level tile functions of rendered source, each as its text. *)
+let tile_functions src =
+  List.fold_left
+    (fun chunks line ->
+      match chunks with
+      | _ when String.starts_with ~prefix:"let " line -> [ line ] :: chunks
+      | c :: rest -> (line :: c) :: rest
+      | [] -> [])
+    [] (String.split_on_char '\n' src)
+  |> List.rev_map (fun c -> String.concat "\n" (List.rev c))
+  |> List.filter (String.starts_with ~prefix:"let tile")
+
+(* Every kernels row keeps its register tile in a function of its own
+   whose innermost loop, the reduction it steps by pointer, divides
+   nothing, takes no remainder and multiplies by no loop variable. *)
+let test_microkernels_rendered () =
+  List.iter
+    (fun index ->
+      let what = Printf.sprintf "t%d" index in
+      let (_, src), counts =
+        counted [ "emit.tiles_outlined" ] (fun () -> Emit.render (table1_func index))
+      in
+      Alcotest.(check (list int)) (what ^ ": one tile outlined") [ 1 ] counts;
+      let fns = tile_functions src in
+      Alcotest.(check int) (what ^ ": one tile function") 1 (List.length fns);
+      let fn = List.hd fns in
+      let loop_vars =
+        List.filter_map
+          (fun l ->
+            match String.split_on_char ' ' (String.trim l) with
+            | "for" :: v :: _ -> Some v
+            | _ -> None)
+          (String.split_on_char '\n' fn)
+      in
+      let loops = innermost_loops fn in
+      check_bool (what ^ ": the tile has an innermost loop") true (loops <> []);
+      List.iter
+        (fun (_, body) ->
+          check_bool (what ^ ": no mod in the innermost loop") false (mentions body " mod ");
+          check_bool (what ^ ": no division in the innermost loop") false (mentions body " / ");
+          List.iter
+            (fun v ->
+              check_bool
+                (Printf.sprintf "%s: no product with %s in the innermost loop" what v)
+                false
+                (mentions body ("(" ^ v ^ " * ") || mentions body (" * " ^ v ^ ")")))
+            loop_vars)
+        loops)
+    kernel_rows
+
+(* A register-tile nest: [c] columns of [lanes] accumulators in [out],
+   each the sum over the reduction loops [reds] (extents) and [k] of
+   [a[(c, reds, k)] * w[(reds, lane, k)]].  A [Let] of the flattened
+   reduction index sits between the reductions and the lanes, so the
+   lanes are not part of the reduction chain. *)
+let tile_nest ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k reds =
+  let red = List.fold_left ( * ) 1 reds in
+  let ta = Tensor.create ~name:"a" ~shape:[ cols * red * k ] a_dtype in
+  let tw = Tensor.create ~name:"w" ~shape:[ red * lanes * k ] w_dtype in
+  let tout = Tensor.create ~name:"out" ~shape:[ cols * lanes ] acc in
+  let ba = Buffer.of_tensor ta and bw = Buffer.of_tensor tw and bout = Buffer.of_tensor tout in
+  let c = Var.create "c" and l = Var.create "l" and kk = Var.create "kk" and t = Var.create "t" in
+  let rs = List.map (fun _ -> Var.create "r") reds in
+  let imm n = Texpr.int_imm n and v = Texpr.var in
+  let flat =
+    List.fold_left2 (fun acc r e -> Texpr.add (Texpr.mul acc (imm e)) (v r)) (imm 0) rs reds
+  in
+  let at = Texpr.add (Texpr.mul (v c) (imm lanes)) (v l) in
+  let ia = Texpr.add (Texpr.mul (Texpr.add (Texpr.mul (v c) (imm red)) (v t)) (imm k)) (v kk) in
+  let iw = Texpr.add (Texpr.mul (Texpr.add (Texpr.mul (v t) (imm lanes)) (v l)) (imm k)) (v kk) in
+  let operand b ix = if Dtype.equal b.Buffer.dtype acc then Texpr.load b ix else Texpr.cast acc (Texpr.load b ix) in
+  let update =
+    Stmt.Store (bout, at, Texpr.add (Texpr.load bout at) (Texpr.mul (operand ba ia) (operand bw iw)))
+  in
+  let inner = Stmt.Let (t, flat, Stmt.for_ l ~extent:lanes (Stmt.for_ kk ~extent:k update)) in
+  let body = Stmt.for_ c ~extent:cols (List.fold_right2 (fun r e s -> Stmt.for_ r ~extent:e s) rs reds inner) in
+  { Lower.fn_name = name; fn_tensors = [ (tout, bout); (ta, ba); (tw, bw) ]; fn_output = bout;
+    fn_iter_vars = [ (0, c) ]; fn_body = body }
+
+(* Random register-tile nests with 1 or 3 reduction loops and paired
+   i8, unpaired i32 or f32 accumulators: each renders as a microkernel
+   (packing its lanes when i8) and is bit-identical on the three
+   engines. *)
+let prop_microkernels_random =
+  QCheck.Test.make ~name:"random register-tile nests" ~count:12 QCheck.small_nat (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let reds =
+        if Random.State.bool rng then [ pick [| 3; 17; 40 |] ]
+        else [ pick [| 2; 3 |]; pick [| 5; 17 |]; pick [| 2; 3 |] ]
+      in
+      let lanes = pick [| 2; 4; 8 |] and k = pick [| 1; 2; 4 |] and cols = pick [| 2; 3 |] in
+      let case = seed mod 3 in
+      let acc, a_dtype, w_dtype, what =
+        match case with
+        | 0 -> (Dtype.I32, Dtype.U8, Dtype.I8, "paired i8")
+        | 1 -> (Dtype.I32, Dtype.I32, Dtype.I32, "unpaired i32")
+        | _ -> (Dtype.F32, Dtype.F32, Dtype.F32, "f32")
+      in
+      let func =
+        tile_nest ~name:(Printf.sprintf "microkernel_%d" seed) ~acc ~a_dtype ~w_dtype ~cols
+          ~lanes ~k reds
+      in
+      let names = [ "emit.tiles_outlined"; "emit.lanes_packed" ] in
+      let _, counts = counted names (fun () -> Emit.render func) in
+      let outlined, packed = match counts with [ o; p ] -> (o, p) | _ -> (0, 0) in
+      check_bool (what ^ ": outlined") true (outlined = 1);
+      check_bool (what ^ ": lanes packed iff i8") (case = 0) (packed > 0);
+      differential ~seed func;
+      true)
+
+(* An f32 tile whose longest reduction loop is outermost keeps its
+   order.  Over reductions (17, 2), the second term is 2^24 and every
+   other is 1: in the nest's order the sum reaches 2^24 + 1, which
+   rounds to 2^24, and each later 1 rounds away again, so it ends at
+   2^24.  With the 17-trip loop innermost, 17 ones would come first and
+   the sum would end at 2^24 + 16. *)
+let test_microkernel_f32_order () =
+  let func =
+    tile_nest ~name:"microkernel_f32_order" ~acc:Dtype.F32 ~a_dtype:Dtype.F32
+      ~w_dtype:Dtype.F32 ~cols:2 ~lanes:2 ~k:1 [ 17; 2 ]
+  in
+  let _, counts = counted [ "emit.tiles_outlined" ] (fun () -> Emit.render func) in
+  Alcotest.(check (list int)) "outlined" [ 1 ] counts;
+  let run engine =
+    let bindings =
+      List.map
+        (fun ((t : Tensor.t), (b : Buffer.t)) ->
+          let arr = Ndarray.of_tensor_zeros t in
+          if not (Buffer.equal b func.Lower.fn_output) then
+            Ndarray.fill arr (fun ix ->
+                Value.of_float Dtype.F32
+                  (if t.Tensor.name = "a" && ix.(0) mod 34 = 1 then 16777216.0 else 1.0));
+          (t, arr))
+        func.Lower.fn_tensors
+    in
+    engine func ~bindings;
+    snd (List.hd bindings)
+  in
+  let reference = run Interp.run in
+  let before = Emit_cache.last_fallback () in
+  let emitted = run (fun f ~bindings -> Emit_cache.run f ~bindings) in
+  if emit_available then
+    check_bool "ran emitted" true (Emit_cache.last_fallback () == before);
+  check_bool "emitted = interp" true (Ndarray.equal reference emitted);
+  Alcotest.(check (float 0.0)) "sum in the nest's order" 16777216.0
+    (Value.to_float (Ndarray.get reference [| 0 |]))
+
 (* ---------- qcheck: engine differential across workloads and ISAs ---------- *)
 
 (* Randomized shapes through the full pipeline on all three instruction
@@ -1264,6 +1414,11 @@ let () =
           Alcotest.test_case "bf16 ties round as Value" `Quick test_bf16_ties
         ]
         @ qcheck [ prop_hoisting_random; prop_window_random ] );
+      ( "microkernels",
+        [ Alcotest.test_case "kernels rows outlined" `Quick test_microkernels_rendered;
+          Alcotest.test_case "f32 tile keeps its order" `Quick test_microkernel_f32_order
+        ]
+        @ qcheck [ prop_microkernels_random ] );
       ( "pipeline",
         [ Alcotest.test_case "x86 conv" `Quick test_emit_pipeline_x86;
           Alcotest.test_case "arm conv" `Quick test_emit_pipeline_arm;
