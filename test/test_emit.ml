@@ -1414,7 +1414,7 @@ let () =
           Alcotest.test_case "bf16 ties round as Value" `Quick test_bf16_ties
         ]
         @ qcheck [ prop_hoisting_random; prop_window_random ] );
-      ( "microkernels",
+      ( "outlined",
         [ Alcotest.test_case "kernels rows outlined" `Quick test_microkernels_rendered;
           Alcotest.test_case "f32 tile keeps its order" `Quick test_microkernel_f32_order
         ]
