@@ -676,8 +676,7 @@ let serve_bench () =
       | Serve_protocol.Tune { target; workload; _ }
       | Serve_protocol.Run { target; workload; _ } ->
         Hashtbl.replace keys
-          (Pipeline.target_to_string target ^ "/"
-          ^ Serve_protocol.workload_name workload)
+          (Pipeline.kernel_key target (Serve_protocol.to_workload workload))
           ()
       | _ -> ()
     done;

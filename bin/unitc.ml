@@ -543,24 +543,22 @@ let check target counterexamples_only trace store packs =
     let spec = Pipeline.target_spec tgt in
     let intrin = or_die (lookup_intrin (Pipeline.target_intrin tgt)) in
     let kernels = ref 0 and errors = ref 0 and warnings = ref 0 in
-    let seen = Hashtbl.create 64 in
+    (* [Zoo.conv_workloads] and [dense_workloads] are distinct by value
+       within a model, so each kernel is checked once per row or model *)
     let check_op label op =
-      if not (Hashtbl.mem seen label) then begin
-        Hashtbl.add seen label ();
-        let report diags =
-          incr kernels;
-          errors := !errors + List.length (Unit_tir.Diag.errors diags);
-          warnings := !warnings + List.length (Unit_tir.Diag.warnings diags);
-          List.iter
-            (fun d -> Printf.printf "%-40s %s\n" label (Unit_tir.Diag.to_string d))
-            diags
-        in
-        match Pipeline.tensorize ~spec op intrin with
-        | Ok c -> report c.Pipeline.c_warnings
-        | Error (Pipeline.Illegal diags) -> report diags
-        | Error (Pipeline.Rejected _ as f) ->
-          Printf.printf "%-40s skipped (%s)\n" label (Pipeline.failure_to_string f)
-      end
+      let report diags =
+        incr kernels;
+        errors := !errors + List.length (Unit_tir.Diag.errors diags);
+        warnings := !warnings + List.length (Unit_tir.Diag.warnings diags);
+        List.iter
+          (fun d -> Printf.printf "%-40s %s\n" label (Unit_tir.Diag.to_string d))
+          diags
+      in
+      match Pipeline.tensorize ~spec op intrin with
+      | Ok c -> report c.Pipeline.c_warnings
+      | Error (Pipeline.Illegal diags) -> report diags
+      | Error (Pipeline.Rejected _ as f) ->
+        Printf.printf "%-40s skipped (%s)\n" label (Pipeline.failure_to_string f)
     in
     let check_conv label wl =
       check_op

@@ -68,11 +68,12 @@ open Unit_tir
    The tile left, 2 to [max_lanes] cells of a deferrable dtype (raw) or
    of a float dtype but f16 (canonical), whose offsets read only lane
    loops that unroll (extent ≤ 16, and only such loops inside them),
-   renders as one local [ref] per cell, which ocamlopt keeps as a
-   mutable variable; its lane loops unroll with literal indices.  First,
-   the intrinsic expansion's accumulator cell, copied from a tile cell
-   at the top of a lane iteration and back at its end, is merged into
-   that cell ([forward_cells]).
+   and whose every update accumulates (see "Register tiles as
+   microkernels"), renders as one local [ref] per cell, which ocamlopt
+   keeps as a mutable variable; its lane loops unroll with literal
+   indices.  First, the intrinsic expansion's accumulator cell, copied
+   from a tile cell at the top of a lane iteration and back at its end,
+   is merged into that cell ([forward_cells]).
 
    Lane pairs.  Two i32 lanes share one native int when every update of
    a register tile with one lane loop [l] is [tile[l] = tile[l] + a * w]
@@ -92,8 +93,9 @@ open Unit_tir
    Packing also waits until the multiplies it saves per run outnumber
    the weights it packs: a layer without weight reuse stays unpacked.
 
-   Register tiles as microkernels.  A register tile whose every update
-   accumulates, [tile[c] = tile[c] + e] with [e] free of the tile,
+   Register tiles as microkernels.  Every update of a register tile
+   accumulates, [tile[c] = tile[c] + e] with [e] free of the tile (a
+   proof condition: any other candidate takes the array tile), and each
    renders as a top-level function [tile<n>] that the kernel calls once
    per tile, the shape of [Executor.kernel_4]: its cells' refs, its
    reduction loops, its body and its copy-out live in that small
@@ -112,8 +114,7 @@ open Unit_tir
    Each partial of that loop's indices (see "Loop shaping") of the form
    [base + stride * v] then becomes a [ref] pointer, set to [base]
    before the loop and bumped by [stride] at the end of each iteration.
-   A float tile keeps its loop order and its partials.  A tile that
-   does not accumulate renders inline, as it did before version 10.
+   A float tile keeps its loop order and its partials.
 
    Loop shaping.  A loop with no inner loop, a register tile's lane
    loop, or a loop moved outside one, with a static extent ≤ 16 is
@@ -440,7 +441,6 @@ type tiling = {
   tl_tiles : int;  (* promoted tiles, register tiles included *)
   tl_registers : (int, pairing option) Hashtbl.t;  (* register tile id -> its pairing *)
   tl_lanes : (int, Buffer.t) Hashtbl.t;  (* lane loop variable id -> its register tile *)
-  tl_outlined : (int, unit) Hashtbl.t;  (* register tiles rendered as microkernels *)
   tl_unrolled : (int, unit) Hashtbl.t;  (* loops moved outside a tile's lanes *)
   tl_strided : (int, unit) Hashtbl.t;  (* reduction loops stepping by pointer *)
   tl_diags : Diag.t list;
@@ -721,31 +721,28 @@ type microkernel = {
 }
 
 (* The reduction nest [loops] (outermost first) around [inner] of the
-   register tile [tile], reshaped as a microkernel: [None] keeps it as
-   it is.  An accumulating tile goes operand-major; an integer one also
-   moves its longest reduction loop innermost, as its sums do not depend
-   on their order. *)
+   accumulating register tile [tile], reshaped as a microkernel: it goes
+   operand-major, and an integer tile also moves its longest reduction
+   loop innermost, as its sums do not depend on their order. *)
 let microkernel (tile : Buffer.t) lanes loops inner =
-  if not (accumulates tile inner) then None
+  let inner, moved = operand_major tile lanes inner in
+  if not (deferrable tile.Buffer.dtype) then
+    (nest loops inner, { mk_unrolled = moved; mk_strided = None })
   else
-    let inner, moved = operand_major tile lanes inner in
-    if not (deferrable tile.Buffer.dtype) then
-      Some (nest loops inner, { mk_unrolled = moved; mk_strided = None })
-    else
-      let longest =
-        List.fold_left
-          (fun best ((_, n, _) as l) ->
-            match best with Some (_, m, _) when m > n -> best | _ -> Some l)
-          None loops
-      in
-      let loops =
-        match longest with
-        | Some ((v, _, _) as l) ->
-          List.filter (fun ((u : Var.t), _, _) -> not (Var.equal u v)) loops @ [ l ]
-        | None -> loops
-      in
-      let strided = Option.map (fun (v, _, _) -> v) longest in
-      Some (nest loops inner, { mk_unrolled = moved; mk_strided = strided })
+    let longest =
+      List.fold_left
+        (fun best ((_, n, _) as l) ->
+          match best with Some (_, m, _) when m > n -> best | _ -> Some l)
+        None loops
+    in
+    let loops =
+      match longest with
+      | Some ((v, _, _) as l) ->
+        List.filter (fun ((u : Var.t), _, _) -> not (Var.equal u v)) loops @ [ l ]
+      | None -> loops
+    in
+    let strided = Option.map (fun (v, _, _) -> v) longest in
+    (nest loops inner, { mk_unrolled = moved; mk_strided = strided })
 
 (* The loop [loop] (serial) rewritten around a register tile of bound
    buffer [b] (see the header): [Some (stmt, tile, lanes, pairing,
@@ -810,25 +807,22 @@ let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffe
       match reds with
       | (r_var, r_ext, r_kind) :: reds
         when lane_loops_unroll && stores_only_tile && register_dtype b.Buffer.dtype -> (
+        (* [body] is [reds] around the tile's rewritten [inner] *)
+        let rec peel n (s : Stmt.t) =
+          match s with Stmt.For { body; _ } when n > 0 -> peel (n - 1) body | _ -> s
+        in
         match promote_buffer ~scope:(col_ids @ scope) r_var r_ext (nest reds inner) b with
         | Some (tile, base, body, _)
-          when tile.Buffer.size >= 2 && tile.Buffer.size <= max_lanes ->
+          when tile.Buffer.size >= 2 && tile.Buffer.size <= max_lanes
+               && accumulates tile (peel (List.length reds) body) ->
           let region = Stmt.for_ r_var ~extent:r_ext ~kind:r_kind body in
           let trips = List.fold_left (fun t (_, n, _) -> t * n) trips cols in
           let pairing =
             if deferrable tile.Buffer.dtype then pair_lanes ~name ~weights ~trips tile lanes region
             else Ok None
           in
-          (* [body] is [reds] around the tile's rewritten [inner] *)
-          let rec peel n (s : Stmt.t) =
-            match s with Stmt.For { body; _ } when n > 0 -> peel (n - 1) body | _ -> s
-          in
           let region, shape =
-            match
-              microkernel tile lanes ((r_var, r_ext, r_kind) :: reds) (peel (List.length reds) body)
-            with
-            | Some (region, mk) -> (region, Some mk)
-            | None -> (region, None)
+            microkernel tile lanes ((r_var, r_ext, r_kind) :: reds) (peel (List.length reds) body)
           in
           let at k = Texpr.add base k in
           let copies =
@@ -857,7 +851,7 @@ let promote (func : Lower.func) =
   let is_bound (b : Buffer.t) = List.exists (Buffer.equal b) bound in
   let weights (w : Buffer.t) = is_bound w && not (Hashtbl.mem stored w.Buffer.id) in
   let registers = Hashtbl.create 4 and lanes = Hashtbl.create 4 in
-  let outlined = Hashtbl.create 4 and unrolled = Hashtbl.create 4 and strided = Hashtbl.create 4 in
+  let unrolled = Hashtbl.create 4 and strided = Hashtbl.create 4 in
   let diags = ref [] in
   let n = ref 0 in
   (* [trips]: how often [s] runs per kernel run *)
@@ -879,12 +873,8 @@ let promote (func : Lower.func) =
           (match pairing with Ok p -> p | Error _ -> None);
         (match pairing with Error d -> diags := d :: !diags | Ok _ -> ());
         List.iter (fun (v : Var.t) -> Hashtbl.replace lanes v.Var.id tile) lane_vars;
-        Option.iter
-          (fun mk ->
-            Hashtbl.replace outlined tile.Buffer.id ();
-            List.iter (fun (v : Var.t) -> Hashtbl.replace unrolled v.Var.id ()) mk.mk_unrolled;
-            Option.iter (fun (v : Var.t) -> Hashtbl.replace strided v.Var.id ()) mk.mk_strided)
-          shape;
+        List.iter (fun (v : Var.t) -> Hashtbl.replace unrolled v.Var.id ()) shape.mk_unrolled;
+        Option.iter (fun (v : Var.t) -> Hashtbl.replace strided v.Var.id ()) shape.mk_strided;
         s
       | None ->
         let tiles, body =
@@ -918,7 +908,6 @@ let promote (func : Lower.func) =
     tl_tiles = !n;
     tl_registers = registers;
     tl_lanes = lanes;
-    tl_outlined = outlined;
     tl_unrolled = unrolled;
     tl_strided = strided;
     tl_diags = List.rev !diags }
@@ -1933,10 +1922,10 @@ let render (func : Lower.func) : plan * string =
          line ind "end else begin";
          rs (ind + 1) ~in_par e;
          line ind "end;")
-    | Stmt.Alloc (b, body)
-      when Hashtbl.mem tiling.tl_outlined b.Buffer.id && Option.is_none !uses ->
-      (* a microkernel: its parameters are the names in scope here that
-         its body reads *)
+    | Stmt.Alloc (b, body) when Hashtbl.mem tiling.tl_registers b.Buffer.id ->
+      (* a register tile's microkernel: one local [ref] per cell around
+         [body]; its parameters are the names in scope here that its
+         source reads *)
       let scope = Hashtbl.create 16 in
       let add name ty = Hashtbl.replace scope name ty in
       Hashtbl.iter
@@ -1956,7 +1945,25 @@ let render (func : Lower.func) : plan * string =
       out := src;
       uses := Some (Hashtbl.create 16);
       use_order := [];
-      register_cells 1 ~in_par b body;
+      let cells =
+        match Option.join (pairing_of b) with
+        | Some _ ->
+          n_pairs := !n_pairs + (b.Buffer.size / 2);
+          b.Buffer.size / 2
+        | None -> b.Buffer.size
+      in
+      let zero = match carrier_of b.Buffer.dtype with Float_class -> "0." | _ -> "0" in
+      line 1 "begin";
+      for i = 0 to cells - 1 do
+        line 2 (Printf.sprintf "let %s = ref %s in" (regname b i) zero)
+      done;
+      let prev = Hashtbl.find_opt defined b.Buffer.id in
+      Hashtbl.replace defined b.Buffer.id false;
+      rs 2 ~in_par body;
+      (match prev with
+       | Some p -> Hashtbl.replace defined b.Buffer.id p
+       | None -> Hashtbl.remove defined b.Buffer.id);
+      line 1 "end;";
       line 1 "()";
       out := kernel;
       uses := None;
@@ -1974,8 +1981,6 @@ let render (func : Lower.func) : plan * string =
       let name = Printf.sprintf "tile%d" (List.length !microkernels) in
       microkernels := !microkernels @ [ (name, params, B.contents src) ];
       line ind (Printf.sprintf "%s %s;" name (String.concat " " (List.map fst params)))
-    | Stmt.Alloc (b, body) when Hashtbl.mem tiling.tl_registers b.Buffer.id ->
-      register_cells ind ~in_par b body
     | Stmt.Alloc (b, body) ->
       let zero =
         match carrier_of b.Buffer.dtype with
@@ -2001,28 +2006,6 @@ let render (func : Lower.func) : plan * string =
       if prev_cell then Hashtbl.replace cells id () else Hashtbl.remove cells id;
       line ind "end;"
     | Stmt.Intrin_call { intrin; _ } -> unsupported "unexpanded intrinsic %s" intrin
-  (* a register tile: one local [ref] per cell, around [body] *)
-  and register_cells ind ~in_par (b : Buffer.t) body =
-    let cells =
-      match Option.join (pairing_of b) with
-      | Some _ ->
-        n_pairs := !n_pairs + (b.Buffer.size / 2);
-        b.Buffer.size / 2
-      | None -> b.Buffer.size
-    in
-    let zero = match carrier_of b.Buffer.dtype with Float_class -> "0." | _ -> "0" in
-    line ind "begin";
-    for i = 0 to cells - 1 do
-      line (ind + 1) (Printf.sprintf "let %s = ref %s in" (regname b i) zero)
-    done;
-    let id = b.Buffer.id in
-    let prev = Hashtbl.find_opt defined id in
-    Hashtbl.replace defined id false;
-    rs (ind + 1) ~in_par body;
-    (match prev with
-     | Some p -> Hashtbl.replace defined id p
-     | None -> Hashtbl.remove defined id);
-    line ind "end;"
   in
   (* ---- module assembly: the body renders first, so the packed
      weights it names are known before the kernel's head binds them *)

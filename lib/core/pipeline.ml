@@ -254,12 +254,6 @@ let seconds compiled = compiled.c_tuned.Cpu_tuner.t_estimate.Cpu_model.est_secon
 
 (* ---------- cached per-workload kernels ---------- *)
 
-type cache_key = {
-  ck_tag : string;
-  ck_workload : string;
-  ck_config : string;
-}
-
 (* CPU paths cache the whole compiled kernel (so repeat workloads reuse
    the tuned schedule, not just its latency); paths without a [compiled]
    (GPU model, analytic fallbacks) cache the bare time. *)
@@ -286,9 +280,9 @@ type flight = {
 }
 
 let cache_lock = Mutex.create ()
-let cache : (cache_key, cache_entry) Hashtbl.t = Hashtbl.create 256
-let cache_order : cache_key Queue.t = Queue.create ()
-let flights : (cache_key, flight) Hashtbl.t = Hashtbl.create 16
+let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 256
+let cache_order : string Queue.t = Queue.create ()
+let flights : (string, flight) Hashtbl.t = Hashtbl.create 16
 let cache_cap = ref 1024
 
 let evict_over_cap_locked () =
@@ -318,8 +312,7 @@ let clear_cache () =
       Hashtbl.reset cache;
       Queue.clear cache_order)
 
-let memo ~tag ~workload ~config f =
-  let key = { ck_tag = tag; ck_workload = workload; ck_config = config } in
+let memo key f =
   (* under [cache_lock]: a cached entry, a published flight's entry, or
      a fresh flight this caller now leads *)
   let rec claim () =
@@ -369,11 +362,6 @@ let entry_seconds = function
   | Kernel c -> seconds c
   | Time t -> t
 
-let config_string = function
-  | None -> "tuned"
-  | Some (c : Cpu_tuner.config) ->
-    Printf.sprintf "g%d-u%d" c.Cpu_tuner.parallel_grain c.Cpu_tuner.unroll_budget
-
 let conv_op ?(data_dtype = Dtype.U8) ?(weight_dtype = Dtype.I8)
     (intrin : Unit_isa.Intrin.t) wl =
   let reduce_width = Unit_isa.Intrin.reduction_width intrin in
@@ -385,27 +373,51 @@ let conv_op ?(data_dtype = Dtype.U8) ?(weight_dtype = Dtype.I8)
   Workload.conv_op ~data_dtype ~weight_dtype
     ~lanes:(Unit_isa.Intrin.output_lanes intrin) ~reduce_width wl
 
-(* Memo tags: a conv tag names its instruction on ARM, so the MLA
-   baseline caches apart from DOT. *)
-let memo_tag ~intrin_name target (wl : Workload.t) =
-  match target, wl with
-  | X86, Workload.Conv _ -> "x86-vnni"
-  | X86, Workload.Conv3 _ -> "x86-vnni-3d"
-  | X86, Workload.Fc _ -> "x86-dense"
-  | Arm, Workload.Conv _ -> "arm-" ^ intrin_name
-  | Arm, Workload.Conv3 _ -> "arm-3d"
-  | Arm, Workload.Fc _ -> "arm-dense"
+(* How a memoised kernel was tuned: the full search, or one pinned
+   config. *)
+type tuning =
+  | Tuned
+  | Cpu_config of Cpu_tuner.config
+  | Gpu_config of Gpu_model.config
+
+(* The one kernel identity, under which the memo caches and the warm-up
+   and the daemon dedup: the machine, the instruction, the tuning and
+   every field of the workload.  The record patterns name every field,
+   so a field added to [Workload] cannot be left out of the key.
+   [Workload.name] is only the display name: it drops conv2d padding
+   and conv3d height, width and padding. *)
+let key ~machine ~intrin tuning (wl : Workload.t) =
+  let workload =
+    match wl with
+    | Workload.Conv { c; h; w; k; kernel; stride; padding; groups } ->
+      Printf.sprintf "conv2d_c%d_h%d_w%d_k%d_r%d_s%d_p%d_g%d" c h w k kernel stride padding
+        groups
+    | Workload.Conv3
+        { w3_c; w3_d; w3_h; w3_w; w3_k; w3_kernel; w3_stride; w3_padding } ->
+      Printf.sprintf "conv3d_c%d_d%d_h%d_w%d_k%d_r%d_s%d_p%d" w3_c w3_d w3_h w3_w w3_k
+        w3_kernel w3_stride w3_padding
+    | Workload.Fc { d_k; d_units } -> Printf.sprintf "dense_k%d_u%d" d_k d_units
+  in
+  let tuning =
+    match tuning with
+    | Tuned -> "tuned"
+    | Cpu_config { Cpu_tuner.parallel_grain; unroll_budget } ->
+      Printf.sprintf "g%d-u%d" parallel_grain unroll_budget
+    | Gpu_config { Gpu_model.p; fuse_dim; split_k } ->
+      Printf.sprintf "p%d-f%b-k%d" p fuse_dim split_k
+  in
+  String.concat "/" [ machine; intrin; workload; tuning ]
 
 let kernel_key target wl =
-  memo_tag ~intrin_name:(target_intrin target) target wl ^ "/" ^ Workload.name wl
+  key ~machine:(target_to_string target) ~intrin:(target_intrin target) Tuned wl
 
 (* The one memoised CPU kernel.  A workload that does not tensorize
    raises [Invalid_argument (what ^ ": " ^ reason)]. *)
 let compiled_with ?intrin ?config target (wl : Workload.t) =
   let intrin_name = Option.value intrin ~default:(target_intrin target) in
-  let workload = Workload.name wl in
+  let tuning = match config with None -> Tuned | Some c -> Cpu_config c in
   match
-    memo ~tag:(memo_tag ~intrin_name target wl) ~workload ~config:(config_string config)
+    memo (key ~machine:(target_to_string target) ~intrin:intrin_name tuning wl)
       (fun () ->
         let intrin = Unit_isa.Registry.find_exn intrin_name in
         let blocked build =
@@ -420,7 +432,8 @@ let compiled_with ?intrin ?config target (wl : Workload.t) =
             let wide =
               if String.equal intrin_name "neon.mla.i16" then Some Dtype.I16 else None
             in
-            ( Printf.sprintf "conv %s does not tensorize with %s" workload intrin_name,
+            ( Printf.sprintf "conv %s does not tensorize with %s" (Workload.name wl)
+                intrin_name,
               conv_op ?data_dtype:wide ?weight_dtype:wide intrin c )
           | Workload.Conv3 c -> ("conv3d does not tensorize", blocked Workload.conv3d_op c)
           | Workload.Fc d -> ("dense does not tensorize", blocked Workload.dense_op d)
@@ -454,14 +467,11 @@ let dense_time_x86 wl = seconds (compiled X86 (Workload.Fc wl))
 let dense_time_arm wl = seconds (compiled Arm (Workload.Fc wl))
 
 let conv_time_gpu ?config wl =
-  let config_str =
-    match config with
-    | None -> "tuned"
-    | Some (c : Gpu_model.config) ->
-      Printf.sprintf "p%d-f%b-k%d" c.Gpu_model.p c.Gpu_model.fuse_dim c.Gpu_model.split_k
-  in
+  let tuning = match config with None -> Tuned | Some c -> Gpu_config c in
   entry_seconds
-    (memo ~tag:"gpu-wmma" ~workload:(Workload.name (Workload.Conv wl)) ~config:config_str
+    (memo
+       (key ~machine:Spec.v100.Spec.gpu_name ~intrin:"wmma.implicit-gemm" tuning
+          (Workload.Conv wl))
        (fun () ->
          let spec = Workload.conv_spec ~lanes:1 ~reduce_width:1 wl in
          let gemm = Gpu_model.gemm_of_conv spec in

@@ -179,7 +179,8 @@ val seconds : compiled -> float
 (** {2 Cached per-workload kernels}
 
     {!compiled} and the per-platform helpers cache compiled kernels by
-    (memo tag, workload, config): a repeated workload returns the
+    their {!kernel_key}: the machine, the instruction, the tuning config
+    and every field of the workload.  A repeated workload returns the
     {e same} compiled kernel — same tuned schedule, physically shared —
     without re-running the pipeline.  Convolutions are built with
     {!conv_op}: u8 activations and i8 weights on both CPU targets (VNNI
@@ -206,10 +207,15 @@ val compiled : target -> Unit_graph.Workload.t -> compiled
     @raise Invalid_argument when the workload does not tensorize. *)
 
 val kernel_key : target -> Unit_graph.Workload.t -> string
-(** ["TAG/WORKLOAD"]: the identity {!compiled} caches under (e.g.
-    ["x86-vnni/conv_c64_..."]).  The warm-up scheduler dedups on it, so
-    its jobs and the kernel cache agree on what "the same workload"
-    means. *)
+(** ["MACHINE/INSTRUCTION/WORKLOAD/TUNING"]: the identity {!compiled}
+    caches under, e.g.
+    ["x86/vnni.vpdpbusd/conv2d_c64_h56_w56_k128_r3_s2_p1_g1/tuned"].
+    One function in this module builds every kernel key, the memo's
+    under pinned configs and the V100 model's included, from every field
+    of the workload; {!Unit_graph.Workload.name} is only the display
+    name and drops fields.  The warm-up scheduler's jobs and the daemon's
+    coalescing key on it too, so all three agree on what "the same
+    kernel" means. *)
 
 val bake : engine -> target -> compiled -> unit
 (** With [Emitted], render + native-compile the kernel through

@@ -49,7 +49,11 @@ val macs : t -> int
 (** True multiply-accumulates (no padding). *)
 
 val name : t -> string
-(** e.g. ["conv_c64_hw56_k128_k3_s2"]. *)
+(** The display name, e.g. ["conv_c64_hw56x56_k128_r3_s2"], in reports,
+    op names and responses.  It leaves out conv2d padding and conv3d
+    height, width and padding, so it does not identify a kernel: the
+    kernel memo, the warm-up and the daemon key by
+    [Unit_core.Pipeline.kernel_key]. *)
 
 val pad_to : int -> multiple:int -> int
 

@@ -72,23 +72,25 @@ let kind_name = function
   | Run _ -> "run"
   | Explain _ -> "explain"
 
-(* Coalescing identity: everything that changes the answer.  Ping/Stats/
+(* Coalescing identity: everything that changes the answer.  The kernel
+   part is [Pipeline.kernel_key], never the display name; a Table I row
+   also keys by its index, which its response echoes.  Ping/Stats/
    Shutdown/Load_isa/Trace/Metrics/Flight are control traffic and never
    queued, so they have no key. *)
-let coalesce_key = function
+let coalesce_key request =
+  let key kind target workload =
+    let row =
+      match workload with Table1 i -> Printf.sprintf "#table1:%d" i | Conv _ | Dense _ -> ""
+    in
+    Some (kind ^ "/" ^ Pipeline.kernel_key target (to_workload workload) ^ row)
+  in
+  match request with
   | Ping | Stats | Shutdown | Load_isa _ | Trace _ | Metrics | Flight _ -> None
   | Tune { target; engine; workload } ->
-    Some
-      (Printf.sprintf "tune/%s/%s/%s" (Pipeline.target_to_string target)
-         (Pipeline.engine_to_string engine) (workload_name workload))
+    key ("tune/" ^ Pipeline.engine_to_string engine) target workload
   | Run { target; engine; workload } ->
-    Some
-      (Printf.sprintf "run/%s/%s/%s" (Pipeline.target_to_string target)
-         (Pipeline.engine_to_string engine) (workload_name workload))
-  | Explain { target; workload } ->
-    Some
-      (Printf.sprintf "explain/%s/%s" (Pipeline.target_to_string target)
-         (workload_name workload))
+    key ("run/" ^ Pipeline.engine_to_string engine) target workload
+  | Explain { target; workload } -> key "explain" target workload
 
 (* ---------- decoding ---------- *)
 

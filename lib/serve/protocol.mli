@@ -89,14 +89,21 @@ val to_workload : workload -> Unit_graph.Workload.t
 (** The pipeline workload a request names ([Table1 i] is row [i]). *)
 
 val workload_name : workload -> string
+(** The display name responses echo as their ["workload"]:
+    {!Unit_graph.Workload.name}, or ["table1:N"].  It does not identify
+    a kernel; {!coalesce_key} does not read it. *)
 
 val kind_name : request -> string
 (** The request's wire name ([ping], [tune], …) — what flight-recorder
     entries use as the key for control traffic. *)
 
 val coalesce_key : request -> string option
-(** The request's coalescing identity — kind, target, engine and
-    workload — or [None] for control requests
+(** The request's coalescing identity — kind, engine and the kernel's
+    {!Unit_core.Pipeline.kernel_key} (target, instruction and every
+    field of the workload, so two convs that differ only in padding
+    never coalesce), plus the row of a [Table1 i] request, so it
+    coalesces only with [Table1 i] and a follower's echoed ["workload"]
+    stays its own — or [None] for control requests
     (ping/stats/shutdown/load_isa/trace/metrics/flight), which are
     answered inline and never queued. *)
 

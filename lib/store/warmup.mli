@@ -37,11 +37,13 @@ val target_to_string : target -> string
 
 type job = {
   job_key : string;
-      (** dedup identity: {!Unit_core.Pipeline.kernel_key} and the engine,
-          e.g. ["x86-vnni/conv_c64_...#compiled"].  The engine is part
-          of the key: the same workload warmed under [Compiled] and
-          [Emitted] does different work (the latter bakes a native
-          artifact) and must not dedup across engines. *)
+      (** dedup identity: {!Unit_core.Pipeline.kernel_key}, built from
+          every field of the workload (two convs that differ only in
+          padding are two jobs), and the engine, e.g.
+          ["x86/vnni.vpdpbusd/conv2d_c64_..._p1_g1/tuned#compiled"].
+          The engine is part of the key: the same workload warmed under
+          [Compiled] and [Emitted] does different work (the latter bakes
+          a native artifact) and must not dedup across engines. *)
   job_compile : unit -> unit;
 }
 

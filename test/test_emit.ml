@@ -1183,8 +1183,9 @@ let test_microkernels_rendered () =
    each the sum over the reduction loops [reds] (extents) and [k] of
    [a[(c, reds, k)] * w[(reds, lane, k)]].  A [Let] of the flattened
    reduction index sits between the reductions and the lanes, so the
-   lanes are not part of the reduction chain. *)
-let tile_nest ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k reds =
+   lanes are not part of the reduction chain.  [update] combines a
+   cell's old value with the product (default: their sum). *)
+let tile_nest ?(update = Texpr.add) ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k reds =
   let red = List.fold_left ( * ) 1 reds in
   let ta = Tensor.create ~name:"a" ~shape:[ cols * red * k ] a_dtype in
   let tw = Tensor.create ~name:"w" ~shape:[ red * lanes * k ] w_dtype in
@@ -1201,7 +1202,7 @@ let tile_nest ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k reds =
   let iw = Texpr.add (Texpr.mul (Texpr.add (Texpr.mul (v t) (imm lanes)) (v l)) (imm k)) (v kk) in
   let operand b ix = if Dtype.equal b.Buffer.dtype acc then Texpr.load b ix else Texpr.cast acc (Texpr.load b ix) in
   let update =
-    Stmt.Store (bout, at, Texpr.add (Texpr.load bout at) (Texpr.mul (operand ba ia) (operand bw iw)))
+    Stmt.Store (bout, at, update (Texpr.load bout at) (Texpr.mul (operand ba ia) (operand bw iw)))
   in
   let inner = Stmt.Let (t, flat, Stmt.for_ l ~extent:lanes (Stmt.for_ kk ~extent:k update)) in
   let body = Stmt.for_ c ~extent:cols (List.fold_right2 (fun r e s -> Stmt.for_ r ~extent:e s) rs reds inner) in
@@ -1239,6 +1240,25 @@ let prop_microkernels_random =
       check_bool (what ^ ": lanes packed iff i8") (case = 0) (packed > 0);
       differential ~seed func;
       true)
+
+(* Accumulating is a register-tile proof condition: a nest of the
+   register-tile shape whose update is [tile[c] = tile[c] * 3 + x] gets
+   an array tile instead. *)
+let test_non_accumulating_tile () =
+  let func =
+    tile_nest ~name:"tile_times_three"
+      ~update:(fun old x -> Texpr.add (Texpr.mul old (Texpr.int_imm 3)) x)
+      ~acc:Dtype.I32 ~a_dtype:Dtype.I32 ~w_dtype:Dtype.I32 ~cols:2 ~lanes:4 ~k:2 [ 17 ]
+  in
+  let names = [ "emit.register_tiles"; "emit.tiles_outlined"; "emit.tiles_promoted" ] in
+  let _, counts = counted names (fun () -> Emit.render func) in
+  (match counts with
+   | [ registers; outlined; promoted ] ->
+     Alcotest.(check int) "no register tile" 0 registers;
+     Alcotest.(check int) "no microkernel" 0 outlined;
+     check_bool "an array tile" true (promoted > 0)
+   | _ -> assert false);
+  differential func
 
 (* An f32 tile whose longest reduction loop is outermost keeps its
    order.  Over reductions (17, 2), the second term is 2^24 and every
@@ -1416,7 +1436,9 @@ let () =
         @ qcheck [ prop_hoisting_random; prop_window_random ] );
       ( "outlined",
         [ Alcotest.test_case "kernels rows outlined" `Quick test_microkernels_rendered;
-          Alcotest.test_case "f32 tile keeps its order" `Quick test_microkernel_f32_order
+          Alcotest.test_case "f32 tile keeps its order" `Quick test_microkernel_f32_order;
+          Alcotest.test_case "tile * 3 + x keeps the array" `Quick
+            test_non_accumulating_tile
         ]
         @ qcheck [ prop_microkernels_random ] );
       ( "pipeline",

@@ -84,8 +84,8 @@ let test_target_aliases () =
     (Pipeline.target_act_dtype Pipeline.X86 = Dtype.U8
      && Pipeline.target_act_dtype Pipeline.Arm = Dtype.I8)
 
-(* [compiled] caches under today's memo tags: the per-platform helpers
-   and [compiled] share one kernel, and each target tensorizes with its
+(* [compiled] caches under [kernel_key]: the per-platform helpers and
+   [compiled] share one kernel, and each target tensorizes with its
    default instruction. *)
 let test_compiled_shares_helper_kernels () =
   Pipeline.clear_cache ();
@@ -102,6 +102,60 @@ let test_compiled_shares_helper_kernels () =
     (Pipeline.dense_time_arm fc
      = Pipeline.seconds (Pipeline.compiled Pipeline.Arm (Workload.Fc fc)));
   Pipeline.clear_cache ()
+
+(* The memo keys a kernel by every field of its workload: changing any
+   one field of a conv2d, conv3d or dense workload gives a different
+   kernel whose output shape is its own workload's (a grouped conv does
+   not tensorize at all).  [Workload.name] leaves out conv2d padding and
+   conv3d height, width and padding. *)
+let test_every_field_keys_the_kernel () =
+  Pipeline.clear_cache ();
+  Fun.protect ~finally:Pipeline.clear_cache @@ fun () ->
+  let intrin = Unit_isa.Registry.find_exn (Pipeline.target_intrin Pipeline.X86) in
+  let lanes = Unit_isa.Intrin.output_lanes intrin in
+  let reduce_width = Unit_isa.Intrin.reduction_width intrin in
+  let shape (op : Unit_dsl.Op.t) = Array.to_list op.Unit_dsl.Op.output.Unit_dsl.Tensor.shape in
+  let own_shape = function
+    | Workload.Conv c -> shape (Pipeline.conv_op intrin c)
+    | Workload.Conv3 c ->
+      shape (Workload.conv3d_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8 ~lanes ~reduce_width c)
+    | Workload.Fc d ->
+      shape (Workload.dense_op ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8 ~lanes ~reduce_width d)
+  in
+  let variants base changes =
+    let k0 = Pipeline.compiled Pipeline.X86 base in
+    List.iter
+      (fun (field, wl) ->
+        match Pipeline.compiled Pipeline.X86 wl with
+        | k ->
+          check_bool (field ^ ": a different kernel") true (k != k0);
+          Alcotest.(check (list int)) (field ^ ": its own output shape") (own_shape wl)
+            (shape k.Pipeline.c_op)
+        | exception Invalid_argument _ when field = "groups" -> ())
+      changes
+  in
+  let c = { Workload.c = 16; h = 8; w = 8; k = 16; kernel = 3; stride = 1; padding = 0; groups = 1 } in
+  variants (Workload.Conv c)
+    (List.map
+       (fun (f, wl) -> (f, Workload.Conv wl))
+       [ ("c", { c with c = 32 }); ("h", { c with h = 9 }); ("w", { c with w = 10 });
+         ("k", { c with k = 32 }); ("kernel", { c with kernel = 1 });
+         ("stride", { c with stride = 2 }); ("padding", { c with padding = 1 });
+         ("groups", { c with groups = 2 }) ]);
+  let c3 =
+    { Workload.w3_c = 16; w3_d = 4; w3_h = 4; w3_w = 4; w3_k = 16; w3_kernel = 3;
+      w3_stride = 1; w3_padding = 0 }
+  in
+  variants (Workload.Conv3 c3)
+    (List.map
+       (fun (f, wl) -> (f, Workload.Conv3 wl))
+       [ ("w3_c", { c3 with w3_c = 32 }); ("w3_d", { c3 with w3_d = 5 });
+         ("w3_h", { c3 with w3_h = 5 }); ("w3_w", { c3 with w3_w = 6 });
+         ("w3_k", { c3 with w3_k = 32 }); ("w3_kernel", { c3 with w3_kernel = 1 });
+         ("w3_stride", { c3 with w3_stride = 2 }); ("w3_padding", { c3 with w3_padding = 1 }) ]);
+  let d = { Workload.d_k = 64; d_units = 16 } in
+  variants (Workload.Fc d)
+    [ ("d_k", Workload.Fc { d with d_k = 128 }); ("d_units", Workload.Fc { d with d_units = 32 }) ]
 
 (* ---------- the memo is single-flight ---------- *)
 
@@ -489,6 +543,8 @@ let () =
           Alcotest.test_case "depthwise" `Quick test_depthwise_never_tensorizes_but_costs;
           Alcotest.test_case "conv3d" `Quick test_conv3d_time;
           Alcotest.test_case "target aliases" `Quick test_target_aliases;
+          Alcotest.test_case "every field keys the kernel" `Quick
+            test_every_field_keys_the_kernel;
           Alcotest.test_case "compiled shares helper kernels" `Quick
             test_compiled_shares_helper_kernels
         ] );

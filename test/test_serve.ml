@@ -1152,6 +1152,60 @@ let child_digest () =
    | _ -> Alcotest.fail "digest child process failed");
   String.trim digest
 
+(* Two runs of one conv that differ only in padding share a display
+   name but not a kernel: after the padding-1 run, the padding-0 run
+   still answers with its own 6x6 output. *)
+let padding_conv padding = Protocol.Conv { (small_conv ()) with Workload.padding }
+
+let padding_run padding =
+  Protocol.Run
+    { target = Pipeline.X86; engine = Pipeline.Compiled; workload = padding_conv padding }
+
+let elements_and_digest json =
+  ( Option.bind (Json.member "elements" json) Json.to_num,
+    Option.bind (Json.member "digest" json) Json.to_str )
+
+let test_padding_variants_keep_their_answers () =
+  Pipeline.clear_cache ();
+  Fun.protect ~finally:Pipeline.clear_cache @@ fun () ->
+  let run padding = elements_and_digest (Handler.handle (padding_run padding)) in
+  let p1_elements, _ = run 1 in
+  check_bool "padding 1: 16x8x8 outputs" true (p1_elements = Some 1024.0);
+  let p0_elements, p0_digest = run 0 in
+  check_bool "padding 0 after padding 1: 16x6x6 outputs" true (p0_elements = Some 576.0);
+  check_string "padding 0: its own kernel's digest" (direct_digest (padding_conv 0))
+    (Option.get p0_digest);
+  check_string "padding 0: pinned digest" "cf172d88b549c8f9ba762c6c6af7170c"
+    (Option.get p0_digest)
+
+(* On a live server, concurrent runs of the two padding variants are two
+   jobs, each answered with its own output. *)
+let test_padding_variants_not_coalesced () =
+  Pipeline.clear_cache ();
+  Fun.protect ~finally:Pipeline.clear_cache @@ fun () ->
+  let gate, release, calls = gated_handler () in
+  let handle req =
+    ignore (gate req : Json.t);
+    Handler.handle req
+  in
+  let server = Server.create ~handle { Server.domains = 2; queue_cap = 8; retries = 0 } in
+  let clients = List.map (fun p -> submit_async server (padding_run p)) [ 0; 1 ] in
+  wait_for "both runs to reach a handler or coalesce" (fun () ->
+      Atomic.get calls + stat server "coalesced" = 2);
+  release ();
+  List.iter (fun (th, _) -> Thread.join th) clients;
+  check_int "nothing coalesced" 0 (stat server "coalesced");
+  check_int "two executions" 2 (Atomic.get calls);
+  List.iter2
+    (fun (_, r) want ->
+      match !r with
+      | Protocol.Result j ->
+        check_bool "each run answers with its own output" true
+          (fst (elements_and_digest j) = Some want)
+      | Protocol.Failure (_, m) -> Alcotest.fail m)
+    clients [ 576.0; 1024.0 ];
+  Server.drain server
+
 let test_run_digest_canonical () =
   let first = run_digest () in
   Pipeline.clear_cache ();
@@ -1204,9 +1258,7 @@ let test_soak () =
     for i = 0 to requests_total - 1 do
       match request i with
       | Protocol.Tune { target; workload; _ } | Protocol.Run { target; workload; _ } ->
-        Hashtbl.replace keys
-          (Pipeline.target_to_string target ^ "/" ^ Protocol.workload_name workload)
-          ()
+        Hashtbl.replace keys (Pipeline.kernel_key target (Protocol.to_workload workload)) ()
       | _ -> ()
     done;
     Hashtbl.length keys
@@ -1354,6 +1406,10 @@ let () =
           Alcotest.test_case "worker killed mid-job is resurrected" `Quick
             test_fault_injection_kills_worker_mid_job;
           Alcotest.test_case "graceful drain" `Quick test_drain_semantics;
+          Alcotest.test_case "padding variants keep answers" `Quick
+            test_padding_variants_keep_their_answers;
+          Alcotest.test_case "padding variants not coalesced" `Quick
+            test_padding_variants_not_coalesced;
           Alcotest.test_case "run digests are canonical" `Quick
             test_run_digest_canonical
         ] );

@@ -408,14 +408,14 @@ let test_warmup_job_is_pipeline_memo_hit () =
     | Ok jobs -> jobs
     | Error m -> Alcotest.fail m
   in
-  check_string "job key" ("x86-vnni/" ^ Workload.name (Workload.Conv wl) ^ "#compiled")
+  check_string "job key" "x86/vnni.vpdpbusd/conv2d_c1056_h7_w7_k192_r1_s1_p0_g1/tuned#compiled"
     (List.hd jobs).Warmup.job_key;
   (match Warmup.jobs_of_model Pipeline.X86 "table1:3" with
    | Ok [ j ] ->
      check_string "jobs_of_model takes table1:N" (List.hd jobs).Warmup.job_key
        j.Warmup.job_key
    | _ -> Alcotest.fail "jobs_of_model table1:3 is not one job");
-  check_string "arm dense key" "arm-dense/dense_k512_u10#emitted"
+  check_string "arm dense key" "arm/arm.udot/dense_k512_u10/tuned#emitted"
     (Warmup.job ~engine:Pipeline.Emitted Pipeline.Arm
        (Workload.Fc { Workload.d_k = 512; d_units = 10 }))
       .Warmup.job_key;
@@ -462,6 +462,18 @@ let test_engine_distinguishes_job_keys () =
   check_int "nothing deduped across engines" 0 report.Warmup.rp_deduped;
   check_int "one tensorize.tune span across both engines" 1 (tune_span_count ());
   Pipeline.clear_cache ()
+
+(* Two convs that differ only in padding share a display name but are
+   two kernels: neither job dedups the other. *)
+let test_padding_variants_are_two_jobs () =
+  let workload = { (wl ~c:16 ~k:16 ()) with Workload.padding = 1 } in
+  let jobs =
+    List.map (fun w -> Warmup.job Pipeline.X86 (Workload.Conv w)) [ wl ~c:16 ~k:16 (); workload ]
+  in
+  Pipeline.clear_cache ();
+  let report = Fun.protect ~finally:Pipeline.clear_cache (fun () -> Warmup.run ~domains:2 jobs) in
+  check_int "both padding variants compiled" 2 report.Warmup.rp_compiled;
+  check_int "nothing deduped" 0 report.Warmup.rp_deduped
 
 (* ---------- bounded kernel cache ---------- *)
 
@@ -720,6 +732,8 @@ let () =
             test_engine_distinguishes_job_keys;
           Alcotest.test_case "warm-up job is a memo hit" `Quick
             test_warmup_job_is_pipeline_memo_hit;
+          Alcotest.test_case "padding variants are two jobs" `Quick
+            test_padding_variants_are_two_jobs;
           Alcotest.test_case "retry backoff schedule" `Quick
             test_backoff_schedule
         ] );
