@@ -9,9 +9,12 @@ open Unit_tir
    preallocated [int array] frame, loads and stores become direct flat
    accesses into the dtype-specialized unboxed {!Ndarray} storage, and
    arithmetic specializes on the operand dtype at compile time.  The
-   numeric results are bit-identical to the tree-walker — every
-   specialization replicates {!Unit_dtype.Value}'s canonicalization rules
-   on raw payloads (see the qcheck differential property in the tests).
+   numeric results are bit-identical to the tree-walker: integer wraps,
+   saturating casts and float truncation call {!Unit_emit_hook}'s
+   canonicalizers (per dtype through {!Ndarray.canon}), the one native
+   copy that emitted kernels call too, and float rounding calls
+   {!Unit_dtype.Value.round_float} (see the qcheck differential property
+   in the tests).
 
    Execution state lives in a [ctx] allocated per {!run_compiled} call, so
    one compiled function may run concurrently on several domains.
@@ -73,21 +76,6 @@ type compiled = {
   cp_required : binfo list;
   cp_body : ctx -> unit;
 }
-
-(* Specialized wrap-to-dtype on native ints; same rules as
-   [Value.wrap_native] with the dtype dispatch paid once at compile. *)
-let mk_wrap dt =
-  let b = Dtype.bits dt in
-  let mask = (1 lsl b) - 1 in
-  if Dtype.is_signed dt then begin
-    let sign = 1 lsl (b - 1) in
-    let offset = 1 lsl b in
-    fun x ->
-      let m = x land mask in
-      if m land sign <> 0 then m - offset else m
-  end
-  else if Dtype.equal dt Dtype.Bool then fun x -> if x land mask = 0 then 0 else 1
-  else fun x -> x land mask
 
 (* 0 while the buffer is neither bound nor inside its [Alloc] *)
 let cell_length ctx bi =
@@ -258,7 +246,7 @@ let compile (func : Lower.func) =
     match bi.b_kind with
     | Float_class -> ctx.fcells.(bi.b_cell).(addr) <- Value.round_float dt (Value.to_float v)
     | Int_class ->
-      ctx.icells.(bi.b_cell).(addr) <- Value.wrap_native dt (Int64.to_int (Value.to_int64 v))
+      ctx.icells.(bi.b_cell).(addr) <- (Ndarray.canon dt).wrap (Int64.to_int (Value.to_int64 v))
     | Int64_class -> ctx.lcells.(bi.b_cell).(addr) <- Value.to_int64 v
   in
   (* ---- expressions: a closure per node, so the recursion is written
@@ -283,7 +271,7 @@ let compile (func : Lower.func) =
         else begin
           (* the frame holds the raw bound int; references wrap to the
              variable's dtype, like [Value.of_int] did per lookup *)
-          let w = mk_wrap dt in
+          let w = (Ndarray.canon dt).wrap in
           EI (fun ctx -> w (ctx.frame.(s)))
         end
       else EV (fun ctx -> Value.of_int dt ctx.frame.(s))
@@ -337,13 +325,13 @@ let compile (func : Lower.func) =
     | None ->
       (match comp_e e with
        | EI f -> f
-       | EF f -> fun ctx -> Value.trunc_int_of_float (f ctx)
+       | EF f -> fun ctx -> Unit_emit_hook.trunc (f ctx)
        | EV f -> fun ctx -> Int64.to_int (Value.to_int64 (f ctx)))
 
   and truth e =
     match comp_e e with
     | EI f -> fun ctx -> f ctx <> 0
-    | EF f -> fun ctx -> Value.trunc_int_of_float (f ctx) <> 0
+    | EF f -> fun ctx -> Unit_emit_hook.trunc (f ctx) <> 0
     | EV f -> fun ctx -> Value.to_int64 (f ctx) <> 0L
 
   and to_value dt = function
@@ -358,7 +346,7 @@ let compile (func : Lower.func) =
     let exact = interval e <> None in
     match comp_e a, comp_e b with
     | EI fa, EI fb when Ndarray.is_narrow dt ->
-      let w = mk_wrap dt in
+      let w = (Ndarray.canon dt).wrap in
       (if exact then
          match op with
          | Texpr.Add | Texpr.Sub | Texpr.Mul -> Obs.incr c_wraps_elided
@@ -558,7 +546,7 @@ let compile (func : Lower.func) =
           EI f
         end
         else begin
-          let w = mk_wrap dt in
+          let w = (Ndarray.canon dt).wrap in
           EI (fun ctx -> w (f ctx))
         end
       else if Dtype.is_float dt then begin
@@ -573,7 +561,10 @@ let compile (func : Lower.func) =
           let r = mk_round dt in
           EF (fun ctx -> r (f ctx))
         end
-      else if Ndarray.is_narrow dt then EI (fun ctx -> Value.sat_int_of_float dt (f ctx))
+      else if Ndarray.is_narrow dt then begin
+        let sat = (Ndarray.canon dt).sat in
+        EI (fun ctx -> sat (f ctx))
+      end
       else EV (fun ctx -> Value.cast dt (Value.of_float src (f ctx)))
     | EV f ->
       let g ctx = Value.cast dt (f ctx) in
@@ -644,14 +635,14 @@ let compile (func : Lower.func) =
            | EI f ->
              if Dtype.equal dt dv then f
              else begin
-               let w = mk_wrap dt in
+               let w = (Ndarray.canon dt).wrap in
                fun ctx -> w (f ctx)
              end
            | EF f ->
-             let w = mk_wrap dt in
-             fun ctx -> w (Value.trunc_int_of_float (f ctx))
+             let w = (Ndarray.canon dt).wrap in
+             fun ctx -> w (Unit_emit_hook.trunc (f ctx))
            | EV f ->
-             let w = mk_wrap dt in
+             let w = (Ndarray.canon dt).wrap in
              fun ctx -> w (Int64.to_int (Value.to_int64 (f ctx)))
          in
          fun ctx ->
@@ -662,7 +653,7 @@ let compile (func : Lower.func) =
          let payload =
            match vc with
            | EI f -> fun ctx -> Int64.of_int (f ctx)
-           | EF f -> fun ctx -> Value.trunc_int64_of_float (f ctx)
+           | EF f -> fun ctx -> Unit_emit_hook.trunc64 (f ctx)
            | EV f -> fun ctx -> Value.to_int64 (f ctx)
          in
          fun ctx ->

@@ -1193,8 +1193,8 @@ let hoist_terms ~is_lane ~offset (body : Stmt.t) =
   { ht_body = body; ht_carries = carries; ht_partials = partials; ht_hoisted = !n_terms }
 
 (* Canonicalizer names from {!Unit_emit_hook}, which the kernel opens. *)
-let wname dt = "w_" ^ Dtype.to_string dt
-let satname dt = "sat_" ^ Dtype.to_string dt
+let wname dt = (Ndarray.canon dt).wrap_name
+let satname dt = (Ndarray.canon dt).sat_name
 
 (* Round-to-precision: the identity for f64, a trip through Int32 bits
    for f32, and for bf16 that trip with the low 16 bits rounded to

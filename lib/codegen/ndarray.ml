@@ -47,6 +47,32 @@ let narrow_range dtype =
       (Int64.to_int (Dtype.min_int_value dtype), Int64.to_int (Dtype.max_int_value dtype))
   else None
 
+type canon = {
+  wrap : int -> int;
+  wrap_name : string;
+  sat : float -> int;
+  sat_name : string;
+}
+
+(* built once: [canon] sits on the boxed store paths *)
+let canon =
+  let open Unit_emit_hook in
+  let c wrap wrap_name sat sat_name = { wrap; wrap_name; sat; sat_name } in
+  let bool = c w_bool "w_bool" sat_bool "sat_bool" in
+  let u8 = c w_u8 "w_u8" sat_u8 "sat_u8" in
+  let i8 = c w_i8 "w_i8" sat_i8 "sat_i8" in
+  let i16 = c w_i16 "w_i16" sat_i16 "sat_i16" in
+  let i32 = c w_i32 "w_i32" sat_i32 "sat_i32" in
+  fun dtype ->
+    match dtype with
+    | Dtype.Bool -> bool
+    | Dtype.U8 -> u8
+    | Dtype.I8 -> i8
+    | Dtype.I16 -> i16
+    | Dtype.I32 -> i32
+    | Dtype.(I64 | F16 | Bf16 | F32 | F64) ->
+      invalid_arg ("Ndarray.canon: " ^ Dtype.to_string dtype ^ " is not narrow")
+
 let class_of_storage = function
   | Float_data _ -> Float_class
   | Int_data _ -> Int_class
@@ -101,7 +127,7 @@ let set_flat t i v =
   let i = i + t.offset in
   match t.storage with
   | Float_data a -> a.(i) <- Value.round_float t.dtype (Value.to_float v)
-  | Int_data a -> a.(i) <- Value.wrap_native t.dtype (Int64.to_int (Value.to_int64 v))
+  | Int_data a -> a.(i) <- (canon t.dtype).wrap (Int64.to_int (Value.to_int64 v))
   | Int64_data a -> a.(i) <- Value.to_int64 v
 
 (* ---------- raw (unboxed) accessors ---------- *)
@@ -118,7 +144,7 @@ let get_int_flat t i =
   match t.storage with
   | Int_data a -> a.(i)
   | Int64_data a -> Int64.to_int a.(i)
-  | Float_data a -> Value.trunc_int_of_float a.(i)
+  | Float_data a -> Unit_emit_hook.trunc a.(i)
 
 (* ---------- multi-index access ---------- *)
 

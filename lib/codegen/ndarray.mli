@@ -46,6 +46,26 @@ val narrow_range : Dtype.t -> (int * int) option
     load of a canonically wrapped buffer may read, as the engines give it
     to [Linear.bounds ~load]. *)
 
+(** A narrow dtype's integer canonicalizers.  {!Unit_emit_hook} holds the
+    one native definition of each; the closure engine calls the
+    functions, and an emitted kernel, which opens the hook, calls them by
+    name. *)
+type canon = {
+  wrap : int -> int;
+      (** wraps a native int into the dtype's range, as {!Value.of_int}
+          does: two's complement for signed, masking for unsigned, 0/1
+          for bool *)
+  wrap_name : string;  (** [wrap]'s name in the hook: ["w_i16"], ... *)
+  sat : float -> int;
+      (** truncates toward zero and saturates at the dtype's bounds, NaN
+          to 0: {!Value.cast} from a float *)
+  sat_name : string;  (** [sat]'s name in the hook: ["sat_i16"], ... *)
+}
+
+val canon : Dtype.t -> canon
+(** The one table from a narrow dtype to its hook canonicalizers.
+    @raise Invalid_argument when [not (is_narrow dt)]. *)
+
 val zeros : dtype:Dtype.t -> shape:int list -> t
 
 val view : t -> offset:int -> dtype:Dtype.t -> shape:int list -> t

@@ -254,16 +254,11 @@ let seconds compiled = compiled.c_tuned.Cpu_tuner.t_estimate.Cpu_model.est_secon
 
 (* ---------- cached per-workload kernels ---------- *)
 
-(* CPU paths cache the whole compiled kernel (so repeat workloads reuse
-   the tuned schedule, not just its latency); paths without a [compiled]
-   (GPU model, analytic fallbacks) cache the bare time. *)
-type cache_entry =
-  | Kernel of compiled
-  | Time of float
-
-(* The cache is bounded (FIFO eviction) so a long-lived serving process
-   replaying an unbounded stream of distinct shapes cannot grow it without
-   limit, and mutex-guarded so the warm-up scheduler and the daemon can
+(* The cache holds whole compiled kernels, so repeat workloads reuse
+   the tuned schedule, not just its latency.  It is bounded (FIFO
+   eviction) so a long-lived serving process replaying an unbounded
+   stream of distinct shapes cannot grow it without limit, and
+   mutex-guarded so the warm-up scheduler and the daemon can
    fan pipeline calls across domains.  It is also single-flight: a miss
    registers a flight for its key under the lock and compiles outside
    it; later callers of that key wait on the flight and adopt its entry,
@@ -271,7 +266,7 @@ type cache_entry =
    so they never count toward the cap and are never evicted. *)
 type flight_state =
   | Running
-  | Published of cache_entry
+  | Published of compiled
   | Abandoned  (* the leader raised; waiters claim the key afresh *)
 
 type flight = {
@@ -280,7 +275,7 @@ type flight = {
 }
 
 let cache_lock = Mutex.create ()
-let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 256
+let cache : (string, compiled) Hashtbl.t = Hashtbl.create 256
 let cache_order : string Queue.t = Queue.create ()
 let flights : (string, flight) Hashtbl.t = Hashtbl.create 16
 let cache_cap = ref 1024
@@ -358,10 +353,6 @@ let memo key f =
        Mutex.protect cache_lock (fun () -> settle Abandoned);
        Printexc.raise_with_backtrace exn bt)
 
-let entry_seconds = function
-  | Kernel c -> seconds c
-  | Time t -> t
-
 let conv_op ?(data_dtype = Dtype.U8) ?(weight_dtype = Dtype.I8)
     (intrin : Unit_isa.Intrin.t) wl =
   let reduce_width = Unit_isa.Intrin.reduction_width intrin in
@@ -373,20 +364,14 @@ let conv_op ?(data_dtype = Dtype.U8) ?(weight_dtype = Dtype.I8)
   Workload.conv_op ~data_dtype ~weight_dtype
     ~lanes:(Unit_isa.Intrin.output_lanes intrin) ~reduce_width wl
 
-(* How a memoised kernel was tuned: the full search, or one pinned
-   config. *)
-type tuning =
-  | Tuned
-  | Cpu_config of Cpu_tuner.config
-  | Gpu_config of Gpu_model.config
-
 (* The one kernel identity, under which the memo caches and the warm-up
-   and the daemon dedup: the machine, the instruction, the tuning and
-   every field of the workload.  The record patterns name every field,
-   so a field added to [Workload] cannot be left out of the key.
+   and the daemon dedup: the machine, the instruction, the tuning (the
+   full search, or one pinned [config]) and every field of the workload.
+   The record patterns name every field, so a field added to [Workload]
+   cannot be left out of the key.
    [Workload.name] is only the display name: it drops conv2d padding
    and conv3d height, width and padding. *)
-let key ~machine ~intrin tuning (wl : Workload.t) =
+let key target ~intrin config (wl : Workload.t) =
   let workload =
     match wl with
     | Workload.Conv { c; h; w; k; kernel; stride; padding; groups } ->
@@ -399,51 +384,44 @@ let key ~machine ~intrin tuning (wl : Workload.t) =
     | Workload.Fc { d_k; d_units } -> Printf.sprintf "dense_k%d_u%d" d_k d_units
   in
   let tuning =
-    match tuning with
-    | Tuned -> "tuned"
-    | Cpu_config { Cpu_tuner.parallel_grain; unroll_budget } ->
+    match config with
+    | None -> "tuned"
+    | Some { Cpu_tuner.parallel_grain; unroll_budget } ->
       Printf.sprintf "g%d-u%d" parallel_grain unroll_budget
-    | Gpu_config { Gpu_model.p; fuse_dim; split_k } ->
-      Printf.sprintf "p%d-f%b-k%d" p fuse_dim split_k
   in
-  String.concat "/" [ machine; intrin; workload; tuning ]
+  String.concat "/" [ target_to_string target; intrin; workload; tuning ]
 
 let kernel_key target wl =
-  key ~machine:(target_to_string target) ~intrin:(target_intrin target) Tuned wl
+  key target ~intrin:(target_intrin target) None wl
 
 (* The one memoised CPU kernel.  A workload that does not tensorize
    raises [Invalid_argument (what ^ ": " ^ reason)]. *)
 let compiled_with ?intrin ?config target (wl : Workload.t) =
   let intrin_name = Option.value intrin ~default:(target_intrin target) in
-  let tuning = match config with None -> Tuned | Some c -> Cpu_config c in
-  match
-    memo (key ~machine:(target_to_string target) ~intrin:intrin_name tuning wl)
-      (fun () ->
-        let intrin = Unit_isa.Registry.find_exn intrin_name in
-        let blocked build =
-          build ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
-            ~lanes:(Unit_isa.Intrin.output_lanes intrin)
-            ~reduce_width:(Unit_isa.Intrin.reduction_width intrin)
-        in
-        let what, op =
-          match wl with
-          | Workload.Conv c ->
-            (* the MLA baseline widens to i16 first; DOT consumes quantized u8 *)
-            let wide =
-              if String.equal intrin_name "neon.mla.i16" then Some Dtype.I16 else None
-            in
-            ( Printf.sprintf "conv %s does not tensorize with %s" (Workload.name wl)
-                intrin_name,
-              conv_op ?data_dtype:wide ?weight_dtype:wide intrin c )
-          | Workload.Conv3 c -> ("conv3d does not tensorize", blocked Workload.conv3d_op c)
-          | Workload.Fc d -> ("dense does not tensorize", blocked Workload.dense_op d)
-        in
-        match tensorize ?config ~spec:(target_spec target) op intrin with
-        | Ok compiled -> Kernel compiled
-        | Error f -> invalid_arg (what ^ ": " ^ failure_to_string f))
-  with
-  | Kernel c -> c
-  | Time _ -> assert false (* this key is only ever populated with [Kernel] *)
+  memo (key target ~intrin:intrin_name config wl)
+    (fun () ->
+      let intrin = Unit_isa.Registry.find_exn intrin_name in
+      let blocked build =
+        build ~data_dtype:Dtype.U8 ~weight_dtype:Dtype.I8
+          ~lanes:(Unit_isa.Intrin.output_lanes intrin)
+          ~reduce_width:(Unit_isa.Intrin.reduction_width intrin)
+      in
+      let what, op =
+        match wl with
+        | Workload.Conv c ->
+          (* the MLA baseline widens to i16 first; DOT consumes quantized u8 *)
+          let wide =
+            if String.equal intrin_name "neon.mla.i16" then Some Dtype.I16 else None
+          in
+          ( Printf.sprintf "conv %s does not tensorize with %s" (Workload.name wl)
+              intrin_name,
+            conv_op ?data_dtype:wide ?weight_dtype:wide intrin c )
+        | Workload.Conv3 c -> ("conv3d does not tensorize", blocked Workload.conv3d_op c)
+        | Workload.Fc d -> ("dense does not tensorize", blocked Workload.dense_op d)
+      in
+      match tensorize ?config ~spec:(target_spec target) op intrin with
+      | Ok compiled -> compiled
+      | Error f -> invalid_arg (what ^ ": " ^ failure_to_string f))
 
 let compiled target wl = compiled_with target wl
 
@@ -466,20 +444,16 @@ let conv3d_time_x86 wl = seconds (compiled X86 (Workload.Conv3 wl))
 let dense_time_x86 wl = seconds (compiled X86 (Workload.Fc wl))
 let dense_time_arm wl = seconds (compiled Arm (Workload.Fc wl))
 
+(* Not memoised: one [Gpu_model.tune] costs about what a memo probe's
+   key string and lock would. *)
 let conv_time_gpu ?config wl =
-  let tuning = match config with None -> Tuned | Some c -> Gpu_config c in
-  entry_seconds
-    (memo
-       (key ~machine:Spec.v100.Spec.gpu_name ~intrin:"wmma.implicit-gemm" tuning
-          (Workload.Conv wl))
-       (fun () ->
-         let spec = Workload.conv_spec ~lanes:1 ~reduce_width:1 wl in
-         let gemm = Gpu_model.gemm_of_conv spec in
-         match config with
-         | Some c -> Time (Gpu_model.estimate Spec.v100 gemm c).Gpu_model.g_seconds
-         | None ->
-           let _, est = Gpu_model.tune Spec.v100 gemm in
-           Time est.Gpu_model.g_seconds))
+  let gemm = Gpu_model.gemm_of_conv (Workload.conv_spec ~lanes:1 ~reduce_width:1 wl) in
+  let est =
+    match config with
+    | Some c -> Gpu_model.estimate Spec.v100 gemm c
+    | None -> snd (Gpu_model.tune Spec.v100 gemm)
+  in
+  est.Gpu_model.g_seconds
 
 (* Depthwise convolutions reduce one channel per group: no dot-product
    idiom to tensorize.  They run as vectorized elementwise MACs, bounded by

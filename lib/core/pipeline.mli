@@ -211,9 +211,9 @@ val kernel_key : target -> Unit_graph.Workload.t -> string
     caches under, e.g.
     ["x86/vnni.vpdpbusd/conv2d_c64_h56_w56_k128_r3_s2_p1_g1/tuned"].
     One function in this module builds every kernel key, the memo's
-    under pinned configs and the V100 model's included, from every field
-    of the workload; {!Unit_graph.Workload.name} is only the display
-    name and drops fields.  The warm-up scheduler's jobs and the daemon's
+    under pinned CPU configs included, from every field of the
+    workload; {!Unit_graph.Workload.name} is only the display name and
+    drops fields.  The warm-up scheduler's jobs and the daemon's
     coalescing key on it too, so all three agree on what "the same
     kernel" means. *)
 
@@ -269,7 +269,9 @@ val dense_time_arm : Unit_graph.Workload.dense -> float
 
 val conv_time_gpu : ?config:Unit_machine.Gpu_model.config -> Unit_graph.Workload.conv2d -> float
 (** UNIT on the V100 model: implicit-GEMM Tensor Core template, tuned over
-    (p, fuse_dim, split_k) unless [config] pins one. *)
+    (p, fuse_dim, split_k) unless [config] pins one.  Not cached: one
+    tune of the model costs about what a memo probe would, and there is
+    no kernel to share. *)
 
 val depthwise_time_cpu : Spec.cpu -> Unit_graph.Workload.conv2d -> float
 (** Grouped convolutions never tensorize; they run as memory-bound vector

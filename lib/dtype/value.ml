@@ -137,35 +137,7 @@ let shift_right_rounding v n =
       Int (dt, wrap dt rounded)
     end
 
-(* ---------- raw (unboxed) helpers for the compiled interpreter ----------
-
-   These mirror the canonicalization rules above on native [int] / [float]
-   payloads so the closure compiler can run arithmetic without allocating a
-   [Value.t] per element.  They are only meaningful for dtypes whose value
-   range fits a native int (bits <= 32); I64 keeps the boxed path. *)
-
-let wrap_native dt x =
-  let b = Dtype.bits dt in
-  if b >= 63 then invalid_arg "Value.wrap_native: dtype too wide for native int";
-  (* native-int overflow is mod 2^63, which preserves the low [b] bits for
-     b <= 62, so masking here agrees with the Int64-based [wrap] above *)
-  let masked = x land ((1 lsl b) - 1) in
-  if Dtype.is_signed dt then
-    if masked land (1 lsl (b - 1)) <> 0 then masked - (1 lsl b) else masked
-  else if Dtype.equal dt Dtype.Bool then (if masked = 0 then 0 else 1)
-  else masked
-
 let round_float = round_to_precision
-
-let trunc_int64_of_float f =
-  if Float.is_nan f then 0L
-  else if f >= Int64.to_float Int64.max_int then Int64.max_int
-  else if f <= Int64.to_float Int64.min_int then Int64.min_int
-  else Int64.of_float f
-
-let trunc_int_of_float f = Int64.to_int (trunc_int64_of_float f)
-
-let sat_int_of_float dt f = Int64.to_int (float_to_int_sat dt f)
 
 let to_string = function
   | Int (dt, x) -> Printf.sprintf "%Ld%s" x (Dtype.to_string dt)

@@ -1,9 +1,14 @@
-(** Runtime scalar values for the reference interpreters.
+(** Runtime scalar values for the tree-walking oracle.
 
     A value is a payload (64-bit integer or double) together with the
     {!Dtype.t} it inhabits; constructors normalize the payload into that
     type (integers wrap to the type's width, fp16/fp32 payloads are rounded
-    to their precision) so a [Value.t] is always canonical. *)
+    to their precision) so a [Value.t] is always canonical.
+
+    These are the oracle's boxed rules.  The native engines (the closure
+    compiler, the unboxed ndarrays, emitted kernels) run the integer
+    rules on bare ints through [Unit_emit_hook]'s canonicalizers, and
+    the tests check those bit-for-bit against this module. *)
 
 type t = private
   | Int of Dtype.t * int64
@@ -62,37 +67,10 @@ val shift_right_rounding : t -> int -> t
     the fixed-point requantization primitive.
     @raise Invalid_argument on float values. *)
 
-(** {2 Raw (unboxed) helpers}
-
-    Native-[int]/[float] counterparts of the canonicalization rules above,
-    for code (the closure-compiled interpreter, the unboxed ndarrays) that
-    runs arithmetic without boxing a [t] per element.  Integer helpers are
-    only valid for dtypes whose value range fits a native int
-    (bits <= 32); [I64] must keep using the boxed path. *)
-
-val wrap_native : Dtype.t -> int -> int
-(** [wrap_native dt x] wraps [x] into [dt]'s range exactly like the [t]
-    constructors do (two's-complement for signed, masking for unsigned,
-    0/1 for bool).  Native-int overflow during the arithmetic that produced
-    [x] is harmless: it preserves the low bits being masked.
-    @raise Invalid_argument for [I64] (and any dtype with >= 63 bits). *)
-
 val round_float : Dtype.t -> float -> float
-(** Rounds to the float dtype's precision (identity for [F64]).
+(** Rounds to the float dtype's precision (identity for [F64]): the
+    rounding {!of_float} applies, on a bare float.
     @raise Invalid_argument for integer dtypes. *)
-
-val trunc_int64_of_float : float -> int64
-(** Float-to-integer conversion with {!to_int64}'s semantics: truncate
-    toward zero, saturate at the int64 bounds, NaN to zero. *)
-
-val trunc_int_of_float : float -> int
-(** [Int64.to_int (trunc_int64_of_float f)] — the conversion the
-    interpreters use when an index expression evaluates to a float. *)
-
-val sat_int_of_float : Dtype.t -> float -> int
-(** Float-to-int cast (truncate toward zero, saturate at the dtype bounds,
-    NaN to zero) as a native int; matches {!cast} to an integer dtype.
-    Only for dtypes whose bounds fit a native int (bits <= 32). *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

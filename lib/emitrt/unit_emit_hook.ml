@@ -29,9 +29,11 @@ let check_window k a o n =
 let out_of_window k i n =
   raise (Out_of_window (k, Printf.sprintf "index %d outside [0, %d)" i n))
 
-(* The canonicalizers below replicate Value.ml's raw-payload
-   canonicalizers verbatim; any drift there must be mirrored here (and
-   [Emit.version] bumped). *)
+(* ---- canonicalizers: the one native copy of the integer rules that
+   [Value] applies to boxed values.  Emitted kernels call them by name,
+   the closure engine and the unboxed ndarrays through [Ndarray.canon],
+   and the tests check each against [Value].  A change here changes
+   what every emitted kernel computes, so it bumps [Emit.version]. *)
 let w_bool x = if x land 0xff = 0 then 0 else 1
 let w_u8 x = x land 0xff
 let w_i8 x = let m = x land 0xff in if m land 0x80 <> 0 then m - 0x100 else m

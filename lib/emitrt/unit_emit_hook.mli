@@ -57,11 +57,12 @@ val out_of_window : int -> int -> int -> 'a
 
 (** {2 Canonicalizers}
 
-    [Value]'s raw-payload canonicalizers, verbatim: [w_*] wrap a native
-    int to an integer dtype, [r_bf16] rounds a float to bf16,
-    [trunc64]/[trunc] truncate a float toward zero (NaN → 0, saturating
-    at the int64 range), [sat_*] saturate a float cast to an integer
-    dtype. *)
+    The one native copy of [Value]'s canonicalization rules on bare
+    payloads: [w_*] wrap a native int to an integer dtype, [r_bf16]
+    rounds a float to bf16, [trunc64]/[trunc] truncate a float toward
+    zero (NaN → 0, saturating at the int64 range), [sat_*] saturate a
+    float cast to an integer dtype.  Emitted kernels call them by name;
+    the host reaches the per-dtype ones through [Ndarray.canon]. *)
 
 val w_bool : int -> int
 val w_u8 : int -> int
@@ -71,7 +72,6 @@ val w_i32 : int -> int
 val r_bf16 : float -> float
 val trunc64 : float -> int64
 val trunc : float -> int
-val sat_gen : int64 -> int64 -> float -> int
 val sat_bool : float -> int
 val sat_u8 : float -> int
 val sat_i8 : float -> int

@@ -1236,13 +1236,6 @@ let softmax ?dst data =
 
 (* ---------- operator dispatch ---------- *)
 
-let base_arity = function
-  | Graph.Input _ | Graph.Weight _ -> 0
-  | Graph.Conv2d _ | Graph.Conv3d _ | Graph.Dense _ | Graph.Bias_add | Graph.Add -> 2
-  | Graph.Relu | Graph.Clip _ | Graph.Pool _ | Graph.Global_avg_pool | Graph.Flatten
-  | Graph.Softmax | Graph.Quantize _ | Graph.Dequantize _ -> 1
-  | Graph.Concat -> -1 (* variadic; never fused *)
-
 (* One operator on its operands.  Conv2d and dense take their weight
    operand as it comes (packed weights stay packed); every other op
    reads values, and an elementwise kind is a chain of one stage based
@@ -1365,11 +1358,11 @@ let take (n : Graph.node) k xs =
    the table from the node's [requant] slot; any other fused node's base
    op stores into one fresh buffer. *)
 let eval_op (n : Graph.node) ~node_dst ~requant operands =
-  let own, extra = take n (base_arity n.Graph.kind) operands in
+  let own, extra = take n (Graph.base_arity n.Graph.kind) operands in
   let leftover, fused =
     List.fold_left_map
       (fun extra kind ->
-        let extras, rest = take n (Stdlib.max 0 (base_arity kind - 1)) extra in
+        let extras, rest = take n (Stdlib.max 0 (Graph.base_arity kind - 1)) extra in
         (rest, (kind, List.map value_of extras)))
       extra n.Graph.fused
   in

@@ -83,6 +83,13 @@ val build : (string * kind * id list * kind list) list -> output:id -> t
     the construction primitive the passes rebuild with.
     @raise Graph_error on malformed input. *)
 
+val base_arity : kind -> int
+(** How many operands a kind takes itself: 0 for [Input]/[Weight], 2 for
+    conv, dense, [Bias_add] and [Add], 1 for the rest, and [-1] for the
+    variadic [Concat].  A node's operands are its own kind's, then each
+    fused epilogue's beyond the first ([base_arity k - 1] each, in
+    order): the layout {!infer} reads and the executor splits by. *)
+
 val infer : kind -> fused:kind list -> (int list * Unit_dtype.Dtype.t) list -> int list * Unit_dtype.Dtype.t
 (** Shape/dtype inference for a single node given input signatures;
     exposed so passes can track signatures while assembling a rebuild. *)

@@ -2,7 +2,7 @@
 
     The tensorize replacement pass asks "with what constant stride does
     this loop variable move this memory access?" ({!coefficient_of}), and
-    the validator, the machine model and the engines ask "what range does
+    the static analyzer, the machine model and the engines ask "what range does
     this value cover?" ({!bounds}).  Both are conservative: [None] means
     "not provable". *)
 
@@ -23,8 +23,8 @@ val bounds :
 (** Inclusive interval of an integer expression's value, given inclusive
     intervals for its variables ([env]) and for the values of loaded
     buffers ([load], default: none).  This is the one interval analysis
-    proofs use: the validator, the analyzer, the machine model and both
-    fast engines ([Compile], [Emit]) call it.
+    proofs use: the static analyzer ([Analysis], [Footprint]), the
+    machine model and both fast engines ([Compile], [Emit]) call it.
 
     Contract: every interval returned, for the whole expression and for
     each node on the way, fits that node's dtype, so wrapping the node's

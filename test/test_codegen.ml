@@ -55,6 +55,103 @@ let test_random_fill_ranges () =
   let c = Ndarray.random_for_tensor ~seed:2 t in
   check_bool "seed changes data" false (Ndarray.equal a c)
 
+(* The native canonicalizers, [Ndarray.canon]'s table over
+   [Unit_emit_hook], against the oracle's boxed rules: [w_*] against
+   [Value.of_int]'s wrap, [sat_*] against [Value.cast] from a float (its
+   saturating truncation), [trunc]/[trunc64] against [Value.to_int64],
+   and [r_bf16] against [Bf16.round_float].  Edge cases, then a seeded
+   sweep. *)
+let test_canonicalizers_match_oracle () =
+  let st = Random.State.make [| 41 |] in
+  let any_int () =
+    (Random.State.bits st lsl 60) lxor (Random.State.bits st lsl 30) lxor Random.State.bits st
+  in
+  let any_float () = Int64.float_of_bits (Random.State.int64 st Int64.max_int) in
+  let p2 n = Float.ldexp 1.0 n in
+  let ints =
+    List.concat_map
+      (fun b ->
+        let x = 1 lsl b in
+        [ x - 1; x; x + 1; -x - 1; -x; -x + 1 ])
+      [ 0; 7; 8; 15; 16; 31; 32; 62 ]
+    @ [ max_int; min_int; 0xff; 0x1ff; 0x17f; 0x8000_0001 ]
+    @ List.init 2000 (fun _ -> any_int ())
+  in
+  let floats =
+    List.concat_map
+      (fun x -> [ x; -.x ])
+      ([ 0.0; 0.5; 0.999; 1.0; 1.5; 127.5; 128.0; 255.5; 256.0; 32767.9; 32768.0;
+         Float.infinity; p2 31 -. 1.0; p2 31; p2 31 +. 1.0; p2 32; p2 62; p2 63; p2 64 ]
+       @ List.init 1000 (fun _ -> Random.State.float st 5e9)
+       @ List.init 1000 (fun _ -> any_float ()))
+    @ [ Float.nan ]
+  in
+  let native = [ Dtype.Bool; Dtype.U8; Dtype.I8; Dtype.I16; Dtype.I32 ] in
+  List.iter
+    (fun dt ->
+      let c = Ndarray.canon dt in
+      let name = Dtype.to_string dt in
+      Alcotest.(check string) (name ^ " wrap name") ("w_" ^ name) c.Ndarray.wrap_name;
+      Alcotest.(check string) (name ^ " sat name") ("sat_" ^ name) c.Ndarray.sat_name;
+      List.iter
+        (fun x ->
+          let want = Int64.to_int (Value.to_int64 (Value.of_int dt x)) in
+          if c.Ndarray.wrap x <> want then
+            Alcotest.failf "%s %d: wrap gives %d, the oracle %d" c.Ndarray.wrap_name x
+              (c.Ndarray.wrap x) want)
+        ints;
+      List.iter
+        (fun f ->
+          let want = Int64.to_int (Value.to_int64 (Value.cast dt (Value.of_float Dtype.F64 f))) in
+          if c.Ndarray.sat f <> want then
+            Alcotest.failf "%s %h: sat gives %d, the oracle %d" c.Ndarray.sat_name f
+              (c.Ndarray.sat f) want)
+        floats)
+    native;
+  List.iter
+    (fun dt ->
+      match Ndarray.canon dt with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s has a narrow canonicalizer" (Dtype.to_string dt))
+    (List.filter (fun dt -> not (List.mem dt native)) Dtype.all);
+  List.iter
+    (fun f ->
+      let want = Value.to_int64 (Value.of_float Dtype.F64 f) in
+      if Unit_emit_hook.trunc64 f <> want || Unit_emit_hook.trunc f <> Int64.to_int want then
+        Alcotest.failf "trunc %h: %Ld / %d, the oracle %Ld" f (Unit_emit_hook.trunc64 f)
+          (Unit_emit_hook.trunc f) want)
+    floats;
+  (* bf16 ties as f32 bit patterns (low 16 bits 0x8000) at either
+     parity, the f64 values just past and short of them, subnormals and
+     overflow *)
+  let tie hi = Int32.float_of_bits (Int32.logor (Int32.shift_left hi 16) 0x8000l) in
+  let bf16_inputs =
+    List.concat_map
+      (fun x -> [ x; -.x ])
+      ([ tie 0x3f80l; tie 0x3f81l; tie 0x0l; tie 0x1l; tie 0x7f7fl; tie 0x7f7el;
+         tie 0x3f80l +. p2 (-40); tie 0x3f80l -. p2 (-40); tie 0x3f81l +. p2 (-40);
+         tie 0x3f81l -. p2 (-40); Float.infinity; p2 (-149); p2 (-133); 1e-40; 3.4e38;
+         3.4028234663852886e38; 1e39; 1e300; 0.0; 1.0; Float.pi ]
+       @ List.init 1000 (fun _ -> any_float ())
+       @ List.init 1000 (fun _ ->
+           tie (Random.State.int32 st 0x7f80l) +. (Random.State.float st 2.0 -. 1.0) *. p2 (-30))
+      )
+    @ [ Float.nan ]
+  in
+  List.iter
+    (fun x ->
+      let got = Unit_emit_hook.r_bf16 x and want = Bf16.round_float x in
+      if not (Int64.bits_of_float got = Int64.bits_of_float want || (Float.is_nan got && Float.is_nan want))
+      then Alcotest.failf "r_bf16 %h: %h, the oracle %h" x got want)
+    bf16_inputs;
+  (* the unboxed ndarray stores and reads through the same table *)
+  let a = Ndarray.zeros ~dtype:Dtype.I16 ~shape:[ 1 ] in
+  Ndarray.set_flat a 0 (Value.of_int Dtype.I32 0x18001);
+  check_int64 "i16 store wraps" (-32767L) (Value.to_int64 (Ndarray.get_flat a 0));
+  let f = Ndarray.zeros ~dtype:Dtype.F64 ~shape:[ 1 ] in
+  Ndarray.set_flat f 0 (Value.of_float Dtype.F64 (-2.75));
+  Alcotest.(check int) "float storage truncates" (-2) (Ndarray.get_int_flat f 0)
+
 (* ---------- interpreter on hand-built IR ---------- *)
 
 let test_let_and_select () =
@@ -541,7 +638,9 @@ let () =
         [ Alcotest.test_case "indexing" `Quick test_ndarray_indexing;
           Alcotest.test_case "bounds" `Quick test_ndarray_bounds;
           Alcotest.test_case "equality" `Quick test_ndarray_equal_and_approx;
-          Alcotest.test_case "random fills" `Quick test_random_fill_ranges
+          Alcotest.test_case "random fills" `Quick test_random_fill_ranges;
+          Alcotest.test_case "canonicalizers = oracle" `Quick
+            test_canonicalizers_match_oracle
         ] );
       ( "interpreter",
         [ Alcotest.test_case "let and select" `Quick test_let_and_select;

@@ -31,6 +31,18 @@ let golden_input ?(hw = 16) () =
   let st = Random.State.make [| 1 |] in
   Ndarray.init_float ~dtype:Dtype.F32 ~shape:[ 3; hw; hw ] (fun _ -> Random.State.float st 1.0)
 
+(* Quantized squeezenet gives one distinct output value at 16x16 (and
+   24x24), so every check that runs it at smoke scale takes 32x32, where
+   it gives 82. *)
+let squeezenet_hw = 32
+
+let distinct_values (v : Executor.value) =
+  let seen = Hashtbl.create 64 in
+  for i = 0 to Ndarray.num_elements v.Executor.arr - 1 do
+    Hashtbl.replace seen (Ndarray.get_float_flat v.Executor.arr i) ()
+  done;
+  Hashtbl.length seen
+
 let test_shapes () =
   let g = tiny_cnn () in
   Alcotest.(check (list int)) "output" [ 10 ] (Graph.shape_of g (Graph.output g));
@@ -118,9 +130,11 @@ let test_quantize_arm_i8 () =
 (* A fused node runs its whole epilogue chain in one pass, rounding
    between stages in registers; that must give, bit for bit, what the
    unfused graph stores node by node.  tiny_cnn calibrated, the zoo
-   structurally quantized at 16x16, and a hand-built chain through every
+   structurally quantized at smoke scale (squeezenet at
+   [squeezenet_hw]), and a hand-built chain through every
    stage kind on a quantized and an f32 conv, ending in an integer or a
-   float dtype, with and without an arena plan. *)
+   float dtype, with and without an arena plan.  An unfused output of
+   one distinct value fails: fused = unfused would compare constants. *)
 let test_fusion_preserves_numerics () =
   let g = tiny_cnn () in
   let q = Passes.quantize ~act_dtype:Dtype.U8 ~calibration_seed:3 g in
@@ -131,7 +145,9 @@ let test_fusion_preserves_numerics () =
   let after = Executor.run_to_floats fused ~input in
   check_bool "identical results" true (before = after);
   let same what unfused fused ~input =
-    let expected = (Executor.run unfused ~input).Executor.arr in
+    let unfused_out = Executor.run unfused ~input in
+    let expected = unfused_out.Executor.arr in
+    check_bool (what ^ ": more than one distinct value") true (distinct_values unfused_out > 1);
     check_bool (what ^ ": fused = unfused") true
       (Ndarray.equal expected (Executor.run fused ~input).Executor.arr);
     let plan = Unit_analysis.Arena.(exec_plan (plan fused)) in
@@ -148,7 +164,8 @@ let test_fusion_preserves_numerics () =
       let q = Passes.quantize_structural ~act_dtype:Dtype.U8 (build ()) in
       let fused = Passes.fuse q in
       check_bool (model ^ ": fusion shrinks the graph") true (Graph.arity fused < Graph.arity q);
-      same model q fused ~input:(golden_input ()))
+      let hw = if model = "squeezenet" then squeezenet_hw else 16 in
+      same model q fused ~input:(golden_input ~hw ()))
     [ "resnet18"; "mobilenet1.0"; "squeezenet" ];
   List.iter
     (fun (quantized, dequantize) ->
@@ -1281,22 +1298,13 @@ let golden_digest ?(hw = 16) model =
 
 let digest_of (v : Executor.value) = Ndarray.digest v.Executor.arr
 
-(* Quantized squeezenet gives one distinct output value at 16x16 (and
-   24x24), so its smoke-scale golden is taken at 32x32, where it gives
-   82; the digest is pinned here, beside models.json's. *)
-let squeezenet_hw = 32
+(* squeezenet's smoke-scale golden digest, pinned here beside
+   models.json's. *)
 let squeezenet_golden = "9d58b4eb4d86f51bd491b39980ec89f9"
 
 (* A model's smoke-scale input size and golden digest. *)
 let smoke_golden model =
   if model = "squeezenet" then (squeezenet_hw, squeezenet_golden) else (16, golden_digest model)
-
-let distinct_values (v : Executor.value) =
-  let seen = Hashtbl.create 64 in
-  for i = 0 to Ndarray.num_elements v.Executor.arr - 1 do
-    Hashtbl.replace seen (Ndarray.get_float_flat v.Executor.arr i) ()
-  done;
-  Hashtbl.length seen
 
 (* At the smoke scale: on the run that prepares the weights, then
    through the arena plan and plan-less on the prepared weights.  An
