@@ -79,19 +79,53 @@ open Unit_tir
    a register tile with one lane loop [l] is [tile[l] = tile[l] + a * w]
    inside [l]: [a] and [w] loads of u8/i8 buffers, [a]'s index free of
    [l] (the lanes share it), [w] reading [W[i + d·l]], [d > 0], from a
-   bound buffer the kernel never stores.  [W] is packed once per run
-   before [par] ([Unit_emit_hook.pack_pairs]: [w0 + w1 lsl 31] at lane
-   [2j]'s index, read unchecked inside the window the kernel's entry
-   check proved), the pair of lanes [2j] and [2j+1] accumulates from 0
-   in one local, only the even lane copies render, and the copy-out
-   stores [w_i32 (init + pair_lo v)] and [w_i32 (init + pair_hi v)],
-   exact mod 2^32.  [pair_lo v = (v lsl 32) asr 32] is lane [2j] only
-   while every lane's partial sum stays in [[-2^30, 2^30)]:
-   {!Unit_tir.Linear.bounds} bounds [|a * w|] (32640 for u8·i8), and the
-   updates per lane times that bound must stay below 2^30.  Otherwise
-   the tile renders unpacked and the plan carries an [Overflow] warning.
-   Packing also waits until the multiplies it saves per run outnumber
-   the weights it packs: a layer without weight reuse stays unpacked.
+   bound buffer the kernel never stores.  The pair of lanes [2j] and
+   [2j+1] accumulates from 0 in one local, and only the even lane copies
+   render.  Lane [2j] is [(v lsl 32) asr 32] of the pair's sum [v], and
+   lane [2j+1] is [(v + 2^30) asr 31], both split inline (a call into
+   the hook, built [-opaque] in dev builds, would not inline).  Each is
+   the lane's exact sum only while every lane's partial sum stays in
+   [[-2^30, 2^30)]: {!Unit_tir.Linear.bounds} bounds [|a * w|] (32640
+   for u8·i8), and the updates per lane times that bound must stay below
+   2^30.  Otherwise the tile renders unpacked and the plan carries an
+   [Overflow] warning.  Packing also waits until the multiplies it saves
+   per run outnumber the weights it packs: a layer without weight reuse
+   stays unpacked.
+
+   The lanes read compact pairs: [W] is packed once per run before [par]
+   ([Unit_emit_hook.pack_pairs]) into [P] of half its size, whose cell
+   [d·q + r] is [W[2dq + r] + W[2dq + r + d] lsl 31], and the kernel
+   gives the array back to the hook's spare at its end, after [par]
+   returned ([release_pairs]).  Each access [W[ix]] in the lane loop becomes
+   [P[ix']] ([compact_pairs]): [ix], with the [Let]s inside the tile
+   inlined, is normalised to [c * atom] terms and a constant; the terms
+   whose coefficient [2d] divides and the constant's multiple of [2d]
+   form [2d·Q], the lane's [d·l] counts as [2d·(l/2)] ([l] is even in
+   every copy that renders), and the rest, [R], must be proven inside
+   [[0, d)].  Then [ix = 2d·Q + R] and [ix' = d·Q + R].  Both indices
+   must be proven over the loops' extents (so no node wraps and the sum
+   regroups exactly), and [W]'s size must be a multiple of [2d].
+   Otherwise the tile renders unpacked.  The rewrite comes before
+   {!hoist_terms}, so partials and pointer steps come out halved.
+   {!promote_tiles} returns the tile before the rewrite, which is plain
+   TIR.
+
+   First-writer copy-outs.  A packed tile's copy-out adds each lane to
+   the value it reads back, [w_i32 (B[i] + lane)], unless the cell
+   provably still holds the init nest's 0, the window's first writer:
+   then it stores the lane, canonical as it stands.  That needs three
+   things.  A top-level statement before the tile's is a perfect nest
+   storing 0 to [B] at an index that tiles [[0, size)] ([zero_fill]).
+   No store to [B] but that one and the tile's loop's.  And the loops
+   around the tile map each window to exactly one tile life
+   ([windows]): the window's base is a constant plus positive multiples
+   of digits [(v / div) mod m] of those loops' variables (a parallel
+   loop's [v / c] and [v mod c] among them), each variable's digits
+   spell it out, and the digits by stride form a mixed radix from [T],
+   so two lives' windows lie at least [T] apart.  When the windows also
+   tile [[0, size)] (the constant is 0 and each stride is exactly the
+   span below it, lives × [T] = size) and no [If] guards the tile, the
+   init nest stores nothing the tiles keep, and it goes.
 
    Register tiles as microkernels.  Every update of a register tile
    accumulates, [tile[c] = tile[c] + e] with [e] free of the tile (a
@@ -129,8 +163,8 @@ open Unit_tir
    [Let] bound at the same level stay with the constant.  Each level's
    running partial sum is bound once at the top of its loop's body,
    the outermost partial of a bound buffer's index also taking the
-   buffer's offset [o<k>] (not for packed weights, which have their own
-   array), so the innermost loop is left with [partial + c * v] and
+   buffer's offset [o<k>] (compact pairs have their own array, at 0),
+   so the innermost loop is left with [partial + c * v] and
    its copies with [partial + literal].  A partial is bound only when
    {!Unit_tir.Linear.bounds} proves it and every node building it fits
    i32; otherwise the term renders as it stands.  An offset-carrying
@@ -152,8 +186,10 @@ open Unit_tir
    offset inside [[0, size)], the access is bare.  That is sound because
    the kernel first checks, once per bound tensor, that its window
    [[o<k>, o<k> + size)] lies inside its array
-   ([Unit_emit_hook.check_window]); scratch is allocated at its size and
-   packed weights at their buffer's.  Any other access binds its index
+   ([Unit_emit_hook.check_window]); scratch is allocated at its size,
+   and compact pairs at least at theirs, half their weights' (the hook's
+   spare may be longer), so their accesses are proven against [n/2].
+   Any other access binds its index
    once and checks it against the buffer's window where it runs.  A
    failed check raises [Unit_emit_hook.Out_of_window] before the access
    it guards, and {!Emit_cache} falls back to the closure engine, which
@@ -162,7 +198,7 @@ open Unit_tir
 
    The module opens {!Unit_emit_hook}, which holds the canonicalizers
    ([w_*], [sat_*], [r_bf16], [trunc*]), the bounds checks and the
-   lane-pair helpers, so each kernel's source is only its own code.
+   lane-pair pack, so each kernel's source is only its own code.
 
    The emitter refuses (raising {!Unsupported}) anything whose runtime
    behaviour it cannot reproduce statically — f16, float-dtyped scalar
@@ -178,7 +214,7 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let version = 10
+let version = 11
 
 module Obs = Unit_obs.Obs
 
@@ -190,6 +226,7 @@ let c_scalar_cells = Obs.counter "emit.scalar_cells"
 let c_tiles_promoted = Obs.counter "emit.tiles_promoted"
 let c_register_tiles = Obs.counter "emit.register_tiles"
 let c_lanes_packed = Obs.counter "emit.lanes_packed"
+let c_copyouts_stored = Obs.counter "emit.copyouts_stored"
 let c_accesses_unchecked = Obs.counter "emit.accesses_unchecked"
 let c_accesses_checked = Obs.counter "emit.accesses_checked"
 let c_tiles_outlined = Obs.counter "emit.tiles_outlined"
@@ -277,6 +314,9 @@ let is_scalar_cell (b : Buffer.t) body =
 (* ---- accumulator tiles *)
 
 let max_tile = 1024
+
+(* Coefficients a normal form keeps: products stay far from overflow *)
+let coefficient_cap = 1 lsl 30
 
 exception Not_promotable
 
@@ -423,6 +463,116 @@ let copy_cells (tile : Buffer.t) f =
     let k = Var.create "k" in
     Stmt.for_ k ~extent:t (f (Texpr.var k))
 
+(* [e] as [Some (terms, c)]: the sum of [k * atom] over [terms] plus
+   [c], where an atom is a subterm other than a literal or an [Add],
+   [Sub] or [Mul] by a literal.  Like atoms merge and zero terms drop;
+   [None] when a coefficient leaves [±2^30] on the way, so no product
+   overflows. *)
+let linear_form e =
+  let fit k = if abs k > coefficient_cap then raise Exit else k in
+  let add (ts, c) (us, d) =
+    let merge ts (a, k) =
+      match List.find_opt (fun (b, _) -> Texpr.equal_structural a b) ts with
+      | None -> ts @ [ (a, k) ]
+      | Some (b, j) ->
+        List.filter_map
+          (fun (x, i) ->
+            if not (Texpr.equal_structural x b) then Some (x, i)
+            else if j + k = 0 then None
+            else Some (x, fit (j + k)))
+          ts
+    in
+    (List.fold_left merge ts us, fit (c + d))
+  in
+  let scale k (ts, c) =
+    if k = 0 then ([], 0) else (List.map (fun (a, j) -> (a, fit (k * j))) ts, fit (k * c))
+  in
+  let rec go (e : Texpr.t) =
+    match e with
+    | Texpr.Binop (Texpr.Add, a, b) -> add (go a) (go b)
+    | Texpr.Binop (Texpr.Sub, a, b) -> add (go a) (scale (-1) (go b))
+    | Texpr.Binop (Texpr.Mul, a, b) -> (
+      match go a, go b with ([], k), f | f, ([], k) -> scale k f | _ -> ([ (e, 1) ], 0))
+    | _ -> ( match Texpr.as_const_int e with Some c -> ([], fit c) | None -> ([ (e, 1) ], 0))
+  in
+  match go e with f -> Some f | exception Exit -> None
+
+(* The digit [(v / div) mod m] of a loop variable [v] an atom reads, as
+   [(v, div, Some m)], or [(v, div, None)] without the [mod]. *)
+let rec digit (e : Texpr.t) =
+  let by x y f =
+    match digit x, Texpr.as_const_int y with
+    | Some (v, div, None), Some c when c > 0 -> Some (f v div c)
+    | _ -> None
+  in
+  match e with
+  | Texpr.Var v -> Some (v, 1, None)
+  | Texpr.Binop (Texpr.Div, x, y) -> by x y (fun v div c -> (v, div * c, None))
+  | Texpr.Binop (Texpr.Mod, x, y) -> by x y (fun v div c -> (v, div, Some c))
+  | _ -> None
+
+(* The windows [[base, base + t)] that the iterations of the loops
+   [outer] ([(var, extent)], outermost first) start: [Some (c, span,
+   exact)] when no two iterations share a cell.  [base] must be [c] plus
+   positive multiples of digits of the loop variables, proven free of
+   wraps over the loops' extents, the digits of
+   each variable must spell it out (strides 1, m1, m1·m2, ..., the last
+   without [mod] or past the extent), and the digits, by stride, must be
+   a mixed radix from [t]: each stride at least the span of the ones
+   below it ([t] for the first).  Two iterations then differ in some
+   digit, and their windows in at least [t].  [span] is the mixed
+   radix's last stride times its extent; [exact] when every stride
+   equals the span below it, so with [c = 0] the windows tile
+   [[0, span)]. *)
+let windows ~outer base t =
+  let extent (v : Var.t) =
+    List.find_map (fun ((u : Var.t), n) -> if Var.equal u v then Some n else None) outer
+  in
+  (* each digit as (variable, div, mod, stride) *)
+  let digit_of (a, k) =
+    match digit a with
+    | Some (v, div, m) when k > 0 && extent v <> None -> (v, div, m, k)
+    | _ -> raise Exit
+  in
+  let spelled digits ((v : Var.t), n) =
+    let mine =
+      List.sort compare
+        (List.filter_map
+           (fun ((u : Var.t), div, m, _) -> if Var.equal u v then Some (div, m) else None)
+           digits)
+    in
+    let rec chain at = function
+      | [] -> n <= at
+      | (div, m) :: rest -> (
+        div = at && match m with Some m -> chain (div * m) rest | None -> rest = [])
+    in
+    n >= 1 && (n = 1 || chain 1 mine)
+  in
+  let interval = Linear.bounds ~env:(fun v -> Option.map (fun n -> (0, n - 1)) (extent v)) in
+  match linear_form base with
+  | Some (terms, c) when interval base <> None -> (
+    try
+      let digits = List.map digit_of terms in
+      if not (List.for_all (spelled digits) outer) then raise Exit;
+      let radix =
+        List.sort compare
+          (List.filter_map
+             (fun (v, div, m, k) ->
+               let n = Option.get (extent v) in
+               let e = ((n - 1) / div) + 1 in
+               let e = match m with Some m -> Stdlib.min m e | None -> e in
+               if e > 1 then Some (k, e) else None)
+             digits)
+      in
+      let span, exact =
+        List.fold_left
+          (fun (at, exact) (k, e) -> if k < at then raise Exit else (k * e, exact && k = at))
+          (t, true) radix
+      in
+      Some (c, span, exact)
+    with Exit -> None)
+  | _ -> None
+
 (* ---- register tiles *)
 
 (* Lanes one register tile holds; a longer lane loop runs in passes. *)
@@ -430,16 +580,29 @@ let max_lanes = 8
 
 (* Lanes [2j] and [2j+1] of a register tile share one native int: they
    multiply the same activation by weights [pr_dist] cells apart in
-   [pr_weights], a bound buffer the kernel never stores. *)
+   [pr_weights], a bound buffer the kernel never stores.  Inside the
+   lane loop [pr_lane] they read those weights' compact pairs,
+   [pr_pairs] (see the header's "Lane pairs"). *)
 type pairing = {
   pr_weights : Buffer.t;
   pr_dist : int;
+  pr_lane : Var.t;
+  pr_pairs : Buffer.t;
 }
+
+(* How a register tile's copy-out writes its window: adding to the value
+   it reads back, or storing over the init nest's 0, the window's first
+   writer ([Covering] when the windows of all tile lives also cover the
+   buffer, so the init nest goes). *)
+type copy_out = Read_back | Stored | Covering
 
 type tiling = {
   tl_func : Lower.func;
   tl_tiles : int;  (* promoted tiles, register tiles included *)
   tl_registers : (int, pairing option) Hashtbl.t;  (* register tile id -> its pairing *)
+  tl_compact : (int, Stmt.t) Hashtbl.t;
+      (* packed tile id -> its [Alloc]'s body reading the compact pairs *)
+  tl_stored : (int, unit) Hashtbl.t;  (* register tiles whose copy-out stores *)
   tl_lanes : (int, Buffer.t) Hashtbl.t;  (* lane loop variable id -> its register tile *)
   tl_unrolled : (int, unit) Hashtbl.t;  (* loops moved outside a tile's lanes *)
   tl_strided : (int, unit) Hashtbl.t;  (* reduction loops stepping by pointer *)
@@ -457,6 +620,16 @@ let rec perfect_nest (s : Stmt.t) =
 
 let nest loops inner =
   List.fold_right (fun (var, extent, kind) body -> Stmt.for_ var ~extent ~kind body) loops inner
+
+(* Whether [s] stores 0 to every cell of [b], and nothing else: a
+   perfect nest around [b[ix] = 0] whose index tiles [[0, size)]. *)
+let zero_fill (b : Buffer.t) s =
+  match perfect_nest s with
+  | loops, Stmt.Store (b', ix, v) when Buffer.equal b b' && Texpr.as_const_int v = Some 0 -> (
+    match windows ~outer:(List.map (fun (v, n, _) -> (v, n)) loops) ix 1 with
+    | Some (0, span, true) -> span = b.Buffer.size
+    | _ -> false)
+  | _ -> false
 
 (* [s] with every access to the one-element [cell] addressing [tile.(ix)]. *)
 let retarget (cell : Buffer.t) (tile : Buffer.t) ix s =
@@ -536,8 +709,9 @@ exception Unpaired
    not lane-pair shaped or packing does not pay, [Error d] when they are
    but {!Linear.bounds} does not prove every lane's partial sum inside
    [[-2^30, 2^30)].  [weights] says which buffers may be packed once per
-   run; [region] runs [trips] times per run. *)
-let pair_lanes ~name ~weights ~trips (tile : Buffer.t) lanes region =
+   run, [pairs w d dtype] gives the buffer of [w]'s compact pairs;
+   [region] runs [trips] times per run. *)
+let pair_lanes ~name ~weights ~pairs ~trips (tile : Buffer.t) lanes region =
   match lanes with
   | [ (l : Var.t) ] when tile.Buffer.size mod 2 = 0 -> (
     let pairing = ref None in
@@ -580,8 +754,8 @@ let pair_lanes ~name ~weights ~trips (tile : Buffer.t) lanes region =
         | _ -> raise Unpaired
       in
       (match !pairing with
-       | None -> pairing := Some { pr_weights = w; pr_dist = d }
-       | Some p -> if not (Buffer.equal p.pr_weights w && p.pr_dist = d) then raise Unpaired);
+       | None -> pairing := Some (w, d)
+       | Some (w', d') -> if not (Buffer.equal w' w && d' = d) then raise Unpaired);
       match Linear.bounds ~env:(fun _ -> None) ~load:(load_range ~raw:false) prod with
       | Some (lo, hi) -> widest := Stdlib.max !widest (Stdlib.max (abs lo) (abs hi))
       | None -> proven := false
@@ -616,13 +790,18 @@ let pair_lanes ~name ~weights ~trips (tile : Buffer.t) lanes region =
     | () -> (
       match !pairing with
       | None -> Ok None
-      | Some p ->
+      | Some (w, d) ->
         let limit = (1 lsl 30) - 1 in
         (* packing touches every weight once per run to save one
            multiply per pair update *)
         let saved = times (times trips !updates) (tile.Buffer.size / 2) in
         if !proven && (!widest = 0 || !updates <= limit / !widest) then
-          Ok (if saved >= p.pr_weights.Buffer.size then Some p else None)
+          Ok
+            (if saved >= w.Buffer.size then
+               Some
+                 { pr_weights = w; pr_dist = d; pr_lane = l;
+                   pr_pairs = pairs w d tile.Buffer.dtype }
+             else None)
         else
           Error
             (Diag.warnf Diag.Overflow
@@ -630,6 +809,67 @@ let pair_lanes ~name ~weights ~trips (tile : Buffer.t) lanes region =
                 leave [-2^30, 2^30)"
                name tile.Buffer.name !updates !widest)))
   | _ -> Ok None
+
+(* [s] with each load of [p]'s weights inside its lane loop reading the
+   compact pairs instead (see the header's "Lane pairs"): [W[2d·Q + R]]
+   becomes [P[d·Q + R]], where [R] gathers the terms whose coefficient
+   [2d] does not divide and is proven inside [[0, d)], and the lane's
+   [d·l] counts as [2d·(l/2)], [l] being even in every copy that
+   renders.  Both indices must be proven free of wraps, so the sum
+   regroups exactly.  [None] where the rule fails.  [outer]: the loops
+   around [s], as [(var, extent)]. *)
+let compact_pairs ~outer (p : pairing) s =
+  let d = p.pr_dist and l = p.pr_lane in
+  let extents = Hashtbl.create 16 in
+  List.iter (fun ((v : Var.t), n) -> Hashtbl.replace extents v.Var.id n) outer;
+  let bounds =
+    Linear.bounds ~env:(fun (v : Var.t) ->
+        Option.map (fun n -> (0, n - 1)) (Hashtbl.find_opt extents v.Var.id))
+  in
+  let lets = ref [] in
+  let index ix =
+    let ix = Texpr.substitute !lets ix in
+    let terms, c = match linear_form ix with Some f -> f | None -> raise Unpaired in
+    let lane ((a : Texpr.t), k) = k = d && match a with Texpr.Var v -> Var.equal v l | _ -> false in
+    let whole (a, k) = k mod (2 * d) = 0 && Linear.is_independent_of a l in
+    let r0 = ((c mod (2 * d)) + (2 * d)) mod (2 * d) in
+    let sum init ts =
+      List.fold_left (fun acc (a, k) -> Texpr.add acc (Texpr.mul (Texpr.int_imm k) a)) init ts
+    in
+    let r = sum (Texpr.int_imm r0) (List.filter (fun t -> not (whole t || lane t)) terms) in
+    let q =
+      sum
+        (Texpr.int_imm ((c - r0) / 2))
+        (List.filter_map (fun (a, k) -> if whole (a, k) then Some (a, k / 2) else None) terms)
+    in
+    let half_lane = Texpr.div (Texpr.var l) (Texpr.int_imm 2) in
+    let ix' = Texpr.add (Texpr.add q (Texpr.mul (Texpr.int_imm d) half_lane)) r in
+    match bounds r, bounds ix, bounds ix' with
+    | Some (lo, hi), Some _, Some _
+      when lo >= 0 && hi < d && List.exists lane terms && Dtype.equal (Texpr.dtype_of ix) Dtype.I32 ->
+      ix'
+    | _ -> raise Unpaired
+  in
+  let rec ex (e : Texpr.t) =
+    match e with
+    | (Texpr.Load (w, ix) | Texpr.Cast (_, Texpr.Load (w, ix))) when Buffer.equal w p.pr_weights ->
+      if not (Dtype.equal (Texpr.dtype_of e) p.pr_pairs.Buffer.dtype) then raise Unpaired;
+      Texpr.load p.pr_pairs (index ix)
+    | _ -> Texpr.map_children ex e
+  in
+  let rec st ~lane (s : Stmt.t) =
+    match s with
+    | Stmt.For ({ var; extent; body; _ } as r) ->
+      Hashtbl.replace extents var.Var.id extent;
+      Stmt.For { r with body = st ~lane:(lane || Var.equal var l) body }
+    | Stmt.Let (v, e, body) ->
+      lets := (v, Texpr.substitute !lets e) :: !lets;
+      Stmt.Let (v, e, st ~lane body)
+    | Stmt.Store (b, ix, v) when lane -> Stmt.Store (b, ix, ex v)
+    | _ -> Stmt.map_children (st ~lane) s
+  in
+  if p.pr_weights.Buffer.size mod (2 * d) <> 0 then None
+  else match st ~lane:false s with s -> Some s | exception Unpaired -> None
 
 (* [s], a run of [Let]s around the lane loop [l], with that loop split
    into passes of [max_lanes] lanes: [Some (pass, lane, s')] where the
@@ -746,9 +986,15 @@ let microkernel (tile : Buffer.t) lanes loops inner =
 
 (* The loop [loop] (serial) rewritten around a register tile of bound
    buffer [b] (see the header): [Some (stmt, tile, lanes, pairing,
-   microkernel)] with [lanes] the loops the tile's offsets read; [None]
-   when a proof condition fails.  [loop] runs [trips] times per run. *)
-let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffer.t) =
+   microkernel, compact, copy_out)] with [lanes] the loops the tile's
+   offsets read and [compact] the tile's [Alloc] body reading compact
+   pairs when it packs; [None] when a proof condition fails.  [loop]
+   runs [trips] times per run, inside the loops [outer] ([(var,
+   extent)]), under an [If] when [guarded]; [fresh b] when [b] holds
+   the init nest's 0 as [loop] starts and no store but [loop]'s
+   changes it. *)
+let register_tile ~scope ~outer ~guarded ~fresh ~trips ~name ~bound ~weights ~pairs
+    (loop : Stmt.t) (b : Buffer.t) =
   let loops, inner = perfect_nest loop in
   match loops with
   | [] -> None
@@ -818,16 +1064,39 @@ let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffe
           let region = Stmt.for_ r_var ~extent:r_ext ~kind:r_kind body in
           let trips = List.fold_left (fun t (_, n, _) -> t * n) trips cols in
           let pairing =
-            if deferrable tile.Buffer.dtype then pair_lanes ~name ~weights ~trips tile lanes region
+            if deferrable tile.Buffer.dtype then
+              pair_lanes ~name ~weights ~pairs ~trips tile lanes region
             else Ok None
           in
           let region, shape =
             microkernel tile lanes ((r_var, r_ext, r_kind) :: reds) (peel (List.length reds) body)
           in
-          let at k = Texpr.add base k in
-          let copies =
+          let outer = outer @ List.map (fun (v, n, _) -> (v, n)) cols in
+          (* a packed tile reads compact pairs, or else stays unpacked *)
+          let pairing, compact =
             match pairing with
-            | Ok (Some _) ->
+            | Ok (Some p) -> (
+              match compact_pairs ~outer p region with
+              | Some c -> (pairing, Some c)
+              | None -> (Ok None, None))
+            | _ -> (pairing, None)
+          in
+          let copy_out =
+            match pairing with
+            | Ok (Some _) when fresh b -> (
+              match windows ~outer base tile.Buffer.size with
+              | Some (0, span, true) when span = b.Buffer.size && not guarded -> Covering
+              | Some _ -> Stored
+              | None -> Read_back)
+            | _ -> Read_back
+          in
+          let at k = Texpr.add base k in
+          let copies region =
+            match pairing, copy_out with
+            | Ok (Some _), (Stored | Covering) ->
+              (* the pairs accumulate from 0 and are the window's first writer *)
+              [ region; copy_cells tile (fun k -> Stmt.Store (b, at k, Texpr.load tile k)) ]
+            | Ok (Some _), Read_back ->
               (* the pairs accumulate from 0; copy-out adds the initial value *)
               [ region;
                 copy_cells tile (fun k ->
@@ -838,7 +1107,11 @@ let register_tile ~scope ~trips ~name ~bound ~weights (loop : Stmt.t) (b : Buffe
                 region;
                 copy_cells tile (fun k -> Stmt.Store (b, at k, Texpr.load tile k)) ]
           in
-          Some (nest cols (Stmt.Alloc (tile, Stmt.seq copies)), tile, lanes, pairing, shape)
+          Some
+            ( nest cols (Stmt.Alloc (tile, Stmt.seq (copies region))),
+              tile, lanes, pairing, shape,
+              Option.map (fun c -> Stmt.seq (copies c)) compact,
+              copy_out )
         | _ -> None)
       | _ -> None))
 
@@ -850,28 +1123,76 @@ let promote (func : Lower.func) =
     func.Lower.fn_body;
   let is_bound (b : Buffer.t) = List.exists (Buffer.equal b) bound in
   let weights (w : Buffer.t) = is_bound w && not (Hashtbl.mem stored w.Buffer.id) in
+  (* one compact pairs buffer per weights and distance *)
+  let all_pairs = Hashtbl.create 4 in
+  let pairs (w : Buffer.t) d dtype =
+    match Hashtbl.find_opt all_pairs (w.Buffer.id, d) with
+    | Some p -> p
+    | None ->
+      let p = Buffer.create ~name:(w.Buffer.name ^ ".pairs") ~dtype ~size:(w.Buffer.size / 2) () in
+      Hashtbl.replace all_pairs (w.Buffer.id, d) p;
+      p
+  in
   let registers = Hashtbl.create 4 and lanes = Hashtbl.create 4 in
   let unrolled = Hashtbl.create 4 and strided = Hashtbl.create 4 in
+  let compacts = Hashtbl.create 4 and stored_outs = Hashtbl.create 4 in
   let diags = ref [] in
   let n = ref 0 in
-  (* [trips]: how often [s] runs per kernel run *)
-  let rec go scope trips (s : Stmt.t) =
+  (* the top-level statements; [zeroed]: bound buffer id -> the index of
+     the one that zero-fills it *)
+  let tops = match func.Lower.fn_body with Stmt.Seq l -> l | s -> [ s ] in
+  let zeroed = Hashtbl.create 4 in
+  List.iteri
+    (fun i s ->
+      List.iter
+        (fun (b : Buffer.t) ->
+          if (not (Hashtbl.mem zeroed b.Buffer.id)) && zero_fill b s then
+            Hashtbl.replace zeroed b.Buffer.id i)
+        bound)
+    tops;
+  let stores (b : Buffer.t) s =
+    Stmt.fold_stmts
+      (fun k s -> match s with Stmt.Store (b', _, _) when Buffer.equal b b' -> k + 1 | _ -> k)
+      0 s
+  in
+  (* buffers whose tiles cover them: their init nests go *)
+  let covered = Hashtbl.create 4 in
+  (* [trips]: how often [s] runs per kernel run; [outer]: the loops
+     around it, innermost first; [top]: the top-level statement it is in *)
+  let rec go ~top ~outer ~guarded scope trips (s : Stmt.t) =
+    let go_in = go ~top ~outer ~guarded in
     match s with
     | Stmt.For ({ var; extent; kind; body } as r) -> (
+      let fresh (b : Buffer.t) =
+        match Hashtbl.find_opt zeroed b.Buffer.id with
+        | Some i -> i < top && stores b func.Lower.fn_body = 1 + stores b s
+        | None -> false
+      in
       let register =
         match kind with
         | Stmt.Parallel -> None
         | _ ->
           List.find_map
-            (register_tile ~scope ~trips ~name:func.Lower.fn_name ~bound:is_bound ~weights s)
+            (fun b ->
+              Option.map
+                (fun r -> (b, r))
+                (register_tile ~scope ~outer:(List.rev outer) ~guarded ~fresh ~trips
+                   ~name:func.Lower.fn_name ~bound:is_bound ~weights ~pairs s b))
             bound
       in
       match register with
-      | Some (s, tile, lane_vars, pairing, shape) ->
+      | Some (b, (s, tile, lane_vars, pairing, shape, compact, copy_out)) ->
         incr n;
         Hashtbl.replace registers tile.Buffer.id
           (match pairing with Ok p -> p | Error _ -> None);
         (match pairing with Error d -> diags := d :: !diags | Ok _ -> ());
+        Option.iter (Hashtbl.replace compacts tile.Buffer.id) compact;
+        (match copy_out with
+         | Read_back -> ()
+         | Stored -> Hashtbl.replace stored_outs tile.Buffer.id ()
+         | Covering ->
+           Hashtbl.replace stored_outs tile.Buffer.id ();
+           Hashtbl.replace covered b.Buffer.id ());
         List.iter (fun (v : Var.t) -> Hashtbl.replace lanes v.Var.id tile) lane_vars;
         List.iter (fun (v : Var.t) -> Hashtbl.replace unrolled v.Var.id ()) shape.mk_unrolled;
         Option.iter (fun (v : Var.t) -> Hashtbl.replace strided v.Var.id ()) shape.mk_strided;
@@ -888,7 +1209,11 @@ let promote (func : Lower.func) =
                 | None -> (tiles, body))
               ([], body) bound
         in
-        let loop = Stmt.For { r with body = go (var.Var.id :: scope) (trips * extent) body } in
+        let body =
+          go ~top ~outer:((var, extent) :: outer) ~guarded (var.Var.id :: scope) (trips * extent)
+            body
+        in
+        let loop = Stmt.For { r with body } in
         List.fold_left
           (fun loop (b, tile, base) ->
             incr n;
@@ -900,13 +1225,28 @@ let promote (func : Lower.func) =
                     copy_cells tile (fun k -> Stmt.Store (b, Texpr.add base k, Texpr.load tile k))
                   ] ))
           loop tiles)
-    | Stmt.Let (v, e, body) -> Stmt.Let (v, e, go (v.Var.id :: scope) trips body)
-    | _ -> Stmt.map_children (go scope trips) s
+    | Stmt.Let (v, e, body) -> Stmt.Let (v, e, go_in (v.Var.id :: scope) trips body)
+    | Stmt.If _ -> Stmt.map_children (go ~top ~outer ~guarded:true scope trips) s
+    | _ -> Stmt.map_children (go_in scope trips) s
   in
-  let body = go [] 1 func.Lower.fn_body in
+  let tops = List.mapi (fun top s -> go ~top ~outer:[] ~guarded:false [] 1 s) tops in
+  (* an init nest whose buffer the tiles cover stores nothing they keep *)
+  let init i =
+    List.exists
+      (fun (b : Buffer.t) ->
+        Hashtbl.mem covered b.Buffer.id && Hashtbl.find_opt zeroed b.Buffer.id = Some i)
+      bound
+  in
+  let body =
+    match func.Lower.fn_body with
+    | Stmt.Seq _ -> Stmt.Seq (List.filteri (fun i _ -> not (init i)) tops)
+    | _ -> List.hd tops
+  in
   { tl_func = { func with Lower.fn_body = body };
     tl_tiles = !n;
     tl_registers = registers;
+    tl_compact = compacts;
+    tl_stored = stored_outs;
     tl_lanes = lanes;
     tl_unrolled = unrolled;
     tl_strided = strided;
@@ -927,8 +1267,7 @@ type term = { t_atom : Texpr.t; t_level : int; t_coeff : int }
 type binding =
   | Level of int  (* known from the top of that loop level's body on *)
   | Copy  (* an unrolled loop's index: a literal in each copy *)
-  | Inlined of term list * int * Texpr.t
-      (* an exact [Let]: its value's terms, constant and closed form *)
+  | Inlined of Texpr.t  (* an exact [Let]: its value's closed form *)
 
 (* What an offset-carrying partial adds its value to: the buffer's
    offset [o<k>] or the partial of an outer level. *)
@@ -944,8 +1283,6 @@ type hoisting = {
 }
 
 exception Unhoistable
-
-let coefficient_cap = 1 lsl 30
 
 (* Index terms hoisted out of the loops that do not change them (the
    header's "Loop shaping"): a loop's index has its loop's level, a
@@ -977,67 +1314,33 @@ let hoist_terms ~is_lane ~offset (body : Stmt.t) =
     set ivs had_iv;
     r
   in
-  (* ---- normal forms: terms in first-seen order, like atoms merged *)
-  let add ts (u : term) =
-    let same (t : term) = Texpr.equal_structural t.t_atom u.t_atom in
-    if List.exists same ts then
-      List.filter_map
-        (fun t ->
-          if not (same t) then Some t
-          else
-            let c = t.t_coeff + u.t_coeff in
-            if c = 0 then None else Some { t with t_coeff = c })
-        ts
-    else ts @ [ u ]
-  in
-  let sum (ts, c) (us, d) = (List.fold_left add ts us, c + d) in
-  let scale k (ts, c) =
-    let mul x =
-      let p = k * x in
-      if abs p > coefficient_cap then raise Unhoistable else p
-    in
-    if k = 0 then ([], 0) else (List.map (fun t -> { t with t_coeff = mul t.t_coeff }) ts, mul c)
-  in
   (* [e] with the inlined [Let]s it reads replaced by their values *)
   let close (e : Texpr.t) =
     Texpr.substitute
       (List.filter_map
          (fun (v : Var.t) ->
            match Hashtbl.find_opt env v.Var.id with
-           | Some (Inlined (_, _, x)) -> Some (v, x)
+           | Some (Inlined x) -> Some (v, x)
            | _ -> None)
          (Texpr.vars_of e))
       e
   in
-  let atom (e : Texpr.t) =
-    let e = close e in
-    let level =
-      List.fold_left
-        (fun l (v : Var.t) ->
-          match Hashtbl.find_opt env v.Var.id with
-          | Some (Level k) -> Stdlib.max l k
-          | Some Copy -> max_int
-          | Some (Inlined _) | None -> raise Unhoistable)
-        0 (Texpr.vars_of e)
-    in
-    ([ { t_atom = e; t_level = level; t_coeff = 1 } ], 0)
+  (* ---- normal forms: [linear_form] of the closed value, each atom
+     tagged with the deepest level it reads *)
+  let level (a : Texpr.t) =
+    List.fold_left
+      (fun l (v : Var.t) ->
+        match Hashtbl.find_opt env v.Var.id with
+        | Some (Level k) -> Stdlib.max l k
+        | Some Copy -> max_int
+        | Some (Inlined _) | None -> raise Unhoistable)
+      0 (Texpr.vars_of a)
   in
-  let rec norm (e : Texpr.t) =
-    match e with
-    | Texpr.Imm _ -> (
-      match Texpr.as_const_int e with Some c -> ([], c) | None -> raise Unhoistable)
-    | Texpr.Var v -> (
-      match Hashtbl.find_opt env v.Var.id with
-      | Some (Inlined (ts, c, _)) -> (ts, c)
-      | _ -> atom e)
-    | Texpr.Binop (Texpr.Add, a, b) -> sum (norm a) (norm b)
-    | Texpr.Binop (Texpr.Sub, a, b) -> sum (norm a) (scale (-1) (norm b))
-    | Texpr.Binop (Texpr.Mul, a, b) -> (
-      match norm a, norm b with
-      | ([], k), n | n, ([], k) -> scale k n
-      | _ -> atom e)
-    | Texpr.Load _ -> raise Unhoistable
-    | _ -> atom e
+  let norm (e : Texpr.t) =
+    match linear_form (close e) with
+    | None -> raise Unhoistable
+    | Some (ts, c) ->
+      (List.map (fun (a, k) -> { t_atom = a; t_level = level a; t_coeff = k }) ts, c)
   in
   let exact (e : Texpr.t) =
     Dtype.equal (Texpr.dtype_of e) Dtype.I32 && Texpr.loads_of e = [] && interval e <> None
@@ -1167,13 +1470,13 @@ let hoist_terms ~is_lane ~offset (body : Stmt.t) =
         if Dtype.equal v.Var.dtype Dtype.I32 && exact e then
           match norm e with
           | exception Unhoistable -> None
-          | ts, c ->
+          | _ ->
             (* inlining must not capture: neither the [Let] nor
                anything in [body] rebinds a variable the value reads *)
             let closed = close e and bound = v.Var.id :: binders body in
             if List.exists (fun (u : Var.t) -> List.mem u.Var.id bound) (Texpr.vars_of closed)
             then None
-            else Some (Inlined (ts, c, closed))
+            else Some (Inlined closed)
         else None
       in
       let b = match inlined with Some b -> b | None -> Level (depth () + 1) in
@@ -1247,20 +1550,31 @@ let render (func : Lower.func) : plan * string =
   let tiling = promote func in
   let func = tiling.tl_func in
   let bound = List.map snd func.Lower.fn_tensors in
-  (* packed weights are addressed from their own array, without offset *)
-  let packed (b : Buffer.t) =
+  (* each packed tile reads its compact pairs *)
+  let rec compacted (s : Stmt.t) =
+    match s with
+    | Stmt.Alloc (t, _) when Hashtbl.mem tiling.tl_compact t.Buffer.id ->
+      Stmt.Alloc (t, Hashtbl.find tiling.tl_compact t.Buffer.id)
+    | _ -> Stmt.map_children compacted s
+  in
+  (* the compact pairs, one array per weights and distance, in no
+     particular order *)
+  let packs =
     Hashtbl.fold
       (fun _ p acc ->
-        acc || match p with Some p -> Buffer.equal p.pr_weights b | None -> false)
-      tiling.tl_registers false
+        match p with
+        | Some p when not (List.exists (fun q -> Buffer.equal q.pr_pairs p.pr_pairs) acc) ->
+          p :: acc
+        | _ -> acc)
+      tiling.tl_registers []
   in
   let is_lane (v : Var.t) =
     Hashtbl.mem tiling.tl_lanes v.Var.id || Hashtbl.mem tiling.tl_unrolled v.Var.id
   in
   let hoisting =
     hoist_terms ~is_lane
-      ~offset:(fun b -> List.exists (Buffer.equal b) bound && not (packed b))
-      func.Lower.fn_body
+      ~offset:(fun b -> List.exists (Buffer.equal b) bound)
+      (compacted func.Lower.fn_body)
   in
   (* ---- binding plan: one cell per buffer, grouped by storage class *)
   let layout = Binding.layout func in
@@ -1275,6 +1589,9 @@ let render (func : Lower.func) : plan * string =
       ignore (carrier_of b.Buffer.dtype : Ndarray.storage_class) (* refuses f16 *);
       Hashtbl.replace defined b.Buffer.id true)
     layout.l_slots;
+  (* compact pairs live in their own array, based at 0, and hold raw
+     lane-pair sums *)
+  List.iter (fun p -> Hashtbl.replace defined p.pr_pairs.Buffer.id false) packs;
   (* Alloc scratch rendered as a local [ref] (see [is_scalar_cell]). *)
   let cells : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let is_cell (b : Buffer.t) = Hashtbl.mem cells b.Buffer.id in
@@ -1289,7 +1606,7 @@ let render (func : Lower.func) : plan * string =
      [counting] is off while hoisting candidates are rendered, so each
      node counts once. *)
   let n_deferred = ref 0 and n_unrolled = ref 0 and n_hoisted = ref 0 in
-  let n_cells = ref 0 and n_pairs = ref 0 in
+  let n_cells = ref 0 and n_pairs = ref 0 and n_stored = ref 0 in
   let n_unchecked = ref 0 and n_checked = ref 0 in
   let counting = ref true in
   let bump r = if !counting then incr r in
@@ -1352,24 +1669,8 @@ let render (func : Lower.func) : plan * string =
      local [ref] named after the tile and the cell *)
   let pairing_of (b : Buffer.t) = Hashtbl.find_opt tiling.tl_registers b.Buffer.id in
   let regname (b : Buffer.t) i = Printf.sprintf "%s_%d" (cellname b) i in
-  (* While the even copies of a packed tile's lane loop render: the
-     tile's id, the weights' id and the packed weights' name. *)
+  (* The id of the packed tile whose lane loop's even copies render. *)
   let packing = ref None in
-  (* packed weights, bound once at the top of the kernel, in first-use
-     order: (name, weights, distance) *)
-  let packs = ref [] in
-  let pack_name (p : pairing) =
-    match
-      List.find_opt
-        (fun (_, w, d) -> Buffer.equal w p.pr_weights && d = p.pr_dist)
-        !packs
-    with
-    | Some (n, _, _) -> n
-    | None ->
-      let n = Printf.sprintf "pk%d" (List.length !packs) in
-      packs := !packs @ [ (n, p.pr_weights, p.pr_dist) ];
-      n
-  in
   (* Partials that carry a bound buffer's offset (see [hoist_terms]):
      they have no interval, and render only as the head of that
      buffer's index. *)
@@ -1380,23 +1681,28 @@ let render (func : Lower.func) : plan * string =
   in
   (* A register tile's cells render at literal offsets: its lane loops
      unroll.  A packed tile's cell [i] is the low ([i] even) or high lane
-     of pair [i/2]; inside the lane copies only even cells occur, and the
-     pair accumulates as a whole. *)
+     of pair [i/2], split inline; inside the lane copies only even cells
+     occur, and the pair accumulates as a whole. *)
   let reg_offset (b : Buffer.t) ix =
     match interval ix with
     | Some (i, j) when i = j && i >= 0 && i < b.Buffer.size -> i
     | _ -> unsupported "register tile %s indexed off a literal" b.Buffer.name
   in
-  let in_lanes (b : Buffer.t) i =
-    match !packing with Some (t, _, _) -> t = b.Buffer.id && i mod 2 = 0 | None -> false
-  in
+  let in_lanes (b : Buffer.t) i = !packing = Some b.Buffer.id && i mod 2 = 0 in
   let reg_load (b : Buffer.t) p ix =
     let i = reg_offset b ix in
     match p with
     | None -> "!" ^ regname b i
     | Some _ when in_lanes b i -> "!" ^ regname b (i / 2)
-    | Some _ ->
-      Printf.sprintf "(pair_%s !%s)" (if i mod 2 = 0 then "lo" else "hi") (regname b (i / 2))
+    | Some _ when i mod 2 = 0 -> Printf.sprintf "((!%s lsl 32) asr 32)" (regname b (i / 2))
+    | Some _ -> Printf.sprintf "((!%s + 0x40000000) asr 31)" (regname b (i / 2))
+  in
+  (* A packed tile's lane, split from its pair outside the lane loop, is
+     its exact sum, inside [[-2^30, 2^30)]: canonical for i32. *)
+  let lane_value (b : Buffer.t) =
+    Option.join (pairing_of b) <> None
+    && !packing <> Some b.Buffer.id
+    && Dtype.equal b.Buffer.dtype Dtype.I32
   in
   let reg_store (b : Buffer.t) p ix =
     let i = reg_offset b ix in
@@ -1439,7 +1745,7 @@ let render (func : Lower.func) : plan * string =
 
   and rv (e : Texpr.t) : string * bool =
     match e with
-    | Texpr.Load (b, ix) when raw_scratch b -> (rload b ix, true)
+    | Texpr.Load (b, ix) when raw_scratch b -> (rload b ix, not (lane_value b))
     | Texpr.Binop (((Texpr.Add | Texpr.Sub | Texpr.Mul) as op), a, b)
       when deferrable (Texpr.dtype_of e) && interval e = None ->
       let operand x =
@@ -1462,14 +1768,13 @@ let render (func : Lower.func) : plan * string =
     let o () = offname b and zero () = "0" in
     (* the array, where [b]'s window starts in it, and the cell *)
     let arr, lo, at =
-      match Hashtbl.find_opt defined b.Buffer.id, !packing, ix with
-      | _, Some (_, w, pk), _ when w = b.Buffer.id -> (use pk, zero, rint ix)
-      | None, _, _ -> unsupported "buffer %s unbound" b.Buffer.name
-      | Some true, _, Texpr.Var p when carried b p -> (cellname b, o, vname p)
-      | Some true, _, Texpr.Binop (Texpr.Add, Texpr.Var p, r) when carried b p ->
+      match Hashtbl.find_opt defined b.Buffer.id, ix with
+      | None, _ -> unsupported "buffer %s unbound" b.Buffer.name
+      | Some true, Texpr.Var p when carried b p -> (cellname b, o, vname p)
+      | Some true, Texpr.Binop (Texpr.Add, Texpr.Var p, r) when carried b p ->
         (cellname b, o, Printf.sprintf "(%s + %s)" (vname p) (rint r))
-      | Some true, _, _ -> (cellname b, o, Printf.sprintf "(%s + %s)" (o ()) (rint ix))
-      | Some false, _, _ -> (cellname b, zero, rint ix)
+      | Some true, _ -> (cellname b, o, Printf.sprintf "(%s + %s)" (o ()) (rint ix))
+      | Some false, _ -> (cellname b, zero, rint ix)
     in
     let size = b.Buffer.size in
     if Linear.in_bounds ~size (index_interval ix) then begin
@@ -1822,11 +2127,8 @@ let render (func : Lower.func) : plan * string =
       (* a packed tile's lane loop renders its even copies, one per pair *)
       let step, lanes_packing =
         match Hashtbl.find_opt tiling.tl_lanes var.Var.id with
-        | Some tile -> (
-          match Option.join (pairing_of tile) with
-          | Some p -> (2, Some (tile.Buffer.id, p.pr_weights.Buffer.id, pack_name p))
-          | None -> (1, None))
-        | None -> (1, None)
+        | Some tile when Option.join (pairing_of tile) <> None -> (2, Some tile.Buffer.id)
+        | _ -> (1, None)
       in
       let hoists = if extent > 1 then hoist_loads var body else [] in
       with_binds ind hoists (fun ind ->
@@ -1952,6 +2254,7 @@ let render (func : Lower.func) : plan * string =
           b.Buffer.size / 2
         | None -> b.Buffer.size
       in
+      if Hashtbl.mem tiling.tl_stored b.Buffer.id then incr n_stored;
       let zero = match carrier_of b.Buffer.dtype with Float_class -> "0." | _ -> "0" in
       line 1 "begin";
       for i = 0 to cells - 1 do
@@ -1967,10 +2270,10 @@ let render (func : Lower.func) : plan * string =
       line 1 "()";
       out := kernel;
       uses := None;
-      let param n =
-        if List.exists (fun (pk, _, _) -> pk = n) !packs then Some (Some "int array")
-        else Hashtbl.find_opt scope n
-      in
+      List.iter
+        (fun p -> add (Printf.sprintf "c%d" (norm_buf p.pr_pairs.Buffer.id)) (Some "int array"))
+        packs;
+      let param n = Hashtbl.find_opt scope n in
       let params =
         match
           List.filter_map (fun n -> Option.map (fun ty -> (n, ty)) (param n)) (List.rev !use_order)
@@ -2007,9 +2310,15 @@ let render (func : Lower.func) : plan * string =
       line ind "end;"
     | Stmt.Intrin_call { intrin; _ } -> unsupported "unexpanded intrinsic %s" intrin
   in
-  (* ---- module assembly: the body renders first, so the packed
-     weights it names are known before the kernel's head binds them *)
+  (* ---- module assembly: the body renders first, so the compact
+     pairs it names are numbered before the kernel's head packs them *)
   rs 1 ~in_par:false hoisting.ht_body;
+  let packs =
+    List.sort
+      (fun (k, _) (k', _) -> compare k k')
+      (List.map (fun p -> (norm_buf p.pr_pairs.Buffer.id, p)) packs)
+  in
+  List.iter (fun (k, _) -> line 1 (Printf.sprintf "release_pairs c%d;" k)) packs;
   line 1 "()";
   let body = B.contents !out in
   let buf = B.create (String.length body + 1024) in
@@ -2038,11 +2347,12 @@ let render (func : Lower.func) : plan * string =
       line 1 (Printf.sprintf "check_window %d %s o%d %d;" k (cellname b) k b.Buffer.size))
     layout.l_slots;
   List.iter
-    (fun (name, (w : Buffer.t), d) ->
+    (fun (k, p) ->
+      let w = p.pr_weights in
       line 1
-        (Printf.sprintf "let %s = pack_pairs %s o%d %d %d in" name (cellname w)
-           (norm_buf w.Buffer.id) w.Buffer.size d))
-    !packs;
+        (Printf.sprintf "let c%d = pack_pairs %s o%d %d %d in" k (cellname w)
+           (norm_buf w.Buffer.id) w.Buffer.size p.pr_dist))
+    packs;
   B.add_string buf body;
   Obs.add c_wraps_deferred !n_deferred;
   Obs.add c_loops_unrolled !n_unrolled;
@@ -2052,6 +2362,7 @@ let render (func : Lower.func) : plan * string =
   Obs.add c_tiles_promoted tiling.tl_tiles;
   Obs.add c_register_tiles (Hashtbl.length tiling.tl_registers);
   Obs.add c_lanes_packed !n_pairs;
+  Obs.add c_copyouts_stored !n_stored;
   Obs.add c_accesses_unchecked !n_unchecked;
   Obs.add c_accesses_checked !n_checked;
   Obs.add c_tiles_outlined (List.length !microkernels);

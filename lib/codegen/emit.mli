@@ -28,7 +28,11 @@
     a register tile: one local per cell.  Where its lanes multiply one
     shared byte activation by byte weights the kernel never stores, and
     the partial sums provably fit, lanes [2j] and [2j+1] share one native
-    int (the weights are packed once per run).
+    int, reading the weights' compact pairs (packed once per run into an
+    array of half their size, the hook's spare when it is free).  A
+    packed tile whose window provably still holds the init nest's 0
+    stores its lanes instead of adding them to what it reads back; when
+    the tiles also cover the buffer, the init nest goes.
 
     Loop shaping: innermost loops and register-tile lane loops of at
     most 16 iterations are unrolled; every other loop binds, at the top
@@ -57,6 +61,7 @@
     [emit.loads_hoisted], [emit.index_terms_hoisted] (partials bound
     and extent-1 loops folded), [emit.scalar_cells], [emit.tiles_promoted],
     [emit.register_tiles], [emit.lanes_packed] (lane pairs),
+    [emit.copyouts_stored] (register tiles whose copy-out stores),
     [emit.accesses_unchecked] and [emit.accesses_checked] (array
     accesses rendered bare and window-checked).
 
@@ -87,7 +92,9 @@ val version : int
     index terms to the loop that changes them, folds extent-1 loops and
     rounds bf16 inline; version 9 renders proven accesses unchecked
     behind one window check per binding at entry and checks every other
-    access against its buffer's window. *)
+    access against its buffer's window; version 10 renders each register
+    tile as a top-level microkernel; version 11 packs lane pairs
+    compactly into a reused array and stores a first writer's copy-out. *)
 
 type plan = {
   p_name : string;
@@ -110,7 +117,11 @@ val promote_tiles : Lower.func -> Lower.func * int
     can be promoted over gets an [Alloc] tile of at most 1024 elements,
     a copy-in before the loop and a copy-out after it; a register tile
     first hoists the tile's column loops above the reduction, and a
-    packed one starts from 0 and adds the initial value at copy-out.
+    packed one starts from 0 and adds the initial value at copy-out, or
+    stores over the init nest's 0 as its window's first writer (the init
+    nest going when the tiles cover the buffer).  Packed tiles keep
+    reading the weights themselves here: {!render} rewrites their loads
+    to the compact pairs.
     The proof conditions are listed in [emit.ml]'s header.  A plain
     TIR→TIR pass: {!Interp} on the result equals {!Interp} on the
     input. *)

@@ -83,22 +83,32 @@ val sat_i32 : float -> int
     Two i32 accumulator lanes in one native int: lane [2j] in the low
     31 bits (sign-extended), lane [2j+1] above them, so one multiply by a
     shared activation updates both.  Exact while each lane's partial sum
-    stays in [[-2^30, 2^30)]; the emitter proves that before it packs. *)
+    stays in [[-2^30, 2^30)]; the emitter proves that before it packs.
+    A kernel splits a pair [v] inline: lane [2j] is [(v lsl 32) asr 32],
+    lane [2j+1] is [(v + 2^30) asr 31]. *)
 
 val pack_pairs : int array -> int -> int -> int -> int array
-(** [pack_pairs w o n d] is [p] of length [n] with
-    [p.(i) = w.(o+i) + w.(o+i+d) lsl 31] ([w.(o+i)] alone when
-    [i + d >= n]): the weights of lane [2j] and lane [2j+1], [d] cells
-    apart, in one int at lane [2j]'s index.
+(** [pack_pairs w o n d] is [p] whose cell [d*q + r], for every
+    [0 <= q < n / (2d)] and [0 <= r < d], holds
+    [w.(o + 2dq + r) + w.(o + 2dq + r + d) lsl 31]: the weights of lane
+    [2j] and lane [2j+1], [d] cells apart, in one int.  Only the pairs
+    are kept, so the pairs of an [n]-cell window take its first [n / 2]
+    cells.
+
+    [p] is the hook's spare array when it is free and holds at least
+    [n / 2] cells (it may hold more); otherwise a fresh array of [n / 2]
+    cells.  Either way no other pack returns [p] until the caller gives
+    it back with {!release_pairs}.
 
     Precondition: [0 <= o] and [o + n <= Array.length w], which the
     kernel's {!check_window} of [w]'s binding proves just before the
     call.  Every read lies in [[o, o + n)] and runs unchecked, so a call
     that breaks the precondition reads out of bounds.
-    @raise Invalid_argument when [d < 1]. *)
+    @raise Invalid_argument when [d < 1] or [n] is not a multiple of
+    [2d]. *)
 
-val pair_lo : int -> int
-(** The low lane of a packed sum: [(v lsl 32) asr 32]. *)
-
-val pair_hi : int -> int
-(** The high lane of a packed sum: [(v - pair_lo v) asr 31]. *)
+val release_pairs : int array -> unit
+(** [release_pairs p] makes [p], which the caller no longer reads, the
+    spare the next {!pack_pairs} takes.  A kernel calls it after its
+    [par] returned; a kernel that raises first leaves the spare to be
+    allocated again. *)

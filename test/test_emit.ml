@@ -33,13 +33,14 @@ let emit_available =
    When the toolchain is unavailable Emit_cache.run falls back
    internally, so the comparison still holds — it just stops being a
    differential.  Otherwise the kernel must run emitted unless
-   [~emitted:false]: a fallback would hide a miscompiled rendering. *)
-let differential ?(seed = 42) ?(emitted = true) (func : Lower.func) =
+   [~emitted:false]: a fallback would hide a miscompiled rendering.
+   The output starts at zeros, or at random values with [~prefill]. *)
+let differential ?(seed = 42) ?(emitted = true) ?(prefill = false) (func : Lower.func) =
   let fresh () =
     List.map
       (fun ((t : Tensor.t), (b : Buffer.t)) ->
         let arr =
-          if Buffer.equal b func.Lower.fn_output then
+          if Buffer.equal b func.Lower.fn_output && not prefill then
             Ndarray.zeros ~dtype:b.Buffer.dtype
               ~shape:[ b.Buffer.size ]
           else Ndarray.random_for_tensor ~seed t
@@ -583,7 +584,8 @@ let test_emit_rule_counters () =
   let names =
     [ "emit.wraps_deferred"; "emit.loops_unrolled"; "emit.loads_hoisted";
       "emit.index_terms_hoisted"; "emit.tiles_promoted"; "emit.register_tiles";
-      "emit.tiles_outlined"; "emit.lanes_packed"; "emit.accesses_unchecked" ]
+      "emit.tiles_outlined"; "emit.lanes_packed"; "emit.copyouts_stored";
+      "emit.accesses_unchecked" ]
   in
   let _, counts =
     counted names (fun () -> Emit.render compiled.Pipeline.c_tuned.Cpu_tuner.t_func)
@@ -685,6 +687,156 @@ let test_register_shared_columns () =
   let _, counts = counted [ "emit.register_tiles" ] (fun () -> Emit.render func) in
   Alcotest.(check (list int)) "no register tile" [ 0 ] counts;
   tiled_positive func
+
+(* ---------- compact pairs and first-writer copy-outs ---------- *)
+
+(* The hook's pack by its definition: cell [d*q + r] pairs the window's
+   weights [2dq + r] and [2dq + r + d]. *)
+let pairs_by_definition w o n d =
+  Array.init (n / 2) (fun c ->
+      let src = o + (2 * d * (c / d)) + (c mod d) in
+      w.(src) + (w.(src + d) lsl 31))
+
+let check_pairs what w o n d p =
+  Alcotest.(check (array int)) what (pairs_by_definition w o n d) (Array.sub p 0 (n / 2))
+
+let test_pack_layout () =
+  let rng = Random.State.make [| 11 |] in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun o ->
+          let n = 2 * d * 5 in
+          let w = Array.init (o + n + 3) (fun _ -> Random.State.int rng 256 - 128) in
+          let p = Unit_emit_hook.pack_pairs w o n d in
+          check_pairs (Printf.sprintf "d = %d, o = %d" d o) w o n d p;
+          Unit_emit_hook.release_pairs p)
+        [ 1; 3 ])
+    [ 1; 2; 4 ]
+
+let test_pack_invalid () =
+  let w = Array.make 16 1 in
+  List.iter
+    (fun (what, n, d) ->
+      check_bool what true
+        (match Unit_emit_hook.pack_pairs w 0 n d with
+         | exception Invalid_argument _ -> true
+         | _ -> false))
+    [ ("distance 0", 8, 0); ("distance -1", 8, -1); ("window 6, distance 2", 6, 2);
+      ("window 5, distance 1", 5, 1) ]
+
+(* The spare serves the next pack after a release, and a pack while it
+   is taken gets an array of its own. *)
+let test_pack_spare () =
+  let n = 16 and d = 2 in
+  let w1 = Array.init n (fun i -> i - 8) and w2 = Array.init n (fun i -> 100 - (7 * i)) in
+  let p1 = Unit_emit_hook.pack_pairs w1 0 n d in
+  Unit_emit_hook.release_pairs p1;
+  let p2 = Unit_emit_hook.pack_pairs w2 0 n d in
+  check_bool "the released array serves the next pack" true (p2 == p1);
+  check_pairs "a second pack holds the new pairs" w2 0 n d p2;
+  let p3 = Unit_emit_hook.pack_pairs w1 0 n d in
+  check_bool "a pack while the spare is taken gets its own array" true (p3 != p2);
+  check_pairs "its pairs" w1 0 n d p3;
+  check_pairs "the taken array keeps its pairs" w2 0 n d p2;
+  Unit_emit_hook.release_pairs p3;
+  Unit_emit_hook.release_pairs p2
+
+(* One packed kernel, packing per run: bit-identical to the closure
+   engine with other weights on its second run, and with two runs at
+   once from two domains and from two threads of one domain. *)
+let test_pack_concurrent () =
+  let compiled = Pipeline.conv_compiled_x86 small_conv in
+  let func = compiled.Pipeline.c_tuned.Cpu_tuner.t_func in
+  let _, counts = counted [ "emit.lanes_packed" ] (fun () -> Emit.render func) in
+  check_counted "small conv" [ "emit.lanes_packed" ] counts;
+  let op = compiled.Pipeline.c_op in
+  let digest engine seed =
+    let out = Ndarray.of_tensor_zeros op.Op.output in
+    let inputs = List.map (fun t -> (t, Ndarray.random_for_tensor ~seed t)) (Op.inputs op) in
+    Pipeline.run_func ~engine func ~bindings:((op.Op.output, out) :: inputs);
+    Ndarray.digest out
+  in
+  let seeds = [ 1; 2 ] in
+  let expected = List.map (digest Pipeline.Compiled) seeds in
+  let before = Emit_cache.last_fallback () in
+  let emitted = digest Pipeline.Emitted in
+  let check how got =
+    List.iter2
+      (fun seed (want, got) ->
+        Alcotest.(check string) (Printf.sprintf "%s, weights %d: emitted = closure" how seed) want got)
+      seeds (List.combine expected got)
+  in
+  check "one after another" (List.map emitted seeds);
+  check "two domains"
+    (List.map Domain.join (List.map (fun seed -> Domain.spawn (fun () -> emitted seed)) seeds));
+  let got = Array.make (List.length seeds) "" in
+  List.iter Thread.join
+    (List.mapi (fun i seed -> Thread.create (fun () -> got.(i) <- emitted seed) ()) seeds);
+  check "two threads" (Array.to_list got);
+  if emit_available then check_bool "ran emitted" true (Emit_cache.last_fallback () == before)
+
+(* A packed register-tile nest: 3 parallel columns of 4 i32 lanes over
+   a 6-step reduction of u8 activations times i8 weights, after an init
+   nest that stores [init] to every output cell.  With [split] the
+   reduction runs as two halves, a loop outside the columns, so two tile
+   lives share each window. *)
+let first_writer_nest ~name ?(init = 0) ?(split = false) () =
+  let cols = 3 and lanes = 4 and k = 4 and red = 6 in
+  let halves = if split then 2 else 1 in
+  let ta = Tensor.create ~name:"a" ~shape:[ cols * red * k ] Dtype.U8 in
+  let tw = Tensor.create ~name:"w" ~shape:[ red * lanes * k ] Dtype.I8 in
+  let tout = Tensor.create ~name:"out" ~shape:[ cols * lanes ] Dtype.I32 in
+  let ba = Buffer.of_tensor ta and bw = Buffer.of_tensor tw and bout = Buffer.of_tensor tout in
+  let v = Texpr.var and imm n = Texpr.int_imm n in
+  let sum = List.fold_left Texpr.add (imm 0) in
+  let c = Var.create "c" and h = Var.create "h" and r = Var.create "r" and t = Var.create "t" in
+  let l = Var.create "l" and kk = Var.create "kk" and i = Var.create "i" in
+  let step = if split then Texpr.add (Texpr.mul (v h) (imm (red / halves))) (v r) else v r in
+  let at = sum [ Texpr.mul (v c) (imm lanes); v l ] in
+  let ia = sum [ Texpr.mul (v c) (imm (red * k)); Texpr.mul (v t) (imm k); v kk ] in
+  let iw = sum [ Texpr.mul (v t) (imm (lanes * k)); Texpr.mul (v l) (imm k); v kk ] in
+  let byte b ix = Texpr.cast Dtype.I32 (Texpr.load b ix) in
+  let update = Stmt.Store (bout, at, Texpr.add (Texpr.load bout at) (Texpr.mul (byte ba ia) (byte bw iw))) in
+  (* the [Let] keeps the lanes out of the reduction chain *)
+  let tile =
+    Stmt.for_ r ~extent:(red / halves)
+      (Stmt.Let (t, step, Stmt.for_ l ~extent:lanes (Stmt.for_ kk ~extent:k update)))
+  in
+  let columns = Stmt.for_ c ~extent:cols ~kind:Stmt.Parallel tile in
+  let compute = if split then Stmt.for_ h ~extent:halves columns else columns in
+  { Lower.fn_name = name; fn_tensors = [ (tout, bout); (ta, ba); (tw, bw) ]; fn_output = bout;
+    fn_iter_vars = [ (0, c) ];
+    fn_body = Stmt.seq [ Stmt.for_ i ~extent:(cols * lanes) (Stmt.Store (bout, v i, imm init)); compute ] }
+
+let copy_out_names = [ "emit.lanes_packed"; "emit.copyouts_stored" ]
+
+(* [func] packs its lanes, stores its copy-out iff [stored], and is
+   bit-identical on the three engines from a random output. *)
+let first_writer ~stored func =
+  let (_, src), counts = counted copy_out_names (fun () -> Emit.render func) in
+  let what = func.Lower.fn_name in
+  (match counts with
+   | [ packed; copyouts ] ->
+     check_bool (what ^ ": lanes packed") true (packed > 0);
+     check_bool (what ^ ": copy-out stored") stored (copyouts > 0)
+   | _ -> assert false);
+  check_bool (what ^ ": copy-out reads back") (not stored) (mentions src "(w_i32 ((Array.unsafe_get");
+  interp_same func;
+  differential ~prefill:true func
+
+(* The windows of the column loop cover the output: each lane stores
+   its sum, and the init nest goes. *)
+let test_first_writer_stored () =
+  let func = first_writer_nest ~name:"first_writer" () in
+  first_writer ~stored:true func;
+  check_bool "init nest dropped" false (mentions (source func) "x_ = 0 in")
+
+let test_first_writer_split () =
+  first_writer ~stored:false (first_writer_nest ~name:"first_writer_split" ~split:true ())
+
+let test_first_writer_nonzero () =
+  first_writer ~stored:false (first_writer_nest ~name:"first_writer_nonzero" ~init:7 ())
 
 (* A warm-up's baked artifact serves the daemon: after [bake Emitted]
    into a fresh store, a run request on the emitted engine compiles
@@ -1184,11 +1336,13 @@ let test_microkernels_rendered () =
    [a[(c, reds, k)] * w[(reds, lane, k)]].  A [Let] of the flattened
    reduction index sits between the reductions and the lanes, so the
    lanes are not part of the reduction chain.  [update] combines a
-   cell's old value with the product (default: their sum). *)
-let tile_nest ?(update = Texpr.add) ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k reds =
+   cell's old value with the product (default: their sum).  Each
+   reduction step's weights are [lanes + w_pad] rows of [k]; the last
+   [w_pad] rows go unread. *)
+let tile_nest ?(update = Texpr.add) ?(w_pad = 0) ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k reds =
   let red = List.fold_left ( * ) 1 reds in
   let ta = Tensor.create ~name:"a" ~shape:[ cols * red * k ] a_dtype in
-  let tw = Tensor.create ~name:"w" ~shape:[ red * lanes * k ] w_dtype in
+  let tw = Tensor.create ~name:"w" ~shape:[ red * (lanes + w_pad) * k ] w_dtype in
   let tout = Tensor.create ~name:"out" ~shape:[ cols * lanes ] acc in
   let ba = Buffer.of_tensor ta and bw = Buffer.of_tensor tw and bout = Buffer.of_tensor tout in
   let c = Var.create "c" and l = Var.create "l" and kk = Var.create "kk" and t = Var.create "t" in
@@ -1199,7 +1353,9 @@ let tile_nest ?(update = Texpr.add) ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k
   in
   let at = Texpr.add (Texpr.mul (v c) (imm lanes)) (v l) in
   let ia = Texpr.add (Texpr.mul (Texpr.add (Texpr.mul (v c) (imm red)) (v t)) (imm k)) (v kk) in
-  let iw = Texpr.add (Texpr.mul (Texpr.add (Texpr.mul (v t) (imm lanes)) (v l)) (imm k)) (v kk) in
+  let iw =
+    Texpr.add (Texpr.mul (Texpr.add (Texpr.mul (v t) (imm (lanes + w_pad))) (v l)) (imm k)) (v kk)
+  in
   let operand b ix = if Dtype.equal b.Buffer.dtype acc then Texpr.load b ix else Texpr.cast acc (Texpr.load b ix) in
   let update =
     Stmt.Store (bout, at, update (Texpr.load bout at) (Texpr.mul (operand ba ia) (operand bw iw)))
@@ -1212,7 +1368,9 @@ let tile_nest ?(update = Texpr.add) ~name ~acc ~a_dtype ~w_dtype ~cols ~lanes ~k
 (* Random register-tile nests with 1 or 3 reduction loops and paired
    i8, unpaired i32 or f32 accumulators: each renders as a microkernel
    (packing its lanes when i8) and is bit-identical on the three
-   engines. *)
+   engines.  The fourth case pads each reduction step's i8 weights by
+   one row, an odd multiple of the pair distance: the pairs have no
+   compact layout, so the lanes stay unpacked. *)
 let prop_microkernels_random =
   QCheck.Test.make ~name:"random register-tile nests" ~count:12 QCheck.small_nat (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -1222,15 +1380,18 @@ let prop_microkernels_random =
         else [ pick [| 2; 3 |]; pick [| 5; 17 |]; pick [| 2; 3 |] ]
       in
       let lanes = pick [| 2; 4; 8 |] and k = pick [| 1; 2; 4 |] and cols = pick [| 2; 3 |] in
-      let case = seed mod 3 in
+      let case = seed mod 4 in
       let acc, a_dtype, w_dtype, what =
         match case with
         | 0 -> (Dtype.I32, Dtype.U8, Dtype.I8, "paired i8")
         | 1 -> (Dtype.I32, Dtype.I32, Dtype.I32, "unpaired i32")
-        | _ -> (Dtype.F32, Dtype.F32, Dtype.F32, "f32")
+        | 2 -> (Dtype.F32, Dtype.F32, Dtype.F32, "f32")
+        | _ -> (Dtype.I32, Dtype.U8, Dtype.I8, "padded i8")
       in
+      (* three columns: enough reuse that only the layout stops packing *)
+      let w_pad, cols = if case = 3 then (1, 3) else (0, cols) in
       let func =
-        tile_nest ~name:(Printf.sprintf "microkernel_%d" seed) ~acc ~a_dtype ~w_dtype ~cols
+        tile_nest ~name:(Printf.sprintf "microkernel_%d" seed) ~w_pad ~acc ~a_dtype ~w_dtype ~cols
           ~lanes ~k reds
       in
       let names = [ "emit.tiles_outlined"; "emit.lanes_packed" ] in
@@ -1240,6 +1401,24 @@ let prop_microkernels_random =
       check_bool (what ^ ": lanes packed iff i8") (case = 0) (packed > 0);
       differential ~seed func;
       true)
+
+(* Weights whose reduction steps are padded by one row have no compact
+   pairs: the tile pairs up but stays unpacked, bit-identical. *)
+let test_padded_weights () =
+  let func =
+    tile_nest ~name:"padded_weights" ~w_pad:1 ~acc:Dtype.I32 ~a_dtype:Dtype.U8
+      ~w_dtype:Dtype.I8 ~cols:3 ~lanes:4 ~k:2 [ 3; 5 ]
+  in
+  let _, counts = counted [ "emit.register_tiles"; "emit.lanes_packed" ] (fun () -> Emit.render func) in
+  Alcotest.(check (list int)) "register tile, no packed pair" [ 1; 0 ] (List.map (Stdlib.min 1) counts);
+  differential func;
+  (* the same nest unpadded packs *)
+  let func =
+    tile_nest ~name:"unpadded_weights" ~acc:Dtype.I32 ~a_dtype:Dtype.U8 ~w_dtype:Dtype.I8
+      ~cols:3 ~lanes:4 ~k:2 [ 3; 5 ]
+  in
+  let _, counts = counted [ "emit.lanes_packed" ] (fun () -> Emit.render func) in
+  check_counted "unpadded" [ "emit.lanes_packed" ] counts
 
 (* Accumulating is a register-tile proof condition: a nest of the
    register-tile shape whose update is [tile[c] = tile[c] * 3 + x] gets
@@ -1424,6 +1603,16 @@ let () =
           Alcotest.test_case "deep dense stays unpacked" `Quick test_register_deep_dense;
           Alcotest.test_case "columns sharing cells keep the array" `Quick
             test_register_shared_columns
+        ] );
+      ( "pairs",
+        [ Alcotest.test_case "pack layout" `Quick test_pack_layout;
+          Alcotest.test_case "pack arguments" `Quick test_pack_invalid;
+          Alcotest.test_case "pack spare" `Quick test_pack_spare;
+          Alcotest.test_case "padded weights stay unpacked" `Quick test_padded_weights;
+          Alcotest.test_case "packed runs at once" `Quick test_pack_concurrent;
+          Alcotest.test_case "copy-out stores" `Quick test_first_writer_stored;
+          Alcotest.test_case "split reduction reads back" `Quick test_first_writer_split;
+          Alcotest.test_case "non-zero init reads back" `Quick test_first_writer_nonzero
         ] );
       ( "hoisting",
         [ Alcotest.test_case "kernels rows hoisted" `Quick test_hoisting_rendered;
