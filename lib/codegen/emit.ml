@@ -94,9 +94,8 @@ open Unit_tir
 
    The lanes read compact pairs: [W] is packed once per run before [par]
    ([Unit_emit_hook.pack_pairs]) into [P] of half its size, whose cell
-   [d·q + r] is [W[2dq + r] + W[2dq + r + d] lsl 31], and the kernel
-   gives the array back to the hook's spare at its end, after [par]
-   returned ([release_pairs]).  Each access [W[ix]] in the lane loop becomes
+   [d·q + r] is [W[2dq + r] + W[2dq + r + d] lsl 31].  Each access
+   [W[ix]] in the lane loop becomes
    [P[ix']] ([compact_pairs]): [ix], with the [Let]s inside the tile
    inlined, is normalised to [c * atom] terms and a constant; the terms
    whose coefficient [2d] divides and the constant's multiple of [2d]
@@ -111,21 +110,20 @@ open Unit_tir
    TIR.
 
    First-writer copy-outs.  A packed tile's copy-out adds each lane to
-   the value it reads back, [w_i32 (B[i] + lane)], unless the cell
-   provably still holds the init nest's 0, the window's first writer:
-   then it stores the lane, canonical as it stands.  That needs three
+   the value it reads back, [w_i32 (B[i] + lane)], unless the tiles are
+   [B]'s first writers and cover it: then each stores its lanes,
+   canonical as they stand, and the init nest goes.  That needs four
    things.  A top-level statement before the tile's is a perfect nest
    storing 0 to [B] at an index that tiles [[0, size)] ([zero_fill]).
-   No store to [B] but that one and the tile's loop's.  And the loops
-   around the tile map each window to exactly one tile life
-   ([windows]): the window's base is a constant plus positive multiples
+   No store to [B] but that one and the tile's loop's, and no load of
+   [B] between them outside the tile's loop, so nothing reads a cell
+   the init nest no longer zeroes.  No [If] guards the tile.  And the
+   loops around the tile map each window to exactly one tile life and
+   the windows tile [[0, size)] ([windows]): the window's base is a sum
    of digits [(v / div) mod m] of those loops' variables (a parallel
    loop's [v / c] and [v mod c] among them), each variable's digits
-   spell it out, and the digits by stride form a mixed radix from [T],
-   so two lives' windows lie at least [T] apart.  When the windows also
-   tile [[0, size)] (the constant is 0 and each stride is exactly the
-   span below it, lives × [T] = size) and no [If] guards the tile, the
-   init nest stores nothing the tiles keep, and it goes.
+   spell it out, and by stride the digits form a mixed radix from [T],
+   each stride exactly the span below it, so lives × [T] = size.
 
    Register tiles as microkernels.  Every update of a register tile
    accumulates, [tile[c] = tile[c] + e] with [e] free of the tile (a
@@ -187,8 +185,8 @@ open Unit_tir
    the kernel first checks, once per bound tensor, that its window
    [[o<k>, o<k> + size)] lies inside its array
    ([Unit_emit_hook.check_window]); scratch is allocated at its size,
-   and compact pairs at least at theirs, half their weights' (the hook's
-   spare may be longer), so their accesses are proven against [n/2].
+   and so are compact pairs, at half their weights' size, so their
+   accesses are proven against [n/2].
    Any other access binds its index
    once and checks it against the buffer's window where it runs.  A
    failed check raises [Unit_emit_hook.Out_of_window] before the access
@@ -511,19 +509,17 @@ let rec digit (e : Texpr.t) =
   | Texpr.Binop (Texpr.Mod, x, y) -> by x y (fun v div c -> (v, div, Some c))
   | _ -> None
 
-(* The windows [[base, base + t)] that the iterations of the loops
-   [outer] ([(var, extent)], outermost first) start: [Some (c, span,
-   exact)] when no two iterations share a cell.  [base] must be [c] plus
-   positive multiples of digits of the loop variables, proven free of
-   wraps over the loops' extents, the digits of
-   each variable must spell it out (strides 1, m1, m1·m2, ..., the last
-   without [mod] or past the extent), and the digits, by stride, must be
-   a mixed radix from [t]: each stride at least the span of the ones
-   below it ([t] for the first).  Two iterations then differ in some
-   digit, and their windows in at least [t].  [span] is the mixed
-   radix's last stride times its extent; [exact] when every stride
-   equals the span below it, so with [c = 0] the windows tile
-   [[0, span)]. *)
+(* [Some span] when the windows [[base, base + t)] that the iterations
+   of the loops [outer] ([(var, extent)], outermost first) start tile
+   [[0, span)], each cell in exactly one window.  [base] must be a sum
+   of positive multiples of digits of the loop variables, proven free
+   of wraps over the loops' extents, the digits of each variable must
+   spell it out (strides 1, m1, m1·m2, ..., the last without [mod] or
+   past the extent), and the digits, by stride, must be a mixed radix
+   from [t]: each stride exactly the span of the ones below it ([t] for
+   the first).  Two iterations then differ in some digit, and their
+   windows in at least [t].  [span] is the last stride times its
+   extent. *)
 let windows ~outer base t =
   let extent (v : Var.t) =
     List.find_map (fun ((u : Var.t), n) -> if Var.equal u v then Some n else None) outer
@@ -550,7 +546,7 @@ let windows ~outer base t =
   in
   let interval = Linear.bounds ~env:(fun v -> Option.map (fun n -> (0, n - 1)) (extent v)) in
   match linear_form base with
-  | Some (terms, c) when interval base <> None -> (
+  | Some (terms, 0) when interval base <> None -> (
     try
       let digits = List.map digit_of terms in
       if not (List.for_all (spelled digits) outer) then raise Exit;
@@ -564,12 +560,7 @@ let windows ~outer base t =
                if e > 1 then Some (k, e) else None)
              digits)
       in
-      let span, exact =
-        List.fold_left
-          (fun (at, exact) (k, e) -> if k < at then raise Exit else (k * e, exact && k = at))
-          (t, true) radix
-      in
-      Some (c, span, exact)
+      Some (List.fold_left (fun at (k, e) -> if k <> at then raise Exit else k * e) t radix)
     with Exit -> None)
   | _ -> None
 
@@ -590,19 +581,14 @@ type pairing = {
   pr_pairs : Buffer.t;
 }
 
-(* How a register tile's copy-out writes its window: adding to the value
-   it reads back, or storing over the init nest's 0, the window's first
-   writer ([Covering] when the windows of all tile lives also cover the
-   buffer, so the init nest goes). *)
-type copy_out = Read_back | Stored | Covering
-
 type tiling = {
   tl_func : Lower.func;
   tl_tiles : int;  (* promoted tiles, register tiles included *)
   tl_registers : (int, pairing option) Hashtbl.t;  (* register tile id -> its pairing *)
   tl_compact : (int, Stmt.t) Hashtbl.t;
       (* packed tile id -> its [Alloc]'s body reading the compact pairs *)
-  tl_stored : (int, unit) Hashtbl.t;  (* register tiles whose copy-out stores *)
+  tl_stored : (int, unit) Hashtbl.t;
+      (* register tiles whose copy-out stores, their init nest gone *)
   tl_lanes : (int, Buffer.t) Hashtbl.t;  (* lane loop variable id -> its register tile *)
   tl_unrolled : (int, unit) Hashtbl.t;  (* loops moved outside a tile's lanes *)
   tl_strided : (int, unit) Hashtbl.t;  (* reduction loops stepping by pointer *)
@@ -625,10 +611,8 @@ let nest loops inner =
    perfect nest around [b[ix] = 0] whose index tiles [[0, size)]. *)
 let zero_fill (b : Buffer.t) s =
   match perfect_nest s with
-  | loops, Stmt.Store (b', ix, v) when Buffer.equal b b' && Texpr.as_const_int v = Some 0 -> (
-    match windows ~outer:(List.map (fun (v, n, _) -> (v, n)) loops) ix 1 with
-    | Some (0, span, true) -> span = b.Buffer.size
-    | _ -> false)
+  | loops, Stmt.Store (b', ix, v) when Buffer.equal b b' && Texpr.as_const_int v = Some 0 ->
+    windows ~outer:(List.map (fun (v, n, _) -> (v, n)) loops) ix 1 = Some b.Buffer.size
   | _ -> false
 
 (* [s] with every access to the one-element [cell] addressing [tile.(ix)]. *)
@@ -986,13 +970,15 @@ let microkernel (tile : Buffer.t) lanes loops inner =
 
 (* The loop [loop] (serial) rewritten around a register tile of bound
    buffer [b] (see the header): [Some (stmt, tile, lanes, pairing,
-   microkernel, compact, copy_out)] with [lanes] the loops the tile's
-   offsets read and [compact] the tile's [Alloc] body reading compact
-   pairs when it packs; [None] when a proof condition fails.  [loop]
-   runs [trips] times per run, inside the loops [outer] ([(var,
-   extent)]), under an [If] when [guarded]; [fresh b] when [b] holds
-   the init nest's 0 as [loop] starts and no store but [loop]'s
-   changes it. *)
+   microkernel, compact, stored)] with [lanes] the loops the tile's
+   offsets read, [compact] the tile's [Alloc] body reading compact
+   pairs when it packs, and [stored] when its copy-out stores over the
+   init nest's 0 and the tiles cover [b]; [None] when a proof condition
+   fails.  [loop] runs [trips] times per run, inside the loops [outer]
+   ([(var, extent)]), under an [If] when [guarded]; [fresh b] when [b]
+   holds the init nest's 0 as [loop] starts, no store but [loop]'s
+   changes it, and no load outside [loop] reads it before [loop]'s
+   top-level statement ends. *)
 let register_tile ~scope ~outer ~guarded ~fresh ~trips ~name ~bound ~weights ~pairs
     (loop : Stmt.t) (b : Buffer.t) =
   let loops, inner = perfect_nest loop in
@@ -1081,22 +1067,19 @@ let register_tile ~scope ~outer ~guarded ~fresh ~trips ~name ~bound ~weights ~pa
               | None -> (Ok None, None))
             | _ -> (pairing, None)
           in
-          let copy_out =
+          let stored =
             match pairing with
-            | Ok (Some _) when fresh b -> (
-              match windows ~outer base tile.Buffer.size with
-              | Some (0, span, true) when span = b.Buffer.size && not guarded -> Covering
-              | Some _ -> Stored
-              | None -> Read_back)
-            | _ -> Read_back
+            | Ok (Some _) when fresh b && not guarded ->
+              windows ~outer base tile.Buffer.size = Some b.Buffer.size
+            | _ -> false
           in
           let at k = Texpr.add base k in
           let copies region =
-            match pairing, copy_out with
-            | Ok (Some _), (Stored | Covering) ->
+            match pairing with
+            | Ok (Some _) when stored ->
               (* the pairs accumulate from 0 and are the window's first writer *)
               [ region; copy_cells tile (fun k -> Stmt.Store (b, at k, Texpr.load tile k)) ]
-            | Ok (Some _), Read_back ->
+            | Ok (Some _) ->
               (* the pairs accumulate from 0; copy-out adds the initial value *)
               [ region;
                 copy_cells tile (fun k ->
@@ -1111,7 +1094,7 @@ let register_tile ~scope ~outer ~guarded ~fresh ~trips ~name ~bound ~weights ~pa
             ( nest cols (Stmt.Alloc (tile, Stmt.seq (copies region))),
               tile, lanes, pairing, shape,
               Option.map (fun c -> Stmt.seq (copies c)) compact,
-              copy_out )
+              stored )
         | _ -> None)
       | _ -> None))
 
@@ -1155,6 +1138,15 @@ let promote (func : Lower.func) =
       (fun k s -> match s with Stmt.Store (b', _, _) when Buffer.equal b b' -> k + 1 | _ -> k)
       0 s
   in
+  let loads (b : Buffer.t) s =
+    Stmt.fold_stmts
+      (fun k s ->
+        List.fold_left
+          (fun k e ->
+            k + List.length (List.filter (fun (b', _) -> Buffer.equal b b') (Texpr.loads_of e)))
+          k (own_exprs s))
+      0 s
+  in
   (* buffers whose tiles cover them: their init nests go *)
   let covered = Hashtbl.create 4 in
   (* [trips]: how often [s] runs per kernel run; [outer]: the loops
@@ -1165,7 +1157,12 @@ let promote (func : Lower.func) =
     | Stmt.For ({ var; extent; kind; body } as r) -> (
       let fresh (b : Buffer.t) =
         match Hashtbl.find_opt zeroed b.Buffer.id with
-        | Some i -> i < top && stores b func.Lower.fn_body = 1 + stores b s
+        | Some i ->
+          i < top
+          && stores b func.Lower.fn_body = 1 + stores b s
+          && List.fold_left ( + ) 0
+               (List.filteri (fun j _ -> i < j && j <= top) (List.map (loads b) tops))
+             = loads b s
         | None -> false
       in
       let register =
@@ -1181,18 +1178,16 @@ let promote (func : Lower.func) =
             bound
       in
       match register with
-      | Some (b, (s, tile, lane_vars, pairing, shape, compact, copy_out)) ->
+      | Some (b, (s, tile, lane_vars, pairing, shape, compact, stored)) ->
         incr n;
         Hashtbl.replace registers tile.Buffer.id
           (match pairing with Ok p -> p | Error _ -> None);
         (match pairing with Error d -> diags := d :: !diags | Ok _ -> ());
         Option.iter (Hashtbl.replace compacts tile.Buffer.id) compact;
-        (match copy_out with
-         | Read_back -> ()
-         | Stored -> Hashtbl.replace stored_outs tile.Buffer.id ()
-         | Covering ->
-           Hashtbl.replace stored_outs tile.Buffer.id ();
-           Hashtbl.replace covered b.Buffer.id ());
+        if stored then begin
+          Hashtbl.replace stored_outs tile.Buffer.id ();
+          Hashtbl.replace covered b.Buffer.id ()
+        end;
         List.iter (fun (v : Var.t) -> Hashtbl.replace lanes v.Var.id tile) lane_vars;
         List.iter (fun (v : Var.t) -> Hashtbl.replace unrolled v.Var.id ()) shape.mk_unrolled;
         Option.iter (fun (v : Var.t) -> Hashtbl.replace strided v.Var.id ()) shape.mk_strided;
@@ -1230,7 +1225,8 @@ let promote (func : Lower.func) =
     | _ -> Stmt.map_children (go_in scope trips) s
   in
   let tops = List.mapi (fun top s -> go ~top ~outer:[] ~guarded:false [] 1 s) tops in
-  (* an init nest whose buffer the tiles cover stores nothing they keep *)
+  (* an init nest whose buffer the tiles cover stores nothing they keep,
+     and nothing reads it before they do *)
   let init i =
     List.exists
       (fun (b : Buffer.t) ->
@@ -2318,7 +2314,6 @@ let render (func : Lower.func) : plan * string =
       (fun (k, _) (k', _) -> compare k k')
       (List.map (fun p -> (norm_buf p.pr_pairs.Buffer.id, p)) packs)
   in
-  List.iter (fun (k, _) -> line 1 (Printf.sprintf "release_pairs c%d;" k)) packs;
   line 1 "()";
   let body = B.contents !out in
   let buf = B.create (String.length body + 1024) in

@@ -29,10 +29,10 @@
     shared byte activation by byte weights the kernel never stores, and
     the partial sums provably fit, lanes [2j] and [2j+1] share one native
     int, reading the weights' compact pairs (packed once per run into an
-    array of half their size, the hook's spare when it is free).  A
-    packed tile whose window provably still holds the init nest's 0
-    stores its lanes instead of adding them to what it reads back; when
-    the tiles also cover the buffer, the init nest goes.
+    array of half their size).  When
+    packed tiles are provably the first writers of the init nest's 0s
+    and cover the buffer, they store their lanes instead of adding them
+    to what they read back, and the init nest goes.
 
     Loop shaping: innermost loops and register-tile lane loops of at
     most 16 iterations are unrolled; every other loop binds, at the top
@@ -117,9 +117,9 @@ val promote_tiles : Lower.func -> Lower.func * int
     can be promoted over gets an [Alloc] tile of at most 1024 elements,
     a copy-in before the loop and a copy-out after it; a register tile
     first hoists the tile's column loops above the reduction, and a
-    packed one starts from 0 and adds the initial value at copy-out, or
-    stores over the init nest's 0 as its window's first writer (the init
-    nest going when the tiles cover the buffer).  Packed tiles keep
+    packed one starts from 0 and adds the initial value at copy-out, or,
+    when the tiles are the first writers of the init nest's 0s and
+    cover the buffer, stores its lanes and drops the init nest.  Packed tiles keep
     reading the weights themselves here: {!render} rewrites their loads
     to the compact pairs.
     The proof conditions are listed in [emit.ml]'s header.  A plain

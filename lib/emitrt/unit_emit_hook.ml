@@ -88,12 +88,6 @@ let sat_i32 f = sat_gen (-2147483648L) 2147483647L f
 
 (* ---- lane pairs *)
 
-(* The one spare pairs array: a kernel takes it in [pack_pairs] and
-   gives it back in [release_pairs] once its [par] returned, so runs
-   after the first pack without allocating.  [Atomic.exchange] hands it
-   to one run at a time, whether runs share a domain or not. *)
-let spare : int array Atomic.t = Atomic.make [||]
-
 (* plain loops: [Array.init]'s closure call per cell costs twice the
    packing itself.  Every read lies in [[o, o + n)], which the kernel's
    [check_window] proved before the call, and every write in
@@ -101,10 +95,7 @@ let spare : int array Atomic.t = Atomic.make [||]
 let pack_pairs w o n d =
   if d < 1 then invalid_arg "pack_pairs: distance below 1";
   if n mod (2 * d) <> 0 then invalid_arg "pack_pairs: window not a multiple of twice the distance";
-  let p =
-    let s = Atomic.exchange spare [||] in
-    if Array.length s >= n / 2 then s else Array.make (n / 2) 0
-  in
+  let p = Array.make (n / 2) 0 in
   for q = 0 to (n / (2 * d)) - 1 do
     let src = o + (2 * d * q) and dst = d * q in
     for r = 0 to d - 1 do
@@ -113,5 +104,3 @@ let pack_pairs w o n d =
     done
   done;
   p
-
-let release_pairs p = Atomic.set spare p

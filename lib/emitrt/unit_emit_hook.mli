@@ -92,13 +92,7 @@ val pack_pairs : int array -> int -> int -> int -> int array
     [0 <= q < n / (2d)] and [0 <= r < d], holds
     [w.(o + 2dq + r) + w.(o + 2dq + r + d) lsl 31]: the weights of lane
     [2j] and lane [2j+1], [d] cells apart, in one int.  Only the pairs
-    are kept, so the pairs of an [n]-cell window take its first [n / 2]
-    cells.
-
-    [p] is the hook's spare array when it is free and holds at least
-    [n / 2] cells (it may hold more); otherwise a fresh array of [n / 2]
-    cells.  Either way no other pack returns [p] until the caller gives
-    it back with {!release_pairs}.
+    are kept: [p] is a fresh array of [n / 2] cells.
 
     Precondition: [0 <= o] and [o + n <= Array.length w], which the
     kernel's {!check_window} of [w]'s binding proves just before the
@@ -106,9 +100,3 @@ val pack_pairs : int array -> int -> int -> int -> int array
     that breaks the precondition reads out of bounds.
     @raise Invalid_argument when [d < 1] or [n] is not a multiple of
     [2d]. *)
-
-val release_pairs : int array -> unit
-(** [release_pairs p] makes [p], which the caller no longer reads, the
-    spare the next {!pack_pairs} takes.  A kernel calls it after its
-    [par] returned; a kernel that raises first leaves the spare to be
-    allocated again. *)
