@@ -3,6 +3,9 @@
 # leave byte-identical:
 #   render.txt              bench/render_dump.exe: 48 Table I kernels' emitted
 #                           source and Emit.version
+#   tuned.txt               bench/tuned_dump.exe: every distinct zoo kernel's
+#                           tuned config, mapping count and modelled cycles
+#                           on x86 and Arm
 #   check_cascadelake.txt   stdout of `unitc check --target cascadelake`
 #   check_graviton2.txt     stdout of `unitc check --target graviton2`
 #   bench_report_x86.json   `unitc bench-report --target x86`
@@ -21,8 +24,9 @@ out=${1:?usage: sh bench/identity.sh DIR}
 mkdir -p "$out"
 out=$(cd "$out" && pwd)
 cd "$(dirname "$0")/.."
-dune build ./bench/render_dump.exe ./bin/unitc.exe
+dune build ./bench/render_dump.exe ./bench/tuned_dump.exe ./bin/unitc.exe
 ./_build/default/bench/render_dump.exe > "$out/render.txt"
+./_build/default/bench/tuned_dump.exe > "$out/tuned.txt"
 ./_build/default/bin/unitc.exe check --target cascadelake > "$out/check_cascadelake.txt"
 ./_build/default/bin/unitc.exe check --target graviton2 > "$out/check_graviton2.txt"
 ./_build/default/bin/unitc.exe bench-report --target x86 > "$out/bench_report_x86.json"

@@ -17,6 +17,7 @@ type t = {
   platform : platform;
   op : Op.t;
   cost : cost;
+  digest : string;
 }
 
 exception Invalid_intrin of string
@@ -45,11 +46,6 @@ let validate t =
   if t.cost.latency < 1 then invalid "%s: latency must be >= 1" t.name;
   if t.cost.throughput <= 0.0 then invalid "%s: throughput must be positive" t.name;
   if t.cost.macs < 1 then invalid "%s: macs must be >= 1" t.name
-
-let create ~name ~llvm_name ~platform ~cost op =
-  let t = { name; llvm_name; platform; op; cost } in
-  validate t;
-  t
 
 let output_lanes t =
   List.fold_left (fun acc (a : Axis.t) -> acc * a.extent) 1 t.op.Op.spatial
@@ -100,7 +96,14 @@ let canonical t =
   add "body=%s" (Expr.to_string op.Op.body);
   Buffer.contents b
 
-let semantic_digest t = Digest.to_hex (Digest.string (canonical t))
+(* Digested once, when the value is built: store keys, registry and pack
+   comparisons all read it. *)
+let create ~name ~llvm_name ~platform ~cost op =
+  let t = { name; llvm_name; platform; op; cost; digest = "" } in
+  validate t;
+  { t with digest = Digest.to_hex (Digest.string (canonical t)) }
+
+let semantic_digest t = t.digest
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%s (%s, %s)@,%a@]" t.name t.llvm_name

@@ -31,6 +31,7 @@ type t = private {
   platform : platform;
   op : Unit_dsl.Op.t;  (** the semantics *)
   cost : cost;
+  digest : string;  (** {!semantic_digest}, computed once by {!create} *)
 }
 
 exception Invalid_intrin of string
@@ -75,7 +76,8 @@ val semantic_digest : t -> string
     digest = idempotent re-registration; same name + different digest =
     structured error) and is folded into tuning-store / emit-artifact
     keys, so editing a pack invalidates its warm records instead of
-    silently replaying stale configs. *)
+    silently replaying stale configs.  Computed once, when {!create}
+    builds the value. *)
 
 val pp : Format.formatter -> t -> unit
 (** Fig. 4-style rendering: name, LLVM intrinsic, then the DSL program. *)

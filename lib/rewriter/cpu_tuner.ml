@@ -38,112 +38,137 @@ let default_config = { parallel_grain = 3000; unroll_budget = 8 }
 let parallel_only = { default_config with unroll_budget = 1 }
 
 (* Divisors in ascending order, enumerated in O(sqrt n) pairs and memoized:
-   the tuner asks for the same handful of extents once per split decision
-   in every candidate. *)
-let divisors_cache : (int, int list) Hashtbl.t = Hashtbl.create 64
-let divisors_lock = Mutex.create ()
+   every config of every sweep asks for the same handful of extents.  The
+   memo is an immutable map behind an [Atomic], so a lookup takes no lock
+   and sweeps on several domains share it. *)
+module Int_map = Map.Make (Int)
+
+let divisors_memo : int array Int_map.t Atomic.t = Atomic.make Int_map.empty
 
 let divisors n =
-  Mutex.lock divisors_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock divisors_lock)
-    (fun () ->
-      match Hashtbl.find_opt divisors_cache n with
-      | Some ds -> ds
-      | None ->
-        let small = ref [] and large = ref [] in
-        let d = ref 1 in
-        while !d * !d <= n do
-          if n mod !d = 0 then begin
-            small := !d :: !small;
-            if !d <> n / !d then large := (n / !d) :: !large
-          end;
-          incr d
-        done;
-        let ds = List.rev_append !small !large in
-        Hashtbl.add divisors_cache n ds;
-        ds)
+  match Int_map.find_opt n (Atomic.get divisors_memo) with
+  | Some ds -> ds
+  | None ->
+    let small = ref [] and large = ref [] in
+    let d = ref 1 in
+    while !d * !d <= n do
+      if n mod !d = 0 then begin
+        small := !d :: !small;
+        if !d <> n / !d then large := (n / !d) :: !large
+      end;
+      incr d
+    done;
+    let ds = Array.of_list (List.rev_append !small !large) in
+    let rec publish () =
+      let memo = Atomic.get divisors_memo in
+      if not (Atomic.compare_and_set divisors_memo memo (Int_map.add n ds memo)) then publish ()
+    in
+    publish ();
+    ds
 
-(* The largest divisor of [extent] that is <= [budget]. *)
+(* The largest divisor of [extent] that is <= [budget] (1 when none is). *)
 let best_divisor extent budget =
-  List.fold_left (fun acc d -> if d <= budget then Stdlib.max acc d else acc) 1
-    (divisors extent)
+  let ds = divisors extent in
+  let i = ref (Array.length ds - 1) in
+  while !i > 0 && ds.(!i) > budget do
+    decr i
+  done;
+  ds.(!i)
 
 let is_dp (it : Schedule.Iter.t) = it.kind = Axis.Data_parallel
 
-(* Greedily take whole loops from [iters] (outermost first) while the
-   running product stays within [budget]; when the next loop overflows,
-   split a [chunk]-sized outer piece off it.  Returns
-   (schedule, taken, leftovers). *)
-let take_parallel s iters budget =
-  let rec go s acc taken = function
-    | [] -> (s, List.rev taken, [])
-    | (it : Schedule.Iter.t) :: rest ->
-      if acc * it.extent <= budget then go s (acc * it.extent) (it :: taken) rest
-      else begin
-        let want = budget / acc in
-        let chunk = best_divisor it.extent want in
-        if chunk <= 1 then (s, List.rev taken, it :: rest)
-        else begin
-          let s, outer, inner = Schedule.split s it ~factor:(it.extent / chunk) in
-          (s, List.rev (outer :: taken), inner :: rest)
-        end
-      end
-  in
-  go s 1 [] iters
+(* A config's two breaking points, as integers computed from the dp
+   extents alone.  Both groups greedily take whole loops while the running
+   product stays within the budget; when the next loop overflows, a
+   [chunk]-sized piece of it joins the group ([chunk] = 1: none).  The unroll
+   group walks the dp loops from the inner end; the parallel group then
+   walks what is left from the outer end.  [build] makes the schedule from
+   these integers alone, so configs with equal decisions give the same
+   schedule. *)
+type decision = {
+  unroll_loops : int;
+  unroll_chunk : int;
+  parallel_loops : int;
+  parallel_chunk : int;
+}
 
-(* For the unroll group we walk the dp loops from the innermost side and
-   split chunks off the inner end. *)
-let take_unroll s iters_rev budget =
-  let rec go s acc taken = function
-    | [] -> (s, taken, [])
-    | (it : Schedule.Iter.t) :: rest ->
-      if acc * it.extent <= budget then go s (acc * it.extent) (it :: taken) rest
-      else begin
-        let want = budget / acc in
-        let chunk = best_divisor it.extent want in
-        if chunk <= 1 then (s, taken, it :: rest)
-        else begin
-          let s, outer, inner = Schedule.split s it ~factor:chunk in
-          (s, inner :: taken, outer :: rest)
-        end
-      end
+(* Of [count] loops with extents [extent 0], [extent 1], …: how many whole
+   loops the group takes, and the chunk of the next one *)
+let take count extent budget =
+  let rec go i acc =
+    if i = count then (i, 1)
+    else
+      let e = extent i in
+      if acc * e <= budget then go (i + 1) (acc * e) else (i, best_divisor e (budget / acc))
   in
-  (* [taken] accumulates back in outer-to-inner order *)
-  let s, taken, leftovers_rev = go s 1 [] iters_rev in
-  (s, taken, List.rev leftovers_rev)
+  go 0 1
 
-let apply (r : Reorganize.t) config =
+(* The dp extents, outer to inner. *)
+let dp_extents (r : Reorganize.t) =
+  Array.of_list
+    (List.filter_map
+       (fun (it : Schedule.Iter.t) -> if is_dp it then Some it.extent else None)
+       r.Reorganize.outer)
+
+let decide_on dp config =
+  let n = Array.length dp in
+  (* second breaking point first: it may split a loop the parallel group
+     would otherwise swallow whole *)
+  let unroll_loops, unroll_chunk = take n (fun i -> dp.(n - 1 - i)) config.unroll_budget in
+  (* the parallel group sees the unroll chunk's outer piece in place of
+     the loop it split *)
+  let left = n - unroll_loops in
+  let extent j = if j = left - 1 && unroll_chunk > 1 then dp.(j) / unroll_chunk else dp.(j) in
+  let parallel_loops, parallel_chunk = take left extent config.parallel_grain in
+  { unroll_loops; unroll_chunk; parallel_loops; parallel_chunk }
+
+let decide r config = decide_on (dp_extents r) config
+
+let same_decision a b =
+  a.unroll_loops = b.unroll_loops && a.unroll_chunk = b.unroll_chunk
+  && a.parallel_loops = b.parallel_loops && a.parallel_chunk = b.parallel_chunk
+
+(* [n] elements off the front of [l], and the rest *)
+let split_at n l =
+  let rec go n taken l =
+    if n = 0 then (List.rev taken, l) else go (n - 1) (List.hd l :: taken) (List.tl l)
+  in
+  go n [] l
+
+let build (r : Reorganize.t) d =
   let s = r.Reorganize.schedule in
   let outer_dp = List.filter is_dp r.Reorganize.outer in
-  let outer_red =
-    List.filter (fun it -> not (is_dp it)) r.Reorganize.outer
+  let outer_red = List.filter (fun it -> not (is_dp it)) r.Reorganize.outer in
+  (* the unroll group, inner end first; a chunk splits off the inner end *)
+  let taken_rev, rest_rev = split_at d.unroll_loops (List.rev outer_dp) in
+  let s, unroll_group, remaining_rev =
+    match rest_rev with
+    | it :: rest when d.unroll_chunk > 1 ->
+      let s, outer, inner = Schedule.split s it ~factor:d.unroll_chunk in
+      (s, inner :: List.rev taken_rev, outer :: rest)
+    | rest -> (s, List.rev taken_rev, rest)
   in
-  (* second breaking point first: carve the unroll group off the inner end
-     of the dp nest (it may split a loop the parallel group would
-     otherwise swallow whole) *)
-  let s, unroll_group, remaining_dp =
-    take_unroll s (List.rev outer_dp) config.unroll_budget
-  in
-  (* first breaking point: the parallel group from the outer end *)
+  (* the parallel group from the outer end; a chunk splits off the outer end *)
+  let taken, rest = split_at d.parallel_loops (List.rev remaining_rev) in
   let s, parallel_group, serial_dp =
-    take_parallel s remaining_dp config.parallel_grain
+    match rest with
+    | (it : Schedule.Iter.t) :: rest when d.parallel_chunk > 1 ->
+      let s, outer, inner = Schedule.split s it ~factor:(it.extent / d.parallel_chunk) in
+      (s, taken @ [ outer ], inner :: rest)
+    | rest -> (s, taken, rest)
   in
   let order = parallel_group @ serial_dp @ outer_red @ unroll_group @ r.Reorganize.region in
   let s = Schedule.reorder s order in
-  let s, fused =
+  let s =
     match parallel_group with
-    | [] -> (s, None)
+    | [] -> s
     | group ->
       let s, fused = Schedule.fuse_many s group in
-      (s, Some fused)
-  in
-  let s =
-    match fused with
-    | Some it -> Schedule.annotate s it Schedule.Parallel
-    | None -> s
+      Schedule.annotate s fused Schedule.Parallel
   in
   List.fold_left (fun s it -> Schedule.annotate s it Schedule.Unroll) s unroll_group
+
+let apply r config = build r (decide r config)
 
 let compile r config = Replace.run (Unit_tir.Lower.lower (apply r config))
 
@@ -173,39 +198,10 @@ let candidate_configs (spec : Unit_machine.Spec.cpu) =
       List.map (fun unroll_budget -> { parallel_grain; unroll_budget }) unrolls)
     grains
 
-(* Both breaking points greedily accumulate whole dp loops while
-   [acc * extent <= budget], so any budget at or above the dp
-   iteration-space product behaves exactly like the product itself.
-   Clamping both budgets to that product therefore maps each config to a
-   behavioural equivalence class; we evaluate only the first config of
-   each class.  The strict [<] in the fold below means the first of a
-   class of equal candidates won either way, so pruning is
-   result-preserving (same winner, same [t_config]). *)
-let prune_configs (r : Reorganize.t) configs =
-  let dp_product =
-    List.fold_left
-      (fun acc (it : Schedule.Iter.t) -> if is_dp it then acc * it.extent else acc)
-      1 r.Reorganize.outer
-  in
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun c ->
-      let key = (min c.parallel_grain dp_product, min c.unroll_budget dp_product) in
-      if Hashtbl.mem seen key then begin
-        Obs.incr c_pruned;
-        false
-      end
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    configs
-
 (* One configuration realized: schedule, lowered and replaced kernel,
    modelled estimate.  Opens only the [tensorize.lower_replace] span; the
    callers wrap it in their own. *)
-let realize spec ?threads (r : Reorganize.t) config =
-  let schedule = apply r config in
+let realize spec ?threads config schedule =
   let lr_tok = Obs.start "tensorize.lower_replace" in
   let func =
     Fun.protect
@@ -223,12 +219,16 @@ let realize spec ?threads (r : Reorganize.t) config =
 let of_config spec ?threads (r : Reorganize.t) config =
   let tok = Obs.start "tensorize.from_config" in
   Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
-  realize spec ?threads r config
+  realize spec ?threads config (apply r config)
 
+(* Only the first config of each decision class (in grid order) is
+   realized: equal decisions build the same schedule, and the strict [<]
+   keeps the first of equal candidates, so the winner is the exhaustive
+   sweep's. *)
 let tune spec ?threads (r : Reorganize.t) =
   let tune_tok = Obs.start "tensorize.tune" in
   Fun.protect ~finally:(fun () -> Obs.stop tune_tok) @@ fun () ->
-  let evaluate config =
+  let evaluate config decision =
     let tok =
       if Obs.enabled () then
         Obs.start "tuner.candidate"
@@ -239,23 +239,34 @@ let tune spec ?threads (r : Reorganize.t) =
     in
     Fun.protect ~finally:(fun () -> Obs.stop tok) @@ fun () ->
     Obs.incr c_candidates;
-    realize spec ?threads r config
+    realize spec ?threads config (build r decision)
   in
-  match prune_configs r (candidate_configs spec) with
-  | [] -> assert false (* the grid is never empty and its first config is always kept *)
-  | first :: rest ->
-    let first = evaluate first in
-    Obs.observe h_best first.t_estimate.Unit_machine.Cpu_model.est_cycles;
+  let dp = dp_extents r in
+  let seen = ref [] in
+  let best =
     List.fold_left
       (fun best config ->
-        let candidate = evaluate config in
-        if
-          candidate.t_estimate.Unit_machine.Cpu_model.est_cycles
-          < best.t_estimate.Unit_machine.Cpu_model.est_cycles
-        then begin
-          Obs.incr c_improvements;
-          Obs.observe h_best candidate.t_estimate.Unit_machine.Cpu_model.est_cycles;
-          candidate
+        let decision = decide_on dp config in
+        if List.exists (same_decision decision) !seen then begin
+          Obs.incr c_pruned;
+          best
         end
-        else best)
-      first rest
+        else begin
+          seen := decision :: !seen;
+          let candidate = evaluate config decision in
+          let cycles = candidate.t_estimate.Unit_machine.Cpu_model.est_cycles in
+          match best with
+          | None ->
+            Obs.observe h_best cycles;
+            Some candidate
+          | Some b when cycles < b.t_estimate.Unit_machine.Cpu_model.est_cycles ->
+            Obs.incr c_improvements;
+            Obs.observe h_best cycles;
+            Some candidate
+          | Some _ -> best
+        end)
+      None (candidate_configs spec)
+  in
+  match best with
+  | Some best -> best
+  | None -> assert false (* the grid is never empty *)

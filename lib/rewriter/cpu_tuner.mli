@@ -48,10 +48,29 @@ val default_config : config
 val parallel_only : config
 (** Fig. 10's "Parallel" ablation: no unrolling. *)
 
+(** What a configuration decides on one reorganized schedule: the
+    integers the greedy breaking points compute from the data-parallel
+    extents.  The unroll group takes [unroll_loops] whole loops from the
+    inner end of the dp nest, then an [unroll_chunk]-sized inner piece of
+    the next loop outward; the parallel group takes [parallel_loops] whole
+    loops of what is left from the outer end, then a
+    [parallel_chunk]-sized outer piece of the next one.  A chunk of 1
+    means no split.  Two configs with equal decisions realize the same
+    schedule. *)
+type decision = {
+  unroll_loops : int;
+  unroll_chunk : int;
+  parallel_loops : int;
+  parallel_chunk : int;
+}
+
+val decide : Reorganize.t -> config -> decision
+(** The decision of a configuration; pure, no schedule is built. *)
+
 val apply : Reorganize.t -> config -> Schedule.t
 (** Realize a configuration on a reorganized schedule: split/fuse the
-    data-parallel loops into the three groups, reorder the unroll group
-    below the reductions, annotate. *)
+    data-parallel loops into the three groups as {!decide} says, reorder
+    the unroll group below the reductions, annotate. *)
 
 type tuned = {
   t_config : config;
@@ -65,7 +84,7 @@ type tuned = {
 
 val candidate_configs : Unit_machine.Spec.cpu -> config list
 (** The swept grid: parallel grains scaled around the core count plus the
-    3000 default, crossed with unroll budgets 1..32. *)
+    3000 default, crossed with unroll budgets 1..16. *)
 
 val compile : Reorganize.t -> config -> Unit_tir.Lower.func
 (** [apply], lower, and replace in one step. *)
@@ -79,21 +98,17 @@ val of_config :
     [tensorize.tune] / [tuner.candidate] spans: a traced warm start is
     recognizable by their absence. *)
 
-val prune_configs : Reorganize.t -> config list -> config list
-(** Drop configurations that are behaviourally identical on this
-    reorganized schedule: both budgets act through
-    [running product <= budget] over the data-parallel extents, so any
-    budget at or above the dp iteration-space product is equivalent to
-    the product itself.  Keeps the first config of each equivalence
-    class (order-preserving), which is exactly the one [tune]'s
-    strict-improvement fold would have selected anyway.  Bumps the
-    [tuner.pruned] counter when tracing is on. *)
-
 val tune :
   Unit_machine.Spec.cpu ->
   ?threads:int ->
   Reorganize.t ->
   tuned
-(** Profile every candidate on the machine model and keep the fastest —
+(** Profile the candidates on the machine model and keep the fastest —
     the paper's feedback-driven search, with the model standing in for
-    hardware profiling. *)
+    hardware profiling.  Only the first config of each {!decide} class,
+    in {!candidate_configs} order, is realized (lowered, replaced and
+    estimated); the fold keeps the first of equal estimates, so the
+    winner and its [t_config] are those of realizing every config.
+    Under tracing, [tuner.candidates] counts the realized configs and
+    [tuner.pruned] the ones skipped as duplicates: the two sum to the
+    grid's size per sweep. *)

@@ -1366,38 +1366,41 @@ let tile_nest ?(update = Texpr.add) ?(w_pad = 0) ~name ~acc ~a_dtype ~w_dtype ~c
    (packing its lanes when i8) and is bit-identical on the three
    engines.  The fourth case pads each reduction step's i8 weights by
    one row, an odd multiple of the pair distance: the pairs have no
-   compact layout, so the lanes stay unpacked.  Sixteen draws, about
-   four per case. *)
+   compact layout, so the lanes stay unpacked.  Every draw builds all
+   four cases, each from its own shapes, so each case gets four draws on
+   every run. *)
 let prop_microkernels_random =
-  QCheck.Test.make ~name:"random register-tile nests" ~count:16 QCheck.small_nat (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let pick a = a.(Random.State.int rng (Array.length a)) in
-      let reds =
-        if Random.State.bool rng then [ pick [| 3; 17; 40 |] ]
-        else [ pick [| 2; 3 |]; pick [| 5; 17 |]; pick [| 2; 3 |] ]
-      in
-      let lanes = pick [| 2; 4; 8 |] and k = pick [| 1; 2; 4 |] and cols = pick [| 2; 3 |] in
-      let case = seed mod 4 in
-      let acc, a_dtype, w_dtype, what =
-        match case with
-        | 0 -> (Dtype.I32, Dtype.U8, Dtype.I8, "paired i8")
-        | 1 -> (Dtype.I32, Dtype.I32, Dtype.I32, "unpaired i32")
-        | 2 -> (Dtype.F32, Dtype.F32, Dtype.F32, "f32")
-        | _ -> (Dtype.I32, Dtype.U8, Dtype.I8, "padded i8")
-      in
-      (* three columns: enough reuse that only the layout stops packing *)
-      let w_pad, cols = if case = 3 then (1, 3) else (0, cols) in
-      let func =
-        tile_nest ~name:(Printf.sprintf "microkernel_%d" seed) ~w_pad ~acc ~a_dtype ~w_dtype ~cols
-          ~lanes ~k reds
-      in
-      let names = [ "emit.tiles_outlined"; "emit.lanes_packed" ] in
-      let _, counts = counted names (fun () -> Emit.render func) in
-      let outlined, packed = match counts with [ o; p ] -> (o, p) | _ -> (0, 0) in
-      check_bool (what ^ ": outlined") true (outlined = 1);
-      check_bool (what ^ ": lanes packed iff i8") (case = 0) (packed > 0);
-      differential ~seed func;
-      true)
+  QCheck.Test.make ~name:"random register-tile nests" ~count:4 QCheck.small_nat (fun seed ->
+      List.for_all
+        (fun case ->
+          let rng = Random.State.make [| seed; case |] in
+          let pick a = a.(Random.State.int rng (Array.length a)) in
+          let reds =
+            if Random.State.bool rng then [ pick [| 3; 17; 40 |] ]
+            else [ pick [| 2; 3 |]; pick [| 5; 17 |]; pick [| 2; 3 |] ]
+          in
+          let lanes = pick [| 2; 4; 8 |] and k = pick [| 1; 2; 4 |] and cols = pick [| 2; 3 |] in
+          let acc, a_dtype, w_dtype, what =
+            match case with
+            | 0 -> (Dtype.I32, Dtype.U8, Dtype.I8, "paired i8")
+            | 1 -> (Dtype.I32, Dtype.I32, Dtype.I32, "unpaired i32")
+            | 2 -> (Dtype.F32, Dtype.F32, Dtype.F32, "f32")
+            | _ -> (Dtype.I32, Dtype.U8, Dtype.I8, "padded i8")
+          in
+          (* three columns: enough reuse that only the layout stops packing *)
+          let w_pad, cols = if case = 3 then (1, 3) else (0, cols) in
+          let func =
+            tile_nest ~name:(Printf.sprintf "microkernel_%d_%d" seed case) ~w_pad ~acc ~a_dtype
+              ~w_dtype ~cols ~lanes ~k reds
+          in
+          let names = [ "emit.tiles_outlined"; "emit.lanes_packed" ] in
+          let _, counts = counted names (fun () -> Emit.render func) in
+          let outlined, packed = match counts with [ o; p ] -> (o, p) | _ -> (0, 0) in
+          check_bool (what ^ ": outlined") true (outlined = 1);
+          check_bool (what ^ ": lanes packed iff i8") (case = 0) (packed > 0);
+          differential ~seed func;
+          true)
+        [ 0; 1; 2; 3 ])
 
 (* Weights whose reduction steps are padded by one row have no compact
    pairs: the tile pairs up but stays unpacked, bit-identical. *)

@@ -293,6 +293,80 @@ let prop_random_convs_match =
         Compile.run func ~bindings:((op.Op.output, out_t) :: inputs);
         Ndarray.equal out_ref out_t)
 
+(* ---------- the decision-keyed tuner sweep ---------- *)
+
+module Cpu_tuner = Unit_rewriter.Cpu_tuner
+module Pipeline = Unit_core.Pipeline
+module Obs = Unit_obs.Obs
+
+(* Every distinct zoo conv on both CPU targets, reorganized as the
+   pipeline reorganizes it: (kernel key, machine, schedule). *)
+let zoo_convs () =
+  let seen = Hashtbl.create 256 in
+  List.concat_map
+    (fun target ->
+      let intrin = Registry.find_exn (Pipeline.target_intrin target) in
+      List.concat_map
+        (fun (_, build) ->
+          List.filter_map
+            (fun (wl, _) ->
+              let key = Pipeline.kernel_key target (Unit_graph.Workload.Conv wl) in
+              if Hashtbl.mem seen key then None
+              else begin
+                Hashtbl.add seen key ();
+                let op = Pipeline.conv_op intrin wl in
+                match Inspector.inspect op intrin with
+                | Ok ap -> Some (key, Pipeline.target_spec target, Reorganize.apply op ap ())
+                | Error r ->
+                  Alcotest.failf "%s: %s" key (Inspector.rejection_to_string r)
+              end)
+            (Unit_models.Zoo.conv_workloads (build ())))
+        Unit_models.Zoo.all)
+    [ Pipeline.X86; Pipeline.Arm ]
+
+(* [tune] realizes one config per decision class and still picks what a
+   fold realizing every config would: the same config and cycles
+   (strict [<], the first of equal estimates wins). *)
+let test_decision_keyed_sweep () =
+  let kernels = zoo_convs () in
+  check_int "distinct zoo convs on both targets" 250 (List.length kernels);
+  let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ())) in
+  let cycles (t : Cpu_tuner.tuned) = t.Cpu_tuner.t_estimate.Unit_machine.Cpu_model.est_cycles in
+  let faults =
+    List.concat_map
+      (fun (key, spec, r) ->
+        let configs = Cpu_tuner.candidate_configs spec in
+        let exhaustive =
+          List.fold_left
+            (fun best config ->
+              let t = Cpu_tuner.of_config spec r config in
+              match best with
+              | Some b when not (cycles t < cycles b) -> best
+              | _ -> Some t)
+            None configs
+          |> Option.get
+        in
+        let classes =
+          List.length (List.sort_uniq compare (List.map (Cpu_tuner.decide r) configs))
+        in
+        Obs.reset ();
+        Obs.set_enabled true;
+        let tuned =
+          Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () -> Cpu_tuner.tune spec r)
+        in
+        let candidates = counter "tuner.candidates" and pruned = counter "tuner.pruned" in
+        List.filter_map
+          (fun (ok, what) -> if ok then None else Some (key ^ ": " ^ what))
+          [ (tuned.Cpu_tuner.t_config = exhaustive.Cpu_tuner.t_config, "config");
+            (cycles tuned = cycles exhaustive, "cycles");
+            (candidates = classes, "one candidate per decision class");
+            (candidates + pruned = List.length configs, "candidates + pruned = grid")
+          ])
+      kernels
+  in
+  Obs.reset ();
+  Alcotest.(check (list string)) "sweeps that differ from the exhaustive one" [] faults
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -323,5 +397,9 @@ let () =
           Alcotest.test_case "guard hoisting" `Quick test_guard_hoisting;
           Alcotest.test_case "parallel oracle" `Quick test_parallel_oracle_differentials
         ]
-        @ qcheck [ prop_random_convs_match ] )
+        @ qcheck [ prop_random_convs_match ] );
+      ( "tuner",
+        [ Alcotest.test_case "decision-keyed sweep matches exhaustive" `Quick
+            test_decision_keyed_sweep
+        ] )
     ]
